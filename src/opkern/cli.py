@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import Grid, GridFunction, rng
+from .core import Grid, GridFunction, fourier_sum, rng
 from .exceptions import ConditioningError, OpkernError
 from .families import AverageSamplingFamily, FourierCoefficientFamily
 from .frames import dual_frame, frame_bounds_estimate, interior_relative_error, reconstruct, truncated_frame
@@ -38,7 +38,7 @@ from .paley_wiener import (
     build_vector_sampling_set,
     generalized_kadec_check,
     kadec_bounds,
-    pw_kernel_section,
+    pw_average_sections,
     pw_window,
     sinc_kernel,
     synthesize,
@@ -140,16 +140,19 @@ def _window_grid(args) -> Grid:
     return pw_window(args.m, points_per_unit=args.points_per_unit)
 
 
-def _pw_sections(centers, delta, profile, window_grid, w_n, quad_n=4097):
-    wg = w_grid_default(w_n)
-    return [
-        pw_kernel_section(AverageFunctional(float(x), delta, profile), window_grid, w_grid=wg, quad_n=quad_n)
-        for x in centers
-    ]
+def _pw_sections(centers, delta, profile, window_grid, w_n):
+    return pw_average_sections(centers, delta, window_grid, profile=profile, w_grid=w_grid_default(w_n))
 
 
 def _fourier_grid(n: int) -> Grid:
     return Grid(0.0, 2.0 * math.pi, n)
+
+
+def _fourier_signal(signal: BandlimitedSignal, grid: Grid) -> GridFunction:
+    """The signal's coefficients read as Fourier modes on [0, 2pi]:
+    f(x) = (1/sqrt(2pi)) sum_k c_k exp(i k x)."""
+    vals = fourier_sum(grid.points(), signal.shifts, signal.coeffs[:, 0], sign=1.0)
+    return GridFunction(grid, vals / math.sqrt(2.0 * math.pi))
 
 
 def _fourier_sections(indices, grid: Grid):
@@ -256,10 +259,7 @@ def _cmd_reconstruct(args) -> int:
         sections = _fourier_sections(indices, grid)
         frame = truncated_frame(sections)
         dual = dual_frame(frame, rel_cutoff=args.rel_cutoff)
-        x = grid.points()
-        shifts = signal.shifts
-        vals = (np.exp(1j * np.outer(x, shifts)) @ signal.coeffs[:, 0]) / math.sqrt(2.0 * math.pi)
-        f_grid = GridFunction(grid, vals)
+        f_grid = _fourier_signal(signal, grid)
         family = FourierCoefficientFamily()
         samples = sampling_operator(family, indices, f_grid)
         f_hat = reconstruct(dual, samples)
@@ -325,14 +325,7 @@ def _cmd_regnet(args) -> int:
         target = (
             synthesize(signal, window_grid)
             if fam_desc["family"] == "average"
-            else GridFunction(
-                _fourier_grid(args.grid_n),
-                (
-                    np.exp(1j * np.outer(_fourier_grid(args.grid_n).points(), signal.shifts))
-                    @ signal.coeffs[:, 0]
-                )
-                / math.sqrt(2.0 * math.pi),
-            )
+            else _fourier_signal(signal, _fourier_grid(args.grid_n))
         )
         samples = sampling_operator(family, indices, target)
     else:
@@ -403,10 +396,7 @@ def _cmd_stability(args) -> int:
     dual = dual_frame(frame)
     sizes = [int(s) for s in args.sizes.split(",")]
     trunc = truncated_reconstruction_stability(frame, dual, args.trials, sizes, args.seed)
-    family = AverageSamplingFamily(delta=args.delta, profile=args.profile)
-    sweep = stability_sweep(
-        family, [float(c) for c in centers], args.lam, args.trials, args.seed, sections, sizes
-    )
+    sweep = stability_sweep(sections, args.lam, args.trials, args.seed, sizes)
     a_est, b_est = frame_bounds_estimate(frame)
     prefix = Path(args.out)
     _write_json(
@@ -431,10 +421,7 @@ def _cmd_stability(args) -> int:
     )
     lines = ["size,truncated_ratio,damped_ratio"]
     for size in sizes:
-        lines.append(
-            f"{size},{_fmt(trunc.per_size.get(size, float('nan')))},"
-            f"{_fmt(sweep.per_size.get(size, float('nan')))}"
-        )
+        lines.append(f"{size},{_fmt(trunc.per_size[size])},{_fmt(sweep.per_size[size])}")
     csv_path = prefix.with_suffix(".csv")
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     csv_path.write_text("\n".join(lines) + "\n")
@@ -572,7 +559,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConditioningError as exc:
+    except (ConditioningError, np.linalg.LinAlgError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 3

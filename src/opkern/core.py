@@ -24,6 +24,7 @@ __all__ = [
     "quadrature",
     "inner_product",
     "norm",
+    "fourier_sum",
     "dft",
     "inverse_dft",
     "hermitian_eig",
@@ -194,15 +195,34 @@ def restrict(f: GridFunction, lo: float, hi: float) -> GridFunction:
     return GridFunction(sub, f.values[idx])
 
 
+#: most entries of exp(i outer(freqs, nodes)) that fourier_sum holds at once
+_FOURIER_BLOCK = 4_000_000
+
+
+def fourier_sum(freqs, nodes, weighted, sign: float = -1.0) -> np.ndarray:
+    """Fourier sum  exp(sign i outer(freqs, nodes)) @ weighted.
+
+    ``weighted`` holds quadrature-weighted samples at ``nodes``, shape (n,) or
+    (n, k); ``freqs`` is flattened. The exponential matrix is built in row
+    blocks of at most 4,000,000 entries, so memory stays bounded for any
+    number of frequencies. Returns shape (freqs.size,) or (freqs.size, k).
+    """
+    w = np.ravel(np.asarray(freqs, dtype=float))
+    t = np.ravel(np.asarray(nodes, dtype=float))
+    weighted = np.asarray(weighted)
+    out = np.empty((w.size,) + weighted.shape[1:], dtype=complex)
+    rows = max(1, _FOURIER_BLOCK // max(t.size, 1))
+    for s in range(0, w.size, rows):
+        out[s : s + rows] = np.exp(sign * 1j * np.outer(w[s : s + rows], t)) @ weighted
+    return out
+
+
 def dft(f: GridFunction, freqs: Sequence[float]) -> np.ndarray:
     """Quadrature Fourier integrals  \\int f(t) exp(-i t w_k) dt.
 
     Returns shape (len(freqs),) for scalar f, else (len(freqs), dim).
     """
-    w = np.atleast_1d(np.asarray(freqs, dtype=float))
-    t = f.grid.points()
-    kernel = np.exp(-1j * np.outer(w, t)) * f.grid.weights()
-    out = kernel @ f.values
+    out = fourier_sum(freqs, f.grid.points(), f.values * f.grid.weights()[:, None])
     return out[:, 0] if f.dim == 1 else out
 
 

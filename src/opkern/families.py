@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .core import Grid, GridFunction, integrate_values
+from .core import Grid, GridFunction, fourier_sum, integrate_values
 from .exceptions import DomainError, ShapeMismatchError, ValidationError
 
 __all__ = [
@@ -142,13 +142,7 @@ class AverageFunctional:
     def _quad_transform(self, omega: np.ndarray, sign: float, quad_n: int) -> np.ndarray:
         g = self.quad_grid(quad_n)
         t = g.points()
-        weighted = (self.evaluate(t) * g.weights()).astype(complex)
-        out = np.empty(omega.size, dtype=complex)
-        chunk = max(1, 4_000_000 // max(t.size, 1))
-        for s in range(0, omega.size, chunk):
-            om = omega[s : s + chunk]
-            out[s : s + chunk] = np.exp(sign * 1j * np.outer(om, t)) @ weighted
-        return out
+        return fourier_sum(omega, t, self.evaluate(t) * g.weights(), sign)
 
     def transform(self, omega, quad_n: int = 4097, closed_form: bool = True) -> np.ndarray:
         """u_x^ at the given frequencies: \\int u_x(s) exp(-i omega s) ds.
@@ -401,7 +395,12 @@ class SampleSet:
         return len(self.alphas)
 
     def value_array(self) -> np.ndarray:
-        return np.array([complex(np.atleast_1d(v)[0]) for v in self.values])
+        """Scalar sampled values as one complex vector; vector-valued
+        samples are refused rather than cut to their first component."""
+        vals = [np.asarray(v, dtype=complex) for v in self.values]
+        if any(v.size != 1 for v in vals):
+            raise ShapeMismatchError("value_array needs scalar samples; got vector-valued values")
+        return np.array([v.item() for v in vals], dtype=complex)
 
     def to_json(self) -> dict:
         fam = family_from_descriptor(self.family)

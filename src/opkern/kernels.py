@@ -20,6 +20,7 @@ from .core import (
     Grid,
     GridFunction,
     complex_unit_disc,
+    fourier_sum,
     hermitian_eig,
     inner_product,
     integrate_values,
@@ -261,9 +262,8 @@ def translation_invariant_kernel(varphi: GridFunction, x, y) -> np.ndarray:
     """Pointwise kernel values \\int exp(i(x-y)t) varphi(t) dt by quadrature."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    t = varphi.grid.points()
-    kern = np.exp(1j * np.outer(x - y, t)) * varphi.grid.weights()
-    return kern @ varphi.values[:, 0]
+    weighted = varphi.values[:, 0] * varphi.grid.weights()
+    return fourier_sum(x - y, varphi.grid.points(), weighted, sign=1.0)
 
 
 def translation_invariant_section(
@@ -280,12 +280,10 @@ def translation_invariant_section(
     if varphi.dim != 1 or u_alpha.dim != 1:
         raise ShapeMismatchError("translation-invariant construction is scalar (dim 1)")
     t = varphi.grid.points()
-    s = u_alpha.grid.points()
-    inv = (np.exp(1j * np.outer(t, s)) * u_alpha.grid.weights()) @ u_alpha.values[:, 0]
-    inv /= 2.0 * math.pi
+    u_weighted = u_alpha.values[:, 0] * u_alpha.grid.weights()
+    inv = fourier_sum(t, u_alpha.grid.points(), u_weighted, sign=1.0) / (2.0 * math.pi)
     weighted = varphi.values[:, 0] * inv * varphi.grid.weights()
-    x = out_grid.points()
-    vals = 2.0 * math.pi * (np.exp(-1j * np.outer(x, t)) @ weighted)
+    vals = 2.0 * math.pi * fourier_sum(out_grid.points(), t, weighted)
     return KernelSection(
         alpha=None,
         xi=np.array([1.0 + 0j]),
@@ -314,7 +312,7 @@ def fourier_point_feature_map(w_grid: Grid, max_mode: int, dim_y: int = 1) -> Fe
 
     def evaluate(x, xi):
         xi = np.atleast_1d(np.asarray(xi, dtype=complex))
-        wave = np.exp(1j * np.outer(t, modes)) @ np.exp(-1j * modes * float(x))
+        wave = fourier_sum(t, modes, np.exp(-1j * modes * float(x)), sign=1.0)
         wave /= 2.0 * math.pi
         return GridFunction(w_grid, np.outer(wave, xi))
 

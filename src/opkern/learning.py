@@ -23,7 +23,7 @@ from .core import (
     rng,
     solve_hermitian,
 )
-from .exceptions import ConditioningError, ShapeMismatchError
+from .exceptions import ConditioningError, ShapeMismatchError, ValidationError
 from .families import FunctionalFamily, SampleSet, family_from_descriptor
 from .frames import DualFrame, TruncatedFrame, frame_bounds_estimate
 from .kernels import KernelSection
@@ -242,7 +242,6 @@ def reduced_space_minimize(
 
 
 def tikhonov_operator_apply(
-    family: FunctionalFamily,
     indices: Sequence,
     lam: float,
     samples: SampleSet,
@@ -260,6 +259,15 @@ def tikhonov_operator_apply(
 
 def _quad_form(m: np.ndarray, c: np.ndarray) -> float:
     return float(np.real(np.conj(c) @ m @ c))
+
+
+def _check_sweep(trials: int, subset_sizes: Sequence[int], m: int) -> None:
+    """Refuse sweeps that would report on no evidence or on clipped sizes."""
+    if int(trials) < 1:
+        raise ValidationError(f"trials must be at least 1, got {trials}")
+    for size in subset_sizes:
+        if not 1 <= int(size) <= m:
+            raise ValidationError(f"subset size {size} outside 1..{m} (the frame size)")
 
 
 @dataclass(frozen=True)
@@ -286,15 +294,16 @@ def truncated_reconstruction_stability(
     |sum_{j in S} <f, K_j> K~_j| / |f| in the space norm (coefficient space);
     passes iff the maximum stays below (B_est/A_est)(1 + 0.1).
     """
+    m = len(frame)
+    _check_sweep(trials, subset_sizes, m)
     g = frame.gram.matrix
     gp = dual.coeffs
     a_est, b_est = frame_bounds_estimate(frame)
     gen = rng(seed)
-    m = len(frame)
     per_size: dict[int, float] = {}
     c_emp = 0.0
     for size in subset_sizes:
-        size = int(min(size, m))
+        size = int(size)
         worst = 0.0
         for _ in range(int(trials)):
             a = complex_unit_disc(gen, m)
@@ -327,12 +336,10 @@ class SweepReport:
 
 
 def stability_sweep(
-    family: FunctionalFamily,
-    index_superset: Sequence,
+    sections: Sequence[KernelSection],
     lam: float,
     trials: int,
     seed: int,
-    sections: Sequence[KernelSection],
     subset_sizes: Sequence[int] = (4, 8, 16),
 ) -> SweepReport:
     """Damped-reconstruction ratios |f0|/|f| across nested subset sizes and
@@ -340,15 +347,14 @@ def stability_sweep(
     largest-size maximum (no blow-up as the index set shrinks)."""
     from .kernels import gram as _gram
 
-    if len(sections) != len(index_superset):
-        raise ShapeMismatchError("sections and index superset are misaligned")
+    m = len(sections)
+    _check_sweep(trials, subset_sizes, m)
     g = _gram(list(sections)).matrix
     gl = g.conj()
     gen = rng(seed)
-    m = len(sections)
     per_size: dict[int, float] = {}
     for size in subset_sizes:
-        size = int(min(size, m))
+        size = int(size)
         worst = 0.0
         for _ in range(int(trials)):
             a = complex_unit_disc(gen, m)

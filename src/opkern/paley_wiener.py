@@ -15,22 +15,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Grid, GridFunction, inverse_dft
+from .core import Grid, GridFunction, fourier_sum, inverse_dft
 from .exceptions import AdmissibilityError, DomainError, ShapeMismatchError, ValidationError
-from .families import AverageFunctional, average_sample  # noqa: F401  (re-exported surface)
+from .families import AverageFunctional
 from .kernels import FeatureMap, KernelSection
 
 __all__ = [
     "sinc_kernel",
     "BandlimitedSignal",
     "synthesize",
-    "average_sample",
     "pw_window",
     "w_grid_default",
     "psi_feature",
-    "pw_kernel_section",
     "pw_average_sections",
-    "synthesize_from_w",
     "point_feature_map",
     "average_feature_map",
     "signal_w_repr",
@@ -163,39 +160,6 @@ def psi_feature(
     return GridFunction(w_grid, vals)
 
 
-def synthesize_from_w(w_fun: GridFunction, out_grid: Grid, chunk: int | None = None) -> GridFunction:
-    """Time-side synthesis g(y) = \\int_{-pi}^{pi} exp(-i y t) v(t) dt of a
-    frequency-side density v (scalar), evaluated by quadrature in chunks."""
-    _require_band_grid(w_fun.grid)
-    t = w_fun.grid.points()
-    weighted = w_fun.values[:, 0] * w_fun.grid.weights()
-    y = out_grid.points()
-    out = np.empty(out_grid.n, dtype=complex)
-    if chunk is None:
-        chunk = max(1, 4_000_000 // max(t.size, 1))
-    for start in range(0, out_grid.n, chunk):
-        yc = y[start : start + chunk]
-        out[start : start + chunk] = np.exp(-1j * np.outer(yc, t)) @ weighted
-    return GridFunction(out_grid, out)
-
-
-def pw_kernel_section(
-    u: AverageFunctional,
-    out_grid: Grid,
-    w_grid: Grid | None = None,
-    quad_n: int = 4097,
-    closed_form: bool = False,
-) -> KernelSection:
-    """Kernel section of the average functional on the bandlimited space:
-    K(x)(y) = \\int_{-pi}^{pi} exp(-i y t) u_x^v(t) dt, both integrals by
-    quadrature. Carries Psi(x) as its feature vector."""
-    w_grid = w_grid or w_grid_default()
-    psi = psi_feature(u, w_grid, quad_n=quad_n, closed_form=closed_form)
-    udual = GridFunction(w_grid, psi.values / SQRT_TWO_PI)
-    h = synthesize_from_w(udual, out_grid)
-    return KernelSection(alpha=u.x, xi=np.array([1.0 + 0j]), h_repr=h, w_repr=psi)
-
-
 def pw_average_sections(
     centers,
     delta: float,
@@ -203,14 +167,15 @@ def pw_average_sections(
     profile: str = "box",
     w_grid: Grid | None = None,
     quad_n: int = 4097,
-    chunk: int | None = None,
     closed_form: bool = False,
 ) -> list[KernelSection]:
-    """Batched sections for shifted copies of one average profile.
+    """Kernel sections of the average functionals centred at ``centers``:
+    K(x)(y) = \\int_{-pi}^{pi} exp(-i y t) u_x^v(t) dt on ``out_grid``, each
+    carrying Psi(x) = sqrt(2pi) u_x^v as its feature vector.
 
     Shifting the profile modulates its frequency side, u_x^v = exp(i x t)
     u_0^v, so one base transform and one synthesis product cover the whole
-    family; the result matches per-functional pw_kernel_section calls.
+    family.
     """
     w_grid = w_grid or w_grid_default()
     _require_band_grid(w_grid)
@@ -220,14 +185,7 @@ def pw_average_sections(
         t, quad_n=quad_n, closed_form=closed_form
     )
     udual = np.exp(1j * np.outer(t, np.asarray(centers))) * base[:, None]
-    weighted = udual * w_grid.weights()[:, None]
-    y = out_grid.points()
-    h_vals = np.empty((out_grid.n, len(centers)), dtype=complex)
-    if chunk is None:
-        chunk = max(1, 4_000_000 // max(t.size, 1))
-    for start in range(0, out_grid.n, chunk):
-        yc = y[start : start + chunk]
-        h_vals[start : start + chunk] = np.exp(-1j * np.outer(yc, t)) @ weighted
+    h_vals = fourier_sum(out_grid.points(), t, udual * w_grid.weights()[:, None])
     out = []
     for i, c in enumerate(centers):
         out.append(
@@ -283,9 +241,8 @@ def signal_w_repr(signal: BandlimitedSignal, w_grid: Grid) -> GridFunction:
     _require_band_grid(w_grid)
     if signal.dim != 1:
         raise ShapeMismatchError("w-representation implemented for scalar signals")
-    t = w_grid.points()
-    vals = np.exp(1j * np.outer(t, signal.shifts)) @ signal.coeffs[:, 0] / SQRT_TWO_PI
-    return GridFunction(w_grid, vals)
+    vals = fourier_sum(w_grid.points(), signal.shifts, signal.coeffs[:, 0], sign=1.0)
+    return GridFunction(w_grid, vals / SQRT_TWO_PI)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import toeplitz
 
-from .core import Grid, GridFunction, integrate_values
+from .core import Grid, GridFunction, fourier_sum, integrate_values
 from .exceptions import DomainError, RieszConditionError, ShapeMismatchError, ValidationError
 from .families import AverageFunctional
 from .kernels import KernelSection
@@ -94,16 +94,8 @@ class Generator:
         omega = np.asarray(omega, dtype=float)
         if self.phi_hat is not None:
             return np.asarray(self.phi_hat(omega), dtype=complex)
-        t = self.phi.grid.points()
-        w = self.phi.grid.weights()
-        out = np.empty(omega.shape, dtype=complex)
-        flat = omega.reshape(-1)
-        vals = self.phi.values[:, 0]
-        chunk = max(1, 8_000_000 // max(t.size, 1))
-        for s in range(0, flat.size, chunk):
-            om = flat[s : s + chunk]
-            out.reshape(-1)[s : s + chunk] = (np.exp(-1j * np.outer(om, t)) * w) @ vals
-        return out
+        weighted = self.phi.values[:, 0] * self.phi.grid.weights()
+        return fourier_sum(omega, self.phi.grid.points(), weighted).reshape(omega.shape)
 
     def bracket(self, xi) -> np.ndarray:
         return bracket_function(self, xi)
@@ -184,8 +176,7 @@ def dual_generator(gen: Generator, k_max: int, xi_n: int = 2049) -> DualGenerato
     xs = grid_xi.points()
     recip = 1.0 / bracket_function(gen, xs)
     ks = np.arange(-k_max, k_max + 1)
-    kern = np.exp(-1j * np.outer(ks, xs)) * grid_xi.weights()
-    b = (kern @ recip.astype(complex)) / TWO_PI
+    b = fourier_sum(ks, xs, recip * grid_xi.weights()) / TWO_PI
     r = gen.support_radius
     h = gen.phi.grid.h
     ext = Grid(-(r + k_max), float(r + k_max), int(round(2 * (r + k_max) / h)) + 1)
@@ -397,6 +388,5 @@ def fourier_coefficient_identity_check(
     grid_xi = Grid(-math.pi, math.pi, int(xi_n))
     xs = grid_xi.points()
     g = _g_alpha_values(gen, u, xs, j, closed_form=closed_form)
-    kern = np.exp(1j * np.outer(ks, xs)) * grid_xi.weights()
-    freq_side = (kern @ g) / TWO_PI
+    freq_side = fourier_sum(ks, xs, g * grid_xi.weights(), sign=1.0) / TWO_PI
     return float(np.max(np.abs(time_side - freq_side)))

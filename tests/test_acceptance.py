@@ -384,10 +384,7 @@ def test_criterion_8_stability_sweeps():
         frame, dual, trials=200, subset_sizes=[4, 8, 16], seed=808
     )
     assert trunc.passed, f"c_emp {trunc.c_emp} vs envelope {trunc.envelope}"
-    fam = AverageSamplingFamily(delta=0.1)
-    sweep = stability_sweep(
-        fam, centers, lam=0.1, trials=200, seed=808, sections=secs, subset_sizes=(4, 8, 16)
-    )
+    sweep = stability_sweep(secs, lam=0.1, trials=200, seed=808, subset_sizes=(4, 8, 16))
     assert sweep.passed
     print(
         f"PASS criterion 8: truncated c_emp {trunc.c_emp:.3f} <= envelope {trunc.envelope:.3f}; "

@@ -185,3 +185,48 @@ def test_conditioning_error_exit_code(signal_file, tmp_path, capsys):
     assert code == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConditioningError"
+
+
+@pytest.mark.parametrize("cutoff", ["1.5", "1.0"])
+def test_rel_cutoff_out_of_range_is_validation_error(signal_file, tmp_path, capsys, cutoff):
+    code = main([
+        "reconstruct", "--space", "fourier", "--signal", str(signal_file),
+        "--m", "4", "--grid-n", "129", "--rel-cutoff", cutoff, "--out", str(tmp_path / "x"),
+    ])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError"
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--m", "8", "--sizes", "4,8", "--trials", "0"],
+        ["--m", "8", "--sizes", "0", "--trials", "5"],
+        ["--m", "4", "--sizes", "4,8,16", "--trials", "5"],
+    ],
+    ids=["no-trials", "size-zero", "size-beyond-frame"],
+)
+def test_stability_bad_inputs_are_refused(tmp_path, capsys, flags):
+    code = main([
+        "stability", *flags, "--w-n", "129", "--points-per-unit", "4",
+        "--out", str(tmp_path / "stab"),
+    ])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError"
+    assert not (tmp_path / "stab.json").exists()
+
+
+def test_linalg_error_exits_numerical(signal_file, tmp_path, capsys, monkeypatch):
+    def failing_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    code = main([
+        "reconstruct", "--space", "fourier", "--signal", str(signal_file),
+        "--m", "4", "--grid-n", "129", "--out", str(tmp_path / "x"),
+    ])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "LinAlgError"

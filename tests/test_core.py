@@ -10,6 +10,7 @@ from opkern.core import (
     GridFunction,
     complex_unit_disc,
     dft,
+    fourier_sum,
     hermitian_eig,
     inner_product,
     norm,
@@ -162,6 +163,26 @@ def test_dft_values():
     assert abs(dft(one, [1.0])[0]) < 1e-6
     mode = GridFunction.from_callable(g, lambda x: np.exp(1j * x))
     assert dft(mode, [1.0])[0] == pytest.approx(TWO_PI, abs=1e-6)
+
+
+def test_fourier_sum_matches_one_shot_formula_across_blocks():
+    """8001 frequencies on 1000 nodes span three row blocks (4000, 4000, 1)
+    of the chunked sum; the one-shot formula builds the whole matrix."""
+    g = Grid(-1.0, 2.0, 1000)
+    f = GridFunction(g, complex_unit_disc(rng(12), (g.n, 2)))
+    w = np.linspace(-300.0, 300.0, 8001)
+    kernel = np.outer(w, g.points()) * -1j
+    np.exp(kernel, out=kernel)
+    kernel *= g.weights()
+    one_shot = kernel @ f.values
+    del kernel
+    got = dft(f, w)
+    assert got.shape == one_shot.shape
+    assert np.max(np.abs(got - one_shot)) <= 1e-12 * np.max(np.abs(one_shot))
+    # the +i sign on a 1-D weighted vector
+    v = f.values[:, 0] * g.weights()
+    direct = np.exp(1j * np.outer(w[:50], g.points())) @ v
+    assert np.max(np.abs(fourier_sum(w[:50], g.points(), v, sign=1.0) - direct)) < 1e-13
 
 
 # ------------------------------------------------------------- serialization

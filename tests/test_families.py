@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from opkern.core import Grid, GridFunction, integrate_values
-from opkern.exceptions import DomainError, ValidationError
+from opkern.exceptions import DomainError, ShapeMismatchError, ValidationError
 from opkern.families import (
     AverageFunctional,
     AverageSamplingFamily,
@@ -140,6 +140,13 @@ def test_sample_set_json_roundtrip():
     back = SampleSet.from_json(ss.to_json())
     assert back.alphas == ss.alphas
     assert np.allclose(back.value_array(), ss.value_array())
+
+
+def test_sample_set_value_array_refuses_vector_values():
+    fam = PointEvaluationFamily()
+    ss = SampleSet(fam.descriptor(), (0.0, 1.0), (np.array([1, 2]), np.array([3, 4])))
+    with pytest.raises(ShapeMismatchError):
+        ss.value_array()
 
 
 def test_sample_set_point_inner_roundtrip():

@@ -255,7 +255,7 @@ def test_tikhonov_interpolation_limit_recovers_span_element():
     samples = sampling_operator(fam, indices, f)
     errs = []
     for lam in (1e-2, 1e-6, 1e-10):
-        f0 = tikhonov_operator_apply(fam, indices, lam, samples, secs)
+        f0 = tikhonov_operator_apply(indices, lam, samples, secs)
         errs.append(norm(f0 - f))
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 1e-8
@@ -266,7 +266,7 @@ def test_tikhonov_zero_samples():
     indices = [0, 1]
     secs = _fourier_sections(indices, grid)
     samples = SampleSet(FourierCoefficientFamily().descriptor(), tuple(indices), (0j, 0j))
-    f0 = tikhonov_operator_apply(FourierCoefficientFamily(), indices, 0.1, samples, secs)
+    f0 = tikhonov_operator_apply(indices, 0.1, samples, secs)
     assert norm(f0) == 0.0
 
 
@@ -282,7 +282,7 @@ def test_tikhonov_noise_response_spectral_bound():
     gen = rng(10)
     for _ in range(100):
         noisy = perturb_samples(clean, sigma=0.01, seed=int(gen.integers(0, 2**31)))
-        f0 = tikhonov_operator_apply(fam, indices, lam, noisy, secs, gram_l=g_l)
+        f0 = tikhonov_operator_apply(indices, lam, noisy, secs, gram_l=g_l)
         noise_vec = noisy.value_array()
         assert norm(f0) <= np.linalg.norm(noise_vec) / (2.0 * math.sqrt(lam)) + 1e-12
 
@@ -315,8 +315,7 @@ def test_stability_sweep_heavy_damping():
     window = pw_window(8, points_per_unit=32)
     centers = [float(c) for c in range(-8, 9)]
     secs = pw_average_sections(centers, 0.2, window, w_grid=w_grid_default(2049))
-    fam = AverageSamplingFamily(delta=0.2)
-    rep = stability_sweep(fam, centers, lam=1e3, trials=50, seed=0, sections=secs)
+    rep = stability_sweep(secs, lam=1e3, trials=50, seed=0)
     assert rep.passed
     assert rep.c_emp < 0.01
 
@@ -325,8 +324,7 @@ def test_stability_sweep_orthonormal_filter_bound():
     grid = Grid(0.0, TWO_PI, 257)
     indices = list(range(-4, 4))
     secs = _fourier_sections(indices, grid)
-    fam = FourierCoefficientFamily()
-    rep = stability_sweep(fam, indices, lam=0.1, trials=100, seed=2, sections=secs)
+    rep = stability_sweep(secs, lam=0.1, trials=100, seed=2, subset_sizes=(4, 8))
     assert rep.passed
     assert rep.c_emp <= 1.0 / 1.1 + 1e-9  # unit spectrum: factor g/(g+lam)
 
@@ -335,10 +333,7 @@ def test_stability_sweep_average_family_bounded():
     window = pw_window(8, points_per_unit=32)
     centers = [float(c) for c in range(-8, 9)]
     secs = pw_average_sections(centers, 0.2, window, w_grid=w_grid_default(2049))
-    fam = AverageSamplingFamily(delta=0.2)
-    rep = stability_sweep(
-        fam, centers, lam=0.1, trials=100, seed=4, sections=secs, subset_sizes=(4, 8, 16)
-    )
+    rep = stability_sweep(secs, lam=0.1, trials=100, seed=4, subset_sizes=(4, 8, 16))
     assert rep.passed
     assert max(rep.per_size.values()) <= 1.0 + 1e-9
 
@@ -419,4 +414,4 @@ def test_tikhonov_misaligned_indices_rejected():
     secs = _fourier_sections([0, 1], grid)
     samples = SampleSet(FourierCoefficientFamily().descriptor(), (0, 1), (0j, 0j))
     with pytest.raises(ShapeMismatchError):
-        tikhonov_operator_apply(FourierCoefficientFamily(), [1, 0], 0.1, samples, secs)
+        tikhonov_operator_apply([1, 0], 0.1, samples, secs)

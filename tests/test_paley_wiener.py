@@ -15,7 +15,6 @@ from opkern.paley_wiener import (
     point_feature_map,
     psi_feature,
     pw_average_sections,
-    pw_kernel_section,
     pw_window,
     separation_frame_check,
     shifted_average_frame_check,
@@ -78,7 +77,7 @@ def test_pw_section_quadratic_convergence_to_sinc():
     wg = w_grid_default(2049)
     devs = []
     for d in (0.1, 0.05, 0.025):
-        sec = pw_kernel_section(AverageFunctional(0.0, d), out, w_grid=wg)
+        sec = pw_average_sections([0.0], d, out, w_grid=wg)[0]
         devs.append(np.max(np.abs(sec.h_repr.values[:, 0] - np.sinc(out.points()))))
     assert devs[0] / devs[1] > 3.0
     assert devs[1] / devs[2] > 3.0
@@ -86,7 +85,7 @@ def test_pw_section_quadratic_convergence_to_sinc():
 
 def test_pw_section_real_for_real_profile():
     out = Grid(-6.0, 6.0, 257)
-    sec = pw_kernel_section(AverageFunctional(1.0, 0.2), out, w_grid=w_grid_default(2049))
+    sec = pw_average_sections([1.0], 0.2, out, w_grid=w_grid_default(2049))[0]
     assert np.max(np.abs(sec.h_repr.values.imag)) < 1e-8
 
 
@@ -107,19 +106,24 @@ def test_pw_section_reproduces_average_samples():
         rhs = inner_product(w_f, psi)
         assert abs(lhs - rhs) < 2e-6
         # grid-side inner product carries the window-truncation error only
-        sec = pw_kernel_section(u, window, w_grid=w_grid_default(2049))
+        sec = pw_average_sections([x], 0.2, window, w_grid=w_grid_default(2049))[0]
         rhs_grid = inner_product(f, sec.h_repr)
         assert abs(lhs - rhs_grid) < 2e-2
 
 
-def test_batched_sections_match_single_calls():
+@pytest.mark.parametrize("profile", ["box", "triangle", "cosine"])
+def test_batched_sections_match_single_calls(profile):
+    """The modulated batch against a direct per-centre quadrature: each
+    centre's own (unshifted-grid) transform, then an explicit synthesis sum."""
     window = pw_window(2, points_per_unit=32)
     wg = w_grid_default(513)
-    batch = pw_average_sections([-1.0, 0.5], 0.15, window, profile="triangle", w_grid=wg)
+    t, y = wg.points(), window.points()
+    batch = pw_average_sections([-1.0, 0.5], 0.15, window, profile=profile, w_grid=wg)
     for sec, c in zip(batch, (-1.0, 0.5)):
-        single = pw_kernel_section(AverageFunctional(c, 0.15, "triangle"), window, w_grid=wg)
-        assert np.max(np.abs(sec.h_repr.values - single.h_repr.values)) < 1e-13
-        assert np.max(np.abs(sec.w_repr.values - single.w_repr.values)) < 1e-13
+        udual = AverageFunctional(c, 0.15, profile).inverse_transform(t)
+        h = np.exp(-1j * np.outer(y, t)) @ (udual * wg.weights())
+        assert np.max(np.abs(sec.h_repr.values[:, 0] - h)) < 1e-13
+        assert np.max(np.abs(sec.w_repr.values[:, 0] - math.sqrt(TWO_PI) * udual)) < 1e-13
 
 
 # ------------------------------------------------------------------- features
@@ -142,7 +146,7 @@ def test_psi_cross_equals_applied_kernel():
     ux = AverageFunctional(x, 0.2)
     uy = AverageFunctional(y, 0.2)
     w_side = inner_product(psi_feature(ux, wg), psi_feature(uy, wg))
-    sec = pw_kernel_section(ux, out, w_grid=wg)
+    sec = pw_average_sections([x], 0.2, out, w_grid=wg)[0]
     applied = average_sample(sec.h_repr, uy, refine=16)
     assert abs(w_side - applied) < 1e-6
 
@@ -160,7 +164,7 @@ def test_section_matches_point_feature_pairing():
     wg = w_grid_default(8193)
     out = Grid(-3.0, 3.0, 65)
     u = AverageFunctional(0.4, 0.2)
-    sec = pw_kernel_section(u, out, w_grid=wg)
+    sec = pw_average_sections([0.4], 0.2, out, w_grid=wg)[0]
     phi = point_feature_map(wg)
     psi = psi_feature(u, wg)
     for i, y in enumerate(out.points()):
