@@ -21,9 +21,9 @@ import numpy as np
 
 from . import __version__
 from .core import Grid, GridFunction, fourier_sum, rng
-from .exceptions import ConditioningError, OpkernError
+from .exceptions import ConditioningError, OpkernError, ValidationError
 from .families import AverageSamplingFamily, FourierCoefficientFamily
-from .frames import dual_frame, frame_bounds_estimate, interior_relative_error, reconstruct, truncated_frame
+from .frames import dual_frame, interior_relative_error, reconstruct, truncated_frame
 from .kernels import GramMatrix, KernelSection, feature_gram, gram, psd_check
 from .learning import (
     learning_problem,
@@ -56,6 +56,9 @@ from .shift_invariant import (
 from .families import AverageFunctional, SampleSet
 
 FMT = "%.15g"
+
+#: most entries (sections x points of the larger grid) a section stack may hold
+MAX_STACK_ENTRIES = 2**25
 
 
 def _fmt(x: float) -> str:
@@ -111,15 +114,24 @@ def _parse_indices(text: str) -> list:
 
 
 def _apply_config_file(args: argparse.Namespace) -> dict:
-    """Resolve the effective config: file values override flags."""
-    config = {k: v for k, v in vars(args).items() if k not in {"func", "config"}}
+    """Resolve the effective config: file values override flags, and go
+    through the same type conversion and choices as the flag would."""
+    config = {k: v for k, v in vars(args).items() if k not in {"func", "config", "parser"}}
     if getattr(args, "config", None):
         with open(args.config) as fh:
             overrides = json.load(fh)
+        actions = {a.dest: a for a in args.parser._actions}
         for key, value in overrides.items():
             key = key.replace("-", "_")
-            if key not in config:
+            if key not in config or key not in actions:
                 raise OpkernError(f"unknown config key {key!r}")
+            action = actions[key]
+            try:
+                value = (action.type or str)(str(value))
+            except ValueError:
+                raise ValidationError(f"config value {value!r} is not valid for {key!r}") from None
+            if action.choices is not None and value not in action.choices:
+                raise ValidationError(f"config value {value!r} for {key!r} not in {list(action.choices)}")
             config[key] = value
             setattr(args, key, value)
     return config
@@ -140,7 +152,14 @@ def _window_grid(args) -> Grid:
     return pw_window(args.m, points_per_unit=args.points_per_unit)
 
 
+def _check_stack(count: int, *grid_sizes: int) -> None:
+    """Refuse a section stack too large to hold, before building any of it."""
+    if count * max(grid_sizes) > MAX_STACK_ENTRIES:
+        raise ValidationError(f"{count} sections of {max(grid_sizes)} points exceed {MAX_STACK_ENTRIES} entries")
+
+
 def _pw_sections(centers, delta, profile, window_grid, w_n):
+    _check_stack(len(centers), window_grid.n, w_n)
     return pw_average_sections(centers, delta, window_grid, profile=profile, w_grid=w_grid_default(w_n))
 
 
@@ -156,6 +175,7 @@ def _fourier_signal(signal: BandlimitedSignal, grid: Grid) -> GridFunction:
 
 
 def _fourier_sections(indices, grid: Grid):
+    _check_stack(len(indices), grid.n)
     fam = FourierCoefficientFamily()
     out = []
     for j in indices:
@@ -165,6 +185,7 @@ def _fourier_sections(indices, grid: Grid):
 
 
 def _sinc_point_sections(points, window_grid: Grid, w_n: int):
+    _check_stack(len(points), window_grid.n, w_n)
     wg = w_grid_default(w_n)
     t = wg.points()
     x_axis = window_grid.points()
@@ -193,8 +214,7 @@ def _sections_for_family(args, window_grid):
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-def _cmd_gram(args) -> int:
-    config = _apply_config_file(args)
+def _cmd_gram(args, config: dict) -> int:
     window_grid = _window_grid(args)
     sections = _sections_for_family(args, window_grid)
     g = gram(sections)
@@ -204,8 +224,7 @@ def _cmd_gram(args) -> int:
     return 0
 
 
-def _cmd_psd(args) -> int:
-    config = _apply_config_file(args)
+def _cmd_psd(args, config: dict) -> int:
     window_grid = _window_grid(args)
     sections = _sections_for_family(args, window_grid)
     g = gram(sections)
@@ -224,8 +243,7 @@ def _cmd_psd(args) -> int:
     return 0
 
 
-def _cmd_kadec(args) -> int:
-    config = _apply_config_file(args)
+def _cmd_kadec(args, config: dict) -> int:
     a, b = kadec_bounds(args.delta)
     if args.delta > 0:
         check = generalized_kadec_check(a, b, args.delta)
@@ -238,34 +256,29 @@ def _cmd_kadec(args) -> int:
     return 0
 
 
-def _cmd_reconstruct(args) -> int:
-    config = _apply_config_file(args)
+def _cmd_reconstruct(args, config: dict) -> int:
     signal = _load_signal(args.signal)
     prefix = Path(args.out)
     if args.space == "pw":
-        window_grid = _window_grid(args)
-        centers = list(range(-args.m, args.m + 1))
-        sections = _pw_sections(centers, args.delta, args.profile, window_grid, args.w_n)
-        frame = truncated_frame(sections)
-        dual = dual_frame(frame, rel_cutoff=args.rel_cutoff)
-        f_grid = synthesize(signal, window_grid)
+        grid = _window_grid(args)
+        indices = [float(c) for c in range(-args.m, args.m + 1)]
+        sections = _pw_sections(indices, args.delta, args.profile, grid, args.w_n)
+        f_grid = synthesize(signal, grid)
         family = AverageSamplingFamily(delta=args.delta, profile=args.profile)
-        samples = sampling_operator(family, [float(c) for c in centers], f_grid)
-        f_hat = reconstruct(dual, samples)
-        err = interior_relative_error(f_hat, f_grid, margin=4.0)
+        window = (grid.a + 4.0, grid.b - 4.0)
     elif args.space == "fourier":
         grid = _fourier_grid(args.grid_n)
         indices = list(range(-args.m, args.m + 1))
         sections = _fourier_sections(indices, grid)
-        frame = truncated_frame(sections)
-        dual = dual_frame(frame, rel_cutoff=args.rel_cutoff)
         f_grid = _fourier_signal(signal, grid)
         family = FourierCoefficientFamily()
-        samples = sampling_operator(family, indices, f_grid)
-        f_hat = reconstruct(dual, samples)
-        err = interior_relative_error(f_hat, f_grid, window=(grid.a, grid.b))
+        window = (grid.a, grid.b)
     else:
         raise OpkernError(f"unknown space {args.space!r}")
+    frame = truncated_frame(sections)
+    dual = dual_frame(frame, rel_cutoff=args.rel_cutoff)
+    f_hat = reconstruct(dual, sampling_operator(family, indices, f_grid))
+    err = interior_relative_error(f_hat, f_grid, window=window)
     _write_function_csv(prefix.with_suffix(".csv"), f_hat)
     _write_json(prefix.with_suffix(".function.json"), f_hat.to_json())
     _write_json(
@@ -282,8 +295,7 @@ def _cmd_reconstruct(args) -> int:
     return 0
 
 
-def _cmd_avg_sample(args) -> int:
-    config = _apply_config_file(args)
+def _cmd_avg_sample(args, config: dict) -> int:
     signal = _load_signal(args.signal)
     window_grid = _window_grid(args)
     f_grid = synthesize(signal, window_grid)
@@ -296,8 +308,7 @@ def _cmd_avg_sample(args) -> int:
     return 0
 
 
-def _cmd_regnet(args) -> int:
-    config = _apply_config_file(args)
+def _cmd_regnet(args, config: dict) -> int:
     with open(args.problem) as fh:
         payload = json.load(fh)
     fam_desc = payload["family"]
@@ -333,7 +344,7 @@ def _cmd_regnet(args) -> int:
     noise = payload.get("noise")
     if noise:
         samples = perturb_samples(samples, float(noise["sigma"]), int(noise["seed"]))
-    problem = learning_problem(sections, samples, lam)
+    problem = learning_problem(truncated_frame(sections), samples, lam)
     solution = regnet_solve(problem)
     prefix = Path(args.out)
     _write_json(
@@ -349,8 +360,7 @@ def _cmd_regnet(args) -> int:
     return 0
 
 
-def _cmd_si_diagnose(args) -> int:
-    config = _apply_config_file(args)
+def _cmd_si_diagnose(args, config: dict) -> int:
     gen = make_generator(args.generator)
     xi = np.linspace(-math.pi, math.pi, 257)
     bracket = bracket_function(gen, xi)
@@ -387,8 +397,7 @@ def _cmd_si_diagnose(args) -> int:
     return 0
 
 
-def _cmd_stability(args) -> int:
-    config = _apply_config_file(args)
+def _cmd_stability(args, config: dict) -> int:
     window_grid = _window_grid(args)
     centers = list(range(-args.m, args.m + 1))
     sections = _pw_sections(centers, args.delta, args.profile, window_grid, args.w_n)
@@ -396,8 +405,7 @@ def _cmd_stability(args) -> int:
     dual = dual_frame(frame)
     sizes = [int(s) for s in args.sizes.split(",")]
     trunc = truncated_reconstruction_stability(frame, dual, args.trials, sizes, args.seed)
-    sweep = stability_sweep(sections, args.lam, args.trials, args.seed, sizes)
-    a_est, b_est = frame_bounds_estimate(frame)
+    sweep = stability_sweep(frame, args.lam, args.trials, args.seed, sizes)
     prefix = Path(args.out)
     _write_json(
         prefix.with_suffix(".json"),
@@ -414,7 +422,7 @@ def _cmd_stability(args) -> int:
                 "lambda": sweep.lam,
                 "pass": sweep.passed,
             },
-            "frame_bounds": [a_est, b_est],
+            "frame_bounds": [trunc.a_est, trunc.b_est],
             "trials": args.trials,
             "seed": args.seed,
         },
@@ -429,8 +437,7 @@ def _cmd_stability(args) -> int:
     return 0
 
 
-def _cmd_vector_sampling(args) -> int:
-    config = _apply_config_file(args)
+def _cmd_vector_sampling(args, config: dict) -> int:
     if args.perturb > 0:
         gen = rng(args.seed)
         offsets = {
@@ -464,6 +471,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default="opkern_out/run", help="output path prefix")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", default=None, help="JSON file overriding flags")
+    p.set_defaults(parser=p)
 
 
 def _add_pw_flags(p: argparse.ArgumentParser) -> None:
@@ -558,7 +566,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _apply_config_file(args))
     except (ConditioningError, np.linalg.LinAlgError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")

@@ -36,6 +36,10 @@ __all__ = [
 ]
 
 
+#: most points a Grid may hold; larger requests are refused before allocation
+MAX_GRID_POINTS = 2**20
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform 1-D grid on [a, b] with n points inclusive of both endpoints."""
@@ -49,6 +53,8 @@ class Grid:
             raise ValidationError(f"grid requires a < b, got [{self.a}, {self.b}]")
         if self.n < 2:
             raise ValidationError(f"grid requires n >= 2, got n={self.n}")
+        if self.n > MAX_GRID_POINTS:
+            raise ValidationError(f"grid of {self.n} points exceeds the cap of {MAX_GRID_POINTS}")
 
     @property
     def h(self) -> float:

@@ -15,10 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import GridFunction, inner_product, norm, pseudoinverse, restrict
+from .core import Grid, GridFunction, norm, pseudoinverse, restrict
 from .exceptions import AlignmentError, DegenerateFrameError, ShapeMismatchError
 from .families import SampleSet
-from .kernels import GramMatrix, KernelSection, feature_gram
+from .kernels import GramMatrix, KernelSection, _hermitian_gram
 
 __all__ = [
     "TruncatedFrame",
@@ -35,108 +35,78 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TruncatedFrame:
-    """A finite kernel family with its section Gram and optional feature
-    vectors."""
+    """A finite kernel family stacked once: h[j] holds the grid values of
+    section K_j on h_grid, gram the section Gram."""
 
-    sections: tuple
+    alphas: tuple
+    h: np.ndarray = field(repr=False)
+    h_grid: Grid
     gram: GramMatrix
-    w_features: tuple | None = None
 
     def __len__(self) -> int:
-        return len(self.sections)
+        return self.h.shape[0]
 
-    @property
-    def alphas(self) -> list:
-        return [s.alpha for s in self.sections]
+    def synthesize(self, c) -> GridFunction:
+        """sum_j c_j K_j, one product over the stacked sections."""
+        c = np.asarray(c, dtype=complex)
+        if c.shape != (len(self),):
+            raise ShapeMismatchError(f"expected {len(self)} coefficients, got shape {c.shape}")
+        return GridFunction(self.h_grid, np.tensordot(c, self.h, axes=1))
 
 
-def truncated_frame(sections: Sequence[KernelSection], prefer: str = "auto") -> TruncatedFrame:
-    """Bundle sections with their Gram.
+def truncated_frame(sections: Sequence[KernelSection]) -> TruncatedFrame:
+    """Stack sections with their Gram.
 
-    prefer="w" computes the Gram from the sections' feature vectors (exact on
-    the frequency side, no window truncation), prefer="h" from the grid inner
-    products of the sections themselves; "auto" picks "w" when every section
-    carries a feature vector. Either way the matrix is an exact Gram of
-    discretized vectors, hence positive semi-definite.
+    The Gram comes from the sections' feature vectors when every section
+    carries one (exact on the frequency side, no window truncation), else
+    from the grid inner products of the sections themselves. Either way it
+    is an exact Gram of discretized vectors, hence positive semi-definite.
     """
     if not sections:
         raise ShapeMismatchError("empty section list")
+    first = sections[0].h_repr
+    if any(not s.h_repr.same_layout(first) for s in sections):
+        raise ShapeMismatchError("sections live on different grids")
     have_w = all(s.w_repr is not None for s in sections)
-    if prefer == "auto":
-        prefer = "w" if have_w else "h"
-    if prefer == "w":
-        if not have_w:
-            raise ShapeMismatchError("w route requires feature vectors on every section")
-        vecs = [s.w_repr for s in sections]
-    elif prefer == "h":
-        vecs = [s.h_repr for s in sections]
-    else:
-        raise ShapeMismatchError(f"unknown gram preference {prefer!r}")
-    m = feature_gram(vecs)
-    gram = GramMatrix(
-        matrix=(m + m.conj().T) / 2.0,
-        indices=tuple((s.alpha, s.xi) for s in sections),
-        asymmetry=float(np.linalg.norm(m - m.conj().T)),
+    gram = _hermitian_gram(
+        [s.w_repr if have_w else s.h_repr for s in sections],
+        tuple((s.alpha, s.xi) for s in sections),
     )
     return TruncatedFrame(
-        sections=tuple(sections),
+        alphas=tuple(s.alpha for s in sections),
+        h=np.stack([s.h_repr.values for s in sections]),
+        h_grid=first.grid,
         gram=gram,
-        w_features=tuple(s.w_repr for s in sections) if have_w else None,
     )
 
 
 def frame_operator_apply(frame: TruncatedFrame, f: GridFunction) -> GridFunction:
     """T f = sum_j <f, K_j> K_j over the truncated index set."""
-    first = frame.sections[0].h_repr
-    if not f.same_layout(first):
+    if f.grid != frame.h_grid or f.dim != frame.h.shape[2]:
         raise ShapeMismatchError("f does not live on the frame's grid")
-    out = np.zeros_like(first.values)
-    for s in frame.sections:
-        out += inner_product(f, s.h_repr) * s.h_repr.values
-    return GridFunction(first.grid, out)
+    weighted = f.values * frame.h_grid.weights()[:, None]
+    return frame.synthesize(frame.h.reshape(len(frame), -1).conj() @ weighted.reshape(-1))
 
 
 @dataclass(frozen=True)
 class DualFrame:
-    """Canonical dual of a truncated family: dual_sections[j] = sum_k
-    pinv(G)[j, k] K_k, biorthogonal to the sections on their span."""
+    """Canonical dual of a truncated family: dual section j is
+    source.synthesize(coeffs[j]) = sum_k pinv(G)[j, k] K_k, biorthogonal to
+    the sections on their span."""
 
-    dual_sections: tuple
     coeffs: np.ndarray = field(repr=False)
     source: TruncatedFrame
     rel_cutoff: float
-    dual_w: tuple | None = None
 
     def __len__(self) -> int:
-        return len(self.dual_sections)
+        return len(self.source)
 
 
 def dual_frame(frame: TruncatedFrame, rel_cutoff: float = 1e-10) -> DualFrame:
     g = frame.gram.matrix
     if not np.any(g):
         raise DegenerateFrameError("the section Gram is exactly zero", min_eig=0.0, max_eig=0.0)
-    coeffs = pseudoinverse(g, rel_cutoff)
-    h_stack = np.stack([sec.h_repr.values for sec in frame.sections])
-    grid = frame.sections[0].h_repr.grid
-    duals = tuple(
-        GridFunction(grid, np.tensordot(coeffs[j], h_stack, axes=(0, 0)))
-        for j in range(len(frame))
-    )
-    dual_w = None
-    if frame.w_features is not None:
-        w_stack = np.stack([w.values for w in frame.w_features])
-        wgrid = frame.w_features[0].grid
-        dual_w = tuple(
-            GridFunction(wgrid, np.tensordot(coeffs[j], w_stack, axes=(0, 0)))
-            for j in range(len(frame))
-        )
-    return DualFrame(
-        dual_sections=duals,
-        coeffs=coeffs,
-        source=frame,
-        rel_cutoff=rel_cutoff,
-        dual_w=dual_w,
-    )
+    return DualFrame(coeffs=pseudoinverse(g, rel_cutoff), source=frame, rel_cutoff=rel_cutoff)
 
 
 def _alphas_match(a, b) -> bool:
@@ -152,8 +122,8 @@ def _alphas_match(a, b) -> bool:
 
 
 def reconstruct(dual: DualFrame, samples: SampleSet) -> GridFunction:
-    """f_hat = sum_j L_{alpha_j}(f) K~_j from a sample set aligned with the
-    dual's index order."""
+    """f_hat = sum_j L_{alpha_j}(f) K~_j = (values . pinv(G)) . H from a
+    sample set aligned with the dual's index order."""
     frame_alphas = dual.source.alphas
     if len(samples) != len(frame_alphas):
         raise AlignmentError(
@@ -162,11 +132,7 @@ def reconstruct(dual: DualFrame, samples: SampleSet) -> GridFunction:
     for got, want in zip(samples.alphas, frame_alphas):
         if not _alphas_match(got, want):
             raise AlignmentError(f"sample index {got!r} does not match frame index {want!r}")
-    grid = dual.dual_sections[0].grid
-    out = np.zeros_like(dual.dual_sections[0].values)
-    for value, section in zip(samples.value_array(), dual.dual_sections):
-        out += value * section.values
-    return GridFunction(grid, out)
+    return dual.source.synthesize(samples.value_array() @ dual.coeffs)
 
 
 def frame_bounds_estimate(frame: TruncatedFrame, rel_cutoff: float = 1e-10) -> tuple[float, float]:

@@ -174,6 +174,14 @@ def feature_gram(features: Sequence[GridFunction]) -> np.ndarray:
     return a @ a.conj().T
 
 
+def _hermitian_gram(vectors: Sequence[GridFunction], indices: tuple) -> GramMatrix:
+    """feature_gram of the vectors, Hermitian-symmetrized, with the removed
+    defect reported as the asymmetry."""
+    m = feature_gram(vectors)
+    asym = float(np.linalg.norm(m - m.conj().T))
+    return GramMatrix(matrix=(m + m.conj().T) / 2.0, indices=indices, asymmetry=asym)
+
+
 def gram(
     sections: Sequence[KernelSection],
     functionals: FunctionalFamily | None = None,
@@ -184,7 +192,7 @@ def gram(
     route="feature" uses the sections' feature vectors (exact PSD Gram, valid
     by the feature identity L_beta(K(alpha)xi) = Psi(beta)* Psi(alpha)xi);
     route="functional" applies the family's functionals to the grid sections
-    and Hermitian-symmetrizes, reporting the asymmetry; "auto" prefers the
+    and Hermitian-symmetrizes, reporting the asymmetry; "auto" takes the
     feature route when every section carries one.
     """
     if not sections:
@@ -196,9 +204,7 @@ def gram(
     if route == "feature":
         if not have_features:
             raise ShapeMismatchError("feature route requires w_repr on every section")
-        m = feature_gram([s.w_repr for s in sections])
-        asym = float(np.linalg.norm(m - m.conj().T))
-        return GramMatrix(matrix=(m + m.conj().T) / 2.0, indices=indices, asymmetry=asym)
+        return _hermitian_gram([s.w_repr for s in sections], indices)
     if functionals is None:
         raise ShapeMismatchError("functional route requires a family")
     n = len(sections)

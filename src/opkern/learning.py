@@ -26,7 +26,6 @@ from .core import (
 from .exceptions import ConditioningError, ShapeMismatchError, ValidationError
 from .families import FunctionalFamily, SampleSet, family_from_descriptor
 from .frames import DualFrame, TruncatedFrame, frame_bounds_estimate
-from .kernels import KernelSection
 
 __all__ = [
     "LearningProblem",
@@ -46,10 +45,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LearningProblem:
-    """Sections, the applied-functional Gram G_L[j,k] = L_{alpha_j}(K_k),
-    the sample set, and the damping weight."""
+    """The stacked frame, the applied-functional Gram
+    G_L[j,k] = L_{alpha_j}(K_k), the sample set, and the damping weight."""
 
-    sections: tuple
+    frame: TruncatedFrame
     gram_l: np.ndarray = field(repr=False)
     samples: SampleSet
     lam: float
@@ -57,7 +56,7 @@ class LearningProblem:
     def __post_init__(self):
         if self.lam <= 0:
             raise ConditioningError(f"damping weight must be positive, got {self.lam}")
-        m = len(self.sections)
+        m = len(self.frame)
         if self.gram_l.shape != (m, m):
             raise ShapeMismatchError("gram size does not match section count")
         scale = max(np.linalg.norm(self.gram_l), 1.0)
@@ -74,19 +73,16 @@ class LearningProblem:
 
 
 def learning_problem(
-    sections: Sequence[KernelSection],
+    frame: TruncatedFrame,
     samples: SampleSet,
     lam: float,
     gram_l: np.ndarray | None = None,
 ) -> LearningProblem:
-    """Assemble a problem; G_L defaults to the conjugate of the section
-    feature Gram (L_{alpha_j}(K_k) = <Psi_k, Psi_j>)."""
+    """Assemble a problem; G_L defaults to the conjugate of the frame's
+    section Gram (L_{alpha_j}(K_k) = <Psi_k, Psi_j>)."""
     if gram_l is None:
-        from .kernels import gram as _gram
-
-        g = _gram(list(sections))
-        gram_l = g.matrix.conj()
-    return LearningProblem(tuple(sections), np.asarray(gram_l, dtype=complex), samples, float(lam))
+        gram_l = frame.gram.matrix.conj()
+    return LearningProblem(frame, np.asarray(gram_l, dtype=complex), samples, float(lam))
 
 
 @dataclass(frozen=True)
@@ -96,25 +92,17 @@ class RepresenterSolution:
     residual: float
 
 
-def _synthesize(sections, eta) -> GridFunction:
-    grid = sections[0].h_repr.grid
-    vals = np.zeros_like(sections[0].h_repr.values)
-    for c, s in zip(eta, sections):
-        vals += c * s.h_repr.values
-    return GridFunction(grid, vals)
-
-
 def regnet_solve(problem: LearningProblem) -> RepresenterSolution:
     """Closed-form quadratic-loss solve: (G_L + lam I) eta = xi, then
     synthesize f0 = sum_j eta_j K_j."""
-    m = len(problem.sections)
+    m = len(problem.frame)
     g = problem.gram_l + problem.lam * np.eye(m)
     xi = problem.values
     eta = solve_hermitian(g, xi)
     residual = float(np.linalg.norm(g @ eta - xi))
     if residual > 1e-8 * max(np.linalg.norm(xi), 1e-300):
         raise ConditioningError(f"solver residual {residual:.3e} exceeds tolerance")
-    return RepresenterSolution(eta=eta, f0=_synthesize(problem.sections, eta), residual=residual)
+    return RepresenterSolution(eta=eta, f0=problem.frame.synthesize(eta), residual=residual)
 
 
 def objective_value(
@@ -131,7 +119,7 @@ def objective_value(
     if f is None:
         if eta is None:
             raise ShapeMismatchError("provide a grid function or span coefficients")
-        f = _synthesize(problem.sections, eta)
+        f = problem.frame.synthesize(eta)
     fam = problem.family
     misfit = 0.0
     for alpha, value in zip(problem.samples.alphas, problem.samples.values):
@@ -154,7 +142,7 @@ def interpolation_limit(problem: LearningProblem) -> float:
             min_eig=float(w[0]),
             max_eig=float(w[-1]),
         )
-    tiny = LearningProblem(problem.sections, problem.gram_l, problem.samples, 1e-12)
+    tiny = LearningProblem(problem.frame, problem.gram_l, problem.samples, 1e-12)
     sol = regnet_solve(tiny)
     fam = problem.family
     worst = 0.0
@@ -245,7 +233,7 @@ def tikhonov_operator_apply(
     indices: Sequence,
     lam: float,
     samples: SampleSet,
-    sections: Sequence[KernelSection],
+    frame: TruncatedFrame,
     gram_l: np.ndarray | None = None,
 ) -> GridFunction:
     """Damped reconstruction from (possibly noisy) functional values; by the
@@ -253,7 +241,7 @@ def tikhonov_operator_apply(
     the truncated index set."""
     if list(indices) != list(samples.alphas):
         raise ShapeMismatchError("indices and samples are misaligned")
-    problem = learning_problem(sections, samples, lam, gram_l=gram_l)
+    problem = learning_problem(frame, samples, lam, gram_l=gram_l)
     return regnet_solve(problem).f0
 
 
@@ -336,7 +324,7 @@ class SweepReport:
 
 
 def stability_sweep(
-    sections: Sequence[KernelSection],
+    frame: TruncatedFrame,
     lam: float,
     trials: int,
     seed: int,
@@ -345,11 +333,9 @@ def stability_sweep(
     """Damped-reconstruction ratios |f0|/|f| across nested subset sizes and
     random span elements; passes iff the global maximum is within twice the
     largest-size maximum (no blow-up as the index set shrinks)."""
-    from .kernels import gram as _gram
-
-    m = len(sections)
+    m = len(frame)
     _check_sweep(trials, subset_sizes, m)
-    g = _gram(list(sections)).matrix
+    g = frame.gram.matrix
     gl = g.conj()
     gen = rng(seed)
     per_size: dict[int, float] = {}

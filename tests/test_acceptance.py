@@ -319,8 +319,10 @@ def test_criterion_6_dual_frame_biorthogonality():
     a_est, b_est = frame_bounds_estimate(frame)
     assert a_est >= 1e-3 * b_est
     dual = dual_frame(frame)
+    w_stack = np.tensordot(dual.coeffs, np.stack([s.w_repr.values for s in secs]), axes=1)
     worst = 0.0
-    for j, dw in enumerate(dual.dual_w):
+    for j, w in enumerate(w_stack):
+        dw = GridFunction(secs[0].w_repr.grid, w)
         for k, sec in enumerate(secs):
             val = inner_product(dw, sec.w_repr)
             worst = max(worst, abs(val - (1.0 if j == k else 0.0)))
@@ -355,7 +357,7 @@ def test_criterion_7_representer_vs_gradient_descent():
         values = tuple(complex_unit_disc(gen, m))
         for lam in (0.01, 1.0):
             samples = SampleSet(fam_desc, tuple(indices), values)
-            prob = learning_problem(secs, samples, lam)
+            prob = learning_problem(truncated_frame(secs), samples, lam)
             sol = regnet_solve(prob)
             eta_gd = reduced_space_minimize(prob.gram_l, prob.values, lam, iters=100_000)
             j_direct = objective_value(prob, eta=sol.eta)
@@ -384,7 +386,7 @@ def test_criterion_8_stability_sweeps():
         frame, dual, trials=200, subset_sizes=[4, 8, 16], seed=808
     )
     assert trunc.passed, f"c_emp {trunc.c_emp} vs envelope {trunc.envelope}"
-    sweep = stability_sweep(secs, lam=0.1, trials=200, seed=808, subset_sizes=(4, 8, 16))
+    sweep = stability_sweep(frame, lam=0.1, trials=200, seed=808, subset_sizes=(4, 8, 16))
     assert sweep.passed
     print(
         f"PASS criterion 8: truncated c_emp {trunc.c_emp:.3f} <= envelope {trunc.envelope:.3f}; "

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +155,54 @@ def test_config_file_overrides_flags(tmp_path):
     assert main(["kadec", "--delta", "0.2", "--config", str(cfg), "--out", str(out)]) == 0
     manifest = json.loads((tmp_path / "kadec.manifest.json").read_text())
     assert manifest["config"]["delta"] == 0.05
+
+
+def test_config_values_convert_like_flags(signal_file, tmp_path):
+    base = ["reconstruct", "--space", "fourier", "--signal", str(signal_file), "--grid-n", "129"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"m": "4"}))
+    assert main(base + ["--m", "4", "--out", str(tmp_path / "flag")]) == 0
+    assert main(base + ["--config", str(cfg), "--out", str(tmp_path / "file")]) == 0
+    assert (tmp_path / "file.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
+    assert json.loads((tmp_path / "file.manifest.json").read_text())["config"]["m"] == 4
+    cfg.write_text(json.dumps({"delta": "0.1"}))
+    assert main(["kadec", "--delta", "0.2", "--config", str(cfg), "--out", str(tmp_path / "k")]) == 0
+    assert json.loads((tmp_path / "k.json").read_text())["A"] == pytest.approx(2.5900216461986734, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "override", [{"m": "four"}, {"profile": "hexagon"}], ids=["not-an-int", "not-a-choice"]
+)
+def test_config_values_are_refused_like_flags(signal_file, tmp_path, capsys, override):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(override))
+    code = main([
+        "reconstruct", "--space", "pw", "--signal", str(signal_file),
+        "--config", str(cfg), "--out", str(tmp_path / "x"),
+    ])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--points-per-unit", "10000000"], ["--w-n", "1000000", "--m", "100"]],
+    ids=["grid-cap", "stack-cap"],
+)
+def test_size_caps_refuse_before_allocating(signal_file, tmp_path, capsys, flags):
+    tracemalloc.start()
+    try:
+        code = main([
+            "reconstruct", "--space", "pw", "--signal", str(signal_file),
+            *flags, "--out", str(tmp_path / "x"),
+        ])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+    assert peak < 2**24  # no grid or section stack was built
 
 
 def test_validation_error_exit_code(tmp_path, capsys):

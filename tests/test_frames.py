@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opkern.core import Grid, GridFunction, complex_unit_disc, inner_product, norm, rng
-from opkern.exceptions import AlignmentError, DegenerateFrameError
+from opkern.exceptions import AlignmentError, DegenerateFrameError, ShapeMismatchError
 from opkern.families import (
     AverageSamplingFamily,
     FourierCoefficientFamily,
+    PointEvaluationFamily,
     SampleSet,
 )
 from opkern.frames import (
@@ -39,6 +42,12 @@ def _fourier_sections(indices, grid):
         basis = fam.basis_function(j, grid)
         out.append(KernelSection(alpha=j, xi=np.array([1.0 + 0j]), h_repr=basis, w_repr=basis))
     return out
+
+
+def _dual_features(dual, secs):
+    """Dual feature vectors sum_k pinv(G)[j, k] Psi_k, stacked by the test."""
+    stack = np.tensordot(dual.coeffs, np.stack([s.w_repr.values for s in secs]), axes=1)
+    return [GridFunction(secs[0].w_repr.grid, w) for w in stack]
 
 
 def _sinc_sections(shifts, window):
@@ -75,7 +84,7 @@ def test_frame_operator_annihilates_orthogonal_complement():
 def test_frame_operator_matches_coefficient_route():
     window = Grid(-24.0, 24.0, 3073)
     secs = _sinc_sections(range(-8, 9), window)
-    frame = truncated_frame(secs, prefer="h")
+    frame = truncated_frame(secs)
     gen = rng(4)
     coeff = complex_unit_disc(gen, len(secs))
     f = GridFunction(window, sum(c * s.h_repr.values for c, s in zip(coeff, secs)))
@@ -93,7 +102,8 @@ def test_dual_of_orthonormal_family_is_itself():
     grid = Grid(0.0, TWO_PI, 257)
     secs = _fourier_sections(range(-2, 3), grid)
     dual = dual_frame(truncated_frame(secs))
-    for d, s in zip(dual.dual_sections, secs):
+    for j, s in enumerate(secs):
+        d = dual.source.synthesize(dual.coeffs[j])
         assert np.max(np.abs(d.values - s.h_repr.values)) < 1e-10
 
 
@@ -106,7 +116,9 @@ def test_duals_scale_inversely():
     ]
     dual = dual_frame(truncated_frame(secs))
     dual_scaled = dual_frame(truncated_frame(scaled))
-    for d2, d in zip(dual_scaled.dual_sections, dual.dual_sections):
+    for j in range(len(secs)):
+        d = dual.source.synthesize(dual.coeffs[j])
+        d2 = dual_scaled.source.synthesize(dual_scaled.coeffs[j])
         assert np.max(np.abs(d2.values - 0.5 * d.values)) < 1e-10
 
 
@@ -117,7 +129,7 @@ def test_dual_biorthogonality_riesz_average_family():
     a_est, b_est = frame_bounds_estimate(frame)
     assert a_est >= 1e-3 * b_est  # Riesz regime precondition
     dual = dual_frame(frame)
-    for j, dw in enumerate(dual.dual_w):
+    for j, dw in enumerate(_dual_features(dual, secs)):
         for k, sec in enumerate(secs):
             val = inner_product(dw, sec.w_repr)
             assert abs(val - (1.0 if j == k else 0.0)) < 1e-7
@@ -129,7 +141,7 @@ def test_dual_frame_degenerate_raises():
         alpha=0, xi=np.array([1.0 + 0j]), h_repr=GridFunction(grid, np.zeros((65, 1)))
     )
     with pytest.raises(DegenerateFrameError):
-        dual_frame(truncated_frame([zero], prefer="h"))
+        dual_frame(truncated_frame([zero]))
 
 
 # -------------------------------------------------------------- reconstruction
@@ -203,7 +215,7 @@ def test_frame_bounds_with_duplicate_section():
 def test_sinc_family_bounds_tighten_with_window():
     def spread(t_half, n):
         window = Grid(-t_half, t_half, n)
-        frame = truncated_frame(_sinc_sections(range(-4, 5), window), prefer="h")
+        frame = truncated_frame(_sinc_sections(range(-4, 5), window))
         a, b = frame_bounds_estimate(frame)
         return max(abs(a - 1.0), abs(b - 1.0))
 
@@ -265,7 +277,7 @@ def test_reconstruction_on_span():
 def test_norm_equivalence_on_span():
     window = Grid(-24.0, 24.0, 1537)
     secs = _sinc_sections(range(-6, 7), window)
-    frame = truncated_frame(secs, prefer="h")
+    frame = truncated_frame(secs)
     a_est, b_est = frame_bounds_estimate(frame)
     gen = rng(21)
     for _ in range(10):
@@ -283,11 +295,12 @@ def test_dual_of_dual_recovers_sections():
     frame = truncated_frame(secs)
     dual = dual_frame(frame)
     dual_secs = [
-        KernelSection(alpha=s.alpha, xi=s.xi, h_repr=h, w_repr=w)
-        for s, h, w in zip(secs, dual.dual_sections, dual.dual_w)
+        KernelSection(alpha=s.alpha, xi=s.xi, h_repr=frame.synthesize(dual.coeffs[j]), w_repr=w)
+        for j, (s, w) in enumerate(zip(secs, _dual_features(dual, secs)))
     ]
     dual2 = dual_frame(truncated_frame(dual_secs))
-    for back, orig in zip(dual2.dual_sections, secs):
+    for j, orig in enumerate(secs):
+        back = dual2.source.synthesize(dual2.coeffs[j])
         assert np.max(np.abs(back.values - orig.h_repr.values)) < 1e-6
 
 
@@ -296,9 +309,70 @@ def test_feature_side_spectrum_matches_section_spectrum():
     # coincide to machine precision
     grid = Grid(0.0, TWO_PI, 257)
     secs = _fourier_sections(range(-4, 5), grid)
-    frame_w = truncated_frame(secs, prefer="w")
-    frame_h = truncated_frame(secs, prefer="h")
+    frame_w = truncated_frame(secs)
+    frame_h = truncated_frame([KernelSection(s.alpha, s.xi, s.h_repr) for s in secs])
     aw, bw = frame_bounds_estimate(frame_w)
     ah, bh = frame_bounds_estimate(frame_h)
     assert aw == pytest.approx(ah, abs=1e-10)
     assert bw == pytest.approx(bh, abs=1e-10)
+
+
+def test_truncated_frame_refuses_sections_on_different_intervals():
+    # equal point counts and a shared feature grid, but different windows
+    wg = w_grid_default(129)
+    left = pw_average_sections([0.0], 0.2, Grid(-10.0, 10.0, 321), w_grid=wg)
+    right = pw_average_sections([1.0], 0.2, Grid(-12.0, 12.0, 321), w_grid=wg)
+    with pytest.raises(ShapeMismatchError):
+        truncated_frame(left + right)
+
+
+# ------------------------------------------- stacked products vs section loops
+
+def _assert_close(got, want):
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from(["fourier", "sinc"]),
+    st.integers(min_value=4, max_value=24),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_stacked_products_match_per_section_loops(m, kind, density, seed):
+    """reconstruct, frame_operator_apply and dual synthesis agree with the
+    per-section sums over KernelSection objects that they replace."""
+    gen = rng(seed)
+    indices = list(range(-(m // 2), m - m // 2))
+    if kind == "fourier":
+        grid = Grid(0.0, TWO_PI, 8 * density + 1)
+        secs = _fourier_sections(indices, grid)
+        descriptor = FourierCoefficientFamily().descriptor()
+    else:
+        t_half = m + 8.0
+        grid = Grid(-t_half, t_half, int(2 * t_half) * density + 1)
+        secs = _sinc_sections(indices, grid)
+        descriptor = PointEvaluationFamily().descriptor()
+    frame = truncated_frame(secs)
+    dual = dual_frame(frame)
+
+    duals = []
+    for j in range(m):
+        want = np.zeros_like(secs[0].h_repr.values)
+        for k, s in enumerate(secs):
+            want += dual.coeffs[j, k] * s.h_repr.values
+        _assert_close(frame.synthesize(dual.coeffs[j]).values, want)
+        duals.append(want)
+
+    values = complex_unit_disc(gen, m)
+    samples = SampleSet(descriptor, tuple(s.alpha for s in secs), tuple(values))
+    want = np.zeros_like(secs[0].h_repr.values)
+    for v, d in zip(values, duals):
+        want += v * d
+    _assert_close(reconstruct(dual, samples).values, want)
+
+    f = GridFunction(grid, complex_unit_disc(gen, grid.n))
+    want = np.zeros_like(secs[0].h_repr.values)
+    for s in secs:
+        want += inner_product(f, s.h_repr) * s.h_repr.values
+    _assert_close(frame_operator_apply(frame, f).values, want)

@@ -49,7 +49,7 @@ def _fourier_problem(indices, values, lam, n=257):
     grid = Grid(0.0, TWO_PI, n)
     secs = _fourier_sections(indices, grid)
     samples = SampleSet(FourierCoefficientFamily().descriptor(), tuple(indices), tuple(values))
-    return learning_problem(secs, samples, lam)
+    return learning_problem(truncated_frame(secs), samples, lam)
 
 
 def _average_problem(centers, values, lam, delta=0.2):
@@ -60,7 +60,7 @@ def _average_problem(centers, values, lam, delta=0.2):
         tuple(float(c) for c in centers),
         tuple(values),
     )
-    return learning_problem(secs, samples, lam)
+    return learning_problem(truncated_frame(secs), samples, lam)
 
 
 # -------------------------------------------------------------------- regnet
@@ -92,6 +92,21 @@ def test_regnet_matches_gradient_descent_oracle():
     assert abs(j_direct - j_gd) <= 1e-5 * max(j_gd, 1e-12)
 
 
+def test_regnet_f0_matches_per_section_sum():
+    gen = rng(15)
+    centers = [-1.5, -0.5, 0.5, 1.0, 2.0]
+    window = pw_window(4, points_per_unit=32)
+    secs = pw_average_sections(centers, 0.2, window, w_grid=w_grid_default(1025))
+    samples = SampleSet(
+        AverageSamplingFamily(delta=0.2).descriptor(), tuple(centers), tuple(complex_unit_disc(gen, 5))
+    )
+    sol = regnet_solve(learning_problem(truncated_frame(secs), samples, lam=0.1))
+    want = np.zeros_like(secs[0].h_repr.values)
+    for eta, s in zip(sol.eta, secs):
+        want += eta * s.h_repr.values
+    assert np.max(np.abs(sol.f0.values - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_regnet_lam_validation():
     with pytest.raises(ConditioningError):
         _fourier_problem([0], [1.0 + 0j], lam=0.0)
@@ -103,7 +118,7 @@ def test_objective_zero_function():
     gen = rng(2)
     values = complex_unit_disc(gen, 3)
     prob = _fourier_problem([0, 1, 2], values, lam=0.3)
-    grid = prob.sections[0].h_repr.grid
+    grid = prob.frame.h_grid
     zero = GridFunction(grid, np.zeros((grid.n, 1)))
     assert objective_value(prob, f=zero) == pytest.approx(float(np.sum(np.abs(values) ** 2)))
 
@@ -153,7 +168,7 @@ def test_interpolation_limit_rejects_duplicates():
     grid = Grid(0.0, TWO_PI, 257)
     secs = _fourier_sections([0], grid)
     samples = SampleSet(FourierCoefficientFamily().descriptor(), (0, 0), (1 + 0j, 1 + 0j))
-    prob = learning_problem([secs[0], secs[0]], samples, lam=1.0)
+    prob = learning_problem(truncated_frame([secs[0], secs[0]]), samples, lam=1.0)
     with pytest.raises(ConditioningError):
         interpolation_limit(prob)
 
@@ -167,7 +182,7 @@ def test_interpolation_limit_average_family():
     f = synthesize(sig)
     fam = AverageSamplingFamily(delta=0.2)
     samples = sampling_operator(fam, centers, f)
-    prob = learning_problem(secs, samples, lam=1.0)
+    prob = learning_problem(truncated_frame(secs), samples, lam=1.0)
     assert interpolation_limit(prob) < 1e-6
 
 
@@ -255,7 +270,7 @@ def test_tikhonov_interpolation_limit_recovers_span_element():
     samples = sampling_operator(fam, indices, f)
     errs = []
     for lam in (1e-2, 1e-6, 1e-10):
-        f0 = tikhonov_operator_apply(indices, lam, samples, secs)
+        f0 = tikhonov_operator_apply(indices, lam, samples, truncated_frame(secs))
         errs.append(norm(f0 - f))
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 1e-8
@@ -266,7 +281,7 @@ def test_tikhonov_zero_samples():
     indices = [0, 1]
     secs = _fourier_sections(indices, grid)
     samples = SampleSet(FourierCoefficientFamily().descriptor(), tuple(indices), (0j, 0j))
-    f0 = tikhonov_operator_apply(indices, 0.1, samples, secs)
+    f0 = tikhonov_operator_apply(indices, 0.1, samples, truncated_frame(secs))
     assert norm(f0) == 0.0
 
 
@@ -277,12 +292,13 @@ def test_tikhonov_noise_response_spectral_bound():
     secs = _fourier_sections(indices, grid)
     fam = FourierCoefficientFamily()
     lam = 0.04
+    frame = truncated_frame(secs)
     g_l = gram(secs).matrix.conj()
     clean = SampleSet(fam.descriptor(), tuple(indices), tuple(np.zeros(7, dtype=complex)))
     gen = rng(10)
     for _ in range(100):
         noisy = perturb_samples(clean, sigma=0.01, seed=int(gen.integers(0, 2**31)))
-        f0 = tikhonov_operator_apply(indices, lam, noisy, secs, gram_l=g_l)
+        f0 = tikhonov_operator_apply(indices, lam, noisy, frame, gram_l=g_l)
         noise_vec = noisy.value_array()
         assert norm(f0) <= np.linalg.norm(noise_vec) / (2.0 * math.sqrt(lam)) + 1e-12
 
@@ -315,7 +331,7 @@ def test_stability_sweep_heavy_damping():
     window = pw_window(8, points_per_unit=32)
     centers = [float(c) for c in range(-8, 9)]
     secs = pw_average_sections(centers, 0.2, window, w_grid=w_grid_default(2049))
-    rep = stability_sweep(secs, lam=1e3, trials=50, seed=0)
+    rep = stability_sweep(truncated_frame(secs), lam=1e3, trials=50, seed=0)
     assert rep.passed
     assert rep.c_emp < 0.01
 
@@ -324,7 +340,7 @@ def test_stability_sweep_orthonormal_filter_bound():
     grid = Grid(0.0, TWO_PI, 257)
     indices = list(range(-4, 4))
     secs = _fourier_sections(indices, grid)
-    rep = stability_sweep(secs, lam=0.1, trials=100, seed=2, subset_sizes=(4, 8))
+    rep = stability_sweep(truncated_frame(secs), lam=0.1, trials=100, seed=2, subset_sizes=(4, 8))
     assert rep.passed
     assert rep.c_emp <= 1.0 / 1.1 + 1e-9  # unit spectrum: factor g/(g+lam)
 
@@ -333,7 +349,7 @@ def test_stability_sweep_average_family_bounded():
     window = pw_window(8, points_per_unit=32)
     centers = [float(c) for c in range(-8, 9)]
     secs = pw_average_sections(centers, 0.2, window, w_grid=w_grid_default(2049))
-    rep = stability_sweep(secs, lam=0.1, trials=100, seed=4, subset_sizes=(4, 8, 16))
+    rep = stability_sweep(truncated_frame(secs), lam=0.1, trials=100, seed=4, subset_sizes=(4, 8, 16))
     assert rep.passed
     assert max(rep.per_size.values()) <= 1.0 + 1e-9
 
@@ -394,7 +410,7 @@ def test_vector_valued_problem_via_scalarized_samples():
         tuple(secs[j].alpha for j in range(len(secs))),
         tuple(complex(v) for v in exact),
     )
-    prob = learning_problem(secs, samples, lam=1e-10)
+    prob = learning_problem(truncated_frame(secs), samples, lam=1e-10)
     sol = regnet_solve(prob)
     f_target = GridFunction(window, sum(c * s.h_repr.values for c, s in zip(coeff, secs)))
     assert norm(sol.f0 - f_target) <= 1e-6 * norm(f_target)
@@ -414,4 +430,4 @@ def test_tikhonov_misaligned_indices_rejected():
     secs = _fourier_sections([0, 1], grid)
     samples = SampleSet(FourierCoefficientFamily().descriptor(), (0, 1), (0j, 0j))
     with pytest.raises(ShapeMismatchError):
-        tikhonov_operator_apply([1, 0], 0.1, samples, secs)
+        tikhonov_operator_apply([1, 0], 0.1, samples, truncated_frame(secs))
