@@ -46,6 +46,7 @@ from .paley_wiener import (
     w_grid_default,
 )
 from .shift_invariant import (
+    biorthogonality_residual,
     bracket_function,
     bracket_tail_estimate,
     dual_generator,
@@ -57,7 +58,8 @@ from .families import AverageFunctional, SampleSet
 
 FMT = "%.15g"
 
-#: most entries (sections x points of the larger grid) a section stack may hold
+#: most entries a section stack (sections x points of the larger grid) or its
+#: Gram (sections x sections) may hold
 MAX_STACK_ENTRIES = 2**25
 
 
@@ -153,9 +155,12 @@ def _window_grid(args) -> Grid:
 
 
 def _check_stack(count: int, *grid_sizes: int) -> None:
-    """Refuse a section stack too large to hold, before building any of it."""
-    if count * max(grid_sizes) > MAX_STACK_ENTRIES:
-        raise ValidationError(f"{count} sections of {max(grid_sizes)} points exceed {MAX_STACK_ENTRIES} entries")
+    """Refuse a section stack, or its Gram, too large to hold, before
+    building any of it."""
+    if count * max(count, *grid_sizes) > MAX_STACK_ENTRIES:
+        raise ValidationError(
+            f"{count} sections of {max(grid_sizes)} points, or their Gram, exceed {MAX_STACK_ENTRIES} entries"
+        )
 
 
 def _pw_sections(centers, delta, profile, window_grid, w_n):
@@ -365,14 +370,6 @@ def _cmd_si_diagnose(args, config: dict) -> int:
     xi = np.linspace(-math.pi, math.pi, 257)
     bracket = bracket_function(gen, xi)
     dual = dual_generator(gen, args.k_max)
-    shifts = range(-4, 5)
-    biorth = 0.0
-    pts = dual.phi_tilde.grid.points()
-    w = dual.phi_tilde.grid.weights()
-    for j in shifts:
-        overlap = np.conj(gen.evaluate(pts - j)) * dual.phi_tilde.values[:, 0]
-        val = np.sum(w * overlap)
-        biorth = max(biorth, abs(val - (1.0 if j == 0 else 0.0)))
     u = AverageFunctional(args.center, args.delta, args.profile)
     deviation = fourier_coefficient_identity_check(gen, u, k_range=args.k_range)
     centers = [args.center + i * 0.5 for i in range(args.n_centers)]
@@ -386,7 +383,8 @@ def _cmd_si_diagnose(args, config: dict) -> int:
             "bracket_min": float(bracket.min()),
             "bracket_max": float(bracket.max()),
             "bracket_tail_estimate": bracket_tail_estimate(gen),
-            "biorthogonality_residual": float(biorth),
+            "biorthogonality_residual": biorthogonality_residual(dual, range(-4, 5)),
+            "dual_coefficient_tail": float(max(abs(dual.b_coeffs[0]), abs(dual.b_coeffs[-1]))),
             "coefficient_identity_deviation": deviation,
             "density_rank": density.rank,
             "density_family_size": density.family_size,
@@ -438,6 +436,8 @@ def _cmd_stability(args, config: dict) -> int:
 
 
 def _cmd_vector_sampling(args, config: dict) -> int:
+    n = args.n
+    _check_stack(n * (2 * args.m_range + 1), args.w_n * n)
     if args.perturb > 0:
         gen = rng(args.seed)
         offsets = {
@@ -449,12 +449,8 @@ def _cmd_vector_sampling(args, config: dict) -> int:
         vss = build_vector_sampling_set(args.n, args.m_range)
     feats = vector_features(vss, w_grid_default(args.w_n))
     g = feature_gram(feats)
-    n = args.n
-    offblock = 0.0
-    for j in range(g.shape[0]):
-        for k in range(g.shape[1]):
-            if (j % n) != (k % n):
-                offblock = max(offblock, abs(g[j, k]))
+    idx = np.arange(g.shape[0]) % n
+    offblock = float(np.max(np.abs(g[idx[:, None] != idx[None, :]]), initial=0.0))
     prefix = Path(args.out)
     payload = vss.to_json()
     payload["cross_block_max"] = offblock

@@ -31,6 +31,7 @@ __all__ = [
     "bracket_function",
     "bracket_tail_estimate",
     "dual_generator",
+    "biorthogonality_residual",
     "si_reproducing_kernel",
     "si_functional_kernel",
     "si_gram",
@@ -83,6 +84,11 @@ class Generator:
     phi_fn: Callable | None = field(default=None, repr=False)
     phi_hat: Callable | None = field(default=None, repr=False)
 
+    def __post_init__(self):
+        outside = np.abs(self.phi.grid.points()) > self.support_radius + 1e-12
+        if np.any(self.phi.values[outside] != 0.0):
+            raise ValidationError(f"generator samples are nonzero beyond support_radius={self.support_radius}")
+
     def evaluate(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.phi_fn is not None:
@@ -96,9 +102,6 @@ class Generator:
             return np.asarray(self.phi_hat(omega), dtype=complex)
         weighted = self.phi.values[:, 0] * self.phi.grid.weights()
         return fourier_sum(omega, self.phi.grid.points(), weighted).reshape(omega.shape)
-
-    def bracket(self, xi) -> np.ndarray:
-        return bracket_function(self, xi)
 
 
 def make_generator(kind: str, h: float = 1.0 / 1024.0, j_trunc: int = 64) -> Generator:
@@ -150,23 +153,35 @@ def bracket_tail_estimate(gen: Generator) -> float:
     return 2.0 * l1**2 / (math.pi ** (2 * k) * (2 * k - 1) * (j - 0.5) ** (2 * k - 1))
 
 
+def _shift_window(gen: Generator, y: np.ndarray, k: int) -> slice:
+    """Slice of the sorted points y inside the support [k - R, k + R] of
+    phi(. - k)."""
+    r = gen.support_radius
+    return slice(np.searchsorted(y, k - r, side="left"), np.searchsorted(y, k + r, side="right"))
+
+
+def _shift_sum(gen: Generator, k0: int, coeffs: np.ndarray, out_grid: Grid) -> np.ndarray:
+    """sum_i coeffs[i] phi(. - (k0 + i)) on the grid, evaluating each shift
+    only on its support window."""
+    y = out_grid.points()
+    out = np.zeros(out_grid.n, dtype=complex)
+    for k, c in enumerate(coeffs, start=k0):
+        w = _shift_window(gen, y, k)
+        out[w] += c * gen.evaluate(y[w] - k)
+    return out
+
+
 @dataclass(frozen=True)
 class DualGenerator:
-    """Dual generator phi~ = sum_k b_k phi(.-k), with b_k the Fourier
-    coefficients of the reciprocal periodization."""
+    """Dual generator phi~ = sum_k b_k phi(.-k), |k| <= k_max, with b_k the
+    Fourier coefficients of the reciprocal periodization. A shift-space
+    element sum_i c_i phi~(. - (k0 + i)) has the phi-shift coefficients
+    np.convolve(c, b_coeffs), starting at shift k0 - k_max."""
 
     b_coeffs: np.ndarray = field(repr=False)
     k_max: int
     phi_tilde: GridFunction = field(repr=False)
     source: Generator = field(repr=False)
-
-    def evaluate(self, y) -> np.ndarray:
-        """Exact synthesis sum_k b_k phi(y - k) at arbitrary points."""
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        out = np.zeros(y.shape, dtype=complex)
-        for k in range(-self.k_max, self.k_max + 1):
-            out += self.b_coeffs[k + self.k_max] * self.source.evaluate(y - k)
-        return out
 
 
 def dual_generator(gen: Generator, k_max: int, xi_n: int = 2049) -> DualGenerator:
@@ -175,48 +190,25 @@ def dual_generator(gen: Generator, k_max: int, xi_n: int = 2049) -> DualGenerato
     grid_xi = Grid(-math.pi, math.pi, int(xi_n))
     xs = grid_xi.points()
     recip = 1.0 / bracket_function(gen, xs)
-    ks = np.arange(-k_max, k_max + 1)
-    b = fourier_sum(ks, xs, recip * grid_xi.weights()) / TWO_PI
+    b = fourier_sum(np.arange(-k_max, k_max + 1), xs, recip * grid_xi.weights()) / TWO_PI
     r = gen.support_radius
     h = gen.phi.grid.h
     ext = Grid(-(r + k_max), float(r + k_max), int(round(2 * (r + k_max) / h)) + 1)
-    pts = ext.points()
-    vals = np.zeros(ext.n, dtype=complex)
-    for i, k in enumerate(ks):
-        vals += b[i] * gen.evaluate(pts - k)
+    vals = _shift_sum(gen, -k_max, b, ext)
     return DualGenerator(b_coeffs=b, k_max=int(k_max), phi_tilde=GridFunction(ext, vals), source=gen)
 
 
-def _accumulate_generator_shifts(
-    gen: Generator, coeffs: dict, out_grid: Grid
-) -> np.ndarray:
-    """sum_m coeffs[m] * phi(. - m) on the grid, touching only the support
-    window of each shift."""
-    y = out_grid.points()
-    out = np.zeros(out_grid.n, dtype=complex)
-    r = gen.support_radius
-    for m, cm in coeffs.items():
-        if cm == 0.0:
-            continue
-        lo = np.searchsorted(y, m - r, side="left")
-        hi = np.searchsorted(y, m + r, side="right")
-        if lo < hi:
-            out[lo:hi] += cm * gen.evaluate(y[lo:hi] - m)
-    return out
-
-
-def _dual_shift_coefficients(dual: DualGenerator, coeffs: dict) -> dict:
-    """Convert phi~ -shift coefficients into plain phi-shift coefficients via
-    the dual expansion phi~ = sum_l b_l phi(. - l)."""
-    out: dict = {}
-    for k, ck in coeffs.items():
-        if ck == 0.0:
-            continue
-        for l in range(-dual.k_max, dual.k_max + 1):
-            b = dual.b_coeffs[l + dual.k_max]
-            if b != 0.0:
-                out[k + l] = out.get(k + l, 0.0) + ck * b
-    return out
+def biorthogonality_residual(dual: DualGenerator, shifts: Sequence[int]) -> float:
+    """max_j |<phi~, phi(. - j)> - [j == 0]| over the shifts, each pairing
+    integrated over the support window of phi(. - j)."""
+    grid = dual.phi_tilde.grid
+    y, w = grid.points(), grid.weights()
+    worst = 0.0
+    for j in shifts:
+        s = _shift_window(dual.source, y, j)
+        overlap = np.conj(dual.source.evaluate(y[s] - j)) * dual.phi_tilde.values[s, 0]
+        worst = max(worst, abs(np.sum(w[s] * overlap) - (1.0 if j == 0 else 0.0)))
+    return float(worst)
 
 
 def si_reproducing_kernel(
@@ -230,12 +222,9 @@ def si_reproducing_kernel(
             f"x={x} closer than the support margin {margin} to the grid boundary"
         )
     r = gen.support_radius
-    coeffs = {}
-    for k in range(math.ceil(x - r), math.floor(x + r) + 1):
-        w = complex(np.conj(gen.evaluate(np.array([x - k]))[0]))
-        if w != 0.0:
-            coeffs[k] = w
-    vals = _accumulate_generator_shifts(gen, _dual_shift_coefficients(dual, coeffs), out_grid)
+    k0 = math.ceil(x - r)
+    c = np.conj(gen.evaluate(x - np.arange(k0, math.floor(x + r) + 1)))
+    vals = _shift_sum(gen, k0 - dual.k_max, np.convolve(c, dual.b_coeffs), out_grid)
     return GridFunction(out_grid, vals)
 
 
@@ -252,10 +241,7 @@ def _average_coefficients(
         ks = np.asarray(list(k_range), dtype=int)
     g = u.quad_grid(quad_n)
     t = g.points()
-    uv = u.evaluate(t)
-    c = np.empty(ks.size, dtype=complex)
-    for i, k in enumerate(ks):
-        c[i] = integrate_values(g, uv * np.conj(gen.evaluate(t - k)))
+    c = (u.evaluate(t) * np.conj(gen.evaluate(t - ks[:, None]))) @ g.weights()
     return ks, c
 
 
@@ -269,8 +255,7 @@ def si_functional_kernel(
     """Kernel section of the average functional on the shift space:
     K(u)(x) = sum_k (int u(t) conj(phi(t-k)) dt) phi~(x-k)."""
     ks, c = _average_coefficients(gen, u, quad_n=quad_n)
-    coeffs = {int(k): complex(ck) for k, ck in zip(ks, c)}
-    vals = _accumulate_generator_shifts(gen, _dual_shift_coefficients(dual, coeffs), out_grid)
+    vals = _shift_sum(gen, int(ks[0]) - dual.k_max, np.convolve(c, dual.b_coeffs), out_grid)
     return KernelSection(alpha=u.x, xi=np.array([1.0 + 0j]), h_repr=GridFunction(out_grid, vals))
 
 

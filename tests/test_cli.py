@@ -116,6 +116,15 @@ def test_si_diagnose(tmp_path):
     assert rep["density_rank"] == rep["density_family_size"]
 
 
+def test_si_diagnose_dual_coefficient_tail_decays(tmp_path):
+    tails = []
+    for k_max in ("8", "16"):
+        out = tmp_path / f"si{k_max}"
+        assert main(["si-diagnose", "--generator", "hat", "--k-max", k_max, "--out", str(out)]) == 0
+        tails.append(json.loads(out.with_suffix(".json").read_text())["dual_coefficient_tail"])
+    assert 0.0 < tails[1] < 1e-3 * tails[0]
+
+
 def test_stability_report(tmp_path):
     out = tmp_path / "stab"
     assert main([
@@ -186,17 +195,21 @@ def test_config_values_are_refused_like_flags(signal_file, tmp_path, capsys, ove
 
 
 @pytest.mark.parametrize(
-    "flags",
-    [["--points-per-unit", "10000000"], ["--w-n", "1000000", "--m", "100"]],
-    ids=["grid-cap", "stack-cap"],
+    "argv",
+    [
+        ["reconstruct", "--space", "pw", "--points-per-unit", "10000000"],
+        ["reconstruct", "--space", "pw", "--w-n", "1000000", "--m", "100"],
+        ["vector-sampling", "--m-range", "20000"],
+        ["gram", "--family", "fourier", "--indices=-4000..4000", "--grid-n", "2"],
+    ],
+    ids=["grid-cap", "stack-cap", "vector-sampling-cap", "gram-cap"],
 )
-def test_size_caps_refuse_before_allocating(signal_file, tmp_path, capsys, flags):
+def test_size_caps_refuse_before_allocating(signal_file, tmp_path, capsys, argv):
+    if argv[0] == "reconstruct":
+        argv = argv + ["--signal", str(signal_file)]
     tracemalloc.start()
     try:
-        code = main([
-            "reconstruct", "--space", "pw", "--signal", str(signal_file),
-            *flags, "--out", str(tmp_path / "x"),
-        ])
+        code = main([*argv, "--out", str(tmp_path / "x")])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

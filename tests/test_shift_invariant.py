@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opkern.core import Grid, GridFunction, inner_product, integrate_values, norm, rng
 from opkern.exceptions import DomainError, RieszConditionError, ValidationError
@@ -9,6 +11,7 @@ from opkern.families import AverageFunctional, average_sample
 from opkern.kernels import psd_check
 from opkern.shift_invariant import (
     Generator,
+    biorthogonality_residual,
     bracket_function,
     bracket_tail_estimate,
     bspline,
@@ -53,6 +56,15 @@ def test_unknown_spline_order():
         bspline(3, np.array([0.0]))
     with pytest.raises(ValidationError):
         make_generator("quintic")
+
+
+def test_generator_refuses_samples_beyond_support_radius():
+    g = Grid(-2.0, 2.0, 257)
+    wide_hat = np.maximum(1.0 - np.abs(g.points()) / 2.0, 0.0)
+    with pytest.raises(ValidationError):
+        Generator(phi=GridFunction(g, wide_hat.astype(complex)), support_radius=1)
+    # the unit hat vanishes beyond radius 1, so a wider sampling grid is fine
+    Generator(phi=GridFunction(g, bspline(2, g.points()).astype(complex)), support_radius=1)
 
 
 # ------------------------------------------------------------------- bracket
@@ -332,3 +344,85 @@ def test_identity_check_quadrature_transform_route():
     u = AverageFunctional(0.25, 0.2, "triangle")
     dev = fourier_coefficient_identity_check(hat, u, k_range=2, closed_form=False)
     assert dev < 1e-4
+
+
+# ------------------------------------------- windowed synthesis vs full loops
+
+def _dict_route_synthesis(gen, dual, coeffs, out_grid):
+    """The dict-based route the windowed shift sums replace: phi~-shift
+    coefficients expanded term by term through b, then accumulated on the
+    support window of each phi-shift."""
+    expanded = {}
+    for k, ck in coeffs.items():
+        if ck == 0.0:
+            continue
+        for l in range(-dual.k_max, dual.k_max + 1):
+            b = dual.b_coeffs[l + dual.k_max]
+            if b != 0.0:
+                expanded[k + l] = expanded.get(k + l, 0.0) + ck * b
+    y = out_grid.points()
+    out = np.zeros(out_grid.n, dtype=complex)
+    r = gen.support_radius
+    for m, cm in expanded.items():
+        if cm == 0.0:
+            continue
+        lo = np.searchsorted(y, m - r, side="left")
+        hi = np.searchsorted(y, m + r, side="right")
+        if lo < hi:
+            out[lo:hi] += cm * gen.evaluate(y[lo:hi] - m)
+    return out
+
+
+def _assert_rel_close(got, want, rel=1e-13):
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(["box", "hat", "cubic"]),
+    st.integers(min_value=1, max_value=24),
+    st.integers(min_value=8, max_value=40),
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.floats(min_value=0.01, max_value=0.5),
+    st.sampled_from(["box", "triangle", "cosine"]),
+)
+def test_windowed_shift_sums_match_full_grid_loops(kind, k_max, density, x, center, delta, profile):
+    """The dual, both kernels and the biorthogonality residual agree with the
+    full-grid and dict-based routes that they replace."""
+    gen = make_generator(kind)
+    r = gen.support_radius
+    d = dual_generator(gen, k_max)
+    pts = d.phi_tilde.grid.points()
+    want = np.zeros(pts.size, dtype=complex)
+    for i, k in enumerate(range(-k_max, k_max + 1)):
+        want += d.b_coeffs[i] * gen.evaluate(pts - k)
+    assert np.array_equal(d.phi_tilde.values[:, 0], want)
+
+    t_half = r + k_max + 4.0
+    out = Grid(-t_half, t_half, int(2 * t_half * density) + 1)
+    point = {}
+    for k in range(math.ceil(x - r), math.floor(x + r) + 1):
+        point[k] = complex(np.conj(gen.evaluate(np.array([x - k]))[0]))
+    _assert_rel_close(
+        si_reproducing_kernel(gen, d, x, out).values[:, 0], _dict_route_synthesis(gen, d, point, out)
+    )
+
+    u = AverageFunctional(center, delta, profile)
+    g = u.quad_grid(4097)
+    t = g.points()
+    average = {}
+    for k in range(math.floor(center - delta - r), math.ceil(center + delta + r) + 1):
+        average[k] = complex(integrate_values(g, u.evaluate(t) * np.conj(gen.evaluate(t - k))))
+    _assert_rel_close(
+        si_functional_kernel(gen, d, u, out).h_repr.values[:, 0], _dict_route_synthesis(gen, d, average, out)
+    )
+
+    shifts = range(-(k_max + r + 1), k_max + r + 2)
+    w = d.phi_tilde.grid.weights()
+    worst = 0.0
+    for j in shifts:
+        overlap = np.conj(gen.evaluate(pts - j)) * d.phi_tilde.values[:, 0]
+        val = np.sum(w * overlap)
+        worst = max(worst, abs(val - (1.0 if j == 0 else 0.0)))
+    assert abs(biorthogonality_residual(d, shifts) - worst) <= 1e-15
