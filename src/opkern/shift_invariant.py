@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .core import Grid, GridFunction, fourier_sum, integrate_values
 from .exceptions import DomainError, RieszConditionError, ShapeMismatchError, ValidationError
@@ -259,6 +258,29 @@ def si_functional_kernel(
     return KernelSection(alpha=u.x, xi=np.array([1.0 + 0j]), h_repr=GridFunction(out_grid, vals))
 
 
+def _coefficient_matrix(
+    gen: Generator, u_list: Sequence[AverageFunctional], quad_n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Shift range ks of the whole list and the (shifts x functionals)
+    matrix of coefficients int u conj(phi(. - k)). Each column is computed on
+    its functional's own window of about 2R+1 shifts; the rest stays zero."""
+    r = gen.support_radius
+    k_first = math.floor(min(u.support[0] for u in u_list) - r)
+    ks = np.arange(k_first, math.ceil(max(u.support[1] for u in u_list) + r) + 1)
+    cmat = np.zeros((ks.size, len(u_list)), dtype=complex)
+    for i, u in enumerate(u_list):
+        ks_u, c = _average_coefficients(gen, u, quad_n=quad_n)
+        cmat[ks_u - k_first, i] = c
+    return ks, cmat
+
+
+def _toeplitz(col: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Toeplitz matrix T[i, j] = col[i - j] for i >= j and row[j - i] for
+    j > i; row[0] is ignored."""
+    diagonals = np.concatenate((row[:0:-1], col))
+    return diagonals[np.arange(col.size)[:, None] - np.arange(row.size) + row.size - 1]
+
+
 def si_gram(
     gen: Generator,
     dual: DualGenerator,
@@ -272,22 +294,12 @@ def si_gram(
 
     if not u_list:
         raise ShapeMismatchError("empty functional list")
-    lo = min(u.support[0] for u in u_list)
-    hi = max(u.support[1] for u in u_list)
-    r = gen.support_radius
-    ks = np.arange(math.floor(lo - r), math.ceil(hi + r) + 1)
-    cmat = np.empty((ks.size, len(u_list)), dtype=complex)
-    for i, u in enumerate(u_list):
-        _, c = _average_coefficients(gen, u, k_range=ks, quad_n=quad_n)
-        cmat[:, i] = c
-
-    def b_of_lag(lag: int) -> complex:
-        # lags beyond k_max carry exponentially small coefficients; pad zero
-        return dual.b_coeffs[lag + dual.k_max] if abs(lag) <= dual.k_max else 0.0
-
-    col = np.array([b_of_lag(-i) for i in range(ks.size)])
-    row = np.array([b_of_lag(+i) for i in range(ks.size)])
-    bmat = toeplitz(col, row)
+    ks, cmat = _coefficient_matrix(gen, u_list, quad_n)
+    # lags beyond k_max carry exponentially small coefficients; pad zero
+    pad = max(ks.size - 1 - dual.k_max, 0)
+    b = np.pad(dual.b_coeffs, pad)
+    mid = dual.k_max + pad  # b[mid + lag] = b_lag
+    bmat = _toeplitz(b[mid::-1][: ks.size], b[mid:][: ks.size])
     m = cmat.conj().T @ bmat @ cmat
     asym = float(np.linalg.norm(m - m.conj().T))
     m = (m + m.conj().T) / 2.0

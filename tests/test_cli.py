@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,3 +296,16 @@ def test_linalg_error_exits_numerical(signal_file, tmp_path, capsys, monkeypatch
     assert code == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "LinAlgError"
+
+
+def test_cli_import_loads_no_scipy():
+    """The runtime imports only numpy; scipy is a test oracle, and importing
+    it would add most of a second to every CLI invocation."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import json, sys, opkern.cli; "
+        "print(json.dumps(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == []

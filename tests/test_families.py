@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from opkern.core import Grid, GridFunction, integrate_values
 from opkern.exceptions import DomainError, ShapeMismatchError, ValidationError
@@ -14,6 +17,7 @@ from opkern.families import (
     SampleSet,
     average_sample,
     family_from_descriptor,
+    interpolate_values,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -157,3 +161,40 @@ def test_sample_set_point_inner_roundtrip():
     x, xi = back.alphas[0]
     assert x == pytest.approx(0.5)
     assert np.allclose(xi, alpha[1])
+
+
+# ------------------------------------------------------- cubic interpolation
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=600),
+    st.floats(min_value=-100.0, max_value=100.0),
+    st.floats(min_value=1e-2, max_value=100.0),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(n=2, a=-1.0, width=2.0, dim=1, seed=0)
+@example(n=3, a=0.5, width=3.0, dim=2, seed=1)
+@example(n=4, a=-7.0, width=0.3, dim=3, seed=2)
+def test_cubic_spline_matches_scipy_not_a_knot(n, a, width, dim, seed):
+    """The numpy spline is scipy's default (not-a-knot) CubicSpline, the line
+    at two nodes and the parabola at three, at every node, both endpoints and
+    random points in between."""
+    gen = np.random.default_rng(seed)
+    g = Grid(a, a + width, n)
+    vals = gen.standard_normal((n, dim)) + 1j * gen.standard_normal((n, dim))
+    x = g.points()
+    pts = np.concatenate((x, [g.a, g.b], gen.uniform(g.a, g.b, 200)))
+    want = CubicSpline(x, vals)(pts)
+    got = interpolate_values(GridFunction(g, vals), pts)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(vals))
+
+
+def test_cubic_spline_converges_at_fourth_order():
+    pts = np.linspace(0.0, 2.0, 2001)
+    errors = []
+    for n in (17, 33, 65):
+        f = GridFunction.from_callable(Grid(0.0, 2.0, n), lambda x: np.sin(3.0 * x))
+        errors.append(np.max(np.abs(interpolate_values(f, pts)[:, 0] - np.sin(3.0 * pts))))
+    assert errors[0] / errors[1] >= 12.0
+    assert errors[1] / errors[2] >= 12.0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import toeplitz
 
 from opkern.core import Grid, GridFunction, inner_product, integrate_values, norm, rng
 from opkern.exceptions import DomainError, RieszConditionError, ValidationError
@@ -11,6 +12,9 @@ from opkern.families import AverageFunctional, average_sample
 from opkern.kernels import psd_check
 from opkern.shift_invariant import (
     Generator,
+    _average_coefficients,
+    _coefficient_matrix,
+    _toeplitz,
     biorthogonality_residual,
     bracket_function,
     bracket_tail_estimate,
@@ -305,6 +309,52 @@ def test_si_gram_is_psd_and_matches_direct_pairing():
     sec0 = si_functional_kernel(hat, d, us[0], out)
     direct = average_sample(sec0.h_repr, us[2], refine=8, interp="linear")
     assert abs(g.matrix[0, 2] - direct) < 1e-7
+
+
+def _full_range_gram(gen, dual, u_list, quad_n):
+    """The route the per-functional windows replace: every functional's
+    coefficients over the shift range of the whole list, then C^H B C with
+    B from scipy's Toeplitz."""
+    r = gen.support_radius
+    lo = min(u.support[0] for u in u_list)
+    hi = max(u.support[1] for u in u_list)
+    ks = np.arange(math.floor(lo - r), math.ceil(hi + r) + 1)
+    cmat = np.empty((ks.size, len(u_list)), dtype=complex)
+    for i, u in enumerate(u_list):
+        cmat[:, i] = _average_coefficients(gen, u, k_range=ks, quad_n=quad_n)[1]
+
+    def b_of_lag(lag):
+        return dual.b_coeffs[lag + dual.k_max] if abs(lag) <= dual.k_max else 0.0
+
+    bmat = toeplitz([b_of_lag(-i) for i in range(ks.size)], [b_of_lag(i) for i in range(ks.size)])
+    m = cmat.conj().T @ bmat @ cmat
+    return ks, cmat, (m + m.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("kind", ["box", "hat", "cubic"])
+def test_windowed_coefficients_match_full_range_route(kind):
+    gen = make_generator(kind, h=1.0 / 128.0)
+    d = dual_generator(gen, k_max=8)
+    pick = np.random.default_rng(7)
+    us = [
+        AverageFunctional(float(x), float(pick.uniform(0.01, 0.5)), str(pick.choice(["box", "triangle", "cosine"])))
+        for x in pick.uniform(-12.0, 12.0, 20)
+    ]
+    ks_want, c_want, g_want = _full_range_gram(gen, d, us, quad_n=513)
+    ks, cmat = _coefficient_matrix(gen, us, quad_n=513)
+    assert np.array_equal(ks, ks_want)
+    # the per-window products may sum in another order: 1e-15 on |c| <= 1
+    assert np.max(np.abs(cmat - c_want)) <= 1e-15
+    g = si_gram(gen, d, us, quad_n=513)
+    assert np.max(np.abs(g.matrix - g_want)) <= 1e-15 * np.max(np.abs(g_want))
+
+
+def test_toeplitz_matches_scipy():
+    pick = np.random.default_rng(11)
+    for n_col, n_row in ((1, 1), (1, 5), (6, 1), (7, 7), (9, 4), (3, 12)):
+        col = pick.standard_normal(n_col) + 1j * pick.standard_normal(n_col)
+        row = pick.standard_normal(n_row) + 1j * pick.standard_normal(n_row)
+        assert np.array_equal(_toeplitz(col, row), toeplitz(col, row))
 
 
 # ------------------------------------------------------- coefficient identity
