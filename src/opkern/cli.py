@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import Grid, GridFunction, fourier_sum, rng
+from .core import Grid, GridFunction, rng, uniform_fourier_sum
 from .exceptions import ConditioningError, OpkernError, ValidationError
 from .families import AverageSamplingFamily, FourierCoefficientFamily
 from .frames import dual_frame, interior_relative_error, reconstruct, truncated_frame
@@ -175,7 +175,7 @@ def _fourier_grid(n: int) -> Grid:
 def _fourier_signal(signal: BandlimitedSignal, grid: Grid) -> GridFunction:
     """The signal's coefficients read as Fourier modes on [0, 2pi]:
     f(x) = (1/sqrt(2pi)) sum_k c_k exp(i k x)."""
-    vals = fourier_sum(grid.points(), signal.shifts, signal.coeffs[:, 0], sign=1.0)
+    vals = uniform_fourier_sum(grid.a, grid.h, grid.n, signal.offset, 1.0, signal.coeffs[:, 0], sign=1.0)
     return GridFunction(grid, vals / math.sqrt(2.0 * math.pi))
 
 

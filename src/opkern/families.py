@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Grid, GridFunction, fourier_sum, integrate_values
+from .core import Grid, GridFunction, integrate_values
 from .exceptions import DomainError, ShapeMismatchError, ValidationError
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
     "family_from_descriptor",
     "SampleSet",
     "average_sample",
+    "average_samples",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -66,8 +67,8 @@ def _raised_cosine(delta: float) -> Callable:
 
 
 # Closed-form transforms m(w) = \int profile(t) exp(-i w t) dt of the centered
-# profiles (real and even); used by tests as oracles and by the density
-# diagnostic when very deep periodization tails are required.
+# profiles (real and even). They are the only transform route: the profile
+# centred at x has the transform exp(-i w x) m(w).
 
 def _sinc(z):
     return np.sinc(np.asarray(z) / np.pi)
@@ -138,32 +139,21 @@ class AverageFunctional:
         lo, hi = self.support
         return Grid(lo, hi, int(n))
 
-    def _quad_transform(self, omega: np.ndarray, sign: float, quad_n: int) -> np.ndarray:
-        g = self.quad_grid(quad_n)
-        t = g.points()
-        return fourier_sum(omega, t, self.evaluate(t) * g.weights(), sign)
+    def centered_transform(self, omega) -> np.ndarray:
+        """m(omega) = \\int u_0(s) exp(-i omega s) ds of the profile centred at
+        0, in closed form; real and even."""
+        return PROFILE_TRANSFORMS[self.profile_name](self.delta)(np.asarray(omega, dtype=float))
 
-    def transform(self, omega, quad_n: int = 4097, closed_form: bool = True) -> np.ndarray:
-        """u_x^ at the given frequencies: \\int u_x(s) exp(-i omega s) ds.
-
-        The centered profiles have closed-form transforms; the quadrature
-        path is kept for cross-checks (closed_form=False).
-        """
+    def transform(self, omega) -> np.ndarray:
+        """u_x^ at the given frequencies: \\int u_x(s) exp(-i omega s) ds,
+        in closed form as exp(-i omega x) m(omega)."""
         omega = np.atleast_1d(np.asarray(omega, dtype=float))
-        if closed_form:
-            m = PROFILE_TRANSFORMS[self.profile_name](self.delta)
-            return np.exp(-1j * omega * self.x) * m(omega)
-        return self._quad_transform(omega, -1.0, quad_n)
+        return np.exp(-1j * omega * self.x) * self.centered_transform(omega)
 
-    def inverse_transform(self, omega, quad_n: int = 4097, closed_form: bool = False) -> np.ndarray:
-        """u_x^v at the given frequencies: (1/2pi) \\int u_x(s) exp(+i omega s) ds.
-
-        Evaluated by quadrature on the refined support grid by default.
-        """
-        omega = np.atleast_1d(np.asarray(omega, dtype=float))
-        if closed_form:
-            return np.conj(self.transform(omega)) / TWO_PI
-        return self._quad_transform(omega, +1.0, quad_n) / TWO_PI
+    def inverse_transform(self, omega) -> np.ndarray:
+        """u_x^v at the given frequencies: (1/2pi) \\int u_x(s) exp(+i omega s) ds,
+        in closed form as conj(u_x^(omega)) / 2pi (the profile is real)."""
+        return np.conj(self.transform(omega)) / TWO_PI
 
     def descriptor(self) -> dict:
         return {"x": self.x, "delta": self.delta, "profile": self.profile_name}
@@ -266,29 +256,46 @@ def interpolate_values(f: GridFunction, points: np.ndarray, method: str = "cubic
     return out
 
 
+def average_samples(
+    f: GridFunction,
+    functionals,
+    refine: int = 8,
+    interp: str = "cubic",
+) -> np.ndarray:
+    """Quadrature of f * u over the support of each u on a refined local
+    subgrid; returns shape (len(functionals), dim).
+
+    The subgrid spacing is the signal grid spacing divided by ``refine``.
+    Every subgrid node is interpolated in one call, so the spline is solved
+    once for all functionals.
+    """
+    subs = []
+    for u in functionals:
+        lo, hi = u.support
+        if not f.grid.spans(lo, hi):
+            raise DomainError(
+                f"support [{lo}, {hi}] escapes the signal grid [{f.grid.a}, {f.grid.b}]"
+            )
+        subs.append((u, Grid(lo, hi, max(int(math.ceil((hi - lo) / f.grid.h * refine)), 16) + 1)))
+    nodes = [sub.points() for _, sub in subs]
+    fv = interpolate_values(f, np.concatenate([np.empty(0)] + nodes), method=interp)
+    out = np.empty((len(subs), f.dim), dtype=complex)
+    start = 0
+    for i, ((u, sub), t) in enumerate(zip(subs, nodes)):
+        out[i] = integrate_values(sub, fv[start : start + sub.n] * u.evaluate(t)[:, None])
+        start += sub.n
+    return out
+
+
 def average_sample(
     f: GridFunction,
     u: AverageFunctional,
     refine: int = 8,
     interp: str = "cubic",
 ) -> complex | np.ndarray:
-    """Quadrature of f * u over the support of u on a refined local subgrid.
-
-    The subgrid spacing is the signal grid spacing divided by ``refine``.
-    Returns a complex scalar for scalar f, else a vector of per-component
-    averages.
-    """
-    lo, hi = u.support
-    if not f.grid.spans(lo, hi):
-        raise DomainError(
-            f"support [{lo}, {hi}] escapes the signal grid [{f.grid.a}, {f.grid.b}]"
-        )
-    n_sub = max(int(math.ceil((hi - lo) / f.grid.h * refine)), 16) + 1
-    sub = Grid(lo, hi, n_sub)
-    t = sub.points()
-    fv = interpolate_values(f, t, method=interp)
-    uv = u.evaluate(t)
-    res = integrate_values(sub, fv * uv[:, None])
+    """``average_samples`` of the one functional u: a complex scalar for
+    scalar f, else the vector of per-component averages."""
+    res = average_samples(f, [u], refine=refine, interp=interp)[0]
     return complex(res[0]) if f.dim == 1 else res
 
 
@@ -304,6 +311,10 @@ class FunctionalFamily:
     def apply(self, alpha, f: GridFunction) -> np.ndarray:
         """Apply the functional with index alpha; returns a C^k vector."""
         raise NotImplementedError
+
+    def apply_all(self, alphas, f: GridFunction) -> list:
+        """The functionals with the given indices applied to f, in order."""
+        return [self.apply(alpha, f) for alpha in alphas]
 
     def descriptor(self) -> dict:
         raise NotImplementedError
@@ -357,8 +368,12 @@ class AverageSamplingFamily(FunctionalFamily):
         return AverageFunctional(float(x), self.delta, self.profile)
 
     def apply(self, alpha, f: GridFunction) -> np.ndarray:
-        res = average_sample(f, self.functional(alpha), refine=self.refine, interp=self.interp)
-        return np.atleast_1d(np.asarray(res, dtype=complex))
+        return self.apply_all([alpha], f)[0]
+
+    def apply_all(self, alphas, f: GridFunction) -> np.ndarray:
+        """All the averages in one ``average_samples`` call, shape (len(alphas), dim)."""
+        us = [self.functional(a) for a in alphas]
+        return average_samples(f, us, refine=self.refine, interp=self.interp)
 
     def descriptor(self) -> dict:
         return {

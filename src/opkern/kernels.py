@@ -26,6 +26,7 @@ from .core import (
     integrate_values,
     rng,
     solve_hermitian,
+    uniform_fourier_sum,
 )
 from .exceptions import (
     IndependenceError,
@@ -158,6 +159,10 @@ def kernel_from_features(
     return KernelSection(alpha=alpha, xi=xi, h_repr=GridFunction(h_grid, vals), w_repr=w)
 
 
+#: most entries of the conjugated column block feature_gram holds at once
+_GRAM_BLOCK = 2**15
+
+
 def feature_gram(features: Sequence[GridFunction]) -> np.ndarray:
     """Exact Gram of feature vectors under the quadrature inner product.
 
@@ -169,9 +174,15 @@ def feature_gram(features: Sequence[GridFunction]) -> np.ndarray:
     g0 = features[0]
     if any(not f.same_layout(g0) for f in features):
         raise ShapeMismatchError("feature vectors live on different grids")
-    sqw = np.sqrt(g0.grid.weights())
-    a = np.stack([(f.values * sqw[:, None]).reshape(-1) for f in features])
-    return a @ a.conj().T
+    a = np.stack([f.values.reshape(-1) for f in features])
+    a *= np.repeat(np.sqrt(g0.grid.weights()), g0.dim)
+    # A A^H summed over column blocks, so only one block is ever conjugated
+    g = np.zeros((a.shape[0], a.shape[0]), dtype=complex)
+    step = max(1, _GRAM_BLOCK // a.shape[0])
+    for s in range(0, a.shape[1], step):
+        block = a[:, s : s + step]
+        g += block @ block.conj().T
+    return g
 
 
 def _hermitian_gram(vectors: Sequence[GridFunction], indices: tuple) -> GramMatrix:
@@ -281,15 +292,15 @@ def translation_invariant_section(
 
     K(alpha)(x) = 2pi \\int exp(-i x t) varphi(t) u_alpha^v(t) dt, where
     u_alpha^v(t) = (1/2pi) \\int u_alpha(s) exp(i s t) ds. Both integrals are
-    evaluated by trapezoid quadrature on the given grids.
+    evaluated by trapezoid quadrature on the given grids, as chirp-z sums.
     """
     if varphi.dim != 1 or u_alpha.dim != 1:
         raise ShapeMismatchError("translation-invariant construction is scalar (dim 1)")
-    t = varphi.grid.points()
-    u_weighted = u_alpha.values[:, 0] * u_alpha.grid.weights()
-    inv = fourier_sum(t, u_alpha.grid.points(), u_weighted, sign=1.0) / (2.0 * math.pi)
-    weighted = varphi.values[:, 0] * inv * varphi.grid.weights()
-    vals = 2.0 * math.pi * fourier_sum(out_grid.points(), t, weighted)
+    tg, ug = varphi.grid, u_alpha.grid
+    u_weighted = u_alpha.values[:, 0] * ug.weights()
+    inv = uniform_fourier_sum(tg.a, tg.h, tg.n, ug.a, ug.h, u_weighted, sign=1.0) / (2.0 * math.pi)
+    weighted = varphi.values[:, 0] * inv * tg.weights()
+    vals = 2.0 * math.pi * uniform_fourier_sum(out_grid.a, out_grid.h, out_grid.n, tg.a, tg.h, weighted)
     return KernelSection(
         alpha=None,
         xi=np.array([1.0 + 0j]),
@@ -313,12 +324,12 @@ def fourier_feature_map(w_grid: Grid, dim_y: int = 1) -> FeatureMap:
 def fourier_point_feature_map(w_grid: Grid, max_mode: int, dim_y: int = 1) -> FeatureMap:
     """Point-side feature map of the span of Fourier modes |j| <= max_mode:
     Phi(x)xi = sum_j conj(u_j(x)) u_j xi, the projected point evaluator."""
-    t = w_grid.points()
     modes = np.arange(-max_mode, max_mode + 1)
 
     def evaluate(x, xi):
         xi = np.atleast_1d(np.asarray(xi, dtype=complex))
-        wave = fourier_sum(t, modes, np.exp(-1j * modes * float(x)), sign=1.0)
+        coeffs = np.exp(-1j * modes * float(x))
+        wave = uniform_fourier_sum(w_grid.a, w_grid.h, w_grid.n, -max_mode, 1.0, coeffs, sign=1.0)
         wave /= 2.0 * math.pi
         return GridFunction(w_grid, np.outer(wave, xi))
 

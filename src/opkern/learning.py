@@ -122,9 +122,8 @@ def objective_value(
         f = problem.frame.synthesize(eta)
     fam = problem.family
     misfit = 0.0
-    for alpha, value in zip(problem.samples.alphas, problem.samples.values):
-        applied = np.atleast_1d(fam.apply(alpha, f))
-        misfit += float(np.sum(np.abs(applied - np.atleast_1d(value)) ** 2))
+    for applied, value in zip(fam.apply_all(problem.samples.alphas, f), problem.samples.values):
+        misfit += float(np.sum(np.abs(np.atleast_1d(applied) - np.atleast_1d(value)) ** 2))
     if eta is not None:
         h_norm_sq = float(np.real(np.conj(eta) @ problem.gram_l @ eta))
     else:
@@ -146,17 +145,16 @@ def interpolation_limit(problem: LearningProblem) -> float:
     sol = regnet_solve(tiny)
     fam = problem.family
     worst = 0.0
-    for alpha, value in zip(problem.samples.alphas, problem.samples.values):
-        applied = np.atleast_1d(fam.apply(alpha, sol.f0))
-        worst = max(worst, float(np.linalg.norm(applied - np.atleast_1d(value))))
+    for applied, value in zip(fam.apply_all(problem.samples.alphas, sol.f0), problem.samples.values):
+        worst = max(worst, float(np.linalg.norm(np.atleast_1d(applied) - np.atleast_1d(value))))
     return worst
 
 
 def sampling_operator(family: FunctionalFamily, indices: Sequence, f: GridFunction) -> SampleSet:
     """Apply each functional of the family to f, in index order."""
     values = []
-    for alpha in indices:
-        applied = np.atleast_1d(family.apply(alpha, f))
+    for applied in family.apply_all(indices, f):
+        applied = np.atleast_1d(applied)
         values.append(complex(applied[0]) if applied.size == 1 else applied)
     return SampleSet(family.descriptor(), tuple(indices), tuple(values))
 

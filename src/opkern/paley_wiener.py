@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Grid, GridFunction, fourier_sum, inverse_dft
+from .core import Grid, GridFunction, inverse_dft, uniform_fourier_sum
 from .exceptions import AdmissibilityError, DomainError, ShapeMismatchError, ValidationError
 from .families import AverageFunctional
-from .kernels import FeatureMap, KernelSection
+from .kernels import FeatureMap, KernelSection, feature_gram
 
 __all__ = [
     "sinc_kernel",
@@ -151,12 +151,10 @@ def _require_band_grid(w_grid: Grid) -> None:
         raise DomainError("feature grid must span exactly [-pi, pi]")
 
 
-def psi_feature(
-    u: AverageFunctional, w_grid: Grid, quad_n: int = 4097, closed_form: bool = False
-) -> GridFunction:
+def psi_feature(u: AverageFunctional, w_grid: Grid) -> GridFunction:
     """Feature vector of the average functional: sqrt(2pi) u_x^v on [-pi, pi]."""
     _require_band_grid(w_grid)
-    vals = SQRT_TWO_PI * u.inverse_transform(w_grid.points(), quad_n=quad_n, closed_form=closed_form)
+    vals = SQRT_TWO_PI * u.inverse_transform(w_grid.points())
     return GridFunction(w_grid, vals)
 
 
@@ -166,26 +164,25 @@ def pw_average_sections(
     out_grid: Grid,
     profile: str = "box",
     w_grid: Grid | None = None,
-    quad_n: int = 4097,
-    closed_form: bool = False,
 ) -> list[KernelSection]:
     """Kernel sections of the average functionals centred at ``centers``:
     K(x)(y) = \\int_{-pi}^{pi} exp(-i y t) u_x^v(t) dt on ``out_grid``, each
     carrying Psi(x) = sqrt(2pi) u_x^v as its feature vector.
 
     Shifting the profile modulates its frequency side, u_x^v = exp(i x t)
-    u_0^v, so one base transform and one synthesis product cover the whole
-    family.
+    u_0^v, with u_0^v = m(t)/2pi the closed form of the centred profile, so
+    one base transform and one synthesis product cover the whole family.
+    Both grids are uniform, so the synthesis is a chirp-z sum.
     """
     w_grid = w_grid or w_grid_default()
     _require_band_grid(w_grid)
     centers = [float(c) for c in centers]
     t = w_grid.points()
-    base = AverageFunctional(0.0, delta, profile).inverse_transform(
-        t, quad_n=quad_n, closed_form=closed_form
-    )
+    base = AverageFunctional(0.0, delta, profile).centered_transform(t) / TWO_PI
     udual = np.exp(1j * np.outer(t, np.asarray(centers))) * base[:, None]
-    h_vals = fourier_sum(out_grid.points(), t, udual * w_grid.weights()[:, None])
+    h_vals = uniform_fourier_sum(
+        out_grid.a, out_grid.h, out_grid.n, w_grid.a, w_grid.h, udual * w_grid.weights()[:, None]
+    )
     out = []
     for i, c in enumerate(centers):
         out.append(
@@ -217,18 +214,13 @@ def average_feature_map(
     delta: float,
     profile: str = "box",
     dim_y: int = 1,
-    quad_n: int = 4097,
-    closed_form: bool = False,
 ) -> FeatureMap:
     """Average-functional feature map Psi(x)xi = sqrt(2pi) u_x^v xi."""
     _require_band_grid(w_grid)
 
     def evaluate(x, xi):
         xi = np.atleast_1d(np.asarray(xi, dtype=complex))
-        psi = psi_feature(
-            AverageFunctional(float(x), delta, profile), w_grid, quad_n=quad_n,
-            closed_form=closed_form,
-        )
+        psi = psi_feature(AverageFunctional(float(x), delta, profile), w_grid)
         return GridFunction(w_grid, np.outer(psi.values[:, 0], xi))
 
     return FeatureMap(w_grid=w_grid, dim_y=dim_y, evaluate=evaluate)
@@ -241,7 +233,9 @@ def signal_w_repr(signal: BandlimitedSignal, w_grid: Grid) -> GridFunction:
     _require_band_grid(w_grid)
     if signal.dim != 1:
         raise ShapeMismatchError("w-representation implemented for scalar signals")
-    vals = fourier_sum(w_grid.points(), signal.shifts, signal.coeffs[:, 0], sign=1.0)
+    vals = uniform_fourier_sum(
+        w_grid.a, w_grid.h, w_grid.n, signal.offset, 1.0, signal.coeffs[:, 0], sign=1.0
+    )
     return GridFunction(w_grid, vals / SQRT_TWO_PI)
 
 
@@ -352,15 +346,13 @@ def perturbed_exponential_frame_check(
     w_grid = w_grid or w_grid_default()
     _require_band_grid(w_grid)
     x = np.asarray(x, dtype=float)
-    t = w_grid.points()
-    sqw = np.sqrt(w_grid.weights())
+    phi = point_feature_map(w_grid)
     gen = np.random.default_rng(seed)
     offsets = [np.full(x.shape, -delta), np.full(x.shape, delta)]
     offsets += [gen.uniform(-delta, delta, size=x.shape) for _ in range(int(draws))]
     min_eig, max_eig = math.inf, 0.0
     for off in offsets:
-        a = np.exp(1j * np.outer(x + off, t)) / SQRT_TWO_PI * sqw
-        eig = np.linalg.eigvalsh(a @ a.conj().T)
+        eig = np.linalg.eigvalsh(feature_gram([phi(tj) for tj in x + off]))
         min_eig = min(min_eig, float(eig[0]))
         max_eig = max(max_eig, float(eig[-1]))
     return PerturbedFrameCheck(min_eig=min_eig, max_eig=max_eig, draws=len(offsets))

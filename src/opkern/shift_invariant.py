@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Grid, GridFunction, fourier_sum, integrate_values
+from .core import Grid, GridFunction, fourier_sum, integrate_values, uniform_fourier_sum
 from .exceptions import DomainError, RieszConditionError, ShapeMismatchError, ValidationError
 from .families import AverageFunctional
 from .kernels import KernelSection
@@ -189,7 +189,8 @@ def dual_generator(gen: Generator, k_max: int, xi_n: int = 2049) -> DualGenerato
     grid_xi = Grid(-math.pi, math.pi, int(xi_n))
     xs = grid_xi.points()
     recip = 1.0 / bracket_function(gen, xs)
-    b = fourier_sum(np.arange(-k_max, k_max + 1), xs, recip * grid_xi.weights()) / TWO_PI
+    weighted = recip * grid_xi.weights()
+    b = uniform_fourier_sum(-k_max, 1.0, 2 * k_max + 1, grid_xi.a, grid_xi.h, weighted) / TWO_PI
     r = gen.support_radius
     h = gen.phi.grid.h
     ext = Grid(-(r + k_max), float(r + k_max), int(round(2 * (r + k_max) / h)) + 1)
@@ -324,15 +325,16 @@ def _g_alpha_values(
     u: AverageFunctional,
     xi: np.ndarray,
     j_trunc: int,
-    closed_form: bool = True,
 ) -> np.ndarray:
-    """g_u(xi) = sum_{|l| <= J} u^(xi + 2 pi l) conj(phi_hat(xi + 2 pi l))."""
+    """g_u(xi) = sum_{|l| <= J} u^(xi + 2 pi l) conj(phi_hat(xi + 2 pi l)),
+    with u^(w) = exp(-i w x) m(w) from the closed form m of the centred
+    profile."""
     out = np.zeros(xi.shape, dtype=complex)
     ls = np.arange(-j_trunc, j_trunc + 1)
     chunk = max(1, 4_000_000 // max(xi.size, 1))
     for s in range(0, ls.size, chunk):
         om = xi[:, None] + TWO_PI * ls[None, s : s + chunk]
-        uhat = u.transform(om.reshape(-1), closed_form=closed_form).reshape(om.shape)
+        uhat = np.exp(-1j * om * u.x) * u.centered_transform(om)
         out += np.sum(uhat * np.conj(gen.transform(om)), axis=1)
     return out
 
@@ -372,7 +374,6 @@ def fourier_coefficient_identity_check(
     j_trunc: int | None = None,
     quad_n: int = 4097,
     xi_n: int = 1025,
-    closed_form: bool = True,
 ) -> float:
     """Max deviation between the time-side coefficients int u conj(phi(.-k))
     and the frequency-side coefficients (1/2pi) int_{-pi}^{pi} g_u(xi)
@@ -384,6 +385,7 @@ def fourier_coefficient_identity_check(
     _, time_side = _average_coefficients(gen, u, k_range=ks, quad_n=quad_n)
     grid_xi = Grid(-math.pi, math.pi, int(xi_n))
     xs = grid_xi.points()
-    g = _g_alpha_values(gen, u, xs, j, closed_form=closed_form)
-    freq_side = fourier_sum(ks, xs, g * grid_xi.weights(), sign=1.0) / TWO_PI
+    g = _g_alpha_values(gen, u, xs, j)
+    weighted = g * grid_xi.weights()
+    freq_side = uniform_fourier_sum(-k_range, 1.0, ks.size, grid_xi.a, grid_xi.h, weighted, sign=1.0) / TWO_PI
     return float(np.max(np.abs(time_side - freq_side)))

@@ -122,7 +122,7 @@ def test_criterion_1_reproducing_property_suite():
         w_f = signal_w_repr(sig, wg)
         beta = float(gen.uniform(-4.0, 4.0))
         u = AverageFunctional(beta, 0.2)
-        psi = psi_feature(u, wg, closed_form=True)
+        psi = psi_feature(u, wg)
         lhs = average_sample(f, u, refine=16)
         rhs = inner_product(w_f, psi)
         f_norm = float(np.linalg.norm(coeff))  # Shannon coefficients are orthonormal
@@ -201,7 +201,7 @@ def test_criterion_2_psd_suite():
     wg = w_grid_default(2049)
     for size in sizes:  # bandlimited average family
         xs = np.sort(gen.uniform(-8.0, 8.0, size=size))
-        secs = pw_average_sections(xs, 0.2, small, w_grid=wg, closed_form=True)
+        secs = pw_average_sections(xs, 0.2, small, w_grid=wg)
         reports.append(psd_check(gram(secs)))
 
     t = wg.points()

@@ -73,6 +73,21 @@ def test_reconstruct_pw_and_rerun_is_byte_identical(signal_file, tmp_path):
     assert back.grid.n > 0
 
 
+def test_reconstruct_pw_default_grids_stays_small(signal_file, tmp_path):
+    """At the default grids (w_n 2049, 32 points per unit) the closed-form
+    transforms and the chirp-z synthesis build no frequency-by-node matrix;
+    the dense quadrature route peaked at 122 MB here."""
+    argv = ["reconstruct", "--space", "pw", "--m", "8", "--signal", str(signal_file), "--out", str(tmp_path / "r")]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2**24
+
+
 def test_reconstruct_fourier_exact(signal_file, tmp_path):
     out = tmp_path / "recf"
     argv = [

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opkern.core import (
@@ -19,6 +19,7 @@ from opkern.core import (
     restrict,
     rng,
     solve_hermitian,
+    uniform_fourier_sum,
 )
 from opkern.exceptions import ConditioningError, ShapeMismatchError, ValidationError
 
@@ -183,6 +184,35 @@ def test_fourier_sum_matches_one_shot_formula_across_blocks():
     v = f.values[:, 0] * g.weights()
     direct = np.exp(1j * np.outer(w[:50], g.points())) @ v
     assert np.max(np.abs(fourier_sum(w[:50], g.points(), v, sign=1.0) - direct)) < 1e-13
+
+
+_offsets = st.floats(-100.0, 100.0, allow_nan=False)
+_steps = st.floats(1e-3, 1.0, allow_nan=False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    ny=st.integers(1, 600),
+    nt=st.integers(1, 600),
+    y0=_offsets,
+    dy=_steps,
+    t0=_offsets,
+    dt=_steps,
+    sign=st.sampled_from([-1.0, 1.0]),
+    cols=st.sampled_from([0, 1, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(ny=37, nt=1, y0=-3.0, dy=0.25, t0=-4.0, dt=1.0, sign=1.0, cols=0, seed=1)  # a 1-term signal
+@example(ny=2, nt=2, y0=-math.pi, dy=TWO_PI, t0=-2.5, dt=0.5, sign=-1.0, cols=3, seed=2)  # 2-point grids
+@example(ny=400, nt=400, y0=-7.0, dy=0.05, t0=-math.pi, dt=0.01, sign=-1.0, cols=300, seed=3)  # two column blocks
+def test_uniform_fourier_sum_matches_fourier_sum(ny, nt, y0, dy, t0, dt, sign, cols, seed):
+    gen = np.random.default_rng(seed)
+    shape = (nt,) if cols == 0 else (nt, cols)
+    a = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+    got = uniform_fourier_sum(y0, dy, ny, t0, dt, a, sign)
+    want = fourier_sum(y0 + dy * np.arange(ny), t0 + dt * np.arange(nt), a, sign)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-11 * np.sum(np.abs(a), axis=0))
 
 
 # ------------------------------------------------------------- serialization

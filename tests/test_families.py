@@ -19,6 +19,7 @@ from opkern.families import (
     family_from_descriptor,
     interpolate_values,
 )
+from quadrature_oracle import quadrature_transform
 
 TWO_PI = 2.0 * math.pi
 
@@ -49,11 +50,11 @@ def test_transform_quadrature_matches_closed_form():
     for name in ("box", "triangle", "cosine"):
         u = AverageFunctional(1.3, 0.2, name)
         w = np.linspace(-math.pi, math.pi, 101)
-        quad = u.transform(w, closed_form=False)
-        closed = u.transform(w, closed_form=True)
+        quad = quadrature_transform(u, -math.pi, TWO_PI / 100, 101)
+        closed = u.transform(w)
         assert np.max(np.abs(quad - closed)) < 1e-7
-        inv_quad = u.inverse_transform(w)
-        inv_closed = u.inverse_transform(w, closed_form=True)
+        inv_quad = quadrature_transform(u, -math.pi, TWO_PI / 100, 101, sign=1.0) / TWO_PI
+        inv_closed = u.inverse_transform(w)
         assert np.max(np.abs(inv_quad - inv_closed)) < 1e-8
 
 
@@ -104,6 +105,37 @@ def test_average_sample_mean_value_bracketing():
         val = average_sample(f, u).real
         t = np.linspace(x0 - 0.3, x0 + 0.3, 513)
         assert np.min(np.cos(1.3 * t)) - 1e-9 <= val <= np.max(np.cos(1.3 * t)) + 1e-9
+
+
+def _per_centre_average_sample(f, u, refine=8, interp="cubic"):
+    """The per-centre route that average_samples replaces: a spline over the
+    whole signal grid for every centre."""
+    lo, hi = u.support
+    sub = Grid(lo, hi, max(int(math.ceil((hi - lo) / f.grid.h * refine)), 16) + 1)
+    t = sub.points()
+    return integrate_values(sub, interpolate_values(f, t, method=interp) * u.evaluate(t)[:, None])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(["box", "triangle", "cosine"]),
+    st.sampled_from(["cubic", "linear"]),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=40),
+    st.floats(min_value=0.01, max_value=0.5),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_average_samples_equal_per_centre_loop(profile, interp, dim, count, delta, seed):
+    """One spline for all centres gives the very samples of one spline per
+    centre: spline evaluation is elementwise."""
+    gen = np.random.default_rng(seed)
+    g = Grid(-3.0, 3.0, int(gen.integers(65, 800)))
+    f = GridFunction(g, gen.standard_normal((g.n, dim)) + 1j * gen.standard_normal((g.n, dim)))
+    centres = gen.uniform(-3.0 + delta, 3.0 - delta, count)
+    fam = AverageSamplingFamily(delta=delta, profile=profile, interp=interp)
+    want = np.stack([_per_centre_average_sample(f, fam.functional(c), interp=interp) for c in centres])
+    assert np.array_equal(fam.apply_all(centres, f), want)
+    assert np.array_equal(fam.apply(centres[-1], f), want[-1])
 
 
 def test_fourier_family_orthonormal_coefficients():

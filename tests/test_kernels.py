@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -348,3 +349,33 @@ def test_feature_gram_requires_common_grid():
     f2 = GridFunction(Grid(0.0, 1.0, 21), np.ones((21, 1)))
     with pytest.raises(ShapeMismatchError):
         feature_gram([f1, f2])
+
+
+def _one_shot_feature_gram(features):
+    """The formula feature_gram replaces: every weight-scaled feature stacked,
+    then A A^H in one product."""
+    sqw = np.sqrt(features[0].grid.weights())
+    a = np.stack([(f.values * sqw[:, None]).reshape(-1) for f in features])
+    return a @ a.conj().T
+
+
+def test_feature_gram_holds_one_stack():
+    """The frame of `reconstruct --space fourier --m 128 --grid-n 4097`: 257
+    features of 4097 points, a 16.8 MB stack. The one-shot formula peaked at
+    34.8 MB; the blocked product holds the stack once."""
+    grid = Grid(0.0, TWO_PI, 4097)
+    feats = [FourierCoefficientFamily().basis_function(j, grid) for j in range(-128, 129)]
+    want = _one_shot_feature_gram(feats)
+    tracemalloc.start()
+    try:
+        got = feature_gram(feats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20e6
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # vector-valued features repeat each weight over the components
+    gen = rng(4)
+    vec = [GridFunction(Grid(-1.0, 1.0, 33), complex_unit_disc(gen, (33, 3))) for _ in range(5)]
+    want = _one_shot_feature_gram(vec)
+    assert np.max(np.abs(feature_gram(vec) - want)) <= 1e-13 * np.max(np.abs(want))

@@ -102,7 +102,7 @@ def test_pw_section_reproduces_average_samples():
     for x in (-1.3, 0.25, 2.0):
         u = AverageFunctional(x, 0.2)
         lhs = average_sample(f, u, refine=16)
-        psi = psi_feature(u, wg, closed_form=True)
+        psi = psi_feature(u, wg)
         rhs = inner_product(w_f, psi)
         assert abs(lhs - rhs) < 2e-6
         # grid-side inner product carries the window-truncation error only
@@ -113,8 +113,8 @@ def test_pw_section_reproduces_average_samples():
 
 @pytest.mark.parametrize("profile", ["box", "triangle", "cosine"])
 def test_batched_sections_match_single_calls(profile):
-    """The modulated batch against a direct per-centre quadrature: each
-    centre's own (unshifted-grid) transform, then an explicit synthesis sum."""
+    """The modulated batch against a direct per-centre route: each centre's
+    own transform, then an explicit dense synthesis sum."""
     window = pw_window(2, points_per_unit=32)
     wg = w_grid_default(513)
     t, y = wg.points(), window.points()
@@ -153,8 +153,8 @@ def test_psi_cross_equals_applied_kernel():
 
 def test_psi_modulation_identity():
     wg = w_grid_default(1025)
-    psi0 = psi_feature(AverageFunctional(0.0, 0.2), wg, closed_form=True)
-    psix = psi_feature(AverageFunctional(1.7, 0.2), wg, closed_form=True)
+    psi0 = psi_feature(AverageFunctional(0.0, 0.2), wg)
+    psix = psi_feature(AverageFunctional(1.7, 0.2), wg)
     t = wg.points()
     assert np.max(np.abs(psix.values[:, 0] - np.exp(1.7j * t) * psi0.values[:, 0])) < 1e-12
 
@@ -326,7 +326,7 @@ def test_integer_average_features_respect_admissibility_envelope():
     a_bound, b_bound = kadec_bounds(delta)
     wg = w_grid_default(2049)
     feats = [
-        psi_feature(AverageFunctional(float(j), delta), wg, closed_form=True)
+        psi_feature(AverageFunctional(float(j), delta), wg)
         for j in range(-16, 17)
     ]
     eig = np.linalg.eigvalsh(feature_gram(feats))

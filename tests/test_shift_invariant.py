@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
-from opkern.core import Grid, GridFunction, inner_product, integrate_values, norm, rng
+from opkern.core import Grid, GridFunction, fourier_sum, inner_product, integrate_values, norm, rng
 from opkern.exceptions import DomainError, RieszConditionError, ValidationError
 from opkern.families import AverageFunctional, average_sample
 from opkern.kernels import psd_check
@@ -28,6 +28,7 @@ from opkern.shift_invariant import (
     si_gram,
     si_reproducing_kernel,
 )
+from quadrature_oracle import quadrature_transform
 
 TWO_PI = 2.0 * math.pi
 
@@ -389,10 +390,21 @@ def test_identity_check_hat_triangle_defaults_and_refinement():
 
 
 def test_identity_check_quadrature_transform_route():
-    # the no-closed-form path agrees at moderate truncation
+    # the identity also holds at moderate truncation with the profile transform
+    # taken by quadrature in place of the closed form; the frequencies
+    # xi + 2 pi l, |l| <= J, form one uniform grid, which the oracle sums at once
     hat = make_generator("hat")
     u = AverageFunctional(0.25, 0.2, "triangle")
-    dev = fourier_coefficient_identity_check(hat, u, k_range=2, closed_form=False)
+    j, ks = hat.j_trunc, np.arange(-2, 3)
+    xi_grid = Grid(-math.pi, math.pi, 1025)
+    xs, n = xi_grid.points(), xi_grid.n - 1
+    uhat = quadrature_transform(u, -math.pi - TWO_PI * j, xi_grid.h, (2 * j + 1) * n + 1)
+    ls = np.arange(2 * j + 1)
+    om = xs[:, None] + TWO_PI * (ls - j)[None, :]
+    g = np.sum(uhat[np.arange(n + 1)[:, None] + n * ls[None, :]] * np.conj(hat.transform(om)), axis=1)
+    freq_side = fourier_sum(ks, xs, g * xi_grid.weights(), sign=1.0) / TWO_PI
+    _, time_side = _average_coefficients(hat, u, k_range=ks)
+    dev = float(np.max(np.abs(time_side - freq_side)))
     assert dev < 1e-4
 
 
