@@ -62,6 +62,7 @@ from .frames import (  # noqa: F401
     frame_operator_apply,
     interior_relative_error,
     reconstruct,
+    stacked_frame,
     truncated_frame,
 )
 from .learning import (  # noqa: F401

@@ -23,8 +23,8 @@ from . import __version__
 from .core import Grid, GridFunction, rng, uniform_fourier_sum
 from .exceptions import ConditioningError, OpkernError, ValidationError
 from .families import AverageSamplingFamily, FourierCoefficientFamily
-from .frames import dual_frame, interior_relative_error, reconstruct, truncated_frame
-from .kernels import GramMatrix, KernelSection, feature_gram, gram, psd_check
+from .frames import dual_frame, interior_relative_error, reconstruct, stacked_frame
+from .kernels import GramMatrix, feature_gram, psd_check
 from .learning import (
     learning_problem,
     perturb_samples,
@@ -180,26 +180,33 @@ def _fourier_signal(signal: BandlimitedSignal, grid: Grid) -> GridFunction:
 
 
 def _fourier_sections(indices, grid: Grid):
+    """The frame of the basis K(j) = exp(i j x)/sqrt(2pi), its own feature
+    vector, filled one row at a time."""
     _check_stack(len(indices), grid.n)
-    fam = FourierCoefficientFamily()
-    out = []
-    for j in indices:
-        basis = fam.basis_function(int(j), grid)
-        out.append(KernelSection(alpha=int(j), xi=np.array([1.0 + 0j]), h_repr=basis, w_repr=basis))
-    return out
+    indices = [int(j) for j in indices]
+    x = grid.points()
+    h = np.empty((len(indices), grid.n), dtype=complex)
+    for row, j in zip(h, indices):
+        np.exp(1j * j * x, out=row)
+    h /= math.sqrt(2.0 * math.pi)
+    return stacked_frame(indices, h, grid, h, grid)
 
 
 def _sinc_point_sections(points, window_grid: Grid, w_n: int):
+    """The frame of the point evaluations: sinc sections on the window, plane
+    waves exp(i x t)/sqrt(2pi) as their feature vectors."""
     _check_stack(len(points), window_grid.n, w_n)
+    points = [float(x) for x in points]
     wg = w_grid_default(w_n)
     t = wg.points()
     x_axis = window_grid.points()
-    out = []
-    for x in points:
-        h = GridFunction(window_grid, sinc_kernel(x_axis, float(x)).astype(complex))
-        w = GridFunction(wg, np.exp(1j * float(x) * t) / math.sqrt(2.0 * math.pi))
-        out.append(KernelSection(alpha=float(x), xi=np.array([1.0 + 0j]), h_repr=h, w_repr=w))
-    return out
+    h = np.empty((len(points), window_grid.n), dtype=complex)
+    w = np.empty((len(points), wg.n), dtype=complex)
+    for i, x in enumerate(points):
+        h[i] = sinc_kernel(x_axis, x)
+        w[i] = np.exp(1j * x * t)
+    w /= math.sqrt(2.0 * math.pi)
+    return stacked_frame(points, h, window_grid, w, wg)
 
 
 def _sections_for_family(args, window_grid):
@@ -220,19 +227,15 @@ def _sections_for_family(args, window_grid):
 # ---------------------------------------------------------------------------
 
 def _cmd_gram(args, config: dict) -> int:
-    window_grid = _window_grid(args)
-    sections = _sections_for_family(args, window_grid)
-    g = gram(sections)
+    frame = _sections_for_family(args, _window_grid(args))
     prefix = Path(args.out)
-    _write_gram_csv(prefix.with_suffix(".csv"), g)
+    _write_gram_csv(prefix.with_suffix(".csv"), frame.gram)
     _write_manifest(prefix, "gram", config)
     return 0
 
 
 def _cmd_psd(args, config: dict) -> int:
-    window_grid = _window_grid(args)
-    sections = _sections_for_family(args, window_grid)
-    g = gram(sections)
+    g = _sections_for_family(args, _window_grid(args)).gram
     report = psd_check(g)
     prefix = Path(args.out)
     _write_json(
@@ -267,20 +270,19 @@ def _cmd_reconstruct(args, config: dict) -> int:
     if args.space == "pw":
         grid = _window_grid(args)
         indices = [float(c) for c in range(-args.m, args.m + 1)]
-        sections = _pw_sections(indices, args.delta, args.profile, grid, args.w_n)
+        frame = _pw_sections(indices, args.delta, args.profile, grid, args.w_n)
         f_grid = synthesize(signal, grid)
         family = AverageSamplingFamily(delta=args.delta, profile=args.profile)
         window = (grid.a + 4.0, grid.b - 4.0)
     elif args.space == "fourier":
         grid = _fourier_grid(args.grid_n)
         indices = list(range(-args.m, args.m + 1))
-        sections = _fourier_sections(indices, grid)
+        frame = _fourier_sections(indices, grid)
         f_grid = _fourier_signal(signal, grid)
         family = FourierCoefficientFamily()
         window = (grid.a, grid.b)
     else:
         raise OpkernError(f"unknown space {args.space!r}")
-    frame = truncated_frame(sections)
     dual = dual_frame(frame, rel_cutoff=args.rel_cutoff)
     f_hat = reconstruct(dual, sampling_operator(family, indices, f_grid))
     err = interior_relative_error(f_hat, f_grid, window=window)
@@ -322,14 +324,14 @@ def _cmd_regnet(args, config: dict) -> int:
     window_grid = _window_grid(args)
     if fam_desc["family"] == "fourier":
         grid = _fourier_grid(args.grid_n)
-        sections = _fourier_sections([int(j) for j in indices], grid)
+        frame = _fourier_sections(indices, grid)
         family = FourierCoefficientFamily()
         indices = [int(j) for j in indices]
     elif fam_desc["family"] == "average":
         delta = float(fam_desc["params"]["delta"])
         profile = fam_desc["params"].get("profile", "box")
         indices = [float(x) for x in indices]
-        sections = _pw_sections(indices, delta, profile, window_grid, args.w_n)
+        frame = _pw_sections(indices, delta, profile, window_grid, args.w_n)
         family = AverageSamplingFamily(delta=delta, profile=profile)
     else:
         raise OpkernError(f"unsupported learning family {fam_desc['family']!r}")
@@ -349,7 +351,7 @@ def _cmd_regnet(args, config: dict) -> int:
     noise = payload.get("noise")
     if noise:
         samples = perturb_samples(samples, float(noise["sigma"]), int(noise["seed"]))
-    problem = learning_problem(truncated_frame(sections), samples, lam)
+    problem = learning_problem(frame, samples, lam)
     solution = regnet_solve(problem)
     prefix = Path(args.out)
     _write_json(
@@ -398,8 +400,7 @@ def _cmd_si_diagnose(args, config: dict) -> int:
 def _cmd_stability(args, config: dict) -> int:
     window_grid = _window_grid(args)
     centers = list(range(-args.m, args.m + 1))
-    sections = _pw_sections(centers, args.delta, args.profile, window_grid, args.w_n)
-    frame = truncated_frame(sections)
+    frame = _pw_sections(centers, args.delta, args.profile, window_grid, args.w_n)
     dual = dual_frame(frame)
     sizes = [int(s) for s in args.sizes.split(",")]
     trunc = truncated_reconstruction_stability(frame, dual, args.trials, sizes, args.seed)
@@ -447,8 +448,8 @@ def _cmd_vector_sampling(args, config: dict) -> int:
         vss = build_vector_sampling_set(args.n, args.m_range, perturb=lambda m: offsets[m])
     else:
         vss = build_vector_sampling_set(args.n, args.m_range)
-    feats = vector_features(vss, w_grid_default(args.w_n))
-    g = feature_gram(feats)
+    wg = w_grid_default(args.w_n)
+    g = feature_gram(vector_features(vss, wg), wg)
     idx = np.arange(g.shape[0]) % n
     offblock = float(np.max(np.abs(g[idx[:, None] != idx[None, :]]), initial=0.0))
     prefix = Path(args.out)

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Grid, GridFunction, integrate_values
+from .core import MAX_GRID_POINTS, Grid, GridFunction, integrate_values, uniform_fourier_sum
 from .exceptions import DomainError, ShapeMismatchError, ValidationError
 
 __all__ = [
@@ -335,12 +335,24 @@ class FourierCoefficientFamily(FunctionalFamily):
     kind = "fourier"
 
     def apply(self, alpha, f: GridFunction) -> np.ndarray:
-        j = int(alpha)
+        return self.apply_all([alpha], f)[0]
+
+    def apply_all(self, alphas, f: GridFunction) -> np.ndarray:
+        """Every coefficient from one chirp-z sum over the integer span
+        min(j)..max(j), shape (len(alphas), dim); a span beyond
+        MAX_GRID_POINTS is refused before anything is allocated."""
         if not f.grid.spans(self.a, self.b) or abs(f.grid.a - self.a) > 1e-9 or abs(f.grid.b - self.b) > 1e-9:
             raise DomainError("fourier coefficients expect functions on the family interval")
-        x = f.grid.points()
-        kern = np.exp(-1j * j * x) * f.grid.weights()
-        return (kern @ f.values) / math.sqrt(TWO_PI)
+        js = [int(a) for a in alphas]
+        if not js:
+            return np.empty((0, f.dim), dtype=complex)
+        lo = min(js)
+        span = max(js) - lo + 1
+        if span > MAX_GRID_POINTS:
+            raise ValidationError(f"coefficient indices span {span} integers, beyond the cap of {MAX_GRID_POINTS}")
+        weighted = f.values * f.grid.weights()[:, None]
+        coeffs = uniform_fourier_sum(lo, 1.0, span, f.grid.a, f.grid.h, weighted)
+        return coeffs[[j - lo for j in js]] / math.sqrt(TWO_PI)
 
     def basis_function(self, j: int, grid: Grid) -> GridFunction:
         """The kernel section K(j) = exp(i j x)/sqrt(2pi) on the given grid."""

@@ -18,11 +18,12 @@ import numpy as np
 from .core import Grid, GridFunction, norm, pseudoinverse, restrict
 from .exceptions import AlignmentError, DegenerateFrameError, ShapeMismatchError
 from .families import SampleSet
-from .kernels import GramMatrix, KernelSection, _hermitian_gram
+from .kernels import GramMatrix, KernelSection, _hermitian_gram, _stack_values
 
 __all__ = [
     "TruncatedFrame",
     "DualFrame",
+    "stacked_frame",
     "truncated_frame",
     "frame_operator_apply",
     "dual_frame",
@@ -36,12 +37,19 @@ __all__ = [
 @dataclass(frozen=True)
 class TruncatedFrame:
     """A finite kernel family stacked once: h[j] holds the grid values of
-    section K_j on h_grid, gram the section Gram."""
+    section K_j on h_grid, gram the section Gram. A stack of shape (m, n)
+    is read as m scalar sections."""
 
     alphas: tuple
     h: np.ndarray = field(repr=False)
     h_grid: Grid
     gram: GramMatrix
+
+    def __post_init__(self):
+        if self.h.ndim == 2:
+            object.__setattr__(self, "h", self.h[:, :, None])
+        if not np.all(np.isfinite(self.h)):
+            raise ShapeMismatchError("kernel section contains non-finite values")
 
     def __len__(self) -> int:
         return self.h.shape[0]
@@ -54,30 +62,30 @@ class TruncatedFrame:
         return GridFunction(self.h_grid, np.tensordot(c, self.h, axes=1))
 
 
+def stacked_frame(alphas, h: np.ndarray, h_grid: Grid, w: np.ndarray, w_grid: Grid) -> TruncatedFrame:
+    """The frame of scalar sections h[j] on h_grid with feature vectors w[j]
+    on w_grid; the Gram is the exact Gram of the features, hence positive
+    semi-definite."""
+    alphas = tuple(alphas)
+    gram = _hermitian_gram(w, w_grid, tuple((a, np.ones(1, dtype=complex)) for a in alphas))
+    return TruncatedFrame(alphas=alphas, h=h, h_grid=h_grid, gram=gram)
+
+
 def truncated_frame(sections: Sequence[KernelSection]) -> TruncatedFrame:
-    """Stack sections with their Gram.
+    """Stack single sections into a frame.
 
     The Gram comes from the sections' feature vectors when every section
     carries one (exact on the frequency side, no window truncation), else
     from the grid inner products of the sections themselves. Either way it
     is an exact Gram of discretized vectors, hence positive semi-definite.
     """
-    if not sections:
-        raise ShapeMismatchError("empty section list")
-    first = sections[0].h_repr
-    if any(not s.h_repr.same_layout(first) for s in sections):
-        raise ShapeMismatchError("sections live on different grids")
-    have_w = all(s.w_repr is not None for s in sections)
-    gram = _hermitian_gram(
-        [s.w_repr if have_w else s.h_repr for s in sections],
-        tuple((s.alpha, s.xi) for s in sections),
-    )
-    return TruncatedFrame(
-        alphas=tuple(s.alpha for s in sections),
-        h=np.stack([s.h_repr.values for s in sections]),
-        h_grid=first.grid,
-        gram=gram,
-    )
+    h, h_grid = _stack_values([s.h_repr for s in sections])
+    if all(s.w_repr is not None for s in sections):
+        w, w_grid = _stack_values([s.w_repr for s in sections])
+    else:
+        w, w_grid = h, h_grid
+    gram = _hermitian_gram(w, w_grid, tuple((s.alpha, s.xi) for s in sections))
+    return TruncatedFrame(alphas=tuple(s.alpha for s in sections), h=h, h_grid=h_grid, gram=gram)
 
 
 def frame_operator_apply(frame: TruncatedFrame, f: GridFunction) -> GridFunction:

@@ -104,8 +104,6 @@ class KernelSection:
 
     def __post_init__(self):
         object.__setattr__(self, "xi", np.atleast_1d(np.asarray(self.xi, dtype=complex)))
-        if not np.all(np.isfinite(self.h_repr.values)):
-            raise ShapeMismatchError("kernel section contains non-finite values")
 
 
 @dataclass(frozen=True)
@@ -159,36 +157,45 @@ def kernel_from_features(
     return KernelSection(alpha=alpha, xi=xi, h_repr=GridFunction(h_grid, vals), w_repr=w)
 
 
-#: most entries of the conjugated column block feature_gram holds at once
+#: most entries of the scaled column block feature_gram holds at once
 _GRAM_BLOCK = 2**15
 
 
-def feature_gram(features: Sequence[GridFunction]) -> np.ndarray:
-    """Exact Gram of feature vectors under the quadrature inner product.
+def _stack_values(functions: Sequence[GridFunction]) -> tuple[np.ndarray, Grid]:
+    """The values of grid functions on one grid, stacked: (m, n, dim)."""
+    if not functions:
+        raise ShapeMismatchError("empty section list")
+    first = functions[0]
+    if any(not f.same_layout(first) for f in functions):
+        raise ShapeMismatchError("sections live on different grids")
+    return np.stack([f.values for f in functions]), first.grid
 
-    Assembled as A A^H with A the weight-scaled sample matrix, so the result
-    is Hermitian positive semi-definite to machine precision.
+
+def feature_gram(stack: np.ndarray, grid: Grid) -> np.ndarray:
+    """Exact Gram of stacked feature vectors under the quadrature inner product.
+
+    ``stack`` holds one feature per row on ``grid``, shape (m, n) or
+    (m, n, dim). The Gram is A A^H with A the weight-scaled stack, summed
+    over column blocks that are scaled as they go, so no scaled copy of the
+    stack is held; the result is Hermitian positive semi-definite to machine
+    precision.
     """
-    if not features:
-        raise ShapeMismatchError("empty feature list")
-    g0 = features[0]
-    if any(not f.same_layout(g0) for f in features):
-        raise ShapeMismatchError("feature vectors live on different grids")
-    a = np.stack([f.values.reshape(-1) for f in features])
-    a *= np.repeat(np.sqrt(g0.grid.weights()), g0.dim)
-    # A A^H summed over column blocks, so only one block is ever conjugated
+    if stack.ndim not in (2, 3) or stack.shape[0] == 0 or stack.shape[1] != grid.n:
+        raise ShapeMismatchError(f"feature stack of shape {stack.shape} does not fit {grid.n} grid points")
+    a = stack.reshape(stack.shape[0], -1)
+    sqw = np.repeat(np.sqrt(grid.weights()), a.shape[1] // grid.n)
     g = np.zeros((a.shape[0], a.shape[0]), dtype=complex)
     step = max(1, _GRAM_BLOCK // a.shape[0])
     for s in range(0, a.shape[1], step):
-        block = a[:, s : s + step]
+        block = a[:, s : s + step] * sqw[s : s + step]
         g += block @ block.conj().T
     return g
 
 
-def _hermitian_gram(vectors: Sequence[GridFunction], indices: tuple) -> GramMatrix:
-    """feature_gram of the vectors, Hermitian-symmetrized, with the removed
+def _hermitian_gram(stack: np.ndarray, grid: Grid, indices: tuple) -> GramMatrix:
+    """feature_gram of the stack, Hermitian-symmetrized, with the removed
     defect reported as the asymmetry."""
-    m = feature_gram(vectors)
+    m = feature_gram(stack, grid)
     asym = float(np.linalg.norm(m - m.conj().T))
     return GramMatrix(matrix=(m + m.conj().T) / 2.0, indices=indices, asymmetry=asym)
 
@@ -196,28 +203,22 @@ def _hermitian_gram(vectors: Sequence[GridFunction], indices: tuple) -> GramMatr
 def gram(
     sections: Sequence[KernelSection],
     functionals: FunctionalFamily | None = None,
-    route: str = "auto",
 ) -> GramMatrix:
     """Gram of kernel sections: F[j,k] = <L_{alpha_k}(K(alpha_j)xi_j), xi_k>.
 
-    route="feature" uses the sections' feature vectors (exact PSD Gram, valid
-    by the feature identity L_beta(K(alpha)xi) = Psi(beta)* Psi(alpha)xi);
-    route="functional" applies the family's functionals to the grid sections
-    and Hermitian-symmetrizes, reporting the asymmetry; "auto" takes the
-    feature route when every section carries one.
+    Without a family the Gram comes from the sections' feature vectors
+    (exact PSD Gram, valid by the feature identity
+    L_beta(K(alpha)xi) = Psi(beta)* Psi(alpha)xi). With a family its
+    functionals are applied to the grid sections and the result is
+    Hermitian-symmetrized, reporting the asymmetry.
     """
     if not sections:
         raise ShapeMismatchError("empty section list")
     indices = tuple((s.alpha, s.xi) for s in sections)
-    have_features = all(s.w_repr is not None for s in sections)
-    if route == "auto":
-        route = "feature" if have_features else "functional"
-    if route == "feature":
-        if not have_features:
-            raise ShapeMismatchError("feature route requires w_repr on every section")
-        return _hermitian_gram([s.w_repr for s in sections], indices)
     if functionals is None:
-        raise ShapeMismatchError("functional route requires a family")
+        if any(s.w_repr is None for s in sections):
+            raise ShapeMismatchError("a Gram without a family needs w_repr on every section")
+        return _hermitian_gram(*_stack_values([s.w_repr for s in sections]), indices)
     n = len(sections)
     m = np.empty((n, n), dtype=complex)
     for j, sj in enumerate(sections):

@@ -18,7 +18,8 @@ import numpy as np
 from .core import Grid, GridFunction, inverse_dft, uniform_fourier_sum
 from .exceptions import AdmissibilityError, DomainError, ShapeMismatchError, ValidationError
 from .families import AverageFunctional
-from .kernels import FeatureMap, KernelSection, feature_gram
+from .frames import TruncatedFrame, stacked_frame
+from .kernels import FeatureMap, feature_gram
 
 __all__ = [
     "sinc_kernel",
@@ -29,7 +30,6 @@ __all__ = [
     "psi_feature",
     "pw_average_sections",
     "point_feature_map",
-    "average_feature_map",
     "signal_w_repr",
     "kadec_bounds",
     "generalized_kadec_check",
@@ -164,10 +164,10 @@ def pw_average_sections(
     out_grid: Grid,
     profile: str = "box",
     w_grid: Grid | None = None,
-) -> list[KernelSection]:
-    """Kernel sections of the average functionals centred at ``centers``:
-    K(x)(y) = \\int_{-pi}^{pi} exp(-i y t) u_x^v(t) dt on ``out_grid``, each
-    carrying Psi(x) = sqrt(2pi) u_x^v as its feature vector.
+) -> TruncatedFrame:
+    """The frame of the average functionals centred at ``centers``: section
+    K(x)(y) = \\int_{-pi}^{pi} exp(-i y t) u_x^v(t) dt on ``out_grid``, with
+    Psi(x) = sqrt(2pi) u_x^v on ``w_grid`` as its feature vector.
 
     Shifting the profile modulates its frequency side, u_x^v = exp(i x t)
     u_0^v, with u_0^v = m(t)/2pi the closed form of the centred profile, so
@@ -179,21 +179,11 @@ def pw_average_sections(
     centers = [float(c) for c in centers]
     t = w_grid.points()
     base = AverageFunctional(0.0, delta, profile).centered_transform(t) / TWO_PI
-    udual = np.exp(1j * np.outer(t, np.asarray(centers))) * base[:, None]
-    h_vals = uniform_fourier_sum(
-        out_grid.a, out_grid.h, out_grid.n, w_grid.a, w_grid.h, udual * w_grid.weights()[:, None]
-    )
-    out = []
-    for i, c in enumerate(centers):
-        out.append(
-            KernelSection(
-                alpha=c,
-                xi=np.array([1.0 + 0j]),
-                h_repr=GridFunction(out_grid, h_vals[:, i]),
-                w_repr=GridFunction(w_grid, SQRT_TWO_PI * udual[:, i]),
-            )
-        )
-    return out
+    udual = np.exp(1j * np.outer(centers, t)) * base
+    weighted = (udual * w_grid.weights()).T
+    h = uniform_fourier_sum(out_grid.a, out_grid.h, out_grid.n, w_grid.a, w_grid.h, weighted).T
+    udual *= SQRT_TWO_PI
+    return stacked_frame(centers, h, out_grid, udual, w_grid)
 
 
 def point_feature_map(w_grid: Grid, dim_y: int = 1) -> FeatureMap:
@@ -205,23 +195,6 @@ def point_feature_map(w_grid: Grid, dim_y: int = 1) -> FeatureMap:
         xi = np.atleast_1d(np.asarray(xi, dtype=complex))
         wave = np.exp(1j * float(x) * t) / SQRT_TWO_PI
         return GridFunction(w_grid, np.outer(wave, xi))
-
-    return FeatureMap(w_grid=w_grid, dim_y=dim_y, evaluate=evaluate)
-
-
-def average_feature_map(
-    w_grid: Grid,
-    delta: float,
-    profile: str = "box",
-    dim_y: int = 1,
-) -> FeatureMap:
-    """Average-functional feature map Psi(x)xi = sqrt(2pi) u_x^v xi."""
-    _require_band_grid(w_grid)
-
-    def evaluate(x, xi):
-        xi = np.atleast_1d(np.asarray(xi, dtype=complex))
-        psi = psi_feature(AverageFunctional(float(x), delta, profile), w_grid)
-        return GridFunction(w_grid, np.outer(psi.values[:, 0], xi))
 
     return FeatureMap(w_grid=w_grid, dim_y=dim_y, evaluate=evaluate)
 
@@ -324,10 +297,6 @@ class PerturbedFrameCheck:
     max_eig: float
     draws: int
 
-    @property
-    def riesz_ratio(self) -> float:
-        return self.min_eig / self.max_eig if self.max_eig > 0 else 0.0
-
 
 def perturbed_exponential_frame_check(
     x,
@@ -346,13 +315,14 @@ def perturbed_exponential_frame_check(
     w_grid = w_grid or w_grid_default()
     _require_band_grid(w_grid)
     x = np.asarray(x, dtype=float)
-    phi = point_feature_map(w_grid)
+    t = w_grid.points()
     gen = np.random.default_rng(seed)
     offsets = [np.full(x.shape, -delta), np.full(x.shape, delta)]
     offsets += [gen.uniform(-delta, delta, size=x.shape) for _ in range(int(draws))]
     min_eig, max_eig = math.inf, 0.0
     for off in offsets:
-        eig = np.linalg.eigvalsh(feature_gram([phi(tj) for tj in x + off]))
+        waves = np.exp(1j * (x + off)[:, None] * t) / SQRT_TWO_PI
+        eig = np.linalg.eigvalsh(feature_gram(waves, w_grid))
         min_eig = min(min_eig, float(eig[0]))
         max_eig = max(max_eig, float(eig[-1]))
     return PerturbedFrameCheck(min_eig=min_eig, max_eig=max_eig, draws=len(offsets))
@@ -456,13 +426,12 @@ def build_vector_sampling_set(
     return VectorSamplingSet(n=n, m_range=m_range, x=x, u_matrix=np.asarray(u_matrix, dtype=complex))
 
 
-def vector_features(vss: VectorSamplingSet, w_grid: Grid) -> list[GridFunction]:
+def vector_features(vss: VectorSamplingSet, w_grid: Grid) -> np.ndarray:
     """Feature vectors Phi(x_j, xi_j)(t) = exp(i x_j t) xi_j / sqrt(2pi) in
-    L2([-pi, pi], C^n), in index order."""
+    L2([-pi, pi], C^n), stacked in index order: shape (len(x), w_grid.n, n)."""
     _require_band_grid(w_grid)
     t = w_grid.points()
-    out = []
-    for _, xj, xij in vss.entries():
-        wave = np.exp(1j * xj * t) / SQRT_TWO_PI
-        out.append(GridFunction(w_grid, np.outer(wave, xij)))
+    out = np.empty((len(vss.x), w_grid.n, vss.n), dtype=complex)
+    for j, xj, xij in vss.entries():
+        out[j] = np.outer(np.exp(1j * xj * t) / SQRT_TWO_PI, xij)
     return out

@@ -68,17 +68,9 @@ from opkern.shift_invariant import (
     si_functional_kernel,
     si_gram,
 )
+from section_oracle import average_features, fourier_sections as _fourier_sections
 
 TWO_PI = 2.0 * math.pi
-
-
-def _fourier_sections(indices, grid):
-    fam = FourierCoefficientFamily()
-    out = []
-    for j in indices:
-        basis = fam.basis_function(j, grid)
-        out.append(KernelSection(alpha=j, xi=np.array([1.0 + 0j]), h_repr=basis, w_repr=basis))
-    return out
 
 
 def _span_element(grid, sections, coeff):
@@ -201,20 +193,19 @@ def test_criterion_2_psd_suite():
     wg = w_grid_default(2049)
     for size in sizes:  # bandlimited average family
         xs = np.sort(gen.uniform(-8.0, 8.0, size=size))
-        secs = pw_average_sections(xs, 0.2, small, w_grid=wg)
-        reports.append(psd_check(gram(secs)))
+        reports.append(psd_check(pw_average_sections(xs, 0.2, small, w_grid=wg).gram))
 
     t = wg.points()
     for size in sizes:  # bandlimited point-evaluation family
         xs = np.sort(gen.uniform(-8.0, 8.0, size=size))
-        feats = [GridFunction(wg, np.exp(1j * x * t) / math.sqrt(TWO_PI)) for x in xs]
-        m = feature_gram(feats)
+        feats = np.exp(1j * xs[:, None] * t) / math.sqrt(TWO_PI)
+        m = feature_gram(feats, wg)
         g = GramMatrix(matrix=m, indices=tuple((x, np.array([1.0])) for x in xs))
         reports.append(psd_check(g))
 
     for size in sizes:  # vector-valued inner-product point family
         vss = build_vector_sampling_set(2, size // 2, perturb=lambda m: gen.uniform(-0.3, 0.3, 2))
-        m = feature_gram(vector_features(vss, wg))
+        m = feature_gram(vector_features(vss, wg), wg)
         g = GramMatrix(matrix=m, indices=tuple((float(x), None) for x in vss.x))
         reports.append(psd_check(g))
 
@@ -266,8 +257,7 @@ def test_criterion_4_average_sampling_reconstruction():
     for m in (8, 16, 32):
         window = pw_window(m, points_per_unit=32)
         centers = [float(c) for c in range(-m, m + 1)]
-        secs = pw_average_sections(centers, 0.2, window, w_grid=w_grid_default(2049))
-        dual = dual_frame(truncated_frame(secs))
+        dual = dual_frame(pw_average_sections(centers, 0.2, window, w_grid=w_grid_default(2049)))
         sig = BandlimitedSignal.symmetric(coeff, window)
         f = synthesize(sig)
         samples = sampling_operator(fam, centers, f)
@@ -314,17 +304,18 @@ def test_criterion_5_admissibility_formulas():
 def test_criterion_6_dual_frame_biorthogonality():
     """<K~_j, K_k> = delta_jk within 1e-7 for a Riesz-regime truncated family."""
     window = pw_window(8, points_per_unit=32)
-    secs = pw_average_sections(range(-8, 9), 0.1, window, w_grid=w_grid_default(2049))
-    frame = truncated_frame(secs)
+    wg = w_grid_default(2049)
+    frame = pw_average_sections(range(-8, 9), 0.1, window, w_grid=wg)
+    feats = average_features(range(-8, 9), 0.1, wg)
     a_est, b_est = frame_bounds_estimate(frame)
     assert a_est >= 1e-3 * b_est
     dual = dual_frame(frame)
-    w_stack = np.tensordot(dual.coeffs, np.stack([s.w_repr.values for s in secs]), axes=1)
+    w_stack = np.tensordot(dual.coeffs, np.stack([w.values for w in feats]), axes=1)
     worst = 0.0
     for j, w in enumerate(w_stack):
-        dw = GridFunction(secs[0].w_repr.grid, w)
-        for k, sec in enumerate(secs):
-            val = inner_product(dw, sec.w_repr)
+        dw = GridFunction(wg, w)
+        for k, psi in enumerate(feats):
+            val = inner_product(dw, psi)
             worst = max(worst, abs(val - (1.0 if j == k else 0.0)))
     assert worst <= 1e-7
     print(f"PASS criterion 6: dual biorthogonality residual {worst:.2e} (<= 1e-7)")
@@ -345,19 +336,19 @@ def test_criterion_7_representer_vs_gradient_descent():
         m = (3, 5, 9)[seed % 3]
         if seed < 5:
             indices = list(range(-(m // 2), m - m // 2))
-            secs = _fourier_sections(indices, grid)
+            frame = truncated_frame(_fourier_sections(indices, grid))
             fam_desc = FourierCoefficientFamily().descriptor()
         else:
             # jittered-lattice centers keep the section Gram well conditioned,
             # so the plain-gradient oracle converges inside its iteration cap
             base = np.arange(m) - (m - 1) / 2.0
             indices = [float(x) for x in base + gen.uniform(-0.2, 0.2, size=m)]
-            secs = pw_average_sections(indices, 0.2, window, w_grid=wg)
+            frame = pw_average_sections(indices, 0.2, window, w_grid=wg)
             fam_desc = AverageSamplingFamily(delta=0.2).descriptor()
         values = tuple(complex_unit_disc(gen, m))
         for lam in (0.01, 1.0):
             samples = SampleSet(fam_desc, tuple(indices), values)
-            prob = learning_problem(truncated_frame(secs), samples, lam)
+            prob = learning_problem(frame, samples, lam)
             sol = regnet_solve(prob)
             eta_gd = reduced_space_minimize(prob.gram_l, prob.values, lam, iters=100_000)
             j_direct = objective_value(prob, eta=sol.eta)
@@ -379,8 +370,7 @@ def test_criterion_8_stability_sweeps():
     envelopes across subset sizes {4, 8, 16} with 200 seeded trials."""
     window = pw_window(16, points_per_unit=32)
     centers = [float(c) for c in range(-16, 17)]
-    secs = pw_average_sections(centers, 0.1, window, w_grid=w_grid_default(2049))
-    frame = truncated_frame(secs)
+    frame = pw_average_sections(centers, 0.1, window, w_grid=w_grid_default(2049))
     dual = dual_frame(frame)
     trunc = truncated_reconstruction_stability(
         frame, dual, trials=200, subset_sizes=[4, 8, 16], seed=808
@@ -426,7 +416,8 @@ def test_criterion_10_vector_riesz_structure():
     """Zero-perturbation vector sampling set (n=2, 33 nodes) yields a Gram
     that is block-diagonal across directions within 1e-8."""
     vss = build_vector_sampling_set(2, 16)
-    g = feature_gram(vector_features(vss, w_grid_default(1025)))
+    wg = w_grid_default(1025)
+    g = feature_gram(vector_features(vss, wg), wg)
     worst = 0.0
     n = 2
     for j in range(g.shape[0]):

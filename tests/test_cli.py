@@ -99,6 +99,85 @@ def test_reconstruct_fourier_exact(signal_file, tmp_path):
     assert rep["rel_l2_interior"] < 1e-10
 
 
+def test_reconstruct_fourier_holds_one_stack(tmp_path):
+    """The fourier-reconstruct benchmark size: 257 sections of 4097 points, a
+    16.8 MB stack, built in place with its Gram and no section objects. The
+    per-section list, stacked again by the frame, peaked at 38.5 MiB."""
+    gen = np.random.default_rng(101)
+    coeffs = (gen.standard_normal(193) + 1j * gen.standard_normal(193)) / math.sqrt(2)
+    sig = tmp_path / "sig.json"
+    sig.write_text(json.dumps(BandlimitedSignal.symmetric(coeffs, pw_window(0)).to_json()))
+    argv = [
+        "reconstruct", "--space", "fourier", "--m", "128", "--grid-n", "4097",
+        "--signal", str(sig), "--out", str(tmp_path / "r"),
+    ]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert json.loads((tmp_path / "r.json").read_text())["rel_l2_interior"] < 1e-10
+    assert peak < 2**25
+
+
+@pytest.mark.parametrize(
+    "family,profile",
+    [("fourier", "box"), ("average", "box"), ("average", "triangle"), ("average", "cosine"), ("point", "box")],
+)
+def test_stacked_frames_match_section_oracle(family, profile):
+    """The CLI's stacked frames against truncated_frame of the per-section
+    oracle lists. The Fourier basis and the sinc points are the same
+    arithmetic row by row, so they agree bit for bit; the average oracle
+    takes each centre's own transform and a dense synthesis sum, so it agrees
+    at round-off."""
+    from opkern import cli
+    from opkern.frames import truncated_frame
+    from opkern.paley_wiener import w_grid_default
+    from section_oracle import average_sections, fourier_sections, sinc_sections
+
+    args = cli.build_parser().parse_args([
+        "gram", "--family", family, "--indices=-6..6", "--profile", profile, "--delta", "0.2",
+        "--m", "6", "--grid-n", "257", "--w-n", "513", "--points-per-unit", "16",
+    ])
+    window = cli._window_grid(args)
+    frame = cli._sections_for_family(args, window)
+    indices = list(range(-6, 7))
+    if family == "fourier":
+        oracle = truncated_frame(fourier_sections(indices, cli._fourier_grid(257)))
+    elif family == "average":
+        oracle = truncated_frame(average_sections(indices, 0.2, window, w_grid_default(513), profile))
+    else:
+        oracle = truncated_frame(sinc_sections(indices, window, w_grid_default(513)))
+    assert frame.alphas == oracle.alphas
+    assert [type(a) for a in frame.alphas] == [type(a) for a in oracle.alphas]
+    assert frame.h_grid == oracle.h_grid
+    if family == "average":
+        assert np.max(np.abs(frame.h - oracle.h)) <= 1e-14 * np.max(np.abs(oracle.h))
+        assert np.max(np.abs(frame.gram.matrix - oracle.gram.matrix)) <= 1e-15
+        assert max(frame.gram.asymmetry, oracle.gram.asymmetry) <= 1e-15
+    else:
+        assert np.array_equal(frame.h, oracle.h)
+        assert np.array_equal(frame.gram.matrix, oracle.gram.matrix)
+        assert frame.gram.asymmetry == oracle.gram.asymmetry
+
+
+def test_fourier_indices_beyond_the_span_cap_are_refused(signal_file, tmp_path, capsys):
+    problem = {
+        "family": {"family": "fourier", "params": {}},
+        "indices": [0, 2**21],
+        "lambda": 0.1,
+        "signal": json.loads(signal_file.read_text()),
+    }
+    ppath = tmp_path / "prob.json"
+    ppath.write_text(json.dumps(problem))
+    code = main(["regnet", "--problem", str(ppath), "--grid-n", "129", "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_avg_sample_roundtrip(signal_file, tmp_path):
     out = tmp_path / "samples"
     assert main([

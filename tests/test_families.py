@@ -146,6 +146,66 @@ def test_fourier_family_orthonormal_coefficients():
     assert abs(fam.apply(2, f)[0]) < 1e-8
 
 
+def _per_index_fourier_coefficient(j, f):
+    """The per-index formula apply_all replaced: (1/sqrt(2pi)) sum_k w_k f(x_k)
+    exp(-i j x_k), one dense exponential per index."""
+    x = f.grid.points()
+    return (np.exp(-1j * j * x) * f.grid.weights()) @ f.values / math.sqrt(TWO_PI)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(min_value=-300, max_value=300), min_size=1, max_size=40),
+    st.integers(min_value=2, max_value=1200),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example([5, -3, 5, 0, 240, -17], 257, 1, 0)
+def test_fourier_apply_all_matches_per_index_formula(indices, n, dim, seed):
+    """One chirp-z sum over min(j)..max(j) against the per-index loop, for
+    unsorted, repeated and gapped index lists."""
+    gen = np.random.default_rng(seed)
+    g = Grid(0.0, TWO_PI, n)
+    f = GridFunction(g, gen.standard_normal((n, dim)) + 1j * gen.standard_normal((n, dim)))
+    fam = FourierCoefficientFamily()
+    want = np.stack([_per_index_fourier_coefficient(j, f) for j in indices])
+    got = fam.apply_all(indices, f)
+    scale = np.sum(np.abs(f.values) * g.weights()[:, None], axis=0) / math.sqrt(TWO_PI)
+    assert got.shape == (len(indices), dim)
+    assert np.all(np.abs(got - want) <= 1e-11 * scale)
+    assert np.all(np.abs(fam.apply(indices[0], f) - want[0]) <= 1e-11 * scale)
+
+
+def test_fourier_apply_all_refuses_wide_span_before_allocating():
+    """A span beyond the grid cap would need a chirp-z buffer of its size."""
+    import tracemalloc
+
+    from opkern.core import MAX_GRID_POINTS
+
+    g = Grid(0.0, TWO_PI, 65)
+    f = GridFunction(g, np.ones(65))
+    fam = FourierCoefficientFamily()
+    assert fam.apply_all([], f).shape == (0, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError):
+            fam.apply_all([-1, MAX_GRID_POINTS - 1], f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_average_functional_mass_check_resolves_the_centre():
+    """The unit-mass check runs on the profile's own 4097-point grid around
+    its centre, so at a large centre the grid's round-off moves the mass: the
+    box at x = 1e9 has mass 0.99976 and is refused. A mass cached per
+    (profile, delta) would accept it."""
+    with pytest.raises(ValidationError, match="mass"):
+        AverageFunctional(1e9, 0.2, "box")
+    AverageFunctional(1e6, 0.2, "box")
+
+
 def test_point_families():
     g = Grid(-2.0, 2.0, 513)
     f = GridFunction.from_callable(g, lambda x: (x**2).astype(complex))

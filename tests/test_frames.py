@@ -20,6 +20,7 @@ from opkern.frames import (
     frame_operator_apply,
     interior_relative_error,
     reconstruct,
+    stacked_frame,
     truncated_frame,
 )
 from opkern.kernels import KernelSection
@@ -31,32 +32,16 @@ from opkern.paley_wiener import (
     synthesize,
     w_grid_default,
 )
+from section_oracle import average_features, average_sections
+from section_oracle import fourier_sections as _fourier_sections, sinc_sections as _sinc_sections
 
 TWO_PI = 2.0 * math.pi
 
 
-def _fourier_sections(indices, grid):
-    fam = FourierCoefficientFamily()
-    out = []
-    for j in indices:
-        basis = fam.basis_function(j, grid)
-        out.append(KernelSection(alpha=j, xi=np.array([1.0 + 0j]), h_repr=basis, w_repr=basis))
-    return out
-
-
-def _dual_features(dual, secs):
+def _dual_features(dual, feats):
     """Dual feature vectors sum_k pinv(G)[j, k] Psi_k, stacked by the test."""
-    stack = np.tensordot(dual.coeffs, np.stack([s.w_repr.values for s in secs]), axes=1)
-    return [GridFunction(secs[0].w_repr.grid, w) for w in stack]
-
-
-def _sinc_sections(shifts, window):
-    x = window.points()
-    out = []
-    for j in shifts:
-        h = GridFunction(window, np.sinc(x - j).astype(complex))
-        out.append(KernelSection(alpha=float(j), xi=np.array([1.0 + 0j]), h_repr=h))
-    return out
+    stack = np.tensordot(dual.coeffs, np.stack([w.values for w in feats]), axes=1)
+    return [GridFunction(feats[0].grid, w) for w in stack]
 
 
 # -------------------------------------------------------------- frame operator
@@ -124,14 +109,15 @@ def test_duals_scale_inversely():
 
 def test_dual_biorthogonality_riesz_average_family():
     window = pw_window(8, points_per_unit=32)
-    secs = pw_average_sections(range(-8, 9), 0.1, window, w_grid=w_grid_default(2049))
-    frame = truncated_frame(secs)
+    wg = w_grid_default(2049)
+    frame = pw_average_sections(range(-8, 9), 0.1, window, w_grid=wg)
+    feats = average_features(range(-8, 9), 0.1, wg)
     a_est, b_est = frame_bounds_estimate(frame)
     assert a_est >= 1e-3 * b_est  # Riesz regime precondition
     dual = dual_frame(frame)
-    for j, dw in enumerate(_dual_features(dual, secs)):
-        for k, sec in enumerate(secs):
-            val = inner_product(dw, sec.w_repr)
+    for j, dw in enumerate(_dual_features(dual, feats)):
+        for k, w in enumerate(feats):
+            val = inner_product(dw, w)
             assert abs(val - (1.0 if j == k else 0.0)) < 1e-7
 
 
@@ -142,6 +128,14 @@ def test_dual_frame_degenerate_raises():
     )
     with pytest.raises(DegenerateFrameError):
         dual_frame(truncated_frame([zero]))
+
+
+def test_frame_refuses_non_finite_sections():
+    grid = Grid(0.0, TWO_PI, 65)
+    h = np.ones((2, 65), dtype=complex)
+    h[1, 7] = np.nan
+    with pytest.raises(ShapeMismatchError):
+        stacked_frame([0, 1], h, grid, np.ones((2, 65), dtype=complex), grid)
 
 
 # -------------------------------------------------------------- reconstruction
@@ -180,8 +174,7 @@ def test_reconstruct_alignment_error():
 def test_average_sampling_reconstruction_small():
     window = pw_window(8, points_per_unit=32)
     centers = list(range(-8, 9))
-    secs = pw_average_sections(centers, 0.2, window, w_grid=w_grid_default(2049))
-    dual = dual_frame(truncated_frame(secs))
+    dual = dual_frame(pw_average_sections(centers, 0.2, window, w_grid=w_grid_default(2049)))
     gen = rng(7)
     sig = BandlimitedSignal.symmetric(complex_unit_disc(gen, 9), window)
     f = synthesize(sig)
@@ -238,9 +231,8 @@ def test_dual_inner_product_orthonormal():
 
 def test_dual_family_orthonormal_under_dual_product():
     window = pw_window(6, points_per_unit=32)
-    secs = pw_average_sections(range(-6, 7), 0.1, window, w_grid=w_grid_default(2049))
-    dual = dual_frame(truncated_frame(secs))
-    m = len(secs)
+    dual = dual_frame(pw_average_sections(range(-6, 7), 0.1, window, w_grid=w_grid_default(2049)))
+    m = len(dual)
     eye = np.eye(m, dtype=complex)
     for j in range(0, m, 3):
         for k in range(0, m, 3):
@@ -253,18 +245,17 @@ def test_dual_family_orthonormal_under_dual_product():
 def test_reconstruction_on_span():
     window = pw_window(6, points_per_unit=32)
     centers = list(range(-6, 7))
-    secs = pw_average_sections(centers, 0.2, window, w_grid=w_grid_default(2049))
-    frame = truncated_frame(secs)
+    wg = w_grid_default(2049)
+    frame = pw_average_sections(centers, 0.2, window, w_grid=wg)
+    feats = average_features(centers, 0.2, wg)
     dual = dual_frame(frame)
     gen = rng(13)
-    coeff = complex_unit_disc(gen, len(secs))
-    f = GridFunction(window, sum(c * s.h_repr.values for c, s in zip(coeff, secs)))
+    coeff = complex_unit_disc(gen, len(feats))
+    f = frame.synthesize(coeff)
     # exact samples of a span element, through the frequency-side pairing
     values = []
-    for k in range(len(secs)):
-        values.append(
-            complex(sum(c * inner_product(s.w_repr, secs[k].w_repr) for c, s in zip(coeff, secs)))
-        )
+    for k in range(len(feats)):
+        values.append(complex(sum(c * inner_product(w, feats[k]) for c, w in zip(coeff, feats))))
     samples = SampleSet(
         AverageSamplingFamily(delta=0.2).descriptor(),
         tuple(float(c) for c in centers),
@@ -291,17 +282,18 @@ def test_norm_equivalence_on_span():
 
 def test_dual_of_dual_recovers_sections():
     window = pw_window(4, points_per_unit=32)
-    secs = pw_average_sections(range(-4, 5), 0.1, window, w_grid=w_grid_default(2049))
-    frame = truncated_frame(secs)
+    wg = w_grid_default(2049)
+    frame = pw_average_sections(range(-4, 5), 0.1, window, w_grid=wg)
+    feats = average_features(range(-4, 5), 0.1, wg)
     dual = dual_frame(frame)
     dual_secs = [
-        KernelSection(alpha=s.alpha, xi=s.xi, h_repr=frame.synthesize(dual.coeffs[j]), w_repr=w)
-        for j, (s, w) in enumerate(zip(secs, _dual_features(dual, secs)))
+        KernelSection(alpha=a, xi=np.array([1.0 + 0j]), h_repr=frame.synthesize(dual.coeffs[j]), w_repr=w)
+        for j, (a, w) in enumerate(zip(frame.alphas, _dual_features(dual, feats)))
     ]
     dual2 = dual_frame(truncated_frame(dual_secs))
-    for j, orig in enumerate(secs):
+    for j, orig in enumerate(frame.h):
         back = dual2.source.synthesize(dual2.coeffs[j])
-        assert np.max(np.abs(back.values - orig.h_repr.values)) < 1e-6
+        assert np.max(np.abs(back.values - orig)) < 1e-6
 
 
 def test_feature_side_spectrum_matches_section_spectrum():
@@ -320,8 +312,8 @@ def test_feature_side_spectrum_matches_section_spectrum():
 def test_truncated_frame_refuses_sections_on_different_intervals():
     # equal point counts and a shared feature grid, but different windows
     wg = w_grid_default(129)
-    left = pw_average_sections([0.0], 0.2, Grid(-10.0, 10.0, 321), w_grid=wg)
-    right = pw_average_sections([1.0], 0.2, Grid(-12.0, 12.0, 321), w_grid=wg)
+    left = average_sections([0.0], 0.2, Grid(-10.0, 10.0, 321), wg)
+    right = average_sections([1.0], 0.2, Grid(-12.0, 12.0, 321), wg)
     with pytest.raises(ShapeMismatchError):
         truncated_frame(left + right)
 

@@ -32,17 +32,9 @@ from opkern.kernels import (
     translation_invariant_section,
 )
 from opkern.paley_wiener import point_feature_map, w_grid_default
+from section_oracle import fourier_sections as _fourier_sections
 
 TWO_PI = 2.0 * math.pi
-
-
-def _fourier_sections(indices, grid):
-    fam = FourierCoefficientFamily()
-    out = []
-    for j in indices:
-        basis = fam.basis_function(j, grid)
-        out.append(KernelSection(alpha=j, xi=np.array([1.0 + 0j]), h_repr=basis, w_repr=basis))
-    return out
 
 
 # ------------------------------------------------------- kernel_from_features
@@ -94,16 +86,16 @@ def test_feature_map_linearity_checker():
 def test_fourier_gram_identity():
     grid = Grid(0.0, TWO_PI, 257)
     secs = _fourier_sections(range(-2, 3), grid)
-    g = gram(secs, FourierCoefficientFamily(), route="functional")
+    g = gram(secs, FourierCoefficientFamily())
     assert np.max(np.abs(g.matrix - np.eye(5))) < 1e-8
-    g2 = gram(secs, route="feature")
+    g2 = gram(secs)
     assert np.max(np.abs(g2.matrix - np.eye(5))) < 1e-10
 
 
 def test_gram_single_section_real_nonnegative():
     grid = Grid(0.0, TWO_PI, 257)
     secs = _fourier_sections([1], grid)
-    g = gram(secs, FourierCoefficientFamily(), route="functional")
+    g = gram(secs, FourierCoefficientFamily())
     assert g.matrix.shape == (1, 1)
     assert abs(g.matrix[0, 0].imag) < 1e-12
     assert g.matrix[0, 0].real >= 0.0
@@ -116,7 +108,7 @@ def test_sinc_point_gram_closed_form():
     for x in (0.0, 0.5, 1.0):
         h = GridFunction(window, np.sinc(x_axis - x).astype(complex))
         secs.append(KernelSection(alpha=x, xi=np.array([1.0 + 0j]), h_repr=h))
-    g = gram(secs, PointEvaluationFamily(), route="functional")
+    g = gram(secs, PointEvaluationFamily())
     expect = np.array(
         [
             [1.0, 2 / math.pi, 0.0],
@@ -147,7 +139,7 @@ def test_gram_inconsistent_sections_raise():
         h_repr=GridFunction(window, (np.sinc(x_axis - 1.0) + 0.3 * np.sinc(x_axis)).astype(complex)),
     )
     with pytest.raises(KernelConsistencyError):
-        gram([good, polluted], PointEvaluationFamily(), route="functional")
+        gram([good, polluted], PointEvaluationFamily())
 
 
 def test_psd_check_examples():
@@ -163,8 +155,8 @@ def test_psd_check_examples():
 def test_gram_functional_vs_feature_routes_agree():
     grid = Grid(0.0, TWO_PI, 257)
     secs = _fourier_sections(range(-3, 4), grid)
-    a = gram(secs, FourierCoefficientFamily(), route="functional").matrix
-    b = gram(secs, route="feature").matrix
+    a = gram(secs, FourierCoefficientFamily()).matrix
+    b = gram(secs).matrix
     assert np.max(np.abs(a - b)) < 1e-8
 
 
@@ -336,7 +328,7 @@ def test_feature_built_sections_gram_matches_functional_route():
     pfm = point_feature_map(wgpi)
     hg = Grid(-4.0, 4.0, 257)
     secs = [kernel_from_features(pfm, pfm, x, 1.0, hg) for x in (0.0, 0.5, 1.0)]
-    feature_side = gram(secs, route="feature").matrix
+    feature_side = gram(secs).matrix
     # functional side: point evaluations are exact sinc values here
     expect = np.array(
         [[np.sinc(a - b) for b in (0.0, 0.5, 1.0)] for a in (0.0, 0.5, 1.0)]
@@ -348,27 +340,32 @@ def test_feature_gram_requires_common_grid():
     f1 = GridFunction(Grid(0.0, 1.0, 11), np.ones((11, 1)))
     f2 = GridFunction(Grid(0.0, 1.0, 21), np.ones((21, 1)))
     with pytest.raises(ShapeMismatchError):
-        feature_gram([f1, f2])
+        gram([KernelSection(0, 1.0, f1, f1), KernelSection(1, 1.0, f2, f2)])
+    # a stack whose rows do not fit the grid, and an empty stack
+    with pytest.raises(ShapeMismatchError):
+        feature_gram(np.ones((2, 21), dtype=complex), Grid(0.0, 1.0, 11))
+    with pytest.raises(ShapeMismatchError):
+        feature_gram(np.ones((0, 11), dtype=complex), Grid(0.0, 1.0, 11))
 
 
-def _one_shot_feature_gram(features):
-    """The formula feature_gram replaces: every weight-scaled feature stacked,
-    then A A^H in one product."""
-    sqw = np.sqrt(features[0].grid.weights())
-    a = np.stack([(f.values * sqw[:, None]).reshape(-1) for f in features])
+def _one_shot_feature_gram(stack, grid):
+    """The formula feature_gram replaces: the whole weight-scaled stack, then
+    A A^H in one product."""
+    sqw = np.sqrt(grid.weights())
+    a = (stack.reshape(stack.shape[0], grid.n, -1) * sqw[:, None]).reshape(stack.shape[0], -1)
     return a @ a.conj().T
 
 
 def test_feature_gram_holds_one_stack():
     """The frame of `reconstruct --space fourier --m 128 --grid-n 4097`: 257
     features of 4097 points, a 16.8 MB stack. The one-shot formula peaked at
-    34.8 MB; the blocked product holds the stack once."""
+    34.8 MB; the blocked product scales one column block at a time."""
     grid = Grid(0.0, TWO_PI, 4097)
-    feats = [FourierCoefficientFamily().basis_function(j, grid) for j in range(-128, 129)]
-    want = _one_shot_feature_gram(feats)
+    stack = np.stack([FourierCoefficientFamily().basis_function(j, grid).values[:, 0] for j in range(-128, 129)])
+    want = _one_shot_feature_gram(stack, grid)
     tracemalloc.start()
     try:
-        got = feature_gram(feats)
+        got = feature_gram(stack, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -376,6 +373,7 @@ def test_feature_gram_holds_one_stack():
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     # vector-valued features repeat each weight over the components
     gen = rng(4)
-    vec = [GridFunction(Grid(-1.0, 1.0, 33), complex_unit_disc(gen, (33, 3))) for _ in range(5)]
-    want = _one_shot_feature_gram(vec)
-    assert np.max(np.abs(feature_gram(vec) - want)) <= 1e-13 * np.max(np.abs(want))
+    small = Grid(-1.0, 1.0, 33)
+    vec = complex_unit_disc(gen, (5, 33, 3))
+    want = _one_shot_feature_gram(vec, small)
+    assert np.max(np.abs(feature_gram(vec, small) - want)) <= 1e-13 * np.max(np.abs(want))

@@ -32,17 +32,9 @@ from opkern.paley_wiener import (
     synthesize,
     w_grid_default,
 )
+from section_oracle import fourier_sections as _fourier_sections
 
 TWO_PI = 2.0 * math.pi
-
-
-def _fourier_sections(indices, grid):
-    fam = FourierCoefficientFamily()
-    out = []
-    for j in indices:
-        basis = fam.basis_function(j, grid)
-        out.append(KernelSection(alpha=j, xi=np.array([1.0 + 0j]), h_repr=basis, w_repr=basis))
-    return out
 
 
 def _fourier_problem(indices, values, lam, n=257):
@@ -54,13 +46,13 @@ def _fourier_problem(indices, values, lam, n=257):
 
 def _average_problem(centers, values, lam, delta=0.2):
     window = pw_window(int(max(abs(c) for c in centers)) + 2, points_per_unit=32)
-    secs = pw_average_sections(centers, delta, window, w_grid=w_grid_default(2049))
+    frame = pw_average_sections(centers, delta, window, w_grid=w_grid_default(2049))
     samples = SampleSet(
         AverageSamplingFamily(delta=delta).descriptor(),
         tuple(float(c) for c in centers),
         tuple(values),
     )
-    return learning_problem(truncated_frame(secs), samples, lam)
+    return learning_problem(frame, samples, lam)
 
 
 # -------------------------------------------------------------------- regnet
@@ -96,14 +88,14 @@ def test_regnet_f0_matches_per_section_sum():
     gen = rng(15)
     centers = [-1.5, -0.5, 0.5, 1.0, 2.0]
     window = pw_window(4, points_per_unit=32)
-    secs = pw_average_sections(centers, 0.2, window, w_grid=w_grid_default(1025))
+    frame = pw_average_sections(centers, 0.2, window, w_grid=w_grid_default(1025))
     samples = SampleSet(
         AverageSamplingFamily(delta=0.2).descriptor(), tuple(centers), tuple(complex_unit_disc(gen, 5))
     )
-    sol = regnet_solve(learning_problem(truncated_frame(secs), samples, lam=0.1))
-    want = np.zeros_like(secs[0].h_repr.values)
-    for eta, s in zip(sol.eta, secs):
-        want += eta * s.h_repr.values
+    sol = regnet_solve(learning_problem(frame, samples, lam=0.1))
+    want = np.zeros_like(frame.h[0])
+    for eta, h in zip(sol.eta, frame.h):
+        want += eta * h
     assert np.max(np.abs(sol.f0.values - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -177,12 +169,12 @@ def test_interpolation_limit_average_family():
     gen = rng(7)
     centers = [float(c) for c in range(-4, 5)]
     window = pw_window(6, points_per_unit=64)
-    secs = pw_average_sections(centers, 0.2, window, w_grid=w_grid_default(4097))
+    frame = pw_average_sections(centers, 0.2, window, w_grid=w_grid_default(4097))
     sig = BandlimitedSignal.symmetric(complex_unit_disc(gen, 9), window)
     f = synthesize(sig)
     fam = AverageSamplingFamily(delta=0.2)
     samples = sampling_operator(fam, centers, f)
-    prob = learning_problem(truncated_frame(secs), samples, lam=1.0)
+    prob = learning_problem(frame, samples, lam=1.0)
     assert interpolation_limit(prob) < 1e-6
 
 
@@ -234,22 +226,20 @@ def test_truncated_stability_orthonormal():
 
 def test_truncated_stability_single_subsets_cauchy_schwarz():
     window = pw_window(6, points_per_unit=32)
-    secs = pw_average_sections(range(-6, 7), 0.1, window, w_grid=w_grid_default(2049))
-    frame = truncated_frame(secs)
+    frame = pw_average_sections(range(-6, 7), 0.1, window, w_grid=w_grid_default(2049))
     dual = dual_frame(frame)
     rep = truncated_reconstruction_stability(frame, dual, trials=100, subset_sizes=[1], seed=1)
     g = frame.gram.matrix
     gp = dual.coeffs
     bound = max(
-        math.sqrt(g[j, j].real) * math.sqrt(gp[j, j].real) for j in range(len(secs))
+        math.sqrt(g[j, j].real) * math.sqrt(gp[j, j].real) for j in range(len(frame))
     )
     assert rep.c_emp <= bound + 1e-9
 
 
 def test_truncated_stability_average_family():
     window = pw_window(16, points_per_unit=32)
-    secs = pw_average_sections(range(-16, 17), 0.1, window, w_grid=w_grid_default(2049))
-    frame = truncated_frame(secs)
+    frame = pw_average_sections(range(-16, 17), 0.1, window, w_grid=w_grid_default(2049))
     dual = dual_frame(frame)
     rep = truncated_reconstruction_stability(
         frame, dual, trials=200, subset_sizes=[4, 8, 16], seed=3
@@ -307,14 +297,13 @@ def test_tikhonov_filter_factors_along_spectrum():
     """In the Gram eigenbasis the solve multiplies coefficients by
     g/(g+lam), increasing in g and decreasing in lam."""
     window = pw_window(6, points_per_unit=32)
-    secs = pw_average_sections(range(-6, 7), 0.2, window, w_grid=w_grid_default(2049))
-    g_l = gram(secs).matrix.conj()
+    g_l = pw_average_sections(range(-6, 7), 0.2, window, w_grid=w_grid_default(2049)).gram.matrix.conj()
     w, v = np.linalg.eigh(g_l)
     gen = rng(11)
-    xi = complex_unit_disc(gen, len(secs))
+    xi = complex_unit_disc(gen, len(g_l))
     previous = None
     for lam in (0.01, 0.1, 1.0):
-        eta = np.linalg.solve(g_l + lam * np.eye(len(secs)), xi)
+        eta = np.linalg.solve(g_l + lam * np.eye(len(g_l)), xi)
         # sample values of the solution in the eigenbasis: L(f0) = G_L eta
         fitted = v.conj().T @ (g_l @ eta)
         data = v.conj().T @ xi
@@ -330,8 +319,8 @@ def test_tikhonov_filter_factors_along_spectrum():
 def test_stability_sweep_heavy_damping():
     window = pw_window(8, points_per_unit=32)
     centers = [float(c) for c in range(-8, 9)]
-    secs = pw_average_sections(centers, 0.2, window, w_grid=w_grid_default(2049))
-    rep = stability_sweep(truncated_frame(secs), lam=1e3, trials=50, seed=0)
+    frame = pw_average_sections(centers, 0.2, window, w_grid=w_grid_default(2049))
+    rep = stability_sweep(frame, lam=1e3, trials=50, seed=0)
     assert rep.passed
     assert rep.c_emp < 0.01
 
@@ -348,8 +337,8 @@ def test_stability_sweep_orthonormal_filter_bound():
 def test_stability_sweep_average_family_bounded():
     window = pw_window(8, points_per_unit=32)
     centers = [float(c) for c in range(-8, 9)]
-    secs = pw_average_sections(centers, 0.2, window, w_grid=w_grid_default(2049))
-    rep = stability_sweep(truncated_frame(secs), lam=0.1, trials=100, seed=4, subset_sizes=(4, 8, 16))
+    frame = pw_average_sections(centers, 0.2, window, w_grid=w_grid_default(2049))
+    rep = stability_sweep(frame, lam=0.1, trials=100, seed=4, subset_sizes=(4, 8, 16))
     assert rep.passed
     assert max(rep.per_size.values()) <= 1.0 + 1e-9
 
@@ -357,13 +346,12 @@ def test_stability_sweep_average_family_bounded():
 def test_sampling_operator_continuity_surrogate():
     window = pw_window(8, points_per_unit=32)
     centers = [float(c) for c in range(-8, 9)]
-    secs = pw_average_sections(centers, 0.2, window, w_grid=w_grid_default(2049))
-    frame = truncated_frame(secs)
+    frame = pw_average_sections(centers, 0.2, window, w_grid=w_grid_default(2049))
     _, b_est = frame_bounds_estimate(frame)
     g = frame.gram.matrix
     gen = rng(12)
     for _ in range(25):
-        a = complex_unit_disc(gen, len(secs))
+        a = complex_unit_disc(gen, len(frame))
         f_norm_sq = float(np.real(np.conj(a) @ g @ a))
         samples_sq = float(np.linalg.norm(a @ g) ** 2)
         assert samples_sq <= b_est * f_norm_sq + 1e-9
@@ -395,24 +383,19 @@ def test_vector_valued_problem_via_scalarized_samples():
     feats = vector_features(vss, wg)
     x_axis = window.points()
     secs = []
-    alphas = []
     for (j, xj, xij), w in zip(vss.entries(), feats):
         h = GridFunction(window, np.outer(np.sinc(x_axis - xj), xij))
-        alphas.append((xj, xij))
-        secs.append(KernelSection(alpha=(xj, tuple(xij)), xi=xij, h_repr=h, w_repr=w))
-    g = gram(secs).matrix
+        secs.append(KernelSection(alpha=(xj, tuple(xij)), xi=xij, h_repr=h, w_repr=GridFunction(wg, w)))
+    frame = truncated_frame(secs)
+    g = frame.gram.matrix
     gen = rng(14)
     coeff = complex_unit_disc(gen, len(secs))
     exact = coeff @ g  # <f, K_j> for f = sum coeff_j K_j
     fam = PointInnerFamily()
-    samples = SampleSet(
-        fam.descriptor(),
-        tuple(secs[j].alpha for j in range(len(secs))),
-        tuple(complex(v) for v in exact),
-    )
-    prob = learning_problem(truncated_frame(secs), samples, lam=1e-10)
+    samples = SampleSet(fam.descriptor(), frame.alphas, tuple(complex(v) for v in exact))
+    prob = learning_problem(frame, samples, lam=1e-10)
     sol = regnet_solve(prob)
-    f_target = GridFunction(window, sum(c * s.h_repr.values for c, s in zip(coeff, secs)))
+    f_target = frame.synthesize(coeff)
     assert norm(sol.f0 - f_target) <= 1e-6 * norm(f_target)
 
 

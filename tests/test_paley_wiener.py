@@ -6,6 +6,7 @@ import pytest
 from opkern.core import Grid, GridFunction, complex_unit_disc, inner_product, rng
 from opkern.exceptions import AdmissibilityError, DomainError, ValidationError
 from opkern.families import AverageFunctional, average_sample
+from opkern.frames import truncated_frame
 from opkern.kernels import feature_gram
 from opkern.paley_wiener import (
     BandlimitedSignal,
@@ -24,6 +25,7 @@ from opkern.paley_wiener import (
     vector_features,
     w_grid_default,
 )
+from section_oracle import average_sections
 
 TWO_PI = 2.0 * math.pi
 
@@ -77,16 +79,16 @@ def test_pw_section_quadratic_convergence_to_sinc():
     wg = w_grid_default(2049)
     devs = []
     for d in (0.1, 0.05, 0.025):
-        sec = pw_average_sections([0.0], d, out, w_grid=wg)[0]
-        devs.append(np.max(np.abs(sec.h_repr.values[:, 0] - np.sinc(out.points()))))
+        h = pw_average_sections([0.0], d, out, w_grid=wg).h[0, :, 0]
+        devs.append(np.max(np.abs(h - np.sinc(out.points()))))
     assert devs[0] / devs[1] > 3.0
     assert devs[1] / devs[2] > 3.0
 
 
 def test_pw_section_real_for_real_profile():
     out = Grid(-6.0, 6.0, 257)
-    sec = pw_average_sections([1.0], 0.2, out, w_grid=w_grid_default(2049))[0]
-    assert np.max(np.abs(sec.h_repr.values.imag)) < 1e-8
+    h = pw_average_sections([1.0], 0.2, out, w_grid=w_grid_default(2049)).h
+    assert np.max(np.abs(h.imag)) < 1e-8
 
 
 def test_pw_section_reproduces_average_samples():
@@ -106,24 +108,23 @@ def test_pw_section_reproduces_average_samples():
         rhs = inner_product(w_f, psi)
         assert abs(lhs - rhs) < 2e-6
         # grid-side inner product carries the window-truncation error only
-        sec = pw_average_sections([x], 0.2, window, w_grid=w_grid_default(2049))[0]
-        rhs_grid = inner_product(f, sec.h_repr)
+        h = pw_average_sections([x], 0.2, window, w_grid=w_grid_default(2049)).h[0]
+        rhs_grid = inner_product(f, GridFunction(window, h))
         assert abs(lhs - rhs_grid) < 2e-2
 
 
 @pytest.mark.parametrize("profile", ["box", "triangle", "cosine"])
 def test_batched_sections_match_single_calls(profile):
-    """The modulated batch against a direct per-centre route: each centre's
-    own transform, then an explicit dense synthesis sum."""
+    """The modulated batch against the per-centre oracle: each centre's own
+    transform, then an explicit dense synthesis sum; the Gram carries the
+    feature vectors."""
     window = pw_window(2, points_per_unit=32)
     wg = w_grid_default(513)
-    t, y = wg.points(), window.points()
     batch = pw_average_sections([-1.0, 0.5], 0.15, window, profile=profile, w_grid=wg)
-    for sec, c in zip(batch, (-1.0, 0.5)):
-        udual = AverageFunctional(c, 0.15, profile).inverse_transform(t)
-        h = np.exp(-1j * np.outer(y, t)) @ (udual * wg.weights())
-        assert np.max(np.abs(sec.h_repr.values[:, 0] - h)) < 1e-13
-        assert np.max(np.abs(sec.w_repr.values[:, 0] - math.sqrt(TWO_PI) * udual)) < 1e-13
+    oracle = truncated_frame(average_sections([-1.0, 0.5], 0.15, window, wg, profile))
+    assert batch.alphas == oracle.alphas
+    assert np.max(np.abs(batch.h - oracle.h)) < 1e-13
+    assert np.max(np.abs(batch.gram.matrix - oracle.gram.matrix)) < 1e-13
 
 
 # ------------------------------------------------------------------- features
@@ -146,8 +147,8 @@ def test_psi_cross_equals_applied_kernel():
     ux = AverageFunctional(x, 0.2)
     uy = AverageFunctional(y, 0.2)
     w_side = inner_product(psi_feature(ux, wg), psi_feature(uy, wg))
-    sec = pw_average_sections([x], 0.2, out, w_grid=wg)[0]
-    applied = average_sample(sec.h_repr, uy, refine=16)
+    h = pw_average_sections([x], 0.2, out, w_grid=wg).h[0]
+    applied = average_sample(GridFunction(out, h), uy, refine=16)
     assert abs(w_side - applied) < 1e-6
 
 
@@ -164,12 +165,12 @@ def test_section_matches_point_feature_pairing():
     wg = w_grid_default(8193)
     out = Grid(-3.0, 3.0, 65)
     u = AverageFunctional(0.4, 0.2)
-    sec = pw_average_sections([0.4], 0.2, out, w_grid=wg)[0]
+    h = pw_average_sections([0.4], 0.2, out, w_grid=wg).h[0, :, 0]
     phi = point_feature_map(wg)
     psi = psi_feature(u, wg)
     for i, y in enumerate(out.points()):
         pair = inner_product(psi, phi.evaluate(float(y), np.array([1.0 + 0j])))
-        assert abs(sec.h_repr.values[i, 0] - pair) < 1e-6
+        assert abs(h[i] - pair) < 1e-6
 
 
 # ----------------------------------------------------------- admissibility
@@ -280,7 +281,8 @@ def test_vector_set_json_roundtrip():
 
 def test_vector_set_block_diagonal_gram_zero_perturbation():
     vss = build_vector_sampling_set(2, 6)
-    g = feature_gram(vector_features(vss, w_grid_default(1025)))
+    wg = w_grid_default(1025)
+    g = feature_gram(vector_features(vss, wg), wg)
     n = 2
     for j in range(g.shape[0]):
         for k in range(g.shape[1]):
@@ -293,7 +295,8 @@ def test_vector_set_perturbed_gram_stays_riesz():
     gen = rng(3)
     offsets = {m: gen.uniform(-0.2, 0.2, size=2) for m in range(-16, 17)}
     vss = build_vector_sampling_set(2, 16, perturb=lambda m: offsets[m])
-    g = feature_gram(vector_features(vss, w_grid_default(1025)))
+    wg = w_grid_default(1025)
+    g = feature_gram(vector_features(vss, wg), wg)
     eig = np.linalg.eigvalsh(g)
     assert eig[0] >= 0.3 * eig[-1]
 
@@ -325,11 +328,8 @@ def test_integer_average_features_respect_admissibility_envelope():
     delta = 0.1
     a_bound, b_bound = kadec_bounds(delta)
     wg = w_grid_default(2049)
-    feats = [
-        psi_feature(AverageFunctional(float(j), delta), wg)
-        for j in range(-16, 17)
-    ]
-    eig = np.linalg.eigvalsh(feature_gram(feats))
+    feats = np.stack([psi_feature(AverageFunctional(float(j), delta), wg).values for j in range(-16, 17)])
+    eig = np.linalg.eigvalsh(feature_gram(feats, wg))
     attenuation = np.sinc(delta) ** 2  # worst-case |profile transform|^2 on the band
     lower = (a_bound / TWO_PI) * attenuation * 0.9
     upper = (b_bound / TWO_PI) * 1.1
