@@ -73,8 +73,7 @@ from .learning import (  # noqa: F401
     objective_value,
     regnet_solve,
     sampling_operator,
-    stability_sweep,
+    stability_reports,
     tikhonov_operator_apply,
-    truncated_reconstruction_stability,
 )
 from . import paley_wiener, shift_invariant  # noqa: F401

@@ -30,8 +30,7 @@ from .learning import (
     perturb_samples,
     regnet_solve,
     sampling_operator,
-    stability_sweep,
-    truncated_reconstruction_stability,
+    stability_reports,
 )
 from .paley_wiener import (
     BandlimitedSignal,
@@ -403,8 +402,7 @@ def _cmd_stability(args, config: dict) -> int:
     frame = _pw_sections(centers, args.delta, args.profile, window_grid, args.w_n)
     dual = dual_frame(frame)
     sizes = [int(s) for s in args.sizes.split(",")]
-    trunc = truncated_reconstruction_stability(frame, dual, args.trials, sizes, args.seed)
-    sweep = stability_sweep(frame, args.lam, args.trials, args.seed, sizes)
+    trunc, sweep = stability_reports(frame, dual, args.lam, args.trials, args.seed, sizes)
     prefix = Path(args.out)
     _write_json(
         prefix.with_suffix(".json"),

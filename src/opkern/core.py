@@ -298,17 +298,20 @@ def inverse_dft(f: GridFunction, freqs: Sequence[float]) -> np.ndarray:
 
 
 def _require_hermitian(m: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
+    """m as a complex array, refused unless it is one square matrix or a
+    stack (..., k, k) of them, each Hermitian within rel_tol."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-    scale = max(np.linalg.norm(m), 1.0)
-    if np.linalg.norm(m - m.conj().T) > rel_tol * scale:
+    scale = np.maximum(np.linalg.norm(m, axis=(-2, -1)), 1.0)
+    if np.any(np.linalg.norm(m - np.conj(np.swapaxes(m, -2, -1)), axis=(-2, -1)) > rel_tol * scale):
         raise ValidationError("matrix is not Hermitian within tolerance")
     return m
 
 
 def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
+    """Eigendecomposition of a Hermitian matrix, or of each matrix of a stack
+    (..., k, k), eigenvalues ascending."""
     m = _require_hermitian(m)
     w, v = np.linalg.eigh(m)
     return w, v
@@ -317,18 +320,26 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def solve_hermitian(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve m x = rhs for Hermitian positive definite m.
 
-    Raises ConditioningError carrying the extreme eigenvalues when the
-    spectrum is not safely positive.
+    m may be a stack (..., k, k), solved matrix by matrix with one right-hand
+    side each, rhs of shape (..., k). Raises ConditioningError carrying the
+    extreme eigenvalues of the first matrix whose spectrum is not safely
+    positive.
     """
     w, v = hermitian_eig(m)
     rhs = np.asarray(rhs, dtype=complex)
-    if w[-1] <= 0 or w[0] <= 1e-12 * w[-1]:
+    if rhs.shape != w.shape:
+        raise ShapeMismatchError(f"right-hand side of shape {rhs.shape} for matrices of shape {v.shape}")
+    bad = (w[..., -1] <= 0) | (w[..., 0] <= 1e-12 * w[..., -1])
+    if np.any(bad):
+        lo, hi = w[bad][0, [0, -1]]
         raise ConditioningError(
-            f"matrix not safely positive definite (eigs in [{w[0]:.3e}, {w[-1]:.3e}])",
-            min_eig=float(w[0]),
-            max_eig=float(w[-1]),
+            f"matrix not safely positive definite (eigs in [{lo:.3e}, {hi:.3e}])",
+            min_eig=float(lo),
+            max_eig=float(hi),
         )
-    return v @ ((v.conj().T @ rhs) / w)
+    # rhs as one column per matrix: every product is a matrix-vector product
+    x = v @ ((np.conj(np.swapaxes(v, -2, -1)) @ rhs[..., None]) / w[..., None])
+    return x[..., 0]
 
 
 def pseudoinverse(m: np.ndarray, rel_cutoff: float) -> np.ndarray:

@@ -38,8 +38,7 @@ __all__ = [
     "perturb_samples",
     "reduced_space_minimize",
     "tikhonov_operator_apply",
-    "truncated_reconstruction_stability",
-    "stability_sweep",
+    "stability_reports",
 ]
 
 
@@ -243,17 +242,21 @@ def tikhonov_operator_apply(
     return regnet_solve(problem).f0
 
 
-def _quad_form(m: np.ndarray, c: np.ndarray) -> float:
-    return float(np.real(np.conj(c) @ m @ c))
+def _quad_forms(m: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Re(c^H m c) for each row vector of a stack c of shape (n, 1, k)."""
+    return np.real(np.conj(c) @ m @ np.swapaxes(c, -2, -1))[:, 0, 0]
 
 
 def _check_sweep(trials: int, subset_sizes: Sequence[int], m: int) -> None:
-    """Refuse sweeps that would report on no evidence or on clipped sizes."""
+    """Refuse sweeps that would report on no evidence or on clipped or
+    repeated sizes."""
     if int(trials) < 1:
         raise ValidationError(f"trials must be at least 1, got {trials}")
     for size in subset_sizes:
         if not 1 <= int(size) <= m:
             raise ValidationError(f"subset size {size} outside 1..{m} (the frame size)")
+    if len({int(size) for size in subset_sizes}) != len(subset_sizes):
+        raise ValidationError(f"subset sizes repeat: {list(subset_sizes)}")
 
 
 @dataclass(frozen=True)
@@ -267,51 +270,6 @@ class TruncatedStabilityReport:
     trials: int
 
 
-def truncated_reconstruction_stability(
-    frame: TruncatedFrame,
-    dual: DualFrame,
-    trials: int,
-    subset_sizes: Sequence[int],
-    seed: int,
-) -> TruncatedStabilityReport:
-    """Empirical norm ratios of the truncated reconstruction operator.
-
-    For random span elements f and random sub-index sets S, measures
-    |sum_{j in S} <f, K_j> K~_j| / |f| in the space norm (coefficient space);
-    passes iff the maximum stays below (B_est/A_est)(1 + 0.1).
-    """
-    m = len(frame)
-    _check_sweep(trials, subset_sizes, m)
-    g = frame.gram.matrix
-    gp = dual.coeffs
-    a_est, b_est = frame_bounds_estimate(frame)
-    gen = rng(seed)
-    per_size: dict[int, float] = {}
-    c_emp = 0.0
-    for size in subset_sizes:
-        size = int(size)
-        worst = 0.0
-        for _ in range(int(trials)):
-            a = complex_unit_disc(gen, m)
-            f_norm = math.sqrt(max(_quad_form(g, a), 1e-300))
-            subset = np.sort(gen.choice(m, size=size, replace=False))
-            c = (a @ g)[subset]
-            rec_sq = float(np.real(np.conj(c) @ gp[np.ix_(subset, subset)] @ c))
-            worst = max(worst, math.sqrt(max(rec_sq, 0.0)) / f_norm)
-        per_size[size] = worst
-        c_emp = max(c_emp, worst)
-    envelope = (b_est / a_est) * 1.1
-    return TruncatedStabilityReport(
-        per_size=per_size,
-        c_emp=c_emp,
-        envelope=envelope,
-        a_est=a_est,
-        b_est=b_est,
-        passed=c_emp <= envelope,
-        trials=int(trials),
-    )
-
-
 @dataclass(frozen=True)
 class SweepReport:
     per_size: dict
@@ -321,36 +279,67 @@ class SweepReport:
     trials: int
 
 
-def stability_sweep(
+#: most entries of one stacked array of a trial block: 2**12 // (m * size)
+#: trials bound both the (block, m) draws and the (block, size, size) solves
+_TRIAL_BLOCK = 2**12
+
+
+def stability_reports(
     frame: TruncatedFrame,
+    dual: DualFrame,
     lam: float,
     trials: int,
     seed: int,
-    subset_sizes: Sequence[int] = (4, 8, 16),
-) -> SweepReport:
-    """Damped-reconstruction ratios |f0|/|f| across nested subset sizes and
-    random span elements; passes iff the global maximum is within twice the
-    largest-size maximum (no blow-up as the index set shrinks)."""
-    m = len(frame)
+    subset_sizes: Sequence[int],
+) -> tuple[TruncatedStabilityReport, SweepReport]:
+    """Truncated and damped reconstruction ratios over one set of random
+    trials: for each subset size, ``trials`` random span elements f with
+    random sub-index sets S.
+
+    - Truncated: |sum_{j in S} <f, K_j> K~_j| / |f| in the space norm
+      (coefficient space); passes iff the maximum stays below
+      (B_est/A_est)(1 + 0.1).
+    - Damped: |f0|/|f| for the damped solve on S with weight lam; passes iff
+      the global maximum is within twice the largest-size maximum (no
+      blow-up as the index set shrinks).
+
+    Trials are drawn one at a time, so the random stream does not depend on
+    the blocking; products and solves run on stacked blocks of trials, one
+    matrix-vector product per trial as in a single-trial loop.
+    """
+    m, trials = len(frame), int(trials)
     _check_sweep(trials, subset_sizes, m)
+    if not 0.0 < lam < math.inf:
+        raise ValidationError(f"damping weight must be finite and positive, got {lam}")
     g = frame.gram.matrix
     gl = g.conj()
+    a_est, b_est = frame_bounds_estimate(frame)
     gen = rng(seed)
-    per_size: dict[int, float] = {}
-    for size in subset_sizes:
-        size = int(size)
-        worst = 0.0
-        for _ in range(int(trials)):
-            a = complex_unit_disc(gen, m)
-            f_norm = math.sqrt(max(_quad_form(g, a), 1e-300))
-            subset = np.sort(gen.choice(m, size=size, replace=False))
-            xi = (a @ g)[subset]
-            gl_ss = gl[np.ix_(subset, subset)]
-            eta = solve_hermitian(gl_ss + lam * np.eye(size), xi)
-            rec = math.sqrt(max(_quad_form(gl_ss, eta), 0.0))
-            worst = max(worst, rec / f_norm)
-        per_size[size] = worst
-    c_emp = max(per_size.values())
-    largest = per_size[max(per_size)]
-    passed = c_emp <= 2.0 * largest
-    return SweepReport(per_size=per_size, c_emp=c_emp, lam=float(lam), passed=passed, trials=int(trials))
+    truncated: dict[int, float] = {}
+    damped: dict[int, float] = {}
+    for size in map(int, subset_sizes):
+        block = max(1, _TRIAL_BLOCK // (m * size))
+        worst_t = worst_d = 0.0
+        for start in range(0, trials, block):
+            n = min(block, trials - start)
+            a = np.empty((n, 1, m), dtype=complex)
+            subsets = np.empty((n, size), dtype=int)
+            for i in range(n):
+                a[i, 0] = complex_unit_disc(gen, m)
+                subsets[i] = np.sort(gen.choice(m, size=size, replace=False))
+            f_norm = np.sqrt(np.maximum(_quad_forms(g, a), 1e-300))
+            c = np.take_along_axis((a @ g)[:, 0], subsets, axis=1)[:, None]
+            rows, cols = subsets[:, :, None], subsets[:, None, :]
+            rec_sq = _quad_forms(dual.coeffs[rows, cols], c)
+            gl_ss = gl[rows, cols]
+            eta = solve_hermitian(gl_ss + lam * np.eye(size), c[:, 0])[:, None]
+            worst_t = max(worst_t, float(np.max(np.sqrt(np.maximum(rec_sq, 0.0)) / f_norm)))
+            worst_d = max(worst_d, float(np.max(np.sqrt(np.maximum(_quad_forms(gl_ss, eta), 0.0)) / f_norm)))
+        truncated[size], damped[size] = worst_t, worst_d
+    c_t, c_d, envelope = max(truncated.values()), max(damped.values()), (b_est / a_est) * 1.1
+    return (
+        TruncatedStabilityReport(per_size=truncated, c_emp=c_t, envelope=envelope, a_est=a_est,
+                                 b_est=b_est, passed=c_t <= envelope, trials=trials),
+        SweepReport(per_size=damped, c_emp=c_d, lam=float(lam), passed=c_d <= 2.0 * damped[max(damped)],
+                    trials=trials),
+    )

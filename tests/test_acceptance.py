@@ -44,8 +44,7 @@ from opkern.learning import (
     reduced_space_minimize,
     regnet_solve,
     sampling_operator,
-    stability_sweep,
-    truncated_reconstruction_stability,
+    stability_reports,
 )
 from opkern.paley_wiener import (
     BandlimitedSignal,
@@ -372,11 +371,8 @@ def test_criterion_8_stability_sweeps():
     centers = [float(c) for c in range(-16, 17)]
     frame = pw_average_sections(centers, 0.1, window, w_grid=w_grid_default(2049))
     dual = dual_frame(frame)
-    trunc = truncated_reconstruction_stability(
-        frame, dual, trials=200, subset_sizes=[4, 8, 16], seed=808
-    )
+    trunc, sweep = stability_reports(frame, dual, lam=0.1, trials=200, seed=808, subset_sizes=(4, 8, 16))
     assert trunc.passed, f"c_emp {trunc.c_emp} vs envelope {trunc.envelope}"
-    sweep = stability_sweep(frame, lam=0.1, trials=200, seed=808, subset_sizes=(4, 8, 16))
     assert sweep.passed
     print(
         f"PASS criterion 8: truncated c_emp {trunc.c_emp:.3f} <= envelope {trunc.envelope:.3f}; "

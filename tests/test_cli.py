@@ -364,8 +364,16 @@ def test_rel_cutoff_out_of_range_is_validation_error(signal_file, tmp_path, caps
         ["--m", "8", "--sizes", "4,8", "--trials", "0"],
         ["--m", "8", "--sizes", "0", "--trials", "5"],
         ["--m", "4", "--sizes", "4,8,16", "--trials", "5"],
+        ["--m", "8", "--sizes", "4,4", "--trials", "5"],
+        ["--m", "8", "--sizes", "4", "--trials", "5", "--lambda", "0"],
+        ["--m", "8", "--sizes", "4", "--trials", "5", "--lambda", "-1"],
+        ["--m", "8", "--sizes", "4", "--trials", "5", "--lambda", "nan"],
+        ["--m", "8", "--sizes", "4", "--trials", "5", "--lambda", "inf"],
     ],
-    ids=["no-trials", "size-zero", "size-beyond-frame"],
+    ids=[
+        "no-trials", "size-zero", "size-beyond-frame", "duplicate-size",
+        "lambda-zero", "lambda-negative", "lambda-nan", "lambda-inf",
+    ],
 )
 def test_stability_bad_inputs_are_refused(tmp_path, capsys, flags):
     code = main([

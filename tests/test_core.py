@@ -110,6 +110,8 @@ def test_hermitian_eig_hand_case():
 def test_hermitian_eig_rejects_nonhermitian():
     with pytest.raises(ValidationError):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValidationError):  # one bad matrix in a stack
+        hermitian_eig(np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]], np.eye(2)]))
 
 
 def test_eig_reconstruction_random():
@@ -141,6 +143,27 @@ def test_solve_hermitian_rejects_indefinite():
     with pytest.raises(ConditioningError) as exc:
         solve_hermitian(np.diag([1.0, -1.0]), [1.0, 1.0])
     assert exc.value.min_eig is not None
+
+
+def test_solve_hermitian_stack_equals_single_calls():
+    gen = rng(5)
+    for k in (1, 3, 16):
+        a = complex_unit_disc(gen, (9, k, k))
+        m = a @ np.conj(np.swapaxes(a, -2, -1)) + 0.1 * np.eye(k)
+        m = (m + np.conj(np.swapaxes(m, -2, -1))) / 2.0
+        rhs = complex_unit_disc(gen, (9, k))
+        single = np.array([solve_hermitian(mi, ri) for mi, ri in zip(m, rhs)])
+        assert np.array_equal(solve_hermitian(m, rhs), single)
+        assert np.array_equal(solve_hermitian(m.reshape(3, 3, k, k), rhs.reshape(3, 3, k)), single.reshape(3, 3, k))
+
+
+def test_solve_hermitian_stack_refuses_at_the_first_failing_matrix():
+    m = np.array([np.eye(2), np.diag([1.0, 1e-13]), np.diag([-2.0, 1.0]), np.eye(2)])
+    with pytest.raises(ConditioningError) as exc:
+        solve_hermitian(m, np.ones((4, 2)))
+    assert (exc.value.min_eig, exc.value.max_eig) == (1e-13, 1.0)
+    with pytest.raises(ShapeMismatchError):
+        solve_hermitian(m, np.ones(2))
 
 
 def test_pseudoinverse_apply_cases():

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import LinearOperator, cg
 
 from opkern.core import Grid, GridFunction, complex_unit_disc, norm, rng
@@ -11,9 +14,10 @@ from opkern.families import (
     FourierCoefficientFamily,
     SampleSet,
 )
-from opkern.frames import dual_frame, frame_bounds_estimate, truncated_frame
+from opkern.frames import dual_frame, frame_bounds_estimate, stacked_frame, truncated_frame
 from opkern.kernels import KernelSection, gram
 from opkern.learning import (
+    _TRIAL_BLOCK,
     interpolation_limit,
     learning_problem,
     objective_value,
@@ -21,9 +25,8 @@ from opkern.learning import (
     reduced_space_minimize,
     regnet_solve,
     sampling_operator,
-    stability_sweep,
+    stability_reports,
     tikhonov_operator_apply,
-    truncated_reconstruction_stability,
 )
 from opkern.paley_wiener import (
     BandlimitedSignal,
@@ -33,6 +36,7 @@ from opkern.paley_wiener import (
     w_grid_default,
 )
 from section_oracle import fourier_sections as _fourier_sections
+from stability_oracle import stability_sweep, truncated_reconstruction_stability
 
 TWO_PI = 2.0 * math.pi
 
@@ -219,7 +223,7 @@ def test_truncated_stability_orthonormal():
     secs = _fourier_sections(range(-4, 4), grid)
     frame = truncated_frame(secs)
     dual = dual_frame(frame)
-    rep = truncated_reconstruction_stability(frame, dual, trials=50, subset_sizes=[2, 4, 8], seed=0)
+    rep, _ = stability_reports(frame, dual, lam=0.1, trials=50, seed=0, subset_sizes=[2, 4, 8])
     assert rep.passed
     assert rep.c_emp <= 1.0 + 1e-8  # orthogonal projection never expands
 
@@ -228,7 +232,7 @@ def test_truncated_stability_single_subsets_cauchy_schwarz():
     window = pw_window(6, points_per_unit=32)
     frame = pw_average_sections(range(-6, 7), 0.1, window, w_grid=w_grid_default(2049))
     dual = dual_frame(frame)
-    rep = truncated_reconstruction_stability(frame, dual, trials=100, subset_sizes=[1], seed=1)
+    rep, _ = stability_reports(frame, dual, lam=0.1, trials=100, seed=1, subset_sizes=[1])
     g = frame.gram.matrix
     gp = dual.coeffs
     bound = max(
@@ -241,9 +245,7 @@ def test_truncated_stability_average_family():
     window = pw_window(16, points_per_unit=32)
     frame = pw_average_sections(range(-16, 17), 0.1, window, w_grid=w_grid_default(2049))
     dual = dual_frame(frame)
-    rep = truncated_reconstruction_stability(
-        frame, dual, trials=200, subset_sizes=[4, 8, 16], seed=3
-    )
+    rep, _ = stability_reports(frame, dual, lam=0.1, trials=200, seed=3, subset_sizes=[4, 8, 16])
     assert rep.passed
 
 
@@ -320,7 +322,7 @@ def test_stability_sweep_heavy_damping():
     window = pw_window(8, points_per_unit=32)
     centers = [float(c) for c in range(-8, 9)]
     frame = pw_average_sections(centers, 0.2, window, w_grid=w_grid_default(2049))
-    rep = stability_sweep(frame, lam=1e3, trials=50, seed=0)
+    _, rep = stability_reports(frame, dual_frame(frame), lam=1e3, trials=50, seed=0, subset_sizes=(4, 8, 16))
     assert rep.passed
     assert rep.c_emp < 0.01
 
@@ -329,7 +331,8 @@ def test_stability_sweep_orthonormal_filter_bound():
     grid = Grid(0.0, TWO_PI, 257)
     indices = list(range(-4, 4))
     secs = _fourier_sections(indices, grid)
-    rep = stability_sweep(truncated_frame(secs), lam=0.1, trials=100, seed=2, subset_sizes=(4, 8))
+    frame = truncated_frame(secs)
+    _, rep = stability_reports(frame, dual_frame(frame), lam=0.1, trials=100, seed=2, subset_sizes=(4, 8))
     assert rep.passed
     assert rep.c_emp <= 1.0 / 1.1 + 1e-9  # unit spectrum: factor g/(g+lam)
 
@@ -338,9 +341,76 @@ def test_stability_sweep_average_family_bounded():
     window = pw_window(8, points_per_unit=32)
     centers = [float(c) for c in range(-8, 9)]
     frame = pw_average_sections(centers, 0.2, window, w_grid=w_grid_default(2049))
-    rep = stability_sweep(frame, lam=0.1, trials=100, seed=4, subset_sizes=(4, 8, 16))
+    _, rep = stability_reports(frame, dual_frame(frame), lam=0.1, trials=100, seed=4, subset_sizes=(4, 8, 16))
     assert rep.passed
     assert max(rep.per_size.values()) <= 1.0 + 1e-9
+
+
+def _random_frame(m, seed, repeat=0):
+    """m scalar sections with random complex features on a 48-point grid;
+    the last ``repeat`` sections duplicate the first ones."""
+    gen = np.random.default_rng(seed)
+    grid = Grid(0.0, 1.0, 48)
+    w = gen.standard_normal((m - repeat, grid.n)) + 1j * gen.standard_normal((m - repeat, grid.n))
+    w = np.concatenate((w, w[:repeat]))
+    return stacked_frame(range(m), w, grid, w, grid)
+
+
+def _oracle_reports(frame, dual, lam, trials, seed, sizes):
+    return (
+        truncated_reconstruction_stability(frame, dual, trials, sizes, seed),
+        stability_sweep(frame, lam, trials, seed, sizes),
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_stability_reports_match_the_single_trial_loops(data):
+    m = data.draw(st.integers(1, 40), label="m")
+    middle = data.draw(st.lists(st.integers(1, m), max_size=3, unique=True), label="sizes")
+    sizes = data.draw(st.permutations(sorted({1, m, *middle})), label="order")
+    block = _TRIAL_BLOCK // (m * data.draw(st.sampled_from(sizes), label="blocked size"))
+    trials = data.draw(st.sampled_from([1, block - 1, block, block + 1]) | st.integers(1, 200), label="trials")
+    lam = data.draw(st.floats(1e-6, 1e3), label="lam")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    frame = _random_frame(m, seed)
+    dual = dual_frame(frame)
+    got = stability_reports(frame, dual, lam, trials, seed, sizes)
+    for rep, want in zip(got, _oracle_reports(frame, dual, lam, trials, seed, sizes)):
+        assert list(rep.per_size) == list(want.per_size)
+        np.testing.assert_allclose(list(rep.per_size.values()), list(want.per_size.values()), rtol=1e-14, atol=0)
+        assert rep.c_emp == pytest.approx(want.c_emp, rel=1e-14, abs=0)
+        assert rep.passed == want.passed
+        assert rep.trials == want.trials
+
+
+def test_stability_reports_refuse_like_the_single_trial_loops():
+    # section 5 repeats section 0: a trial whose subset holds both is singular
+    # up to lam, so the damped solve refuses it partway through a block
+    frame = _random_frame(6, seed=7, repeat=1)
+    dual = dual_frame(frame)
+    with pytest.raises(ConditioningError) as want:
+        _oracle_reports(frame, dual, 1e-14, 60, 4, [3])
+    with pytest.raises(ConditioningError) as got:
+        stability_reports(frame, dual, 1e-14, 60, 4, [3])
+    assert str(got.value) == str(want.value)
+    assert (got.value.min_eig, got.value.max_eig) == (want.value.min_eig, want.value.max_eig)
+
+
+def test_stability_reports_memory_does_not_grow_with_trials():
+    # size 4 has the largest block of the benchmark's sizes, 2**12 // (17 * 4) trials
+    frame = _random_frame(17, seed=5)
+    dual = dual_frame(frame)
+    stability_reports(frame, dual, 0.1, 1, 0, [4])  # lazy imports out of the way
+    peaks = []
+    for trials in (100, 20_000):
+        tracemalloc.start()
+        try:
+            stability_reports(frame, dual, 0.1, trials, 0, [4])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 64 * 1024, peaks
 
 
 def test_sampling_operator_continuity_surrogate():
