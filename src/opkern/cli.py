@@ -335,7 +335,7 @@ def _cmd_regnet(args, config: dict) -> int:
     else:
         raise OpkernError(f"unsupported learning family {fam_desc['family']!r}")
     if payload.get("samples") is not None:
-        values = tuple(complex(re, im) for re, im in payload["samples"])
+        values = [complex(re, im) for re, im in payload["samples"]]
         samples = SampleSet(family.descriptor(), tuple(indices), values)
     elif payload.get("signal") is not None:
         signal = BandlimitedSignal.from_json(payload["signal"])

@@ -72,8 +72,9 @@ class Grid:
         w[-1] *= 0.5
         return w
 
-    def spans(self, lo: float, hi: float, tol: float = 1e-9) -> bool:
-        return self.a - tol <= lo and hi <= self.b + tol
+    def spans(self, lo: float, hi: float) -> bool:
+        """[lo, hi] lies inside the grid, within 1e-9."""
+        return self.a - 1e-9 <= lo and hi <= self.b + 1e-9
 
 
 @dataclass(frozen=True)
@@ -297,14 +298,14 @@ def inverse_dft(f: GridFunction, freqs: Sequence[float]) -> np.ndarray:
     return dft(f, -w) / (2.0 * np.pi)
 
 
-def _require_hermitian(m: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
+def _require_hermitian(m: np.ndarray) -> np.ndarray:
     """m as a complex array, refused unless it is one square matrix or a
-    stack (..., k, k) of them, each Hermitian within rel_tol."""
+    stack (..., k, k) of them, each Hermitian within 1e-12 relative."""
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
     scale = np.maximum(np.linalg.norm(m, axis=(-2, -1)), 1.0)
-    if np.any(np.linalg.norm(m - np.conj(np.swapaxes(m, -2, -1)), axis=(-2, -1)) > rel_tol * scale):
+    if np.any(np.linalg.norm(m - np.conj(np.swapaxes(m, -2, -1)), axis=(-2, -1)) > 1e-12 * scale):
         raise ValidationError("matrix is not Hermitian within tolerance")
     return m
 

@@ -10,7 +10,7 @@ round-trip through files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -308,13 +308,10 @@ class FunctionalFamily:
 
     kind: str = "abstract"
 
-    def apply(self, alpha, f: GridFunction) -> np.ndarray:
-        """Apply the functional with index alpha; returns a C^k vector."""
+    def apply_all(self, alphas, f: GridFunction) -> np.ndarray:
+        """The functionals with the given indices applied to f, in order, as
+        one array of shape (len(alphas), out_dim)."""
         raise NotImplementedError
-
-    def apply_all(self, alphas, f: GridFunction) -> list:
-        """The functionals with the given indices applied to f, in order."""
-        return [self.apply(alpha, f) for alpha in alphas]
 
     def descriptor(self) -> dict:
         raise NotImplementedError
@@ -372,7 +369,6 @@ class AverageSamplingFamily(FunctionalFamily):
 
     delta: float
     profile: str = "box"
-    refine: int = 8
     interp: str = "cubic"
     kind = "average"
 
@@ -385,7 +381,7 @@ class AverageSamplingFamily(FunctionalFamily):
     def apply_all(self, alphas, f: GridFunction) -> np.ndarray:
         """All the averages in one ``average_samples`` call, shape (len(alphas), dim)."""
         us = [self.functional(a) for a in alphas]
-        return average_samples(f, us, refine=self.refine, interp=self.interp)
+        return average_samples(f, us, interp=self.interp)
 
     def descriptor(self) -> dict:
         return {
@@ -405,7 +401,11 @@ class PointEvaluationFamily(FunctionalFamily):
     kind = "point"
 
     def apply(self, alpha, f: GridFunction) -> np.ndarray:
-        return interpolate_values(f, np.array([float(alpha)]), method=self.interp)[0]
+        return self.apply_all([alpha], f)[0]
+
+    def apply_all(self, alphas, f: GridFunction) -> np.ndarray:
+        """f at every point from one interpolation call, shape (len(alphas), dim)."""
+        return interpolate_values(f, np.array([float(x) for x in alphas]), method=self.interp)
 
     def descriptor(self) -> dict:
         return {"family": "point", "params": {"interp": self.interp}}
@@ -422,14 +422,17 @@ class PointInnerFamily(FunctionalFamily):
     kind = "point_inner"
 
     def apply(self, alpha, f: GridFunction) -> np.ndarray:
-        x, xi = alpha
-        xi = np.asarray(xi, dtype=complex)
-        fx = interpolate_values(f, np.array([float(x)]), method=self.interp)[0]
-        if fx.shape != xi.shape:
-            raise ShapeMismatchError(
-                f"point value shape {fx.shape} does not match xi shape {xi.shape}"
-            )
-        return np.array([np.sum(fx * np.conj(xi))])
+        return self.apply_all([alpha], f)[0]
+
+    def apply_all(self, alphas, f: GridFunction) -> np.ndarray:
+        """<f(x), xi> for every (x, xi) from one interpolation call, shape
+        (len(alphas), 1)."""
+        fx = interpolate_values(f, np.array([float(x) for x, _ in alphas]), method=self.interp)
+        xis = [np.asarray(xi, dtype=complex) for _, xi in alphas]
+        for xi in xis:
+            if xi.shape != (f.dim,):
+                raise ShapeMismatchError(f"point value shape {(f.dim,)} does not match xi shape {xi.shape}")
+        return np.sum(fx * np.conj(np.reshape(xis, fx.shape)), axis=1)[:, None]
 
     def descriptor(self) -> dict:
         return {"family": "point_inner", "params": {"interp": self.interp}}
@@ -477,26 +480,43 @@ def _decode_value(raw):
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Ordered (index, sampled value) pairs plus the family descriptor."""
+    """Ordered (index, sampled value) pairs plus the family descriptor.
+
+    ``values`` is one complex array: shape (k,) for scalar samples and
+    (k, dim) for vector samples; a trailing axis of length 1 is dropped, so
+    the (k, 1) output of a scalar family is stored as (k,). Sequences of
+    scalars or equal-length vectors are converted; ragged or non-finite
+    values are refused.
+    """
 
     family: dict
     alphas: tuple
-    values: tuple
+    values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if len(self.alphas) != len(self.values):
+        try:
+            v = np.asarray(self.values, dtype=complex)
+        except (TypeError, ValueError):
+            raise ValidationError("sample values are ragged or not numbers") from None
+        if v.ndim == 2 and v.shape[1] == 1:
+            v = v[:, 0]
+        if v.ndim not in (1, 2):
+            raise ValidationError(f"sample values of shape {v.shape} are neither scalars nor vectors")
+        if v.shape[0] != len(self.alphas):
             raise ValidationError("sample set index/value length mismatch")
+        if not np.all(np.isfinite(v)):
+            raise ValidationError("sample values must be finite")
+        object.__setattr__(self, "values", v)
 
     def __len__(self) -> int:
         return len(self.alphas)
 
     def value_array(self) -> np.ndarray:
-        """Scalar sampled values as one complex vector; vector-valued
-        samples are refused rather than cut to their first component."""
-        vals = [np.asarray(v, dtype=complex) for v in self.values]
-        if any(v.size != 1 for v in vals):
+        """The scalar sampled values, shape (k,); vector-valued samples are
+        refused rather than cut to their first component."""
+        if self.values.ndim != 1:
             raise ShapeMismatchError("value_array needs scalar samples; got vector-valued values")
-        return np.array([v.item() for v in vals], dtype=complex)
+        return self.values
 
     def to_json(self) -> dict:
         fam = family_from_descriptor(self.family)
@@ -512,5 +532,4 @@ class SampleSet:
     def from_json(cls, obj: dict) -> "SampleSet":
         fam = family_from_descriptor(obj["family"])
         alphas = tuple(fam.decode_alpha(e["alpha"]) for e in obj["entries"])
-        values = tuple(_decode_value(e["value"]) for e in obj["entries"])
-        return cls(obj["family"], alphas, values)
+        return cls(obj["family"], alphas, [_decode_value(e["value"]) for e in obj["entries"]])

@@ -129,28 +129,31 @@ def _alphas_match(a, b) -> bool:
     return bool(np.all(np.asarray(a) == np.asarray(b)))
 
 
+def _require_aligned(samples: SampleSet, frame: TruncatedFrame) -> None:
+    """Refuse samples whose indices are not the frame's, in the frame's order."""
+    if len(samples) != len(frame.alphas):
+        raise AlignmentError(f"sample count {len(samples)} does not match frame size {len(frame.alphas)}")
+    for got, want in zip(samples.alphas, frame.alphas):
+        if not _alphas_match(got, want):
+            raise AlignmentError(f"sample index {got!r} does not match frame index {want!r}")
+
+
 def reconstruct(dual: DualFrame, samples: SampleSet) -> GridFunction:
     """f_hat = sum_j L_{alpha_j}(f) K~_j = (values . pinv(G)) . H from a
     sample set aligned with the dual's index order."""
-    frame_alphas = dual.source.alphas
-    if len(samples) != len(frame_alphas):
-        raise AlignmentError(
-            f"sample count {len(samples)} does not match frame size {len(frame_alphas)}"
-        )
-    for got, want in zip(samples.alphas, frame_alphas):
-        if not _alphas_match(got, want):
-            raise AlignmentError(f"sample index {got!r} does not match frame index {want!r}")
+    _require_aligned(samples, dual.source)
     return dual.source.synthesize(samples.value_array() @ dual.coeffs)
 
 
-def frame_bounds_estimate(frame: TruncatedFrame, rel_cutoff: float = 1e-10) -> tuple[float, float]:
-    """Extreme nonzero eigenvalues of the section Gram; on the span of a
-    truncated Riesz-regime family these bracket its frame bounds."""
+def frame_bounds_estimate(frame: TruncatedFrame) -> tuple[float, float]:
+    """Extreme nonzero eigenvalues of the section Gram, those above 1e-10 of
+    the largest; on the span of a truncated Riesz-regime family these
+    bracket its frame bounds."""
     w = np.linalg.eigvalsh(frame.gram.matrix)
     top = float(w[-1])
     if top <= 0.0:
         raise DegenerateFrameError("section Gram has no positive spectrum", max_eig=top)
-    nonzero = w[w > rel_cutoff * top]
+    nonzero = w[w > 1e-10 * top]
     return float(nonzero[0]), float(nonzero[-1])
 
 
@@ -177,15 +180,12 @@ class ReconstructionError:
 def interior_relative_error(
     f_hat: GridFunction,
     reference: GridFunction,
-    margin: float = 4.0,
-    window: tuple[float, float] | None = None,
+    window: tuple[float, float],
 ) -> ReconstructionError:
-    """Relative L2 error on an interior window (default: the common grid with
-    a margin stripped at both ends, keeping truncation artifacts out)."""
+    """Relative L2 error on an interior window of the common grid, chosen to
+    keep truncation artifacts out."""
     if not f_hat.same_layout(reference):
         raise ShapeMismatchError("reconstruction and reference live on different grids")
-    if window is None:
-        window = (f_hat.grid.a + margin, f_hat.grid.b - margin)
     lo, hi = window
     a = restrict(f_hat, lo, hi)
     b = restrict(reference, lo, hi)

@@ -72,9 +72,10 @@ class FeatureMap:
         return self.evaluate(alpha, np.asarray(xi, dtype=complex))
 
 
-def check_feature_linearity(fm: FeatureMap, alphas: Sequence, seed: int = 0, tol: float = 1e-10) -> float:
+def check_feature_linearity(fm: FeatureMap, alphas: Sequence, seed: int = 0) -> float:
     """Max deviation of Phi(alpha)(xi+eta) from Phi(alpha)xi + Phi(alpha)eta
-    over random xi, eta draws; used to validate user-supplied feature rules."""
+    over random xi, eta draws, refused above 1e-10; used to validate
+    user-supplied feature rules."""
     gen = rng(seed)
     worst = 0.0
     for alpha in alphas:
@@ -83,7 +84,7 @@ def check_feature_linearity(fm: FeatureMap, alphas: Sequence, seed: int = 0, tol
         lhs = fm.evaluate(alpha, xi + eta)
         rhs = fm.evaluate(alpha, xi) + fm.evaluate(alpha, eta)
         worst = max(worst, float(np.max(np.abs(lhs.values - rhs.values))))
-    if worst > tol:
+    if worst > 1e-10:
         raise KernelConsistencyError(f"feature map not linear in xi (deviation {worst:.3e})")
     return worst
 
@@ -208,8 +209,9 @@ def gram(
 
     Without a family the Gram comes from the sections' feature vectors
     (exact PSD Gram, valid by the feature identity
-    L_beta(K(alpha)xi) = Psi(beta)* Psi(alpha)xi). With a family its
-    functionals are applied to the grid sections and the result is
+    L_beta(K(alpha)xi) = Psi(beta)* Psi(alpha)xi). With a family, row j
+    applies every section's functional to section j in one ``apply_all``
+    call and pairs the results with the stacked xi; the result is
     Hermitian-symmetrized, reporting the asymmetry.
     """
     if not sections:
@@ -219,12 +221,9 @@ def gram(
         if any(s.w_repr is None for s in sections):
             raise ShapeMismatchError("a Gram without a family needs w_repr on every section")
         return _hermitian_gram(*_stack_values([s.w_repr for s in sections]), indices)
-    n = len(sections)
-    m = np.empty((n, n), dtype=complex)
-    for j, sj in enumerate(sections):
-        for k, sk in enumerate(sections):
-            applied = functionals.apply(sk.alpha, sj.h_repr)
-            m[j, k] = _inner_y(applied, sk.xi)
+    alphas = [s.alpha for s in sections]
+    xi_conj = np.conj(np.stack([s.xi for s in sections]))
+    m = np.stack([np.sum(functionals.apply_all(alphas, s.h_repr) * xi_conj, axis=1) for s in sections])
     scale = max(np.linalg.norm(m), 1e-30)
     asym = float(np.linalg.norm(m - m.conj().T) / scale)
     if asym > 1e-6:
@@ -235,11 +234,12 @@ def gram(
     return GramMatrix(matrix=(m + m.conj().T) / 2.0, indices=indices, asymmetry=asym)
 
 
-def psd_check(g: GramMatrix, tol: float = 1e-8) -> PsdReport:
-    """Positive semi-definiteness report for a Hermitian Gram."""
+def psd_check(g: GramMatrix) -> PsdReport:
+    """Positive semi-definiteness report for a Hermitian Gram: passes iff
+    the smallest eigenvalue is at least -1e-8 max(|max_eig|, 1)."""
     w, _ = hermitian_eig(g.matrix)
     min_eig, max_eig = float(w[0]), float(w[-1])
-    passed = min_eig >= -tol * max(abs(max_eig), 1.0)
+    passed = min_eig >= -1e-8 * max(abs(max_eig), 1.0)
     return PsdReport(min_eig=min_eig, max_eig=max_eig, passed=passed)
 
 
@@ -309,8 +309,8 @@ def translation_invariant_section(
     )
 
 
-def fourier_feature_map(w_grid: Grid, dim_y: int = 1) -> FeatureMap:
-    """Feature map of the Fourier-coefficient space on [0, 2pi]:
+def fourier_feature_map(w_grid: Grid) -> FeatureMap:
+    """Feature map of the scalar Fourier-coefficient space on [0, 2pi]:
     Psi(j)xi = exp(i j t) xi / sqrt(2pi)."""
     t = w_grid.points()
 
@@ -319,12 +319,13 @@ def fourier_feature_map(w_grid: Grid, dim_y: int = 1) -> FeatureMap:
         wave = np.exp(1j * int(j) * t) / math.sqrt(2.0 * math.pi)
         return GridFunction(w_grid, np.outer(wave, xi))
 
-    return FeatureMap(w_grid=w_grid, dim_y=dim_y, evaluate=evaluate)
+    return FeatureMap(w_grid=w_grid, dim_y=1, evaluate=evaluate)
 
 
-def fourier_point_feature_map(w_grid: Grid, max_mode: int, dim_y: int = 1) -> FeatureMap:
-    """Point-side feature map of the span of Fourier modes |j| <= max_mode:
-    Phi(x)xi = sum_j conj(u_j(x)) u_j xi, the projected point evaluator."""
+def fourier_point_feature_map(w_grid: Grid, max_mode: int) -> FeatureMap:
+    """Point-side feature map of the scalar span of Fourier modes
+    |j| <= max_mode: Phi(x)xi = sum_j conj(u_j(x)) u_j xi, the projected
+    point evaluator."""
     modes = np.arange(-max_mode, max_mode + 1)
 
     def evaluate(x, xi):
@@ -334,7 +335,7 @@ def fourier_point_feature_map(w_grid: Grid, max_mode: int, dim_y: int = 1) -> Fe
         wave /= 2.0 * math.pi
         return GridFunction(w_grid, np.outer(wave, xi))
 
-    return FeatureMap(w_grid=w_grid, dim_y=dim_y, evaluate=evaluate)
+    return FeatureMap(w_grid=w_grid, dim_y=1, evaluate=evaluate)
 
 
 @dataclass(frozen=True)
@@ -350,13 +351,13 @@ def integral_kernel_psd_test(
     u_family: Sequence[GridFunction],
     trials: int,
     seed: int = 0,
-    tol: float = 1e-8,
 ) -> IntegralPsdReport:
     """Double-quadrature positivity test of a continuous kernel rule.
 
     For random combinations u = sum c_j u_j with coefficients uniform in the
     complex unit disc, evaluates Q(u) = \\int\\int u(s) kappa(s,t) conj(u(t))
-    and passes iff Re Q >= -tol*|u|_1^2 and |Im Q| <= tol*|u|_1^2 throughout.
+    and passes iff Re Q >= -tol*|u|_1^2 and |Im Q| <= tol*|u|_1^2 throughout,
+    tol = 1e-8.
     """
     if not u_family:
         raise ShapeMismatchError("empty u family")
@@ -377,7 +378,7 @@ def integral_kernel_psd_test(
         u = c @ stack
         l1 = float(integrate_values(g0.grid, np.abs(u)).real)
         q = complex((w * u) @ kmat @ (w * np.conj(u)))
-        bound = tol * max(l1 * l1, 1e-30)
+        bound = 1e-8 * max(l1 * l1, 1e-30)
         worst_real = min(worst_real, q.real)
         worst_imag = max(worst_imag, abs(q.imag))
         if q.real < -bound or abs(q.imag) > bound:

@@ -25,7 +25,7 @@ from .core import (
 )
 from .exceptions import ConditioningError, ShapeMismatchError, ValidationError
 from .families import FunctionalFamily, SampleSet, family_from_descriptor
-from .frames import DualFrame, TruncatedFrame, frame_bounds_estimate
+from .frames import DualFrame, TruncatedFrame, _require_aligned, frame_bounds_estimate
 
 __all__ = [
     "LearningProblem",
@@ -42,25 +42,29 @@ __all__ = [
 ]
 
 
+def _check_damping(lam: float) -> None:
+    if not 0.0 < lam < math.inf:
+        raise ValidationError(f"damping weight must be finite and positive, got {lam}")
+
+
 @dataclass(frozen=True)
 class LearningProblem:
-    """The stacked frame, the applied-functional Gram
-    G_L[j,k] = L_{alpha_j}(K_k), the sample set, and the damping weight."""
+    """The stacked frame, a sample set aligned with its indices, and the
+    damping weight."""
 
     frame: TruncatedFrame
-    gram_l: np.ndarray = field(repr=False)
     samples: SampleSet
     lam: float
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ConditioningError(f"damping weight must be positive, got {self.lam}")
-        m = len(self.frame)
-        if self.gram_l.shape != (m, m):
-            raise ShapeMismatchError("gram size does not match section count")
-        scale = max(np.linalg.norm(self.gram_l), 1.0)
-        if np.linalg.norm(self.gram_l - self.gram_l.conj().T) > 1e-10 * scale:
-            raise ShapeMismatchError("applied-functional Gram is not Hermitian")
+        _check_damping(self.lam)
+        _require_aligned(self.samples, self.frame)
+
+    @property
+    def gram_l(self) -> np.ndarray:
+        """The applied-functional Gram G_L[j,k] = L_{alpha_j}(K_k) =
+        <K_k, K_j>, the conjugate of the frame's section Gram."""
+        return self.frame.gram.matrix.conj()
 
     @property
     def family(self) -> FunctionalFamily:
@@ -71,17 +75,15 @@ class LearningProblem:
         return self.samples.value_array()
 
 
-def learning_problem(
-    frame: TruncatedFrame,
-    samples: SampleSet,
-    lam: float,
-    gram_l: np.ndarray | None = None,
-) -> LearningProblem:
-    """Assemble a problem; G_L defaults to the conjugate of the frame's
-    section Gram (L_{alpha_j}(K_k) = <Psi_k, Psi_j>)."""
-    if gram_l is None:
-        gram_l = frame.gram.matrix.conj()
-    return LearningProblem(frame, np.asarray(gram_l, dtype=complex), samples, float(lam))
+def _misfits(problem: LearningProblem, f: GridFunction) -> np.ndarray:
+    """L_{alpha_j}(f) - xi_j for every sample, shape (k, out_dim)."""
+    applied = problem.family.apply_all(problem.samples.alphas, f)
+    return applied - problem.samples.values.reshape(applied.shape)
+
+
+def learning_problem(frame: TruncatedFrame, samples: SampleSet, lam: float) -> LearningProblem:
+    """The problem of the frame's sections, samples and damping weight."""
+    return LearningProblem(frame, samples, float(lam))
 
 
 @dataclass(frozen=True)
@@ -99,7 +101,8 @@ def regnet_solve(problem: LearningProblem) -> RepresenterSolution:
     xi = problem.values
     eta = solve_hermitian(g, xi)
     residual = float(np.linalg.norm(g @ eta - xi))
-    if residual > 1e-8 * max(np.linalg.norm(xi), 1e-300):
+    # written so that a NaN residual is refused too
+    if not residual <= 1e-8 * max(np.linalg.norm(xi), 1e-300):
         raise ConditioningError(f"solver residual {residual:.3e} exceeds tolerance")
     return RepresenterSolution(eta=eta, f0=problem.frame.synthesize(eta), residual=residual)
 
@@ -119,10 +122,7 @@ def objective_value(
         if eta is None:
             raise ShapeMismatchError("provide a grid function or span coefficients")
         f = problem.frame.synthesize(eta)
-    fam = problem.family
-    misfit = 0.0
-    for applied, value in zip(fam.apply_all(problem.samples.alphas, f), problem.samples.values):
-        misfit += float(np.sum(np.abs(np.atleast_1d(applied) - np.atleast_1d(value)) ** 2))
+    misfit = float(np.sum(np.abs(_misfits(problem, f)) ** 2))
     if eta is not None:
         h_norm_sq = float(np.real(np.conj(eta) @ problem.gram_l @ eta))
     else:
@@ -140,35 +140,22 @@ def interpolation_limit(problem: LearningProblem) -> float:
             min_eig=float(w[0]),
             max_eig=float(w[-1]),
         )
-    tiny = LearningProblem(problem.frame, problem.gram_l, problem.samples, 1e-12)
-    sol = regnet_solve(tiny)
-    fam = problem.family
-    worst = 0.0
-    for applied, value in zip(fam.apply_all(problem.samples.alphas, sol.f0), problem.samples.values):
-        worst = max(worst, float(np.linalg.norm(np.atleast_1d(applied) - np.atleast_1d(value))))
-    return worst
+    sol = regnet_solve(LearningProblem(problem.frame, problem.samples, 1e-12))
+    return float(np.max(np.linalg.norm(_misfits(problem, sol.f0), axis=1), initial=0.0))
 
 
 def sampling_operator(family: FunctionalFamily, indices: Sequence, f: GridFunction) -> SampleSet:
     """Apply each functional of the family to f, in index order."""
-    values = []
-    for applied in family.apply_all(indices, f):
-        applied = np.atleast_1d(applied)
-        values.append(complex(applied[0]) if applied.size == 1 else applied)
-    return SampleSet(family.descriptor(), tuple(indices), tuple(values))
+    return SampleSet(family.descriptor(), tuple(indices), family.apply_all(indices, f))
 
 
 def perturb_samples(samples: SampleSet, sigma: float, seed: int) -> SampleSet:
-    """Additive circular complex Gaussian noise on every sampled value."""
-    gen = rng(seed)
-    noisy = []
-    for v in samples.values:
-        arr = np.atleast_1d(np.asarray(v, dtype=complex))
-        noise = sigma * (gen.standard_normal(arr.shape) + 1j * gen.standard_normal(arr.shape))
-        noise /= math.sqrt(2.0)
-        out = arr + noise
-        noisy.append(complex(out[0]) if out.size == 1 else out)
-    return SampleSet(samples.family, samples.alphas, tuple(noisy))
+    """Additive circular complex Gaussian noise on every sampled value. The
+    draws run value by value, real parts then imaginary parts."""
+    v = samples.values
+    draws = rng(seed).standard_normal((v.shape[0], 2) + v.shape[1:])
+    noise = sigma * (draws[:, 0] + 1j * draws[:, 1]) / math.sqrt(2.0)
+    return SampleSet(samples.family, samples.alphas, v + noise)
 
 
 def reduced_space_minimize(
@@ -178,15 +165,13 @@ def reduced_space_minimize(
     loss: Callable | None = None,
     loss_grad: Callable | None = None,
     iters: int = 100_000,
-    step: float | None = None,
-    eta0: np.ndarray | None = None,
-    backtracking: bool = True,
 ) -> np.ndarray:
-    """Projected gradient descent over span coefficients.
+    """Projected gradient descent over span coefficients, from eta = 0.
 
     Minimizes loss(G_L eta - xi) + lam * Re(eta^H G_L eta); the default loss
-    is the squared norm. Backtracking halves the step until the objective
-    decreases, which keeps general convex losses safe.
+    is the squared norm. Each step starts at 1 / (2 (|G_L|_2 + lam)) and
+    backtracking halves it until the objective decreases, which keeps
+    general convex losses safe.
     """
     g = np.asarray(gram_l, dtype=complex)
     xi = np.asarray(xi, dtype=complex)
@@ -195,9 +180,9 @@ def reduced_space_minimize(
         loss_grad = lambda r: 2.0 * r  # noqa: E731
     if loss_grad is None:
         raise ShapeMismatchError("custom losses need an explicit gradient")
-    eta = np.zeros_like(xi) if eta0 is None else np.asarray(eta0, dtype=complex)
+    eta = np.zeros_like(xi)
     gnorm = float(np.linalg.norm(g, 2))
-    tau = step if step is not None else 1.0 / (2.0 * (gnorm + lam) + 1e-30)
+    tau = 1.0 / (2.0 * (gnorm + lam) + 1e-30)
 
     def objective(e):
         return loss(g @ e - xi) + lam * float(np.real(np.conj(e) @ g @ e))
@@ -213,7 +198,7 @@ def reduced_space_minimize(
         while True:
             trial = eta - t * grad
             val = objective(trial)
-            if val <= current or not backtracking or t < 1e-18:
+            if val <= current or t < 1e-18:
                 break
             t *= 0.5
         if val > current:
@@ -226,20 +211,11 @@ def reduced_space_minimize(
     return eta
 
 
-def tikhonov_operator_apply(
-    indices: Sequence,
-    lam: float,
-    samples: SampleSet,
-    frame: TruncatedFrame,
-    gram_l: np.ndarray | None = None,
-) -> GridFunction:
-    """Damped reconstruction from (possibly noisy) functional values; by the
-    representer structure this is the closed-form quadratic-loss solution on
-    the truncated index set."""
-    if list(indices) != list(samples.alphas):
-        raise ShapeMismatchError("indices and samples are misaligned")
-    problem = learning_problem(frame, samples, lam, gram_l=gram_l)
-    return regnet_solve(problem).f0
+def tikhonov_operator_apply(lam: float, samples: SampleSet, frame: TruncatedFrame) -> GridFunction:
+    """Damped reconstruction from (possibly noisy) functional values aligned
+    with the frame's indices; by the representer structure this is the
+    closed-form quadratic-loss solution on the truncated index set."""
+    return regnet_solve(learning_problem(frame, samples, lam)).f0
 
 
 def _quad_forms(m: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -309,8 +285,7 @@ def stability_reports(
     """
     m, trials = len(frame), int(trials)
     _check_sweep(trials, subset_sizes, m)
-    if not 0.0 < lam < math.inf:
-        raise ValidationError(f"damping weight must be finite and positive, got {lam}")
+    _check_damping(lam)
     g = frame.gram.matrix
     gl = g.conj()
     a_est, b_est = frame_bounds_estimate(frame)

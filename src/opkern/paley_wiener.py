@@ -54,9 +54,9 @@ def sinc_kernel(x, y):
     return np.sinc(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
 
 
-def pw_window(m_range: int, points_per_unit: int = 128, pad: int = 16) -> Grid:
-    """Evaluation window [-T, T] with T = m_range + pad."""
-    t = int(m_range) + int(pad)
+def pw_window(m_range: int, points_per_unit: int = 128) -> Grid:
+    """Evaluation window [-T, T] with T = m_range + 16, a truncation pad."""
+    t = int(m_range) + 16
     return Grid(-float(t), float(t), 2 * t * int(points_per_unit) + 1)
 
 
@@ -88,12 +88,14 @@ class BandlimitedSignal:
         object.__setattr__(self, "coeffs", c)
 
     @classmethod
-    def symmetric(cls, coeffs, window: Grid, dim: int = 1) -> "BandlimitedSignal":
+    def symmetric(cls, coeffs, window: Grid) -> "BandlimitedSignal":
+        """Coefficients centred on shift 0; shape (count,) is scalar and
+        (count, dim) vector-valued."""
         c = np.asarray(coeffs, dtype=complex)
         count = c.shape[0]
         if count % 2 == 0:
             raise ValidationError("symmetric coefficient array must have odd length")
-        return cls(coeffs=c, offset=-(count // 2), window=window, dim=dim)
+        return cls(coeffs=c, offset=-(count // 2), window=window, dim=1 if c.ndim == 1 else c.shape[1])
 
     @property
     def shifts(self) -> np.ndarray:
@@ -335,13 +337,11 @@ class ShiftedAverageCheck:
     argmin: float
 
 
-def shifted_average_frame_check(
-    u: GridFunction, c_floor: float, n_fine: int = 4097
-) -> ShiftedAverageCheck:
-    """For a single shifted average window u, checks |u^v| >= c_floor > 0 on
-    [-pi, pi]; this keeps the shifted features a frame whenever the bare
-    exponentials are one."""
-    t = np.linspace(-math.pi, math.pi, int(n_fine))
+def shifted_average_frame_check(u: GridFunction, c_floor: float) -> ShiftedAverageCheck:
+    """For a single shifted average window u, checks |u^v| >= c_floor > 0 at
+    4097 points of [-pi, pi]; this keeps the shifted features a frame
+    whenever the bare exponentials are one."""
+    t = np.linspace(-math.pi, math.pi, 4097)
     vals = np.abs(inverse_dft(u, t))
     i = int(np.argmin(vals))
     min_abs = float(vals[i])

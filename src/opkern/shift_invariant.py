@@ -103,8 +103,9 @@ class Generator:
         return fourier_sum(omega, self.phi.grid.points(), weighted).reshape(omega.shape)
 
 
-def make_generator(kind: str, h: float = 1.0 / 1024.0, j_trunc: int = 64) -> Generator:
-    """Named B-spline generator on an integer-aligned grid over its support."""
+def make_generator(kind: str, h: float = 1.0 / 1024.0) -> Generator:
+    """Named B-spline generator on an integer-aligned grid over its support,
+    periodized over |j| <= 64."""
     if kind not in _SPLINE_ORDERS:
         raise ValidationError(f"unknown generator {kind!r}; choose from {sorted(_SPLINE_ORDERS)}")
     order = _SPLINE_ORDERS[kind]
@@ -115,7 +116,7 @@ def make_generator(kind: str, h: float = 1.0 / 1024.0, j_trunc: int = 64) -> Gen
     return Generator(
         phi=GridFunction(grid, fn(grid.points()).astype(complex)),
         support_radius=radius,
-        j_trunc=int(j_trunc),
+        j_trunc=64,
         decay_order=order,
         name=kind,
         phi_fn=fn,
@@ -183,10 +184,11 @@ class DualGenerator:
     source: Generator = field(repr=False)
 
 
-def dual_generator(gen: Generator, k_max: int, xi_n: int = 2049) -> DualGenerator:
-    """Dual coefficients b_k = (1/2pi) int_{-pi}^{pi} exp(-i k xi)/bracket(xi)
-    and the synthesized dual on the generator grid extended by k_max."""
-    grid_xi = Grid(-math.pi, math.pi, int(xi_n))
+def dual_generator(gen: Generator, k_max: int) -> DualGenerator:
+    """Dual coefficients b_k = (1/2pi) int_{-pi}^{pi} exp(-i k xi)/bracket(xi),
+    by trapezoid quadrature on 2049 points, and the synthesized dual on the
+    generator grid extended by k_max."""
+    grid_xi = Grid(-math.pi, math.pi, 2049)
     xs = grid_xi.points()
     recip = 1.0 / bracket_function(gen, xs)
     weighted = recip * grid_xi.weights()
@@ -250,11 +252,11 @@ def si_functional_kernel(
     dual: DualGenerator,
     u: AverageFunctional,
     out_grid: Grid,
-    quad_n: int = 4097,
 ) -> KernelSection:
     """Kernel section of the average functional on the shift space:
-    K(u)(x) = sum_k (int u(t) conj(phi(t-k)) dt) phi~(x-k)."""
-    ks, c = _average_coefficients(gen, u, quad_n=quad_n)
+    K(u)(x) = sum_k (int u(t) conj(phi(t-k)) dt) phi~(x-k), each coefficient
+    by trapezoid quadrature on 4097 points of the support of u."""
+    ks, c = _average_coefficients(gen, u)
     vals = _shift_sum(gen, int(ks[0]) - dual.k_max, np.convolve(c, dual.b_coeffs), out_grid)
     return KernelSection(alpha=u.x, xi=np.array([1.0 + 0j]), h_repr=GridFunction(out_grid, vals))
 
@@ -343,22 +345,20 @@ def density_diagnostic(
     gen: Generator,
     u_family: Sequence[AverageFunctional],
     xi_grid: Grid,
-    j_trunc: int | None = None,
-    rel_cutoff: float = 1e-10,
 ) -> DensityReport:
     """Necessary-condition diagnostic for the functional family to span the
-    shift space: numerical rank and smallest singular value of the family
-    {g_u} on the frequency interval. A finite family can never certify
-    density; the report only refutes it (rank deficiency)."""
+    shift space: numerical rank (singular values above 1e-10 of the largest)
+    and smallest singular value of the family {g_u} on the frequency
+    interval, periodized over the generator's j_trunc. A finite family can
+    never certify density; the report only refutes it (rank deficiency)."""
     if not u_family:
         raise ShapeMismatchError("empty functional family")
-    j = gen.j_trunc if j_trunc is None else int(j_trunc)
     xs = xi_grid.points()
     sqw = np.sqrt(xi_grid.weights())
-    a = np.stack([_g_alpha_values(gen, u, xs, j) * sqw for u in u_family])
+    a = np.stack([_g_alpha_values(gen, u, xs, gen.j_trunc) * sqw for u in u_family])
     s = np.linalg.svd(a, compute_uv=False)
     smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > rel_cutoff * max(smax, 1e-300)))
+    rank = int(np.sum(s > 1e-10 * max(smax, 1e-300)))
     return DensityReport(
         rank=rank,
         smallest_singular=float(s[-1]) if s.size else 0.0,

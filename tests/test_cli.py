@@ -333,10 +333,12 @@ def test_missing_signal_exit_code(tmp_path):
 
 
 def test_conditioning_error_exit_code(signal_file, tmp_path, capsys):
+    # a repeated index makes G_L singular, and lambda 1e-14 leaves
+    # G_L + lambda I beyond the solver's 1e-12 conditioning floor
     problem = {
         "family": {"family": "average", "params": {"delta": 0.2}},
-        "indices": [0, 1],
-        "lambda": 0.0,  # refused: damping must be positive
+        "indices": [0, 0],
+        "lambda": 1e-14,
         "signal": json.loads(signal_file.read_text()),
     }
     ppath = tmp_path / "prob.json"
@@ -345,6 +347,51 @@ def test_conditioning_error_exit_code(signal_file, tmp_path, capsys):
     assert code == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConditioningError"
+
+
+def _regnet_problem(signal_file, **fields) -> dict:
+    problem = {
+        "family": {"family": "fourier", "params": {}},
+        "indices": [-1, 0, 1],
+        "lambda": 0.1,
+        "signal": json.loads(signal_file.read_text()),
+    }
+    problem.update(fields)
+    return problem
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"lambda": -1},
+        {"lambda": 0},
+        {"lambda": "nan"},
+        {"lambda": math.nan},
+        {"lambda": math.inf},
+        {"lambda": "1e400"},
+        {"signal": None, "samples": [[math.nan, 0], [0, 0], [1, 0]]},
+        {"noise": {"sigma": math.nan, "seed": 3}},
+    ],
+    ids=[
+        "lambda-negative", "lambda-zero", "lambda-nan-string", "lambda-nan", "lambda-infinity",
+        "lambda-overflow", "samples-nan", "noise-sigma-nan",
+    ],
+)
+def test_regnet_bad_inputs_are_refused(signal_file, tmp_path, capsys, fields):
+    """A lambda that is not finite and positive, a non-finite sample and
+    noise that makes one exit 2, with one JSON object on stderr, no numpy
+    warning and no report."""
+    ppath = tmp_path / "prob.json"
+    ppath.write_text(json.dumps(_regnet_problem(signal_file, **fields)))
+    if fields.get("lambda") == "1e400":  # a JSON number beyond float range, read as inf
+        ppath.write_text(ppath.read_text().replace('"1e400"', "1e400"))
+    code = main(["regnet", "--problem", str(ppath), "--grid-n", "129", "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert json.loads(err)["error"] == "ValidationError"
+    assert err.count("\n") == 1
+    assert not (tmp_path / "x.json").exists()
 
 
 @pytest.mark.parametrize("cutoff", ["1.5", "1.0"])
@@ -398,6 +445,22 @@ def test_linalg_error_exits_numerical(signal_file, tmp_path, capsys, monkeypatch
     assert code == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "LinAlgError"
+
+
+def test_tracer_runs_the_cli(tmp_path):
+    """perfbench/tracer.py looks each traced method up in its own class body
+    (each family's ``apply``); a method moved out of it would crash the
+    traced run."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    spans = tmp_path / "spans.json"
+    argv = ["gram", "--family", "fourier", "--indices=-2..2", "--grid-n", "65", "--out", str(tmp_path / "gram")]
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "tracer.py"), str(spans), *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(spans.read_text())["spans"]
 
 
 def test_cli_import_loads_no_scipy():

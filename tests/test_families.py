@@ -245,6 +245,39 @@ def test_sample_set_value_array_refuses_vector_values():
         ss.value_array()
 
 
+def test_sample_set_holds_one_array():
+    fam = PointEvaluationFamily()
+    scalar = SampleSet(fam.descriptor(), (0.0, 1.0), (1.0 + 2.0j, 3.0))
+    assert scalar.values.shape == (2,) and scalar.values.dtype == complex
+    assert scalar.value_array() is scalar.values
+    # a scalar family's (k, 1) output is stored as (k,)
+    column = SampleSet(fam.descriptor(), (0.0, 1.0), np.array([[1.0 + 2.0j], [3.0]]))
+    assert np.array_equal(column.values, scalar.values)
+    assert column.to_json() == scalar.to_json()
+    assert scalar.to_json()["entries"][0]["value"] == [1.0, 2.0]
+    vector = SampleSet(fam.descriptor(), (0.0, 1.0), (np.array([1, 2]), np.array([3, 4j])))
+    assert vector.values.shape == (2, 2)
+    assert vector.to_json()["entries"][1]["value"] == [[3.0, 0.0], [0.0, 4.0]]
+    assert np.array_equal(SampleSet.from_json(vector.to_json()).values, vector.values)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        (1.0 + 0j, np.array([1.0, 2.0])),
+        (np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0])),
+        (complex(math.nan, 0.0), 0j),
+        (0j, complex(0.0, math.inf)),
+        (np.array([0j, 0j]), np.array([0j, -math.inf])),
+        (0j,),
+    ],
+    ids=["scalar-and-vector", "vectors-of-two-lengths", "nan", "inf", "vector-inf", "length-mismatch"],
+)
+def test_sample_set_refuses_ragged_and_nonfinite_values(values):
+    with pytest.raises(ValidationError):
+        SampleSet(PointEvaluationFamily().descriptor(), (0.0, 1.0), values)
+
+
 def test_sample_set_point_inner_roundtrip():
     fam = PointInnerFamily()
     alpha = (0.5, np.array([1.0 + 0j, -1j]))
@@ -256,6 +289,31 @@ def test_sample_set_point_inner_roundtrip():
 
 
 # ------------------------------------------------------- cubic interpolation
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=200),
+    st.floats(min_value=-50.0, max_value=50.0),
+    st.floats(min_value=1e-2, max_value=50.0),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=20),
+    st.sampled_from(["cubic", "linear"]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_point_families_apply_all_equal_per_point_interpolation(n, a, width, dim, k, interp, seed):
+    """One interpolation call for all points gives, bit for bit, what one
+    ``interpolate_values`` call per point gives, grid ends included."""
+    gen = np.random.default_rng(seed)
+    g = Grid(a, a + width, n)
+    f = GridFunction(g, gen.standard_normal((n, dim)) + 1j * gen.standard_normal((n, dim)))
+    pts = np.concatenate(([g.a, g.b], gen.uniform(g.a, g.b, k)))
+    gen.shuffle(pts)
+    want = np.array([interpolate_values(f, np.array([x]), method=interp)[0] for x in pts])
+    assert np.array_equal(PointEvaluationFamily(interp).apply_all(list(pts), f), want)
+    xis = gen.standard_normal((pts.size, dim)) + 1j * gen.standard_normal((pts.size, dim))
+    want_inner = np.array([[np.sum(fx * np.conj(xi))] for fx, xi in zip(want, xis)])
+    assert np.array_equal(PointInnerFamily(interp).apply_all(list(zip(pts, xis)), f), want_inner)
+
 
 @settings(max_examples=60, deadline=None)
 @given(

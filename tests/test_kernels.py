@@ -152,6 +152,35 @@ def test_psd_check_examples():
     assert not bad.passed
 
 
+def _pairwise_gram(sections, family):
+    """F[j, k] = <L_{alpha_k}(K_j), xi_k> by one ``apply`` per pair, symmetrized."""
+    m = np.array([[np.sum(family.apply(sk.alpha, sj.h_repr) * np.conj(sk.xi)) for sk in sections]
+                  for sj in sections])
+    return (m + m.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("kind", ["fourier", "point", "average"])
+def test_gram_applies_each_section_once(kind, monkeypatch):
+    from section_oracle import average_sections, sinc_sections
+
+    if kind == "fourier":
+        secs = _fourier_sections(range(-4, 5), Grid(0.0, TWO_PI, 257))
+        family = FourierCoefficientFamily()
+    elif kind == "point":
+        secs = sinc_sections([-1.5, -0.25, 0.0, 0.75, 2.0], Grid(-24.0, 24.0, 1537))
+        family = PointEvaluationFamily()
+    else:
+        secs = average_sections([-2.0, -0.5, 0.0, 1.0, 2.5], 0.2, Grid(-12.0, 12.0, 769), w_grid_default(1025))
+        family = AverageSamplingFamily(delta=0.2)
+    want = _pairwise_gram(secs, family)
+    calls = []
+    apply_all = type(family).apply_all
+    monkeypatch.setattr(type(family), "apply_all", lambda self, *a: calls.append(1) or apply_all(self, *a))
+    got = gram(secs, family).matrix
+    assert len(calls) == len(secs)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_gram_functional_vs_feature_routes_agree():
     grid = Grid(0.0, TWO_PI, 257)
     secs = _fourier_sections(range(-3, 4), grid)
