@@ -23,7 +23,7 @@ from . import __version__
 from .core import Grid, GridFunction, rng, uniform_fourier_sum
 from .exceptions import ConditioningError, OpkernError, ValidationError
 from .families import AverageSamplingFamily, FourierCoefficientFamily
-from .frames import dual_frame, interior_relative_error, reconstruct, stacked_frame
+from .frames import TruncatedFrame, dual_frame, interior_relative_error, reconstruct, stacked_frame
 from .kernels import GramMatrix, feature_gram, psd_check
 from .learning import (
     learning_problem,
@@ -66,10 +66,6 @@ def _fmt(x: float) -> str:
     return FMT % x
 
 
-def _fmt_complex(z: complex) -> str:
-    return f"{_fmt(z.real)}{'+' if z.imag >= 0 else '-'}{_fmt(abs(z.imag))}j"
-
-
 def _write_json(path: Path, obj) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
@@ -85,25 +81,49 @@ def _write_manifest(prefix: Path, command: str, config: dict) -> None:
 
 
 def _write_gram_csv(path: Path, g: GramMatrix) -> None:
+    """Entries as re+|im|j, or re-|im|j when im < 0 (so -0.0 takes "+"),
+    each row rendered by one template."""
     path.parent.mkdir(parents=True, exist_ok=True)
     labels = [str(a) for a, _ in g.indices]
+    m = g.matrix
+    cells = np.empty(m.shape + (3,), dtype=object)
+    cells[..., 0] = m.real
+    cells[..., 1] = np.where(m.imag >= 0, "+", "-")
+    cells[..., 2] = np.abs(m.imag)
+    row = ",".join([FMT + "%s" + FMT + "j"] * m.shape[1])
     lines = ["index," + ",".join(labels)]
-    for lab, row in zip(labels, g.matrix):
-        lines.append(lab + "," + ",".join(_fmt_complex(z) for z in row))
+    lines += [lab + "," + row % tuple(r) for lab, r in zip(labels, cells.reshape(m.shape[0], -1).tolist())]
     path.write_text("\n".join(lines) + "\n")
 
 
 def _write_function_csv(path: Path, f: GridFunction) -> None:
+    """x, then re and im of each component, one template per row."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    x = f.grid.points()
+    cols = [f.grid.points()] + [part for z in f.values.T for part in (z.real, z.imag)]
+    row = ",".join([FMT] * len(cols))
     lines = ["x," + ",".join(f"re{l},im{l}" for l in range(f.dim))]
-    for i in range(f.grid.n):
-        cells = [_fmt(x[i])]
-        for l in range(f.dim):
-            z = f.values[i, l]
-            cells += [_fmt(z.real), _fmt(z.imag)]
-        lines.append(",".join(cells))
+    lines += [row % r for r in zip(*(c.tolist() for c in cols))]
     path.write_text("\n".join(lines) + "\n")
+
+
+#: one [re, im] pair of a .function.json as json.dump(indent=2) lays it out
+_JSON_PAIR = "    [\n      %r,\n      %r\n    ]"
+
+
+def _write_function_json(path: Path, f: GridFunction) -> None:
+    """The bytes of _write_json(path, f.to_json()), each [re, im] pair
+    rendered by one template. json writes NaN and Infinity where %r writes
+    nan and inf, so a function with a non-finite value goes through json."""
+    if not np.all(np.isfinite(f.values)):
+        _write_json(path, f.to_json())
+        return
+    head, tail = json.dumps(
+        {"a": f.grid.a, "b": f.grid.b, "dim": f.dim, "values": []}, indent=2, sort_keys=True
+    ).split("[]")
+    flat = f.values.T.reshape(-1)
+    body = ",\n".join(_JSON_PAIR % pair for pair in zip(flat.real.tolist(), flat.imag.tolist()))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(head + "[\n" + body + "\n  ]" + tail + "\n")
 
 
 def _parse_indices(text: str) -> list:
@@ -178,17 +198,28 @@ def _fourier_signal(signal: BandlimitedSignal, grid: Grid) -> GridFunction:
     return GridFunction(grid, vals / math.sqrt(2.0 * math.pi))
 
 
-def _fourier_sections(indices, grid: Grid):
-    """The frame of the basis K(j) = exp(i j x)/sqrt(2pi), its own feature
-    vector, filled one row at a time."""
+def _fourier_sections(indices, grid: Grid) -> TruncatedFrame:
+    """The frame of the basis K(j) = exp(i j x)/sqrt(2pi) on [0, 2pi], its
+    own feature vector. With p = n - 1 equal steps, exp(i j x_k) =
+    omega^(jk mod p) for omega = exp(2 pi i/p), so each row is read from one
+    table of roots of unity, and the trapezoid Gram is exactly 1 where
+    j = k mod p and 0 elsewhere (the periodic trapezoid rule). Indices are
+    reduced mod p as Python ints first, so none overflows."""
     _check_stack(len(indices), grid.n)
     indices = [int(j) for j in indices]
-    x = grid.points()
+    p = grid.n - 1
+    r = np.array([j % p for j in indices], dtype=np.int64)
+    roots = np.exp(2j * math.pi * np.arange(p) / p) / math.sqrt(2.0 * math.pi)
+    k = np.arange(grid.n)
     h = np.empty((len(indices), grid.n), dtype=complex)
-    for row, j in zip(h, indices):
-        np.exp(1j * j * x, out=row)
-    h /= math.sqrt(2.0 * math.pi)
-    return stacked_frame(indices, h, grid, h, grid)
+    for row, rj in zip(h, r):
+        np.take(roots, (rj * k) % p, out=row)
+    gram = GramMatrix(
+        matrix=(r[:, None] == r[None, :]).astype(complex),
+        indices=tuple((j, np.ones(1, dtype=complex)) for j in indices),
+        asymmetry=0.0,
+    )
+    return TruncatedFrame(alphas=tuple(indices), h=h, h_grid=grid, gram=gram)
 
 
 def _sinc_point_sections(points, window_grid: Grid, w_n: int):
@@ -286,7 +317,7 @@ def _cmd_reconstruct(args, config: dict) -> int:
     f_hat = reconstruct(dual, sampling_operator(family, indices, f_grid))
     err = interior_relative_error(f_hat, f_grid, window=window)
     _write_function_csv(prefix.with_suffix(".csv"), f_hat)
-    _write_json(prefix.with_suffix(".function.json"), f_hat.to_json())
+    _write_function_json(prefix.with_suffix(".function.json"), f_hat)
     _write_json(
         prefix.with_suffix(".json"),
         {

@@ -337,7 +337,9 @@ class FourierCoefficientFamily(FunctionalFamily):
     def apply_all(self, alphas, f: GridFunction) -> np.ndarray:
         """Every coefficient from one chirp-z sum over the integer span
         min(j)..max(j), shape (len(alphas), dim); a span beyond
-        MAX_GRID_POINTS is refused before anything is allocated."""
+        MAX_GRID_POINTS is refused before anything is allocated. On the
+        grid [0, 2pi] exactly, the trapezoid sum is (n - 1)-periodic in j,
+        so a span wider than n - 1 is first reduced mod n - 1."""
         if not f.grid.spans(self.a, self.b) or abs(f.grid.a - self.a) > 1e-9 or abs(f.grid.b - self.b) > 1e-9:
             raise DomainError("fourier coefficients expect functions on the family interval")
         js = [int(a) for a in alphas]
@@ -347,6 +349,11 @@ class FourierCoefficientFamily(FunctionalFamily):
         span = max(js) - lo + 1
         if span > MAX_GRID_POINTS:
             raise ValidationError(f"coefficient indices span {span} integers, beyond the cap of {MAX_GRID_POINTS}")
+        p = f.grid.n - 1
+        if span > p and f.grid.a == 0.0 and f.grid.b == TWO_PI:
+            js = [j % p for j in js]
+            lo = min(js)
+            span = max(js) - lo + 1
         weighted = f.values * f.grid.weights()[:, None]
         coeffs = uniform_fourier_sum(lo, 1.0, span, f.grid.a, f.grid.h, weighted)
         return coeffs[[j - lo for j in js]] / math.sqrt(TWO_PI)

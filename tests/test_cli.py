@@ -8,8 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from opkern import cli
 from opkern.cli import main
+from opkern.core import Grid, GridFunction
+from opkern.kernels import GramMatrix, feature_gram
 from opkern.families import SampleSet
 from opkern.paley_wiener import BandlimitedSignal, pw_window
 
@@ -128,10 +133,11 @@ def test_reconstruct_fourier_holds_one_stack(tmp_path):
 )
 def test_stacked_frames_match_section_oracle(family, profile):
     """The CLI's stacked frames against truncated_frame of the per-section
-    oracle lists. The Fourier basis and the sinc points are the same
-    arithmetic row by row, so they agree bit for bit; the average oracle
-    takes each centre's own transform and a dense synthesis sum, so it agrees
-    at round-off."""
+    oracle lists. The sinc points are the same arithmetic row by row, so they
+    agree bit for bit. The average oracle takes each centre's own transform
+    and a dense synthesis sum, and the Fourier oracle takes np.exp of each
+    row where the frame reads a table of roots of unity and writes its Gram
+    in closed form, so both agree at round-off."""
     from opkern import cli
     from opkern.frames import truncated_frame
     from opkern.paley_wiener import w_grid_default
@@ -157,10 +163,153 @@ def test_stacked_frames_match_section_oracle(family, profile):
         assert np.max(np.abs(frame.h - oracle.h)) <= 1e-14 * np.max(np.abs(oracle.h))
         assert np.max(np.abs(frame.gram.matrix - oracle.gram.matrix)) <= 1e-15
         assert max(frame.gram.asymmetry, oracle.gram.asymmetry) <= 1e-15
+    elif family == "fourier":
+        assert np.max(np.abs(frame.h - oracle.h)) <= 1e-14 * np.max(np.abs(oracle.h))
+        assert np.max(np.abs(frame.gram.matrix - oracle.gram.matrix)) <= 1e-15
+        assert frame.gram.asymmetry == 0.0
     else:
         assert np.array_equal(frame.h, oracle.h)
         assert np.array_equal(frame.gram.matrix, oracle.gram.matrix)
         assert frame.gram.asymmetry == oracle.gram.asymmetry
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.integers(min_value=-60, max_value=60), min_size=1, max_size=24),
+    st.integers(min_value=2, max_value=64),
+)
+@example([0, 8, 16, 3], 9)
+@example([5, -3, 5, 0, 1], 2)
+def test_fourier_frame_gram_matches_feature_gram_of_the_oracle(indices, n):
+    """The closed-form Gram, 1 where j = k mod (n - 1) and 0 elsewhere, is
+    the trapezoid Gram of the np.exp oracle stack, for unsorted, repeated,
+    negative and aliasing index lists."""
+    from section_oracle import fourier_sections
+
+    grid = cli._fourier_grid(n)
+    frame = cli._fourier_sections(indices, grid)
+    oracle = np.stack([s.h_repr.values[:, 0] for s in fourier_sections(indices, grid)])
+    assert frame.alphas == tuple(indices)
+    assert np.max(np.abs(frame.gram.matrix - feature_gram(oracle, grid))) <= 1e-13
+    assert frame.gram.asymmetry == 0.0
+
+
+def test_fourier_sections_match_a_long_double_reference():
+    """Rows read from the table of roots of unity against exp(i j x) in long
+    double; np.exp(1j*j*x) in double misses it by about 5e-14 here."""
+    grid = cli._fourier_grid(4097)
+    indices = list(range(-128, 129))
+    h = cli._fourier_sections(indices, grid).h[:, :, 0]
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    x = 2 * pi * np.arange(grid.n, dtype=np.longdouble) / (grid.n - 1)
+    phase = np.array(indices, dtype=np.longdouble)[:, None] * x
+    norm = np.sqrt(2 * pi)
+    assert np.max(np.abs(h.real - np.cos(phase) / norm)) <= 2e-15
+    assert np.max(np.abs(h.imag - np.sin(phase) / norm)) <= 2e-15
+
+
+def test_gram_fourier_index_beyond_int64_is_reduced(tmp_path):
+    """An index beyond int64 is reduced mod n - 1 before any numpy product;
+    its Gram row is the row of its residue, and off-residue entries are
+    exact zeros."""
+    big = 2**70
+    residue = big % 512  # the default --grid-n 513
+    rows = {}
+    for name, indices in (("big", f"0,3,{big}"), ("residue", f"0,3,{residue}")):
+        assert main(["gram", "--family", "fourier", f"--indices={indices}", "--out", str(tmp_path / name)]) == 0
+        lines = (tmp_path / f"{name}.csv").read_text().splitlines()
+        assert lines[0] == f"index,{indices}"
+        rows[name] = [line.split(",", 1)[1] for line in lines[1:]]
+    assert rows["big"] == rows["residue"]
+    assert rows["big"][0] == "1+0j,0+0j,1+0j"
+
+
+def _old_function_csv(f: GridFunction) -> str:
+    """The per-cell writer the row template replaced."""
+    x = f.grid.points()
+    lines = ["x," + ",".join(f"re{l},im{l}" for l in range(f.dim))]
+    for i in range(f.grid.n):
+        cells = [cli.FMT % x[i]]
+        for l in range(f.dim):
+            z = f.values[i, l]
+            cells += [cli.FMT % z.real, cli.FMT % z.imag]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _old_gram_csv(g: GramMatrix) -> str:
+    """The per-entry writer the row template replaced."""
+
+    def fmt_complex(z):
+        return f"{cli.FMT % z.real}{'+' if z.imag >= 0 else '-'}{cli.FMT % abs(z.imag)}j"
+
+    labels = [str(a) for a, _ in g.indices]
+    lines = ["index," + ",".join(labels)]
+    for lab, row in zip(labels, g.matrix):
+        lines.append(lab + "," + ",".join(fmt_complex(z) for z in row))
+    return "\n".join(lines) + "\n"
+
+
+_SPECIAL = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e308, -1e308, 1 / 3, -2.5e-7])
+_VALUE = st.one_of(_SPECIAL, st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.integers(min_value=2, max_value=300),
+    st.integers(min_value=1, max_value=3),
+    st.lists(_VALUE, min_size=1, max_size=12),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.booleans(),
+)
+@example(2, 1, [-0.0, 5e-324, 1e16, 1e308], 0, False)
+@example(5, 2, [math.nan, -0.0], 1, True)
+def test_function_writers_keep_the_old_bytes(tmp_path, n, dim, specials, seed, with_nan):
+    """Row templates write the bytes of the per-cell CSV loop and of
+    json.dump(f.to_json(), indent=2, sort_keys=True); a NaN takes the
+    json.dump route, which writes NaN where %r would write nan."""
+    gen = np.random.default_rng(seed)
+    v = gen.standard_normal((n, dim)) + 1j * gen.standard_normal((n, dim))
+    pos = gen.integers(0, 2 * n * dim, size=len(specials))
+    flat = v.reshape(-1).view(float)
+    flat[pos] = specials
+    if with_nan:
+        flat[gen.integers(0, flat.size)] = math.nan
+    f = GridFunction(Grid(-1.5, 2.25, n), v)
+    cli._write_function_csv(tmp_path / "f.csv", f)
+    assert (tmp_path / "f.csv").read_text() == _old_function_csv(f)
+    cli._write_function_json(tmp_path / "f.function.json", f)
+    assert (tmp_path / "f.function.json").read_text() == json.dumps(f.to_json(), indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.integers(min_value=1, max_value=20),
+    st.lists(_SPECIAL, min_size=1, max_size=8),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_gram_csv_keeps_the_old_bytes(tmp_path, m, specials, seed):
+    """One template per row, with the old sign rule: "+" when imag >= 0,
+    which includes -0.0, then |imag|."""
+    gen = np.random.default_rng(seed)
+    a = gen.standard_normal((m, m)) + 1j * gen.standard_normal((m, m))
+    flat = a.reshape(-1).view(float)
+    flat[gen.integers(0, flat.size, size=len(specials))] = specials
+    g = GramMatrix(matrix=a, indices=tuple((j - m // 2, None) for j in range(m)))
+    cli._write_gram_csv(tmp_path / "g.csv", g)
+    assert (tmp_path / "g.csv").read_text() == _old_gram_csv(g)
+
+
+@pytest.mark.parametrize(
+    "family,indices",
+    [("fourier", "-6..6"), ("fourier", "0,8,16,3"), ("average", "-3..3"), ("point", "-3..3")],
+)
+def test_gram_csv_of_each_family_keeps_the_old_bytes(tmp_path, family, indices):
+    argv = ["gram", "--family", family, f"--indices={indices}", "--grid-n", "9", "--m", "3", "--w-n", "257"]
+    assert main([*argv, "--points-per-unit", "8", "--out", str(tmp_path / "g")]) == 0
+    args = cli.build_parser().parse_args([*argv, "--points-per-unit", "8"])
+    frame = cli._sections_for_family(args, cli._window_grid(args))
+    assert (tmp_path / "g.csv").read_text() == _old_gram_csv(frame.gram)
 
 
 def test_fourier_indices_beyond_the_span_cap_are_refused(signal_file, tmp_path, capsys):

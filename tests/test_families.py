@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
-from opkern.core import Grid, GridFunction, integrate_values
+from opkern.core import Grid, GridFunction, integrate_values, uniform_fourier_sum
 from opkern.exceptions import DomainError, ShapeMismatchError, ValidationError
 from opkern.families import (
     AverageFunctional,
@@ -194,6 +194,34 @@ def test_fourier_apply_all_refuses_wide_span_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_fourier_apply_all_reduces_a_sparse_wide_span_on_the_periodic_grid():
+    """On [0, 2pi] the trapezoid sum is (n - 1)-periodic in j, so two
+    indices 2**20 - 1 apart take one chirp-z sum of at most n - 1 points
+    instead of one over the whole span (176 MiB before)."""
+    import tracemalloc
+
+    n = 4097
+    g = Grid(0.0, TWO_PI, n)
+    gen = np.random.default_rng(7)
+    f = GridFunction(g, gen.standard_normal((n, 1)) + 1j * gen.standard_normal((n, 1)))
+    indices = [0, 2**20 - 1]
+    fam = FourierCoefficientFamily()
+    tracemalloc.start()
+    try:
+        got = fam.apply_all(indices, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    want = np.stack([_per_index_fourier_coefficient(j, f) for j in indices])
+    scale = np.sum(np.abs(f.values) * g.weights()[:, None], axis=0) / math.sqrt(TWO_PI)
+    assert np.all(np.abs(got - want) <= 1e-11 * scale)
+    # a span of at most n - 1 keeps the unreduced sum, bit for bit
+    weighted = f.values * g.weights()[:, None]
+    direct = uniform_fourier_sum(-128, 1.0, 257, g.a, g.h, weighted) / math.sqrt(TWO_PI)
+    assert np.array_equal(fam.apply_all(range(-128, 129), f), direct)
 
 
 def test_average_functional_mass_check_resolves_the_centre():

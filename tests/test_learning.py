@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import LinearOperator, cg
 
 from opkern.core import Grid, GridFunction, complex_unit_disc, norm, rng
-from opkern.exceptions import AlignmentError, ConditioningError, ValidationError
+from opkern.exceptions import AlignmentError, ConditioningError, ShapeMismatchError, ValidationError
 from opkern.families import (
     AverageSamplingFamily,
     FourierCoefficientFamily,
@@ -86,6 +86,56 @@ def test_regnet_matches_gradient_descent_oracle():
     j_direct = objective_value(prob, eta=sol.eta)
     j_gd = objective_value(prob, eta=eta_gd)
     assert abs(j_direct - j_gd) <= 1e-5 * max(j_gd, 1e-12)
+
+
+def test_reduced_space_minimize_explicit_squared_loss_matches_the_default():
+    """The custom-loss route, given the squared loss and its gradient, runs
+    the default route's iteration."""
+    gen = rng(1)
+    prob = _average_problem([-1.0, 0.0, 1.0, 2.0, 3.0], complex_unit_disc(gen, 5), lam=0.1)
+    calls = []
+
+    def loss(r):
+        calls.append(1)
+        return float(np.sum(np.abs(r) ** 2))
+
+    eta = reduced_space_minimize(prob.gram_l, prob.values, prob.lam, loss=loss, loss_grad=lambda r: 2.0 * r)
+    assert calls
+    assert np.max(np.abs(eta - reduced_space_minimize(prob.gram_l, prob.values, prob.lam))) <= 1e-10
+
+
+def test_reduced_space_minimize_converges_on_a_huber_loss():
+    """Huber loss, |r|^2 up to |r| = d and 2d|r| - d^2 beyond, with most
+    residuals in the linear zone at the minimizer. The objective is
+    lam min eig(G_L)-strongly convex, so a small gradient bounds the
+    distance to the minimizer. The loop stops on its objective-progress rule
+    (relative 1e-15), which leaves the gradient near sqrt(eps) |xi| (1.7e-7
+    here), not at its 1e-13 |xi| gradient threshold."""
+    gen = rng(1)
+    prob = _average_problem([-1.0, 0.0, 1.0, 2.0, 3.0], 10.0 * complex_unit_disc(gen, 5), lam=0.1)
+    g, xi, lam, d = prob.gram_l, prob.values, prob.lam, 0.5
+
+    def huber(r):
+        t = np.abs(r)
+        return float(np.sum(np.where(t <= d, t**2, 2.0 * d * t - d * d)))
+
+    def huber_grad(r):
+        t = np.abs(r)
+        return np.where(t <= d, 2.0 * r, 2.0 * d * r / np.maximum(t, d))
+
+    def grad(e):
+        return 0.5 * (g.conj().T @ huber_grad(g @ e - xi)) + lam * (g @ e)
+
+    eta = reduced_space_minimize(g, xi, lam, loss=huber, loss_grad=huber_grad)
+    assert np.sum(np.abs(g @ eta - xi) > d) >= 3
+    # |eta - eta*| <= |grad| / (lam min eig(G_L)), about 2e-6 here
+    assert np.linalg.norm(grad(eta)) <= 1e-7 * np.linalg.norm(xi)
+
+
+def test_reduced_space_minimize_refuses_a_loss_without_its_gradient():
+    prob = _fourier_problem([0, 1], [1.0 + 0j, 0.5j], lam=0.1)
+    with pytest.raises(ShapeMismatchError):
+        reduced_space_minimize(prob.gram_l, prob.values, prob.lam, loss=lambda r: float(np.sum(np.abs(r))))
 
 
 def test_regnet_f0_matches_per_section_sum():
