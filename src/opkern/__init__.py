@@ -43,7 +43,6 @@ from .families import (  # noqa: F401
 from .kernels import (  # noqa: F401
     FeatureMap,
     GramMatrix,
-    KernelSection,
     feature_gram,
     finite_dim_kernel,
     gram,
@@ -63,7 +62,6 @@ from .frames import (  # noqa: F401
     interior_relative_error,
     reconstruct,
     stacked_frame,
-    truncated_frame,
 )
 from .learning import (  # noqa: F401
     LearningProblem,

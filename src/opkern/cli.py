@@ -84,7 +84,7 @@ def _write_gram_csv(path: Path, g: GramMatrix) -> None:
     """Entries as re+|im|j, or re-|im|j when im < 0 (so -0.0 takes "+"),
     each row rendered by one template."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    labels = [str(a) for a, _ in g.indices]
+    labels = [str(a) for a in g.indices]
     m = g.matrix
     cells = np.empty(m.shape + (3,), dtype=object)
     cells[..., 0] = m.real
@@ -216,7 +216,7 @@ def _fourier_sections(indices, grid: Grid) -> TruncatedFrame:
         np.take(roots, (rj * k) % p, out=row)
     gram = GramMatrix(
         matrix=(r[:, None] == r[None, :]).astype(complex),
-        indices=tuple((j, np.ones(1, dtype=complex)) for j in indices),
+        indices=tuple(indices),
         asymmetry=0.0,
     )
     return TruncatedFrame(alphas=tuple(indices), h=h, h_grid=grid, gram=gram)

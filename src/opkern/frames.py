@@ -1,5 +1,6 @@
 """Frame operator, dual kernel sections, and reconstruction from functional
-values for truncated kernel families.
+values for truncated kernel families, held as the ``TruncatedFrame`` stacks
+that the kernel constructions return.
 
 The dual of the infinite family is not computable at desk scale; this module
 computes the canonical dual of the truncated family through the Gram
@@ -11,20 +12,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .core import Grid, GridFunction, norm, pseudoinverse, restrict
+from .core import GridFunction, norm, pseudoinverse, restrict
 from .exceptions import AlignmentError, DegenerateFrameError, ShapeMismatchError
 from .families import SampleSet
-from .kernels import GramMatrix, KernelSection, _hermitian_gram, _stack_values
+from .kernels import TruncatedFrame, stacked_frame
 
 __all__ = [
     "TruncatedFrame",
     "DualFrame",
     "stacked_frame",
-    "truncated_frame",
     "frame_operator_apply",
     "dual_frame",
     "reconstruct",
@@ -32,60 +31,6 @@ __all__ = [
     "dual_inner_product",
     "interior_relative_error",
 ]
-
-
-@dataclass(frozen=True)
-class TruncatedFrame:
-    """A finite kernel family stacked once: h[j] holds the grid values of
-    section K_j on h_grid, gram the section Gram. A stack of shape (m, n)
-    is read as m scalar sections."""
-
-    alphas: tuple
-    h: np.ndarray = field(repr=False)
-    h_grid: Grid
-    gram: GramMatrix
-
-    def __post_init__(self):
-        if self.h.ndim == 2:
-            object.__setattr__(self, "h", self.h[:, :, None])
-        if not np.all(np.isfinite(self.h)):
-            raise ShapeMismatchError("kernel section contains non-finite values")
-
-    def __len__(self) -> int:
-        return self.h.shape[0]
-
-    def synthesize(self, c) -> GridFunction:
-        """sum_j c_j K_j, one product over the stacked sections."""
-        c = np.asarray(c, dtype=complex)
-        if c.shape != (len(self),):
-            raise ShapeMismatchError(f"expected {len(self)} coefficients, got shape {c.shape}")
-        return GridFunction(self.h_grid, np.tensordot(c, self.h, axes=1))
-
-
-def stacked_frame(alphas, h: np.ndarray, h_grid: Grid, w: np.ndarray, w_grid: Grid) -> TruncatedFrame:
-    """The frame of scalar sections h[j] on h_grid with feature vectors w[j]
-    on w_grid; the Gram is the exact Gram of the features, hence positive
-    semi-definite."""
-    alphas = tuple(alphas)
-    gram = _hermitian_gram(w, w_grid, tuple((a, np.ones(1, dtype=complex)) for a in alphas))
-    return TruncatedFrame(alphas=alphas, h=h, h_grid=h_grid, gram=gram)
-
-
-def truncated_frame(sections: Sequence[KernelSection]) -> TruncatedFrame:
-    """Stack single sections into a frame.
-
-    The Gram comes from the sections' feature vectors when every section
-    carries one (exact on the frequency side, no window truncation), else
-    from the grid inner products of the sections themselves. Either way it
-    is an exact Gram of discretized vectors, hence positive semi-definite.
-    """
-    h, h_grid = _stack_values([s.h_repr for s in sections])
-    if all(s.w_repr is not None for s in sections):
-        w, w_grid = _stack_values([s.w_repr for s in sections])
-    else:
-        w, w_grid = h, h_grid
-    gram = _hermitian_gram(w, w_grid, tuple((s.alpha, s.xi) for s in sections))
-    return TruncatedFrame(alphas=tuple(s.alpha for s in sections), h=h, h_grid=h_grid, gram=gram)
 
 
 def frame_operator_apply(frame: TruncatedFrame, f: GridFunction) -> GridFunction:

@@ -2,10 +2,12 @@
 
 A kernel section K(alpha)xi is the element of the sample space that
 reproduces the functional with index alpha against the output-space vector
-xi. Sections are built either from a feature-map pair (phi for points, psi
-for the functional family) or from concrete constructions in the companion
-modules. Grams of sections are Hermitian positive semi-definite; this module
-assembles them, symmetrizes with a reported asymmetry, and checks positivity.
+xi. A finite family of sections is held as one ``TruncatedFrame``: the
+sections stacked on one grid, with their Gram. Frames are built either from
+a feature-map pair (phi for points, psi for the functional family) or from
+concrete constructions in the companion modules. Grams of sections are
+Hermitian positive semi-definite; this module assembles them, symmetrizes
+with a reported asymmetry, and checks positivity.
 """
 
 from __future__ import annotations
@@ -22,24 +24,24 @@ from .core import (
     complex_unit_disc,
     fourier_sum,
     hermitian_eig,
-    inner_product,
     integrate_values,
     rng,
-    solve_hermitian,
     uniform_fourier_sum,
 )
 from .exceptions import (
     IndependenceError,
     KernelConsistencyError,
     ShapeMismatchError,
+    ValidationError,
 )
 from .families import FunctionalFamily
 
 __all__ = [
     "FeatureMap",
-    "KernelSection",
     "GramMatrix",
     "PsdReport",
+    "TruncatedFrame",
+    "stacked_frame",
     "kernel_from_features",
     "gram",
     "feature_gram",
@@ -66,16 +68,14 @@ class FeatureMap:
     dim_y: int
     evaluate: Callable
 
-    def __call__(self, alpha, xi=None) -> GridFunction:
-        if xi is None:
-            xi = np.ones(self.dim_y, dtype=complex) if self.dim_y > 1 else np.array([1.0 + 0j])
-        return self.evaluate(alpha, np.asarray(xi, dtype=complex))
-
 
 def check_feature_linearity(fm: FeatureMap, alphas: Sequence, seed: int = 0) -> float:
     """Max deviation of Phi(alpha)(xi+eta) from Phi(alpha)xi + Phi(alpha)eta
     over random xi, eta draws, refused above 1e-10; used to validate
     user-supplied feature rules."""
+    alphas = list(alphas)
+    if not alphas:
+        raise ValidationError("no indices to check the feature map on")
     gen = rng(seed)
     worst = 0.0
     for alpha in alphas:
@@ -90,27 +90,10 @@ def check_feature_linearity(fm: FeatureMap, alphas: Sequence, seed: int = 0) -> 
 
 
 @dataclass(frozen=True)
-class KernelSection:
-    """K(alpha)xi as a grid function, tagged with its index and Y-vector.
-
-    ``w_repr`` optionally carries the feature-space vector Psi(alpha)xi used
-    to build the section; Grams assembled from these vectors are numerically
-    exact Gram matrices and hence positive semi-definite by construction.
-    """
-
-    alpha: object
-    xi: np.ndarray
-    h_repr: GridFunction
-    w_repr: GridFunction | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "xi", np.atleast_1d(np.asarray(self.xi, dtype=complex)))
-
-
-@dataclass(frozen=True)
 class GramMatrix:
-    """Hermitian matrix F[j,k] = <L_{alpha_k}(K(alpha_j)xi_j), xi_k> with the
-    index list and the symmetrization defect that was removed."""
+    """Hermitian matrix F[j,k] = L_{alpha_k}(K_j) of a family of sections,
+    with the index values alpha_j and the symmetrization defect that was
+    removed."""
 
     matrix: np.ndarray = field(repr=False)
     indices: tuple
@@ -128,48 +111,44 @@ class PsdReport:
     passed: bool
 
 
-def _inner_y(u: np.ndarray, v: np.ndarray) -> complex:
-    """C^k inner product, linear in the first argument."""
-    return complex(np.sum(np.asarray(u) * np.conj(np.asarray(v))))
+@dataclass(frozen=True)
+class TruncatedFrame:
+    """A finite kernel family stacked once: h[j] holds the grid values of
+    section K_j on h_grid, gram the section Gram. A stack of shape (m, n)
+    is read as m scalar sections."""
 
+    alphas: tuple
+    h: np.ndarray = field(repr=False)
+    h_grid: Grid
+    gram: GramMatrix
 
-def kernel_from_features(
-    phi: FeatureMap,
-    psi: FeatureMap,
-    alpha,
-    xi,
-    h_grid: Grid,
-) -> KernelSection:
-    """Section of the kernel K(alpha) = Phi(.)* Psi(alpha).
+    def __post_init__(self):
+        h = self.h
+        if h.ndim not in (2, 3) or h.shape[1] != self.h_grid.n:
+            raise ShapeMismatchError(f"section stack of shape {h.shape} does not fit {self.h_grid.n} points")
+        m = h.shape[0]
+        if len(self.alphas) != m or self.gram.matrix.shape != (m, m):
+            raise ShapeMismatchError(
+                f"{m} sections with {len(self.alphas)} indices and a Gram of shape {self.gram.matrix.shape}"
+            )
+        if h.ndim == 2:
+            object.__setattr__(self, "h", h[:, :, None])
+        if not np.all(np.isfinite(self.h)):
+            raise ShapeMismatchError("kernel section contains non-finite values")
 
-    Componentwise, h_repr(x)_l = <Psi(alpha)xi, Phi(x)e_l> in the feature
-    space, evaluated for every x in h_grid.
-    """
-    if phi.w_grid != psi.w_grid or phi.dim_y != psi.dim_y:
-        raise ShapeMismatchError("phi and psi must share feature grid and dim_y")
-    xi = np.atleast_1d(np.asarray(xi, dtype=complex))
-    w = psi.evaluate(alpha, xi)
-    points = h_grid.points()
-    vals = np.empty((h_grid.n, phi.dim_y), dtype=complex)
-    basis = np.eye(phi.dim_y, dtype=complex)
-    for i, x in enumerate(points):
-        for l in range(phi.dim_y):
-            vals[i, l] = inner_product(w, phi.evaluate(float(x), basis[l]))
-    return KernelSection(alpha=alpha, xi=xi, h_repr=GridFunction(h_grid, vals), w_repr=w)
+    def __len__(self) -> int:
+        return self.h.shape[0]
+
+    def synthesize(self, c) -> GridFunction:
+        """sum_j c_j K_j, one product over the stacked sections."""
+        c = np.asarray(c, dtype=complex)
+        if c.shape != (len(self),):
+            raise ShapeMismatchError(f"expected {len(self)} coefficients, got shape {c.shape}")
+        return GridFunction(self.h_grid, np.tensordot(c, self.h, axes=1))
 
 
 #: most entries of the scaled column block feature_gram holds at once
 _GRAM_BLOCK = 2**15
-
-
-def _stack_values(functions: Sequence[GridFunction]) -> tuple[np.ndarray, Grid]:
-    """The values of grid functions on one grid, stacked: (m, n, dim)."""
-    if not functions:
-        raise ShapeMismatchError("empty section list")
-    first = functions[0]
-    if any(not f.same_layout(first) for f in functions):
-        raise ShapeMismatchError("sections live on different grids")
-    return np.stack([f.values for f in functions]), first.grid
 
 
 def feature_gram(stack: np.ndarray, grid: Grid) -> np.ndarray:
@@ -201,29 +180,66 @@ def _hermitian_gram(stack: np.ndarray, grid: Grid, indices: tuple) -> GramMatrix
     return GramMatrix(matrix=(m + m.conj().T) / 2.0, indices=indices, asymmetry=asym)
 
 
-def gram(
-    sections: Sequence[KernelSection],
-    functionals: FunctionalFamily | None = None,
-) -> GramMatrix:
-    """Gram of kernel sections: F[j,k] = <L_{alpha_k}(K(alpha_j)xi_j), xi_k>.
+def stacked_frame(alphas, h: np.ndarray, h_grid: Grid, w: np.ndarray, w_grid: Grid) -> TruncatedFrame:
+    """The frame of sections h[j] on h_grid with feature vectors w[j] on
+    w_grid; the Gram is the exact Gram of the features, hence positive
+    semi-definite."""
+    alphas = tuple(alphas)
+    return TruncatedFrame(alphas=alphas, h=h, h_grid=h_grid, gram=_hermitian_gram(w, w_grid, alphas))
 
-    Without a family the Gram comes from the sections' feature vectors
-    (exact PSD Gram, valid by the feature identity
-    L_beta(K(alpha)xi) = Psi(beta)* Psi(alpha)xi). With a family, row j
-    applies every section's functional to section j in one ``apply_all``
-    call and pairs the results with the stacked xi; the result is
-    Hermitian-symmetrized, reporting the asymmetry.
+
+#: most entries of the block of point features kernel_from_features holds at once
+_PHI_BLOCK = 2**18
+
+
+def kernel_from_features(
+    phi: FeatureMap,
+    psi: FeatureMap,
+    alphas: Sequence,
+    xi,
+    h_grid: Grid,
+) -> TruncatedFrame:
+    """The frame of sections K(alpha)xi of the kernel K(alpha) = Phi(.)* Psi(alpha),
+    one per index, all against the same xi.
+
+    Componentwise, h[j](x)_l = <Psi(alpha_j)xi, Phi(x)e_l> in the feature
+    space: the weight-scaled stack of the Psi(alpha_j)xi times the
+    conjugated Phi(x)e_l, evaluated for the points x of h_grid in blocks.
+    The Gram is the exact Gram of the Psi stack.
     """
-    if not sections:
-        raise ShapeMismatchError("empty section list")
-    indices = tuple((s.alpha, s.xi) for s in sections)
-    if functionals is None:
-        if any(s.w_repr is None for s in sections):
-            raise ShapeMismatchError("a Gram without a family needs w_repr on every section")
-        return _hermitian_gram(*_stack_values([s.w_repr for s in sections]), indices)
-    alphas = [s.alpha for s in sections]
-    xi_conj = np.conj(np.stack([s.xi for s in sections]))
-    m = np.stack([np.sum(functionals.apply_all(alphas, s.h_repr) * xi_conj, axis=1) for s in sections])
+    if phi.w_grid != psi.w_grid or phi.dim_y != psi.dim_y:
+        raise ShapeMismatchError("phi and psi must share feature grid and dim_y")
+    alphas = tuple(alphas)
+    if not alphas:
+        raise ShapeMismatchError("empty index list")
+    xi = np.atleast_1d(np.asarray(xi, dtype=complex))
+    w_grid, dim = psi.w_grid, phi.dim_y
+    w = np.stack([psi.evaluate(alpha, xi).values for alpha in alphas])
+    scaled = np.conj(w * w_grid.weights()[:, None]).reshape(len(alphas), -1)
+    points = h_grid.points()
+    units = np.eye(dim, dtype=complex)
+    h = np.empty((len(alphas), h_grid.n, dim), dtype=complex)
+    step = max(1, _PHI_BLOCK // (dim * scaled.shape[1]))
+    for s in range(0, h_grid.n, step):
+        chunk = points[s : s + step]
+        block = np.stack([phi.evaluate(float(x), e).values.reshape(-1) for x in chunk for e in units])
+        h[:, s : s + step] = np.conj(scaled @ block.T).reshape(len(alphas), -1, dim)
+    return stacked_frame(alphas, h, h_grid, w, w_grid)
+
+
+def gram(frame: TruncatedFrame, functionals: FunctionalFamily) -> GramMatrix:
+    """Gram of a frame's sections under a scalar functional family:
+    F[j,k] = L_{alpha_k}(K_j).
+
+    Row j applies every index's functional to section j in one ``apply_all``
+    call; the result is Hermitian-symmetrized, reporting the asymmetry, and
+    refused when the asymmetry shows sections and functionals disagree.
+    The Gram of the features themselves is ``frame.gram``.
+    """
+    values = np.stack([functionals.apply_all(frame.alphas, GridFunction(frame.h_grid, h)) for h in frame.h])
+    if values.shape[2] != 1:
+        raise ShapeMismatchError(f"the family returns {values.shape[2]} values per index, a Gram needs one")
+    m = values[:, :, 0]
     scale = max(np.linalg.norm(m), 1e-30)
     asym = float(np.linalg.norm(m - m.conj().T) / scale)
     if asym > 1e-6:
@@ -231,7 +247,7 @@ def gram(
             f"kernel/functional asymmetry {asym:.3e} exceeds tolerance; "
             "sections and functionals are inconsistent"
         )
-    return GramMatrix(matrix=(m + m.conj().T) / 2.0, indices=indices, asymmetry=asym)
+    return GramMatrix(matrix=(m + m.conj().T) / 2.0, indices=frame.alphas, asymmetry=asym)
 
 
 def psd_check(g: GramMatrix) -> PsdReport:
@@ -246,34 +262,39 @@ def psd_check(g: GramMatrix) -> PsdReport:
 def finite_dim_kernel(
     basis: Sequence[GridFunction],
     functionals: FunctionalFamily,
-    alpha,
+    alphas: Sequence,
     xi,
-) -> KernelSection:
-    """Kernel section of the finite-dimensional space spanned by the basis.
+) -> TruncatedFrame:
+    """The frame of kernel sections K(alpha)xi of the finite-dimensional
+    space spanned by the basis, one per index.
 
-    With A[j,k] = <phi_k, phi_j> and B = A^{-1}, the section is
-    K(alpha)xi = sum_{j,k} B[j,k] <xi, L_alpha(phi_k)> phi_j, which
-    reproduces every functional of the family exactly on the span.
+    With A[j,k] = <phi_k, phi_j> and R[k, alpha] = <xi, L_alpha(phi_k)>, the
+    coefficients C = A^{-1} R of every index come from one eigendecomposition
+    of A, and K(alpha)xi = sum_j C[j, alpha] phi_j reproduces every
+    functional of the family exactly on the span.
     """
-    n = len(basis)
-    if n == 0:
+    if not basis:
         raise ShapeMismatchError("empty basis")
+    if any(not f.same_layout(basis[0]) for f in basis):
+        raise ShapeMismatchError("basis functions live on different grids")
+    alphas = tuple(alphas)
+    if not alphas:
+        raise ShapeMismatchError("empty index list")
     xi = np.atleast_1d(np.asarray(xi, dtype=complex))
-    a = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            a[j, k] = inner_product(basis[k], basis[j])
-    w, _ = hermitian_eig((a + a.conj().T) / 2.0)
+    grid = basis[0].grid
+    stack = np.stack([f.values for f in basis])
+    a = feature_gram(stack, grid).conj()
+    w, v = hermitian_eig((a + a.conj().T) / 2.0)
     if w[0] <= 1e-12 * max(w[-1], 1e-300):
         raise IndependenceError(
             "basis functions are numerically linearly dependent",
             min_eig=float(w[0]),
             max_eig=float(w[-1]),
         )
-    r = np.array([_inner_y(xi, functionals.apply(alpha, phi_k)) for phi_k in basis])
-    c = solve_hermitian((a + a.conj().T) / 2.0, r)
-    vals = sum(c[j] * basis[j].values for j in range(n))
-    return KernelSection(alpha=alpha, xi=xi, h_repr=GridFunction(basis[0].grid, vals))
+    r = np.conj(np.stack([functionals.apply_all(alphas, phi) @ np.conj(xi) for phi in basis]))
+    c = v @ ((v.conj().T @ r) / w[:, None])
+    h = np.tensordot(c.T, stack, axes=1)
+    return stacked_frame(alphas, h, grid, h, grid)
 
 
 def translation_invariant_kernel(varphi: GridFunction, x, y) -> np.ndarray:
@@ -288,7 +309,7 @@ def translation_invariant_section(
     varphi: GridFunction,
     u_alpha: GridFunction,
     out_grid: Grid,
-) -> KernelSection:
+) -> GridFunction:
     """Kernel section of the translation-invariant construction:
 
     K(alpha)(x) = 2pi \\int exp(-i x t) varphi(t) u_alpha^v(t) dt, where
@@ -302,11 +323,7 @@ def translation_invariant_section(
     inv = uniform_fourier_sum(tg.a, tg.h, tg.n, ug.a, ug.h, u_weighted, sign=1.0) / (2.0 * math.pi)
     weighted = varphi.values[:, 0] * inv * tg.weights()
     vals = 2.0 * math.pi * uniform_fourier_sum(out_grid.a, out_grid.h, out_grid.n, tg.a, tg.h, weighted)
-    return KernelSection(
-        alpha=None,
-        xi=np.array([1.0 + 0j]),
-        h_repr=GridFunction(out_grid, vals),
-    )
+    return GridFunction(out_grid, vals)
 
 
 def fourier_feature_map(w_grid: Grid) -> FeatureMap:
@@ -361,6 +378,8 @@ def integral_kernel_psd_test(
     """
     if not u_family:
         raise ShapeMismatchError("empty u family")
+    if int(trials) < 1:
+        raise ValidationError(f"a positivity test needs at least one trial, got {trials}")
     g0 = u_family[0]
     if any(not u.same_layout(g0) for u in u_family):
         raise ShapeMismatchError("u family members live on different grids")

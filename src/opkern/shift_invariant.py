@@ -19,7 +19,7 @@ import numpy as np
 from .core import Grid, GridFunction, fourier_sum, integrate_values, uniform_fourier_sum
 from .exceptions import DomainError, RieszConditionError, ShapeMismatchError, ValidationError
 from .families import AverageFunctional
-from .kernels import KernelSection
+from .kernels import GramMatrix
 
 __all__ = [
     "bspline",
@@ -252,13 +252,13 @@ def si_functional_kernel(
     dual: DualGenerator,
     u: AverageFunctional,
     out_grid: Grid,
-) -> KernelSection:
+) -> GridFunction:
     """Kernel section of the average functional on the shift space:
     K(u)(x) = sum_k (int u(t) conj(phi(t-k)) dt) phi~(x-k), each coefficient
     by trapezoid quadrature on 4097 points of the support of u."""
     ks, c = _average_coefficients(gen, u)
     vals = _shift_sum(gen, int(ks[0]) - dual.k_max, np.convolve(c, dual.b_coeffs), out_grid)
-    return KernelSection(alpha=u.x, xi=np.array([1.0 + 0j]), h_repr=GridFunction(out_grid, vals))
+    return GridFunction(out_grid, vals)
 
 
 def _coefficient_matrix(
@@ -289,12 +289,10 @@ def si_gram(
     dual: DualGenerator,
     u_list: Sequence[AverageFunctional],
     quad_n: int = 4097,
-):
+) -> GramMatrix:
     """Gram of average-functional sections, assembled as C^H B C where
     B[m, m'] = b_{m'-m} is the (positive) dual-coefficient Toeplitz matrix.
     The structure keeps the matrix Hermitian PSD to machine precision."""
-    from .kernels import GramMatrix
-
     if not u_list:
         raise ShapeMismatchError("empty functional list")
     ks, cmat = _coefficient_matrix(gen, u_list, quad_n)
@@ -306,8 +304,7 @@ def si_gram(
     m = cmat.conj().T @ bmat @ cmat
     asym = float(np.linalg.norm(m - m.conj().T))
     m = (m + m.conj().T) / 2.0
-    indices = tuple((u.x, np.array([1.0 + 0j])) for u in u_list)
-    return GramMatrix(matrix=m, indices=indices, asymmetry=asym)
+    return GramMatrix(matrix=m, indices=tuple(u.x for u in u_list), asymmetry=asym)
 
 
 @dataclass(frozen=True)

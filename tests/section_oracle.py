@@ -3,15 +3,92 @@ stacked frame builders replaced, kept as their oracle. Each section is built
 on its own from the paper's formula, and ``truncated_frame`` stacks them."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from opkern.core import GridFunction, fourier_sum
+from opkern.core import GridFunction, fourier_sum, hermitian_eig, inner_product, solve_hermitian
+from opkern.exceptions import IndependenceError, ShapeMismatchError
 from opkern.families import AverageFunctional, FourierCoefficientFamily
-from opkern.kernels import KernelSection
+from opkern.frames import TruncatedFrame
+from opkern.kernels import _hermitian_gram
 from opkern.paley_wiener import psi_feature
 
 ONE = np.array([1.0 + 0j])
+
+
+@dataclass(frozen=True)
+class KernelSection:
+    """K(alpha)xi as a grid function, tagged with its index and Y-vector.
+
+    ``w_repr`` optionally carries the feature-space vector Psi(alpha)xi used
+    to build the section; Grams assembled from these vectors are numerically
+    exact Gram matrices and hence positive semi-definite by construction.
+    """
+
+    alpha: object
+    xi: np.ndarray
+    h_repr: GridFunction
+    w_repr: GridFunction | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "xi", np.atleast_1d(np.asarray(self.xi, dtype=complex)))
+
+
+def _stack_values(functions):
+    """The values of grid functions on one grid, stacked: (m, n, dim)."""
+    if not functions:
+        raise ShapeMismatchError("empty section list")
+    first = functions[0]
+    if any(not f.same_layout(first) for f in functions):
+        raise ShapeMismatchError("sections live on different grids")
+    return np.stack([f.values for f in functions]), first.grid
+
+
+def truncated_frame(sections):
+    """Stack single sections into a frame.
+
+    The Gram comes from the sections' feature vectors when every section
+    carries one, else from the grid inner products of the sections
+    themselves; it is the section-list Gram without a family."""
+    h, h_grid = _stack_values([s.h_repr for s in sections])
+    if all(s.w_repr is not None for s in sections):
+        w, w_grid = _stack_values([s.w_repr for s in sections])
+    else:
+        w, w_grid = h, h_grid
+    alphas = tuple(s.alpha for s in sections)
+    return TruncatedFrame(alphas=alphas, h=h, h_grid=h_grid, gram=_hermitian_gram(w, w_grid, alphas))
+
+
+def feature_section(phi, psi, alpha, xi, h_grid):
+    """K(alpha)xi = Phi(.)* Psi(alpha)xi, one ``inner_product`` per grid
+    point and Y component."""
+    xi = np.atleast_1d(np.asarray(xi, dtype=complex))
+    w = psi.evaluate(alpha, xi)
+    vals = np.empty((h_grid.n, phi.dim_y), dtype=complex)
+    basis = np.eye(phi.dim_y, dtype=complex)
+    for i, x in enumerate(h_grid.points()):
+        for l in range(phi.dim_y):
+            vals[i, l] = inner_product(w, phi.evaluate(float(x), basis[l]))
+    return KernelSection(alpha=alpha, xi=xi, h_repr=GridFunction(h_grid, vals), w_repr=w)
+
+
+def finite_dim_section(basis, functionals, alpha, xi):
+    """K(alpha)xi = sum_{j,k} B[j,k] <xi, L_alpha(phi_k)> phi_j with B the
+    inverse of A[j,k] = <phi_k, phi_j>, one basis-Gram solve per index."""
+    n = len(basis)
+    xi = np.atleast_1d(np.asarray(xi, dtype=complex))
+    a = np.empty((n, n), dtype=complex)
+    for j in range(n):
+        for k in range(n):
+            a[j, k] = inner_product(basis[k], basis[j])
+    w, _ = hermitian_eig((a + a.conj().T) / 2.0)
+    if w[0] <= 1e-12 * max(w[-1], 1e-300):
+        raise IndependenceError("basis functions are numerically linearly dependent")
+    r = np.array([complex(np.sum(xi * np.conj(functionals.apply(alpha, phi_k)))) for phi_k in basis])
+    c = solve_hermitian((a + a.conj().T) / 2.0, r)
+    vals = sum(c[j] * basis[j].values for j in range(n))
+    return KernelSection(alpha=alpha, xi=xi, h_repr=GridFunction(basis[0].grid, vals))
 
 
 def fourier_sections(indices, grid):

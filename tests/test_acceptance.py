@@ -28,14 +28,11 @@ from opkern.frames import (
     frame_bounds_estimate,
     interior_relative_error,
     reconstruct,
-    truncated_frame,
 )
 from opkern.kernels import (
     GramMatrix,
-    KernelSection,
     feature_gram,
     finite_dim_kernel,
-    gram,
     psd_check,
 )
 from opkern.learning import (
@@ -67,7 +64,7 @@ from opkern.shift_invariant import (
     si_functional_kernel,
     si_gram,
 )
-from section_oracle import average_features, fourier_sections as _fourier_sections
+from section_oracle import average_features, fourier_sections as _fourier_sections, truncated_frame
 
 TWO_PI = 2.0 * math.pi
 
@@ -138,8 +135,8 @@ def test_criterion_1_reproducing_property_suite():
         u = AverageFunctional(beta, 0.2)
         sec = si_functional_kernel(hat, dual, u, si_grid)
         lhs = average_sample(f, u, refine=8, interp="linear")
-        rhs = inner_product(f, sec.h_repr)
-        ratio = max(ratio, abs(lhs - rhs) / (norm(f) * norm(sec.h_repr)))
+        rhs = inner_product(f, sec)
+        ratio = max(ratio, abs(lhs - rhs) / (norm(f) * norm(sec)))
     worst["shift_space"] = ratio
 
     # --- finite-dimensional space spanned by three hats, average functionals
@@ -155,12 +152,12 @@ def test_criterion_1_reproducing_property_suite():
     ratio = 0.0
     for _ in range(50):
         coeff = complex_unit_disc(gen, 3)
-        f = _span_element(fd_grid, [KernelSection(0, np.array([1.0]), b) for b in basis], coeff)
+        f = GridFunction(fd_grid, sum(c * b.values for c, b in zip(coeff, basis)))
         beta = float(gen.uniform(-1.2, 1.2))
-        sec = finite_dim_kernel(basis, fd_fam, alpha=beta, xi=1.0)
+        sec = GridFunction(fd_grid, finite_dim_kernel(basis, fd_fam, [beta], xi=1.0).h[0])
         lhs = fd_fam.apply(beta, f)[0]
-        rhs = inner_product(f, sec.h_repr)
-        ratio = max(ratio, abs(lhs - rhs) / (norm(f) * norm(sec.h_repr)))
+        rhs = inner_product(f, sec)
+        ratio = max(ratio, abs(lhs - rhs) / (norm(f) * norm(sec)))
     worst["finite_dim"] = ratio
 
     elapsed = time.perf_counter() - t_start
@@ -186,7 +183,7 @@ def test_criterion_2_psd_suite():
     grid = Grid(0.0, TWO_PI, 257)
     for size in sizes:  # Fourier-coefficient family
         indices = sorted(gen.choice(np.arange(-20, 21), size=size, replace=False).tolist())
-        reports.append(psd_check(gram(_fourier_sections(indices, grid))))
+        reports.append(psd_check(truncated_frame(_fourier_sections(indices, grid)).gram))
 
     small = Grid(-1.0, 1.0, 65)
     wg = w_grid_default(2049)
@@ -199,13 +196,13 @@ def test_criterion_2_psd_suite():
         xs = np.sort(gen.uniform(-8.0, 8.0, size=size))
         feats = np.exp(1j * xs[:, None] * t) / math.sqrt(TWO_PI)
         m = feature_gram(feats, wg)
-        g = GramMatrix(matrix=m, indices=tuple((x, np.array([1.0])) for x in xs))
+        g = GramMatrix(matrix=m, indices=tuple(xs))
         reports.append(psd_check(g))
 
     for size in sizes:  # vector-valued inner-product point family
         vss = build_vector_sampling_set(2, size // 2, perturb=lambda m: gen.uniform(-0.3, 0.3, 2))
         m = feature_gram(vector_features(vss, wg), wg)
-        g = GramMatrix(matrix=m, indices=tuple((float(x), None) for x in vss.x))
+        g = GramMatrix(matrix=m, indices=tuple(float(x) for x in vss.x))
         reports.append(psd_check(g))
 
     hat = make_generator("hat")

@@ -139,9 +139,8 @@ def test_stacked_frames_match_section_oracle(family, profile):
     row where the frame reads a table of roots of unity and writes its Gram
     in closed form, so both agree at round-off."""
     from opkern import cli
-    from opkern.frames import truncated_frame
     from opkern.paley_wiener import w_grid_default
-    from section_oracle import average_sections, fourier_sections, sinc_sections
+    from section_oracle import average_sections, fourier_sections, sinc_sections, truncated_frame
 
     args = cli.build_parser().parse_args([
         "gram", "--family", family, "--indices=-6..6", "--profile", profile, "--delta", "0.2",
@@ -243,7 +242,7 @@ def _old_gram_csv(g: GramMatrix) -> str:
     def fmt_complex(z):
         return f"{cli.FMT % z.real}{'+' if z.imag >= 0 else '-'}{cli.FMT % abs(z.imag)}j"
 
-    labels = [str(a) for a, _ in g.indices]
+    labels = [str(a) for a in g.indices]
     lines = ["index," + ",".join(labels)]
     for lab, row in zip(labels, g.matrix):
         lines.append(lab + "," + ",".join(fmt_complex(z) for z in row))
@@ -295,7 +294,7 @@ def test_gram_csv_keeps_the_old_bytes(tmp_path, m, specials, seed):
     a = gen.standard_normal((m, m)) + 1j * gen.standard_normal((m, m))
     flat = a.reshape(-1).view(float)
     flat[gen.integers(0, flat.size, size=len(specials))] = specials
-    g = GramMatrix(matrix=a, indices=tuple((j - m // 2, None) for j in range(m)))
+    g = GramMatrix(matrix=a, indices=tuple(j - m // 2 for j in range(m)))
     cli._write_gram_csv(tmp_path / "g.csv", g)
     assert (tmp_path / "g.csv").read_text() == _old_gram_csv(g)
 

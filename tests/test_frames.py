@@ -14,6 +14,7 @@ from opkern.families import (
     SampleSet,
 )
 from opkern.frames import (
+    TruncatedFrame,
     dual_frame,
     dual_inner_product,
     frame_bounds_estimate,
@@ -21,9 +22,8 @@ from opkern.frames import (
     interior_relative_error,
     reconstruct,
     stacked_frame,
-    truncated_frame,
 )
-from opkern.kernels import KernelSection
+from opkern.kernels import GramMatrix
 from opkern.learning import sampling_operator
 from opkern.paley_wiener import (
     BandlimitedSignal,
@@ -32,7 +32,7 @@ from opkern.paley_wiener import (
     synthesize,
     w_grid_default,
 )
-from section_oracle import average_features, average_sections
+from section_oracle import KernelSection, average_features, average_sections, truncated_frame
 from section_oracle import fourier_sections as _fourier_sections, sinc_sections as _sinc_sections
 
 TWO_PI = 2.0 * math.pi
@@ -136,6 +136,36 @@ def test_frame_refuses_non_finite_sections():
     h[1, 7] = np.nan
     with pytest.raises(ShapeMismatchError):
         stacked_frame([0, 1], h, grid, np.ones((2, 65), dtype=complex), grid)
+
+
+def _frame(alphas, h, grid, gram_size):
+    gram = GramMatrix(matrix=np.eye(gram_size, dtype=complex), indices=tuple(range(gram_size)))
+    return TruncatedFrame(alphas=tuple(alphas), h=h, h_grid=grid, gram=gram)
+
+
+@pytest.mark.parametrize("shape", [(11,), (2, 11, 1, 1)])
+def test_frame_refuses_a_stack_of_the_wrong_rank(shape):
+    with pytest.raises(ShapeMismatchError):
+        _frame([0, 1], np.ones(shape, dtype=complex), Grid(0.0, 1.0, 11), 2)
+
+
+def test_frame_refuses_sections_off_its_grid():
+    """21 points per section on an 11-point grid: refused when the frame is
+    built, not later in ``synthesize``."""
+    with pytest.raises(ShapeMismatchError):
+        _frame([0, 1], np.ones((2, 21), dtype=complex), Grid(0.0, 1.0, 11), 2)
+
+
+def test_frame_refuses_an_index_count_off_its_sections():
+    with pytest.raises(ShapeMismatchError):
+        _frame([0, 1, 2], np.ones((2, 11), dtype=complex), Grid(0.0, 1.0, 11), 2)
+
+
+@pytest.mark.parametrize("gram_size", [1, 3, 5])
+def test_frame_refuses_a_gram_off_its_sections(gram_size):
+    """A 5 x 5 Gram for 2 sections would give ``dual_frame`` 5 x 5 coefficients."""
+    with pytest.raises(ShapeMismatchError):
+        _frame([0, 1], np.ones((2, 11), dtype=complex), Grid(0.0, 1.0, 11), gram_size)
 
 
 # -------------------------------------------------------------- reconstruction

@@ -3,12 +3,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opkern.core import Grid, GridFunction, complex_unit_disc, inner_product, rng
 from opkern.exceptions import (
     IndependenceError,
     KernelConsistencyError,
     ShapeMismatchError,
+    ValidationError,
 )
 from opkern.families import (
     AverageFunctional,
@@ -18,7 +21,6 @@ from opkern.families import (
 )
 from opkern.kernels import (
     FeatureMap,
-    KernelSection,
     check_feature_linearity,
     feature_gram,
     finite_dim_kernel,
@@ -28,11 +30,18 @@ from opkern.kernels import (
     integral_kernel_psd_test,
     kernel_from_features,
     psd_check,
+    stacked_frame,
     translation_invariant_kernel,
     translation_invariant_section,
 )
 from opkern.paley_wiener import point_feature_map, w_grid_default
-from section_oracle import fourier_sections as _fourier_sections
+from section_oracle import (
+    KernelSection,
+    feature_section,
+    finite_dim_section,
+    fourier_sections as _fourier_sections,
+    truncated_frame,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -44,9 +53,9 @@ def test_fourier_kernel_from_features():
     phi = fourier_point_feature_map(wg, max_mode=8)
     psi = fourier_feature_map(wg)
     hg = Grid(0.0, TWO_PI, 129)
-    sec = kernel_from_features(phi, psi, 3, 1.0, hg)
+    frame = kernel_from_features(phi, psi, [3], 1.0, hg)
     expect = np.exp(3j * hg.points()) / math.sqrt(TWO_PI)
-    assert np.max(np.abs(sec.h_repr.values[:, 0] - expect)) < 1e-8
+    assert np.max(np.abs(frame.h[0, :, 0] - expect)) < 1e-8
 
 
 def test_zero_psi_gives_zero_section():
@@ -57,16 +66,16 @@ def test_zero_psi_gives_zero_section():
 
     psi = FeatureMap(w_grid=wg, dim_y=1, evaluate=zero_eval)
     phi = fourier_point_feature_map(wg, max_mode=4)
-    sec = kernel_from_features(phi, psi, 0, 1.0, Grid(0.0, TWO_PI, 33))
-    assert np.max(np.abs(sec.h_repr.values)) == 0.0
+    frame = kernel_from_features(phi, psi, [0], 1.0, Grid(0.0, TWO_PI, 33))
+    assert np.max(np.abs(frame.h)) == 0.0
 
 
 def test_sinc_kernel_from_point_features():
     wg = w_grid_default(4097)
     phi = point_feature_map(wg)
     hg = Grid(-4.0, 4.0, 257)
-    sec = kernel_from_features(phi, phi, 0.0, 1.0, hg)
-    assert np.max(np.abs(sec.h_repr.values[:, 0] - np.sinc(hg.points()))) < 1e-6
+    frame = kernel_from_features(phi, phi, [0.0], 1.0, hg)
+    assert np.max(np.abs(frame.h[0, :, 0] - np.sinc(hg.points()))) < 1e-6
 
 
 def test_feature_map_linearity_checker():
@@ -81,21 +90,54 @@ def test_feature_map_linearity_checker():
         check_feature_linearity(FeatureMap(wg, 2, broken), [1.0], seed=4)
 
 
+def test_feature_map_linearity_checker_refuses_an_empty_index_list():
+    with pytest.raises(ValidationError):
+        check_feature_linearity(point_feature_map(w_grid_default(129)), [])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([("fourier", 1), ("point", 1), ("point", 2)]),
+    st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=6),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_kernel_from_features_matches_the_per_section_oracle(case, ints, seed):
+    """One product of the weight-scaled Psi stack with blocks of Phi features
+    against one inner_product per point and component: the sections agree
+    within 1e-14 of max|h|, and the Gram bit for bit, since both come from
+    the same Psi stack through feature_gram."""
+    kind, dim = case
+    xi = complex_unit_disc(rng(seed), dim)
+    if kind == "fourier":
+        wg = Grid(0.0, TWO_PI, 129)
+        phi, psi = fourier_point_feature_map(wg, max_mode=6), fourier_feature_map(wg)
+        hg, alphas = Grid(0.0, TWO_PI, 33), ints
+    else:
+        wg = w_grid_default(513)
+        phi = psi = point_feature_map(wg, dim_y=dim)
+        hg, alphas = Grid(-4.0, 4.0, 65), [j / 4.0 for j in ints]
+    frame = kernel_from_features(phi, psi, alphas, xi, hg)
+    oracle = truncated_frame([feature_section(phi, psi, a, xi, hg) for a in alphas])
+    assert frame.alphas == oracle.alphas
+    assert np.max(np.abs(frame.h - oracle.h)) <= 1e-14 * np.max(np.abs(oracle.h))
+    assert np.array_equal(frame.gram.matrix, oracle.gram.matrix)
+
+
 # ----------------------------------------------------------------------- gram
 
 def test_fourier_gram_identity():
     grid = Grid(0.0, TWO_PI, 257)
-    secs = _fourier_sections(range(-2, 3), grid)
-    g = gram(secs, FourierCoefficientFamily())
+    frame = truncated_frame(_fourier_sections(range(-2, 3), grid))
+    g = gram(frame, FourierCoefficientFamily())
     assert np.max(np.abs(g.matrix - np.eye(5))) < 1e-8
-    g2 = gram(secs)
+    g2 = frame.gram
     assert np.max(np.abs(g2.matrix - np.eye(5))) < 1e-10
 
 
 def test_gram_single_section_real_nonnegative():
     grid = Grid(0.0, TWO_PI, 257)
-    secs = _fourier_sections([1], grid)
-    g = gram(secs, FourierCoefficientFamily())
+    frame = truncated_frame(_fourier_sections([1], grid))
+    g = gram(frame, FourierCoefficientFamily())
     assert g.matrix.shape == (1, 1)
     assert abs(g.matrix[0, 0].imag) < 1e-12
     assert g.matrix[0, 0].real >= 0.0
@@ -104,11 +146,9 @@ def test_gram_single_section_real_nonnegative():
 def test_sinc_point_gram_closed_form():
     window = Grid(-24.0, 24.0, 3073)
     x_axis = window.points()
-    secs = []
-    for x in (0.0, 0.5, 1.0):
-        h = GridFunction(window, np.sinc(x_axis - x).astype(complex))
-        secs.append(KernelSection(alpha=x, xi=np.array([1.0 + 0j]), h_repr=h))
-    g = gram(secs, PointEvaluationFamily())
+    xs = (0.0, 0.5, 1.0)
+    h = np.stack([np.sinc(x_axis - x) for x in xs]).astype(complex)
+    g = gram(stacked_frame(xs, h, window, h, window), PointEvaluationFamily())
     expect = np.array(
         [
             [1.0, 2 / math.pi, 0.0],
@@ -127,23 +167,16 @@ def test_sinc_point_gram_closed_form():
 def test_gram_inconsistent_sections_raise():
     window = Grid(-24.0, 24.0, 1537)
     x_axis = window.points()
-    good = KernelSection(
-        alpha=0.0,
-        xi=np.array([1.0 + 0j]),
-        h_repr=GridFunction(window, np.sinc(x_axis).astype(complex)),
-    )
+    good = np.sinc(x_axis)
     # a section polluted by a foreign component breaks Hermitian symmetry
-    polluted = KernelSection(
-        alpha=1.0,
-        xi=np.array([1.0 + 0j]),
-        h_repr=GridFunction(window, (np.sinc(x_axis - 1.0) + 0.3 * np.sinc(x_axis)).astype(complex)),
-    )
+    polluted = np.sinc(x_axis - 1.0) + 0.3 * np.sinc(x_axis)
+    h = np.stack([good, polluted]).astype(complex)
     with pytest.raises(KernelConsistencyError):
-        gram([good, polluted], PointEvaluationFamily())
+        gram(stacked_frame([0.0, 1.0], h, window, h, window), PointEvaluationFamily())
 
 
 def test_psd_check_examples():
-    idx = ((0, np.array([1.0])), (1, np.array([1.0])))
+    idx = (0, 1)
     from opkern.kernels import GramMatrix
 
     ok = psd_check(GramMatrix(matrix=np.eye(2, dtype=complex), indices=idx))
@@ -176,16 +209,24 @@ def test_gram_applies_each_section_once(kind, monkeypatch):
     calls = []
     apply_all = type(family).apply_all
     monkeypatch.setattr(type(family), "apply_all", lambda self, *a: calls.append(1) or apply_all(self, *a))
-    got = gram(secs, family).matrix
+    got = gram(truncated_frame(secs), family).matrix
     assert len(calls) == len(secs)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def test_gram_refuses_a_family_with_several_values_per_index():
+    """Point evaluation of C^2-valued sections gives two values per index."""
+    pfm = point_feature_map(w_grid_default(257), dim_y=2)
+    frame = kernel_from_features(pfm, pfm, (0.0, 0.5), np.array([1.0, 1j]), Grid(-2.0, 2.0, 65))
+    with pytest.raises(ShapeMismatchError):
+        gram(frame, PointEvaluationFamily())
+
+
 def test_gram_functional_vs_feature_routes_agree():
     grid = Grid(0.0, TWO_PI, 257)
-    secs = _fourier_sections(range(-3, 4), grid)
-    a = gram(secs, FourierCoefficientFamily()).matrix
-    b = gram(secs).matrix
+    frame = truncated_frame(_fourier_sections(range(-3, 4), grid))
+    a = gram(frame, FourierCoefficientFamily()).matrix
+    b = frame.gram.matrix
     assert np.max(np.abs(a - b)) < 1e-8
 
 
@@ -195,9 +236,9 @@ def test_finite_dim_orthonormal_basis():
     grid = Grid(0.0, TWO_PI, 257)
     fam = FourierCoefficientFamily()
     basis = [fam.basis_function(j, grid) for j in range(-1, 2)]
-    sec = finite_dim_kernel(basis, fam, alpha=1, xi=1.0)
+    frame = finite_dim_kernel(basis, fam, [1], xi=1.0)
     # B = I: section reduces to sum_k <xi, L_alpha(phi_k)> phi_k = phi_{alpha}
-    assert np.max(np.abs(sec.h_repr.values - basis[2].values)) < 1e-8
+    assert np.max(np.abs(frame.h[0] - basis[2].values)) < 1e-8
 
 
 def test_finite_dim_single_function():
@@ -205,10 +246,10 @@ def test_finite_dim_single_function():
     fam = FourierCoefficientFamily()
     phi = GridFunction(grid, 2.0 * np.exp(1j * grid.points()) / math.sqrt(TWO_PI))
     c = inner_product(phi, phi).real
-    sec = finite_dim_kernel([phi], fam, alpha=1, xi=1.0)
+    frame = finite_dim_kernel([phi], fam, [1], xi=1.0)
     lval = fam.apply(1, phi)[0]
     expect = (np.conj(lval) / c) * phi.values
-    assert np.max(np.abs(sec.h_repr.values - expect)) < 1e-10
+    assert np.max(np.abs(frame.h[0] - expect)) < 1e-10
 
 
 def _hat(center, width=1.0):
@@ -226,12 +267,13 @@ def test_finite_dim_reproducing_on_span():
     ]
     fam = AverageSamplingFamily(delta=0.3, interp="linear")
     gen = rng(0)
-    for beta in (-0.4, 0.1, 0.8):
-        sec = finite_dim_kernel(basis, fam, alpha=beta, xi=1.0)
+    betas = (-0.4, 0.1, 0.8)
+    frame = finite_dim_kernel(basis, fam, betas, xi=1.0)
+    for beta, h in zip(betas, frame.h):
         coeff = complex_unit_disc(gen, 2)
         f = GridFunction(grid, coeff[0] * basis[0].values + coeff[1] * basis[1].values)
         lhs = fam.apply(beta, f)[0]
-        rhs = inner_product(f, sec.h_repr)
+        rhs = inner_product(f, GridFunction(grid, h))
         assert abs(lhs - rhs) < 1e-8
 
 
@@ -239,7 +281,46 @@ def test_finite_dim_dependent_basis_rejected():
     grid = Grid(-3.0, 3.0, 257)
     phi = GridFunction.from_callable(grid, _hat(0.0))
     with pytest.raises(IndependenceError):
-        finite_dim_kernel([phi, 2.0 * phi], AverageSamplingFamily(delta=0.3), 0.0, 1.0)
+        finite_dim_kernel([phi, 2.0 * phi], AverageSamplingFamily(delta=0.3), [0.0], 1.0)
+
+
+@pytest.mark.parametrize("kind", ["fourier", "hat", "modulated-hat"])
+def test_finite_dim_kernel_matches_the_per_section_oracle(kind):
+    """One eigendecomposition of the basis Gram and one stacked solve for
+    every index, against one basis-Gram solve per index. The hat case is the
+    three-hat space of acceptance criterion 1 with 50 centres; modulating
+    each hat makes the basis Gram complex and not diagonal."""
+    gen = rng(11)
+    if kind == "fourier":
+        grid = Grid(0.0, TWO_PI, 257)
+        fam = FourierCoefficientFamily()
+        basis = [fam.basis_function(j, grid) for j in range(-3, 4)]
+        alphas = list(range(-5, 6))
+    else:
+        grid = Grid(-4.0, 4.0, 16385)
+        fam = AverageSamplingFamily(delta=0.3, interp="linear")
+        freq = 2.0 if kind == "modulated-hat" else 0.0
+        x = grid.points()
+        basis = [GridFunction(grid, _hat(c)(x) * np.exp(1j * freq * c * x)) for c in (-0.75, 0.0, 0.75)]
+        alphas = [float(b) for b in gen.uniform(-1.2, 1.2, size=50)]
+    xi = complex_unit_disc(gen, 1)
+    frame = finite_dim_kernel(basis, fam, alphas, xi)
+    oracle = truncated_frame([finite_dim_section(basis, fam, a, xi) for a in alphas])
+    assert frame.alphas == oracle.alphas
+    assert np.max(np.abs(frame.h - oracle.h)) <= 1e-14 * np.max(np.abs(oracle.h))
+    assert np.max(np.abs(frame.gram.matrix - oracle.gram.matrix)) <= 1e-14 * np.max(np.abs(oracle.gram.matrix))
+
+
+def test_finite_dim_kernel_applies_each_basis_function_once(monkeypatch):
+    grid = Grid(-3.0, 3.0, 1025)
+    basis = [GridFunction.from_callable(grid, _hat(c)) for c in (-0.5, 0.0, 0.5, 1.0)]
+    fam = AverageSamplingFamily(delta=0.3, interp="linear")
+    calls = []
+    apply_all = AverageSamplingFamily.apply_all
+    monkeypatch.setattr(AverageSamplingFamily, "apply_all", lambda self, *a: calls.append(1) or apply_all(self, *a))
+    frame = finite_dim_kernel(basis, fam, np.linspace(-1.0, 1.0, 9), 1.0)
+    assert len(frame) == 9
+    assert len(calls) == len(basis)
 
 
 # ------------------------------------------------- translation invariant form
@@ -257,7 +338,7 @@ def test_translation_invariant_delta_bump_recovers_kernel():
     out = Grid(-4.0, 4.0, 257)
     sec = translation_invariant_section(varphi, u, out)
     direct = translation_invariant_kernel(varphi, x0, out.points())
-    assert np.max(np.abs(sec.h_repr.values[:, 0] - direct)) < 5e-4
+    assert np.max(np.abs(sec.values[:, 0] - direct)) < 5e-4
 
 
 def test_translation_invariant_sinc_limit():
@@ -270,7 +351,7 @@ def test_translation_invariant_sinc_limit():
     u = GridFunction(ug, bump.evaluate(ug.points()).astype(complex))
     out = Grid(-4.0, 4.0, 257)
     sec = translation_invariant_section(varphi, u, out)
-    assert np.max(np.abs(sec.h_repr.values[:, 0] - np.sinc(out.points()))) < 1e-3
+    assert np.max(np.abs(sec.values[:, 0] - np.sinc(out.points()))) < 1e-3
 
 
 def test_translation_invariant_zero_u():
@@ -278,7 +359,7 @@ def test_translation_invariant_zero_u():
     varphi = GridFunction.from_callable(freq, lambda t: np.exp(-(t**2)).astype(complex))
     u = GridFunction(Grid(-1.0, 1.0, 65), np.zeros((65, 1)))
     sec = translation_invariant_section(varphi, u, Grid(-2.0, 2.0, 65))
-    assert np.max(np.abs(sec.h_repr.values)) == 0.0
+    assert np.max(np.abs(sec.values)) == 0.0
 
 
 # ------------------------------------------------------ double-integral test
@@ -318,6 +399,14 @@ def test_integral_psd_negative_kernel_fails():
     assert not rep.passed
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_integral_psd_refuses_a_run_without_trials(trials):
+    """Without a trial there is no evidence: a negative kernel would pass."""
+    fam = _u_family(Grid(-2.0, 2.0, 257), [0.0])
+    with pytest.raises(ValidationError):
+        integral_kernel_psd_test(lambda s, t: -np.ones_like(s), fam, trials=trials)
+
+
 # --------------------------------------------------------- master invariants
 
 def test_reproducing_property_fourier_space():
@@ -342,22 +431,21 @@ def test_feature_built_sections_produce_psd_grams():
     phi = fourier_point_feature_map(wg, max_mode=6)
     psi = fourier_feature_map(wg)
     hg = Grid(0.0, TWO_PI, 129)
-    secs = [kernel_from_features(phi, psi, j, 1.0, hg) for j in range(-3, 4)]
-    assert psd_check(gram(secs)).passed
+    frame = kernel_from_features(phi, psi, range(-3, 4), 1.0, hg)
+    assert psd_check(frame.gram).passed
 
     wgpi = w_grid_default(1025)
     pfm = point_feature_map(wgpi)
     hg2 = Grid(-4.0, 4.0, 129)
-    secs2 = [kernel_from_features(pfm, pfm, x, 1.0, hg2) for x in (-1.0, -0.3, 0.4, 1.0)]
-    assert psd_check(gram(secs2)).passed
+    frame2 = kernel_from_features(pfm, pfm, (-1.0, -0.3, 0.4, 1.0), 1.0, hg2)
+    assert psd_check(frame2.gram).passed
 
 
 def test_feature_built_sections_gram_matches_functional_route():
     wgpi = w_grid_default(32769)
     pfm = point_feature_map(wgpi)
     hg = Grid(-4.0, 4.0, 257)
-    secs = [kernel_from_features(pfm, pfm, x, 1.0, hg) for x in (0.0, 0.5, 1.0)]
-    feature_side = gram(secs).matrix
+    feature_side = kernel_from_features(pfm, pfm, (0.0, 0.5, 1.0), 1.0, hg).gram.matrix
     # functional side: point evaluations are exact sinc values here
     expect = np.array(
         [[np.sinc(a - b) for b in (0.0, 0.5, 1.0)] for a in (0.0, 0.5, 1.0)]
@@ -369,7 +457,7 @@ def test_feature_gram_requires_common_grid():
     f1 = GridFunction(Grid(0.0, 1.0, 11), np.ones((11, 1)))
     f2 = GridFunction(Grid(0.0, 1.0, 21), np.ones((21, 1)))
     with pytest.raises(ShapeMismatchError):
-        gram([KernelSection(0, 1.0, f1, f1), KernelSection(1, 1.0, f2, f2)])
+        truncated_frame([KernelSection(0, 1.0, f1, f1), KernelSection(1, 1.0, f2, f2)])
     # a stack whose rows do not fit the grid, and an empty stack
     with pytest.raises(ShapeMismatchError):
         feature_gram(np.ones((2, 21), dtype=complex), Grid(0.0, 1.0, 11))

@@ -14,8 +14,7 @@ from opkern.families import (
     FourierCoefficientFamily,
     SampleSet,
 )
-from opkern.frames import dual_frame, frame_bounds_estimate, stacked_frame, truncated_frame
-from opkern.kernels import KernelSection
+from opkern.frames import dual_frame, frame_bounds_estimate, stacked_frame
 from opkern.learning import (
     _TRIAL_BLOCK,
     interpolation_limit,
@@ -35,7 +34,7 @@ from opkern.paley_wiener import (
     synthesize,
     w_grid_default,
 )
-from section_oracle import fourier_sections as _fourier_sections
+from section_oracle import KernelSection, fourier_sections as _fourier_sections, truncated_frame
 from stability_oracle import stability_sweep, truncated_reconstruction_stability
 
 TWO_PI = 2.0 * math.pi

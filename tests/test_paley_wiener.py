@@ -6,7 +6,6 @@ import pytest
 from opkern.core import Grid, GridFunction, complex_unit_disc, inner_product, rng
 from opkern.exceptions import AdmissibilityError, DomainError, ValidationError
 from opkern.families import AverageFunctional, average_sample
-from opkern.frames import truncated_frame
 from opkern.kernels import feature_gram
 from opkern.paley_wiener import (
     BandlimitedSignal,
@@ -25,7 +24,7 @@ from opkern.paley_wiener import (
     vector_features,
     w_grid_default,
 )
-from section_oracle import average_sections
+from section_oracle import average_sections, truncated_frame
 
 TWO_PI = 2.0 * math.pi
 

@@ -223,7 +223,7 @@ def test_si_functional_kernel_point_mass_limit():
     expect = bspline(1, y - 2.0)
     inside = np.abs(np.abs(y - 2.0) - 0.5) > 0.05
     tol = 5.0 * bracket_tail_estimate(box) + 1e-3
-    assert np.max(np.abs(sec.h_repr.values[inside, 0] - expect[inside])) < tol
+    assert np.max(np.abs(sec.values[inside, 0] - expect[inside])) < tol
 
 
 def test_si_functional_kernel_reproduces_averages():
@@ -241,7 +241,7 @@ def test_si_functional_kernel_reproduces_averages():
     for x in (-1.2, 0.4):
         u = AverageFunctional(x, 0.3, "triangle")
         sec = si_functional_kernel(hat, d, u, out)
-        got = inner_product(f, sec.h_repr)
+        got = inner_product(f, sec)
         expect = average_sample(f, u, refine=8, interp="linear")
         assert abs(got - expect) < 1e-6
 
@@ -251,7 +251,7 @@ def test_si_functional_kernel_disjoint_support_is_zero():
     d = dual_generator(hat, k_max=4)
     out = Grid(-8.0, 8.0, 1025)
     sec = si_functional_kernel(hat, d, AverageFunctional(40.0, 0.2), out)
-    assert np.max(np.abs(sec.h_repr.values)) == 0.0
+    assert np.max(np.abs(sec.values)) == 0.0
 
 
 def test_si_functional_kernel_delta_limit_approaches_point_kernel():
@@ -265,14 +265,14 @@ def test_si_functional_kernel_delta_limit_approaches_point_kernel():
     gaps = []
     for delta in (0.2, 0.1, 0.05):
         sec = si_functional_kernel(hat, d, AverageFunctional(x0, delta), out)
-        gaps.append(norm(sec.h_repr - point))
+        gaps.append(norm(sec - point))
     assert gaps[0] > gaps[1] > gaps[2]
 
     # away from every kink the box average of a piecewise-linear generator
     # reproduces the point kernel exactly
     exact = si_functional_kernel(hat, d, AverageFunctional(0.3, 0.15), out)
     point3 = si_reproducing_kernel(hat, d, 0.3, out)
-    assert norm(exact.h_repr - point3) < 1e-10
+    assert norm(exact - point3) < 1e-10
 
 
 # ------------------------------------------------------------ density & gram
@@ -308,7 +308,7 @@ def test_si_gram_is_psd_and_matches_direct_pairing():
     # direct pairing oracle: L_beta applied to the synthesized section
     out = Grid(-26.0, 26.0, 53249)
     sec0 = si_functional_kernel(hat, d, us[0], out)
-    direct = average_sample(sec0.h_repr, us[2], refine=8, interp="linear")
+    direct = average_sample(sec0, us[2], refine=8, interp="linear")
     assert abs(g.matrix[0, 2] - direct) < 1e-7
 
 
@@ -477,7 +477,7 @@ def test_windowed_shift_sums_match_full_grid_loops(kind, k_max, density, x, cent
     for k in range(math.floor(center - delta - r), math.ceil(center + delta + r) + 1):
         average[k] = complex(integrate_values(g, u.evaluate(t) * np.conj(gen.evaluate(t - k))))
     _assert_rel_close(
-        si_functional_kernel(gen, d, u, out).h_repr.values[:, 0], _dict_route_synthesis(gen, d, average, out)
+        si_functional_kernel(gen, d, u, out).values[:, 0], _dict_route_synthesis(gen, d, average, out)
     )
 
     shifts = range(-(k_max + r + 1), k_max + r + 2)
