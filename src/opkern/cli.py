@@ -20,11 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import Grid, GridFunction, rng, uniform_fourier_sum
+from .core import Grid, GridFunction, rng
 from .exceptions import ConditioningError, OpkernError, ValidationError
-from .families import AverageSamplingFamily, FourierCoefficientFamily
-from .frames import TruncatedFrame, dual_frame, interior_relative_error, reconstruct, stacked_frame
-from .kernels import GramMatrix, feature_gram, psd_check
+from .families import AverageSamplingFamily, FourierCoefficientFamily, PointEvaluationFamily
+from .frames import dual_frame, interior_relative_error, reconstruct
+from .kernels import GramMatrix, feature_gram, fourier_frame, psd_check
 from .learning import (
     learning_problem,
     perturb_samples,
@@ -35,11 +35,12 @@ from .learning import (
 from .paley_wiener import (
     BandlimitedSignal,
     build_vector_sampling_set,
+    fourier_series,
     generalized_kadec_check,
     kadec_bounds,
     pw_average_sections,
+    pw_point_sections,
     pw_window,
-    sinc_kernel,
     synthesize,
     vector_features,
     w_grid_default,
@@ -62,22 +63,11 @@ FMT = "%.15g"
 MAX_STACK_ENTRIES = 2**25
 
 
-def _fmt(x: float) -> str:
-    return FMT % x
-
-
 def _write_json(path: Path, obj) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _write_manifest(prefix: Path, command: str, config: dict) -> None:
-    _write_json(
-        prefix.with_suffix(".manifest.json"),
-        {"command": command, "config": config, "version": __version__},
-    )
 
 
 def _write_gram_csv(path: Path, g: GramMatrix) -> None:
@@ -134,13 +124,25 @@ def _parse_indices(text: str) -> list:
     return [float(tok) if "." in tok else int(tok) for tok in text.split(",") if tok]
 
 
+#: the keys a signal file must hold
+_SIGNAL_KEYS = ("coeffs", "offset", "window")
+
+
+def _json_object(obj, what: str, keys=()) -> dict:
+    """A JSON value read from an input file, refused unless it is an object
+    holding every one of ``keys``."""
+    if not isinstance(obj, dict) or not obj.keys() >= set(keys):
+        raise ValidationError(f"{what} must be a JSON object with the keys {list(keys)}")
+    return obj
+
+
 def _apply_config_file(args: argparse.Namespace) -> dict:
     """Resolve the effective config: file values override flags, and go
     through the same type conversion and choices as the flag would."""
     config = {k: v for k, v in vars(args).items() if k not in {"func", "config", "parser"}}
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            overrides = json.load(fh)
+            overrides = _json_object(json.load(fh), "config")
         actions = {a.dest: a for a in args.parser._actions}
         for key, value in overrides.items():
             key = key.replace("-", "_")
@@ -160,7 +162,7 @@ def _apply_config_file(args: argparse.Namespace) -> dict:
 
 def _load_signal(path: str) -> BandlimitedSignal:
     with open(path) as fh:
-        return BandlimitedSignal.from_json(json.load(fh))
+        return BandlimitedSignal.from_json(_json_object(json.load(fh), "signal", _SIGNAL_KEYS))
 
 
 def _window_grid(args) -> Grid:
@@ -182,92 +184,45 @@ def _check_stack(count: int, *grid_sizes: int) -> None:
         )
 
 
-def _pw_sections(centers, delta, profile, window_grid, w_n):
-    _check_stack(len(centers), window_grid.n, w_n)
-    return pw_average_sections(centers, delta, window_grid, profile=profile, w_grid=w_grid_default(w_n))
-
-
 def _fourier_grid(n: int) -> Grid:
     return Grid(0.0, 2.0 * math.pi, n)
 
 
-def _fourier_signal(signal: BandlimitedSignal, grid: Grid) -> GridFunction:
-    """The signal's coefficients read as Fourier modes on [0, 2pi]:
-    f(x) = (1/sqrt(2pi)) sum_k c_k exp(i k x)."""
-    vals = uniform_fourier_sum(grid.a, grid.h, grid.n, signal.offset, 1.0, signal.coeffs[:, 0], sign=1.0)
-    return GridFunction(grid, vals / math.sqrt(2.0 * math.pi))
-
-
-def _fourier_sections(indices, grid: Grid) -> TruncatedFrame:
-    """The frame of the basis K(j) = exp(i j x)/sqrt(2pi) on [0, 2pi], its
-    own feature vector. With p = n - 1 equal steps, exp(i j x_k) =
-    omega^(jk mod p) for omega = exp(2 pi i/p), so each row is read from one
-    table of roots of unity, and the trapezoid Gram is exactly 1 where
-    j = k mod p and 0 elsewhere (the periodic trapezoid rule). Indices are
-    reduced mod p as Python ints first, so none overflows."""
-    _check_stack(len(indices), grid.n)
-    indices = [int(j) for j in indices]
-    p = grid.n - 1
-    r = np.array([j % p for j in indices], dtype=np.int64)
-    roots = np.exp(2j * math.pi * np.arange(p) / p) / math.sqrt(2.0 * math.pi)
-    k = np.arange(grid.n)
-    h = np.empty((len(indices), grid.n), dtype=complex)
-    for row, rj in zip(h, r):
-        np.take(roots, (rj * k) % p, out=row)
-    gram = GramMatrix(
-        matrix=(r[:, None] == r[None, :]).astype(complex),
-        indices=tuple(indices),
-        asymmetry=0.0,
-    )
-    return TruncatedFrame(alphas=tuple(indices), h=h, h_grid=grid, gram=gram)
-
-
-def _sinc_point_sections(points, window_grid: Grid, w_n: int):
-    """The frame of the point evaluations: sinc sections on the window, plane
-    waves exp(i x t)/sqrt(2pi) as their feature vectors."""
-    _check_stack(len(points), window_grid.n, w_n)
-    points = [float(x) for x in points]
-    wg = w_grid_default(w_n)
-    t = wg.points()
-    x_axis = window_grid.points()
-    h = np.empty((len(points), window_grid.n), dtype=complex)
-    w = np.empty((len(points), wg.n), dtype=complex)
-    for i, x in enumerate(points):
-        h[i] = sinc_kernel(x_axis, x)
-        w[i] = np.exp(1j * x * t)
-    w /= math.sqrt(2.0 * math.pi)
-    return stacked_frame(points, h, window_grid, w, wg)
-
-
-def _sections_for_family(args, window_grid):
-    if args.family == "fourier":
+def _frame_of(kind: str, indices, args, delta=None, profile=None):
+    """The frame of the family ``kind`` at the indices, the family, and the
+    map that puts a signal on the frame's grid: [0, 2pi] for Fourier
+    coefficients, the evaluation window otherwise. The stack size is
+    checked before anything is built."""
+    if kind == "fourier":
         grid = _fourier_grid(args.grid_n)
-        return _fourier_sections(_parse_indices(args.indices), grid)
-    if args.family == "average":
-        return _pw_sections(
-            _parse_indices(args.indices), args.delta, args.profile, window_grid, args.w_n
-        )
-    if args.family == "point":
-        return _sinc_point_sections(_parse_indices(args.indices), window_grid, args.w_n)
-    raise OpkernError(f"unsupported family {args.family!r}")
+        _check_stack(len(indices), grid.n)
+        return fourier_frame(indices, grid), FourierCoefficientFamily(), fourier_series
+    if kind not in ("average", "point"):
+        raise OpkernError(f"unsupported family {kind!r}")
+    grid = _window_grid(args)
+    _check_stack(len(indices), grid.n, args.w_n)
+    if kind == "point":
+        return pw_point_sections(indices, grid, w_grid_default(args.w_n)), PointEvaluationFamily(), synthesize
+    frame = pw_average_sections(indices, delta, grid, profile=profile, w_grid=w_grid_default(args.w_n))
+    return frame, AverageSamplingFamily(delta=delta, profile=profile), synthesize
+
+
+def _sections_for_family(args):
+    return _frame_of(args.family, _parse_indices(args.indices), args, args.delta, args.profile)[0]
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-def _cmd_gram(args, config: dict) -> int:
-    frame = _sections_for_family(args, _window_grid(args))
-    prefix = Path(args.out)
+def _cmd_gram(args, prefix: Path) -> None:
+    frame = _sections_for_family(args)
     _write_gram_csv(prefix.with_suffix(".csv"), frame.gram)
-    _write_manifest(prefix, "gram", config)
-    return 0
 
 
-def _cmd_psd(args, config: dict) -> int:
-    g = _sections_for_family(args, _window_grid(args)).gram
+def _cmd_psd(args, prefix: Path) -> None:
+    g = _sections_for_family(args).gram
     report = psd_check(g)
-    prefix = Path(args.out)
     _write_json(
         prefix.with_suffix(".json"),
         {
@@ -277,44 +232,27 @@ def _cmd_psd(args, config: dict) -> int:
             "asymmetry": g.asymmetry,
         },
     )
-    _write_manifest(prefix, "psd", config)
-    return 0
 
 
-def _cmd_kadec(args, config: dict) -> int:
+def _cmd_kadec(args, prefix: Path) -> None:
     a, b = kadec_bounds(args.delta)
     if args.delta > 0:
         check = generalized_kadec_check(a, b, args.delta)
         passed, margin = check.passed, check.margin
     else:
         passed, margin = True, 1.0
-    prefix = Path(args.out)
     _write_json(prefix.with_suffix(".json"), {"A": a, "B": b, "pass": passed, "margin": margin})
-    _write_manifest(prefix, "kadec", config)
-    return 0
 
 
-def _cmd_reconstruct(args, config: dict) -> int:
+def _cmd_reconstruct(args, prefix: Path) -> None:
     signal = _load_signal(args.signal)
-    prefix = Path(args.out)
-    if args.space == "pw":
-        grid = _window_grid(args)
-        indices = [float(c) for c in range(-args.m, args.m + 1)]
-        frame = _pw_sections(indices, args.delta, args.profile, grid, args.w_n)
-        f_grid = synthesize(signal, grid)
-        family = AverageSamplingFamily(delta=args.delta, profile=args.profile)
-        window = (grid.a + 4.0, grid.b - 4.0)
-    elif args.space == "fourier":
-        grid = _fourier_grid(args.grid_n)
-        indices = list(range(-args.m, args.m + 1))
-        frame = _fourier_sections(indices, grid)
-        f_grid = _fourier_signal(signal, grid)
-        family = FourierCoefficientFamily()
-        window = (grid.a, grid.b)
-    else:
-        raise OpkernError(f"unknown space {args.space!r}")
+    kind = {"pw": "average", "fourier": "fourier"}[args.space]
+    frame, family, on_grid = _frame_of(kind, range(-args.m, args.m + 1), args, args.delta, args.profile)
+    grid = frame.h_grid
+    f_grid = on_grid(signal, grid)
+    window = (grid.a + 4.0, grid.b - 4.0) if kind == "average" else (grid.a, grid.b)
     dual = dual_frame(frame, rel_cutoff=args.rel_cutoff)
-    f_hat = reconstruct(dual, sampling_operator(family, indices, f_grid))
+    f_hat = reconstruct(dual, sampling_operator(family, frame.alphas, f_grid))
     err = interior_relative_error(f_hat, f_grid, window=window)
     _write_function_csv(prefix.with_suffix(".csv"), f_hat)
     _write_function_json(prefix.with_suffix(".function.json"), f_hat)
@@ -328,54 +266,40 @@ def _cmd_reconstruct(args, config: dict) -> int:
             "frame_size": len(frame),
         },
     )
-    _write_manifest(prefix, "reconstruct", config)
-    return 0
 
 
-def _cmd_avg_sample(args, config: dict) -> int:
+def _cmd_avg_sample(args, prefix: Path) -> None:
     signal = _load_signal(args.signal)
     window_grid = _window_grid(args)
     f_grid = synthesize(signal, window_grid)
     family = AverageSamplingFamily(delta=args.delta, profile=args.profile)
     xs = [float(v) for v in _parse_indices(args.x)]
     samples = sampling_operator(family, xs, f_grid)
-    prefix = Path(args.out)
     _write_json(prefix.with_suffix(".json"), samples.to_json())
-    _write_manifest(prefix, "avg-sample", config)
-    return 0
 
 
-def _cmd_regnet(args, config: dict) -> int:
+def _cmd_regnet(args, prefix: Path) -> None:
     with open(args.problem) as fh:
-        payload = json.load(fh)
-    fam_desc = payload["family"]
+        payload = _json_object(json.load(fh), "problem", ("family", "indices", "lambda"))
+    fam_desc = _json_object(payload["family"], "problem family", ("family",))
     indices = payload["indices"]
+    if not isinstance(indices, list):
+        raise ValidationError(f"problem indices must be a list, not {type(indices).__name__}")
     lam = float(payload["lambda"])
-    window_grid = _window_grid(args)
-    if fam_desc["family"] == "fourier":
-        grid = _fourier_grid(args.grid_n)
-        frame = _fourier_sections(indices, grid)
-        family = FourierCoefficientFamily()
-        indices = [int(j) for j in indices]
-    elif fam_desc["family"] == "average":
-        delta = float(fam_desc["params"]["delta"])
-        profile = fam_desc["params"].get("profile", "box")
-        indices = [float(x) for x in indices]
-        frame = _pw_sections(indices, delta, profile, window_grid, args.w_n)
-        family = AverageSamplingFamily(delta=delta, profile=profile)
-    else:
-        raise OpkernError(f"unsupported learning family {fam_desc['family']!r}")
+    kind, delta, profile = fam_desc["family"], None, None
+    if kind == "average":
+        params = _json_object(fam_desc.get("params"), "average family params", ("delta",))
+        delta, profile = float(params["delta"]), params.get("profile", "box")
+    elif kind != "fourier":
+        raise OpkernError(f"unsupported learning family {kind!r}")
+    frame, family, on_grid = _frame_of(kind, indices, args, delta, profile)
+    indices = frame.alphas
     if payload.get("samples") is not None:
         values = [complex(re, im) for re, im in payload["samples"]]
-        samples = SampleSet(family.descriptor(), tuple(indices), values)
+        samples = SampleSet(family.descriptor(), indices, values)
     elif payload.get("signal") is not None:
-        signal = BandlimitedSignal.from_json(payload["signal"])
-        target = (
-            synthesize(signal, window_grid)
-            if fam_desc["family"] == "average"
-            else _fourier_signal(signal, _fourier_grid(args.grid_n))
-        )
-        samples = sampling_operator(family, indices, target)
+        signal = BandlimitedSignal.from_json(_json_object(payload["signal"], "problem signal", _SIGNAL_KEYS))
+        samples = sampling_operator(family, indices, on_grid(signal, frame.h_grid))
     else:
         raise OpkernError("problem file needs either samples or a signal")
     noise = payload.get("noise")
@@ -383,7 +307,6 @@ def _cmd_regnet(args, config: dict) -> int:
         samples = perturb_samples(samples, float(noise["sigma"]), int(noise["seed"]))
     problem = learning_problem(frame, samples, lam)
     solution = regnet_solve(problem)
-    prefix = Path(args.out)
     _write_json(
         prefix.with_suffix(".json"),
         {
@@ -393,11 +316,9 @@ def _cmd_regnet(args, config: dict) -> int:
         },
     )
     _write_function_csv(prefix.with_suffix(".csv"), solution.f0)
-    _write_manifest(prefix, "regnet", config)
-    return 0
 
 
-def _cmd_si_diagnose(args, config: dict) -> int:
+def _cmd_si_diagnose(args, prefix: Path) -> None:
     gen = make_generator(args.generator)
     xi = np.linspace(-math.pi, math.pi, 257)
     bracket = bracket_function(gen, xi)
@@ -407,7 +328,6 @@ def _cmd_si_diagnose(args, config: dict) -> int:
     centers = [args.center + i * 0.5 for i in range(args.n_centers)]
     family = [AverageFunctional(c, args.delta, args.profile) for c in centers]
     density = density_diagnostic(gen, family, Grid(-math.pi, math.pi, 257))
-    prefix = Path(args.out)
     _write_json(
         prefix.with_suffix(".json"),
         {
@@ -423,18 +343,13 @@ def _cmd_si_diagnose(args, config: dict) -> int:
             "density_smallest_singular": density.smallest_singular,
         },
     )
-    _write_manifest(prefix, "si-diagnose", config)
-    return 0
 
 
-def _cmd_stability(args, config: dict) -> int:
-    window_grid = _window_grid(args)
-    centers = list(range(-args.m, args.m + 1))
-    frame = _pw_sections(centers, args.delta, args.profile, window_grid, args.w_n)
+def _cmd_stability(args, prefix: Path) -> None:
+    frame = _frame_of("average", range(-args.m, args.m + 1), args, args.delta, args.profile)[0]
     dual = dual_frame(frame)
     sizes = [int(s) for s in args.sizes.split(",")]
     trunc, sweep = stability_reports(frame, dual, args.lam, args.trials, args.seed, sizes)
-    prefix = Path(args.out)
     _write_json(
         prefix.with_suffix(".json"),
         {
@@ -457,15 +372,13 @@ def _cmd_stability(args, config: dict) -> int:
     )
     lines = ["size,truncated_ratio,damped_ratio"]
     for size in sizes:
-        lines.append(f"{size},{_fmt(trunc.per_size[size])},{_fmt(sweep.per_size[size])}")
+        lines.append(f"{size},{FMT % trunc.per_size[size]},{FMT % sweep.per_size[size]}")
     csv_path = prefix.with_suffix(".csv")
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     csv_path.write_text("\n".join(lines) + "\n")
-    _write_manifest(prefix, "stability", config)
-    return 0
 
 
-def _cmd_vector_sampling(args, config: dict) -> int:
+def _cmd_vector_sampling(args, prefix: Path) -> None:
     n = args.n
     _check_stack(n * (2 * args.m_range + 1), args.w_n * n)
     if args.perturb > 0:
@@ -481,23 +394,23 @@ def _cmd_vector_sampling(args, config: dict) -> int:
     g = feature_gram(vector_features(vss, wg), wg)
     idx = np.arange(g.shape[0]) % n
     offblock = float(np.max(np.abs(g[idx[:, None] != idx[None, :]]), initial=0.0))
-    prefix = Path(args.out)
     payload = vss.to_json()
     payload["cross_block_max"] = offblock
     _write_json(prefix.with_suffix(".json"), payload)
-    _write_manifest(prefix, "vector-sampling", config)
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _subcommand(sub, name: str, func, help_text: str) -> argparse.ArgumentParser:
+    """A subcommand parser with the flags every subcommand takes."""
+    p = sub.add_parser(name, help=help_text)
     p.add_argument("--out", default="opkern_out/run", help="output path prefix")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", default=None, help="JSON file overriding flags")
-    p.set_defaults(parser=p)
+    p.set_defaults(func=func, parser=p)
+    return p
 
 
 def _add_pw_flags(p: argparse.ArgumentParser) -> None:
@@ -518,47 +431,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gram", help="assemble a kernel Gram matrix")
-    p.add_argument("--family", default="fourier", choices=["fourier", "average", "point"])
-    p.add_argument("--indices", default="-2..2")
-    _add_pw_flags(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_gram)
+    for name, func, help_text in (
+        ("gram", _cmd_gram, "assemble a kernel Gram matrix"),
+        ("psd", _cmd_psd, "positivity report for a kernel Gram"),
+    ):
+        p = _subcommand(sub, name, func, help_text)
+        p.add_argument("--family", default="fourier", choices=["fourier", "average", "point"])
+        p.add_argument("--indices", default="-2..2")
+        _add_pw_flags(p)
 
-    p = sub.add_parser("psd", help="positivity report for a kernel Gram")
-    p.add_argument("--family", default="fourier", choices=["fourier", "average", "point"])
-    p.add_argument("--indices", default="-2..2")
-    _add_pw_flags(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_psd)
-
-    p = sub.add_parser("kadec", help="perturbation admissibility bounds")
+    p = _subcommand(sub, "kadec", _cmd_kadec, "perturbation admissibility bounds")
     p.add_argument("--delta", type=float, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_kadec)
 
-    p = sub.add_parser("reconstruct", help="reconstruct a signal from functional samples")
+    p = _subcommand(sub, "reconstruct", _cmd_reconstruct, "reconstruct a signal from functional samples")
     p.add_argument("--space", default="pw", choices=["pw", "fourier"])
     p.add_argument("--signal", required=True, help="signal JSON path")
     p.add_argument("--rel-cutoff", dest="rel_cutoff", type=float, default=1e-10)
     _add_pw_flags(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_reconstruct)
 
-    p = sub.add_parser("avg-sample", help="apply average functionals to a signal")
+    p = _subcommand(sub, "avg-sample", _cmd_avg_sample, "apply average functionals to a signal")
     p.add_argument("--signal", required=True)
     p.add_argument("--x", required=True, help="centers, e.g. '-4..4' or '0.5,1.5'")
     _add_pw_flags(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_avg_sample)
 
-    p = sub.add_parser("regnet", help="regularized learning from functional samples")
+    p = _subcommand(sub, "regnet", _cmd_regnet, "regularized learning from functional samples")
     p.add_argument("--problem", required=True, help="problem JSON path")
     _add_pw_flags(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_regnet)
 
-    p = sub.add_parser("si-diagnose", help="shift-space generator diagnostics")
+    p = _subcommand(sub, "si-diagnose", _cmd_si_diagnose, "shift-space generator diagnostics")
     p.add_argument("--generator", default="hat", choices=["box", "hat", "cubic"])
     p.add_argument("--k-max", dest="k_max", type=int, default=20)
     p.add_argument("--k-range", dest="k_range", type=int, default=4)
@@ -566,24 +466,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", default="triangle", choices=["box", "triangle", "cosine"])
     p.add_argument("--center", type=float, default=0.25)
     p.add_argument("--n-centers", dest="n_centers", type=int, default=3)
-    _add_common(p)
-    p.set_defaults(func=_cmd_si_diagnose)
 
-    p = sub.add_parser("stability", help="stability sweep of reconstruction operators")
+    p = _subcommand(sub, "stability", _cmd_stability, "stability sweep of reconstruction operators")
     p.add_argument("--sizes", default="4,8,16")
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--lambda", dest="lam", type=float, default=0.1)
     _add_pw_flags(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_stability)
 
-    p = sub.add_parser("vector-sampling", help="build a vector-valued sampling set")
+    p = _subcommand(sub, "vector-sampling", _cmd_vector_sampling, "build a vector-valued sampling set")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--m-range", dest="m_range", type=int, default=16)
     p.add_argument("--perturb", type=float, default=0.0)
     p.add_argument("--w-n", dest="w_n", type=int, default=1025)
-    _add_common(p)
-    p.set_defaults(func=_cmd_vector_sampling)
 
     return parser
 
@@ -592,7 +486,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, _apply_config_file(args))
+        config = _apply_config_file(args)
+        prefix = Path(args.out)
+        args.func(args, prefix)
+        _write_json(
+            prefix.with_suffix(".manifest.json"),
+            {"command": args.command, "config": config, "version": __version__},
+        )
+        return 0
     except (ConditioningError, np.linalg.LinAlgError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")

@@ -10,6 +10,7 @@ round-trip through files.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -29,6 +30,8 @@ __all__ = [
     "SampleSet",
     "average_sample",
     "average_samples",
+    "fourier_indices",
+    "fourier_rows",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -323,6 +326,38 @@ class FunctionalFamily:
         return alpha
 
 
+def fourier_indices(alphas) -> list:
+    """Fourier indices as Python ints; a value that is not integral (1.5,
+    inf, nan, a string) is refused rather than truncated."""
+    out = []
+    for j in alphas:
+        try:
+            out.append(operator.index(j))
+        except TypeError:
+            if not (isinstance(j, (float, np.floating)) and float(j).is_integer()):
+                raise ValidationError(f"Fourier index {j!r} is not an integer") from None
+            out.append(int(j))
+    return out
+
+
+def fourier_rows(indices, grid: Grid) -> np.ndarray:
+    """The rows exp(i j x)/sqrt(2pi) of the given indices on the grid
+    [0, 2pi], shape (len(indices), n). With p = n - 1 equal steps,
+    exp(i j x_k) = omega^(jk mod p) for omega = exp(2 pi i/p), so each index
+    is reduced mod p as a Python int, none overflows, and every row is read
+    from one table of roots of unity. Any other grid is refused."""
+    if grid.a != 0.0 or grid.b != TWO_PI:
+        raise DomainError(f"Fourier rows live on the grid [0, 2pi], not [{grid.a}, {grid.b}]")
+    p = grid.n - 1
+    roots = np.exp(2j * math.pi * np.arange(p) / p) / math.sqrt(TWO_PI)
+    k = np.arange(grid.n)
+    js = fourier_indices(indices)
+    rows = np.empty((len(js), grid.n), dtype=complex)
+    for row, j in zip(rows, js):
+        np.take(roots, ((j % p) * k) % p, out=row)
+    return rows
+
+
 @dataclass(frozen=True)
 class FourierCoefficientFamily(FunctionalFamily):
     """L_j(f) = (1/sqrt(2pi)) \\int_a^b f(x) exp(-i j x) dx for integer j."""
@@ -342,7 +377,7 @@ class FourierCoefficientFamily(FunctionalFamily):
         so a span wider than n - 1 is first reduced mod n - 1."""
         if not f.grid.spans(self.a, self.b) or abs(f.grid.a - self.a) > 1e-9 or abs(f.grid.b - self.b) > 1e-9:
             raise DomainError("fourier coefficients expect functions on the family interval")
-        js = [int(a) for a in alphas]
+        js = fourier_indices(alphas)
         if not js:
             return np.empty((0, f.dim), dtype=complex)
         lo = min(js)
@@ -359,9 +394,8 @@ class FourierCoefficientFamily(FunctionalFamily):
         return coeffs[[j - lo for j in js]] / math.sqrt(TWO_PI)
 
     def basis_function(self, j: int, grid: Grid) -> GridFunction:
-        """The kernel section K(j) = exp(i j x)/sqrt(2pi) on the given grid."""
-        x = grid.points()
-        return GridFunction(grid, np.exp(1j * int(j) * x) / math.sqrt(TWO_PI))
+        """The kernel section K(j) = exp(i j x)/sqrt(2pi) on the grid [0, 2pi]."""
+        return GridFunction(grid, fourier_rows([j], grid)[0])
 
     def descriptor(self) -> dict:
         return {"family": "fourier", "params": {"a": self.a, "b": self.b}}

@@ -19,7 +19,7 @@ from .core import Grid, GridFunction, inverse_dft, uniform_fourier_sum
 from .exceptions import AdmissibilityError, DomainError, ShapeMismatchError, ValidationError
 from .families import AverageFunctional
 from .frames import TruncatedFrame, stacked_frame
-from .kernels import FeatureMap, feature_gram
+from .kernels import FeatureMap, feature_gram, xi_rows
 
 __all__ = [
     "sinc_kernel",
@@ -29,7 +29,9 @@ __all__ = [
     "w_grid_default",
     "psi_feature",
     "pw_average_sections",
+    "pw_point_sections",
     "point_feature_map",
+    "fourier_series",
     "signal_w_repr",
     "kadec_bounds",
     "generalized_kadec_check",
@@ -189,29 +191,43 @@ def pw_average_sections(
 
 
 def point_feature_map(w_grid: Grid, dim_y: int = 1) -> FeatureMap:
-    """Point-evaluation feature map Phi(x)xi = exp(i x t) xi / sqrt(2pi)."""
+    """Point-evaluation feature map Phi(x)xi = exp(i x t) xi / sqrt(2pi), the
+    plane waves of a list of points in one expression."""
     _require_band_grid(w_grid)
     t = w_grid.points()
 
-    def evaluate(x, xi):
-        xi = np.atleast_1d(np.asarray(xi, dtype=complex))
-        wave = np.exp(1j * float(x) * t) / SQRT_TWO_PI
-        return GridFunction(w_grid, np.outer(wave, xi))
+    def evaluate(xs, xis):
+        waves = np.exp(1j * np.outer(np.asarray(xs, dtype=float), t)) / SQRT_TWO_PI
+        return waves[:, :, None] * xi_rows(xis, len(waves))[:, None, :]
 
     return FeatureMap(w_grid=w_grid, dim_y=dim_y, evaluate=evaluate)
 
 
+def pw_point_sections(points, out_grid: Grid, w_grid: Grid) -> TruncatedFrame:
+    """The frame of the point evaluations at ``points``: sinc sections on
+    ``out_grid``, with the plane waves of ``point_feature_map`` on
+    ``w_grid`` as their feature vectors."""
+    points = [float(x) for x in points]
+    h = sinc_kernel(out_grid.points(), np.array(points)[:, None]).astype(complex)
+    w = point_feature_map(w_grid).evaluate(points, np.ones(1))
+    return stacked_frame(points, h, out_grid, w, w_grid)
+
+
+def fourier_series(signal: BandlimitedSignal, grid: Grid) -> GridFunction:
+    """The scalar signal's coefficients read as Fourier modes on a uniform
+    grid: (1/sqrt(2pi)) sum_k c_k exp(i k t), one chirp-z sum."""
+    if signal.dim != 1:
+        raise ShapeMismatchError("a Fourier series needs a scalar signal")
+    vals = uniform_fourier_sum(grid.a, grid.h, grid.n, signal.offset, 1.0, signal.coeffs[:, 0], sign=1.0)
+    return GridFunction(grid, vals / SQRT_TWO_PI)
+
+
 def signal_w_repr(signal: BandlimitedSignal, w_grid: Grid) -> GridFunction:
     """Exact frequency-side representation of a synthesized signal:
-    w_f(t) = (1/sqrt(2pi)) sum_k c_k exp(i k t), so that <f, g>_{L2(R)} equals
-    the [-pi, pi] inner product of the representations."""
+    w_f(t) = (1/sqrt(2pi)) sum_k c_k exp(i k t) on [-pi, pi], so that
+    <f, g>_{L2(R)} equals the [-pi, pi] inner product of the representations."""
     _require_band_grid(w_grid)
-    if signal.dim != 1:
-        raise ShapeMismatchError("w-representation implemented for scalar signals")
-    vals = uniform_fourier_sum(
-        w_grid.a, w_grid.h, w_grid.n, signal.offset, 1.0, signal.coeffs[:, 0], sign=1.0
-    )
-    return GridFunction(w_grid, vals / SQRT_TWO_PI)
+    return fourier_series(signal, w_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +333,13 @@ def perturbed_exponential_frame_check(
     w_grid = w_grid or w_grid_default()
     _require_band_grid(w_grid)
     x = np.asarray(x, dtype=float)
-    t = w_grid.points()
+    plane_waves = point_feature_map(w_grid).evaluate
     gen = np.random.default_rng(seed)
     offsets = [np.full(x.shape, -delta), np.full(x.shape, delta)]
     offsets += [gen.uniform(-delta, delta, size=x.shape) for _ in range(int(draws))]
     min_eig, max_eig = math.inf, 0.0
     for off in offsets:
-        waves = np.exp(1j * (x + off)[:, None] * t) / SQRT_TWO_PI
-        eig = np.linalg.eigvalsh(feature_gram(waves, w_grid))
+        eig = np.linalg.eigvalsh(feature_gram(plane_waves(x + off, np.ones(1)), w_grid))
         min_eig = min(min_eig, float(eig[0]))
         max_eig = max(max_eig, float(eig[-1]))
     return PerturbedFrameCheck(min_eig=min_eig, max_eig=max_eig, draws=len(offsets))
@@ -429,9 +444,5 @@ def build_vector_sampling_set(
 def vector_features(vss: VectorSamplingSet, w_grid: Grid) -> np.ndarray:
     """Feature vectors Phi(x_j, xi_j)(t) = exp(i x_j t) xi_j / sqrt(2pi) in
     L2([-pi, pi], C^n), stacked in index order: shape (len(x), w_grid.n, n)."""
-    _require_band_grid(w_grid)
-    t = w_grid.points()
-    out = np.empty((len(vss.x), w_grid.n, vss.n), dtype=complex)
-    for j, xj, xij in vss.entries():
-        out[j] = np.outer(np.exp(1j * xj * t) / SQRT_TWO_PI, xij)
-    return out
+    directions = vss.u_matrix[:, np.arange(len(vss.x)) % vss.n].T
+    return point_feature_map(w_grid, vss.n).evaluate(vss.x, directions)

@@ -9,7 +9,7 @@ import numpy as np
 
 from opkern.core import GridFunction, fourier_sum, hermitian_eig, inner_product, solve_hermitian
 from opkern.exceptions import IndependenceError, ShapeMismatchError
-from opkern.families import AverageFunctional, FourierCoefficientFamily
+from opkern.families import AverageFunctional
 from opkern.frames import TruncatedFrame
 from opkern.kernels import _hermitian_gram
 from opkern.paley_wiener import psi_feature
@@ -61,15 +61,15 @@ def truncated_frame(sections):
 
 
 def feature_section(phi, psi, alpha, xi, h_grid):
-    """K(alpha)xi = Phi(.)* Psi(alpha)xi, one ``inner_product`` per grid
-    point and Y component."""
+    """K(alpha)xi = Phi(.)* Psi(alpha)xi, one feature evaluation and one
+    ``inner_product`` per grid point and Y component."""
     xi = np.atleast_1d(np.asarray(xi, dtype=complex))
-    w = psi.evaluate(alpha, xi)
+    w = GridFunction(psi.w_grid, psi.evaluate([alpha], xi)[0])
     vals = np.empty((h_grid.n, phi.dim_y), dtype=complex)
     basis = np.eye(phi.dim_y, dtype=complex)
     for i, x in enumerate(h_grid.points()):
         for l in range(phi.dim_y):
-            vals[i, l] = inner_product(w, phi.evaluate(float(x), basis[l]))
+            vals[i, l] = inner_product(w, GridFunction(phi.w_grid, phi.evaluate([float(x)], basis[l])[0]))
     return KernelSection(alpha=alpha, xi=xi, h_repr=GridFunction(h_grid, vals), w_repr=w)
 
 
@@ -92,11 +92,12 @@ def finite_dim_section(basis, functionals, alpha, xi):
 
 
 def fourier_sections(indices, grid):
-    """K(j) = exp(i j x)/sqrt(2pi) on [0, 2pi], its own feature vector."""
-    fam = FourierCoefficientFamily()
+    """K(j) = exp(i j x)/sqrt(2pi) on [0, 2pi], its own feature vector, each
+    row from np.exp, independent of the library's table of roots of unity."""
+    x = grid.points()
     out = []
     for j in indices:
-        basis = fam.basis_function(int(j), grid)
+        basis = GridFunction(grid, np.exp(1j * int(j) * x) / math.sqrt(2.0 * math.pi))
         out.append(KernelSection(alpha=int(j), xi=ONE, h_repr=basis, w_repr=basis))
     return out
 

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from opkern import cli
 from opkern.cli import main
 from opkern.core import Grid, GridFunction
-from opkern.kernels import GramMatrix, feature_gram
-from opkern.families import SampleSet
+from opkern.kernels import GramMatrix, feature_gram, fourier_feature_map, fourier_frame
+from opkern.families import FourierCoefficientFamily, SampleSet
 from opkern.paley_wiener import BandlimitedSignal, pw_window
 
 
@@ -147,7 +147,7 @@ def test_stacked_frames_match_section_oracle(family, profile):
         "--m", "6", "--grid-n", "257", "--w-n", "513", "--points-per-unit", "16",
     ])
     window = cli._window_grid(args)
-    frame = cli._sections_for_family(args, window)
+    frame = cli._sections_for_family(args)
     indices = list(range(-6, 7))
     if family == "fourier":
         oracle = truncated_frame(fourier_sections(indices, cli._fourier_grid(257)))
@@ -186,7 +186,7 @@ def test_fourier_frame_gram_matches_feature_gram_of_the_oracle(indices, n):
     from section_oracle import fourier_sections
 
     grid = cli._fourier_grid(n)
-    frame = cli._fourier_sections(indices, grid)
+    frame = fourier_frame(indices, grid)
     oracle = np.stack([s.h_repr.values[:, 0] for s in fourier_sections(indices, grid)])
     assert frame.alphas == tuple(indices)
     assert np.max(np.abs(frame.gram.matrix - feature_gram(oracle, grid))) <= 1e-13
@@ -195,16 +195,23 @@ def test_fourier_frame_gram_matches_feature_gram_of_the_oracle(indices, n):
 
 def test_fourier_sections_match_a_long_double_reference():
     """Rows read from the table of roots of unity against exp(i j x) in long
-    double; np.exp(1j*j*x) in double misses it by about 5e-14 here."""
+    double; np.exp(1j*j*x) in double misses it by about 5e-14 here. The
+    frame, the family's basis functions and the feature map read the same
+    table."""
     grid = cli._fourier_grid(4097)
     indices = list(range(-128, 129))
-    h = cli._fourier_sections(indices, grid).h[:, :, 0]
+    sources = {
+        "frame": fourier_frame(indices, grid).h[:, :, 0],
+        "basis_function": np.stack([FourierCoefficientFamily().basis_function(j, grid).values[:, 0] for j in indices]),
+        "fourier_feature_map": fourier_feature_map(grid).evaluate(indices, np.ones(1))[:, :, 0],
+    }
     pi = np.longdouble("3.14159265358979323846264338327950288")
     x = 2 * pi * np.arange(grid.n, dtype=np.longdouble) / (grid.n - 1)
     phase = np.array(indices, dtype=np.longdouble)[:, None] * x
     norm = np.sqrt(2 * pi)
-    assert np.max(np.abs(h.real - np.cos(phase) / norm)) <= 2e-15
-    assert np.max(np.abs(h.imag - np.sin(phase) / norm)) <= 2e-15
+    for name, h in sources.items():
+        assert np.max(np.abs(h.real - np.cos(phase) / norm)) <= 2e-15, name
+        assert np.max(np.abs(h.imag - np.sin(phase) / norm)) <= 2e-15, name
 
 
 def test_gram_fourier_index_beyond_int64_is_reduced(tmp_path):
@@ -307,7 +314,7 @@ def test_gram_csv_of_each_family_keeps_the_old_bytes(tmp_path, family, indices):
     argv = ["gram", "--family", family, f"--indices={indices}", "--grid-n", "9", "--m", "3", "--w-n", "257"]
     assert main([*argv, "--points-per-unit", "8", "--out", str(tmp_path / "g")]) == 0
     args = cli.build_parser().parse_args([*argv, "--points-per-unit", "8"])
-    frame = cli._sections_for_family(args, cli._window_grid(args))
+    frame = cli._sections_for_family(args)
     assert (tmp_path / "g.csv").read_text() == _old_gram_csv(frame.gram)
 
 
@@ -324,6 +331,48 @@ def test_fourier_indices_beyond_the_span_cap_are_refused(signal_file, tmp_path, 
     assert code == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
     assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command,text",
+    [
+        ("regnet", "{}"),
+        ("regnet", "[1, 2]"),
+        ("regnet", '{"family": [1], "indices": [0], "lambda": 0.1}'),
+        ("regnet", '{"family": {"family": "fourier"}, "indices": 3, "lambda": 0.1}'),
+        ("reconstruct", "{}"),
+        ("reconstruct", "[1, 2]"),
+        ("avg-sample", "{}"),
+        ("avg-sample", "[1, 2]"),
+        ("gram", "[1, 2]"),
+    ],
+    ids=[
+        "regnet-empty", "regnet-list", "regnet-family-list", "regnet-indices-number", "reconstruct-empty",
+        "reconstruct-list", "avg-sample-empty", "avg-sample-list", "gram-config-list",
+    ],
+)
+def test_malformed_input_files_exit_2(tmp_path, capsys, command, text):
+    """A problem, signal or config file that is not an object with the
+    expected keys is refused where it is read. These ended in a KeyError,
+    TypeError or AttributeError traceback."""
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    flag = {"regnet": "--problem", "reconstruct": "--signal", "avg-sample": "--signal", "gram": "--config"}[command]
+    extra = ["--x=0,1"] if command == "avg-sample" else []
+    code = main([command, flag, str(path), *extra, "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert json.loads(err)["error"] == "ValidationError"
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("x.*"))
+
+
+def test_gram_fourier_refuses_a_fractional_index(tmp_path, capsys):
+    """--indices=1.5,2 exited 0 with 1.5 labelled 1."""
+    code = main(["gram", "--family", "fourier", "--indices=1.5,2", "--out", str(tmp_path / "g")])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+    assert not (tmp_path / "g.csv").exists()
 
 
 def test_avg_sample_roundtrip(signal_file, tmp_path):
@@ -520,19 +569,22 @@ def _regnet_problem(signal_file, **fields) -> dict:
         {"lambda": "1e400"},
         {"signal": None, "samples": [[math.nan, 0], [0, 0], [1, 0]]},
         {"noise": {"sigma": math.nan, "seed": 3}},
+        {"indices": [0, 1.5]},
+        {"indices": [0, "1e400"]},
     ],
     ids=[
         "lambda-negative", "lambda-zero", "lambda-nan-string", "lambda-nan", "lambda-infinity",
-        "lambda-overflow", "samples-nan", "noise-sigma-nan",
+        "lambda-overflow", "samples-nan", "noise-sigma-nan", "fourier-index-fractional", "fourier-index-overflow",
     ],
 )
 def test_regnet_bad_inputs_are_refused(signal_file, tmp_path, capsys, fields):
-    """A lambda that is not finite and positive, a non-finite sample and
-    noise that makes one exit 2, with one JSON object on stderr, no numpy
-    warning and no report."""
+    """A lambda that is not finite and positive, a non-finite sample, noise
+    that makes one and a Fourier index that is not an integer exit 2, with
+    one JSON object on stderr, no numpy warning and no report. The index 1.5
+    ran as j = 1, and 1e400 ended in an OverflowError traceback."""
     ppath = tmp_path / "prob.json"
     ppath.write_text(json.dumps(_regnet_problem(signal_file, **fields)))
-    if fields.get("lambda") == "1e400":  # a JSON number beyond float range, read as inf
+    if "1e400" in json.dumps(fields):  # a JSON number beyond float range, read as inf
         ppath.write_text(ppath.read_text().replace('"1e400"', "1e400"))
     code = main(["regnet", "--problem", str(ppath), "--grid-n", "129", "--out", str(tmp_path / "x")])
     assert code == 2
@@ -609,6 +661,21 @@ def test_tracer_runs_the_cli(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(spans.read_text())["spans"]
+
+
+def test_cli_holds_no_frame_arithmetic():
+    """cli.py parses, checks sizes, calls the library's builders and writes
+    artifacts; rows, sections and Grams are formed in the library."""
+    import ast
+
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "src" / "opkern" / "cli.py").read_text())
+    banned = {"exp", "uniform_fourier_sum", "stacked_frame", "GramMatrix", "TruncatedFrame", "sinc_kernel"}
+    called = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            fn = node.func
+            called.add(fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None))
+    assert not called & banned
 
 
 def test_cli_import_loads_no_scipy():

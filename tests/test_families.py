@@ -17,6 +17,8 @@ from opkern.families import (
     SampleSet,
     average_sample,
     family_from_descriptor,
+    fourier_indices,
+    fourier_rows,
     interpolate_values,
 )
 from quadrature_oracle import quadrature_transform
@@ -222,6 +224,48 @@ def test_fourier_apply_all_reduces_a_sparse_wide_span_on_the_periodic_grid():
     weighted = f.values * g.weights()[:, None]
     direct = uniform_fourier_sum(-128, 1.0, 257, g.a, g.h, weighted) / math.sqrt(TWO_PI)
     assert np.array_equal(fam.apply_all(range(-128, 129), f), direct)
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.25, math.inf, math.nan, "2"], ids=["1.5", "-0.25", "inf", "nan", "string"])
+def test_fourier_indices_that_are_not_integers_are_refused(bad):
+    """A fractional index was truncated: apply_all([1.5], f) returned the
+    j = 1 coefficient, and basis_function(inf) raised OverflowError."""
+    g = Grid(0.0, TWO_PI, 65)
+    fam = FourierCoefficientFamily()
+    with pytest.raises(ValidationError):
+        fam.apply_all([0, bad], GridFunction(g, np.ones(65)))
+    with pytest.raises(ValidationError):
+        fam.basis_function(bad, g)
+    with pytest.raises(ValidationError):
+        fourier_rows([bad], g)
+
+
+def test_fourier_indices_keep_integral_values_of_any_type():
+    assert fourier_indices([3, np.int64(-2), 4.0, np.float64(-7.0), 10**400]) == [3, -2, 4, -7, 10**400]
+    g = Grid(0.0, TWO_PI, 65)
+    assert np.array_equal(fourier_rows([3.0, np.int64(3)], g), fourier_rows([3, 3], g))
+
+
+def test_basis_function_of_a_huge_index_is_the_row_of_its_residue():
+    """exp(i j x_k) depends on j only mod n - 1 on [0, 2pi]; 10**400 raised
+    OverflowError when it was cast to a float."""
+    g = Grid(0.0, TWO_PI, 257)
+    fam = FourierCoefficientFamily()
+    for j in (10**400, -(10**400), 2**70, 2**63):
+        got = fam.basis_function(j, g).values
+        assert np.array_equal(got, fam.basis_function(j % 256, g).values)
+
+
+@pytest.mark.parametrize(
+    "a,b", [(-math.pi, math.pi), (0.0, TWO_PI * (1.0 + 1e-15)), (0.0, 1.0)], ids=["band", "round-off", "unit"]
+)
+def test_fourier_rows_refuse_a_grid_other_than_0_to_2pi(a, b):
+    """The table of roots of unity holds only on [0, 2pi] exactly."""
+    g = Grid(a, b, 65)
+    with pytest.raises(DomainError):
+        FourierCoefficientFamily().basis_function(0, g)
+    with pytest.raises(DomainError):
+        fourier_rows([0, 1], g)
 
 
 def test_average_functional_mass_check_resolves_the_centre():

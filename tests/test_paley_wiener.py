@@ -4,27 +4,30 @@ import numpy as np
 import pytest
 
 from opkern.core import Grid, GridFunction, complex_unit_disc, inner_product, rng
-from opkern.exceptions import AdmissibilityError, DomainError, ValidationError
+from opkern.exceptions import AdmissibilityError, DomainError, ShapeMismatchError, ValidationError
 from opkern.families import AverageFunctional, average_sample
 from opkern.kernels import feature_gram
 from opkern.paley_wiener import (
     BandlimitedSignal,
     build_vector_sampling_set,
+    fourier_series,
     generalized_kadec_check,
     kadec_bounds,
     point_feature_map,
     psi_feature,
     pw_average_sections,
+    pw_point_sections,
     pw_window,
     separation_frame_check,
     shifted_average_frame_check,
+    signal_w_repr,
     sinc_kernel,
     synthesize,
     unitary_dft_matrix,
     vector_features,
     w_grid_default,
 )
-from section_oracle import average_sections, truncated_frame
+from section_oracle import average_sections, sinc_sections, truncated_frame
 
 TWO_PI = 2.0 * math.pi
 
@@ -165,11 +168,54 @@ def test_section_matches_point_feature_pairing():
     out = Grid(-3.0, 3.0, 65)
     u = AverageFunctional(0.4, 0.2)
     h = pw_average_sections([0.4], 0.2, out, w_grid=wg).h[0, :, 0]
-    phi = point_feature_map(wg)
+    waves = point_feature_map(wg).evaluate(out.points(), np.array([1.0 + 0j]))
     psi = psi_feature(u, wg)
-    for i, y in enumerate(out.points()):
-        pair = inner_product(psi, phi.evaluate(float(y), np.array([1.0 + 0j])))
+    for i, wave in enumerate(waves):
+        pair = inner_product(psi, GridFunction(wg, wave))
         assert abs(h[i] - pair) < 1e-6
+
+
+@pytest.mark.parametrize("points", [[-6, -5.5, 0, 0.25, 3, 6], [0.5], list(range(-8, 9))])
+def test_pw_point_sections_match_the_sinc_oracle(points):
+    """The point-evaluation frame against the per-point sinc sections with
+    their plane waves: the same arithmetic, bit for bit."""
+    window, wg = Grid(-12.0, 12.0, 385), w_grid_default(513)
+    frame = pw_point_sections(points, window, wg)
+    oracle = truncated_frame(sinc_sections(points, window, wg))
+    assert frame.alphas == oracle.alphas
+    assert np.array_equal(frame.h, oracle.h)
+    assert np.array_equal(frame.gram.matrix, oracle.gram.matrix)
+    assert frame.gram.asymmetry == oracle.gram.asymmetry
+
+
+def test_vector_features_are_the_plane_waves_times_the_directions():
+    """exp(i x_j t)/sqrt(2pi) xi_j, entry by entry, as it was formed before
+    the plane waves came from point_feature_map."""
+    gen = rng(5)
+    offsets = {m: gen.uniform(-0.2, 0.2, size=3) for m in range(-4, 5)}
+    vss = build_vector_sampling_set(3, 4, perturb=lambda m: offsets[m])
+    wg = w_grid_default(257)
+    t = wg.points()
+    want = np.stack([np.outer(np.exp(1j * x * t) / math.sqrt(TWO_PI), xi) for _, x, xi in vss.entries()])
+    assert np.array_equal(vector_features(vss, wg), want)
+
+
+def test_fourier_series_is_the_w_representation():
+    """One sum serves the Fourier-mode signal on [0, 2pi] and the
+    frequency-side representation on [-pi, pi]; only the latter is tied to
+    its grid."""
+    gen = rng(9)
+    sig = BandlimitedSignal.symmetric(complex_unit_disc(gen, 9), pw_window(4))
+    wg = w_grid_default(129)
+    assert np.array_equal(signal_w_repr(sig, wg).values, fourier_series(sig, wg).values)
+    grid = Grid(0.0, TWO_PI, 65)
+    want = sum(c * np.exp(1j * k * grid.points()) for k, c in zip(sig.shifts, sig.coeffs[:, 0])) / math.sqrt(TWO_PI)
+    assert np.max(np.abs(fourier_series(sig, grid).values[:, 0] - want)) <= 1e-13
+    with pytest.raises(DomainError):
+        signal_w_repr(sig, grid)
+    vector = BandlimitedSignal.symmetric(complex_unit_disc(gen, (9, 2)), pw_window(4))
+    with pytest.raises(ShapeMismatchError):
+        fourier_series(vector, grid)
 
 
 # ----------------------------------------------------------- admissibility
@@ -316,6 +362,22 @@ def test_perturbed_exponential_spot_check():
     a_bound, b_bound = kadec_bounds(0.1)
     assert rep.min_eig >= (a_bound / TWO_PI) * 0.9
     assert rep.max_eig <= (b_bound / TWO_PI) * 1.1
+
+
+def test_perturbed_exponential_check_keeps_the_plane_waves_of_each_draw():
+    """The extremes equal those of the waves exp(i (x_j + offset) t)/sqrt(2pi)
+    as the check formed them before they came from point_feature_map."""
+    from opkern.paley_wiener import perturbed_exponential_frame_check
+
+    x = np.arange(-4, 5, dtype=float)
+    wg = w_grid_default(257)
+    rep = perturbed_exponential_frame_check(x, delta=0.15, draws=3, seed=7, w_grid=wg)
+    gen = np.random.default_rng(7)
+    offsets = [np.full(x.shape, -0.15), np.full(x.shape, 0.15)] + [gen.uniform(-0.15, 0.15, size=x.shape) for _ in range(3)]
+    eigs = [np.linalg.eigvalsh(feature_gram(np.exp(1j * (x + off)[:, None] * wg.points()) / math.sqrt(TWO_PI), wg))
+            for off in offsets]
+    assert rep.min_eig == min(e[0] for e in eigs)
+    assert rep.max_eig == max(e[-1] for e in eigs)
 
 
 # --------------------------------------------------------- frame-bound sandwich
