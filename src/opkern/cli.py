@@ -20,9 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import Grid, GridFunction, rng
+from .core import Grid, GridFunction, complex_pairs, complex_values, integral, json_number, json_object, rng
 from .exceptions import ConditioningError, OpkernError, ValidationError
-from .families import AverageSamplingFamily, FourierCoefficientFamily, PointEvaluationFamily
+from .families import AverageFunctional, SampleSet, family_from_descriptor
 from .frames import dual_frame, interior_relative_error, reconstruct
 from .kernels import GramMatrix, feature_gram, fourier_frame, psd_check
 from .learning import (
@@ -54,7 +54,6 @@ from .shift_invariant import (
     make_generator,
     density_diagnostic,
 )
-from .families import AverageFunctional, SampleSet
 
 FMT = "%.15g"
 
@@ -96,26 +95,6 @@ def _write_function_csv(path: Path, f: GridFunction) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-#: one [re, im] pair of a .function.json as json.dump(indent=2) lays it out
-_JSON_PAIR = "    [\n      %r,\n      %r\n    ]"
-
-
-def _write_function_json(path: Path, f: GridFunction) -> None:
-    """The bytes of _write_json(path, f.to_json()), each [re, im] pair
-    rendered by one template. json writes NaN and Infinity where %r writes
-    nan and inf, so a function with a non-finite value goes through json."""
-    if not np.all(np.isfinite(f.values)):
-        _write_json(path, f.to_json())
-        return
-    head, tail = json.dumps(
-        {"a": f.grid.a, "b": f.grid.b, "dim": f.dim, "values": []}, indent=2, sort_keys=True
-    ).split("[]")
-    flat = f.values.T.reshape(-1)
-    body = ",\n".join(_JSON_PAIR % pair for pair in zip(flat.real.tolist(), flat.imag.tolist()))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(head + "[\n" + body + "\n  ]" + tail + "\n")
-
-
 def _parse_indices(text: str) -> list:
     text = text.strip()
     if ".." in text:
@@ -124,45 +103,9 @@ def _parse_indices(text: str) -> list:
     return [float(tok) if "." in tok else int(tok) for tok in text.split(",") if tok]
 
 
-#: the keys a signal file must hold
-_SIGNAL_KEYS = ("coeffs", "offset", "window")
-
-
-def _json_object(obj, what: str, keys=()) -> dict:
-    """A JSON value read from an input file, refused unless it is an object
-    holding every one of ``keys``."""
-    if not isinstance(obj, dict) or not obj.keys() >= set(keys):
-        raise ValidationError(f"{what} must be a JSON object with the keys {list(keys)}")
-    return obj
-
-
-def _apply_config_file(args: argparse.Namespace) -> dict:
-    """Resolve the effective config: file values override flags, and go
-    through the same type conversion and choices as the flag would."""
-    config = {k: v for k, v in vars(args).items() if k not in {"func", "config", "parser"}}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            overrides = _json_object(json.load(fh), "config")
-        actions = {a.dest: a for a in args.parser._actions}
-        for key, value in overrides.items():
-            key = key.replace("-", "_")
-            if key not in config or key not in actions:
-                raise OpkernError(f"unknown config key {key!r}")
-            action = actions[key]
-            try:
-                value = (action.type or str)(str(value))
-            except ValueError:
-                raise ValidationError(f"config value {value!r} is not valid for {key!r}") from None
-            if action.choices is not None and value not in action.choices:
-                raise ValidationError(f"config value {value!r} for {key!r} not in {list(action.choices)}")
-            config[key] = value
-            setattr(args, key, value)
-    return config
-
-
 def _load_signal(path: str) -> BandlimitedSignal:
     with open(path) as fh:
-        return BandlimitedSignal.from_json(_json_object(json.load(fh), "signal", _SIGNAL_KEYS))
+        return BandlimitedSignal.from_json(json.load(fh))
 
 
 def _window_grid(args) -> Grid:
@@ -188,27 +131,31 @@ def _fourier_grid(n: int) -> Grid:
     return Grid(0.0, 2.0 * math.pi, n)
 
 
-def _frame_of(kind: str, indices, args, delta=None, profile=None):
-    """The frame of the family ``kind`` at the indices, the family, and the
-    map that puts a signal on the frame's grid: [0, 2pi] for Fourier
-    coefficients, the evaluation window otherwise. The stack size is
-    checked before anything is built."""
-    if kind == "fourier":
+def _family(kind: str, args):
+    """The family of the kind; an average family takes --delta and --profile."""
+    params = {"delta": args.delta, "profile": args.profile} if kind == "average" else {}
+    return family_from_descriptor({"family": kind, "params": params})
+
+
+def _frame_of(family, indices, args):
+    """The frame of the family at the indices and the map that puts a signal
+    on the frame's grid: [0, 2pi] for Fourier coefficients, the evaluation
+    window otherwise. The stack size is checked before anything is built."""
+    if family.kind == "fourier":
         grid = _fourier_grid(args.grid_n)
         _check_stack(len(indices), grid.n)
-        return fourier_frame(indices, grid), FourierCoefficientFamily(), fourier_series
-    if kind not in ("average", "point"):
-        raise OpkernError(f"unsupported family {kind!r}")
+        return fourier_frame(indices, grid), fourier_series
+    if family.kind not in ("average", "point"):
+        raise OpkernError(f"unsupported family {family.kind!r}")
     grid = _window_grid(args)
     _check_stack(len(indices), grid.n, args.w_n)
-    if kind == "point":
-        return pw_point_sections(indices, grid, w_grid_default(args.w_n)), PointEvaluationFamily(), synthesize
-    frame = pw_average_sections(indices, delta, grid, profile=profile, w_grid=w_grid_default(args.w_n))
-    return frame, AverageSamplingFamily(delta=delta, profile=profile), synthesize
+    if family.kind == "point":
+        return pw_point_sections(indices, grid, w_grid_default(args.w_n)), synthesize
+    return pw_average_sections(indices, family.delta, grid, family.profile, w_grid_default(args.w_n)), synthesize
 
 
 def _sections_for_family(args):
-    return _frame_of(args.family, _parse_indices(args.indices), args, args.delta, args.profile)[0]
+    return _frame_of(_family(args.family, args), _parse_indices(args.indices), args)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -246,16 +193,16 @@ def _cmd_kadec(args, prefix: Path) -> None:
 
 def _cmd_reconstruct(args, prefix: Path) -> None:
     signal = _load_signal(args.signal)
-    kind = {"pw": "average", "fourier": "fourier"}[args.space]
-    frame, family, on_grid = _frame_of(kind, range(-args.m, args.m + 1), args, args.delta, args.profile)
+    family = _family({"pw": "average", "fourier": "fourier"}[args.space], args)
+    frame, on_grid = _frame_of(family, range(-args.m, args.m + 1), args)
     grid = frame.h_grid
     f_grid = on_grid(signal, grid)
-    window = (grid.a + 4.0, grid.b - 4.0) if kind == "average" else (grid.a, grid.b)
+    window = (grid.a + 4.0, grid.b - 4.0) if family.kind == "average" else (grid.a, grid.b)
     dual = dual_frame(frame, rel_cutoff=args.rel_cutoff)
     f_hat = reconstruct(dual, sampling_operator(family, frame.alphas, f_grid))
     err = interior_relative_error(f_hat, f_grid, window=window)
     _write_function_csv(prefix.with_suffix(".csv"), f_hat)
-    _write_function_json(prefix.with_suffix(".function.json"), f_hat)
+    f_hat.dump(prefix.with_suffix(".function.json"))
     _write_json(
         prefix.with_suffix(".json"),
         {
@@ -272,7 +219,7 @@ def _cmd_avg_sample(args, prefix: Path) -> None:
     signal = _load_signal(args.signal)
     window_grid = _window_grid(args)
     f_grid = synthesize(signal, window_grid)
-    family = AverageSamplingFamily(delta=args.delta, profile=args.profile)
+    family = _family("average", args)
     xs = [float(v) for v in _parse_indices(args.x)]
     samples = sampling_operator(family, xs, f_grid)
     _write_json(prefix.with_suffix(".json"), samples.to_json())
@@ -280,37 +227,29 @@ def _cmd_avg_sample(args, prefix: Path) -> None:
 
 def _cmd_regnet(args, prefix: Path) -> None:
     with open(args.problem) as fh:
-        payload = _json_object(json.load(fh), "problem", ("family", "indices", "lambda"))
-    fam_desc = _json_object(payload["family"], "problem family", ("family",))
-    indices = payload["indices"]
-    if not isinstance(indices, list):
-        raise ValidationError(f"problem indices must be a list, not {type(indices).__name__}")
-    lam = float(payload["lambda"])
-    kind, delta, profile = fam_desc["family"], None, None
-    if kind == "average":
-        params = _json_object(fam_desc.get("params"), "average family params", ("delta",))
-        delta, profile = float(params["delta"]), params.get("profile", "box")
-    elif kind != "fourier":
-        raise OpkernError(f"unsupported learning family {kind!r}")
-    frame, family, on_grid = _frame_of(kind, indices, args, delta, profile)
-    indices = frame.alphas
+        payload = json_object(json.load(fh), "problem", ("family", "indices", "lambda"))
+    family = family_from_descriptor(payload["family"])
+    if not isinstance(payload["indices"], list):
+        raise ValidationError(f"problem indices must be a list, not {type(payload['indices']).__name__}")
+    lam = json_number(payload["lambda"], "problem lambda")
+    frame, on_grid = _frame_of(family, [family.decode_alpha(a) for a in payload["indices"]], args)
     if payload.get("samples") is not None:
-        values = [complex(re, im) for re, im in payload["samples"]]
-        samples = SampleSet(family.descriptor(), indices, values)
+        samples = SampleSet(family.descriptor(), frame.alphas, complex_values(payload["samples"], "problem samples", 1))
     elif payload.get("signal") is not None:
-        signal = BandlimitedSignal.from_json(_json_object(payload["signal"], "problem signal", _SIGNAL_KEYS))
-        samples = sampling_operator(family, indices, on_grid(signal, frame.h_grid))
+        signal = BandlimitedSignal.from_json(payload["signal"])
+        samples = sampling_operator(family, frame.alphas, on_grid(signal, frame.h_grid))
     else:
         raise OpkernError("problem file needs either samples or a signal")
-    noise = payload.get("noise")
-    if noise:
-        samples = perturb_samples(samples, float(noise["sigma"]), int(noise["seed"]))
+    if payload.get("noise"):
+        noise = json_object(payload["noise"], "problem noise", ("sigma", "seed"))
+        sigma, seed = json_number(noise["sigma"], "noise sigma"), integral(noise["seed"], "noise seed")
+        samples = perturb_samples(samples, sigma, seed)
     problem = learning_problem(frame, samples, lam)
     solution = regnet_solve(problem)
     _write_json(
         prefix.with_suffix(".json"),
         {
-            "eta": [[float(z.real), float(z.imag)] for z in solution.eta],
+            "eta": complex_pairs(solution.eta),
             "residual": solution.residual,
             "lambda": lam,
         },
@@ -346,7 +285,7 @@ def _cmd_si_diagnose(args, prefix: Path) -> None:
 
 
 def _cmd_stability(args, prefix: Path) -> None:
-    frame = _frame_of("average", range(-args.m, args.m + 1), args, args.delta, args.profile)[0]
+    frame = _frame_of(_family("average", args), range(-args.m, args.m + 1), args)[0]
     dual = dual_frame(frame)
     sizes = [int(s) for s in args.sizes.split(",")]
     trunc, sweep = stability_reports(frame, dual, args.lam, args.trials, args.seed, sizes)
@@ -403,6 +342,20 @@ def _cmd_vector_sampling(args, prefix: Path) -> None:
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag as a ValidationError, as a bad input file is."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
+def finite(text: str) -> float:
+    """The type of every float flag: nan and +-inf are refused."""
+    if not math.isfinite(value := float(text)):
+        raise ValueError(text)
+    return value
+
+
 def _subcommand(sub, name: str, func, help_text: str) -> argparse.ArgumentParser:
     """A subcommand parser with the flags every subcommand takes."""
     p = sub.add_parser(name, help=help_text)
@@ -414,20 +367,20 @@ def _subcommand(sub, name: str, func, help_text: str) -> argparse.ArgumentParser
 
 
 def _add_pw_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--delta", type=float, default=0.2)
+    p.add_argument("--delta", type=finite, default=0.2)
     p.add_argument("--profile", default="box", choices=["box", "triangle", "cosine"])
     p.add_argument("--m", type=int, default=16, help="index half-width / window half-size")
     p.add_argument("--grid-n", dest="grid_n", type=int, default=513)
     p.add_argument("--w-n", dest="w_n", type=int, default=2049)
     p.add_argument("--points-per-unit", dest="points_per_unit", type=int, default=32)
     p.add_argument(
-        "--window", dest="window", type=float, default=None,
+        "--window", dest="window", type=finite, default=None,
         help="evaluation half-width T (default: m + 16)",
     )
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="opkern", description=__doc__)
+    parser = _Parser(prog="opkern", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -441,12 +394,12 @@ def build_parser() -> argparse.ArgumentParser:
         _add_pw_flags(p)
 
     p = _subcommand(sub, "kadec", _cmd_kadec, "perturbation admissibility bounds")
-    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--delta", type=finite, required=True)
 
     p = _subcommand(sub, "reconstruct", _cmd_reconstruct, "reconstruct a signal from functional samples")
     p.add_argument("--space", default="pw", choices=["pw", "fourier"])
     p.add_argument("--signal", required=True, help="signal JSON path")
-    p.add_argument("--rel-cutoff", dest="rel_cutoff", type=float, default=1e-10)
+    p.add_argument("--rel-cutoff", dest="rel_cutoff", type=finite, default=1e-10)
     _add_pw_flags(p)
 
     p = _subcommand(sub, "avg-sample", _cmd_avg_sample, "apply average functionals to a signal")
@@ -462,31 +415,45 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generator", default="hat", choices=["box", "hat", "cubic"])
     p.add_argument("--k-max", dest="k_max", type=int, default=20)
     p.add_argument("--k-range", dest="k_range", type=int, default=4)
-    p.add_argument("--delta", type=float, default=0.2)
+    p.add_argument("--delta", type=finite, default=0.2)
     p.add_argument("--profile", default="triangle", choices=["box", "triangle", "cosine"])
-    p.add_argument("--center", type=float, default=0.25)
+    p.add_argument("--center", type=finite, default=0.25)
     p.add_argument("--n-centers", dest="n_centers", type=int, default=3)
 
     p = _subcommand(sub, "stability", _cmd_stability, "stability sweep of reconstruction operators")
     p.add_argument("--sizes", default="4,8,16")
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.1)
+    p.add_argument("--lambda", dest="lam", type=finite, default=0.1)
     _add_pw_flags(p)
 
     p = _subcommand(sub, "vector-sampling", _cmd_vector_sampling, "build a vector-valued sampling set")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--m-range", dest="m_range", type=int, default=16)
-    p.add_argument("--perturb", type=float, default=0.0)
+    p.add_argument("--perturb", type=finite, default=0.0)
     p.add_argument("--w-n", dest="w_n", type=int, default=1025)
 
     return parser
 
 
-def main(argv=None) -> int:
+def _parse(argv: list) -> argparse.Namespace:
+    """The flags, parsed again with the values of a --config file appended
+    as flags: they override the flags and pass the same types and choices."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.config:
+        with open(args.config) as fh:
+            overrides = json_object(json.load(fh), "config")
+        options = {a.dest: a.option_strings[-1] for a in args.parser._actions if a.dest != "config"}
+        # a key that names no flag becomes one that argparse refuses
+        flags = [f"{options.get(k.replace('-', '_'), '--unknown-config-key-' + k)}={v}" for k, v in overrides.items()]
+        args = parser.parse_args(argv + flags)
+    return args
+
+
+def main(argv=None) -> int:
     try:
-        config = _apply_config_file(args)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+        config = {k: v for k, v in vars(args).items() if k not in {"func", "config", "parser"}}
         prefix = Path(args.out)
         args.func(args, prefix)
         _write_json(
@@ -498,7 +465,7 @@ def main(argv=None) -> int:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 3
-    except (OpkernError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    except (OpkernError, OSError, json.JSONDecodeError, ValueError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 2

@@ -1,5 +1,6 @@
 """Numerical substrate: uniform grids, trapezoid quadrature, discrete Fourier
-integrals, Hermitian eigensolvers, dense solves and pseudoinverses.
+integrals, Hermitian eigensolvers, dense solves and pseudoinverses, and the
+readers and writers of the JSON files that carry complex data.
 
 All function spaces in this package are discretized on uniform grids over
 bounded intervals; functions are stored as complex vectors per grid point
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -51,8 +53,8 @@ class Grid:
     n: int
 
     def __post_init__(self):
-        if not self.a < self.b:
-            raise ValidationError(f"grid requires a < b, got [{self.a}, {self.b}]")
+        if not -math.inf < self.a < self.b < math.inf:
+            raise ValidationError(f"grid requires finite a < b, got [{self.a}, {self.b}]")
         if self.n < 2:
             raise ValidationError(f"grid requires n >= 2, got n={self.n}")
         if self.n > MAX_GRID_POINTS:
@@ -111,9 +113,6 @@ class GridFunction:
             vals = np.broadcast_to(vals, (grid.n, dim)).copy()
         return cls(grid, vals)
 
-    def component(self, l: int) -> np.ndarray:
-        return self.values[:, l]
-
     def same_layout(self, other: "GridFunction") -> bool:
         return self.grid == other.grid and self.dim == other.dim
 
@@ -138,31 +137,32 @@ class GridFunction:
     def to_json(self) -> dict:
         """Shared serialization format: values flattened component-major."""
         flat = self.values.T.reshape(-1)
-        return {
-            "a": self.grid.a,
-            "b": self.grid.b,
-            "dim": self.dim,
-            "values": [[float(z.real), float(z.imag)] for z in flat],
-        }
+        return {"a": self.grid.a, "b": self.grid.b, "dim": self.dim, "values": complex_pairs(flat)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "GridFunction":
-        dim = int(obj["dim"])
-        raw = np.array([complex(re, im) for re, im in obj["values"]])
-        if raw.size % dim != 0:
-            raise ValidationError("serialized value count not divisible by dim")
-        n = raw.size // dim
-        grid = Grid(float(obj["a"]), float(obj["b"]), n)
-        return cls(grid, raw.reshape(dim, n).T)
+        obj = json_object(obj, "function", ("a", "b", "dim", "values"))
+        dim = integral(obj["dim"], "function dim")
+        raw = complex_values(obj["values"], "function values", 1)
+        if dim < 1 or raw.size % dim:
+            raise ValidationError(f"{raw.size} function values do not split into dim={dim} components")
+        grid = Grid(json_number(obj["a"], "function a"), json_number(obj["b"], "function b"), raw.size // dim)
+        return cls(grid, raw.reshape(dim, -1).T)
 
     def dump(self, path) -> None:
+        """Write json.dumps(self.to_json(), indent=2, sort_keys=True) and a
+        newline, each [re, im] pair by one %r template; json writes NaN where
+        %r writes nan, so a non-finite function goes through json."""
+        flat = self.values.T.reshape(-1)
+        if np.all(np.isfinite(flat)):
+            doc = {"a": self.grid.a, "b": self.grid.b, "dim": self.dim, "values": []}
+            head, tail = json.dumps(doc, indent=2, sort_keys=True).split("[]")
+            body = ",\n".join(_JSON_PAIR % pair for pair in zip(flat.real.tolist(), flat.imag.tolist()))
+            text = head + "[\n" + body + "\n  ]" + tail
+        else:
+            text = json.dumps(self.to_json(), indent=2, sort_keys=True)
         with open(path, "w") as fh:
-            json.dump(self.to_json(), fh)
-
-    @classmethod
-    def load(cls, path) -> "GridFunction":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+            fh.write(text + "\n")
 
 
 def quadrature(f: GridFunction) -> np.ndarray:
@@ -372,3 +372,64 @@ def complex_unit_disc(gen: np.random.Generator, size) -> np.ndarray:
     r = np.sqrt(gen.uniform(0.0, 1.0, size=size))
     theta = gen.uniform(0.0, 2.0 * np.pi, size=size)
     return r * np.exp(1j * theta)
+
+
+# ---------------------------------------------------------------------------
+# JSON files: each reader refuses a malformed field with a ValidationError
+# ---------------------------------------------------------------------------
+
+#: one [re, im] pair of a .function.json as json.dump(indent=2) lays it out
+_JSON_PAIR = "    [\n      %r,\n      %r\n    ]"
+
+
+def complex_pairs(values) -> list:
+    """The [re, im] pairs of a complex array as nested lists, in its shape."""
+    z = np.asarray(values, dtype=complex)
+    return np.stack((z.real, z.imag), axis=-1).tolist()
+
+
+def json_object(obj, what: str, keys=()) -> dict:
+    """A JSON value, refused unless it is an object holding all of ``keys``."""
+    if not isinstance(obj, dict) or not obj.keys() >= set(keys):
+        raise ValidationError(f"{what} must be a JSON object with the keys {list(keys)}")
+    return obj
+
+
+def json_numbers(obj, what: str, ndim: int | None) -> np.ndarray:
+    """The floats of a rectangular nest of JSON numbers ``ndim`` lists deep
+    (None: any depth). A bool, string, null or object, a ragged nest and an
+    integer beyond float range are refused; 1e400 reads as inf."""
+    raw = np.array(obj, dtype=object)
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw.flat)
+    if not numbers or (ndim is not None and raw.ndim != ndim):
+        raise ValidationError(f"{what} must be {'a JSON number' if ndim == 0 else 'rectangular lists of JSON numbers'}")
+    try:
+        return raw.astype(float)
+    except OverflowError:
+        raise ValidationError(f"{what} holds an integer beyond float range") from None
+
+
+def json_number(obj, what: str) -> float:
+    return float(json_numbers(obj, what, 0))
+
+
+def complex_values(obj, what: str, ndim: int | None) -> np.ndarray:
+    """The complex array of ``ndim`` axes (None: any) that ``complex_pairs``
+    wrote, bit for bit: the pairs are read as floats and viewed as complex,
+    so -0.0 survives. An empty list reads as no values."""
+    if isinstance(obj, list) and not obj and ndim in (1, None):
+        return np.empty(0, dtype=complex)
+    raw = json_numbers(obj, what, None if ndim is None else ndim + 1)
+    if raw.shape[-1:] != (2,):
+        raise ValidationError(f"{what} must be [re, im] pairs")
+    return raw.view(complex)[..., 0]
+
+
+def integral(value, what: str) -> int:
+    """An integral value as a Python int of any size; anything else (1.5,
+    inf, nan, a bool, a string) is refused rather than truncated."""
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
+        raise ValidationError(f"{what} {value!r} is not an integer")
+    return operator.index(value)

@@ -10,13 +10,13 @@ round-trip through files.
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable
 
 import numpy as np
 
 from .core import MAX_GRID_POINTS, Grid, GridFunction, integrate_values, uniform_fourier_sum
+from .core import complex_pairs, complex_values, integral, json_number, json_object
 from .exceptions import DomainError, ShapeMismatchError, ValidationError
 
 __all__ = [
@@ -323,21 +323,13 @@ class FunctionalFamily:
         return alpha
 
     def decode_alpha(self, alpha):
-        return alpha
+        return json_number(alpha, f"{self.kind} index")
 
 
 def fourier_indices(alphas) -> list:
     """Fourier indices as Python ints; a value that is not integral (1.5,
-    inf, nan, a string) is refused rather than truncated."""
-    out = []
-    for j in alphas:
-        try:
-            out.append(operator.index(j))
-        except TypeError:
-            if not (isinstance(j, (float, np.floating)) and float(j).is_integer()):
-                raise ValidationError(f"Fourier index {j!r} is not an integer") from None
-            out.append(int(j))
-    return out
+    inf, nan, a bool, a string) is refused rather than truncated."""
+    return [integral(j, "Fourier index") for j in alphas]
 
 
 def fourier_rows(indices, grid: Grid) -> np.ndarray:
@@ -401,7 +393,7 @@ class FourierCoefficientFamily(FunctionalFamily):
         return {"family": "fourier", "params": {"a": self.a, "b": self.b}}
 
     def decode_alpha(self, alpha):
-        return int(alpha)
+        return integral(alpha, "Fourier index")
 
 
 @dataclass(frozen=True)
@@ -427,11 +419,8 @@ class AverageSamplingFamily(FunctionalFamily):
     def descriptor(self) -> dict:
         return {
             "family": "average",
-            "params": {"delta": self.delta, "profile": self.profile},
+            "params": {"delta": self.delta, "profile": self.profile, "interp": self.interp},
         }
-
-    def decode_alpha(self, alpha):
-        return float(alpha)
 
 
 @dataclass(frozen=True)
@@ -450,9 +439,6 @@ class PointEvaluationFamily(FunctionalFamily):
 
     def descriptor(self) -> dict:
         return {"family": "point", "params": {"interp": self.interp}}
-
-    def decode_alpha(self, alpha):
-        return float(alpha)
 
 
 @dataclass(frozen=True)
@@ -480,44 +466,47 @@ class PointInnerFamily(FunctionalFamily):
 
     def encode_alpha(self, alpha):
         x, xi = alpha
-        xi = np.asarray(xi, dtype=complex)
-        return [float(x), [[float(z.real), float(z.imag)] for z in xi]]
+        return [float(x), complex_pairs(xi)]
 
     def decode_alpha(self, alpha):
-        x, xi = alpha
-        return (float(x), np.array([complex(re, im) for re, im in xi]))
+        if not (isinstance(alpha, list) and len(alpha) == 2):
+            raise ValidationError(f"point_inner index must be a JSON list [x, xi], not {alpha!r}")
+        return (json_number(alpha[0], "point_inner x"), complex_values(alpha[1], "point_inner xi", 1))
 
 
+def _json_string(obj, what: str) -> str:
+    if not isinstance(obj, str):
+        raise ValidationError(f"{what} must be a JSON string, not {type(obj).__name__}")
+    return obj
+
+
+#: each kind's class and the JSON reader of each of its params
 _FAMILY_KINDS = {
-    "fourier": lambda p: FourierCoefficientFamily(**p),
-    "average": lambda p: AverageSamplingFamily(delta=p["delta"], profile=p.get("profile", "box")),
-    "point": lambda p: PointEvaluationFamily(**p),
-    "point_inner": lambda p: PointInnerFamily(**p),
+    "fourier": (FourierCoefficientFamily, {"a": json_number, "b": json_number}),
+    "average": (AverageSamplingFamily, {"delta": json_number, "profile": _json_string, "interp": _json_string}),
+    "point": (PointEvaluationFamily, {"interp": _json_string}),
+    "point_inner": (PointInnerFamily, {"interp": _json_string}),
 }
 
 
 def family_from_descriptor(desc: dict) -> FunctionalFamily:
-    kind = desc.get("family")
-    if kind not in _FAMILY_KINDS:
+    """The family a descriptor names, its params type-checked before it is
+    built; an unknown param, or a missing one without a default, is refused."""
+    kind = json_object(desc, "family descriptor", ("family",))["family"]
+    if not isinstance(kind, str) or kind not in _FAMILY_KINDS:
         raise ValidationError(f"unknown functional family {kind!r}")
-    return _FAMILY_KINDS[kind](dict(desc.get("params", {})))
+    cls, readers = _FAMILY_KINDS[kind]
+    params = json_object(desc.get("params", {}), f"{kind} family params")
+    missing = {f.name for f in fields(cls) if f.default is MISSING} - params.keys()
+    unknown = params.keys() - readers.keys()
+    if missing or unknown:
+        raise ValidationError(f"{kind} family params: missing {sorted(missing)}, unknown {sorted(unknown)}")
+    return cls(**{k: readers[k](v, f"{kind} family param {k!r}") for k, v in params.items()})
 
 
 # ---------------------------------------------------------------------------
 # sample sets
 # ---------------------------------------------------------------------------
-
-def _encode_value(v) -> list:
-    arr = np.atleast_1d(np.asarray(v, dtype=complex))
-    pairs = [[float(z.real), float(z.imag)] for z in arr]
-    return pairs[0] if arr.size == 1 else pairs
-
-
-def _decode_value(raw):
-    if raw and isinstance(raw[0], (int, float)):
-        return complex(raw[0], raw[1])
-    return np.array([complex(re, im) for re, im in raw])
-
 
 @dataclass(frozen=True)
 class SampleSet:
@@ -564,13 +553,16 @@ class SampleSet:
         return {
             "family": self.family,
             "entries": [
-                {"alpha": fam.encode_alpha(a), "value": _encode_value(v)}
-                for a, v in zip(self.alphas, self.values)
+                {"alpha": fam.encode_alpha(a), "value": v} for a, v in zip(self.alphas, complex_pairs(self.values))
             ],
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "SampleSet":
+        obj = json_object(obj, "sample set", ("family", "entries"))
         fam = family_from_descriptor(obj["family"])
-        alphas = tuple(fam.decode_alpha(e["alpha"]) for e in obj["entries"])
-        return cls(obj["family"], alphas, [_decode_value(e["value"]) for e in obj["entries"]])
+        if not isinstance(obj["entries"], list):
+            raise ValidationError("sample set entries must be a JSON list")
+        entries = [json_object(e, "sample entry", ("alpha", "value")) for e in obj["entries"]]
+        alphas = tuple(fam.decode_alpha(e["alpha"]) for e in entries)
+        return cls(obj["family"], alphas, complex_values([e["value"] for e in entries], "sample values", None))

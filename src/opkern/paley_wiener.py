@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Grid, GridFunction, inverse_dft, uniform_fourier_sum
+from .core import complex_pairs, complex_values, integral, json_number, json_numbers, json_object
 from .exceptions import AdmissibilityError, DomainError, ShapeMismatchError, ValidationError
 from .families import AverageFunctional
 from .frames import TruncatedFrame, stacked_frame
@@ -85,6 +86,8 @@ class BandlimitedSignal:
             c = c[:, None]
         if c.ndim != 2 or c.shape[1] != self.dim:
             raise ShapeMismatchError(f"coeff shape {c.shape} incompatible with dim {self.dim}")
+        if not c.shape[0]:
+            raise ValidationError("a signal needs at least one coefficient")
         if not np.all(np.isfinite(c)):
             raise ValidationError("signal coefficients must be finite")
         object.__setattr__(self, "coeffs", c)
@@ -118,9 +121,8 @@ class BandlimitedSignal:
         return float(np.sqrt(np.sum(mass * 2.0 / (math.pi**2 * gaps))))
 
     def to_json(self) -> dict:
-        flat = self.coeffs.T.reshape(-1)
         return {
-            "coeffs": [[float(z.real), float(z.imag)] for z in flat],
+            "coeffs": complex_pairs(self.coeffs.T.reshape(-1)),
             "offset": int(self.offset),
             "dim": int(self.dim),
             "window": {"a": self.window.a, "b": self.window.b, "n": self.window.n},
@@ -128,16 +130,14 @@ class BandlimitedSignal:
 
     @classmethod
     def from_json(cls, obj: dict) -> "BandlimitedSignal":
-        dim = int(obj.get("dim", 1))
-        raw = np.array([complex(re, im) for re, im in obj["coeffs"]])
-        count = raw.size // dim
-        w = obj["window"]
-        return cls(
-            coeffs=raw.reshape(dim, count).T,
-            offset=int(obj["offset"]),
-            window=Grid(float(w["a"]), float(w["b"]), int(w["n"])),
-            dim=dim,
-        )
+        obj = json_object(obj, "signal", ("coeffs", "offset", "window"))
+        dim = integral(obj.get("dim", 1), "signal dim")
+        raw = complex_values(obj["coeffs"], "signal coeffs", 1)
+        if dim < 1 or raw.size % dim:
+            raise ValidationError(f"{raw.size} signal coeffs do not split into dim={dim} components")
+        w = json_object(obj["window"], "signal window", ("a", "b", "n"))
+        window = Grid(json_number(w["a"], "window a"), json_number(w["b"], "window b"), integral(w["n"], "window n"))
+        return cls(raw.reshape(dim, -1).T, integral(obj["offset"], "signal offset"), window, dim)
 
 
 def synthesize(signal: BandlimitedSignal, grid: Grid | None = None) -> GridFunction:
@@ -407,17 +407,14 @@ class VectorSamplingSet:
             yield j, float(self.x[j]), self.xi(j)
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "m_range": self.m_range,
-            "x": [float(v) for v in self.x],
-            "U": [[[float(z.real), float(z.imag)] for z in row] for row in self.u_matrix],
-        }
+        return {"n": self.n, "m_range": self.m_range, "x": self.x.tolist(), "U": complex_pairs(self.u_matrix)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "VectorSamplingSet":
-        u = np.array([[complex(re, im) for re, im in row] for row in obj["U"]])
-        return cls(n=int(obj["n"]), m_range=int(obj["m_range"]), x=np.array(obj["x"]), u_matrix=u)
+        obj = json_object(obj, "vector sampling set", ("n", "m_range", "x", "U"))
+        n, m_range = integral(obj["n"], "sampling set n"), integral(obj["m_range"], "sampling set m_range")
+        x = json_numbers(obj["x"], "sampling set x", 1)
+        return cls(n, m_range, x, complex_values(obj["U"], "sampling set U", 2))
 
 
 def build_vector_sampling_set(

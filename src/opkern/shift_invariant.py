@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Grid, GridFunction, fourier_sum, integrate_values, uniform_fourier_sum
+from .core import Grid, GridFunction, integrate_values, uniform_fourier_sum
 from .exceptions import DomainError, RieszConditionError, ShapeMismatchError, ValidationError
 from .families import AverageFunctional
 from .kernels import GramMatrix
@@ -70,18 +70,18 @@ def bspline_transform(order: int, omega) -> np.ndarray:
 class Generator:
     """Shift-space generator: sampled values, exact evaluator, transform rule.
 
-    ``phi_hat`` evaluates the Fourier transform; for the named splines it is
-    the closed form, otherwise a quadrature fallback. ``decay_order`` feeds
-    the periodization tail estimate |phi_hat(w)| <~ (2/|w|)^decay_order.
+    ``phi_fn`` evaluates phi and ``phi_hat`` its Fourier transform; for the
+    named splines both are closed forms. ``decay_order`` feeds the
+    periodization tail estimate |phi_hat(w)| <~ (2/|w|)^decay_order.
     """
 
     phi: GridFunction = field(repr=False)
     support_radius: int
+    phi_fn: Callable = field(repr=False)
+    phi_hat: Callable = field(repr=False)
     j_trunc: int = 64
     decay_order: int = 1
     name: str = "custom"
-    phi_fn: Callable | None = field(default=None, repr=False)
-    phi_hat: Callable | None = field(default=None, repr=False)
 
     def __post_init__(self):
         outside = np.abs(self.phi.grid.points()) > self.support_radius + 1e-12
@@ -89,18 +89,10 @@ class Generator:
             raise ValidationError(f"generator samples are nonzero beyond support_radius={self.support_radius}")
 
     def evaluate(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.phi_fn is not None:
-            return self.phi_fn(x)
-        pts = self.phi.grid.points()
-        return np.interp(x, pts, self.phi.values[:, 0].real, left=0.0, right=0.0)
+        return self.phi_fn(np.asarray(x, dtype=float))
 
     def transform(self, omega) -> np.ndarray:
-        omega = np.asarray(omega, dtype=float)
-        if self.phi_hat is not None:
-            return np.asarray(self.phi_hat(omega), dtype=complex)
-        weighted = self.phi.values[:, 0] * self.phi.grid.weights()
-        return fourier_sum(omega, self.phi.grid.points(), weighted).reshape(omega.shape)
+        return np.asarray(self.phi_hat(np.asarray(omega, dtype=float)), dtype=complex)
 
 
 def make_generator(kind: str, h: float = 1.0 / 1024.0) -> Generator:

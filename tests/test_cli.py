@@ -284,7 +284,7 @@ def test_function_writers_keep_the_old_bytes(tmp_path, n, dim, specials, seed, w
     f = GridFunction(Grid(-1.5, 2.25, n), v)
     cli._write_function_csv(tmp_path / "f.csv", f)
     assert (tmp_path / "f.csv").read_text() == _old_function_csv(f)
-    cli._write_function_json(tmp_path / "f.function.json", f)
+    f.dump(tmp_path / "f.function.json")
     assert (tmp_path / "f.function.json").read_text() == json.dumps(f.to_json(), indent=2, sort_keys=True) + "\n"
 
 
@@ -333,6 +333,13 @@ def test_fourier_indices_beyond_the_span_cap_are_refused(signal_file, tmp_path, 
     assert not (tmp_path / "x.json").exists()
 
 
+def _signal_text(**fields) -> str:
+    """A one-coefficient signal file with the given fields replaced."""
+    signal = {"coeffs": [[1.0, 0.0]], "offset": 0, "dim": 1, "window": {"a": -8.0, "b": 8.0, "n": 257}}
+    return json.dumps({**signal, **fields})
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "command,text",
     [
@@ -345,16 +352,33 @@ def test_fourier_indices_beyond_the_span_cap_are_refused(signal_file, tmp_path, 
         ("avg-sample", "{}"),
         ("avg-sample", "[1, 2]"),
         ("gram", "[1, 2]"),
+        ("reconstruct", _signal_text(window={})),
+        ("reconstruct", _signal_text(window=[1, 2, 3])),
+        ("reconstruct", _signal_text(coeffs=5)),
+        ("reconstruct", _signal_text(coeffs=[[1, "a"]])),
+        ("reconstruct", _signal_text(coeffs=[None])),
+        ("reconstruct", _signal_text(dim=0)),
+        ("reconstruct", _signal_text(coeffs=[])),
+        ("reconstruct", _signal_text(coeffs=[[True, False]])),
+        ("reconstruct", _signal_text(offset=0.5)),
+        ("avg-sample", _signal_text(window={"a": -8.0, "b": 8.0, "n": 257.5})),
     ],
     ids=[
         "regnet-empty", "regnet-list", "regnet-family-list", "regnet-indices-number", "reconstruct-empty",
         "reconstruct-list", "avg-sample-empty", "avg-sample-list", "gram-config-list",
+        "signal-window-empty", "signal-window-list", "signal-coeffs-number", "signal-coeffs-string",
+        "signal-coeffs-null", "signal-dim-zero", "signal-coeffs-empty", "signal-coeffs-bool", "signal-offset-fraction",
+        "signal-window-n-fraction",
     ],
 )
 def test_malformed_input_files_exit_2(tmp_path, capsys, command, text):
     """A problem, signal or config file that is not an object with the
-    expected keys is refused where it is read. These ended in a KeyError,
-    TypeError or AttributeError traceback."""
+    expected keys, or a field of the wrong JSON type, is refused where it is
+    read, with one JSON line on stderr. The top-level cases ended in a
+    KeyError, TypeError or AttributeError traceback, and so did a signal's
+    window {} or [1, 2, 3], coeffs 5, [[1, "a"]] or [null] and dim 0.
+    Empty coeffs ran and reported an infinite error, [[true, false]] ran as
+    [[1, 0]] and offset 0.5 ran as 0."""
     path = tmp_path / "input.json"
     path.write_text(text)
     flag = {"regnet": "--problem", "reconstruct": "--signal", "avg-sample": "--signal", "gram": "--config"}[command]
@@ -363,6 +387,7 @@ def test_malformed_input_files_exit_2(tmp_path, capsys, command, text):
     err = capsys.readouterr().err
     assert code == 2
     assert json.loads(err)["error"] == "ValidationError"
+    assert err.count("\n") == 1
     assert "Traceback" not in err
     assert not list(tmp_path.glob("x.*"))
 
@@ -475,7 +500,9 @@ def test_config_values_convert_like_flags(signal_file, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "override", [{"m": "four"}, {"profile": "hexagon"}], ids=["not-an-int", "not-a-choice"]
+    "override",
+    [{"m": "four"}, {"profile": "hexagon"}, {"window": "inf"}, {"bogus": 1}, {"win": 20}, {"config": "other.json"}],
+    ids=["not-an-int", "not-a-choice", "not-finite", "unknown-key", "abbreviated-key", "config-key"],
 )
 def test_config_values_are_refused_like_flags(signal_file, tmp_path, capsys, override):
     cfg = tmp_path / "cfg.json"
@@ -529,6 +556,14 @@ def test_missing_signal_exit_code(tmp_path):
     assert code == 2
 
 
+def test_input_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    """Only FileNotFoundError was caught, so a directory ended in an
+    IsADirectoryError traceback."""
+    code = main(["reconstruct", "--signal", str(tmp_path), "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "IsADirectoryError"
+
+
 def test_conditioning_error_exit_code(signal_file, tmp_path, capsys):
     # a repeated index makes G_L singular, and lambda 1e-14 leaves
     # G_L + lambda I beyond the solver's 1e-12 conditioning floor
@@ -547,12 +582,17 @@ def test_conditioning_error_exit_code(signal_file, tmp_path, capsys):
 
 
 def _regnet_problem(signal_file, **fields) -> dict:
+    """A Fourier problem on the signal file; a "signal" dict among the fields
+    replaces fields of that signal."""
+    signal = json.loads(signal_file.read_text())
     problem = {
         "family": {"family": "fourier", "params": {}},
         "indices": [-1, 0, 1],
         "lambda": 0.1,
-        "signal": json.loads(signal_file.read_text()),
+        "signal": signal,
     }
+    if isinstance(fields.get("signal"), dict):
+        fields["signal"] = {**signal, **fields["signal"]}
     problem.update(fields)
     return problem
 
@@ -571,17 +611,34 @@ def _regnet_problem(signal_file, **fields) -> dict:
         {"noise": {"sigma": math.nan, "seed": 3}},
         {"indices": [0, 1.5]},
         {"indices": [0, "1e400"]},
+        {"signal": None, "samples": [1, 2, 3]},
+        {"signal": None, "samples": 5},
+        {"signal": None, "samples": [[1, "a"], [0, 0], [1, 0]]},
+        {"noise": {"sigma": 0.1}},
+        {"noise": 5},
+        {"noise": {"sigma": 0.1, "seed": 1.5}},
+        {"lambda": [1]},
+        {"signal": {"window": {}}},
+        {"family": {"family": "average", "params": {"delta": "x"}}},
+        {"family": {"family": "average", "params": {}}},
+        {"family": {"family": "average", "params": {"delta": 0.2, "bogus": 1}}},
     ],
     ids=[
         "lambda-negative", "lambda-zero", "lambda-nan-string", "lambda-nan", "lambda-infinity",
         "lambda-overflow", "samples-nan", "noise-sigma-nan", "fourier-index-fractional", "fourier-index-overflow",
+        "samples-numbers", "samples-number", "samples-string", "noise-without-seed", "noise-number",
+        "noise-seed-fractional", "lambda-list", "signal-window-empty", "family-delta-string",
+        "family-delta-missing", "family-param-unknown",
     ],
 )
 def test_regnet_bad_inputs_are_refused(signal_file, tmp_path, capsys, fields):
     """A lambda that is not finite and positive, a non-finite sample, noise
-    that makes one and a Fourier index that is not an integer exit 2, with
-    one JSON object on stderr, no numpy warning and no report. The index 1.5
-    ran as j = 1, and 1e400 ended in an OverflowError traceback."""
+    that makes one, a Fourier index that is not an integer and a field of
+    the wrong JSON type exit 2, with one JSON object on stderr, no numpy
+    warning and no report. The index 1.5 ran as j = 1, 1e400 ended in an
+    OverflowError traceback, and so did each malformed samples, noise,
+    lambda and signal field in a TypeError or KeyError; a noise seed of 1.5
+    ran as 1."""
     ppath = tmp_path / "prob.json"
     ppath.write_text(json.dumps(_regnet_problem(signal_file, **fields)))
     if "1e400" in json.dumps(fields):  # a JSON number beyond float range, read as inf
@@ -616,21 +673,68 @@ def test_rel_cutoff_out_of_range_is_validation_error(signal_file, tmp_path, caps
         ["--m", "8", "--sizes", "4", "--trials", "5", "--lambda", "-1"],
         ["--m", "8", "--sizes", "4", "--trials", "5", "--lambda", "nan"],
         ["--m", "8", "--sizes", "4", "--trials", "5", "--lambda", "inf"],
+        ["--m", "8", "--sizes", "4", "--trials", "5", "--delta", "inf"],
     ],
     ids=[
         "no-trials", "size-zero", "size-beyond-frame", "duplicate-size",
-        "lambda-zero", "lambda-negative", "lambda-nan", "lambda-inf",
+        "lambda-zero", "lambda-negative", "lambda-nan", "lambda-inf", "delta-inf",
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_stability_bad_inputs_are_refused(tmp_path, capsys, flags):
+    """--delta inf printed numpy RuntimeWarnings and then named a
+    ShapeMismatchError."""
     code = main([
         "stability", *flags, "--w-n", "129", "--points-per-unit", "4",
         "--out", str(tmp_path / "stab"),
     ])
     assert code == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ValidationError"
+    err = capsys.readouterr().err
+    assert json.loads(err)["error"] == "ValidationError"
+    assert err.count("\n") == 1
     assert not (tmp_path / "stab.json").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reconstruct", "--m", "four"],
+        ["reconstruct", "--window", "inf"],
+        ["reconstruct", "--rel-cutoff", "nan"],
+        ["vector-sampling", "--perturb", "inf"],
+        ["avg-sample", "--x=0,1", "--delta", "inf"],
+        ["stability", "--delta", "-inf"],
+        ["kadec"],
+        ["no-such-command"],
+    ],
+    ids=[
+        "m-not-an-int", "window-inf", "rel-cutoff-nan", "perturb-inf", "avg-sample-delta-inf", "stability-delta-inf",
+        "required-flag-missing", "unknown-command",
+    ],
+)
+def test_bad_flag_values_exit_2(signal_file, tmp_path, capsys, argv):
+    """A flag argparse refuses exits 2 with one JSON line on stderr, like a
+    malformed file, and every float flag refuses nan and +-inf. --m four
+    printed argparse's usage text, --window inf and --perturb inf ended in
+    OverflowError tracebacks, and --delta inf printed numpy RuntimeWarnings."""
+    if argv[0] in ("reconstruct", "avg-sample"):
+        argv = [*argv, "--signal", str(signal_file)]
+    code = main([*argv, "--out", str(tmp_path / "x")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.err)["error"] == "ValidationError"
+    assert captured.err.count("\n") == 1
+    assert not captured.out
+    assert not list(tmp_path.glob("x.*"))
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["reconstruct", "--help"]])
+def test_help_and_version_still_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
 
 
 def test_linalg_error_exits_numerical(signal_file, tmp_path, capsys, monkeypatch):

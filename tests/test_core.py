@@ -254,6 +254,10 @@ def test_grid_validation():
         Grid(1.0, 0.0, 10)
     with pytest.raises(ValidationError):
         Grid(0.0, 1.0, 1)
+    # Grid(-inf, inf, 5) was accepted
+    for a, b in [(-math.inf, math.inf), (-math.inf, 0.0), (0.0, math.nan)]:
+        with pytest.raises(ValidationError):
+            Grid(a, b, 5)
 
 
 def test_restrict_keeps_uniform_slice():

@@ -292,14 +292,48 @@ def test_point_families():
 
 
 def test_family_descriptor_roundtrip():
+    """The average descriptor left out interp, so a linear family came back
+    cubic."""
     for fam in (
         FourierCoefficientFamily(),
+        FourierCoefficientFamily(a=-1.0, b=2.5),
         AverageSamplingFamily(delta=0.2, profile="triangle"),
+        AverageSamplingFamily(delta=0.3, profile="cosine", interp="linear"),
         PointEvaluationFamily(),
+        PointEvaluationFamily(interp="linear"),
         PointInnerFamily(),
+        PointInnerFamily(interp="linear"),
     ):
         back = family_from_descriptor(fam.descriptor())
+        assert back == fam
         assert back.descriptor() == fam.descriptor()
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [
+        {"family": "point", "params": {"bogus": 1}},
+        {"family": "average", "params": {}},
+        {"family": "average", "params": {"delta": "0.2"}},
+        {"family": "average", "params": {"delta": 0.2, "profile": ["box"]}},
+        {"family": "average", "params": {"delta": True}},
+        {"family": "fourier", "params": None},
+        {"family": "fourier", "params": [1]},
+        {"family": ["fourier"]},
+        {"family": None},
+        {"params": {}},
+        ["fourier"],
+    ],
+    ids=[
+        "unknown-param", "missing-param", "string-number", "list-string", "bool-number", "params-null",
+        "params-list", "kind-list", "kind-null", "kind-missing", "not-an-object",
+    ],
+)
+def test_family_descriptors_with_bad_params_are_refused(desc):
+    """An unknown param raised TypeError, a missing delta KeyError, and a
+    param of the wrong JSON type was passed to the family as it was."""
+    with pytest.raises(ValidationError):
+        family_from_descriptor(desc)
 
 
 def test_sample_set_json_roundtrip():

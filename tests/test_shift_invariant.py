@@ -66,10 +66,12 @@ def test_unknown_spline_order():
 def test_generator_refuses_samples_beyond_support_radius():
     g = Grid(-2.0, 2.0, 257)
     wide_hat = np.maximum(1.0 - np.abs(g.points()) / 2.0, 0.0)
+    hat = make_generator("hat")
+    rules = {"phi_fn": hat.phi_fn, "phi_hat": hat.phi_hat}
     with pytest.raises(ValidationError):
-        Generator(phi=GridFunction(g, wide_hat.astype(complex)), support_radius=1)
+        Generator(phi=GridFunction(g, wide_hat.astype(complex)), support_radius=1, **rules)
     # the unit hat vanishes beyond radius 1, so a wider sampling grid is fine
-    Generator(phi=GridFunction(g, bspline(2, g.points()).astype(complex)), support_radius=1)
+    Generator(phi=GridFunction(g, bspline(2, g.points()).astype(complex)), support_radius=1, **rules)
 
 
 # ------------------------------------------------------------------- bracket
