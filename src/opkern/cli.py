@@ -95,17 +95,32 @@ def _write_function_csv(path: Path, f: GridFunction) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _parse_indices(text: str) -> list:
+def _parse_indices(text: str, flag: str) -> list:
+    """The indices of a list flag, 'lo..hi' or comma-separated; a list that
+    names none (--x= or --indices=1..0) is refused."""
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [float(tok) if "." in tok else int(tok) for tok in text.split(",") if tok]
+        indices = list(range(int(lo), int(hi) + 1))
+    else:
+        indices = [float(tok) if "." in tok else int(tok) for tok in text.split(",") if tok]
+    if not indices:
+        raise ValidationError(f"{flag} names no index")
+    return indices
+
+
+def _read_json(path: str, what: str):
+    """The JSON value of an input file; a nest too deep for the decoder is
+    refused, not left to end in a RecursionError."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValidationError(f"{what} file nests its JSON too deeply") from None
 
 
 def _load_signal(path: str) -> BandlimitedSignal:
-    with open(path) as fh:
-        return BandlimitedSignal.from_json(json.load(fh))
+    return BandlimitedSignal.from_json(_read_json(path, "signal"))
 
 
 def _window_grid(args) -> Grid:
@@ -155,7 +170,7 @@ def _frame_of(family, indices, args):
 
 
 def _sections_for_family(args):
-    return _frame_of(_family(args.family, args), _parse_indices(args.indices), args)[0]
+    return _frame_of(_family(args.family, args), _parse_indices(args.indices, "--indices"), args)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -220,17 +235,16 @@ def _cmd_avg_sample(args, prefix: Path) -> None:
     window_grid = _window_grid(args)
     f_grid = synthesize(signal, window_grid)
     family = _family("average", args)
-    xs = [float(v) for v in _parse_indices(args.x)]
+    xs = [float(v) for v in _parse_indices(args.x, "--x")]
     samples = sampling_operator(family, xs, f_grid)
     _write_json(prefix.with_suffix(".json"), samples.to_json())
 
 
 def _cmd_regnet(args, prefix: Path) -> None:
-    with open(args.problem) as fh:
-        payload = json_object(json.load(fh), "problem", ("family", "indices", "lambda"))
+    payload = json_object(_read_json(args.problem, "problem"), "problem", ("family", "indices", "lambda"))
     family = family_from_descriptor(payload["family"])
-    if not isinstance(payload["indices"], list):
-        raise ValidationError(f"problem indices must be a list, not {type(payload['indices']).__name__}")
+    if not isinstance(payload["indices"], list) or not payload["indices"]:
+        raise ValidationError(f"problem indices must be a non-empty list, not {payload['indices']!r:.40}")
     lam = json_number(payload["lambda"], "problem lambda")
     frame, on_grid = _frame_of(family, [family.decode_alpha(a) for a in payload["indices"]], args)
     if payload.get("samples") is not None:
@@ -287,7 +301,10 @@ def _cmd_si_diagnose(args, prefix: Path) -> None:
 def _cmd_stability(args, prefix: Path) -> None:
     frame = _frame_of(_family("average", args), range(-args.m, args.m + 1), args)[0]
     dual = dual_frame(frame)
-    sizes = [int(s) for s in args.sizes.split(",")]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",")]
+    except ValueError:
+        raise ValidationError(f"--sizes must list integers, got {args.sizes!r}") from None
     trunc, sweep = stability_reports(frame, dual, args.lam, args.trials, args.seed, sizes)
     _write_json(
         prefix.with_suffix(".json"),
@@ -356,6 +373,19 @@ def finite(text: str) -> float:
     return value
 
 
+def _int_at_least(low: int):
+    """The type of a size flag: an int, refused below ``low`` with the flag's
+    name (argparse prefixes it)."""
+
+    def parse(text: str) -> int:
+        if (value := int(text)) < low:
+            raise argparse.ArgumentTypeError(f"{value} is below {low}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
+
+
 def _subcommand(sub, name: str, func, help_text: str) -> argparse.ArgumentParser:
     """A subcommand parser with the flags every subcommand takes."""
     p = sub.add_parser(name, help=help_text)
@@ -369,10 +399,10 @@ def _subcommand(sub, name: str, func, help_text: str) -> argparse.ArgumentParser
 def _add_pw_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta", type=finite, default=0.2)
     p.add_argument("--profile", default="box", choices=["box", "triangle", "cosine"])
-    p.add_argument("--m", type=int, default=16, help="index half-width / window half-size")
-    p.add_argument("--grid-n", dest="grid_n", type=int, default=513)
-    p.add_argument("--w-n", dest="w_n", type=int, default=2049)
-    p.add_argument("--points-per-unit", dest="points_per_unit", type=int, default=32)
+    p.add_argument("--m", type=_int_at_least(0), default=16, help="index half-width / window half-size")
+    p.add_argument("--grid-n", dest="grid_n", type=_int_at_least(2), default=513)
+    p.add_argument("--w-n", dest="w_n", type=_int_at_least(2), default=2049)
+    p.add_argument("--points-per-unit", dest="points_per_unit", type=_int_at_least(1), default=32)
     p.add_argument(
         "--window", dest="window", type=finite, default=None,
         help="evaluation half-width T (default: m + 16)",
@@ -413,12 +443,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _subcommand(sub, "si-diagnose", _cmd_si_diagnose, "shift-space generator diagnostics")
     p.add_argument("--generator", default="hat", choices=["box", "hat", "cubic"])
-    p.add_argument("--k-max", dest="k_max", type=int, default=20)
-    p.add_argument("--k-range", dest="k_range", type=int, default=4)
+    p.add_argument("--k-max", dest="k_max", type=_int_at_least(0), default=20)
+    p.add_argument("--k-range", dest="k_range", type=_int_at_least(0), default=4)
     p.add_argument("--delta", type=finite, default=0.2)
     p.add_argument("--profile", default="triangle", choices=["box", "triangle", "cosine"])
     p.add_argument("--center", type=finite, default=0.25)
-    p.add_argument("--n-centers", dest="n_centers", type=int, default=3)
+    p.add_argument("--n-centers", dest="n_centers", type=_int_at_least(1), default=3)
 
     p = _subcommand(sub, "stability", _cmd_stability, "stability sweep of reconstruction operators")
     p.add_argument("--sizes", default="4,8,16")
@@ -427,10 +457,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pw_flags(p)
 
     p = _subcommand(sub, "vector-sampling", _cmd_vector_sampling, "build a vector-valued sampling set")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--m-range", dest="m_range", type=int, default=16)
+    p.add_argument("--n", type=_int_at_least(1), default=2)
+    p.add_argument("--m-range", dest="m_range", type=_int_at_least(0), default=16)
     p.add_argument("--perturb", type=finite, default=0.0)
-    p.add_argument("--w-n", dest="w_n", type=int, default=1025)
+    p.add_argument("--w-n", dest="w_n", type=_int_at_least(2), default=1025)
 
     return parser
 
@@ -441,8 +471,7 @@ def _parse(argv: list) -> argparse.Namespace:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config:
-        with open(args.config) as fh:
-            overrides = json_object(json.load(fh), "config")
+        overrides = json_object(_read_json(args.config, "config"), "config")
         options = {a.dest: a.option_strings[-1] for a in args.parser._actions if a.dest != "config"}
         # a key that names no flag becomes one that argparse refuses
         flags = [f"{options.get(k.replace('-', '_'), '--unknown-config-key-' + k)}={v}" for k, v in overrides.items()]

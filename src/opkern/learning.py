@@ -17,7 +17,6 @@ import numpy as np
 
 from .core import (
     GridFunction,
-    complex_unit_disc,
     hermitian_eig,
     norm,
     rng,
@@ -280,8 +279,10 @@ def stability_reports(
       blow-up as the index set shrinks).
 
     Trials are drawn one at a time, so the random stream does not depend on
-    the blocking; products and solves run on stacked blocks of trials, one
-    matrix-vector product per trial as in a single-trial loop.
+    the blocking: per trial one ``random`` of 2m doubles for the span
+    element, those of complex_unit_disc(gen, m), then one ``choice`` for S.
+    Products and solves run on stacked blocks of trials, one matrix-vector
+    product per trial as in a single-trial loop.
     """
     m, trials = len(frame), int(trials)
     _check_sweep(trials, subset_sizes, m)
@@ -297,11 +298,15 @@ def stability_reports(
         worst_t = worst_d = 0.0
         for start in range(0, trials, block):
             n = min(block, trials - start)
-            a = np.empty((n, 1, m), dtype=complex)
+            u = np.empty((n, 2 * m))
             subsets = np.empty((n, size), dtype=int)
             for i in range(n):
-                a[i, 0] = complex_unit_disc(gen, m)
-                subsets[i] = np.sort(gen.choice(m, size=size, replace=False))
+                gen.random(out=u[i])
+                subsets[i] = gen.choice(m, size=size, replace=False)
+            subsets.sort(axis=1)
+            # complex_unit_disc(gen, m) from the same doubles: uniform(0, s)
+            # draws 0.0 + s * random(), bit for bit
+            a = (np.sqrt(u[:, :m]) * np.exp(1j * (2.0 * np.pi * u[:, m:])))[:, None]
             f_norm = np.sqrt(np.maximum(_quad_forms(g, a), 1e-300))
             c = np.take_along_axis((a @ g)[:, 0], subsets, axis=1)[:, None]
             rows, cols = subsets[:, :, None], subsets[:, None, :]

@@ -362,13 +362,18 @@ def _signal_text(**fields) -> str:
         ("reconstruct", _signal_text(coeffs=[[True, False]])),
         ("reconstruct", _signal_text(offset=0.5)),
         ("avg-sample", _signal_text(window={"a": -8.0, "b": 8.0, "n": 257.5})),
+        ("reconstruct", "[" * 5000 + "]" * 5000),
+        ("regnet", "[" * 5000 + "]" * 5000),
+        ("gram", "[" * 5000 + "]" * 5000),
+        ("reconstruct", _signal_text(coeffs=json.loads("[" * 900 + "]" * 900))),
     ],
     ids=[
         "regnet-empty", "regnet-list", "regnet-family-list", "regnet-indices-number", "reconstruct-empty",
         "reconstruct-list", "avg-sample-empty", "avg-sample-list", "gram-config-list",
         "signal-window-empty", "signal-window-list", "signal-coeffs-number", "signal-coeffs-string",
         "signal-coeffs-null", "signal-dim-zero", "signal-coeffs-empty", "signal-coeffs-bool", "signal-offset-fraction",
-        "signal-window-n-fraction",
+        "signal-window-n-fraction", "signal-nested-5000-deep", "regnet-nested-5000-deep", "config-nested-5000-deep",
+        "signal-coeffs-nested-900-deep",
     ],
 )
 def test_malformed_input_files_exit_2(tmp_path, capsys, command, text):
@@ -378,7 +383,9 @@ def test_malformed_input_files_exit_2(tmp_path, capsys, command, text):
     KeyError, TypeError or AttributeError traceback, and so did a signal's
     window {} or [1, 2, 3], coeffs 5, [[1, "a"]] or [null] and dim 0.
     Empty coeffs ran and reported an infinite error, [[true, false]] ran as
-    [[1, 0]] and offset 0.5 ran as 0."""
+    [[1, 0]] and offset 0.5 ran as 0. Lists nested 5,000 deep ended in a
+    RecursionError traceback from the JSON decoder, and coeffs nested 900
+    deep in a RuntimeError from numpy's iterator, which takes 32 axes."""
     path = tmp_path / "input.json"
     path.write_text(text)
     flag = {"regnet": "--problem", "reconstruct": "--signal", "avg-sample": "--signal", "gram": "--config"}[command]
@@ -622,13 +629,14 @@ def _regnet_problem(signal_file, **fields) -> dict:
         {"family": {"family": "average", "params": {"delta": "x"}}},
         {"family": {"family": "average", "params": {}}},
         {"family": {"family": "average", "params": {"delta": 0.2, "bogus": 1}}},
+        {"indices": [], "signal": None, "samples": []},
     ],
     ids=[
         "lambda-negative", "lambda-zero", "lambda-nan-string", "lambda-nan", "lambda-infinity",
         "lambda-overflow", "samples-nan", "noise-sigma-nan", "fourier-index-fractional", "fourier-index-overflow",
         "samples-numbers", "samples-number", "samples-string", "noise-without-seed", "noise-number",
         "noise-seed-fractional", "lambda-list", "signal-window-empty", "family-delta-string",
-        "family-delta-missing", "family-param-unknown",
+        "family-delta-missing", "family-param-unknown", "indices-empty",
     ],
 )
 def test_regnet_bad_inputs_are_refused(signal_file, tmp_path, capsys, fields):
@@ -638,7 +646,7 @@ def test_regnet_bad_inputs_are_refused(signal_file, tmp_path, capsys, fields):
     warning and no report. The index 1.5 ran as j = 1, 1e400 ended in an
     OverflowError traceback, and so did each malformed samples, noise,
     lambda and signal field in a TypeError or KeyError; a noise seed of 1.5
-    ran as 1."""
+    ran as 1, and empty indices ended in an IndexError."""
     ppath = tmp_path / "prob.json"
     ppath.write_text(json.dumps(_regnet_problem(signal_file, **fields)))
     if "1e400" in json.dumps(fields):  # a JSON number beyond float range, read as inf
@@ -726,6 +734,47 @@ def test_bad_flag_values_exit_2(signal_file, tmp_path, capsys, argv):
     assert json.loads(captured.err)["error"] == "ValidationError"
     assert captured.err.count("\n") == 1
     assert not captured.out
+    assert not list(tmp_path.glob("x.*"))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["gram", "--indices="], "--indices"),
+        (["psd", "--family", "average", "--indices=1..0"], "--indices"),
+        (["avg-sample", "--x="], "--x"),
+        (["reconstruct", "--m", "-1"], "--m"),
+        (["reconstruct", "--points-per-unit", "0"], "--points-per-unit"),
+        (["reconstruct", "--space", "fourier", "--grid-n", "-1"], "--grid-n"),
+        (["stability", "--w-n", "1"], "--w-n"),
+        (["vector-sampling", "--n", "-1"], "--n"),
+        (["vector-sampling", "--m-range", "-1"], "--m-range"),
+        (["si-diagnose", "--k-max", "-1"], "--k-max"),
+        (["si-diagnose", "--k-range", "-1"], "--k-range"),
+        (["si-diagnose", "--n-centers", "0"], "--n-centers"),
+        (["stability", "--sizes="], "--sizes"),
+    ],
+    ids=[
+        "indices-empty", "indices-reversed", "x-empty", "m-negative", "points-per-unit-zero", "grid-n-negative",
+        "w-n-one", "n-negative", "m-range-negative", "k-max-negative", "k-range-negative", "n-centers-zero",
+        "sizes-empty",
+    ],
+)
+def test_empty_or_negative_sizes_are_refused_by_flag(signal_file, tmp_path, capsys, argv, flag):
+    """A size flag below its least value, or a list flag that names no index,
+    exits 2 with a ValidationError that names the flag. Before, --indices=
+    failed in a numpy reshape, --n -1 with "math domain error", --k-max -1
+    with "negative dimensions are not allowed", --m -1 with a
+    ShapeMismatchError, --sizes= with "invalid literal for int()", and
+    avg-sample --x= exited 0 with no samples."""
+    if argv[0] in ("reconstruct", "avg-sample"):
+        argv = [*argv, "--signal", str(signal_file)]
+    code = main([*argv, "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert json.loads(err)["error"] == "ValidationError"
+    assert flag in json.loads(err)["message"]
     assert not list(tmp_path.glob("x.*"))
 
 

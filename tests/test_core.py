@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from opkern.core import (
@@ -22,6 +22,7 @@ from opkern.core import (
     uniform_fourier_sum,
 )
 from opkern.exceptions import ConditioningError, ShapeMismatchError, ValidationError
+from solve_oracle import eigh_solve_hermitian
 
 TWO_PI = 2.0 * math.pi
 
@@ -164,6 +165,77 @@ def test_solve_hermitian_stack_refuses_at_the_first_failing_matrix():
     assert (exc.value.min_eig, exc.value.max_eig) == (1e-13, 1.0)
     with pytest.raises(ShapeMismatchError):
         solve_hermitian(m, np.ones(2))
+
+
+def _hermitian_of_kind(kind: str, k: int, diagonal: bool, gen) -> np.ndarray:
+    """A k x k Hermitian matrix: "certified" has Gershgorin discs inside
+    [0.5, 2.5]; the others have the spectrum of their kind, rotated by a
+    random unitary unless ``diagonal``."""
+    if kind == "certified":
+        off = np.tril(complex_unit_disc(gen, (k, k)), -1) * (0.0 if diagonal else 0.5 / k)
+        return np.diag(1.0 + gen.random(k)) + off + off.conj().T
+    w = {
+        "positive": lambda: 10.0 ** gen.uniform(-6.0, 0.0, k),
+        "near-singular": lambda: np.append(10.0 ** gen.uniform(-16.0, -9.0, 1), 10.0 ** gen.uniform(-9.0, 0.0, k - 1)),
+        "indefinite": lambda: np.append(-gen.random(1), gen.uniform(-1.0, 1.0, k - 1)),
+    }[kind]()
+    if diagonal:
+        return np.diag(gen.permutation(w)).astype(complex)
+    q, _ = np.linalg.qr(gen.standard_normal((k, k)) + 1j * gen.standard_normal((k, k)))
+    m = (q * w) @ q.conj().T
+    return (m + m.conj().T) / 2.0
+
+
+def _outcome(solve, m, rhs):
+    try:
+        return solve(m, rhs), None
+    except ConditioningError as exc:
+        return None, exc
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(["certified", "positive", "near-singular", "indefinite"]), min_size=1, max_size=6),
+    k=st.integers(1, 12),
+    diagonal=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_solve_hermitian_matches_the_eigh_oracle(kinds, k, diagonal, seed):
+    """The Gershgorin route refuses what the eigendecomposition refuses, at
+    the same matrix, away from the 1e-12 threshold, and its solutions agree
+    within round-off scaled by the condition number."""
+    gen = rng(seed)
+    m = np.array([_hermitian_of_kind(kind, k, diagonal, gen) for kind in kinds])
+    rhs = complex_unit_disc(gen, (len(kinds), k))
+    w = np.linalg.eigvalsh(m)
+    assume(not np.any((w[:, 0] >= 0.5e-12 * w[:, -1]) & (w[:, 0] <= 2e-12 * w[:, -1])))
+    want, want_err = _outcome(eigh_solve_hermitian, m, rhs)
+    got, got_err = _outcome(solve_hermitian, m, rhs)
+    assert (got_err is None) == (want_err is None)
+    if want_err is not None:
+        got_eigs = np.array([got_err.min_eig, got_err.max_eig])
+        want_eigs = np.array([want_err.min_eig, want_err.max_eig])
+        if diagonal:
+            assert np.array_equal(got_eigs, want_eigs)
+        else:
+            assert np.max(np.abs(got_eigs - want_eigs)) <= 1e-12 * np.max(np.abs(want_eigs))
+        return
+    cond = w[:, -1] / w[:, 0]
+    gap = np.linalg.norm(got - want, axis=-1)
+    assert np.all(gap <= 16 * k * cond * np.finfo(float).eps * np.linalg.norm(want, axis=-1))
+
+
+def test_solve_hermitian_certified_stack_runs_no_eigensolve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolve on a certified stack")
+
+    gen = rng(9)
+    m = np.array([_hermitian_of_kind("certified", 12, False, gen) for _ in range(20)])
+    x = complex_unit_disc(gen, (20, 12))
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    got = solve_hermitian(m, (m @ x[..., None])[..., 0])
+    assert np.linalg.norm(got - x) <= 1e-13 * np.linalg.norm(x)
 
 
 def test_pseudoinverse_apply_cases():

@@ -424,7 +424,10 @@ def test_stability_reports_match_the_single_trial_loops(data):
     frame = _random_frame(m, seed)
     dual = dual_frame(frame)
     got = stability_reports(frame, dual, lam, trials, seed, sizes)
-    for rep, want in zip(got, _oracle_reports(frame, dual, lam, trials, seed, sizes)):
+    wants = _oracle_reports(frame, dual, lam, trials, seed, sizes)
+    # the truncated ratios need no solve: the same draws give the same bits
+    assert got[0] == wants[0]
+    for rep, want in zip(got, wants):
         assert list(rep.per_size) == list(want.per_size)
         np.testing.assert_allclose(list(rep.per_size.values()), list(want.per_size.values()), rtol=1e-14, atol=0)
         assert rep.c_emp == pytest.approx(want.c_emp, rel=1e-14, abs=0)
@@ -443,6 +446,34 @@ def test_stability_reports_refuse_like_the_single_trial_loops():
         stability_reports(frame, dual, 1e-14, 60, 4, [3])
     assert str(got.value) == str(want.value)
     assert (got.value.min_eig, got.value.max_eig) == (want.value.min_eig, want.value.max_eig)
+
+
+@pytest.mark.parametrize("profile", ["box", "triangle", "cosine"])
+@pytest.mark.parametrize("w_n,points_per_unit", [(257, 16), (2049, 32)], ids=["benchmark-grids", "default-grids"])
+def test_stability_reports_of_the_pw_frames_solve_without_eigensolves(monkeypatch, profile, w_n, points_per_unit):
+    """At lam = 0.1 every damped matrix of the CLI's 17-section frames is
+    certified by its Gershgorin discs: the one eigensolve of the pass is
+    frame_bounds_estimate's, on the whole Gram."""
+    frame = pw_average_sections(
+        [float(c) for c in range(-8, 9)], 0.2, pw_window(8, points_per_unit=points_per_unit), profile,
+        w_grid_default(w_n),
+    )
+    dual = dual_frame(frame)
+    calls = []
+
+    def recording(name):
+        solver = getattr(np.linalg, name)
+
+        def run(m, *args, **kwargs):
+            calls.append((name, np.shape(m)))
+            return solver(m, *args, **kwargs)
+
+        return run
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, recording(name))
+    stability_reports(frame, dual, 0.1, 20, 3, [1, 4, 8, 16, 17])
+    assert calls == [("eigvalsh", (17, 17))]
 
 
 def test_stability_reports_memory_does_not_grow_with_trials():
