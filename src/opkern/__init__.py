@@ -9,7 +9,6 @@ from .core import (  # noqa: F401
     dft,
     hermitian_eig,
     inner_product,
-    inverse_dft,
     norm,
     pseudoinverse,
     pseudoinverse_apply,

@@ -126,7 +126,7 @@ def _load_signal(path: str) -> BandlimitedSignal:
 def _window_grid(args) -> Grid:
     """Evaluation window [-T, T]: T defaults to the index half-width plus a
     truncation pad of 16, overridable through --window."""
-    if getattr(args, "window", None):
+    if getattr(args, "window", None) is not None:
         t_half = float(args.window)
         n = 2 * int(round(t_half * args.points_per_unit)) + 1
         return Grid(-t_half, t_half, n)
@@ -373,16 +373,17 @@ def finite(text: str) -> float:
     return value
 
 
-def _int_at_least(low: int):
-    """The type of a size flag: an int, refused below ``low`` with the flag's
-    name (argparse prefixes it)."""
+def _at_least(low, cast=int):
+    """The type of a size flag, or of a float flag with a least value
+    (``cast=finite``): refused below ``low`` with the flag's name (argparse
+    prefixes it)."""
 
-    def parse(text: str) -> int:
-        if (value := int(text)) < low:
+    def parse(text: str):
+        if (value := cast(text)) < low:
             raise argparse.ArgumentTypeError(f"{value} is below {low}")
         return value
 
-    parse.__name__ = "int"
+    parse.__name__ = cast.__name__
     return parse
 
 
@@ -399,10 +400,10 @@ def _subcommand(sub, name: str, func, help_text: str) -> argparse.ArgumentParser
 def _add_pw_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta", type=finite, default=0.2)
     p.add_argument("--profile", default="box", choices=["box", "triangle", "cosine"])
-    p.add_argument("--m", type=_int_at_least(0), default=16, help="index half-width / window half-size")
-    p.add_argument("--grid-n", dest="grid_n", type=_int_at_least(2), default=513)
-    p.add_argument("--w-n", dest="w_n", type=_int_at_least(2), default=2049)
-    p.add_argument("--points-per-unit", dest="points_per_unit", type=_int_at_least(1), default=32)
+    p.add_argument("--m", type=_at_least(0), default=16, help="index half-width / window half-size")
+    p.add_argument("--grid-n", dest="grid_n", type=_at_least(2), default=513)
+    p.add_argument("--w-n", dest="w_n", type=_at_least(2), default=2049)
+    p.add_argument("--points-per-unit", dest="points_per_unit", type=_at_least(1), default=32)
     p.add_argument(
         "--window", dest="window", type=finite, default=None,
         help="evaluation half-width T (default: m + 16)",
@@ -443,12 +444,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _subcommand(sub, "si-diagnose", _cmd_si_diagnose, "shift-space generator diagnostics")
     p.add_argument("--generator", default="hat", choices=["box", "hat", "cubic"])
-    p.add_argument("--k-max", dest="k_max", type=_int_at_least(0), default=20)
-    p.add_argument("--k-range", dest="k_range", type=_int_at_least(0), default=4)
+    p.add_argument("--k-max", dest="k_max", type=_at_least(0), default=20)
+    p.add_argument("--k-range", dest="k_range", type=_at_least(0), default=4)
     p.add_argument("--delta", type=finite, default=0.2)
     p.add_argument("--profile", default="triangle", choices=["box", "triangle", "cosine"])
     p.add_argument("--center", type=finite, default=0.25)
-    p.add_argument("--n-centers", dest="n_centers", type=_int_at_least(1), default=3)
+    p.add_argument("--n-centers", dest="n_centers", type=_at_least(1), default=3)
 
     p = _subcommand(sub, "stability", _cmd_stability, "stability sweep of reconstruction operators")
     p.add_argument("--sizes", default="4,8,16")
@@ -457,10 +458,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pw_flags(p)
 
     p = _subcommand(sub, "vector-sampling", _cmd_vector_sampling, "build a vector-valued sampling set")
-    p.add_argument("--n", type=_int_at_least(1), default=2)
-    p.add_argument("--m-range", dest="m_range", type=_int_at_least(0), default=16)
-    p.add_argument("--perturb", type=finite, default=0.0)
-    p.add_argument("--w-n", dest="w_n", type=_int_at_least(2), default=1025)
+    p.add_argument("--n", type=_at_least(1), default=2)
+    p.add_argument("--m-range", dest="m_range", type=_at_least(0), default=16)
+    p.add_argument("--perturb", type=_at_least(0.0, finite), default=0.0)
+    p.add_argument("--w-n", dest="w_n", type=_at_least(2), default=1025)
 
     return parser
 

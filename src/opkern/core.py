@@ -30,7 +30,6 @@ __all__ = [
     "fourier_sum",
     "uniform_fourier_sum",
     "dft",
-    "inverse_dft",
     "hermitian_eig",
     "solve_hermitian",
     "pseudoinverse",
@@ -290,12 +289,6 @@ def dft(f: GridFunction, freqs: Sequence[float]) -> np.ndarray:
     """
     out = fourier_sum(freqs, f.grid.points(), f.values * f.grid.weights()[:, None])
     return out[:, 0] if f.dim == 1 else out
-
-
-def inverse_dft(f: GridFunction, freqs: Sequence[float]) -> np.ndarray:
-    """Quadrature inverse transform  (1/2pi) \\int f(t) exp(+i t w_k) dt."""
-    w = np.atleast_1d(np.asarray(freqs, dtype=float))
-    return dft(f, -w) / (2.0 * np.pi)
 
 
 def _require_hermitian(m: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Grid, GridFunction, inverse_dft, uniform_fourier_sum
+from .core import Grid, GridFunction, uniform_fourier_sum
 from .core import complex_pairs, complex_values, integral, json_number, json_numbers, json_object
 from .exceptions import AdmissibilityError, DomainError, ShapeMismatchError, ValidationError
 from .families import AverageFunctional
@@ -355,15 +355,18 @@ class ShiftedAverageCheck:
 def shifted_average_frame_check(u: GridFunction, c_floor: float) -> ShiftedAverageCheck:
     """For a single shifted average window u, checks |u^v| >= c_floor > 0 at
     4097 points of [-pi, pi]; this keeps the shifted features a frame
-    whenever the bare exponentials are one."""
-    t = np.linspace(-math.pi, math.pi, 4097)
-    vals = np.abs(inverse_dft(u, t))
+    whenever the bare exponentials are one. u^v(t) = (1/2pi) int u(s)
+    exp(i t s) ds is one chirp-z sum between the two uniform grids."""
+    if u.dim != 1:
+        raise ShapeMismatchError(f"the average window must be scalar, got {u.dim} components")
+    t, g = Grid(-math.pi, math.pi, 4097), u.grid
+    vals = np.abs(uniform_fourier_sum(t.a, t.h, t.n, g.a, g.h, u.values[:, 0] * g.weights(), sign=1.0)) / TWO_PI
     i = int(np.argmin(vals))
     min_abs = float(vals[i])
     return ShiftedAverageCheck(
         passed=bool(c_floor > 0.0 and min_abs >= c_floor),
         min_abs=min_abs,
-        argmin=float(t[i]),
+        argmin=float(t.points()[i]),
     )
 
 

@@ -116,18 +116,22 @@ def make_generator(kind: str, h: float = 1.0 / 1024.0) -> Generator:
     )
 
 
+def _aliases(xi: np.ndarray, j_trunc: int):
+    """The aliases xi + 2 pi l, |l| <= j_trunc, l ascending, as blocks of
+    shape (xi.size, b) holding at most 4,000,000 frequencies each."""
+    ls = np.arange(-j_trunc, j_trunc + 1)
+    chunk = max(1, 4_000_000 // max(xi.size, 1))
+    for s in range(0, ls.size, chunk):
+        yield xi[:, None] + TWO_PI * ls[None, s : s + chunk]
+
+
 def bracket_function(gen: Generator, xi) -> np.ndarray:
     """Truncated periodization sum_{|j| <= j_trunc} |phi_hat(xi + 2 pi j)|^2.
 
     Raises RieszConditionError when any truncated value fails positivity.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    js = np.arange(-gen.j_trunc, gen.j_trunc + 1)
-    vals = np.zeros(xi.shape, dtype=float)
-    chunk = max(1, 4_000_000 // max(xi.size, 1))
-    for s in range(0, js.size, chunk):
-        block = xi[:, None] + TWO_PI * js[None, s : s + chunk]
-        vals += np.sum(np.abs(gen.transform(block)) ** 2, axis=1)
+    vals = sum((np.sum(np.abs(gen.transform(om)) ** 2, axis=1) for om in _aliases(xi, gen.j_trunc)), np.zeros(xi.shape))
     if np.any(vals <= 0.0):
         raise RieszConditionError(
             f"periodized generator energy nonpositive (min {vals.min():.3e}); "
@@ -223,20 +227,24 @@ def si_reproducing_kernel(
 
 
 def _average_coefficients(
-    gen: Generator, u: AverageFunctional, k_range: Sequence[int] | None = None, quad_n: int = 4097
+    gen: Generator, u_list: Sequence[AverageFunctional], quad_n: int = 4097
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients c_k = int u(t) conj(phi(t-k)) dt over the shifts meeting
-    the support of u (or an explicit shift list)."""
-    lo, hi = u.support
+    """Shift range ks of the whole list and the (shifts x functionals)
+    matrix C[k, i] = int u_i(t) conj(phi(t - k)) dt, by trapezoid quadrature
+    on quad_n points of the support of u_i. Each column is computed only on
+    the about 2R+1 shifts whose support meets that of u_i; phi vanishes
+    there on the rest, which stay exactly 0."""
     r = gen.support_radius
-    if k_range is None:
-        ks = np.arange(math.floor(lo - r), math.ceil(hi + r) + 1)
-    else:
-        ks = np.asarray(list(k_range), dtype=int)
-    g = u.quad_grid(quad_n)
-    t = g.points()
-    c = (u.evaluate(t) * np.conj(gen.evaluate(t - ks[:, None]))) @ g.weights()
-    return ks, c
+    firsts = [math.floor(u.support[0] - r) for u in u_list]
+    lasts = [math.ceil(u.support[1] + r) for u in u_list]
+    ks = np.arange(min(firsts), max(lasts) + 1)
+    cmat = np.zeros((ks.size, len(u_list)), dtype=complex)
+    for i, (u, first, last) in enumerate(zip(u_list, firsts, lasts)):
+        g = u.quad_grid(quad_n)
+        t = g.points()
+        window = np.arange(first, last + 1)[:, None]
+        cmat[first - ks[0] : last - ks[0] + 1, i] = (u.evaluate(t) * np.conj(gen.evaluate(t - window))) @ g.weights()
+    return ks, cmat
 
 
 def si_functional_kernel(
@@ -248,25 +256,9 @@ def si_functional_kernel(
     """Kernel section of the average functional on the shift space:
     K(u)(x) = sum_k (int u(t) conj(phi(t-k)) dt) phi~(x-k), each coefficient
     by trapezoid quadrature on 4097 points of the support of u."""
-    ks, c = _average_coefficients(gen, u)
-    vals = _shift_sum(gen, int(ks[0]) - dual.k_max, np.convolve(c, dual.b_coeffs), out_grid)
+    ks, c = _average_coefficients(gen, [u])
+    vals = _shift_sum(gen, int(ks[0]) - dual.k_max, np.convolve(c[:, 0], dual.b_coeffs), out_grid)
     return GridFunction(out_grid, vals)
-
-
-def _coefficient_matrix(
-    gen: Generator, u_list: Sequence[AverageFunctional], quad_n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Shift range ks of the whole list and the (shifts x functionals)
-    matrix of coefficients int u conj(phi(. - k)). Each column is computed on
-    its functional's own window of about 2R+1 shifts; the rest stays zero."""
-    r = gen.support_radius
-    k_first = math.floor(min(u.support[0] for u in u_list) - r)
-    ks = np.arange(k_first, math.ceil(max(u.support[1] for u in u_list) + r) + 1)
-    cmat = np.zeros((ks.size, len(u_list)), dtype=complex)
-    for i, u in enumerate(u_list):
-        ks_u, c = _average_coefficients(gen, u, quad_n=quad_n)
-        cmat[ks_u - k_first, i] = c
-    return ks, cmat
 
 
 def _toeplitz(col: np.ndarray, row: np.ndarray) -> np.ndarray:
@@ -287,7 +279,7 @@ def si_gram(
     The structure keeps the matrix Hermitian PSD to machine precision."""
     if not u_list:
         raise ShapeMismatchError("empty functional list")
-    ks, cmat = _coefficient_matrix(gen, u_list, quad_n)
+    ks, cmat = _average_coefficients(gen, u_list, quad_n)
     # lags beyond k_max carry exponentially small coefficients; pad zero
     pad = max(ks.size - 1 - dual.k_max, 0)
     b = np.pad(dual.b_coeffs, pad)
@@ -311,22 +303,15 @@ class DensityReport:
         return self.rank < self.family_size
 
 
-def _g_alpha_values(
-    gen: Generator,
-    u: AverageFunctional,
-    xi: np.ndarray,
-    j_trunc: int,
-) -> np.ndarray:
-    """g_u(xi) = sum_{|l| <= J} u^(xi + 2 pi l) conj(phi_hat(xi + 2 pi l)),
-    with u^(w) = exp(-i w x) m(w) from the closed form m of the centred
-    profile."""
-    out = np.zeros(xi.shape, dtype=complex)
-    ls = np.arange(-j_trunc, j_trunc + 1)
-    chunk = max(1, 4_000_000 // max(xi.size, 1))
-    for s in range(0, ls.size, chunk):
-        om = xi[:, None] + TWO_PI * ls[None, s : s + chunk]
-        uhat = np.exp(-1j * om * u.x) * u.centered_transform(om)
-        out += np.sum(uhat * np.conj(gen.transform(om)), axis=1)
+def _g_values(gen: Generator, u_list: Sequence[AverageFunctional], xi: np.ndarray, j_trunc: int) -> np.ndarray:
+    """One row per functional: g_u(xi) = sum_{|l| <= J} u^(xi + 2 pi l)
+    conj(phi_hat(xi + 2 pi l)), with u^(w) = exp(-i w x) m(w) from the closed
+    form m of the centred profile. Each alias block is evaluated functional
+    by functional, so only one functional's terms are held at a time."""
+    out = np.zeros((len(u_list), xi.size), dtype=complex)
+    for om in _aliases(xi, j_trunc):
+        for row, u in zip(out, u_list):
+            row += np.sum(np.exp(-1j * om * u.x) * u.centered_transform(om) * np.conj(gen.transform(om)), axis=1)
     return out
 
 
@@ -344,7 +329,7 @@ def density_diagnostic(
         raise ShapeMismatchError("empty functional family")
     xs = xi_grid.points()
     sqw = np.sqrt(xi_grid.weights())
-    a = np.stack([_g_alpha_values(gen, u, xs, gen.j_trunc) * sqw for u in u_family])
+    a = _g_values(gen, u_family, xs, gen.j_trunc) * sqw
     s = np.linalg.svd(a, compute_uv=False)
     smax = s[0] if s.size else 0.0
     rank = int(np.sum(s > 1e-10 * max(smax, 1e-300)))
@@ -370,11 +355,12 @@ def fourier_coefficient_identity_check(
     periodization truncation and the quadrature steps; it contracts by at
     least a factor two when both resolutions are doubled."""
     j = gen.j_trunc if j_trunc is None else int(j_trunc)
-    ks = np.arange(-k_range, k_range + 1)
-    _, time_side = _average_coefficients(gen, u, k_range=ks, quad_n=quad_n)
+    ks_u, c = _average_coefficients(gen, [u], quad_n)
+    inside = np.abs(ks_u) <= k_range
+    time_side = np.zeros(2 * k_range + 1, dtype=complex)
+    time_side[ks_u[inside] + k_range] = c[inside, 0]
     grid_xi = Grid(-math.pi, math.pi, int(xi_n))
-    xs = grid_xi.points()
-    g = _g_alpha_values(gen, u, xs, j)
+    g = _g_values(gen, [u], grid_xi.points(), j)[0]
     weighted = g * grid_xi.weights()
-    freq_side = uniform_fourier_sum(-k_range, 1.0, ks.size, grid_xi.a, grid_xi.h, weighted, sign=1.0) / TWO_PI
+    freq_side = uniform_fourier_sum(-k_range, 1.0, time_side.size, grid_xi.a, grid_xi.h, weighted, sign=1.0) / TWO_PI
     return float(np.max(np.abs(time_side - freq_side)))

@@ -709,6 +709,7 @@ def test_stability_bad_inputs_are_refused(tmp_path, capsys, flags):
     [
         ["reconstruct", "--m", "four"],
         ["reconstruct", "--window", "inf"],
+        ["reconstruct", "--window", "0"],
         ["reconstruct", "--rel-cutoff", "nan"],
         ["vector-sampling", "--perturb", "inf"],
         ["avg-sample", "--x=0,1", "--delta", "inf"],
@@ -717,15 +718,16 @@ def test_stability_bad_inputs_are_refused(tmp_path, capsys, flags):
         ["no-such-command"],
     ],
     ids=[
-        "m-not-an-int", "window-inf", "rel-cutoff-nan", "perturb-inf", "avg-sample-delta-inf", "stability-delta-inf",
-        "required-flag-missing", "unknown-command",
+        "m-not-an-int", "window-inf", "window-zero", "rel-cutoff-nan", "perturb-inf", "avg-sample-delta-inf",
+        "stability-delta-inf", "required-flag-missing", "unknown-command",
     ],
 )
 def test_bad_flag_values_exit_2(signal_file, tmp_path, capsys, argv):
     """A flag argparse refuses exits 2 with one JSON line on stderr, like a
     malformed file, and every float flag refuses nan and +-inf. --m four
     printed argparse's usage text, --window inf and --perturb inf ended in
-    OverflowError tracebacks, and --delta inf printed numpy RuntimeWarnings."""
+    OverflowError tracebacks, --delta inf printed numpy RuntimeWarnings, and
+    --window 0 ran on the default window and exited 0."""
     if argv[0] in ("reconstruct", "avg-sample"):
         argv = [*argv, "--signal", str(signal_file)]
     code = main([*argv, "--out", str(tmp_path / "x")])
@@ -750,6 +752,7 @@ def test_bad_flag_values_exit_2(signal_file, tmp_path, capsys, argv):
         (["stability", "--w-n", "1"], "--w-n"),
         (["vector-sampling", "--n", "-1"], "--n"),
         (["vector-sampling", "--m-range", "-1"], "--m-range"),
+        (["vector-sampling", "--perturb", "-0.1"], "--perturb"),
         (["si-diagnose", "--k-max", "-1"], "--k-max"),
         (["si-diagnose", "--k-range", "-1"], "--k-range"),
         (["si-diagnose", "--n-centers", "0"], "--n-centers"),
@@ -757,8 +760,8 @@ def test_bad_flag_values_exit_2(signal_file, tmp_path, capsys, argv):
     ],
     ids=[
         "indices-empty", "indices-reversed", "x-empty", "m-negative", "points-per-unit-zero", "grid-n-negative",
-        "w-n-one", "n-negative", "m-range-negative", "k-max-negative", "k-range-negative", "n-centers-zero",
-        "sizes-empty",
+        "w-n-one", "n-negative", "m-range-negative", "perturb-negative", "k-max-negative", "k-range-negative",
+        "n-centers-zero", "sizes-empty",
     ],
 )
 def test_empty_or_negative_sizes_are_refused_by_flag(signal_file, tmp_path, capsys, argv, flag):
@@ -767,7 +770,8 @@ def test_empty_or_negative_sizes_are_refused_by_flag(signal_file, tmp_path, caps
     failed in a numpy reshape, --n -1 with "math domain error", --k-max -1
     with "negative dimensions are not allowed", --m -1 with a
     ShapeMismatchError, --sizes= with "invalid literal for int()", and
-    avg-sample --x= exited 0 with no samples."""
+    avg-sample --x= exited 0 with no samples, vector-sampling --perturb -0.1
+    with an unperturbed set."""
     if argv[0] in ("reconstruct", "avg-sample"):
         argv = [*argv, "--signal", str(signal_file)]
     code = main([*argv, "--out", str(tmp_path / "x")])
@@ -833,12 +837,17 @@ def test_cli_holds_no_frame_arithmetic():
 
 def test_cli_import_loads_no_scipy():
     """The runtime imports only numpy; scipy is a test oracle, and importing
-    it would add most of a second to every CLI invocation."""
+    it would add most of a second to every CLI invocation. numpy.fft and
+    numpy.random are loaded on first use only (numpy 2 defers them; numpy 1
+    loads them with numpy itself, so only what opkern adds is counted): at
+    import they would add about 34 ms and 55 ms (python -X importtime) to
+    every invocation."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
-        "import json, sys, opkern.cli; "
-        "print(json.dumps(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))"
+        "import json, sys, numpy; bare = set(sys.modules); import opkern.cli; "
+        "print(json.dumps(sorted(m for m in set(sys.modules) - bare if m.split('.')[0] == 'scipy' "
+        "or m.startswith(('numpy.fft', 'numpy.random')))))"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert json.loads(out.stdout) == []

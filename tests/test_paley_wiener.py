@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from opkern.core import Grid, GridFunction, complex_unit_disc, inner_product, rng
+from opkern.core import Grid, GridFunction, complex_unit_disc, fourier_sum, inner_product, rng
 from opkern.exceptions import AdmissibilityError, DomainError, ShapeMismatchError, ValidationError
 from opkern.families import AverageFunctional, average_sample
 from opkern.kernels import feature_gram
@@ -292,6 +292,22 @@ def test_shifted_average_check():
 
     zero = GridFunction(g, np.zeros((513, 1)))
     assert not shifted_average_frame_check(zero, c_floor=1e-6).passed
+
+    with pytest.raises(ShapeMismatchError):
+        shifted_average_frame_check(GridFunction(g, np.ones((513, 2), dtype=complex)), c_floor=1e-3)
+
+
+def test_shifted_average_check_matches_the_dense_sum():
+    """The chirp-z route agrees with the dense sum (1/2pi) exp(i outer(t, s))
+    @ (u w) within 1e-12 of sum |u w| / 2pi, and so picks the same argmin."""
+    g = Grid(-0.3, 1.7, 1025)
+    s = g.points()
+    vals = np.exp(-((s - 0.4) ** 2) / 0.02) + 0.3j * np.cos(3.0 * s)
+    rep = shifted_average_frame_check(GridFunction(g, vals), c_floor=1e-3)
+    t = np.linspace(-math.pi, math.pi, 4097)
+    dense = np.abs(fourier_sum(t, s, vals * g.weights(), sign=1.0)) / TWO_PI
+    assert abs(rep.min_abs - dense.min()) <= 1e-12 * np.sum(np.abs(vals) * g.weights()) / TWO_PI
+    assert rep.argmin == t[np.argmin(dense)]
 
 
 # ------------------------------------------------------ vector sampling sets

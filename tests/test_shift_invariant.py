@@ -12,8 +12,9 @@ from opkern.families import AverageFunctional, average_sample
 from opkern.kernels import psd_check
 from opkern.shift_invariant import (
     Generator,
+    _aliases,
     _average_coefficients,
-    _coefficient_matrix,
+    _g_values,
     _toeplitz,
     biorthogonality_residual,
     bracket_function,
@@ -29,6 +30,7 @@ from opkern.shift_invariant import (
     si_reproducing_kernel,
 )
 from quadrature_oracle import quadrature_transform
+from shift_oracle import full_range_coefficients, g_alpha_values, identity_deviation, window_coefficients
 
 TWO_PI = 2.0 * math.pi
 
@@ -324,7 +326,7 @@ def _full_range_gram(gen, dual, u_list, quad_n):
     ks = np.arange(math.floor(lo - r), math.ceil(hi + r) + 1)
     cmat = np.empty((ks.size, len(u_list)), dtype=complex)
     for i, u in enumerate(u_list):
-        cmat[:, i] = _average_coefficients(gen, u, k_range=ks, quad_n=quad_n)[1]
+        cmat[:, i] = full_range_coefficients(gen, u, ks, quad_n)
 
     def b_of_lag(lag):
         return dual.b_coeffs[lag + dual.k_max] if abs(lag) <= dual.k_max else 0.0
@@ -344,12 +346,76 @@ def test_windowed_coefficients_match_full_range_route(kind):
         for x in pick.uniform(-12.0, 12.0, 20)
     ]
     ks_want, c_want, g_want = _full_range_gram(gen, d, us, quad_n=513)
-    ks, cmat = _coefficient_matrix(gen, us, quad_n=513)
+    ks, cmat = _average_coefficients(gen, us, quad_n=513)
     assert np.array_equal(ks, ks_want)
     # the per-window products may sum in another order: 1e-15 on |c| <= 1
     assert np.max(np.abs(cmat - c_want)) <= 1e-15
     g = si_gram(gen, d, us, quad_n=513)
     assert np.max(np.abs(g.matrix - g_want)) <= 1e-15 * np.max(np.abs(g_want))
+
+
+_functionals = st.lists(
+    st.builds(
+        AverageFunctional,
+        st.floats(-8.0, 8.0),
+        st.floats(0.01, 1.5),
+        st.sampled_from(["box", "triangle", "cosine"]),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["box", "hat", "cubic"]),
+    us=_functionals,
+    quad_n=st.sampled_from([129, 513, 4097]),
+    xi_n=st.integers(1, 300),
+    j_trunc=st.integers(0, 64),
+    k_range=st.integers(0, 12),
+)
+def test_windowed_matrix_and_alias_loop_match_the_per_functional_oracle(kind, us, quad_n, xi_n, j_trunc, k_range):
+    """Each column of the coefficient matrix is the per-functional window
+    route bit for bit and exactly 0 off its window, where the full-range
+    route is exactly 0 too; inside the window the full-range route sums in
+    another BLAS order, so it agrees within round-off. Each row of the alias
+    loop is the per-functional sum bit for bit."""
+    gen = make_generator(kind)
+    r = gen.support_radius
+    ks, cmat = _average_coefficients(gen, us, quad_n)
+    lo = math.floor(min(u.support[0] for u in us) - r)
+    assert np.array_equal(ks, np.arange(lo, math.ceil(max(u.support[1] for u in us) + r) + 1))
+    for i, u in enumerate(us):
+        ks_u, c_u = window_coefficients(gen, u, quad_n)
+        inside = np.isin(ks, ks_u)
+        assert np.array_equal(cmat[inside, i], c_u)
+        assert np.all(cmat[~inside, i] == 0.0)
+        full = full_range_coefficients(gen, u, ks, quad_n)
+        assert np.all(full[~inside] == 0.0)
+        g = u.quad_grid(quad_n)
+        scale = np.abs(u.evaluate(g.points())[None, :] * gen.evaluate(g.points() - ks[:, None])) @ g.weights()
+        assert np.all(np.abs(cmat[:, i] - full) <= 64 * np.finfo(float).eps * scale)
+
+    xi = np.linspace(-math.pi, math.pi, xi_n)
+    rows = _g_values(gen, us, xi, j_trunc)
+    assert rows.shape == (len(us), xi_n)
+    for row, u in zip(rows, us):
+        assert np.array_equal(row, g_alpha_values(gen, u, xi, j_trunc))
+
+    got = fourier_coefficient_identity_check(gen, us[0], k_range, quad_n=quad_n, xi_n=129)
+    want = identity_deviation(gen, us[0], k_range, quad_n=quad_n, xi_n=129)
+    assert abs(got - want) <= 64 * np.finfo(float).eps
+
+
+def test_aliases_come_in_blocks_of_at_most_4e6_frequencies():
+    xi = np.array([-1.0, 0.0, 2.5])
+    blocks = list(_aliases(xi, 700_000))
+    assert [b.shape for b in blocks] == [(3, 1_333_333), (3, 66_668)]
+    for b in blocks:
+        assert np.array_equal(b[1], TWO_PI * np.rint(b[1] / TWO_PI))
+    assert blocks[0][1, 0] == -TWO_PI * 700_000 and blocks[-1][1, -1] == TWO_PI * 700_000
+    assert np.array_equal(blocks[-1][:, -1], xi + TWO_PI * 700_000)
 
 
 def test_toeplitz_matches_scipy():
@@ -372,12 +438,10 @@ def test_identity_check_box_generator_box_profile():
 
 def test_identity_check_zero_profile_trivial():
     hat = make_generator("hat")
-    ks, c = [], None
-    from opkern.shift_invariant import _average_coefficients
-
     zero_like = AverageFunctional(30.0, 0.2)  # disjoint from the window below
-    _, c = _average_coefficients(hat, zero_like, k_range=range(-2, 3))
-    assert np.max(np.abs(c)) == 0.0
+    assert np.max(np.abs(full_range_coefficients(hat, zero_like, np.arange(-2, 3)))) == 0.0
+    ks, _ = _average_coefficients(hat, [zero_like])
+    assert np.all(np.abs(ks) > 2)
 
 
 def test_identity_check_hat_triangle_defaults_and_refinement():
@@ -405,7 +469,7 @@ def test_identity_check_quadrature_transform_route():
     om = xs[:, None] + TWO_PI * (ls - j)[None, :]
     g = np.sum(uhat[np.arange(n + 1)[:, None] + n * ls[None, :]] * np.conj(hat.transform(om)), axis=1)
     freq_side = fourier_sum(ks, xs, g * xi_grid.weights(), sign=1.0) / TWO_PI
-    _, time_side = _average_coefficients(hat, u, k_range=ks)
+    time_side = full_range_coefficients(hat, u, ks)
     dev = float(np.max(np.abs(time_side - freq_side)))
     assert dev < 1e-4
 
