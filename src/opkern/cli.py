@@ -45,15 +45,6 @@ from .paley_wiener import (
     vector_features,
     w_grid_default,
 )
-from .shift_invariant import (
-    biorthogonality_residual,
-    bracket_function,
-    bracket_tail_estimate,
-    dual_generator,
-    fourier_coefficient_identity_check,
-    make_generator,
-    density_diagnostic,
-)
 
 FMT = "%.15g"
 
@@ -125,11 +116,14 @@ def _load_signal(path: str) -> BandlimitedSignal:
 
 def _window_grid(args) -> Grid:
     """Evaluation window [-T, T]: T defaults to the index half-width plus a
-    truncation pad of 16, overridable through --window."""
+    truncation pad of 16, overridable through --window, which is refused
+    unless it spans at least one grid step."""
     if getattr(args, "window", None) is not None:
         t_half = float(args.window)
-        n = 2 * int(round(t_half * args.points_per_unit)) + 1
-        return Grid(-t_half, t_half, n)
+        steps = int(round(t_half * args.points_per_unit))
+        if steps < 1:
+            raise ValidationError(f"--window {t_half} spans no grid step at {args.points_per_unit} points per unit")
+        return Grid(-t_half, t_half, 2 * steps + 1)
     return pw_window(args.m, points_per_unit=args.points_per_unit)
 
 
@@ -272,6 +266,17 @@ def _cmd_regnet(args, prefix: Path) -> None:
 
 
 def _cmd_si_diagnose(args, prefix: Path) -> None:
+    # imported here: no other subcommand pays for the shift-space module
+    from .shift_invariant import (
+        biorthogonality_residual,
+        bracket_function,
+        bracket_tail_estimate,
+        density_diagnostic,
+        dual_generator,
+        fourier_coefficient_identity_check,
+        make_generator,
+    )
+
     gen = make_generator(args.generator)
     xi = np.linspace(-math.pi, math.pi, 257)
     bracket = bracket_function(gen, xi)

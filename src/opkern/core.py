@@ -15,7 +15,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -24,16 +24,12 @@ from .exceptions import ConditioningError, ShapeMismatchError, ValidationError
 __all__ = [
     "Grid",
     "GridFunction",
-    "quadrature",
     "inner_product",
     "norm",
-    "fourier_sum",
     "uniform_fourier_sum",
-    "dft",
     "hermitian_eig",
     "solve_hermitian",
     "pseudoinverse",
-    "pseudoinverse_apply",
     "rng",
     "complex_unit_disc",
 ]
@@ -164,14 +160,6 @@ class GridFunction:
             fh.write(text + "\n")
 
 
-def quadrature(f: GridFunction) -> np.ndarray:
-    """Composite trapezoid approximation of the integral, componentwise.
-
-    Returns a complex vector of length ``f.dim``.
-    """
-    return f.grid.weights() @ f.values
-
-
 def integrate_values(grid: Grid, values: np.ndarray) -> complex | np.ndarray:
     """Trapezoid integral of raw samples (1-D array or (n, k) columns)."""
     return grid.weights() @ values
@@ -203,28 +191,6 @@ def restrict(f: GridFunction, lo: float, hi: float) -> GridFunction:
     return GridFunction(sub, f.values[idx])
 
 
-#: most entries of exp(i outer(freqs, nodes)) that fourier_sum holds at once
-_FOURIER_BLOCK = 4_000_000
-
-
-def fourier_sum(freqs, nodes, weighted, sign: float = -1.0) -> np.ndarray:
-    """Fourier sum  exp(sign i outer(freqs, nodes)) @ weighted.
-
-    ``weighted`` holds quadrature-weighted samples at ``nodes``, shape (n,) or
-    (n, k); ``freqs`` is flattened. The exponential matrix is built in row
-    blocks of at most 4,000,000 entries, so memory stays bounded for any
-    number of frequencies. Returns shape (freqs.size,) or (freqs.size, k).
-    """
-    w = np.ravel(np.asarray(freqs, dtype=float))
-    t = np.ravel(np.asarray(nodes, dtype=float))
-    weighted = np.asarray(weighted)
-    out = np.empty((w.size,) + weighted.shape[1:], dtype=complex)
-    rows = max(1, _FOURIER_BLOCK // max(t.size, 1))
-    for s in range(0, w.size, rows):
-        out[s : s + rows] = np.exp(sign * 1j * np.outer(w[s : s + rows], t)) @ weighted
-    return out
-
-
 #: most entries one FFT buffer of uniform_fourier_sum holds; the columns of
 #: ``weighted`` are transformed in blocks that fit
 _CHIRP_BLOCK = 2**16
@@ -244,8 +210,8 @@ def uniform_fourier_sum(y0, dy, ny, t0, dt, weighted, sign: float = -1.0) -> np.
     """Fourier sum between uniform grids: sum_k weighted[k] exp(sign i y_j t_k)
     with y_j = y0 + j dy for j < ny and t_k = t0 + k dt for k < len(weighted).
 
-    The same sum as ``fourier_sum`` on those points, in Bluestein's chirp-z
-    form (Rabiner, Schafer & Rader 1969). With j, k counted from the middle
+    The sum is taken in Bluestein's chirp-z form (Rabiner, Schafer & Rader
+    1969). With j, k counted from the middle
     of each grid, jk = (j^2 + k^2 - (k - j)^2)/2 turns the sum into a
     pre-chirp, a convolution with the chirp exp(-i theta m^2/2), theta =
     sign dy dt, done by FFT, and a post-chirp. The chirp phases grow like
@@ -280,15 +246,6 @@ def uniform_fourier_sum(y0, dy, ny, t0, dt, weighted, sign: float = -1.0) -> np.
         conv *= chirp
         np.multiply(np.fft.ifft(conv, axis=1)[:, :ny], post, out=out[s : s + step])
     return out.T.reshape((ny,) + a.shape[1:])
-
-
-def dft(f: GridFunction, freqs: Sequence[float]) -> np.ndarray:
-    """Quadrature Fourier integrals  \\int f(t) exp(-i t w_k) dt.
-
-    Returns shape (len(freqs),) for scalar f, else (len(freqs), dim).
-    """
-    out = fourier_sum(freqs, f.grid.points(), f.values * f.grid.weights()[:, None])
-    return out[:, 0] if f.dim == 1 else out
 
 
 def _require_hermitian(m: np.ndarray) -> np.ndarray:
@@ -377,11 +334,6 @@ def pseudoinverse(m: np.ndarray, rel_cutoff: float) -> np.ndarray:
     inv = np.zeros_like(s)
     inv[keep] = 1.0 / s[keep]
     return (vh.conj().T * inv) @ u.conj().T
-
-
-def pseudoinverse_apply(m: np.ndarray, rhs: np.ndarray, rel_cutoff: float) -> np.ndarray:
-    """Minimum-norm least-squares solution of m x = rhs."""
-    return pseudoinverse(m, rel_cutoff) @ np.asarray(rhs, dtype=complex)
 
 
 def rng(seed: int) -> np.random.Generator:

@@ -1,6 +1,6 @@
-"""Frame operator, dual kernel sections, and reconstruction from functional
-values for truncated kernel families, held as the ``TruncatedFrame`` stacks
-that the kernel constructions return.
+"""Dual kernel sections, reconstruction from functional values and
+frame-bound estimates for truncated kernel families, held as the
+``TruncatedFrame`` stacks that the kernel constructions return.
 
 The dual of the infinite family is not computable at desk scale; this module
 computes the canonical dual of the truncated family through the Gram
@@ -18,27 +18,15 @@ import numpy as np
 from .core import GridFunction, norm, pseudoinverse, restrict
 from .exceptions import AlignmentError, DegenerateFrameError, ShapeMismatchError
 from .families import SampleSet
-from .kernels import TruncatedFrame, stacked_frame
+from .kernels import TruncatedFrame
 
 __all__ = [
-    "TruncatedFrame",
     "DualFrame",
-    "stacked_frame",
-    "frame_operator_apply",
     "dual_frame",
     "reconstruct",
     "frame_bounds_estimate",
-    "dual_inner_product",
     "interior_relative_error",
 ]
-
-
-def frame_operator_apply(frame: TruncatedFrame, f: GridFunction) -> GridFunction:
-    """T f = sum_j <f, K_j> K_j over the truncated index set."""
-    if f.grid != frame.h_grid or f.dim != frame.h.shape[2]:
-        raise ShapeMismatchError("f does not live on the frame's grid")
-    weighted = f.values * frame.h_grid.weights()[:, None]
-    return frame.synthesize(frame.h.reshape(len(frame), -1).conj() @ weighted.reshape(-1))
 
 
 @dataclass(frozen=True)
@@ -100,18 +88,6 @@ def frame_bounds_estimate(frame: TruncatedFrame) -> tuple[float, float]:
         raise DegenerateFrameError("section Gram has no positive spectrum", max_eig=top)
     nonzero = w[w > 1e-10 * top]
     return float(nonzero[0]), float(nonzero[-1])
-
-
-def dual_inner_product(dual: DualFrame, f_coeffs: np.ndarray, g_coeffs: np.ndarray) -> complex:
-    """Inner product <T f, g> in coefficient space for f, g expanded in the
-    dual sections; the dual family is orthonormal under this product."""
-    a = np.asarray(f_coeffs, dtype=complex)
-    b = np.asarray(g_coeffs, dtype=complex)
-    n = len(dual)
-    if a.shape != (n,) or b.shape != (n,):
-        raise ShapeMismatchError("coefficient arrays must match the frame size")
-    p = dual.coeffs @ dual.source.gram.matrix
-    return complex(a @ p @ np.conj(b))
 
 
 @dataclass(frozen=True)

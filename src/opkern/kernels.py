@@ -22,7 +22,6 @@ from .core import (
     Grid,
     GridFunction,
     complex_unit_disc,
-    fourier_sum,
     hermitian_eig,
     integrate_values,
     rng,
@@ -49,9 +48,7 @@ __all__ = [
     "psd_check",
     "finite_dim_kernel",
     "translation_invariant_section",
-    "translation_invariant_kernel",
     "integral_kernel_psd_test",
-    "check_feature_linearity",
     "fourier_feature_map",
     "fourier_point_feature_map",
     "fourier_frame",
@@ -89,26 +86,6 @@ def _feature_stack(fm: FeatureMap, alphas, xis, d_w: int | None = None) -> np.nd
     if stack.ndim != 3 or stack.shape[:2] != (len(alphas), fm.w_grid.n) or d_w not in (None, stack.shape[2]):
         raise ShapeMismatchError(f"feature map returned shape {stack.shape} for {len(alphas)} indices")
     return stack
-
-
-def check_feature_linearity(fm: FeatureMap, alphas: Sequence, seed: int = 0) -> float:
-    """Max deviation of Phi(alpha)(xi+eta) from Phi(alpha)xi + Phi(alpha)eta
-    over random xi, eta drawn per index, refused above 1e-10; used to
-    validate user-supplied feature rules. Each side is one evaluation of
-    the whole list."""
-    alphas = list(alphas)
-    if not alphas:
-        raise ValidationError("no indices to check the feature map on")
-    gen = rng(seed)
-    m = len(alphas)
-    xi = complex_unit_disc(gen, (m, fm.dim_y))
-    eta = complex_unit_disc(gen, (m, fm.dim_y))
-    lhs = _feature_stack(fm, alphas, xi + eta)
-    parts = _feature_stack(fm, alphas + alphas, np.concatenate((xi, eta)))
-    worst = float(np.max(np.abs(lhs - (parts[:m] + parts[m:]))))
-    if worst > 1e-10:
-        raise KernelConsistencyError(f"feature map not linear in xi (deviation {worst:.3e})")
-    return worst
 
 
 @dataclass(frozen=True)
@@ -329,14 +306,6 @@ def finite_dim_kernel(
     c = v @ ((v.conj().T @ r) / w[:, None])
     h = np.tensordot(c.T, stack, axes=1)
     return stacked_frame(alphas, h, grid, h, grid)
-
-
-def translation_invariant_kernel(varphi: GridFunction, x, y) -> np.ndarray:
-    """Pointwise kernel values \\int exp(i(x-y)t) varphi(t) dt by quadrature."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    weighted = varphi.values[:, 0] * varphi.grid.weights()
-    return fourier_sum(x - y, varphi.grid.points(), weighted, sign=1.0)
 
 
 def translation_invariant_section(

@@ -17,7 +17,6 @@ import numpy as np
 
 from .core import (
     GridFunction,
-    hermitian_eig,
     norm,
     rng,
     solve_hermitian,
@@ -32,11 +31,9 @@ __all__ = [
     "learning_problem",
     "regnet_solve",
     "objective_value",
-    "interpolation_limit",
     "sampling_operator",
     "perturb_samples",
     "reduced_space_minimize",
-    "tikhonov_operator_apply",
     "stability_reports",
 ]
 
@@ -129,20 +126,6 @@ def objective_value(
     return misfit + problem.lam * h_norm_sq
 
 
-def interpolation_limit(problem: LearningProblem) -> float:
-    """Residual max_j |L_{alpha_j}(f0) - xi_j| of the vanishing-damping solve;
-    refuses when the Gram is numerically singular."""
-    w, _ = hermitian_eig(problem.gram_l)
-    if w[0] <= 1e-8 * max(w[-1], 1e-300):
-        raise ConditioningError(
-            "Gram too ill-conditioned for the interpolation limit",
-            min_eig=float(w[0]),
-            max_eig=float(w[-1]),
-        )
-    sol = regnet_solve(LearningProblem(problem.frame, problem.samples, 1e-12))
-    return float(np.max(np.linalg.norm(_misfits(problem, sol.f0), axis=1), initial=0.0))
-
-
 def sampling_operator(family: FunctionalFamily, indices: Sequence, f: GridFunction) -> SampleSet:
     """Apply each functional of the family to f, in index order."""
     return SampleSet(family.descriptor(), tuple(indices), family.apply_all(indices, f))
@@ -208,13 +191,6 @@ def reduced_space_minimize(
         if progress <= 1e-15 * max(current, 1e-30):
             break
     return eta
-
-
-def tikhonov_operator_apply(lam: float, samples: SampleSet, frame: TruncatedFrame) -> GridFunction:
-    """Damped reconstruction from (possibly noisy) functional values aligned
-    with the frame's indices; by the representer structure this is the
-    closed-form quadratic-loss solution on the truncated index set."""
-    return regnet_solve(learning_problem(frame, samples, lam)).f0
 
 
 def _quad_forms(m: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -19,8 +19,7 @@ from .core import Grid, GridFunction, uniform_fourier_sum
 from .core import complex_pairs, complex_values, integral, json_number, json_numbers, json_object
 from .exceptions import AdmissibilityError, DomainError, ShapeMismatchError, ValidationError
 from .families import AverageFunctional
-from .frames import TruncatedFrame, stacked_frame
-from .kernels import FeatureMap, feature_gram, xi_rows
+from .kernels import FeatureMap, TruncatedFrame, stacked_frame, xi_rows
 
 __all__ = [
     "sinc_kernel",
@@ -36,9 +35,6 @@ __all__ = [
     "signal_w_repr",
     "kadec_bounds",
     "generalized_kadec_check",
-    "separation_frame_check",
-    "shifted_average_frame_check",
-    "perturbed_exponential_frame_check",
     "VectorSamplingSet",
     "build_vector_sampling_set",
     "vector_features",
@@ -262,112 +258,6 @@ def generalized_kadec_check(a: float, b: float, delta: float) -> KadecCheck:
     lhs = 1.0 - math.cos(delta * math.pi) + math.sin(delta * math.pi)
     ratio = math.sqrt(a / b)
     return KadecCheck(passed=lhs < ratio, margin=ratio - lhs, lhs=lhs, ratio=ratio)
-
-
-@dataclass(frozen=True)
-class SeparationCheck:
-    passed: bool
-    min_gap: float
-    max_offset: float
-    perturbed_separation: float
-    perturbed_offset_bound: float
-
-
-def separation_frame_check(
-    x,
-    alpha_sep: float,
-    l_bound: float,
-    eps: float,
-    delta: float,
-    j_indices=None,
-) -> SeparationCheck:
-    """Separation + bounded-offset admissibility of a sampling sequence.
-
-    Passes iff all pairwise gaps are >= alpha_sep and |x_j - j*eps| <= l_bound.
-    Reports the constants (alpha_sep - 2 delta, l_bound + delta) implied for
-    every sequence perturbed within delta of the x_j."""
-    x = np.asarray(x, dtype=float)
-    if not delta < alpha_sep / 2.0:
-        raise ValidationError(f"delta must be below alpha_sep/2, got {delta} vs {alpha_sep / 2.0}")
-    if j_indices is None:
-        half = (len(x) - 1) // 2
-        j_indices = np.arange(len(x)) - half
-    j_indices = np.asarray(j_indices)
-    xs = np.sort(x)
-    min_gap = float(np.min(np.diff(xs))) if len(x) > 1 else math.inf
-    max_offset = float(np.max(np.abs(x - j_indices * eps)))
-    # absolute slack keeps exact-equality configurations from failing on
-    # floating-point noise in the node arithmetic
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(x))) if len(x) else 1.0)
-    passed = min_gap >= alpha_sep - tol and max_offset <= l_bound + tol
-    return SeparationCheck(
-        passed=passed,
-        min_gap=min_gap,
-        max_offset=max_offset,
-        perturbed_separation=alpha_sep - 2.0 * delta,
-        perturbed_offset_bound=l_bound + delta,
-    )
-
-
-@dataclass(frozen=True)
-class PerturbedFrameCheck:
-    min_eig: float
-    max_eig: float
-    draws: int
-
-
-def perturbed_exponential_frame_check(
-    x,
-    delta: float,
-    draws: int = 8,
-    seed: int = 0,
-    w_grid: Grid | None = None,
-) -> PerturbedFrameCheck:
-    """Spot-check of the perturbation hypothesis: for sampled sequences t_j in
-    [x_j - delta, x_j + delta] (random draws plus the two extreme shifts),
-    reports the extreme Gram eigenvalues of {exp(i t_j .)/sqrt(2pi)}.
-
-    A finite sample can only refute the all-perturbations hypothesis, not
-    certify it; the extremes are always included because they bound the
-    monotone failure modes."""
-    w_grid = w_grid or w_grid_default()
-    _require_band_grid(w_grid)
-    x = np.asarray(x, dtype=float)
-    plane_waves = point_feature_map(w_grid).evaluate
-    gen = np.random.default_rng(seed)
-    offsets = [np.full(x.shape, -delta), np.full(x.shape, delta)]
-    offsets += [gen.uniform(-delta, delta, size=x.shape) for _ in range(int(draws))]
-    min_eig, max_eig = math.inf, 0.0
-    for off in offsets:
-        eig = np.linalg.eigvalsh(feature_gram(plane_waves(x + off, np.ones(1)), w_grid))
-        min_eig = min(min_eig, float(eig[0]))
-        max_eig = max(max_eig, float(eig[-1]))
-    return PerturbedFrameCheck(min_eig=min_eig, max_eig=max_eig, draws=len(offsets))
-
-
-@dataclass(frozen=True)
-class ShiftedAverageCheck:
-    passed: bool
-    min_abs: float
-    argmin: float
-
-
-def shifted_average_frame_check(u: GridFunction, c_floor: float) -> ShiftedAverageCheck:
-    """For a single shifted average window u, checks |u^v| >= c_floor > 0 at
-    4097 points of [-pi, pi]; this keeps the shifted features a frame
-    whenever the bare exponentials are one. u^v(t) = (1/2pi) int u(s)
-    exp(i t s) ds is one chirp-z sum between the two uniform grids."""
-    if u.dim != 1:
-        raise ShapeMismatchError(f"the average window must be scalar, got {u.dim} components")
-    t, g = Grid(-math.pi, math.pi, 4097), u.grid
-    vals = np.abs(uniform_fourier_sum(t.a, t.h, t.n, g.a, g.h, u.values[:, 0] * g.weights(), sign=1.0)) / TWO_PI
-    i = int(np.argmin(vals))
-    min_abs = float(vals[i])
-    return ShiftedAverageCheck(
-        passed=bool(c_floor > 0.0 and min_abs >= c_floor),
-        min_abs=min_abs,
-        argmin=float(t.points()[i]),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Integer-shift space machinery: B-spline generators, dual generators,
-reproducing kernels, functional kernel sections for local averages, and the
+functional kernel sections for local averages, their Gram, and the
 frequency-side density diagnostic.
 
 Generators are real, continuous and compactly supported; their integer
@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import Grid, GridFunction, integrate_values, uniform_fourier_sum
-from .exceptions import DomainError, RieszConditionError, ShapeMismatchError, ValidationError
+from .exceptions import RieszConditionError, ShapeMismatchError, ValidationError
 from .families import AverageFunctional
 from .kernels import GramMatrix
 
@@ -31,7 +31,6 @@ __all__ = [
     "bracket_tail_estimate",
     "dual_generator",
     "biorthogonality_residual",
-    "si_reproducing_kernel",
     "si_functional_kernel",
     "si_gram",
     "density_diagnostic",
@@ -207,23 +206,6 @@ def biorthogonality_residual(dual: DualGenerator, shifts: Sequence[int]) -> floa
         overlap = np.conj(dual.source.evaluate(y[s] - j)) * dual.phi_tilde.values[s, 0]
         worst = max(worst, abs(np.sum(w[s] * overlap) - (1.0 if j == 0 else 0.0)))
     return float(worst)
-
-
-def si_reproducing_kernel(
-    gen: Generator, dual: DualGenerator, x: float, out_grid: Grid
-) -> GridFunction:
-    """Point-kernel section K(x, .) = sum_k conj(phi(x-k)) phi~(.-k); the sum
-    runs over the at most 2R+1 shifts whose support contains x."""
-    margin = gen.support_radius + dual.k_max
-    if not (out_grid.a + margin <= x <= out_grid.b - margin):
-        raise DomainError(
-            f"x={x} closer than the support margin {margin} to the grid boundary"
-        )
-    r = gen.support_radius
-    k0 = math.ceil(x - r)
-    c = np.conj(gen.evaluate(x - np.arange(k0, math.floor(x + r) + 1)))
-    vals = _shift_sum(gen, k0 - dual.k_max, np.convolve(c, dual.b_coeffs), out_grid)
-    return GridFunction(out_grid, vals)
 
 
 def _average_coefficients(

@@ -7,12 +7,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from opkern.core import GridFunction, fourier_sum, hermitian_eig, inner_product, solve_hermitian
+from opkern.core import GridFunction, hermitian_eig, inner_product, solve_hermitian
 from opkern.exceptions import IndependenceError, ShapeMismatchError
 from opkern.families import AverageFunctional
-from opkern.frames import TruncatedFrame
-from opkern.kernels import _hermitian_gram
+from opkern.kernels import TruncatedFrame, _hermitian_gram
 from opkern.paley_wiener import psi_feature
+from quadrature_oracle import fourier_sum
 
 ONE = np.array([1.0 + 0j])
 

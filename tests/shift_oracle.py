@@ -1,13 +1,17 @@
 """Test-side shift-space routes that ``opkern.shift_invariant`` replaced with
 one windowed coefficient matrix and one alias loop, kept as their oracle:
 each functional's coefficients over an explicit shift list or over its own
-window, and each functional's periodized frequency sum on its own."""
+window, and each functional's periodized frequency sum on its own. Also the
+point-kernel section, the limit the average-functional sections approach as
+their width shrinks."""
 
 import math
 
 import numpy as np
 
-from opkern.core import Grid, uniform_fourier_sum
+from opkern.core import Grid, GridFunction, uniform_fourier_sum
+from opkern.exceptions import DomainError
+from opkern.shift_invariant import _shift_sum
 
 TWO_PI = 2.0 * math.pi
 
@@ -50,3 +54,16 @@ def identity_deviation(gen, u, k_range, quad_n=4097, xi_n=1025):
     weighted = g_alpha_values(gen, u, grid_xi.points(), gen.j_trunc) * grid_xi.weights()
     freq_side = uniform_fourier_sum(-k_range, 1.0, ks.size, grid_xi.a, grid_xi.h, weighted, sign=1.0) / TWO_PI
     return float(np.max(np.abs(full_range_coefficients(gen, u, ks, quad_n) - freq_side)))
+
+
+def si_reproducing_kernel(gen, dual, x, out_grid):
+    """Point-kernel section K(x, .) = sum_k conj(phi(x-k)) phi~(.-k); the sum
+    runs over the at most 2R+1 shifts whose support contains x."""
+    margin = gen.support_radius + dual.k_max
+    if not (out_grid.a + margin <= x <= out_grid.b - margin):
+        raise DomainError(f"x={x} closer than the support margin {margin} to the grid boundary")
+    r = gen.support_radius
+    k0 = math.ceil(x - r)
+    c = np.conj(gen.evaluate(x - np.arange(k0, math.floor(x + r) + 1)))
+    vals = _shift_sum(gen, k0 - dual.k_max, np.convolve(c, dual.b_coeffs), out_grid)
+    return GridFunction(out_grid, vals)

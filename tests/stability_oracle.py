@@ -15,7 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from opkern.core import complex_unit_disc, rng, solve_hermitian
-from opkern.frames import DualFrame, TruncatedFrame, frame_bounds_estimate
+from opkern.frames import DualFrame, frame_bounds_estimate
+from opkern.kernels import TruncatedFrame
 from opkern.learning import SweepReport, TruncatedStabilityReport, _check_sweep
 
 

@@ -33,7 +33,13 @@ from opkern.kernels import (
     GramMatrix,
     feature_gram,
     finite_dim_kernel,
+    fourier_feature_map,
+    fourier_point_feature_map,
+    gram,
+    integral_kernel_psd_test,
+    kernel_from_features,
     psd_check,
+    translation_invariant_section,
 )
 from opkern.learning import (
     learning_problem,
@@ -48,6 +54,7 @@ from opkern.paley_wiener import (
     build_vector_sampling_set,
     generalized_kadec_check,
     kadec_bounds,
+    point_feature_map,
     psi_feature,
     pw_average_sections,
     pw_window,
@@ -422,3 +429,63 @@ def test_criterion_10_vector_riesz_structure():
     assert g[0, 0].real == pytest.approx(1.0, abs=1e-10)
     assert abs(g[0, 2] - sinc_kernel(vss.x[0], vss.x[2])) < 1e-10
     print(f"PASS criterion 10: cross-direction Gram magnitude {worst:.2e} (<= 1e-8)")
+
+
+# --------------------------------------------------------------- criterion 14
+# (numbers 11-13 are reserved for criteria not yet written)
+
+def _triangle_family(grid, centers):
+    return [GridFunction(grid, AverageFunctional(c, 0.4, "triangle").evaluate(grid.points()).astype(complex))
+            for c in centers]
+
+
+def test_criterion_14_perfect_orkhs_from_features():
+    """Kernels built from feature maps reproduce the functionals they are
+    built for. Fourier example on [0, 2pi]: Psi(j) = exp(i j t)/sqrt(2pi)
+    against the projected point evaluator Phi gives the section
+    exp(3 i x)/sqrt(2pi) within 1e-8, and the Fourier coefficients of the
+    sections of |j| <= 3 equal their feature Gram within 1e-8. Plane waves
+    as both Phi and Psi give the sinc kernel within 1e-6. Integral operators:
+    the translation-invariant section of varphi = 1/2pi against a box of
+    half-width 0.01 is sinc within 1e-3, and the double-integral positivity
+    test passes the sinc kernel on triangle averages (whose discretization
+    is PSD within 1e-10) and fails the kernel -1."""
+    wg = Grid(0.0, TWO_PI, 257)
+    hg = Grid(0.0, TWO_PI, 129)
+    frame = kernel_from_features(fourier_point_feature_map(wg, max_mode=8), fourier_feature_map(wg), [3], 1.0, hg)
+    fourier_err = float(np.max(np.abs(frame.h[0, :, 0] - np.exp(3j * hg.points()) / math.sqrt(TWO_PI))))
+    assert fourier_err < 1e-8
+
+    sections = truncated_frame(_fourier_sections(range(-3, 4), wg))
+    gram_gap = float(np.max(np.abs(gram(sections, FourierCoefficientFamily()).matrix - sections.gram.matrix)))
+    assert gram_gap < 1e-8
+
+    phi = point_feature_map(w_grid_default(4097))
+    hg = Grid(-4.0, 4.0, 257)
+    frame = kernel_from_features(phi, phi, [0.0], 1.0, hg)
+    sinc_err = float(np.max(np.abs(frame.h[0, :, 0] - np.sinc(hg.points()))))
+    assert sinc_err < 1e-6
+
+    freq = Grid(-math.pi, math.pi, 4097)
+    varphi = GridFunction.from_callable(freq, lambda t: np.full_like(t, 1.0 / TWO_PI, dtype=complex))
+    bump = AverageFunctional(0.0, 0.01)
+    ug = bump.quad_grid(257)
+    sec = translation_invariant_section(varphi, GridFunction(ug, bump.evaluate(ug.points()).astype(complex)), hg)
+    ti_err = float(np.max(np.abs(sec.values[:, 0] - np.sinc(hg.points()))))
+    assert ti_err < 1e-3
+
+    grid = Grid(-2.0, 2.0, 257)
+    sinc_rep = integral_kernel_psd_test(lambda s, t: np.sinc(s - t), _triangle_family(grid, [-1.0, 0.0, 1.0]),
+                                        trials=20, seed=1)
+    assert sinc_rep.passed
+    pts, w = grid.points(), np.sqrt(grid.weights())
+    eig = np.linalg.eigvalsh(np.sinc(pts[:, None] - pts[None, :]) * w[:, None] * w[None, :])
+    assert eig[0] >= -1e-10 * eig[-1]
+    neg_rep = integral_kernel_psd_test(lambda s, t: -np.ones_like(s), _triangle_family(grid, [0.0]), trials=5, seed=0)
+    assert not neg_rep.passed
+    print(
+        f"PASS criterion 14: Fourier section error {fourier_err:.2e} (<= 1e-8), coefficient vs feature Gram "
+        f"{gram_gap:.2e} (<= 1e-8); sinc from plane waves {sinc_err:.2e} (<= 1e-6); translation-invariant "
+        f"sinc limit {ti_err:.2e} (<= 1e-3); double-integral test passes sinc (worst Re Q {sinc_rep.worst_real:.2e}) "
+        f"and fails -1 (worst Re Q {neg_rep.worst_real:.2e})"
+    )

@@ -484,6 +484,21 @@ def test_window_flag_controls_evaluation_width(signal_file, tmp_path):
     assert fn["a"] == -20.0 and fn["b"] == 20.0
 
 
+@pytest.mark.parametrize("window", ["0", "0.01"], ids=["zero", "below-one-step"])
+def test_window_without_a_grid_step_is_refused_by_flag(signal_file, tmp_path, capsys, window):
+    """A --window that rounds to no grid step at --points-per-unit exits 2
+    naming --window. Before, the grid refused it: --window 0 with "grid
+    requires finite a < b" and --window 0.01 with "grid requires n >= 2"."""
+    code = main([
+        "reconstruct", "--signal", str(signal_file), "--window", window, "--out", str(tmp_path / "x"),
+    ])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert err["error"] == "ValidationError"
+    assert "--window" in err["message"]
+    assert not list(tmp_path.glob("x.*"))
+
+
 def test_config_file_overrides_flags(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"delta": 0.05}))
@@ -841,13 +856,14 @@ def test_cli_import_loads_no_scipy():
     numpy.random are loaded on first use only (numpy 2 defers them; numpy 1
     loads them with numpy itself, so only what opkern adds is counted): at
     import they would add about 34 ms and 55 ms (python -X importtime) to
-    every invocation."""
+    every invocation. opkern.shift_invariant is imported by si-diagnose
+    alone, when it runs."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
         "import json, sys, numpy; bare = set(sys.modules); import opkern.cli; "
         "print(json.dumps(sorted(m for m in set(sys.modules) - bare if m.split('.')[0] == 'scipy' "
-        "or m.startswith(('numpy.fft', 'numpy.random')))))"
+        "or m.startswith(('numpy.fft', 'numpy.random', 'opkern.shift_invariant')))))"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert json.loads(out.stdout) == []

@@ -21,7 +21,6 @@ from opkern.families import (
 )
 from opkern.kernels import (
     FeatureMap,
-    check_feature_linearity,
     feature_gram,
     finite_dim_kernel,
     fourier_feature_map,
@@ -31,10 +30,10 @@ from opkern.kernels import (
     kernel_from_features,
     psd_check,
     stacked_frame,
-    translation_invariant_kernel,
     translation_invariant_section,
 )
 from opkern.paley_wiener import point_feature_map, w_grid_default
+from quadrature_oracle import translation_invariant_kernel
 from section_oracle import (
     KernelSection,
     feature_section,
@@ -76,24 +75,6 @@ def test_sinc_kernel_from_point_features():
     hg = Grid(-4.0, 4.0, 257)
     frame = kernel_from_features(phi, phi, [0.0], 1.0, hg)
     assert np.max(np.abs(frame.h[0, :, 0] - np.sinc(hg.points()))) < 1e-6
-
-
-def test_feature_map_linearity_checker():
-    wg = w_grid_default(129)
-    phi = point_feature_map(wg, dim_y=2)
-    assert check_feature_linearity(phi, [0.0, 0.5, -1.2], seed=4) < 1e-12
-
-    def broken(alphas, xis):
-        waves = np.exp(1j * np.outer(alphas, wg.points()))
-        return waves[:, :, None] * (np.asarray(xis) ** 2)[:, None, :]
-
-    with pytest.raises(KernelConsistencyError):
-        check_feature_linearity(FeatureMap(wg, 2, broken), [1.0], seed=4)
-
-
-def test_feature_map_linearity_checker_refuses_an_empty_index_list():
-    with pytest.raises(ValidationError):
-        check_feature_linearity(point_feature_map(w_grid_default(129)), [])
 
 
 @settings(max_examples=25, deadline=None)
@@ -197,15 +178,6 @@ def test_kernel_from_features_evaluates_each_map_once_per_list():
     hg = Grid(-2.0, 2.0, 33)
     kernel_from_features(counted("phi"), counted("psi"), [0.0, 0.5, 1.0], np.array([1.0, 1j]), hg)
     assert calls == {"psi": [3], "phi": [2 * hg.n]}
-
-
-def test_feature_map_linearity_checker_evaluates_each_side_once():
-    wg = w_grid_default(129)
-    fm = point_feature_map(wg, dim_y=2)
-    calls = []
-    counted = FeatureMap(wg, 2, lambda alphas, xis: calls.append(len(alphas)) or fm.evaluate(alphas, xis))
-    check_feature_linearity(counted, [0.0, 0.5, -1.2])
-    assert calls == [3, 6]
 
 
 # ----------------------------------------------------------------------- gram

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
-from opkern.core import Grid, GridFunction, fourier_sum, inner_product, integrate_values, norm, rng
+from opkern.core import Grid, GridFunction, inner_product, integrate_values, norm, rng
 from opkern.exceptions import DomainError, RieszConditionError, ValidationError
 from opkern.families import AverageFunctional, average_sample
 from opkern.kernels import psd_check
@@ -27,10 +27,15 @@ from opkern.shift_invariant import (
     make_generator,
     si_functional_kernel,
     si_gram,
-    si_reproducing_kernel,
 )
-from quadrature_oracle import quadrature_transform
-from shift_oracle import full_range_coefficients, g_alpha_values, identity_deviation, window_coefficients
+from quadrature_oracle import fourier_sum, quadrature_transform
+from shift_oracle import (
+    full_range_coefficients,
+    g_alpha_values,
+    identity_deviation,
+    si_reproducing_kernel,
+    window_coefficients,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -51,9 +56,7 @@ def test_bspline_transform_matches_quadrature():
     for order in (1, 2, 4):
         f = GridFunction(g, bspline(order, g.points()).astype(complex))
         w = np.linspace(-20.0, 20.0, 41)
-        from opkern.core import dft
-
-        quad = dft(f, w)
+        quad = fourier_sum(w, g.points(), f.values[:, 0] * g.weights())
         closed = bspline_transform(order, w)
         assert np.max(np.abs(quad - closed)) < 1e-6
 
@@ -336,6 +339,14 @@ def _full_range_gram(gen, dual, u_list, quad_n):
     return ks, cmat, (m + m.conj().T) / 2.0
 
 
+def _round_off_bound(gen, u, ks, quad_n):
+    """64 eps sum |u phi(. - k)| w for each shift k: the round-off of one
+    trapezoid sum of the coefficient in any summation order."""
+    g = u.quad_grid(quad_n)
+    t = g.points()
+    return 64 * np.finfo(float).eps * (np.abs(u.evaluate(t)[None, :] * gen.evaluate(t - ks[:, None])) @ g.weights())
+
+
 @pytest.mark.parametrize("kind", ["box", "hat", "cubic"])
 def test_windowed_coefficients_match_full_range_route(kind):
     gen = make_generator(kind, h=1.0 / 128.0)
@@ -348,8 +359,9 @@ def test_windowed_coefficients_match_full_range_route(kind):
     ks_want, c_want, g_want = _full_range_gram(gen, d, us, quad_n=513)
     ks, cmat = _average_coefficients(gen, us, quad_n=513)
     assert np.array_equal(ks, ks_want)
-    # the per-window products may sum in another order: 1e-15 on |c| <= 1
-    assert np.max(np.abs(cmat - c_want)) <= 1e-15
+    # the per-window products may sum in another BLAS order
+    for i, u in enumerate(us):
+        assert np.all(np.abs(cmat[:, i] - c_want[:, i]) <= _round_off_bound(gen, u, ks, 513))
     g = si_gram(gen, d, us, quad_n=513)
     assert np.max(np.abs(g.matrix - g_want)) <= 1e-15 * np.max(np.abs(g_want))
 
@@ -393,9 +405,7 @@ def test_windowed_matrix_and_alias_loop_match_the_per_functional_oracle(kind, us
         assert np.all(cmat[~inside, i] == 0.0)
         full = full_range_coefficients(gen, u, ks, quad_n)
         assert np.all(full[~inside] == 0.0)
-        g = u.quad_grid(quad_n)
-        scale = np.abs(u.evaluate(g.points())[None, :] * gen.evaluate(g.points() - ks[:, None])) @ g.weights()
-        assert np.all(np.abs(cmat[:, i] - full) <= 64 * np.finfo(float).eps * scale)
+        assert np.all(np.abs(cmat[:, i] - full) <= _round_off_bound(gen, u, ks, quad_n))
 
     xi = np.linspace(-math.pi, math.pi, xi_n)
     rows = _g_values(gen, us, xi, j_trunc)
