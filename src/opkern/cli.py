@@ -20,7 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import Grid, GridFunction, complex_pairs, complex_values, integral, json_number, json_object, rng
+from .core import (
+    MAX_GRID_POINTS, Grid, GridFunction, complex_pairs, complex_values, integral, json_number, json_object, rng,
+)
 from .exceptions import ConditioningError, OpkernError, ValidationError
 from .families import AverageFunctional, SampleSet, family_from_descriptor
 from .frames import dual_frame, interior_relative_error, reconstruct
@@ -118,7 +120,7 @@ def _window_grid(args) -> Grid:
     """Evaluation window [-T, T]: T defaults to the index half-width plus a
     truncation pad of 16, overridable through --window, which is refused
     unless it spans at least one grid step."""
-    if getattr(args, "window", None) is not None:
+    if args.window is not None:
         t_half = float(args.window)
         steps = int(round(t_half * args.points_per_unit))
         if steps < 1:
@@ -134,6 +136,12 @@ def _check_stack(count: int, *grid_sizes: int) -> None:
         raise ValidationError(
             f"{count} sections of {max(grid_sizes)} points, or their Gram, exceed {MAX_STACK_ENTRIES} entries"
         )
+
+
+def _check_size(flag: str, value: int, size: int, cap: int, what: str) -> None:
+    """Refuse a size flag whose value asks for more than the cap, by name."""
+    if size > cap:
+        raise ValidationError(f"{flag} {value} needs {size} {what}, above the cap of {cap}")
 
 
 def _fourier_grid(n: int) -> Grid:
@@ -192,12 +200,8 @@ def _cmd_psd(args, prefix: Path) -> None:
 
 def _cmd_kadec(args, prefix: Path) -> None:
     a, b = kadec_bounds(args.delta)
-    if args.delta > 0:
-        check = generalized_kadec_check(a, b, args.delta)
-        passed, margin = check.passed, check.margin
-    else:
-        passed, margin = True, 1.0
-    _write_json(prefix.with_suffix(".json"), {"A": a, "B": b, "pass": passed, "margin": margin})
+    check = generalized_kadec_check(a, b, args.delta)
+    _write_json(prefix.with_suffix(".json"), {"A": a, "B": b, "pass": check.passed, "margin": check.margin})
 
 
 def _cmd_reconstruct(args, prefix: Path) -> None:
@@ -278,6 +282,11 @@ def _cmd_si_diagnose(args, prefix: Path) -> None:
     )
 
     gen = make_generator(args.generator)
+    # the dual's grid is the generator's widened by k_max on each side
+    dual_n = int(round(2 * (gen.support_radius + args.k_max) / gen.phi.grid.h)) + 1
+    _check_size("--k-max", args.k_max, dual_n, MAX_GRID_POINTS, "dual grid points")
+    _check_size("--k-range", args.k_range, 2 * args.k_range + 1, MAX_GRID_POINTS, "coefficients")
+    _check_size("--n-centers", args.n_centers, 257 * args.n_centers, MAX_STACK_ENTRIES, "density entries")
     xi = np.linspace(-math.pi, math.pi, 257)
     bracket = bracket_function(gen, xi)
     dual = dual_generator(gen, args.k_max)
@@ -342,15 +351,10 @@ def _cmd_stability(args, prefix: Path) -> None:
 def _cmd_vector_sampling(args, prefix: Path) -> None:
     n = args.n
     _check_stack(n * (2 * args.m_range + 1), args.w_n * n)
-    if args.perturb > 0:
-        gen = rng(args.seed)
-        offsets = {
-            m: gen.uniform(-args.perturb, args.perturb, size=args.n)
-            for m in range(-args.m_range, args.m_range + 1)
-        }
-        vss = build_vector_sampling_set(args.n, args.m_range, perturb=lambda m: offsets[m])
-    else:
-        vss = build_vector_sampling_set(args.n, args.m_range)
+    # the set asks for each m's offsets once, m ascending
+    gen = rng(args.seed)
+    perturb = (lambda m: gen.uniform(-args.perturb, args.perturb, size=n)) if args.perturb > 0 else None
+    vss = build_vector_sampling_set(n, args.m_range, perturb)
     wg = w_grid_default(args.w_n)
     g = feature_gram(vector_features(vss, wg), wg)
     idx = np.arange(g.shape[0]) % n
@@ -392,27 +396,29 @@ def _at_least(low, cast=int):
     return parse
 
 
-def _subcommand(sub, name: str, func, help_text: str) -> argparse.ArgumentParser:
-    """A subcommand parser with the flags every subcommand takes."""
+def _subcommand(sub, name: str, func, help_text: str, *shared: str) -> argparse.ArgumentParser:
+    """A subcommand parser with --out, --config and the named shared flags."""
     p = sub.add_parser(name, help=help_text)
     p.add_argument("--out", default="opkern_out/run", help="output path prefix")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", default=None, help="JSON file overriding flags")
+    for flag in shared:
+        p.add_argument("--" + flag, dest=flag.replace("-", "_"), **_SHARED_FLAGS[flag])
     p.set_defaults(func=func, parser=p)
     return p
 
 
-def _add_pw_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--delta", type=finite, default=0.2)
-    p.add_argument("--profile", default="box", choices=["box", "triangle", "cosine"])
-    p.add_argument("--m", type=_at_least(0), default=16, help="index half-width / window half-size")
-    p.add_argument("--grid-n", dest="grid_n", type=_at_least(2), default=513)
-    p.add_argument("--w-n", dest="w_n", type=_at_least(2), default=2049)
-    p.add_argument("--points-per-unit", dest="points_per_unit", type=_at_least(1), default=32)
-    p.add_argument(
-        "--window", dest="window", type=finite, default=None,
-        help="evaluation half-width T (default: m + 16)",
-    )
+#: flags that several subcommands take, each added only where its handler reads it
+_SHARED_FLAGS = {
+    "seed": dict(type=int, default=0),
+    "delta": dict(type=finite, default=0.2),
+    "profile": dict(default="box", choices=["box", "triangle", "cosine"]),
+    "m": dict(type=_at_least(0), default=16, help="index half-width / window half-size"),
+    "grid-n": dict(type=_at_least(2), default=513),
+    "w-n": dict(type=_at_least(2), default=2049),
+    "points-per-unit": dict(type=_at_least(1), default=32),
+    "window": dict(type=finite, default=None, help="evaluation half-width T (default: m + 16)"),
+}
+_WINDOW = ("m", "points-per-unit", "window")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -424,45 +430,50 @@ def build_parser() -> argparse.ArgumentParser:
         ("gram", _cmd_gram, "assemble a kernel Gram matrix"),
         ("psd", _cmd_psd, "positivity report for a kernel Gram"),
     ):
-        p = _subcommand(sub, name, func, help_text)
+        p = _subcommand(sub, name, func, help_text, "delta", "profile", *_WINDOW, "grid-n", "w-n")
         p.add_argument("--family", default="fourier", choices=["fourier", "average", "point"])
         p.add_argument("--indices", default="-2..2")
-        _add_pw_flags(p)
 
     p = _subcommand(sub, "kadec", _cmd_kadec, "perturbation admissibility bounds")
     p.add_argument("--delta", type=finite, required=True)
 
-    p = _subcommand(sub, "reconstruct", _cmd_reconstruct, "reconstruct a signal from functional samples")
+    p = _subcommand(
+        sub, "reconstruct", _cmd_reconstruct, "reconstruct a signal from functional samples",
+        "delta", "profile", *_WINDOW, "grid-n", "w-n",
+    )
     p.add_argument("--space", default="pw", choices=["pw", "fourier"])
     p.add_argument("--signal", required=True, help="signal JSON path")
     p.add_argument("--rel-cutoff", dest="rel_cutoff", type=finite, default=1e-10)
-    _add_pw_flags(p)
 
-    p = _subcommand(sub, "avg-sample", _cmd_avg_sample, "apply average functionals to a signal")
+    p = _subcommand(
+        sub, "avg-sample", _cmd_avg_sample, "apply average functionals to a signal", "delta", "profile", *_WINDOW
+    )
     p.add_argument("--signal", required=True)
     p.add_argument("--x", required=True, help="centers, e.g. '-4..4' or '0.5,1.5'")
-    _add_pw_flags(p)
 
-    p = _subcommand(sub, "regnet", _cmd_regnet, "regularized learning from functional samples")
+    # the problem file names the family, and with it delta and profile
+    p = _subcommand(
+        sub, "regnet", _cmd_regnet, "regularized learning from functional samples", *_WINDOW, "grid-n", "w-n"
+    )
     p.add_argument("--problem", required=True, help="problem JSON path")
-    _add_pw_flags(p)
 
-    p = _subcommand(sub, "si-diagnose", _cmd_si_diagnose, "shift-space generator diagnostics")
+    p = _subcommand(sub, "si-diagnose", _cmd_si_diagnose, "shift-space generator diagnostics", "delta")
     p.add_argument("--generator", default="hat", choices=["box", "hat", "cubic"])
     p.add_argument("--k-max", dest="k_max", type=_at_least(0), default=20)
     p.add_argument("--k-range", dest="k_range", type=_at_least(0), default=4)
-    p.add_argument("--delta", type=finite, default=0.2)
     p.add_argument("--profile", default="triangle", choices=["box", "triangle", "cosine"])
     p.add_argument("--center", type=finite, default=0.25)
     p.add_argument("--n-centers", dest="n_centers", type=_at_least(1), default=3)
 
-    p = _subcommand(sub, "stability", _cmd_stability, "stability sweep of reconstruction operators")
+    p = _subcommand(
+        sub, "stability", _cmd_stability, "stability sweep of reconstruction operators",
+        "seed", "delta", "profile", *_WINDOW, "w-n",
+    )
     p.add_argument("--sizes", default="4,8,16")
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--lambda", dest="lam", type=finite, default=0.1)
-    _add_pw_flags(p)
 
-    p = _subcommand(sub, "vector-sampling", _cmd_vector_sampling, "build a vector-valued sampling set")
+    p = _subcommand(sub, "vector-sampling", _cmd_vector_sampling, "build a vector-valued sampling set", "seed")
     p.add_argument("--n", type=_at_least(1), default=2)
     p.add_argument("--m-range", dest="m_range", type=_at_least(0), default=16)
     p.add_argument("--perturb", type=_at_least(0.0, finite), default=0.0)

@@ -99,14 +99,11 @@ class GridFunction:
         return self.values.shape[1]
 
     @classmethod
-    def from_callable(cls, grid: Grid, fn: Callable, dim: int = 1) -> "GridFunction":
-        x = grid.points()
-        vals = np.asarray(fn(x), dtype=complex)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        if vals.shape != (grid.n, dim):
-            vals = np.broadcast_to(vals, (grid.n, dim)).copy()
-        return cls(grid, vals)
+    def from_callable(cls, grid: Grid, fn: Callable) -> "GridFunction":
+        """The scalar function fn sampled at the grid points; a constant
+        broadcasts to every point."""
+        vals = np.asarray(fn(grid.points()), dtype=complex).reshape(-1, 1)
+        return cls(grid, np.broadcast_to(vals, (grid.n, 1)).copy())
 
     def same_layout(self, other: "GridFunction") -> bool:
         return self.grid == other.grid and self.dim == other.dim

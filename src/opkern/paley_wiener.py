@@ -253,8 +253,8 @@ def generalized_kadec_check(a: float, b: float, delta: float) -> KadecCheck:
     A <= B: passes iff 1 - cos(delta pi) + sin(delta pi) < sqrt(A/B)."""
     if not 0.0 < a <= b:
         raise ValidationError(f"need 0 < A <= B, got A={a}, B={b}")
-    if not 0.0 < delta <= 0.25:
-        raise DomainError(f"delta must lie in (0, 1/4], got {delta}")
+    if not 0.0 <= delta <= 0.25:
+        raise DomainError(f"delta must lie in [0, 1/4], got {delta}")
     lhs = 1.0 - math.cos(delta * math.pi) + math.sin(delta * math.pi)
     ratio = math.sqrt(a / b)
     return KadecCheck(passed=lhs < ratio, margin=ratio - lhs, lhs=lhs, ratio=ratio)
@@ -310,17 +310,10 @@ class VectorSamplingSet:
         return cls(n, m_range, x, complex_values(obj["U"], "sampling set U", 2))
 
 
-def build_vector_sampling_set(
-    n: int,
-    m_range: int,
-    perturb=None,
-    u_matrix: np.ndarray | None = None,
-) -> VectorSamplingSet:
+def build_vector_sampling_set(n: int, m_range: int, perturb=None) -> VectorSamplingSet:
     """Nodes x_{nm+l} = m + perturb(m)[l] for m in {-m_range..m_range} and
-    l in {0..n-1}; directions cycle through the columns of U (default: the
-    unitary discrete Fourier matrix)."""
-    if u_matrix is None:
-        u_matrix = unitary_dft_matrix(n)
+    l in {0..n-1}; directions cycle through the columns of the unitary
+    discrete Fourier matrix U."""
     ms = np.arange(-m_range, m_range + 1)
     x = np.empty(n * len(ms))
     for i, m in enumerate(ms):
@@ -328,7 +321,7 @@ def build_vector_sampling_set(
         if offsets.shape != (n,):
             raise ShapeMismatchError("perturbation must produce n offsets per m")
         x[i * n : (i + 1) * n] = m + offsets
-    return VectorSamplingSet(n=n, m_range=m_range, x=x, u_matrix=np.asarray(u_matrix, dtype=complex))
+    return VectorSamplingSet(n=n, m_range=m_range, x=x, u_matrix=unitary_dft_matrix(n))
 
 
 def vector_features(vss: VectorSamplingSet, w_grid: Grid) -> np.ndarray:

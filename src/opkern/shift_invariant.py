@@ -94,15 +94,14 @@ class Generator:
         return np.asarray(self.phi_hat(np.asarray(omega, dtype=float)), dtype=complex)
 
 
-def make_generator(kind: str, h: float = 1.0 / 1024.0) -> Generator:
-    """Named B-spline generator on an integer-aligned grid over its support,
-    periodized over |j| <= 64."""
+def make_generator(kind: str) -> Generator:
+    """Named B-spline generator sampled at step 1/1024 on an integer-aligned
+    grid over its support, periodized over |j| <= 64."""
     if kind not in _SPLINE_ORDERS:
         raise ValidationError(f"unknown generator {kind!r}; choose from {sorted(_SPLINE_ORDERS)}")
     order = _SPLINE_ORDERS[kind]
     radius = _SPLINE_RADII[kind]
-    n = int(round(2 * radius / h)) + 1
-    grid = Grid(-float(radius), float(radius), n)
+    grid = Grid(-float(radius), float(radius), 2048 * radius + 1)
     fn = lambda x: bspline(order, x)  # noqa: E731
     return Generator(
         phi=GridFunction(grid, fn(grid.points()).astype(complex)),
@@ -254,14 +253,14 @@ def si_gram(
     gen: Generator,
     dual: DualGenerator,
     u_list: Sequence[AverageFunctional],
-    quad_n: int = 4097,
 ) -> GramMatrix:
     """Gram of average-functional sections, assembled as C^H B C where
-    B[m, m'] = b_{m'-m} is the (positive) dual-coefficient Toeplitz matrix.
-    The structure keeps the matrix Hermitian PSD to machine precision."""
+    B[m, m'] = b_{m'-m} is the (positive) dual-coefficient Toeplitz matrix,
+    each coefficient by trapezoid quadrature on 4097 points of the support
+    of u. The structure keeps the matrix Hermitian PSD to machine precision."""
     if not u_list:
         raise ShapeMismatchError("empty functional list")
-    ks, cmat = _average_coefficients(gen, u_list, quad_n)
+    ks, cmat = _average_coefficients(gen, u_list)
     # lags beyond k_max carry exponentially small coefficients; pad zero
     pad = max(ks.size - 1 - dual.k_max, 0)
     b = np.pad(dual.b_coeffs, pad)

@@ -562,6 +562,31 @@ def test_size_caps_refuse_before_allocating(signal_file, tmp_path, capsys, argv)
     assert peak < 2**24  # no grid or section stack was built
 
 
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--k-max", "600"), ("--k-range", "600000"), ("--n-centers", "200000")],
+    ids=["k-max", "k-range", "n-centers"],
+)
+def test_si_diagnose_size_caps_name_the_flag(tmp_path, capsys, flag, value):
+    """--k-max 600 computed the dual coefficients and then exited 2 with
+    "grid of 1230849 points exceeds the cap of 1048576", naming no flag;
+    --k-range 600000 ran to completion over 1200001 coefficients, and
+    --n-centers had no bound. Each is now refused by name before any array
+    it sizes is built."""
+    tracemalloc.start()
+    try:
+        code = main(["si-diagnose", flag, value, "--out", str(tmp_path / "x")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert err["error"] == "ValidationError"
+    assert err["message"].startswith(f"{flag} {value} needs ")
+    assert peak < 2**24
+    assert not list(tmp_path.glob("x.*"))
+
+
 def test_validation_error_exit_code(tmp_path, capsys):
     # admissibility violation: delta beyond the quarter-shift threshold
     code = main(["kadec", "--delta", "0.3", "--out", str(tmp_path / "bad")])

@@ -26,8 +26,8 @@ from solve_oracle import eigh_solve_hermitian
 TWO_PI = 2.0 * math.pi
 
 
-def _gf(a, b, n, fn, dim=1):
-    return GridFunction.from_callable(Grid(a, b, n), fn, dim=dim)
+def _gf(a, b, n, fn):
+    return GridFunction.from_callable(Grid(a, b, n), fn)
 
 
 # ----------------------------------------------------------------- quadrature

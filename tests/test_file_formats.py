@@ -21,7 +21,7 @@ from opkern.families import (
     PointInnerFamily,
     SampleSet,
 )
-from opkern.paley_wiener import BandlimitedSignal, VectorSamplingSet, build_vector_sampling_set
+from opkern.paley_wiener import BandlimitedSignal, VectorSamplingSet
 
 _SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1.5e-310, 2.2250738585072014e-308, 1e308, -1e308, 1 / 3]
 _FLOAT = st.one_of(st.sampled_from(_SPECIAL), st.floats(allow_nan=False, allow_infinity=False))
@@ -86,7 +86,8 @@ def _vector_sets(draw) -> VectorSamplingSet:
     seed = draw(st.integers(0, 2**32 - 1))
     gen = np.random.default_rng(seed)
     u = np.linalg.qr(gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n)))[0]
-    return build_vector_sampling_set(n, m_range, perturb=lambda m: perturb[m], u_matrix=u)
+    x = [m + offset for m in range(-m_range, m_range + 1) for offset in perturb[m]]
+    return VectorSamplingSet(n, m_range, np.array(x), u)
 
 
 def _through_text(obj):

@@ -9,6 +9,7 @@ from opkern.families import AverageFunctional, average_sample
 from opkern.kernels import feature_gram
 from opkern.paley_wiener import (
     BandlimitedSignal,
+    VectorSamplingSet,
     build_vector_sampling_set,
     fourier_series,
     generalized_kadec_check,
@@ -244,6 +245,9 @@ def test_generalized_kadec_check():
     assert abs(boundary.margin) < 1e-12
     assert not generalized_kadec_check(0.9, 1.0, 0.25).passed
     assert generalized_kadec_check(1e-9, 1.0, 0.1).passed is False
+    # no perturbation: lhs 0 and the margin is sqrt(A/B), 1.0 at kadec_bounds(0)
+    unperturbed = generalized_kadec_check(*kadec_bounds(0.0), 0.0)
+    assert (unperturbed.passed, unperturbed.lhs, unperturbed.margin) == (True, 0.0, 1.0)
     with pytest.raises(ValidationError):
         generalized_kadec_check(2.0, 1.0, 0.1)
     with pytest.raises(DomainError):
@@ -268,13 +272,11 @@ def test_vector_set_dft_directions():
 
 def test_vector_set_rejects_nonunitary():
     with pytest.raises(ValidationError):
-        build_vector_sampling_set(2, 2, u_matrix=np.array([[1.0, 0.0], [1.0, 1.0]]))
+        VectorSamplingSet(2, 2, np.repeat(np.arange(-2.0, 3.0), 2), np.array([[1.0, 0.0], [1.0, 1.0]]))
 
 
 def test_vector_set_json_roundtrip():
     vss = build_vector_sampling_set(2, 3, perturb=lambda m: np.array([0.1, -0.1]))
-    from opkern.paley_wiener import VectorSamplingSet
-
     back = VectorSamplingSet.from_json(vss.to_json())
     assert np.allclose(back.x, vss.x)
     assert np.allclose(back.u_matrix, vss.u_matrix)
