@@ -11,6 +11,7 @@ everything downstream (kernels, Grams) is built from the two.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -41,6 +42,20 @@ TWO_PI = 2.0 * math.pi
 
 _SPLINE_ORDERS = {"box": 1, "hat": 2, "cubic": 4}
 _SPLINE_RADII = {"box": 1, "hat": 1, "cubic": 2}
+# Frequencies per alias block: every temporary of a block stays in cache.
+_ALIAS_BLOCK = 2**15
+
+
+def _count(name: str, value) -> int:
+    """value as a non-negative int, refused by name when it is negative or
+    not integral."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be a non-negative integer, got {value!r}") from None
+    if n < 0:
+        raise ValidationError(f"{name} must be a non-negative integer, got {n}")
+    return n
 
 
 def bspline(order: int, x) -> np.ndarray:
@@ -54,15 +69,33 @@ def bspline(order: int, x) -> np.ndarray:
     if order == 2:
         return np.maximum(1.0 - ax, 0.0)
     if order == 4:
-        inner = 2.0 / 3.0 - ax**2 + ax**3 / 2.0
-        outer = (2.0 - ax) ** 3 / 6.0
+        ax2 = ax * ax
+        inner = 2.0 / 3.0 - ax2 + ax2 * ax / 2.0
+        outer = _power(2.0 - ax, 3) / 6.0
         return np.where(ax <= 1.0, inner, np.where(ax <= 2.0, outer, 0.0))
     raise ValidationError(f"unsupported spline order {order}; use 1, 2 or 4")
 
 
+def _power(x: np.ndarray, n: int) -> np.ndarray:
+    """x**n for an integer n by repeated squaring when n >= 1. numpy hands
+    an exponent above 2 to libm pow, which is some 40 times slower than the
+    multiplications and agrees with them to a few ulp."""
+    if n < 1:
+        return x**n
+    result = None
+    while True:
+        if n & 1:
+            result = x if result is None else result * x
+        n >>= 1
+        if not n:
+            return result
+        x = x * x
+
+
 def bspline_transform(order: int, omega) -> np.ndarray:
-    """Closed-form transform (sin(w/2)/(w/2))**order of the centered spline."""
-    return np.sinc(np.asarray(omega, dtype=float) / TWO_PI) ** order
+    """Closed-form transform (sin(w/2)/(w/2))**order of the centered spline,
+    real and even; the power is taken by multiplication."""
+    return _power(np.sinc(np.asarray(omega, dtype=float) / TWO_PI), order)
 
 
 @dataclass(frozen=True)
@@ -83,6 +116,7 @@ class Generator:
     name: str = "custom"
 
     def __post_init__(self):
+        _count("j_trunc", self.j_trunc)
         outside = np.abs(self.phi.grid.points()) > self.support_radius + 1e-12
         if np.any(self.phi.values[outside] != 0.0):
             raise ValidationError(f"generator samples are nonzero beyond support_radius={self.support_radius}")
@@ -91,7 +125,9 @@ class Generator:
         return self.phi_fn(np.asarray(x, dtype=float))
 
     def transform(self, omega) -> np.ndarray:
-        return np.asarray(self.phi_hat(np.asarray(omega, dtype=float)), dtype=complex)
+        """phi_hat at omega in the dtype phi_hat returns: real for the even
+        splines, whose bracket then needs no complex cast."""
+        return np.asarray(self.phi_hat(np.asarray(omega, dtype=float)))
 
 
 def make_generator(kind: str) -> Generator:
@@ -115,12 +151,14 @@ def make_generator(kind: str) -> Generator:
 
 
 def _aliases(xi: np.ndarray, j_trunc: int):
-    """The aliases xi + 2 pi l, |l| <= j_trunc, l ascending, as blocks of
-    shape (xi.size, b) holding at most 4,000,000 frequencies each."""
+    """The aliases xi + 2 pi l, |l| <= j_trunc, l ascending, as blocks
+    (ls, om): the b alias indices ls and the (xi.size, b) frequencies om,
+    at most 2**15 of them (one column when xi alone is longer)."""
     ls = np.arange(-j_trunc, j_trunc + 1)
-    chunk = max(1, 4_000_000 // max(xi.size, 1))
+    chunk = max(1, _ALIAS_BLOCK // max(xi.size, 1))
     for s in range(0, ls.size, chunk):
-        yield xi[:, None] + TWO_PI * ls[None, s : s + chunk]
+        block = ls[s : s + chunk]
+        yield block, xi[:, None] + TWO_PI * block
 
 
 def bracket_function(gen: Generator, xi) -> np.ndarray:
@@ -129,7 +167,9 @@ def bracket_function(gen: Generator, xi) -> np.ndarray:
     Raises RieszConditionError when any truncated value fails positivity.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    vals = sum((np.sum(np.abs(gen.transform(om)) ** 2, axis=1) for om in _aliases(xi, gen.j_trunc)), np.zeros(xi.shape))
+    vals = np.zeros(xi.shape)
+    for _, om in _aliases(xi, gen.j_trunc):
+        vals += np.sum(np.abs(gen.transform(om)) ** 2, axis=1)
     if np.any(vals <= 0.0):
         raise RieszConditionError(
             f"periodized generator energy nonpositive (min {vals.min():.3e}); "
@@ -156,12 +196,18 @@ def _shift_window(gen: Generator, y: np.ndarray, k: int) -> slice:
 
 def _shift_sum(gen: Generator, k0: int, coeffs: np.ndarray, out_grid: Grid) -> np.ndarray:
     """sum_i coeffs[i] phi(. - (k0 + i)) on the grid, evaluating each shift
-    only on its support window."""
+    only on its support window. A window whose offsets y - k equal the
+    previous window's reuses its phi values: on a grid aligned with the
+    integers that is every shift after the first."""
     y = out_grid.points()
     out = np.zeros(out_grid.n, dtype=complex)
+    offsets = vals = None
     for k, c in enumerate(coeffs, start=k0):
         w = _shift_window(gen, y, k)
-        out[w] += c * gen.evaluate(y[w] - k)
+        t = y[w] - k
+        if offsets is None or not np.array_equal(t, offsets):
+            offsets, vals = t, gen.evaluate(t)
+        out[w] += c * vals
     return out
 
 
@@ -182,6 +228,7 @@ def dual_generator(gen: Generator, k_max: int) -> DualGenerator:
     """Dual coefficients b_k = (1/2pi) int_{-pi}^{pi} exp(-i k xi)/bracket(xi),
     by trapezoid quadrature on 2049 points, and the synthesized dual on the
     generator grid extended by k_max."""
+    k_max = _count("k_max", k_max)
     grid_xi = Grid(-math.pi, math.pi, 2049)
     xs = grid_xi.points()
     recip = 1.0 / bracket_function(gen, xs)
@@ -191,7 +238,7 @@ def dual_generator(gen: Generator, k_max: int) -> DualGenerator:
     h = gen.phi.grid.h
     ext = Grid(-(r + k_max), float(r + k_max), int(round(2 * (r + k_max) / h)) + 1)
     vals = _shift_sum(gen, -k_max, b, ext)
-    return DualGenerator(b_coeffs=b, k_max=int(k_max), phi_tilde=GridFunction(ext, vals), source=gen)
+    return DualGenerator(b_coeffs=b, k_max=k_max, phi_tilde=GridFunction(ext, vals), source=gen)
 
 
 def biorthogonality_residual(dual: DualGenerator, shifts: Sequence[int]) -> float:
@@ -287,13 +334,21 @@ class DensityReport:
 def _g_values(gen: Generator, u_list: Sequence[AverageFunctional], xi: np.ndarray, j_trunc: int) -> np.ndarray:
     """One row per functional: g_u(xi) = sum_{|l| <= J} u^(xi + 2 pi l)
     conj(phi_hat(xi + 2 pi l)), with u^(w) = exp(-i w x) m(w) from the closed
-    form m of the centred profile. Each alias block is evaluated functional
-    by functional, so only one functional's terms are held at a time."""
-    out = np.zeros((len(u_list), xi.size), dtype=complex)
-    for om in _aliases(xi, j_trunc):
-        for row, u in zip(out, u_list):
-            row += np.sum(np.exp(-1j * om * u.x) * u.centered_transform(om) * np.conj(gen.transform(om)), axis=1)
-    return out
+    form m of the centred profile. Since exp(-i (xi + 2 pi l) x) =
+    exp(-i xi x) exp(-2 pi i l x), each alias block takes phi_hat once for
+    all functionals and m once per (delta, profile); a functional then adds
+    the block's terms times its b phases exp(-2 pi i l x), one matrix-vector
+    product, and the row takes the factor exp(-i xi x) once at the end."""
+    sums = np.zeros((len(u_list), xi.size), dtype=complex)
+    for ls, om in _aliases(xi, j_trunc):
+        phi_conj = np.conj(gen.transform(om))
+        terms = {}
+        for row, u in zip(sums, u_list):
+            key = (u.delta, u.profile_name)
+            if key not in terms:
+                terms[key] = u.centered_transform(om) * phi_conj
+            row += terms[key] @ np.exp(-2j * math.pi * u.x * ls)
+    return np.exp(-1j * np.outer([u.x for u in u_list], xi)) * sums
 
 
 def density_diagnostic(
@@ -335,7 +390,8 @@ def fourier_coefficient_identity_check(
     exp(i k xi) d xi, over |k| <= k_range. The deviation is dominated by the
     periodization truncation and the quadrature steps; it contracts by at
     least a factor two when both resolutions are doubled."""
-    j = gen.j_trunc if j_trunc is None else int(j_trunc)
+    j = gen.j_trunc if j_trunc is None else _count("j_trunc", j_trunc)
+    k_range = _count("k_range", k_range)
     ks_u, c = _average_coefficients(gen, [u], quad_n)
     inside = np.abs(ks_u) <= k_range
     time_side = np.zeros(2 * k_range + 1, dtype=complex)

@@ -1,9 +1,11 @@
 """Test-side shift-space routes that ``opkern.shift_invariant`` replaced with
-one windowed coefficient matrix and one alias loop, kept as their oracle:
-each functional's coefficients over an explicit shift list or over its own
-window, and each functional's periodized frequency sum on its own. Also the
-point-kernel section, the limit the average-functional sections approach as
-their width shrinks."""
+one windowed coefficient matrix and one blocked alias pass, kept as their
+oracle: each functional's coefficients over an explicit shift list or over
+its own window; the spline transform as numpy's power of the sinc; and the
+bracket and each functional's periodized frequency sum on its own, over
+blocks of 4,000,000 frequencies with one complex exponential per alias.
+Also the point-kernel section, the limit the average-functional sections
+approach as their width shrinks."""
 
 import math
 
@@ -32,17 +34,36 @@ def window_coefficients(gen, u, quad_n=4097):
     return ks, full_range_coefficients(gen, u, ks, quad_n)
 
 
-def g_alpha_values(gen, u, xi, j_trunc):
-    """g_u(xi) = sum_{|l| <= J} u^(xi + 2 pi l) conj(phi_hat(xi + 2 pi l)),
-    with u^(w) = exp(-i w x) m(w), summed over blocks of at most 4,000,000
-    frequencies."""
-    out = np.zeros(xi.shape, dtype=complex)
+def spline_transform_pow(order):
+    """The closed-form spline transform (sin(w/2)/(w/2))**order, the power
+    taken by numpy (libm pow for an order above 2)."""
+    return lambda w: np.sinc(np.asarray(w, dtype=float) / TWO_PI) ** order
+
+
+def aliases(xi, j_trunc):
+    """The aliases xi + 2 pi l, |l| <= j_trunc, l ascending, as blocks of
+    shape (xi.size, b) holding at most 4,000,000 frequencies each."""
     ls = np.arange(-j_trunc, j_trunc + 1)
     chunk = max(1, 4_000_000 // max(xi.size, 1))
     for s in range(0, ls.size, chunk):
-        om = xi[:, None] + TWO_PI * ls[None, s : s + chunk]
+        yield xi[:, None] + TWO_PI * ls[None, s : s + chunk]
+
+
+def bracket_values(phi_hat, xi, j_trunc):
+    """sum_{|l| <= J} |phi_hat(xi + 2 pi l)|^2 on complex transform values."""
+    out = np.zeros(xi.shape)
+    for om in aliases(xi, j_trunc):
+        out += np.sum(np.abs(np.asarray(phi_hat(om), dtype=complex)) ** 2, axis=1)
+    return out
+
+
+def g_alpha_values(phi_hat, u, xi, j_trunc):
+    """g_u(xi) = sum_{|l| <= J} u^(xi + 2 pi l) conj(phi_hat(xi + 2 pi l)),
+    with u^(w) = exp(-i w x) m(w) evaluated on every alias."""
+    out = np.zeros(xi.shape, dtype=complex)
+    for om in aliases(xi, j_trunc):
         uhat = np.exp(-1j * om * u.x) * u.centered_transform(om)
-        out += np.sum(uhat * np.conj(gen.transform(om)), axis=1)
+        out += np.sum(uhat * np.conj(phi_hat(om)), axis=1)
     return out
 
 
@@ -51,9 +72,21 @@ def identity_deviation(gen, u, k_range, quad_n=4097, xi_n=1025):
     the full shift range |k| <= k_range."""
     ks = np.arange(-k_range, k_range + 1)
     grid_xi = Grid(-math.pi, math.pi, int(xi_n))
-    weighted = g_alpha_values(gen, u, grid_xi.points(), gen.j_trunc) * grid_xi.weights()
+    weighted = g_alpha_values(gen.transform, u, grid_xi.points(), gen.j_trunc) * grid_xi.weights()
     freq_side = uniform_fourier_sum(-k_range, 1.0, ks.size, grid_xi.a, grid_xi.h, weighted, sign=1.0) / TWO_PI
     return float(np.max(np.abs(full_range_coefficients(gen, u, ks, quad_n) - freq_side)))
+
+
+def per_shift_sum(gen, k0, coeffs, out_grid):
+    """sum_i coeffs[i] phi(. - (k0 + i)) on the grid, evaluating phi afresh
+    on the support window of every shift."""
+    y = out_grid.points()
+    r = gen.support_radius
+    out = np.zeros(out_grid.n, dtype=complex)
+    for k, c in enumerate(coeffs, start=k0):
+        w = slice(np.searchsorted(y, k - r, side="left"), np.searchsorted(y, k + r, side="right"))
+        out[w] += c * gen.evaluate(y[w] - k)
+    return out
 
 
 def si_reproducing_kernel(gen, dual, x, out_grid):

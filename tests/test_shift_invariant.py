@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -30,14 +31,19 @@ from opkern.shift_invariant import (
 )
 from quadrature_oracle import fourier_sum, quadrature_transform
 from shift_oracle import (
+    bracket_values,
     full_range_coefficients,
     g_alpha_values,
     identity_deviation,
+    per_shift_sum,
     si_reproducing_kernel,
+    spline_transform_pow,
     window_coefficients,
 )
 
 TWO_PI = 2.0 * math.pi
+EPS = np.finfo(float).eps
+ORDERS = {"box": 1, "hat": 2, "cubic": 4}
 
 
 # ------------------------------------------------------------------- splines
@@ -160,6 +166,20 @@ def test_hat_biorthogonality():
         val = integrate_values(g, np.conj(hat.evaluate(pts - j)) * d.phi_tilde.values[:, 0])
         worst = max(worst, abs(val - (1.0 if j == 0 else 0.0)))
     assert worst < 1e-6
+
+
+@pytest.mark.parametrize("value", [-1, 2.5])
+@pytest.mark.parametrize("route", ["dual_generator", "identity_check", "identity_check_j", "generator"])
+def test_negative_or_fractional_sizes_are_refused_by_name(route, value):
+    gen, u = make_generator("hat"), AverageFunctional(0.25, 0.2, "triangle")
+    name, call = {
+        "dual_generator": ("k_max", lambda: dual_generator(gen, value)),
+        "identity_check": ("k_range", lambda: fourier_coefficient_identity_check(gen, u, value)),
+        "identity_check_j": ("j_trunc", lambda: fourier_coefficient_identity_check(gen, u, 2, j_trunc=value)),
+        "generator": ("j_trunc", lambda: dataclasses.replace(gen, j_trunc=value)),
+    }[route]
+    with pytest.raises(ValidationError, match=f"^{name} must be a non-negative integer"):
+        call()
 
 
 # ---------------------------------------------------------- reproducing kernel
@@ -391,8 +411,11 @@ def test_windowed_matrix_and_alias_loop_match_the_per_functional_oracle(kind, us
     """Each column of the coefficient matrix is the per-functional window
     route bit for bit and exactly 0 off its window, where the full-range
     route is exactly 0 too; inside the window the full-range route sums in
-    another BLAS order, so it agrees within round-off. Each row of the alias
-    loop is the per-functional sum bit for bit."""
+    another BLAS order, so it agrees within round-off. The blocked alias pass
+    agrees with the pow transform and the per-alias exponentials summed
+    functional by functional: the bracket within 16 eps relative, and each
+    g_u within 64 eps sum_l |m phi_hat| (1 + |w x|), the round-off of the
+    phases exp(-i w x) at the aliases w = xi + 2 pi l."""
     gen = make_generator(kind)
     r = gen.support_radius
     ks, cmat = _average_coefficients(gen, us, quad_n)
@@ -408,24 +431,32 @@ def test_windowed_matrix_and_alias_loop_match_the_per_functional_oracle(kind, us
         assert np.all(np.abs(cmat[:, i] - full) <= _round_off_bound(gen, u, ks, quad_n))
 
     xi = np.linspace(-math.pi, math.pi, xi_n)
+    phi_hat = spline_transform_pow(ORDERS[kind])
+    want = bracket_values(phi_hat, xi, j_trunc)
+    assert np.all(np.abs(bracket_function(dataclasses.replace(gen, j_trunc=j_trunc), xi) - want) <= 16 * EPS * want)
     rows = _g_values(gen, us, xi, j_trunc)
     assert rows.shape == (len(us), xi_n)
+    om = xi[:, None] + TWO_PI * np.arange(-j_trunc, j_trunc + 1)
     for row, u in zip(rows, us):
-        assert np.array_equal(row, g_alpha_values(gen, u, xi, j_trunc))
+        scale = np.sum(np.abs(u.centered_transform(om) * phi_hat(om)) * (1.0 + np.abs(om * u.x)), axis=1)
+        assert np.all(np.abs(row - g_alpha_values(phi_hat, u, xi, j_trunc)) <= 64 * EPS * scale)
 
     got = fourier_coefficient_identity_check(gen, us[0], k_range, quad_n=quad_n, xi_n=129)
     want = identity_deviation(gen, us[0], k_range, quad_n=quad_n, xi_n=129)
     assert abs(got - want) <= 64 * np.finfo(float).eps
 
 
-def test_aliases_come_in_blocks_of_at_most_4e6_frequencies():
+def test_aliases_come_in_blocks_of_at_most_2_15_frequencies():
     xi = np.array([-1.0, 0.0, 2.5])
-    blocks = list(_aliases(xi, 700_000))
-    assert [b.shape for b in blocks] == [(3, 1_333_333), (3, 66_668)]
-    for b in blocks:
-        assert np.array_equal(b[1], TWO_PI * np.rint(b[1] / TWO_PI))
-    assert blocks[0][1, 0] == -TWO_PI * 700_000 and blocks[-1][1, -1] == TWO_PI * 700_000
-    assert np.array_equal(blocks[-1][:, -1], xi + TWO_PI * 700_000)
+    blocks = list(_aliases(xi, 6_000))
+    assert [om.shape for _, om in blocks] == [(3, 10_922), (3, 1_079)]
+    assert np.array_equal(np.concatenate([ls for ls, _ in blocks]), np.arange(-6_000, 6_001))
+    for ls, om in blocks:
+        assert np.array_equal(om, xi[:, None] + TWO_PI * ls)
+    assert blocks[0][1][1, 0] == -TWO_PI * 6_000 and blocks[-1][1][1, -1] == TWO_PI * 6_000
+    # one alias per block once xi alone holds more than 2**15 frequencies
+    long_xi = np.linspace(-math.pi, math.pi, 2**15 + 1)
+    assert [(ls.tolist(), om.shape) for ls, om in _aliases(long_xi, 1)] == [([l], (2**15 + 1, 1)) for l in (-1, 0, 1)]
 
 
 def test_toeplitz_matches_scipy():
@@ -509,6 +540,34 @@ def _dict_route_synthesis(gen, dual, coeffs, out_grid):
         if lo < hi:
             out[lo:hi] += cm * gen.evaluate(y[lo:hi] - m)
     return out
+
+
+@pytest.mark.parametrize("kind", ["hat", "cubic"])
+def test_shift_sum_evaluates_phi_once_per_distinct_offsets(kind):
+    """The dual's grid is aligned with the integers, so every shift's window
+    holds the same offsets and phi is evaluated once. Off the lattice every
+    window holds its own offsets, and the kernel section is the per-shift
+    loop bit for bit."""
+    plain = make_generator(kind)
+    sizes = []
+
+    def counting(x):
+        sizes.append(np.size(x))
+        return plain.phi_fn(x)
+
+    gen = dataclasses.replace(plain, phi_fn=counting)
+    d = dual_generator(gen, k_max=6)
+    assert sizes == [2048 * plain.support_radius + 1]
+    assert np.array_equal(d.phi_tilde.values, dual_generator(plain, k_max=6).phi_tilde.values)
+
+    u = AverageFunctional(0.3, 0.4, "cosine")
+    out = Grid(-9.0, 9.0, 1001)
+    ks, c = _average_coefficients(plain, [u])
+    want = per_shift_sum(plain, int(ks[0]) - d.k_max, np.convolve(c[:, 0], d.b_coeffs), out)
+    sizes.clear()
+    assert np.array_equal(si_functional_kernel(gen, d, u, out).values[:, 0], want)
+    # one evaluation for the coefficient windows, then one per shift
+    assert len(sizes) == 1 + ks.size + 2 * d.k_max
 
 
 def _assert_rel_close(got, want, rel=1e-13):
