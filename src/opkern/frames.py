@@ -1,10 +1,12 @@
 """Dual kernel sections, reconstruction from functional values and
 frame-bound estimates for truncated kernel families, held as the
-``TruncatedFrame`` stacks that the kernel constructions return.
+``TruncatedFrame``s that the kernel constructions return: section stacks,
+or the stackless ``FourierFrame``.
 
 The dual of the infinite family is not computable at desk scale; this module
 computes the canonical dual of the truncated family through the Gram
-pseudoinverse and reports truncation diagnostics. Reconstruction error is
+pseudoinverse that the frame supplies (one SVD, or the closed form of the
+Fourier frame) and reports truncation diagnostics. Reconstruction error is
 therefore measured on an interior window away from the truncation boundary.
 """
 
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GridFunction, norm, pseudoinverse, restrict
+from .core import GridFunction, norm, restrict
 from .exceptions import AlignmentError, DegenerateFrameError, ShapeMismatchError
 from .families import SampleSet
 from .kernels import TruncatedFrame
@@ -47,7 +49,7 @@ def dual_frame(frame: TruncatedFrame, rel_cutoff: float = 1e-10) -> DualFrame:
     g = frame.gram.matrix
     if not np.any(g):
         raise DegenerateFrameError("the section Gram is exactly zero", min_eig=0.0, max_eig=0.0)
-    return DualFrame(coeffs=pseudoinverse(g, rel_cutoff), source=frame, rel_cutoff=rel_cutoff)
+    return DualFrame(coeffs=frame.gram_pinv(rel_cutoff), source=frame, rel_cutoff=rel_cutoff)
 
 
 def _alphas_match(a, b) -> bool:

@@ -3,7 +3,10 @@
 A kernel section K(alpha)xi is the element of the sample space that
 reproduces the functional with index alpha against the output-space vector
 xi. A finite family of sections is held as one ``TruncatedFrame``: the
-sections stacked on one grid, with their Gram. Frames are built either from
+sections stacked on one grid, with their Gram. The Fourier-coefficient
+frame is the exception: its sections, Gram and Gram pseudoinverse are known
+in closed form, so ``FourierFrame`` holds its indices and Gram alone and
+synthesizes by one inverse FFT. Frames are built either from
 a feature-map pair (phi for points, psi for the functional family) or from
 concrete constructions in the companion modules. Grams of sections are
 Hermitian positive semi-definite; this module assembles them, symmetrizes
@@ -24,6 +27,7 @@ from .core import (
     complex_unit_disc,
     hermitian_eig,
     integrate_values,
+    pseudoinverse,
     rng,
     uniform_fourier_sum,
 )
@@ -33,7 +37,7 @@ from .exceptions import (
     ShapeMismatchError,
     ValidationError,
 )
-from .families import FunctionalFamily, fourier_indices, fourier_rows
+from .families import FunctionalFamily, fourier_indices, fourier_residues, fourier_rows, fourier_synthesis
 
 __all__ = [
     "FeatureMap",
@@ -41,6 +45,7 @@ __all__ = [
     "GramMatrix",
     "PsdReport",
     "TruncatedFrame",
+    "FourierFrame",
     "stacked_frame",
     "kernel_from_features",
     "gram",
@@ -114,7 +119,9 @@ class PsdReport:
 class TruncatedFrame:
     """A finite kernel family stacked once: h[j] holds the grid values of
     section K_j on h_grid, gram the section Gram. A stack of shape (m, n)
-    is read as m scalar sections."""
+    is read as m scalar sections. A frame whose sections are known in
+    closed form (``FourierFrame``) holds no stack and overrides
+    ``section``, ``synthesize`` and ``gram_pinv``."""
 
     alphas: tuple
     h: np.ndarray = field(repr=False)
@@ -136,14 +143,62 @@ class TruncatedFrame:
             raise ShapeMismatchError("kernel section contains non-finite values")
 
     def __len__(self) -> int:
-        return self.h.shape[0]
+        return len(self.alphas)
 
-    def synthesize(self, c) -> GridFunction:
-        """sum_j c_j K_j, one product over the stacked sections."""
+    def _coefficients(self, c) -> np.ndarray:
         c = np.asarray(c, dtype=complex)
         if c.shape != (len(self),):
             raise ShapeMismatchError(f"expected {len(self)} coefficients, got shape {c.shape}")
-        return GridFunction(self.h_grid, np.tensordot(c, self.h, axes=1))
+        return c
+
+    def section(self, j: int) -> GridFunction:
+        """Section K_j on h_grid."""
+        return GridFunction(self.h_grid, self.h[j])
+
+    def synthesize(self, c) -> GridFunction:
+        """sum_j c_j K_j, one product over the stacked sections."""
+        return GridFunction(self.h_grid, np.tensordot(self._coefficients(c), self.h, axes=1))
+
+    def gram_pinv(self, rel_cutoff: float) -> np.ndarray:
+        """Pseudoinverse of the Gram, singular values at most rel_cutoff
+        times the largest treated as zero: one SVD."""
+        return pseudoinverse(self.gram.matrix, rel_cutoff)
+
+
+@dataclass(frozen=True)
+class FourierFrame(TruncatedFrame):
+    """The frame of the basis K(j) = exp(i j x)/sqrt(2pi) on [0, 2pi], each
+    section its own feature vector, held without a section stack (h is
+    None). With the residues r_j = j mod (n - 1) of ``fourier_residues``,
+    the trapezoid Gram is exactly 1 where r_j = r_k and 0 elsewhere (the
+    periodic trapezoid rule), written in closed form with asymmetry 0.0;
+    sum_j c_j K_j is one ``fourier_synthesis``."""
+
+    h: None = field(default=None, init=False, repr=False)
+    gram: GramMatrix = field(init=False)
+
+    def __post_init__(self):
+        r = fourier_residues(self.alphas, self.h_grid)
+        g = GramMatrix(matrix=(r[:, None] == r[None, :]).astype(complex), indices=self.alphas, asymmetry=0.0)
+        object.__setattr__(self, "gram", g)
+
+    def section(self, j: int) -> GridFunction:
+        return GridFunction(self.h_grid, fourier_rows([self.alphas[j]], self.h_grid)[0])
+
+    def synthesize(self, c) -> GridFunction:
+        """sum_j c_j K_j, one inverse FFT of the sums per residue class."""
+        return GridFunction(self.h_grid, fourier_synthesis(self.alphas, self._coefficients(c), self.h_grid))
+
+    def gram_pinv(self, rel_cutoff: float) -> np.ndarray:
+        """The Gram is one all-ones block per residue class, so its singular
+        values are the class sizes b, the exact row sums, and its
+        pseudoinverse is each kept block divided by b^2; a class is kept
+        when b > rel_cutoff max(b), as in the SVD route."""
+        if not 0.0 < rel_cutoff < 1.0:
+            raise ValidationError(f"rel_cutoff must lie in (0,1), got {rel_cutoff}")
+        g = self.gram.matrix
+        b = g.real.sum(axis=1)
+        return g * np.where(b > rel_cutoff * b.max(initial=0.0), 1.0 / b**2, 0.0)[:, None]
 
 
 #: most entries of the scaled column block feature_gram holds at once
@@ -247,7 +302,7 @@ def gram(frame: TruncatedFrame, functionals: FunctionalFamily) -> GramMatrix:
     refused when the asymmetry shows sections and functionals disagree.
     The Gram of the features themselves is ``frame.gram``.
     """
-    values = np.stack([functionals.apply_all(frame.alphas, GridFunction(frame.h_grid, h)) for h in frame.h])
+    values = np.stack([functionals.apply_all(frame.alphas, frame.section(j)) for j in range(len(frame))])
     if values.shape[2] != 1:
         raise ShapeMismatchError(f"the family returns {values.shape[2]} values per index, a Gram needs one")
     m = values[:, :, 0]
@@ -355,17 +410,10 @@ def fourier_point_feature_map(w_grid: Grid, max_mode: int) -> FeatureMap:
     return FeatureMap(w_grid=w_grid, dim_y=1, evaluate=evaluate)
 
 
-def fourier_frame(indices, grid: Grid) -> TruncatedFrame:
-    """The frame of the basis K(j) = exp(i j x)/sqrt(2pi) on [0, 2pi], its
-    own feature vector, with rows from ``fourier_rows``. The trapezoid Gram
-    of these rows is exactly 1 where j = k mod (n - 1) and 0 elsewhere (the
-    periodic trapezoid rule), so it is written in closed form with
-    asymmetry 0.0."""
-    js = fourier_indices(indices)
-    h = fourier_rows(js, grid)
-    r = np.array([j % (grid.n - 1) for j in js], dtype=np.int64)
-    gram = GramMatrix(matrix=(r[:, None] == r[None, :]).astype(complex), indices=tuple(js), asymmetry=0.0)
-    return TruncatedFrame(alphas=tuple(js), h=h, h_grid=grid, gram=gram)
+def fourier_frame(indices, grid: Grid) -> FourierFrame:
+    """The frame of the basis K(j) = exp(i j x)/sqrt(2pi) on [0, 2pi], one
+    section per index, as a ``FourierFrame``: no section is formed."""
+    return FourierFrame(alphas=tuple(fourier_indices(indices)), h_grid=grid)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Test-side per-section builders: the lists of ``KernelSection``s that the
 stacked frame builders replaced, kept as their oracle. Each section is built
-on its own from the paper's formula, and ``truncated_frame`` stacks them."""
+on its own from the paper's formula, and ``truncated_frame`` stacks them.
+``fourier_stacked_frame`` is the stacked Fourier frame that the stackless
+``FourierFrame`` replaced."""
 
 import math
 from dataclasses import dataclass
@@ -9,8 +11,8 @@ import numpy as np
 
 from opkern.core import GridFunction, hermitian_eig, inner_product, solve_hermitian
 from opkern.exceptions import IndependenceError, ShapeMismatchError
-from opkern.families import AverageFunctional
-from opkern.kernels import TruncatedFrame, _hermitian_gram
+from opkern.families import AverageFunctional, fourier_indices, fourier_rows
+from opkern.kernels import GramMatrix, TruncatedFrame, _hermitian_gram
 from opkern.paley_wiener import psi_feature
 from quadrature_oracle import fourier_sum
 
@@ -100,6 +102,17 @@ def fourier_sections(indices, grid):
         basis = GridFunction(grid, np.exp(1j * int(j) * x) / math.sqrt(2.0 * math.pi))
         out.append(KernelSection(alpha=int(j), xi=ONE, h_repr=basis, w_repr=basis))
     return out
+
+
+def fourier_stacked_frame(indices, grid):
+    """The rows of ``fourier_rows`` stacked into a plain ``TruncatedFrame``
+    with the closed-form Gram, 1 where j = k mod (n - 1) and 0 elsewhere:
+    its ``synthesize`` is one product over the (m, n) stack, and the
+    ``dual_frame`` of it takes the SVD of the Gram."""
+    js = fourier_indices(indices)
+    r = np.array([j % (grid.n - 1) for j in js], dtype=np.int64)
+    gram = GramMatrix(matrix=(r[:, None] == r[None, :]).astype(complex), indices=tuple(js), asymmetry=0.0)
+    return TruncatedFrame(alphas=tuple(js), h=fourier_rows(js, grid), h_grid=grid, gram=gram)
 
 
 def average_features(centers, delta, w_grid, profile="box"):

@@ -58,19 +58,21 @@ def test_kadec_json(tmp_path):
     assert rep["pass"]
 
 
-def test_reconstruct_pw_and_rerun_is_byte_identical(signal_file, tmp_path):
+@pytest.mark.parametrize("space", ["pw", "fourier"])
+def test_reconstruct_and_rerun_is_byte_identical(signal_file, tmp_path, space):
     out = tmp_path / "rec"
     argv = [
-        "reconstruct", "--space", "pw", "--signal", str(signal_file),
+        "reconstruct", "--space", space, "--signal", str(signal_file),
         "--m", "8", "--delta", "0.2", "--out", str(out),
     ]
     assert main(argv) == 0
     rep = json.loads((tmp_path / "rec.json").read_text())
     assert rep["rel_l2_interior"] < 1e-2
-    first_csv = (tmp_path / "rec.csv").read_bytes()
-    first_fn = (tmp_path / "rec.function.json").read_text()
+    names = ("rec.csv", "rec.function.json", "rec.json")
+    first = {name: (tmp_path / name).read_bytes() for name in names}
+    first_fn = first["rec.function.json"].decode()
     assert main(argv) == 0
-    assert (tmp_path / "rec.csv").read_bytes() == first_csv
+    assert {name: (tmp_path / name).read_bytes() for name in names} == first
     # the function artifact reloads through the shared format
     from opkern.core import GridFunction
 
@@ -104,10 +106,11 @@ def test_reconstruct_fourier_exact(signal_file, tmp_path):
     assert rep["rel_l2_interior"] < 1e-10
 
 
-def test_reconstruct_fourier_holds_one_stack(tmp_path):
-    """The fourier-reconstruct benchmark size: 257 sections of 4097 points, a
-    16.8 MB stack, built in place with its Gram and no section objects. The
-    per-section list, stacked again by the frame, peaked at 38.5 MiB."""
+def test_reconstruct_fourier_holds_no_stack(tmp_path):
+    """The fourier-reconstruct benchmark size: 257 sections of 4097 points.
+    The frame holds its Gram and no section stack, and synthesizes by one
+    inverse FFT; the 16.8 MB stack and its SVD dual peaked at 22.6 MiB, the
+    per-section list before it at 38.5 MiB."""
     gen = np.random.default_rng(101)
     coeffs = (gen.standard_normal(193) + 1j * gen.standard_normal(193)) / math.sqrt(2)
     sig = tmp_path / "sig.json"
@@ -124,7 +127,7 @@ def test_reconstruct_fourier_holds_one_stack(tmp_path):
         tracemalloc.stop()
     assert code == 0
     assert json.loads((tmp_path / "r.json").read_text())["rel_l2_interior"] < 1e-10
-    assert peak < 2**25
+    assert peak < 2**23
 
 
 @pytest.mark.parametrize(
@@ -132,12 +135,13 @@ def test_reconstruct_fourier_holds_one_stack(tmp_path):
     [("fourier", "box"), ("average", "box"), ("average", "triangle"), ("average", "cosine"), ("point", "box")],
 )
 def test_stacked_frames_match_section_oracle(family, profile):
-    """The CLI's stacked frames against truncated_frame of the per-section
-    oracle lists. The sinc points are the same arithmetic row by row, so they
-    agree bit for bit. The average oracle takes each centre's own transform
-    and a dense synthesis sum, and the Fourier oracle takes np.exp of each
-    row where the frame reads a table of roots of unity and writes its Gram
-    in closed form, so both agree at round-off."""
+    """The CLI's frames against truncated_frame of the per-section oracle
+    lists. The sinc points are the same arithmetic row by row, so they agree
+    bit for bit. The average oracle takes each centre's own transform and a
+    dense synthesis sum, so it agrees at round-off. The Fourier frame holds
+    no stack: its synthesis of each unit vector, and of one random
+    combination, by one inverse FFT meets the oracle's np.exp rows at
+    round-off, and its closed-form Gram the oracle's quadrature Gram."""
     from opkern import cli
     from opkern.paley_wiener import w_grid_default
     from section_oracle import average_sections, fourier_sections, sinc_sections, truncated_frame
@@ -163,7 +167,10 @@ def test_stacked_frames_match_section_oracle(family, profile):
         assert np.max(np.abs(frame.gram.matrix - oracle.gram.matrix)) <= 1e-15
         assert max(frame.gram.asymmetry, oracle.gram.asymmetry) <= 1e-15
     elif family == "fourier":
-        assert np.max(np.abs(frame.h - oracle.h)) <= 1e-14 * np.max(np.abs(oracle.h))
+        coeffs = np.vstack([np.eye(len(indices)), np.random.default_rng(5).standard_normal(len(indices))])
+        for c in coeffs:
+            gap = np.max(np.abs(frame.synthesize(c).values - oracle.synthesize(c).values))
+            assert gap <= 1e-14 * np.sum(np.abs(c)) * np.max(np.abs(oracle.h))
         assert np.max(np.abs(frame.gram.matrix - oracle.gram.matrix)) <= 1e-15
         assert frame.gram.asymmetry == 0.0
     else:
@@ -196,12 +203,13 @@ def test_fourier_frame_gram_matches_feature_gram_of_the_oracle(indices, n):
 def test_fourier_sections_match_a_long_double_reference():
     """Rows read from the table of roots of unity against exp(i j x) in long
     double; np.exp(1j*j*x) in double misses it by about 5e-14 here. The
-    frame, the family's basis functions and the feature map read the same
-    table."""
+    family's basis functions and the feature map read the same table; the
+    frame synthesizes each unit coefficient vector by one inverse FFT."""
     grid = cli._fourier_grid(4097)
     indices = list(range(-128, 129))
+    frame = fourier_frame(indices, grid)
     sources = {
-        "frame": fourier_frame(indices, grid).h[:, :, 0],
+        "frame": np.stack([frame.synthesize(e).values[:, 0] for e in np.eye(len(indices))]),
         "basis_function": np.stack([FourierCoefficientFamily().basis_function(j, grid).values[:, 0] for j in indices]),
         "fourier_feature_map": fourier_feature_map(grid).evaluate(indices, np.ones(1))[:, :, 0],
     }
@@ -836,8 +844,8 @@ def test_linalg_error_exits_numerical(signal_file, tmp_path, capsys, monkeypatch
 
     monkeypatch.setattr(np.linalg, "svd", failing_svd)
     code = main([
-        "reconstruct", "--space", "fourier", "--signal", str(signal_file),
-        "--m", "4", "--grid-n", "129", "--out", str(tmp_path / "x"),
+        "reconstruct", "--space", "pw", "--signal", str(signal_file),
+        "--m", "4", "--w-n", "257", "--points-per-unit", "8", "--out", str(tmp_path / "x"),
     ])
     assert code == 3
     err = json.loads(capsys.readouterr().err)

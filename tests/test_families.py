@@ -19,6 +19,7 @@ from opkern.families import (
     family_from_descriptor,
     fourier_indices,
     fourier_rows,
+    fourier_synthesis,
     interpolate_values,
 )
 from quadrature_oracle import quadrature_transform
@@ -238,6 +239,8 @@ def test_fourier_indices_that_are_not_integers_are_refused(bad):
         fam.basis_function(bad, g)
     with pytest.raises(ValidationError):
         fourier_rows([bad], g)
+    with pytest.raises(ValidationError):
+        fourier_synthesis([bad], [1.0], g)
 
 
 def test_fourier_indices_keep_integral_values_of_any_type():
@@ -266,6 +269,25 @@ def test_fourier_rows_refuse_a_grid_other_than_0_to_2pi(a, b):
         FourierCoefficientFamily().basis_function(0, g)
     with pytest.raises(DomainError):
         fourier_rows([0, 1], g)
+    with pytest.raises(DomainError):
+        fourier_synthesis([0, 1], [1.0, 1.0], g)
+
+
+def test_fourier_synthesis_sums_by_residue_and_repeats_the_first_point():
+    """On two points every index is one residue class, so the synthesis is
+    the coefficient sum at both ends; an index beyond int64 is reduced
+    mod n - 1 like any other, and a coefficient count that does not match
+    the indices is refused."""
+    two = Grid(0.0, TWO_PI, 2)
+    got = fourier_synthesis([5, -3, 10**400], [1.0, 2j, -0.5], two)
+    assert np.allclose(got, (0.5 + 2j) / math.sqrt(TWO_PI), rtol=0.0, atol=1e-16)
+    g = Grid(0.0, TWO_PI, 257)
+    c = np.array([0.3 - 1j, 2.0, 1j])
+    big = fourier_synthesis([10**400, -(2**70), 7], c, g)
+    assert np.array_equal(big, fourier_synthesis([10**400 % 256, -(2**70) % 256, 7], c, g))
+    assert big[-1] == big[0]
+    with pytest.raises(ShapeMismatchError):
+        fourier_synthesis([0, 1], [1.0], g)
 
 
 def test_average_functional_mass_check_resolves_the_centre():

@@ -24,6 +24,7 @@ from opkern.kernels import (
     feature_gram,
     finite_dim_kernel,
     fourier_feature_map,
+    fourier_frame,
     fourier_point_feature_map,
     gram,
     integral_kernel_psd_test,
@@ -285,6 +286,16 @@ def test_gram_functional_vs_feature_routes_agree():
     a = gram(frame, FourierCoefficientFamily()).matrix
     b = frame.gram.matrix
     assert np.max(np.abs(a - b)) < 1e-8
+
+
+@pytest.mark.parametrize("indices,n", [(range(-3, 4), 257), ([0, 8, 16, 3, -2], 9)])
+def test_gram_of_the_stackless_fourier_frame_matches_its_closed_form(indices, n):
+    """``gram`` takes the Fourier frame's sections one at a time from
+    ``section``, as it takes the rows of a stack; the coefficients of each
+    are the closed-form Gram's row, aliasing included."""
+    frame = fourier_frame(indices, Grid(0.0, TWO_PI, n))
+    assert frame.h is None
+    assert np.max(np.abs(gram(frame, FourierCoefficientFamily()).matrix - frame.gram.matrix)) < 1e-13
 
 
 # ----------------------------------------------------------- finite_dim_kernel
