@@ -27,31 +27,16 @@ from .exceptions import ConditioningError, OpkernError, ValidationError
 from .families import AverageFunctional, SampleSet, family_from_descriptor
 from .frames import dual_frame, interior_relative_error, reconstruct
 from .kernels import GramMatrix, feature_gram, fourier_frame, psd_check
-from .learning import (
-    learning_problem,
-    perturb_samples,
-    regnet_solve,
-    sampling_operator,
-    stability_reports,
-)
+from .learning import learning_problem, perturb_samples, regnet_solve, sampling_operator, stability_reports
 from .paley_wiener import (
-    BandlimitedSignal,
-    build_vector_sampling_set,
-    fourier_series,
-    generalized_kadec_check,
-    kadec_bounds,
-    pw_average_sections,
-    pw_point_sections,
-    pw_window,
-    synthesize,
-    vector_features,
-    w_grid_default,
+    BandlimitedSignal, build_vector_sampling_set, fourier_series, generalized_kadec_check, kadec_bounds,
+    pw_average_sections, pw_feature_gram, pw_point_sections, synthesize, vector_features, w_grid_default,
 )
 
 FMT = "%.15g"
 
-#: most entries a section stack (sections x points of the larger grid) or its
-#: Gram (sections x sections) may hold
+#: most entries a stack of sections or features (count x points of the larger
+#: grid) or its Gram (count x count) may hold
 MAX_STACK_ENTRIES = 2**25
 
 
@@ -117,21 +102,20 @@ def _load_signal(path: str) -> BandlimitedSignal:
 
 
 def _window_grid(args) -> Grid:
-    """Evaluation window [-T, T]: T defaults to the index half-width plus a
-    truncation pad of 16, overridable through --window, which is refused
-    unless it spans at least one grid step."""
-    if args.window is not None:
-        t_half = float(args.window)
-        steps = int(round(t_half * args.points_per_unit))
-        if steps < 1:
-            raise ValidationError(f"--window {t_half} spans no grid step at {args.points_per_unit} points per unit")
-        return Grid(-t_half, t_half, 2 * steps + 1)
-    return pw_window(args.m, points_per_unit=args.points_per_unit)
+    """Evaluation window [-T, T]: T is --window if it is given, else the
+    index half-width --m plus a truncation pad of 16; a --window that spans
+    no grid step is refused."""
+    window = getattr(args, "window", None)
+    t_half = args.m + 16 if window is None else window
+    steps = round(t_half * args.points_per_unit)
+    if steps < 1:
+        raise ValidationError(f"--window {window} spans no grid step at {args.points_per_unit} points per unit")
+    return Grid(-float(t_half), float(t_half), 2 * steps + 1)
 
 
 def _check_stack(count: int, *grid_sizes: int) -> None:
-    """Refuse a section stack, or its Gram, too large to hold, before
-    building any of it."""
+    """Refuse a stack of sections or features, or its Gram, too large to
+    hold, before building any of it."""
     if count * max(count, *grid_sizes) > MAX_STACK_ENTRIES:
         raise ValidationError(
             f"{count} sections of {max(grid_sizes)} points, or their Gram, exceed {MAX_STACK_ENTRIES} entries"
@@ -171,8 +155,17 @@ def _frame_of(family, indices, args):
     return pw_average_sections(indices, family.delta, grid, family.profile, w_grid_default(args.w_n)), synthesize
 
 
-def _sections_for_family(args):
-    return _frame_of(_family(args.family, args), _parse_indices(args.indices, "--indices"), args)[0]
+def _gram_of(args) -> GramMatrix:
+    """The Gram of --family at --indices from the features alone: the Fourier
+    frame's closed form, else the feature stack on the --w-n grid. No section
+    or window is formed; the stack size is checked first."""
+    family = _family(args.family, args)
+    indices = _parse_indices(args.indices, "--indices")
+    if family.kind == "fourier":
+        return _frame_of(family, indices, args)[0].gram
+    _check_stack(len(indices), args.w_n)
+    params = (family.delta, family.profile) if family.kind == "average" else ()
+    return pw_feature_gram(indices, w_grid_default(args.w_n), *params)
 
 
 # ---------------------------------------------------------------------------
@@ -180,12 +173,11 @@ def _sections_for_family(args):
 # ---------------------------------------------------------------------------
 
 def _cmd_gram(args, prefix: Path) -> None:
-    frame = _sections_for_family(args)
-    _write_gram_csv(prefix.with_suffix(".csv"), frame.gram)
+    _write_gram_csv(prefix.with_suffix(".csv"), _gram_of(args))
 
 
 def _cmd_psd(args, prefix: Path) -> None:
-    g = _sections_for_family(args).gram
+    g = _gram_of(args)
     report = psd_check(g)
     _write_json(
         prefix.with_suffix(".json"),
@@ -230,8 +222,7 @@ def _cmd_reconstruct(args, prefix: Path) -> None:
 
 def _cmd_avg_sample(args, prefix: Path) -> None:
     signal = _load_signal(args.signal)
-    window_grid = _window_grid(args)
-    f_grid = synthesize(signal, window_grid)
+    f_grid = synthesize(signal, _window_grid(args))
     family = _family("average", args)
     xs = [float(v) for v in _parse_indices(args.x, "--x")]
     samples = sampling_operator(family, xs, f_grid)
@@ -340,12 +331,10 @@ def _cmd_stability(args, prefix: Path) -> None:
             "seed": args.seed,
         },
     )
+    # the report above made the output directory
     lines = ["size,truncated_ratio,damped_ratio"]
-    for size in sizes:
-        lines.append(f"{size},{FMT % trunc.per_size[size]},{FMT % sweep.per_size[size]}")
-    csv_path = prefix.with_suffix(".csv")
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    csv_path.write_text("\n".join(lines) + "\n")
+    lines += [f"{size},{FMT % trunc.per_size[size]},{FMT % sweep.per_size[size]}" for size in sizes]
+    prefix.with_suffix(".csv").write_text("\n".join(lines) + "\n")
 
 
 def _cmd_vector_sampling(args, prefix: Path) -> None:
@@ -416,9 +405,8 @@ _SHARED_FLAGS = {
     "grid-n": dict(type=_at_least(2), default=513),
     "w-n": dict(type=_at_least(2), default=2049),
     "points-per-unit": dict(type=_at_least(1), default=32),
-    "window": dict(type=finite, default=None, help="evaluation half-width T (default: m + 16)"),
+    "window": dict(type=finite, default=None, help="evaluation half-width T (default: m + 16, or 32 without --m)"),
 }
-_WINDOW = ("m", "points-per-unit", "window")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -430,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("gram", _cmd_gram, "assemble a kernel Gram matrix"),
         ("psd", _cmd_psd, "positivity report for a kernel Gram"),
     ):
-        p = _subcommand(sub, name, func, help_text, "delta", "profile", *_WINDOW, "grid-n", "w-n")
+        p = _subcommand(sub, name, func, help_text, "delta", "profile", "grid-n", "w-n")
         p.add_argument("--family", default="fourier", choices=["fourier", "average", "point"])
         p.add_argument("--indices", default="-2..2")
 
@@ -439,23 +427,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _subcommand(
         sub, "reconstruct", _cmd_reconstruct, "reconstruct a signal from functional samples",
-        "delta", "profile", *_WINDOW, "grid-n", "w-n",
+        "delta", "profile", "m", "points-per-unit", "window", "grid-n", "w-n",
     )
     p.add_argument("--space", default="pw", choices=["pw", "fourier"])
     p.add_argument("--signal", required=True, help="signal JSON path")
     p.add_argument("--rel-cutoff", dest="rel_cutoff", type=finite, default=1e-10)
 
     p = _subcommand(
-        sub, "avg-sample", _cmd_avg_sample, "apply average functionals to a signal", "delta", "profile", *_WINDOW
+        sub, "avg-sample", _cmd_avg_sample, "apply average functionals to a signal",
+        "delta", "profile", "points-per-unit", "window",
     )
     p.add_argument("--signal", required=True)
     p.add_argument("--x", required=True, help="centers, e.g. '-4..4' or '0.5,1.5'")
+    p.set_defaults(window=32.0)
 
     # the problem file names the family, and with it delta and profile
     p = _subcommand(
-        sub, "regnet", _cmd_regnet, "regularized learning from functional samples", *_WINDOW, "grid-n", "w-n"
+        sub, "regnet", _cmd_regnet, "regularized learning from functional samples",
+        "points-per-unit", "window", "grid-n", "w-n",
     )
     p.add_argument("--problem", required=True, help="problem JSON path")
+    p.set_defaults(window=32.0)
 
     p = _subcommand(sub, "si-diagnose", _cmd_si_diagnose, "shift-space generator diagnostics", "delta")
     p.add_argument("--generator", default="hat", choices=["box", "hat", "cubic"])
@@ -467,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _subcommand(
         sub, "stability", _cmd_stability, "stability sweep of reconstruction operators",
-        "seed", "delta", "profile", *_WINDOW, "w-n",
+        "seed", "delta", "profile", "m", "points-per-unit", "w-n",
     )
     p.add_argument("--sizes", default="4,8,16")
     p.add_argument("--trials", type=int, default=200)

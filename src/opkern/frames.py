@@ -39,7 +39,6 @@ class DualFrame:
 
     coeffs: np.ndarray = field(repr=False)
     source: TruncatedFrame
-    rel_cutoff: float
 
     def __len__(self) -> int:
         return len(self.source)
@@ -49,7 +48,7 @@ def dual_frame(frame: TruncatedFrame, rel_cutoff: float = 1e-10) -> DualFrame:
     g = frame.gram.matrix
     if not np.any(g):
         raise DegenerateFrameError("the section Gram is exactly zero", min_eig=0.0, max_eig=0.0)
-    return DualFrame(coeffs=frame.gram_pinv(rel_cutoff), source=frame, rel_cutoff=rel_cutoff)
+    return DualFrame(coeffs=frame.gram_pinv(rel_cutoff), source=frame)
 
 
 def _alphas_match(a, b) -> bool:

@@ -103,10 +103,6 @@ class GramMatrix:
     indices: tuple
     asymmetry: float = 0.0
 
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
-
 
 @dataclass(frozen=True)
 class PsdReport:
@@ -420,8 +416,6 @@ def fourier_frame(indices, grid: Grid) -> FourierFrame:
 class IntegralPsdReport:
     passed: bool
     worst_real: float
-    worst_imag: float
-    trials: int
 
 
 def integral_kernel_psd_test(
@@ -451,7 +445,6 @@ def integral_kernel_psd_test(
     gen = rng(seed)
     stack = np.stack([u.values[:, 0] for u in u_family])
     worst_real = math.inf
-    worst_imag = 0.0
     passed = True
     for _ in range(int(trials)):
         c = complex_unit_disc(gen, len(u_family))
@@ -460,9 +453,6 @@ def integral_kernel_psd_test(
         q = complex((w * u) @ kmat @ (w * np.conj(u)))
         bound = 1e-8 * max(l1 * l1, 1e-30)
         worst_real = min(worst_real, q.real)
-        worst_imag = max(worst_imag, abs(q.imag))
         if q.real < -bound or abs(q.imag) > bound:
             passed = False
-    return IntegralPsdReport(
-        passed=passed, worst_real=float(worst_real), worst_imag=float(worst_imag), trials=int(trials)
-    )
+    return IntegralPsdReport(passed=passed, worst_real=float(worst_real))

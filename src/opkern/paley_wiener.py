@@ -19,7 +19,7 @@ from .core import Grid, GridFunction, uniform_fourier_sum
 from .core import complex_pairs, complex_values, integral, json_number, json_numbers, json_object
 from .exceptions import AdmissibilityError, DomainError, ShapeMismatchError, ValidationError
 from .families import AverageFunctional
-from .kernels import FeatureMap, TruncatedFrame, stacked_frame, xi_rows
+from .kernels import FeatureMap, GramMatrix, TruncatedFrame, _hermitian_gram, stacked_frame, xi_rows
 
 __all__ = [
     "sinc_kernel",
@@ -30,6 +30,7 @@ __all__ = [
     "psi_feature",
     "pw_average_sections",
     "pw_point_sections",
+    "pw_feature_gram",
     "point_feature_map",
     "fourier_series",
     "signal_w_repr",
@@ -158,6 +159,16 @@ def psi_feature(u: AverageFunctional, w_grid: Grid) -> GridFunction:
     return GridFunction(w_grid, vals)
 
 
+def _average_duals(centers: list, delta: float, profile: str, w_grid: Grid) -> np.ndarray:
+    """u_x^v = exp(i x t) u_0^v on ``w_grid``, one row per centre: shifting
+    the profile modulates its frequency side, and u_0^v = m(t)/2pi is the
+    closed form of the centred profile."""
+    _require_band_grid(w_grid)
+    t = w_grid.points()
+    base = AverageFunctional(0.0, delta, profile).centered_transform(t) / TWO_PI
+    return np.exp(1j * np.outer(centers, t)) * base
+
+
 def pw_average_sections(
     centers,
     delta: float,
@@ -167,19 +178,13 @@ def pw_average_sections(
 ) -> TruncatedFrame:
     """The frame of the average functionals centred at ``centers``: section
     K(x)(y) = \\int_{-pi}^{pi} exp(-i y t) u_x^v(t) dt on ``out_grid``, with
-    Psi(x) = sqrt(2pi) u_x^v on ``w_grid`` as its feature vector.
-
-    Shifting the profile modulates its frequency side, u_x^v = exp(i x t)
-    u_0^v, with u_0^v = m(t)/2pi the closed form of the centred profile, so
-    one base transform and one synthesis product cover the whole family.
-    Both grids are uniform, so the synthesis is a chirp-z sum.
+    Psi(x) = sqrt(2pi) u_x^v on ``w_grid`` as its feature vector. The
+    u_x^v come from one ``_average_duals`` product; both grids are uniform,
+    so the synthesis is a chirp-z sum.
     """
     w_grid = w_grid or w_grid_default()
-    _require_band_grid(w_grid)
     centers = [float(c) for c in centers]
-    t = w_grid.points()
-    base = AverageFunctional(0.0, delta, profile).centered_transform(t) / TWO_PI
-    udual = np.exp(1j * np.outer(centers, t)) * base
+    udual = _average_duals(centers, delta, profile, w_grid)
     weighted = (udual * w_grid.weights()).T
     h = uniform_fourier_sum(out_grid.a, out_grid.h, out_grid.n, w_grid.a, w_grid.h, weighted).T
     udual *= SQRT_TWO_PI
@@ -207,6 +212,18 @@ def pw_point_sections(points, out_grid: Grid, w_grid: Grid) -> TruncatedFrame:
     h = sinc_kernel(out_grid.points(), np.array(points)[:, None]).astype(complex)
     w = point_feature_map(w_grid).evaluate(points, np.ones(1))
     return stacked_frame(points, h, out_grid, w, w_grid)
+
+
+def pw_feature_gram(points, w_grid: Grid, delta: float | None = None, profile: str = "box") -> GramMatrix:
+    """The Gram of ``pw_average_sections`` (``delta`` given) or
+    ``pw_point_sections`` (no ``delta``) at ``points`` on any window: that of
+    the features Psi(x) alone, as K(x) = Phi(.)* Psi(x); no section is formed."""
+    points = [float(x) for x in points]
+    if delta is None:
+        w = point_feature_map(w_grid).evaluate(points, np.ones(1))
+    else:
+        w = _average_duals(points, delta, profile, w_grid) * SQRT_TWO_PI
+    return _hermitian_gram(w, w_grid, tuple(points))
 
 
 def fourier_series(signal: BandlimitedSignal, grid: Grid) -> GridFunction:
@@ -245,7 +262,6 @@ class KadecCheck:
     passed: bool
     margin: float
     lhs: float
-    ratio: float
 
 
 def generalized_kadec_check(a: float, b: float, delta: float) -> KadecCheck:
@@ -257,7 +273,7 @@ def generalized_kadec_check(a: float, b: float, delta: float) -> KadecCheck:
         raise DomainError(f"delta must lie in [0, 1/4], got {delta}")
     lhs = 1.0 - math.cos(delta * math.pi) + math.sin(delta * math.pi)
     ratio = math.sqrt(a / b)
-    return KadecCheck(passed=lhs < ratio, margin=ratio - lhs, lhs=lhs, ratio=ratio)
+    return KadecCheck(passed=lhs < ratio, margin=ratio - lhs, lhs=lhs)
 
 
 # ---------------------------------------------------------------------------

@@ -323,7 +323,6 @@ def si_gram(
 class DensityReport:
     rank: int
     smallest_singular: float
-    singular_values: np.ndarray
     family_size: int
 
     @property
@@ -369,12 +368,7 @@ def density_diagnostic(
     s = np.linalg.svd(a, compute_uv=False)
     smax = s[0] if s.size else 0.0
     rank = int(np.sum(s > 1e-10 * max(smax, 1e-300)))
-    return DensityReport(
-        rank=rank,
-        smallest_singular=float(s[-1]) if s.size else 0.0,
-        singular_values=s,
-        family_size=len(u_family),
-    )
+    return DensityReport(rank=rank, smallest_singular=float(s[-1]) if s.size else 0.0, family_size=len(u_family))
 
 
 def fourier_coefficient_identity_check(

@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 from opkern import cli
 from opkern.cli import main
 from opkern.core import Grid, GridFunction
-from opkern.kernels import GramMatrix, feature_gram, fourier_feature_map, fourier_frame
+from opkern.kernels import GramMatrix, feature_gram, fourier_feature_map, fourier_frame, psd_check
 from opkern.families import FourierCoefficientFamily, SampleSet
-from opkern.paley_wiener import BandlimitedSignal, pw_window
+from opkern.paley_wiener import (
+    BandlimitedSignal, pw_average_sections, pw_point_sections, pw_window, w_grid_default,
+)
 
 
 @pytest.fixture()
@@ -135,24 +137,24 @@ def test_reconstruct_fourier_holds_no_stack(tmp_path):
     [("fourier", "box"), ("average", "box"), ("average", "triangle"), ("average", "cosine"), ("point", "box")],
 )
 def test_stacked_frames_match_section_oracle(family, profile):
-    """The CLI's frames against truncated_frame of the per-section oracle
-    lists. The sinc points are the same arithmetic row by row, so they agree
-    bit for bit. The average oracle takes each centre's own transform and a
-    dense synthesis sum, so it agrees at round-off. The Fourier frame holds
-    no stack: its synthesis of each unit vector, and of one random
-    combination, by one inverse FFT meets the oracle's np.exp rows at
-    round-off, and its closed-form Gram the oracle's quadrature Gram."""
-    from opkern import cli
+    """The frames of reconstruct and regnet against truncated_frame of the
+    per-section oracle lists. The sinc points are the same arithmetic row by
+    row, so they agree bit for bit. The average oracle takes each centre's
+    own transform and a dense synthesis sum, so it agrees at round-off. The
+    Fourier frame holds no stack: its synthesis of each unit vector, and of
+    one random combination, by one inverse FFT meets the oracle's np.exp
+    rows at round-off, and its closed-form Gram the oracle's quadrature
+    Gram."""
     from opkern.paley_wiener import w_grid_default
     from section_oracle import average_sections, fourier_sections, sinc_sections, truncated_frame
 
     args = cli.build_parser().parse_args([
-        "gram", "--family", family, "--indices=-6..6", "--profile", profile, "--delta", "0.2",
+        "reconstruct", "--signal", "sig.json", "--profile", profile, "--delta", "0.2",
         "--m", "6", "--grid-n", "257", "--w-n", "513", "--points-per-unit", "16",
     ])
     window = cli._window_grid(args)
-    frame = cli._sections_for_family(args)
     indices = list(range(-6, 7))
+    frame = cli._frame_of(cli._family(family, args), indices, args)[0]
     if family == "fourier":
         oracle = truncated_frame(fourier_sections(indices, cli._fourier_grid(257)))
     elif family == "average":
@@ -319,11 +321,71 @@ def test_gram_csv_keeps_the_old_bytes(tmp_path, m, specials, seed):
     [("fourier", "-6..6"), ("fourier", "0,8,16,3"), ("average", "-3..3"), ("point", "-3..3")],
 )
 def test_gram_csv_of_each_family_keeps_the_old_bytes(tmp_path, family, indices):
-    argv = ["gram", "--family", family, f"--indices={indices}", "--grid-n", "9", "--m", "3", "--w-n", "257"]
-    assert main([*argv, "--points-per-unit", "8", "--out", str(tmp_path / "g")]) == 0
-    args = cli.build_parser().parse_args([*argv, "--points-per-unit", "8"])
-    frame = cli._sections_for_family(args)
+    argv = ["gram", "--family", family, f"--indices={indices}", "--grid-n", "9", "--w-n", "257"]
+    assert main([*argv, "--out", str(tmp_path / "g")]) == 0
+    g = cli._gram_of(cli.build_parser().parse_args(argv))
+    assert (tmp_path / "g.csv").read_text() == _old_gram_csv(g)
+
+
+_CENTRE = st.one_of(
+    st.integers(min_value=-40, max_value=40).map(str),
+    st.integers(min_value=-4000, max_value=4000).map(lambda k: f"{k / 100:.2f}"),
+)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.sampled_from([("average", "box"), ("average", "triangle"), ("average", "cosine"), ("point", "box")]),
+    st.lists(_CENTRE, min_size=1, max_size=10),
+    st.sampled_from(["0.05", "0.2", "0.45"]),
+    st.integers(min_value=2, max_value=700),
+    st.integers(min_value=0, max_value=8),
+    st.integers(min_value=1, max_value=12),
+)
+@example(("average", "box"), ["-3", "0", "2"], "0.2", 2049, 16, 32)
+@example(("point", "box"), ["0.50", "-3.70", "12"], "0.2", 2, 0, 1)
+def test_gram_and_psd_write_the_gram_of_the_frame_route(tmp_path, kind, centres, delta, w_n, m, ppu):
+    """gram and psd take the Gram from the features on the --w-n grid alone.
+    It is the Gram of the frame that pw_average_sections or pw_point_sections
+    build on any window, bit for bit, for integer and non-integer centres."""
+    family, profile = kind
+    argv = ["--family", family, f"--indices={','.join(centres)}", "--profile", profile, "--delta", delta]
+    argv += ["--w-n", str(w_n)]
+    assert main(["gram", *argv, "--out", str(tmp_path / "g")]) == 0
+    assert main(["psd", *argv, "--out", str(tmp_path / "p")]) == 0
+    indices = cli._parse_indices(",".join(centres), "--indices")
+    window, w_grid = pw_window(m, points_per_unit=ppu), w_grid_default(w_n)
+    if family == "average":
+        frame = pw_average_sections(indices, float(delta), window, profile, w_grid)
+    else:
+        frame = pw_point_sections(indices, window, w_grid)
+    g = cli._gram_of(cli.build_parser().parse_args(["gram", *argv]))
+    assert g.indices == frame.alphas
+    assert np.array_equal(g.matrix, frame.gram.matrix)
+    assert g.asymmetry == frame.gram.asymmetry
     assert (tmp_path / "g.csv").read_text() == _old_gram_csv(frame.gram)
+    report = psd_check(frame.gram)
+    assert json.loads((tmp_path / "p.json").read_text()) == {
+        "min_eig": report.min_eig, "max_eig": report.max_eig, "pass": report.passed, "asymmetry": frame.gram.asymmetry,
+    }
+
+
+@pytest.mark.parametrize("family", ["average", "point"])
+def test_psd_forms_no_section_stack(tmp_path, family):
+    """psd --indices=-64..64 holds the 129 features on the 2049-point
+    frequency grid (4 MiB) and their product, and no section: the frame
+    route, which also synthesized 129 sections on the default 2049-point
+    window, peaked at 15.7-15.9 MiB (average) and 12.2-12.4 MiB (point);
+    the feature route peaks at 8.3-8.5 MiB."""
+    tracemalloc.start()
+    try:
+        code = main(["psd", "--family", family, "--indices=-64..64", "--out", str(tmp_path / "p")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert json.loads((tmp_path / "p.json").read_text())["pass"]
+    assert peak < 10 * 2**20
 
 
 def test_fourier_indices_beyond_the_span_cap_are_refused(signal_file, tmp_path, capsys):
@@ -419,7 +481,7 @@ def test_avg_sample_roundtrip(signal_file, tmp_path):
     out = tmp_path / "samples"
     assert main([
         "avg-sample", "--signal", str(signal_file), "--x=-4..4",
-        "--delta", "0.2", "--m", "8", "--out", str(out),
+        "--delta", "0.2", "--window", "24", "--out", str(out),
     ]) == 0
     ss = SampleSet.from_json(json.loads((tmp_path / "samples.json").read_text()))
     assert len(ss) == 9
@@ -436,7 +498,7 @@ def test_regnet_from_problem_file(signal_file, tmp_path):
     ppath = tmp_path / "prob.json"
     ppath.write_text(json.dumps(problem))
     out = tmp_path / "regnet"
-    assert main(["regnet", "--problem", str(ppath), "--m", "8", "--out", str(out)]) == 0
+    assert main(["regnet", "--problem", str(ppath), "--window", "24", "--out", str(out)]) == 0
     rep = json.loads((tmp_path / "regnet.json").read_text())
     assert len(rep["eta"]) == 5
     assert rep["residual"] < 1e-8
@@ -490,6 +552,24 @@ def test_window_flag_controls_evaluation_width(signal_file, tmp_path):
     ]) == 0
     fn = json.loads((tmp_path / "recw.function.json").read_text())
     assert fn["a"] == -20.0 and fn["b"] == 20.0
+
+
+@pytest.mark.parametrize(
+    "argv,want",
+    [
+        (["reconstruct", "--signal=s.json", "--m=8"], pw_window(8, points_per_unit=32)),
+        (["stability", "--m=3", "--points-per-unit=4"], pw_window(3, points_per_unit=4)),
+        (["reconstruct", "--signal=s.json", "--m=8", "--window=20", "--points-per-unit=4"], Grid(-20.0, 20.0, 161)),
+        (["avg-sample", "--signal=s.json", "--x=0"], pw_window(16, points_per_unit=32)),
+        (["regnet", "--problem=p.json", "--points-per-unit=7"], pw_window(16, points_per_unit=7)),
+    ],
+    ids=["reconstruct-m", "stability-m", "reconstruct-window", "avg-sample-default", "regnet-default"],
+)
+def test_the_window_is_the_given_half_width_else_m_plus_16(argv, want):
+    """T is --window when it is given, else --m + 16. avg-sample and regnet
+    take no --m; their --window defaults to 32, the window of the old
+    default --m 16."""
+    assert cli._window_grid(cli.build_parser().parse_args(argv)) == want
 
 
 @pytest.mark.parametrize("window", ["0", "0.01"], ids=["zero", "below-one-step"])
@@ -630,7 +710,7 @@ def test_conditioning_error_exit_code(signal_file, tmp_path, capsys):
     }
     ppath = tmp_path / "prob.json"
     ppath.write_text(json.dumps(problem))
-    code = main(["regnet", "--problem", str(ppath), "--m", "8", "--out", str(tmp_path / "x")])
+    code = main(["regnet", "--problem", str(ppath), "--window", "24", "--out", str(tmp_path / "x")])
     assert code == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConditioningError"

@@ -1,21 +1,21 @@
 """Every flag the CLI declares is one its subcommand reads, the benchmark's
-workloads parse, and the README's flag table is the parser's.
+workloads and the README's examples parse, and the README's flag table is
+the parser's.
 
 A flag is read when changing its value changes the run's outcome: its exit
 code, its stderr or the bytes of an artifact other than the manifest, which
 echoes every flag. Some flags are read under one family only (``--grid-n``
 under ``--family fourier``), so each subcommand runs from one or more small
-base configurations. Some change only what the handler refuses. ``gram``,
-``psd`` and ``stability`` report on the Gram, which the evaluation window does
-not enter, so their ``--points-per-unit`` and ``--window`` (and ``--m`` of
-``gram`` and ``psd``) show only in the grid-cap and window refusals; so does
-``avg-sample --m``, whose samples at 1 and 2 agree bit for bit.
+base configurations. One changes only what the handler refuses:
+``stability`` reports on the Gram, which the evaluation window does not
+enter, so its ``--points-per-unit`` shows only in the grid-cap refusal.
 """
 
 import importlib.util
 import json
 import math
 import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -71,7 +71,8 @@ def runs(tmp_path_factory):
     fourier_problem = _problem(root / "fourier.json", {"family": "fourier", "params": {}}, 0.1, sig)
     average_problem = _problem(root / "average.json", average, 0.1, sig)
     small = ["--m=1", "--w-n=65", "--points-per-unit=4"]
-    families = [["--family=fourier", "--indices=-1..1", "--grid-n=33"], ["--family=average", "--indices=-1..1", *small]]
+    window = ["--window=17", "--w-n=65", "--points-per-unit=4"]
+    families = [["--family=fourier", "--indices=-1..1", "--grid-n=33"], ["--family=average", "--indices=-1..1", "--w-n=65"]]
     bases = {
         "gram": families,
         "psd": families,
@@ -80,8 +81,8 @@ def runs(tmp_path_factory):
             ["--space=pw", f"--signal={sig}", *small],
             ["--space=fourier", f"--signal={sig}", "--m=1", "--grid-n=33"],
         ],
-        "avg-sample": [[f"--signal={sig}", "--x=-1..1", "--m=1", "--points-per-unit=4"]],
-        "regnet": [[f"--problem={fourier_problem}", "--grid-n=33"], [f"--problem={average_problem}", *small]],
+        "avg-sample": [[f"--signal={sig}", "--x=-1..1", "--window=17", "--points-per-unit=4"]],
+        "regnet": [[f"--problem={fourier_problem}", "--grid-n=33"], [f"--problem={average_problem}", *window]],
         # the functional centred at 2.25 meets the hat's shifts 2 and 3 only
         "si-diagnose": [["--k-max=4", "--k-range=2", "--center=2.25"]],
         "stability": [["--sizes=1,2", "--trials=4", *small]],
@@ -147,6 +148,8 @@ def test_every_declared_flag_changes_the_outcome(runs, capsys, name, flag):
     ), f"{name} {flag} changes no artifact, exit code or message"
 
 
+#: the window flags with a value each, which gram and psd do not take
+_WINDOW_FLAGS = [("--m", "8"), ("--points-per-unit", "16"), ("--window", "24")]
 _REMOVED = [
     *[(name, "--seed", "3") for name in ("gram", "psd", "kadec", "reconstruct", "avg-sample", "regnet", "si-diagnose")],
     ("avg-sample", "--grid-n", "17"),
@@ -154,6 +157,10 @@ _REMOVED = [
     ("stability", "--grid-n", "17"),
     ("regnet", "--delta", "0.5"),
     ("regnet", "--profile", "cosine"),
+    *[(name, flag, value) for name in ("gram", "psd") for flag, value in _WINDOW_FLAGS],
+    ("avg-sample", "--m", "8"),
+    ("regnet", "--m", "8"),
+    ("stability", "--window", "24"),
 ]
 _REQUIRED = {
     "kadec": ["--delta=0.1"],
@@ -168,7 +175,9 @@ _REQUIRED = {
 def test_a_flag_the_subcommand_does_not_take_is_refused(tmp_path, capsys, name, flag, value, via):
     """The flags no handler read exit 2, as a flag and as a --config key,
     with one JSON line on stderr and no report. regnet takes its family,
-    delta and profile included, from the problem file."""
+    delta and profile included, from the problem file; gram and psd form no
+    window, and the window of avg-sample and regnet is set by --window
+    alone."""
     if via == "flag":
         extra = [f"{flag}={value}"]
     else:
@@ -231,3 +240,29 @@ def test_readme_flag_table_matches_the_parser():
     for name, p in parsers.items():
         want = {flag: None if default is None else str(default) for flag, default in _declared(p).items()}
         assert table[name] == want, name
+
+
+def _readme_examples() -> list:
+    """The ``opkern ...`` command lines of the README's code blocks, each
+    split as a shell would, without the program name."""
+    examples, fenced = [], False
+    for line in (ROOT / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced and line.startswith("opkern "):
+            examples.append(shlex.split(line)[1:])
+    return examples
+
+
+_EXAMPLES = _readme_examples()
+
+
+@pytest.mark.parametrize("argv", _EXAMPLES, ids=[argv[0] for argv in _EXAMPLES])
+def test_readme_examples_parse(argv):
+    """Each README example passes the parser, as the benchmark workloads do,
+    so an example that names a removed flag fails here."""
+    assert cli.build_parser().parse_args(argv).command == argv[0]
+
+
+def test_readme_has_an_example_per_subcommand():
+    assert sorted({argv[0] for argv in _EXAMPLES}) == sorted(_subparsers(cli.build_parser()))
