@@ -35,8 +35,8 @@ from .paley_wiener import (
 
 FMT = "%.15g"
 
-#: most entries a stack of sections or features (count x points of the larger
-#: grid) or its Gram (count x count) may hold
+#: most entries a stack of features (count x feature points) or a Gram
+#: (count x count) may hold
 MAX_STACK_ENTRIES = 2**25
 
 
@@ -103,23 +103,25 @@ def _load_signal(path: str) -> BandlimitedSignal:
 
 def _window_grid(args) -> Grid:
     """Evaluation window [-T, T]: T is --window if it is given, else the
-    index half-width --m plus a truncation pad of 16; a --window that spans
-    no grid step is refused."""
+    index half-width --m plus a truncation pad of 16. A T that spans no grid
+    step, or a window above MAX_GRID_POINTS (--window 1e308, a 400-digit
+    --m), is refused by the flag that set it before the grid is formed."""
     window = getattr(args, "window", None)
-    t_half = args.m + 16 if window is None else window
-    steps = round(t_half * args.points_per_unit)
+    flag, value, t_half = ("--m", args.m, args.m + 16) if window is None else ("--window", window, window)
+    ppu = args.points_per_unit
+    steps = round(min(t_half * ppu, MAX_GRID_POINTS))
+    if 2 * steps + 1 > MAX_GRID_POINTS:
+        raise ValidationError(f"{flag} {value} at {ppu} points per unit needs a window above {MAX_GRID_POINTS} points")
     if steps < 1:
-        raise ValidationError(f"--window {window} spans no grid step at {args.points_per_unit} points per unit")
+        raise ValidationError(f"--window {window} spans no grid step at {ppu} points per unit")
     return Grid(-float(t_half), float(t_half), 2 * steps + 1)
 
 
-def _check_stack(count: int, *grid_sizes: int) -> None:
-    """Refuse a stack of sections or features, or its Gram, too large to
-    hold, before building any of it."""
-    if count * max(count, *grid_sizes) > MAX_STACK_ENTRIES:
-        raise ValidationError(
-            f"{count} sections of {max(grid_sizes)} points, or their Gram, exceed {MAX_STACK_ENTRIES} entries"
-        )
+def _check_stack(count: int, w_n: int = 0) -> None:
+    """Refuse count features of w_n points, or their count x count Gram, too
+    large to hold, before building any of it."""
+    if count * max(count, w_n) > MAX_STACK_ENTRIES:
+        raise ValidationError(f"{count} indices need {count * max(count, w_n)} feature or Gram entries, above {MAX_STACK_ENTRIES}")
 
 
 def _check_size(flag: str, value: int, size: int, cap: int, what: str) -> None:
@@ -141,15 +143,16 @@ def _family(kind: str, args):
 def _frame_of(family, indices, args):
     """The frame of the family at the indices and the map that puts a signal
     on the frame's grid: [0, 2pi] for Fourier coefficients, the evaluation
-    window otherwise. The stack size is checked before anything is built."""
+    window otherwise. What the frame holds is checked before anything is
+    built: the Fourier Gram, or the features on the --w-n grid and their
+    Gram."""
     if family.kind == "fourier":
-        grid = _fourier_grid(args.grid_n)
-        _check_stack(len(indices), grid.n)
-        return fourier_frame(indices, grid), fourier_series
+        _check_stack(len(indices))
+        return fourier_frame(indices, _fourier_grid(args.grid_n)), fourier_series
     if family.kind not in ("average", "point"):
         raise OpkernError(f"unsupported family {family.kind!r}")
     grid = _window_grid(args)
-    _check_stack(len(indices), grid.n, args.w_n)
+    _check_stack(len(indices), args.w_n)
     if family.kind == "point":
         return pw_point_sections(indices, grid, w_grid_default(args.w_n)), synthesize
     return pw_average_sections(indices, family.delta, grid, family.profile, w_grid_default(args.w_n)), synthesize
@@ -157,8 +160,8 @@ def _frame_of(family, indices, args):
 
 def _gram_of(args) -> GramMatrix:
     """The Gram of --family at --indices from the features alone: the Fourier
-    frame's closed form, else the feature stack on the --w-n grid. No section
-    or window is formed; the stack size is checked first."""
+    frame's closed form, else the features on the --w-n grid. No section or
+    window is formed; the sizes are checked first, as in ``_frame_of``."""
     family = _family(args.family, args)
     indices = _parse_indices(args.indices, "--indices")
     if family.kind == "fourier":
@@ -199,6 +202,7 @@ def _cmd_kadec(args, prefix: Path) -> None:
 def _cmd_reconstruct(args, prefix: Path) -> None:
     signal = _load_signal(args.signal)
     family = _family({"pw": "average", "fourier": "fourier"}[args.space], args)
+    _check_size("--m", args.m, 2 * args.m + 1, MAX_STACK_ENTRIES, "indices")
     frame, on_grid = _frame_of(family, range(-args.m, args.m + 1), args)
     grid = frame.h_grid
     f_grid = on_grid(signal, grid)

@@ -1,13 +1,13 @@
 """Dual kernel sections, reconstruction from functional values and
 frame-bound estimates for truncated kernel families, held as the
-``TruncatedFrame``s that the kernel constructions return: section stacks,
-or the stackless ``FourierFrame``.
+``TruncatedFrame``s that the kernel constructions return: no section stored.
 
 The dual of the infinite family is not computable at desk scale; this module
 computes the canonical dual of the truncated family through the Gram
 pseudoinverse that the frame supplies (one SVD, or the closed form of the
-Fourier frame) and reports truncation diagnostics. Reconstruction error is
-therefore measured on an interior window away from the truncation boundary.
+Fourier frame), held as coefficients that the frame synthesizes, and reports
+truncation diagnostics. Reconstruction error is therefore measured on an
+interior window away from the truncation boundary.
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ def _require_aligned(samples: SampleSet, frame: TruncatedFrame) -> None:
 
 
 def reconstruct(dual: DualFrame, samples: SampleSet) -> GridFunction:
-    """f_hat = sum_j L_{alpha_j}(f) K~_j = (values . pinv(G)) . H from a
-    sample set aligned with the dual's index order."""
+    """f_hat = sum_j L_{alpha_j}(f) K~_j, one synthesis of the coefficients
+    values . pinv(G), from a sample set aligned with the dual's index order."""
     _require_aligned(samples, dual.source)
     return dual.source.synthesize(samples.value_array() @ dual.coeffs)
 

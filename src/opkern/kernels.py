@@ -2,15 +2,16 @@
 
 A kernel section K(alpha)xi is the element of the sample space that
 reproduces the functional with index alpha against the output-space vector
-xi. A finite family of sections is held as one ``TruncatedFrame``: the
-sections stacked on one grid, with their Gram. The Fourier-coefficient
-frame is the exception: its sections, Gram and Gram pseudoinverse are known
-in closed form, so ``FourierFrame`` holds its indices and Gram alone and
-synthesizes by one inverse FFT. Frames are built either from
-a feature-map pair (phi for points, psi for the functional family) or from
-concrete constructions in the companion modules. Grams of sections are
-Hermitian positive semi-definite; this module assembles them, symmetrizes
-with a reported asymmetry, and checks positivity.
+xi. A perfect ORKHS is characterized by its features, K(alpha) =
+Phi(.)* Psi(alpha), so sum_j c_j K_j = Phi(.)* (sum_j c_j Psi_j): a finite
+family of sections is held as one ``TruncatedFrame``, its indices, the Gram
+of its features and one synthesis rule for sum_j c_j K_j, and no section is
+stored. Frames are built either from a feature-map pair (phi for points,
+psi for the functional family) or from concrete constructions in the
+companion modules; the Fourier-coefficient frame (``FourierFrame``) also
+has its Gram pseudoinverse in closed form. Grams of features are Hermitian
+positive semi-definite; this module assembles them, symmetrizes with a
+reported asymmetry, and checks positivity.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ __all__ = [
     "PsdReport",
     "TruncatedFrame",
     "FourierFrame",
-    "stacked_frame",
     "kernel_from_features",
     "gram",
     "feature_gram",
@@ -113,47 +113,37 @@ class PsdReport:
 
 @dataclass(frozen=True)
 class TruncatedFrame:
-    """A finite kernel family stacked once: h[j] holds the grid values of
-    section K_j on h_grid, gram the section Gram. A stack of shape (m, n)
-    is read as m scalar sections. A frame whose sections are known in
-    closed form (``FourierFrame``) holds no stack and overrides
-    ``section``, ``synthesize`` and ``gram_pinv``."""
+    """A finite kernel family held by its features: the indices, the Gram of
+    the features, and ``synthesis``, the rule that maps coefficients c of
+    shape (m,) to the values of sum_j c_j K_j on h_grid, shape (n,) or
+    (n, dim). No section is stored; ``section(j)`` is the synthesis of the
+    j-th unit vector."""
 
     alphas: tuple
-    h: np.ndarray = field(repr=False)
     h_grid: Grid
     gram: GramMatrix
+    synthesis: Callable = field(repr=False)
 
     def __post_init__(self):
-        h = self.h
-        if h.ndim not in (2, 3) or h.shape[1] != self.h_grid.n:
-            raise ShapeMismatchError(f"section stack of shape {h.shape} does not fit {self.h_grid.n} points")
-        m = h.shape[0]
-        if len(self.alphas) != m or self.gram.matrix.shape != (m, m):
-            raise ShapeMismatchError(
-                f"{m} sections with {len(self.alphas)} indices and a Gram of shape {self.gram.matrix.shape}"
-            )
-        if h.ndim == 2:
-            object.__setattr__(self, "h", h[:, :, None])
-        if not np.all(np.isfinite(self.h)):
-            raise ShapeMismatchError("kernel section contains non-finite values")
+        m = len(self.alphas)
+        if self.gram.matrix.shape != (m, m):
+            raise ShapeMismatchError(f"{m} indices with a Gram of shape {self.gram.matrix.shape}")
 
     def __len__(self) -> int:
         return len(self.alphas)
 
-    def _coefficients(self, c) -> np.ndarray:
+    def section(self, j: int) -> GridFunction:
+        """Section K_j on h_grid, the synthesis of the j-th unit vector."""
+        unit = np.zeros(len(self), dtype=complex)
+        unit[j] = 1.0
+        return self.synthesize(unit)
+
+    def synthesize(self, c) -> GridFunction:
+        """sum_j c_j K_j on h_grid, by the frame's synthesis rule."""
         c = np.asarray(c, dtype=complex)
         if c.shape != (len(self),):
             raise ShapeMismatchError(f"expected {len(self)} coefficients, got shape {c.shape}")
-        return c
-
-    def section(self, j: int) -> GridFunction:
-        """Section K_j on h_grid."""
-        return GridFunction(self.h_grid, self.h[j])
-
-    def synthesize(self, c) -> GridFunction:
-        """sum_j c_j K_j, one product over the stacked sections."""
-        return GridFunction(self.h_grid, np.tensordot(self._coefficients(c), self.h, axes=1))
+        return GridFunction(self.h_grid, self.synthesis(c))
 
     def gram_pinv(self, rel_cutoff: float) -> np.ndarray:
         """Pseudoinverse of the Gram, singular values at most rel_cutoff
@@ -164,26 +154,20 @@ class TruncatedFrame:
 @dataclass(frozen=True)
 class FourierFrame(TruncatedFrame):
     """The frame of the basis K(j) = exp(i j x)/sqrt(2pi) on [0, 2pi], each
-    section its own feature vector, held without a section stack (h is
-    None). With the residues r_j = j mod (n - 1) of ``fourier_residues``,
-    the trapezoid Gram is exactly 1 where r_j = r_k and 0 elsewhere (the
-    periodic trapezoid rule), written in closed form with asymmetry 0.0;
-    sum_j c_j K_j is one ``fourier_synthesis``."""
+    section its own feature vector. With the residues r_j = j mod (n - 1) of
+    ``fourier_residues``, the trapezoid Gram is exactly 1 where r_j = r_k
+    and 0 elsewhere (the periodic trapezoid rule), written in closed form
+    with asymmetry 0.0, and so is its pseudoinverse; sum_j c_j K_j is one
+    ``fourier_synthesis``."""
 
-    h: None = field(default=None, init=False, repr=False)
     gram: GramMatrix = field(init=False)
+    synthesis: Callable = field(init=False, repr=False)
 
     def __post_init__(self):
         r = fourier_residues(self.alphas, self.h_grid)
         g = GramMatrix(matrix=(r[:, None] == r[None, :]).astype(complex), indices=self.alphas, asymmetry=0.0)
         object.__setattr__(self, "gram", g)
-
-    def section(self, j: int) -> GridFunction:
-        return GridFunction(self.h_grid, fourier_rows([self.alphas[j]], self.h_grid)[0])
-
-    def synthesize(self, c) -> GridFunction:
-        """sum_j c_j K_j, one inverse FFT of the sums per residue class."""
-        return GridFunction(self.h_grid, fourier_synthesis(self.alphas, self._coefficients(c), self.h_grid))
+        object.__setattr__(self, "synthesis", lambda c: fourier_synthesis(self.alphas, c, self.h_grid))
 
     def gram_pinv(self, rel_cutoff: float) -> np.ndarray:
         """The Gram is one all-ones block per residue class, so its singular
@@ -208,10 +192,12 @@ def feature_gram(stack: np.ndarray, grid: Grid) -> np.ndarray:
     (m, n, dim). The Gram is A A^H with A the weight-scaled stack, summed
     over column blocks that are scaled as they go, so no scaled copy of the
     stack is held; the result is Hermitian positive semi-definite to machine
-    precision.
+    precision. A stack with a non-finite value is refused.
     """
     if stack.ndim not in (2, 3) or stack.shape[0] == 0 or stack.shape[1] != grid.n:
         raise ShapeMismatchError(f"feature stack of shape {stack.shape} does not fit {grid.n} grid points")
+    if not np.all(np.isfinite(stack)):
+        raise ShapeMismatchError("a feature holds non-finite values")
     a = stack.reshape(stack.shape[0], -1)
     sqw = np.repeat(np.sqrt(grid.weights()), a.shape[1] // grid.n)
     g = np.zeros((a.shape[0], a.shape[0]), dtype=complex)
@@ -222,23 +208,14 @@ def feature_gram(stack: np.ndarray, grid: Grid) -> np.ndarray:
     return g
 
 
-def _hermitian_gram(stack: np.ndarray, grid: Grid, indices: tuple) -> GramMatrix:
-    """feature_gram of the stack, Hermitian-symmetrized, with the removed
-    defect reported as the asymmetry."""
-    m = feature_gram(stack, grid)
+def _hermitian(m: np.ndarray, indices: tuple) -> GramMatrix:
+    """The Gram m, as from ``feature_gram``, Hermitian-symmetrized, with the
+    removed defect reported as the asymmetry."""
     asym = float(np.linalg.norm(m - m.conj().T))
     return GramMatrix(matrix=(m + m.conj().T) / 2.0, indices=indices, asymmetry=asym)
 
 
-def stacked_frame(alphas, h: np.ndarray, h_grid: Grid, w: np.ndarray, w_grid: Grid) -> TruncatedFrame:
-    """The frame of sections h[j] on h_grid with feature vectors w[j] on
-    w_grid; the Gram is the exact Gram of the features, hence positive
-    semi-definite."""
-    alphas = tuple(alphas)
-    return TruncatedFrame(alphas=alphas, h=h, h_grid=h_grid, gram=_hermitian_gram(w, w_grid, alphas))
-
-
-#: most entries of point features and partial sums kernel_from_features holds at once
+#: most entries of point features and partial sums a kernel_from_features synthesis holds at once
 _PHI_BLOCK = 2**18
 
 
@@ -264,11 +241,12 @@ def kernel_from_features(
     """The frame of sections K(alpha)xi of the kernel K(alpha) = Phi(.)* Psi(alpha),
     one per index, all against the same xi.
 
-    Componentwise, h[j](x)_l = <Psi(alpha_j)xi, Phi(x)e_l> in the feature
-    space: the weight-scaled stack of the Psi(alpha_j)xi, from one
-    evaluation of the index list, times the conjugated Phi(x)e_l, one
-    evaluation per block of h_grid points, each point repeated once per
-    unit vector e_l. The Gram is the exact Gram of the Psi stack.
+    The Psi(alpha_j)xi come from one evaluation of the index list, and the
+    Gram is their exact Gram. Componentwise, (sum_j c_j K_j)(x)_l =
+    <sum_j c_j Psi(alpha_j)xi, Phi(x)e_l> in the feature space: the
+    synthesis forms the one combined feature, weight-scales it, and pairs it
+    with the conjugated Phi(x)e_l, one evaluation per block of h_grid
+    points, each point repeated once per unit vector e_l.
     """
     if phi.w_grid != psi.w_grid or phi.dim_y != psi.dim_y:
         raise ShapeMismatchError("phi and psi must share feature grid and dim_y")
@@ -277,16 +255,20 @@ def kernel_from_features(
         raise ShapeMismatchError("empty index list")
     w_grid, dim = psi.w_grid, phi.dim_y
     w = _feature_stack(psi, alphas, xi)
-    scaled = np.conj(w * w_grid.weights()[:, None]).reshape(len(alphas), -1)
-    points = h_grid.points()
-    units = np.eye(dim, dtype=complex)
-    h = np.empty((len(alphas), h_grid.n * dim), dtype=complex)
-    step = max(1, _PHI_BLOCK // (dim * (scaled.shape[1] + math.isqrt(scaled.shape[1]) * len(alphas))))
-    for s in range(0, h_grid.n, step):
-        chunk = points[s : s + step]
-        block = _feature_stack(phi, np.repeat(chunk, dim), np.tile(units, (len(chunk), 1)), w.shape[2])
-        h[:, s * dim : (s + step) * dim] = np.conj(_chunked_products(scaled, block.reshape(len(block), -1)))
-    return stacked_frame(alphas, h.reshape(len(alphas), h_grid.n, dim), h_grid, w, w_grid)
+    weights, points, units = w_grid.weights()[:, None], h_grid.points(), np.eye(dim, dtype=complex)
+    size = w.shape[1] * w.shape[2]
+    step = max(1, _PHI_BLOCK // (dim * (size + math.isqrt(size))))
+
+    def synthesis(c):
+        scaled = np.conj(np.tensordot(c, w, axes=1) * weights).reshape(1, -1)
+        out = np.empty(h_grid.n * dim, dtype=complex)
+        for s in range(0, h_grid.n, step):
+            chunk = points[s : s + step]
+            block = _feature_stack(phi, np.repeat(chunk, dim), np.tile(units, (len(chunk), 1)), w.shape[2])
+            out[s * dim : (s + step) * dim] = np.conj(_chunked_products(scaled, block.reshape(len(block), -1))[0])
+        return out.reshape(h_grid.n, dim)
+
+    return TruncatedFrame(alphas, h_grid, _hermitian(feature_gram(w, w_grid), alphas), synthesis)
 
 
 def gram(frame: TruncatedFrame, functionals: FunctionalFamily) -> GramMatrix:
@@ -333,7 +315,8 @@ def finite_dim_kernel(
     With A[j,k] = <phi_k, phi_j> and R[k, alpha] = <xi, L_alpha(phi_k)>, the
     coefficients C = A^{-1} R of every index come from one eigendecomposition
     of A, and K(alpha)xi = sum_j C[j, alpha] phi_j reproduces every
-    functional of the family exactly on the span.
+    functional of the family exactly on the span. The synthesis of c is the
+    basis stack against C c, and the Gram is C^T conj(A) conj(C).
     """
     if not basis:
         raise ShapeMismatchError("empty basis")
@@ -355,8 +338,8 @@ def finite_dim_kernel(
         )
     r = np.conj(np.stack([functionals.apply_all(alphas, phi) @ np.conj(xi) for phi in basis]))
     c = v @ ((v.conj().T @ r) / w[:, None])
-    h = np.tensordot(c.T, stack, axes=1)
-    return stacked_frame(alphas, h, grid, h, grid)
+    g = _hermitian(c.T @ a.conj() @ c.conj(), alphas)
+    return TruncatedFrame(alphas, grid, g, lambda coeffs: np.tensordot(c @ coeffs, stack, axes=1))
 
 
 def translation_invariant_section(

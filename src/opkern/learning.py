@@ -45,8 +45,8 @@ def _check_damping(lam: float) -> None:
 
 @dataclass(frozen=True)
 class LearningProblem:
-    """The stacked frame, a sample set aligned with its indices, and the
-    damping weight."""
+    """The frame, held by its Gram and synthesis rule, a sample set aligned
+    with its indices, and the damping weight."""
 
     frame: TruncatedFrame
     samples: SampleSet

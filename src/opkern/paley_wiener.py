@@ -19,7 +19,7 @@ from .core import Grid, GridFunction, uniform_fourier_sum
 from .core import complex_pairs, complex_values, integral, json_number, json_numbers, json_object
 from .exceptions import AdmissibilityError, DomainError, ShapeMismatchError, ValidationError
 from .families import AverageFunctional
-from .kernels import FeatureMap, GramMatrix, TruncatedFrame, _hermitian_gram, stacked_frame, xi_rows
+from .kernels import FeatureMap, GramMatrix, TruncatedFrame, _hermitian, feature_gram, xi_rows
 
 __all__ = [
     "sinc_kernel",
@@ -178,17 +178,20 @@ def pw_average_sections(
 ) -> TruncatedFrame:
     """The frame of the average functionals centred at ``centers``: section
     K(x)(y) = \\int_{-pi}^{pi} exp(-i y t) u_x^v(t) dt on ``out_grid``, with
-    Psi(x) = sqrt(2pi) u_x^v on ``w_grid`` as its feature vector. The
-    u_x^v come from one ``_average_duals`` product; both grids are uniform,
-    so the synthesis is a chirp-z sum.
+    Psi(x) = sqrt(2pi) u_x^v on ``w_grid`` as its feature vector and the
+    Gram of ``pw_feature_gram``. The u_x^v come from one ``_average_duals``
+    product and no section is formed: both grids are uniform, so the
+    synthesis of sum_j c_j K_j is one chirp-z sum of sum_j c_j u_{x_j}^v.
     """
     w_grid = w_grid or w_grid_default()
-    centers = [float(c) for c in centers]
+    centers = tuple(float(c) for c in centers)
     udual = _average_duals(centers, delta, profile, w_grid)
-    weighted = (udual * w_grid.weights()).T
-    h = uniform_fourier_sum(out_grid.a, out_grid.h, out_grid.n, w_grid.a, w_grid.h, weighted).T
-    udual *= SQRT_TWO_PI
-    return stacked_frame(centers, h, out_grid, udual, w_grid)
+    weights = w_grid.weights()
+
+    def synthesis(c):
+        return uniform_fourier_sum(out_grid.a, out_grid.h, out_grid.n, w_grid.a, w_grid.h, (c @ udual) * weights)
+
+    return TruncatedFrame(centers, out_grid, _hermitian(feature_gram(udual * SQRT_TWO_PI, w_grid), centers), synthesis)
 
 
 def point_feature_map(w_grid: Grid, dim_y: int = 1) -> FeatureMap:
@@ -204,26 +207,35 @@ def point_feature_map(w_grid: Grid, dim_y: int = 1) -> FeatureMap:
     return FeatureMap(w_grid=w_grid, dim_y=dim_y, evaluate=evaluate)
 
 
+#: most entries of the sinc block that a pw_point_sections synthesis holds at once
+_SINC_BLOCK = 2**16
+
+
 def pw_point_sections(points, out_grid: Grid, w_grid: Grid) -> TruncatedFrame:
-    """The frame of the point evaluations at ``points``: sinc sections on
-    ``out_grid``, with the plane waves of ``point_feature_map`` on
-    ``w_grid`` as their feature vectors."""
-    points = [float(x) for x in points]
-    h = sinc_kernel(out_grid.points(), np.array(points)[:, None]).astype(complex)
-    w = point_feature_map(w_grid).evaluate(points, np.ones(1))
-    return stacked_frame(points, h, out_grid, w, w_grid)
+    """The frame of the point evaluations at ``points``: the exact sinc
+    sections on ``out_grid``, with the plane waves of ``point_feature_map``
+    on ``w_grid`` as their feature vectors. The synthesis sums the sinc
+    values over blocks of ``out_grid`` points; no (n, m) array is held."""
+    points = tuple(float(x) for x in points)
+    gram, y = pw_feature_gram(points, w_grid), out_grid.points()
+    step = max(1, _SINC_BLOCK // len(points))
+
+    def synthesis(c):
+        return np.concatenate([sinc_kernel(y[s : s + step, None], points) @ c for s in range(0, out_grid.n, step)])
+
+    return TruncatedFrame(points, out_grid, gram, synthesis)
 
 
 def pw_feature_gram(points, w_grid: Grid, delta: float | None = None, profile: str = "box") -> GramMatrix:
     """The Gram of ``pw_average_sections`` (``delta`` given) or
     ``pw_point_sections`` (no ``delta``) at ``points`` on any window: that of
     the features Psi(x) alone, as K(x) = Phi(.)* Psi(x); no section is formed."""
-    points = [float(x) for x in points]
+    points = tuple(float(x) for x in points)
     if delta is None:
         w = point_feature_map(w_grid).evaluate(points, np.ones(1))
     else:
         w = _average_duals(points, delta, profile, w_grid) * SQRT_TWO_PI
-    return _hermitian_gram(w, w_grid, tuple(points))
+    return _hermitian(feature_gram(w, w_grid), points)
 
 
 def fourier_series(signal: BandlimitedSignal, grid: Grid) -> GridFunction:

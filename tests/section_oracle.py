@@ -1,19 +1,21 @@
 """Test-side per-section builders: the lists of ``KernelSection``s that the
-stacked frame builders replaced, kept as their oracle. Each section is built
-on its own from the paper's formula, and ``truncated_frame`` stacks them.
-``fourier_stacked_frame`` is the stacked Fourier frame that the stackless
-``FourierFrame`` replaced."""
+frame builders replaced, kept as their oracle. Each section is built on its
+own from the paper's formula, and ``truncated_frame`` stacks them into a
+stack-backed frame. ``stacked_frame`` is the route the library's frames
+replaced: the sections held as one (m, n, dim) stack, synthesized by one
+product over it. ``fourier_stacked_frame`` is the stacked Fourier frame that
+the stackless ``FourierFrame`` replaced."""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from opkern.core import GridFunction, hermitian_eig, inner_product, solve_hermitian
+from opkern.core import GridFunction, hermitian_eig, inner_product, solve_hermitian, uniform_fourier_sum
 from opkern.exceptions import IndependenceError, ShapeMismatchError
 from opkern.families import AverageFunctional, fourier_indices, fourier_rows
-from opkern.kernels import GramMatrix, TruncatedFrame, _hermitian_gram
-from opkern.paley_wiener import psi_feature
+from opkern.kernels import GramMatrix, TruncatedFrame, _hermitian, feature_gram
+from opkern.paley_wiener import _average_duals, psi_feature
 from quadrature_oracle import fourier_sum
 
 ONE = np.array([1.0 + 0j])
@@ -47,8 +49,35 @@ def _stack_values(functions):
     return np.stack([f.values for f in functions]), first.grid
 
 
+def stack_backed_frame(alphas, h, h_grid, gram):
+    """A ``TruncatedFrame`` whose synthesis is one product over the section
+    stack h, shape (m, n) for m scalar sections or (m, n, dim). A stack of
+    another rank, off the grid, with another count than the indices or with
+    non-finite values is refused."""
+    h = np.asarray(h)
+    if h.ndim not in (2, 3) or h.shape[1] != h_grid.n:
+        raise ShapeMismatchError(f"section stack of shape {h.shape} does not fit {h_grid.n} points")
+    if h.shape[0] != len(alphas):
+        raise ShapeMismatchError(f"{h.shape[0]} sections with {len(alphas)} indices")
+    if not np.all(np.isfinite(h)):
+        raise ShapeMismatchError("kernel section contains non-finite values")
+    h = h.reshape(h.shape[0], h_grid.n, -1)
+    return TruncatedFrame(tuple(alphas), h_grid, gram, lambda c: np.tensordot(c, h, axes=1))
+
+
+def stacked_frame(alphas, h, h_grid, w, w_grid):
+    """The stack-backed frame of sections h[j] on h_grid with feature vectors
+    w[j] on w_grid; the Gram is the exact Gram of the features."""
+    return stack_backed_frame(alphas, h, h_grid, _hermitian(feature_gram(w, w_grid), tuple(alphas)))
+
+
+def section_stack(frame):
+    """The sections of any frame, one ``section(j)`` each, stacked: (m, n, dim)."""
+    return np.stack([frame.section(j).values for j in range(len(frame))])
+
+
 def truncated_frame(sections):
-    """Stack single sections into a frame.
+    """Stack single sections into a stack-backed frame.
 
     The Gram comes from the sections' feature vectors when every section
     carries one, else from the grid inner products of the sections
@@ -58,8 +87,7 @@ def truncated_frame(sections):
         w, w_grid = _stack_values([s.w_repr for s in sections])
     else:
         w, w_grid = h, h_grid
-    alphas = tuple(s.alpha for s in sections)
-    return TruncatedFrame(alphas=alphas, h=h, h_grid=h_grid, gram=_hermitian_gram(w, w_grid, alphas))
+    return stacked_frame([s.alpha for s in sections], h, h_grid, w, w_grid)
 
 
 def feature_section(phi, psi, alpha, xi, h_grid):
@@ -105,14 +133,25 @@ def fourier_sections(indices, grid):
 
 
 def fourier_stacked_frame(indices, grid):
-    """The rows of ``fourier_rows`` stacked into a plain ``TruncatedFrame``
-    with the closed-form Gram, 1 where j = k mod (n - 1) and 0 elsewhere:
-    its ``synthesize`` is one product over the (m, n) stack, and the
+    """The rows of ``fourier_rows`` as a stack-backed frame with the
+    closed-form Gram, 1 where j = k mod (n - 1) and 0 elsewhere: its
+    ``synthesize`` is one product over the (m, n) stack, and the
     ``dual_frame`` of it takes the SVD of the Gram."""
     js = fourier_indices(indices)
     r = np.array([j % (grid.n - 1) for j in js], dtype=np.int64)
     gram = GramMatrix(matrix=(r[:, None] == r[None, :]).astype(complex), indices=tuple(js), asymmetry=0.0)
-    return TruncatedFrame(alphas=tuple(js), h=fourier_rows(js, grid), h_grid=grid, gram=gram)
+    return stack_backed_frame(js, fourier_rows(js, grid), grid, gram)
+
+
+def average_stacked_frame(centers, delta, out_grid, w_grid, profile="box"):
+    """The stacked route that ``pw_average_sections`` replaced: every section
+    by its own column of one chirp-z sum of the u_x^v, held as an (m, n)
+    stack, and the Gram of the same ``_average_duals`` features."""
+    centers = [float(c) for c in centers]
+    udual = _average_duals(centers, delta, profile, w_grid)
+    weighted = (udual * w_grid.weights()).T
+    h = uniform_fourier_sum(out_grid.a, out_grid.h, out_grid.n, w_grid.a, w_grid.h, weighted).T
+    return stacked_frame(centers, h, out_grid, udual * math.sqrt(2.0 * math.pi), w_grid)
 
 
 def average_features(centers, delta, w_grid, profile="box"):

@@ -161,7 +161,7 @@ def test_criterion_1_reproducing_property_suite():
         coeff = complex_unit_disc(gen, 3)
         f = GridFunction(fd_grid, sum(c * b.values for c, b in zip(coeff, basis)))
         beta = float(gen.uniform(-1.2, 1.2))
-        sec = GridFunction(fd_grid, finite_dim_kernel(basis, fd_fam, [beta], xi=1.0).h[0])
+        sec = finite_dim_kernel(basis, fd_fam, [beta], xi=1.0).section(0)
         lhs = fd_fam.apply(beta, f)[0]
         rhs = inner_product(f, sec)
         ratio = max(ratio, abs(lhs - rhs) / (norm(f) * norm(sec)))
@@ -453,7 +453,7 @@ def test_criterion_14_perfect_orkhs_from_features():
     wg = Grid(0.0, TWO_PI, 257)
     hg = Grid(0.0, TWO_PI, 129)
     frame = kernel_from_features(fourier_point_feature_map(wg, max_mode=8), fourier_feature_map(wg), [3], 1.0, hg)
-    fourier_err = float(np.max(np.abs(frame.h[0, :, 0] - np.exp(3j * hg.points()) / math.sqrt(TWO_PI))))
+    fourier_err = float(np.max(np.abs(frame.section(0).values[:, 0] - np.exp(3j * hg.points()) / math.sqrt(TWO_PI))))
     assert fourier_err < 1e-8
 
     sections = truncated_frame(_fourier_sections(range(-3, 4), wg))
@@ -463,7 +463,7 @@ def test_criterion_14_perfect_orkhs_from_features():
     phi = point_feature_map(w_grid_default(4097))
     hg = Grid(-4.0, 4.0, 257)
     frame = kernel_from_features(phi, phi, [0.0], 1.0, hg)
-    sinc_err = float(np.max(np.abs(frame.h[0, :, 0] - np.sinc(hg.points()))))
+    sinc_err = float(np.max(np.abs(frame.section(0).values[:, 0] - np.sinc(hg.points()))))
     assert sinc_err < 1e-6
 
     freq = Grid(-math.pi, math.pi, 4097)

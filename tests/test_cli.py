@@ -97,6 +97,33 @@ def test_reconstruct_pw_default_grids_stays_small(signal_file, tmp_path):
     assert peak < 2**24
 
 
+def test_reconstruct_pw_holds_features_and_no_section_stack(signal_file, tmp_path):
+    """At --m 64 and the default grids the frame holds its 129 features of
+    2049 points and their Gram, and synthesizes the reconstruction once:
+    8.3 MiB peak. The stack of 129 sections of 5121 points peaked at
+    21.6 MiB."""
+    argv = ["reconstruct", "--space", "pw", "--m", "64", "--signal", str(signal_file), "--out", str(tmp_path / "r")]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 10 * 2**20
+
+
+def test_the_fourier_size_cap_counts_the_gram_alone(signal_file, tmp_path):
+    """601 Fourier sections on 60001 points were refused as a stack of
+    3.6e7 entries, which the frame never holds; its Gram has 361201."""
+    argv = [
+        "reconstruct", "--space", "fourier", "--m", "300", "--grid-n", "60001",
+        "--signal", str(signal_file), "--out", str(tmp_path / "r"),
+    ]
+    assert main(argv) == 0
+    assert json.loads((tmp_path / "r.json").read_text())["rel_l2_interior"] < 1e-10
+
+
 def test_reconstruct_fourier_exact(signal_file, tmp_path):
     out = tmp_path / "recf"
     argv = [
@@ -138,15 +165,15 @@ def test_reconstruct_fourier_holds_no_stack(tmp_path):
 )
 def test_stacked_frames_match_section_oracle(family, profile):
     """The frames of reconstruct and regnet against truncated_frame of the
-    per-section oracle lists. The sinc points are the same arithmetic row by
-    row, so they agree bit for bit. The average oracle takes each centre's
-    own transform and a dense synthesis sum, so it agrees at round-off. The
-    Fourier frame holds no stack: its synthesis of each unit vector, and of
-    one random combination, by one inverse FFT meets the oracle's np.exp
-    rows at round-off, and its closed-form Gram the oracle's quadrature
-    Gram."""
+    per-section oracle lists, section by section. The sinc points are the
+    same arithmetic row by row, so they agree bit for bit. The average
+    oracle takes each centre's own transform and a dense synthesis sum, so
+    it agrees at round-off. The Fourier frame's synthesis of each unit
+    vector, and of one random combination, by one inverse FFT meets the
+    oracle's np.exp rows at round-off, and its closed-form Gram the oracle's
+    quadrature Gram."""
     from opkern.paley_wiener import w_grid_default
-    from section_oracle import average_sections, fourier_sections, sinc_sections, truncated_frame
+    from section_oracle import average_sections, fourier_sections, section_stack, sinc_sections, truncated_frame
 
     args = cli.build_parser().parse_args([
         "reconstruct", "--signal", "sig.json", "--profile", profile, "--delta", "0.2",
@@ -164,19 +191,20 @@ def test_stacked_frames_match_section_oracle(family, profile):
     assert frame.alphas == oracle.alphas
     assert [type(a) for a in frame.alphas] == [type(a) for a in oracle.alphas]
     assert frame.h_grid == oracle.h_grid
+    h, want = section_stack(frame), section_stack(oracle)
     if family == "average":
-        assert np.max(np.abs(frame.h - oracle.h)) <= 1e-14 * np.max(np.abs(oracle.h))
+        assert np.max(np.abs(h - want)) <= 1e-14 * np.max(np.abs(want))
         assert np.max(np.abs(frame.gram.matrix - oracle.gram.matrix)) <= 1e-15
         assert max(frame.gram.asymmetry, oracle.gram.asymmetry) <= 1e-15
     elif family == "fourier":
         coeffs = np.vstack([np.eye(len(indices)), np.random.default_rng(5).standard_normal(len(indices))])
         for c in coeffs:
             gap = np.max(np.abs(frame.synthesize(c).values - oracle.synthesize(c).values))
-            assert gap <= 1e-14 * np.sum(np.abs(c)) * np.max(np.abs(oracle.h))
+            assert gap <= 1e-14 * np.sum(np.abs(c)) * np.max(np.abs(want))
         assert np.max(np.abs(frame.gram.matrix - oracle.gram.matrix)) <= 1e-15
         assert frame.gram.asymmetry == 0.0
     else:
-        assert np.array_equal(frame.h, oracle.h)
+        assert np.array_equal(h, want)
         assert np.array_equal(frame.gram.matrix, oracle.gram.matrix)
         assert frame.gram.asymmetry == oracle.gram.asymmetry
 
@@ -838,6 +866,9 @@ def test_stability_bad_inputs_are_refused(tmp_path, capsys, flags):
         ["reconstruct", "--m", "four"],
         ["reconstruct", "--window", "inf"],
         ["reconstruct", "--window", "0"],
+        ["reconstruct", "--window", "1e308"],
+        ["stability", "--m", "9" * 400],
+        ["reconstruct", "--space", "fourier", "--m", "9" * 400],
         ["reconstruct", "--rel-cutoff", "nan"],
         ["vector-sampling", "--perturb", "inf"],
         ["avg-sample", "--x=0,1", "--delta", "inf"],
@@ -846,7 +877,8 @@ def test_stability_bad_inputs_are_refused(tmp_path, capsys, flags):
         ["no-such-command"],
     ],
     ids=[
-        "m-not-an-int", "window-inf", "window-zero", "rel-cutoff-nan", "perturb-inf", "avg-sample-delta-inf",
+        "m-not-an-int", "window-inf", "window-zero", "window-overflow", "m-overflow",
+        "fourier-m-overflow", "rel-cutoff-nan", "perturb-inf", "avg-sample-delta-inf",
         "stability-delta-inf", "required-flag-missing", "unknown-command",
     ],
 )
@@ -855,7 +887,10 @@ def test_bad_flag_values_exit_2(signal_file, tmp_path, capsys, argv):
     malformed file, and every float flag refuses nan and +-inf. --m four
     printed argparse's usage text, --window inf and --perturb inf ended in
     OverflowError tracebacks, --delta inf printed numpy RuntimeWarnings, and
-    --window 0 ran on the default window and exited 0."""
+    --window 0 ran on the default window and exited 0. --window 1e308 and a
+    400-digit --m ended in OverflowError tracebacks at exit 1; a window above
+    the grid cap, or more indices than the stack cap, is now refused by the
+    flag that set it, before any float or index list is formed from it."""
     if argv[0] in ("reconstruct", "avg-sample"):
         argv = [*argv, "--signal", str(signal_file)]
     code = main([*argv, "--out", str(tmp_path / "x")])
@@ -932,16 +967,28 @@ def test_linalg_error_exits_numerical(signal_file, tmp_path, capsys, monkeypatch
     assert err["error"] == "LinAlgError"
 
 
-def test_tracer_runs_the_cli(tmp_path):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gram", "--family", "fourier", "--indices=-2..2", "--grid-n", "65"],
+        ["reconstruct", "--space", "pw", "--m", "2", "--w-n", "65", "--points-per-unit", "4"],
+        ["stability", "--m", "4", "--sizes", "2,4", "--trials", "5", "--w-n", "65", "--points-per-unit", "4"],
+    ],
+    ids=["gram-fourier", "reconstruct-pw", "stability"],
+)
+def test_tracer_runs_the_cli(signal_file, tmp_path, argv):
     """perfbench/tracer.py looks each traced method up in its own class body
-    (each family's ``apply``); a method moved out of it would crash the
-    traced run."""
+    (each family's ``apply``, ``transform`` and ``inverse_transform``) and
+    binds the arguments ``centers``, ``out_grid`` and ``w_grid`` of
+    ``pw_average_sections`` by name; a moved method or a renamed argument
+    would crash the traced run."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
     spans = tmp_path / "spans.json"
-    argv = ["gram", "--family", "fourier", "--indices=-2..2", "--grid-n", "65", "--out", str(tmp_path / "gram")]
+    if argv[0] == "reconstruct":
+        argv = [*argv, "--signal", str(signal_file)]
     proc = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "tracer.py"), str(spans), *argv],
+        [sys.executable, str(root / "perfbench" / "tracer.py"), str(spans), *argv, "--out", str(tmp_path / "x")],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -7,8 +7,9 @@ code, its stderr or the bytes of an artifact other than the manifest, which
 echoes every flag. Some flags are read under one family only (``--grid-n``
 under ``--family fourier``), so each subcommand runs from one or more small
 base configurations. One changes only what the handler refuses:
-``stability`` reports on the Gram, which the evaluation window does not
-enter, so its ``--points-per-unit`` shows only in the grid-cap refusal.
+``stability`` reports on the Gram of the features and synthesizes no
+section, so the evaluation window does not enter, and its
+``--points-per-unit`` shows only in the window-cap refusal.
 """
 
 import importlib.util

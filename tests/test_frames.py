@@ -20,16 +20,19 @@ from opkern.frames import (
     interior_relative_error,
     reconstruct,
 )
-from opkern.kernels import GramMatrix, TruncatedFrame, fourier_frame, stacked_frame
+from opkern.kernels import FeatureMap, GramMatrix, fourier_frame, fourier_point_feature_map, kernel_from_features
 from opkern.learning import sampling_operator
 from opkern.paley_wiener import (
     BandlimitedSignal,
+    point_feature_map,
     pw_average_sections,
+    pw_point_sections,
     pw_window,
     synthesize,
     w_grid_default,
 )
-from section_oracle import KernelSection, average_features, average_sections, truncated_frame
+from section_oracle import KernelSection, average_features, average_sections, section_stack, truncated_frame
+from section_oracle import average_stacked_frame, feature_section, stack_backed_frame, stacked_frame
 from section_oracle import fourier_sections as _fourier_sections, fourier_stacked_frame
 from section_oracle import sinc_sections as _sinc_sections
 
@@ -92,7 +95,19 @@ def test_dual_frame_degenerate_raises():
 
 
 def test_frame_refuses_non_finite_sections():
+    """A frame whose feature holds nan or inf is refused when it is built,
+    before its Gram or any section is formed; the stack-backed oracle
+    refuses a non-finite section the same way."""
     grid = Grid(0.0, TWO_PI, 65)
+    for bad in (np.nan, np.inf):
+
+        def features(alphas, xis, bad=bad):
+            w = np.ones((len(alphas), grid.n, 1), dtype=complex)
+            w[-1, 7] = bad
+            return w
+
+        with pytest.raises(ShapeMismatchError, match="non-finite"):
+            kernel_from_features(fourier_point_feature_map(grid, 4), FeatureMap(grid, 1, features), [0, 1], 1.0, grid)
     h = np.ones((2, 65), dtype=complex)
     h[1, 7] = np.nan
     with pytest.raises(ShapeMismatchError):
@@ -101,7 +116,7 @@ def test_frame_refuses_non_finite_sections():
 
 def _frame(alphas, h, grid, gram_size):
     gram = GramMatrix(matrix=np.eye(gram_size, dtype=complex), indices=tuple(range(gram_size)))
-    return TruncatedFrame(alphas=tuple(alphas), h=h, h_grid=grid, gram=gram)
+    return stack_backed_frame(alphas, h, grid, gram)
 
 
 @pytest.mark.parametrize("shape", [(11,), (2, 11, 1, 1)])
@@ -288,7 +303,7 @@ def test_dual_of_dual_recovers_sections():
         for j, (a, w) in enumerate(zip(frame.alphas, _dual_features(dual, feats)))
     ]
     dual2 = dual_frame(truncated_frame(dual_secs))
-    for j, orig in enumerate(frame.h):
+    for j, orig in enumerate(section_stack(frame)):
         back = dual2.source.synthesize(dual2.coeffs[j])
         assert np.max(np.abs(back.values - orig)) < 1e-6
 
@@ -387,7 +402,7 @@ def test_fourier_frame_matches_the_stacked_oracle(indices, n, rel_cutoff, seed):
     or dropped by the SVD's round-off, so such draws are skipped."""
     grid = Grid(0.0, TWO_PI, n)
     frame, oracle = fourier_frame(indices, grid), fourier_stacked_frame(indices, grid)
-    assert frame.h is None
+    assert not hasattr(frame, "h")
     assert frame.alphas == oracle.alphas
     assert np.array_equal(frame.gram.matrix, oracle.gram.matrix)
     gen = rng(seed)
@@ -401,3 +416,53 @@ def test_fourier_frame_matches_the_stacked_oracle(indices, n, rel_cutoff, seed):
     kept = np.count_nonzero(sizes > rel_cutoff * sizes.max())
     for d in (dual, dual_oracle):
         assert abs(np.trace(d.coeffs @ frame.gram.matrix) - kept) <= 1e-9
+
+
+_centres = st.one_of(
+    st.lists(st.integers(-6, 6), min_size=1, max_size=10),
+    st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=10),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["average", "point", "features"]),
+    profile=st.sampled_from(["box", "triangle", "cosine"]),
+    delta=st.floats(0.001, 0.25, exclude_max=True),
+    centres=_centres,
+    w_n=st.integers(17, 700),
+    points_per_unit=st.integers(2, 16),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example("average", "box", 0.2, list(range(-6, 7)), 2049, 16, 0)
+@example("features", "box", 0.2, [0.0, 0.5, 0.5], 17, 2, 1)
+def test_stackless_frames_match_the_stacked_oracle(kind, profile, delta, centres, w_n, points_per_unit, seed):
+    """The average, point and feature-built frames hold no section stack; the
+    stacked oracle holds one. Each unit vector and one random combination
+    synthesize within 1e-14 sum|c| max|K_j| of the product over the stack,
+    so every section(j) does too, and the Grams are the same features'
+    Gram bit for bit."""
+    gen = rng(seed)
+    xs = [float(x) for x in centres]
+    t = math.ceil(max(abs(x) for x in xs)) + 4
+    wg = w_grid_default(w_n)
+    if kind == "features":
+        hg, xi = Grid(-t, t, 4 * t + 1), complex_unit_disc(gen, 2)
+        pfm = point_feature_map(wg, dim_y=2)
+        frame = kernel_from_features(pfm, pfm, xs, xi, hg)
+        oracle = truncated_frame([feature_section(pfm, pfm, x, xi, hg) for x in xs])
+    else:
+        window = Grid(-t, t, 2 * t * points_per_unit + 1)
+        if kind == "average":
+            frame = pw_average_sections(xs, delta, window, profile, wg)
+            oracle = average_stacked_frame(xs, delta, window, wg, profile)
+        else:
+            frame, oracle = pw_point_sections(xs, window, wg), truncated_frame(_sinc_sections(xs, window, wg))
+    assert frame.alphas == oracle.alphas
+    assert np.array_equal(frame.gram.matrix, oracle.gram.matrix)
+    assert frame.gram.asymmetry == oracle.gram.asymmetry
+    top = np.max(np.abs(section_stack(oracle)))
+    c = complex_unit_disc(gen, len(xs)) * np.exp(gen.uniform(-3.0, 3.0, len(xs)))
+    for coeffs in [*np.eye(len(xs)), c]:
+        gap = np.max(np.abs(frame.synthesize(coeffs).values - oracle.synthesize(coeffs).values))
+        assert gap <= 1e-14 * np.sum(np.abs(coeffs)) * top

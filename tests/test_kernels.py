@@ -30,7 +30,6 @@ from opkern.kernels import (
     integral_kernel_psd_test,
     kernel_from_features,
     psd_check,
-    stacked_frame,
     translation_invariant_section,
 )
 from opkern.paley_wiener import point_feature_map, w_grid_default
@@ -40,6 +39,8 @@ from section_oracle import (
     feature_section,
     finite_dim_section,
     fourier_sections as _fourier_sections,
+    section_stack,
+    stacked_frame,
     truncated_frame,
 )
 
@@ -55,7 +56,7 @@ def test_fourier_kernel_from_features():
     hg = Grid(0.0, TWO_PI, 129)
     frame = kernel_from_features(phi, psi, [3], 1.0, hg)
     expect = np.exp(3j * hg.points()) / math.sqrt(TWO_PI)
-    assert np.max(np.abs(frame.h[0, :, 0] - expect)) < 1e-8
+    assert np.max(np.abs(frame.section(0).values[:, 0] - expect)) < 1e-8
 
 
 def test_zero_psi_gives_zero_section():
@@ -67,7 +68,7 @@ def test_zero_psi_gives_zero_section():
     psi = FeatureMap(w_grid=wg, dim_y=1, evaluate=zero_eval)
     phi = fourier_point_feature_map(wg, max_mode=4)
     frame = kernel_from_features(phi, psi, [0], 1.0, Grid(0.0, TWO_PI, 33))
-    assert np.max(np.abs(frame.h)) == 0.0
+    assert np.max(np.abs(section_stack(frame))) == 0.0
 
 
 def test_sinc_kernel_from_point_features():
@@ -75,7 +76,7 @@ def test_sinc_kernel_from_point_features():
     phi = point_feature_map(wg)
     hg = Grid(-4.0, 4.0, 257)
     frame = kernel_from_features(phi, phi, [0.0], 1.0, hg)
-    assert np.max(np.abs(frame.h[0, :, 0] - np.sinc(hg.points()))) < 1e-6
+    assert np.max(np.abs(frame.section(0).values[:, 0] - np.sinc(hg.points()))) < 1e-6
 
 
 @settings(max_examples=25, deadline=None)
@@ -105,7 +106,8 @@ def test_kernel_from_features_matches_the_per_section_oracle(case, ints, seed):
     frame = kernel_from_features(phi, psi, alphas, xi, hg)
     oracle = truncated_frame([feature_section(phi, psi, a, xi, hg) for a in alphas])
     assert frame.alphas == oracle.alphas
-    assert np.max(np.abs(frame.h - oracle.h)) <= 1e-14 * np.max(np.abs(oracle.h))
+    h, want = section_stack(frame), section_stack(oracle)
+    assert np.max(np.abs(h - want)) <= 1e-14 * np.max(np.abs(want))
     assert np.array_equal(frame.gram.matrix, oracle.gram.matrix)
 
 
@@ -163,12 +165,13 @@ def test_kernel_from_features_refuses_a_feature_stack_of_the_wrong_shape(side):
         bad = FeatureMap(wg, 1, lambda xs, xis: np.concatenate([good.evaluate(xs, xis)] * 2, axis=2))
         phi, psi = bad, good
     with pytest.raises(ShapeMismatchError):
-        kernel_from_features(phi, psi, [0.0, 0.5], 1.0, Grid(-2.0, 2.0, 33))
+        kernel_from_features(phi, psi, [0.0, 0.5], 1.0, Grid(-2.0, 2.0, 33)).section(0)
 
 
 def test_kernel_from_features_evaluates_each_map_once_per_list():
-    """Psi takes one call for the index list, Phi one call per block of
-    h-grid points; 33 points on 129 frequencies fit in one block."""
+    """Psi takes one call for the index list when the frame is built, and
+    Phi none; a synthesis takes one Phi call per block of h-grid points, and
+    33 points on 129 frequencies fit in one block."""
     wg = w_grid_default(129)
     calls = {"phi": [], "psi": []}
 
@@ -177,7 +180,9 @@ def test_kernel_from_features_evaluates_each_map_once_per_list():
         return FeatureMap(wg, 2, lambda alphas, xis: calls[name].append(len(alphas)) or fm.evaluate(alphas, xis))
 
     hg = Grid(-2.0, 2.0, 33)
-    kernel_from_features(counted("phi"), counted("psi"), [0.0, 0.5, 1.0], np.array([1.0, 1j]), hg)
+    frame = kernel_from_features(counted("phi"), counted("psi"), [0.0, 0.5, 1.0], np.array([1.0, 1j]), hg)
+    assert calls == {"psi": [3], "phi": []}
+    frame.synthesize(np.ones(3))
     assert calls == {"psi": [3], "phi": [2 * hg.n]}
 
 
@@ -294,7 +299,7 @@ def test_gram_of_the_stackless_fourier_frame_matches_its_closed_form(indices, n)
     ``section``, as it takes the rows of a stack; the coefficients of each
     are the closed-form Gram's row, aliasing included."""
     frame = fourier_frame(indices, Grid(0.0, TWO_PI, n))
-    assert frame.h is None
+    assert not hasattr(frame, "h")
     assert np.max(np.abs(gram(frame, FourierCoefficientFamily()).matrix - frame.gram.matrix)) < 1e-13
 
 
@@ -306,7 +311,7 @@ def test_finite_dim_orthonormal_basis():
     basis = [fam.basis_function(j, grid) for j in range(-1, 2)]
     frame = finite_dim_kernel(basis, fam, [1], xi=1.0)
     # B = I: section reduces to sum_k <xi, L_alpha(phi_k)> phi_k = phi_{alpha}
-    assert np.max(np.abs(frame.h[0] - basis[2].values)) < 1e-8
+    assert np.max(np.abs(frame.section(0).values - basis[2].values)) < 1e-8
 
 
 def test_finite_dim_single_function():
@@ -317,7 +322,7 @@ def test_finite_dim_single_function():
     frame = finite_dim_kernel([phi], fam, [1], xi=1.0)
     lval = fam.apply(1, phi)[0]
     expect = (np.conj(lval) / c) * phi.values
-    assert np.max(np.abs(frame.h[0] - expect)) < 1e-10
+    assert np.max(np.abs(frame.section(0).values - expect)) < 1e-10
 
 
 def _hat(center, width=1.0):
@@ -337,7 +342,7 @@ def test_finite_dim_reproducing_on_span():
     gen = rng(0)
     betas = (-0.4, 0.1, 0.8)
     frame = finite_dim_kernel(basis, fam, betas, xi=1.0)
-    for beta, h in zip(betas, frame.h):
+    for beta, h in zip(betas, section_stack(frame)):
         coeff = complex_unit_disc(gen, 2)
         f = GridFunction(grid, coeff[0] * basis[0].values + coeff[1] * basis[1].values)
         lhs = fam.apply(beta, f)[0]
@@ -355,9 +360,10 @@ def test_finite_dim_dependent_basis_rejected():
 @pytest.mark.parametrize("kind", ["fourier", "hat", "modulated-hat"])
 def test_finite_dim_kernel_matches_the_per_section_oracle(kind):
     """One eigendecomposition of the basis Gram and one stacked solve for
-    every index, against one basis-Gram solve per index. The hat case is the
-    three-hat space of acceptance criterion 1 with 50 centres; modulating
-    each hat makes the basis Gram complex and not diagonal."""
+    every index, against one basis-Gram solve per index, section by section
+    and for one complex combination. The hat case is the three-hat space of
+    acceptance criterion 1 with 50 centres; modulating each hat makes the
+    basis Gram complex and not diagonal."""
     gen = rng(11)
     if kind == "fourier":
         grid = Grid(0.0, TWO_PI, 257)
@@ -375,7 +381,11 @@ def test_finite_dim_kernel_matches_the_per_section_oracle(kind):
     frame = finite_dim_kernel(basis, fam, alphas, xi)
     oracle = truncated_frame([finite_dim_section(basis, fam, a, xi) for a in alphas])
     assert frame.alphas == oracle.alphas
-    assert np.max(np.abs(frame.h - oracle.h)) <= 1e-14 * np.max(np.abs(oracle.h))
+    h, want = section_stack(frame), section_stack(oracle)
+    assert np.max(np.abs(h - want)) <= 1e-14 * np.max(np.abs(want))
+    c = complex_unit_disc(gen, len(alphas))
+    gap = np.max(np.abs(frame.synthesize(c).values - oracle.synthesize(c).values))
+    assert gap <= 1e-14 * np.sum(np.abs(c)) * np.max(np.abs(want))
     assert np.max(np.abs(frame.gram.matrix - oracle.gram.matrix)) <= 1e-14 * np.max(np.abs(oracle.gram.matrix))
 
 

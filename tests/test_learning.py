@@ -15,7 +15,6 @@ from opkern.families import (
     SampleSet,
 )
 from opkern.frames import dual_frame, frame_bounds_estimate
-from opkern.kernels import stacked_frame
 from opkern.learning import (
     _TRIAL_BLOCK,
     learning_problem,
@@ -33,7 +32,8 @@ from opkern.paley_wiener import (
     synthesize,
     w_grid_default,
 )
-from section_oracle import KernelSection, fourier_sections as _fourier_sections, truncated_frame
+from section_oracle import KernelSection, fourier_sections as _fourier_sections, section_stack, stacked_frame
+from section_oracle import truncated_frame
 from stability_oracle import stability_sweep, truncated_reconstruction_stability
 
 TWO_PI = 2.0 * math.pi
@@ -145,8 +145,8 @@ def test_regnet_f0_matches_per_section_sum():
         AverageSamplingFamily(delta=0.2).descriptor(), tuple(centers), tuple(complex_unit_disc(gen, 5))
     )
     sol = regnet_solve(learning_problem(frame, samples, lam=0.1))
-    want = np.zeros_like(frame.h[0])
-    for eta, h in zip(sol.eta, frame.h):
+    want = np.zeros_like(frame.section(0).values)
+    for eta, h in zip(sol.eta, section_stack(frame)):
         want += eta * h
     assert np.max(np.abs(sol.f0.values - want)) <= 1e-12 * np.max(np.abs(want))
 

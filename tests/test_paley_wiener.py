@@ -26,7 +26,7 @@ from opkern.paley_wiener import (
     vector_features,
     w_grid_default,
 )
-from section_oracle import average_sections, sinc_sections, truncated_frame
+from section_oracle import average_sections, section_stack, sinc_sections, truncated_frame
 
 TWO_PI = 2.0 * math.pi
 
@@ -80,7 +80,7 @@ def test_pw_section_quadratic_convergence_to_sinc():
     wg = w_grid_default(2049)
     devs = []
     for d in (0.1, 0.05, 0.025):
-        h = pw_average_sections([0.0], d, out, w_grid=wg).h[0, :, 0]
+        h = pw_average_sections([0.0], d, out, w_grid=wg).section(0).values[:, 0]
         devs.append(np.max(np.abs(h - np.sinc(out.points()))))
     assert devs[0] / devs[1] > 3.0
     assert devs[1] / devs[2] > 3.0
@@ -88,7 +88,7 @@ def test_pw_section_quadratic_convergence_to_sinc():
 
 def test_pw_section_real_for_real_profile():
     out = Grid(-6.0, 6.0, 257)
-    h = pw_average_sections([1.0], 0.2, out, w_grid=w_grid_default(2049)).h
+    h = pw_average_sections([1.0], 0.2, out, w_grid=w_grid_default(2049)).section(0).values
     assert np.max(np.abs(h.imag)) < 1e-8
 
 
@@ -109,8 +109,7 @@ def test_pw_section_reproduces_average_samples():
         rhs = inner_product(w_f, psi)
         assert abs(lhs - rhs) < 2e-6
         # grid-side inner product carries the window-truncation error only
-        h = pw_average_sections([x], 0.2, window, w_grid=w_grid_default(2049)).h[0]
-        rhs_grid = inner_product(f, GridFunction(window, h))
+        rhs_grid = inner_product(f, pw_average_sections([x], 0.2, window, w_grid=w_grid_default(2049)).section(0))
         assert abs(lhs - rhs_grid) < 2e-2
 
 
@@ -124,7 +123,7 @@ def test_batched_sections_match_single_calls(profile):
     batch = pw_average_sections([-1.0, 0.5], 0.15, window, profile=profile, w_grid=wg)
     oracle = truncated_frame(average_sections([-1.0, 0.5], 0.15, window, wg, profile))
     assert batch.alphas == oracle.alphas
-    assert np.max(np.abs(batch.h - oracle.h)) < 1e-13
+    assert np.max(np.abs(section_stack(batch) - section_stack(oracle))) < 1e-13
     assert np.max(np.abs(batch.gram.matrix - oracle.gram.matrix)) < 1e-13
 
 
@@ -148,8 +147,7 @@ def test_psi_cross_equals_applied_kernel():
     ux = AverageFunctional(x, 0.2)
     uy = AverageFunctional(y, 0.2)
     w_side = inner_product(psi_feature(ux, wg), psi_feature(uy, wg))
-    h = pw_average_sections([x], 0.2, out, w_grid=wg).h[0]
-    applied = average_sample(GridFunction(out, h), uy, refine=16)
+    applied = average_sample(pw_average_sections([x], 0.2, out, w_grid=wg).section(0), uy, refine=16)
     assert abs(w_side - applied) < 1e-6
 
 
@@ -166,7 +164,7 @@ def test_section_matches_point_feature_pairing():
     wg = w_grid_default(8193)
     out = Grid(-3.0, 3.0, 65)
     u = AverageFunctional(0.4, 0.2)
-    h = pw_average_sections([0.4], 0.2, out, w_grid=wg).h[0, :, 0]
+    h = pw_average_sections([0.4], 0.2, out, w_grid=wg).section(0).values[:, 0]
     waves = point_feature_map(wg).evaluate(out.points(), np.array([1.0 + 0j]))
     psi = psi_feature(u, wg)
     for i, wave in enumerate(waves):
@@ -182,7 +180,7 @@ def test_pw_point_sections_match_the_sinc_oracle(points):
     frame = pw_point_sections(points, window, wg)
     oracle = truncated_frame(sinc_sections(points, window, wg))
     assert frame.alphas == oracle.alphas
-    assert np.array_equal(frame.h, oracle.h)
+    assert np.array_equal(section_stack(frame), section_stack(oracle))
     assert np.array_equal(frame.gram.matrix, oracle.gram.matrix)
     assert frame.gram.asymmetry == oracle.gram.asymmetry
 
