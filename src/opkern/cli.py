@@ -267,9 +267,9 @@ def _cmd_regnet(args, prefix: Path) -> None:
 def _cmd_si_diagnose(args, prefix: Path) -> None:
     # imported here: no other subcommand pays for the shift-space module
     from .shift_invariant import (
+        PHI_STEP,
         biorthogonality_residual,
         bracket_function,
-        bracket_tail_estimate,
         density_diagnostic,
         dual_generator,
         fourier_coefficient_identity_check,
@@ -277,9 +277,13 @@ def _cmd_si_diagnose(args, prefix: Path) -> None:
     )
 
     gen = make_generator(args.generator)
-    # the dual's grid is the generator's widened by k_max on each side
-    dual_n = int(round(2 * (gen.support_radius + args.k_max) / gen.phi.grid.h)) + 1
+    r = gen.support_radius
+    # the dual's grid: step PHI_STEP over |x| <= R + k_max
+    dual_n = int(round(2 * (r + args.k_max) / PHI_STEP)) + 1
     _check_size("--k-max", args.k_max, dual_n, MAX_GRID_POINTS, "dual grid points")
+    # a functional's window matrix: 4097 nodes x at most 2 delta + 2R + 3 shifts
+    shifts = math.ceil(min(2.0 * args.delta, MAX_STACK_ENTRIES)) + 2 * r + 3
+    _check_size("--delta", args.delta, shifts * 4097, MAX_STACK_ENTRIES, "window entries")
     _check_size("--k-range", args.k_range, 2 * args.k_range + 1, MAX_GRID_POINTS, "coefficients")
     _check_size("--n-centers", args.n_centers, 257 * args.n_centers, MAX_STACK_ENTRIES, "density entries")
     xi = np.linspace(-math.pi, math.pi, 257)
@@ -296,7 +300,6 @@ def _cmd_si_diagnose(args, prefix: Path) -> None:
             "generator": args.generator,
             "bracket_min": float(bracket.min()),
             "bracket_max": float(bracket.max()),
-            "bracket_tail_estimate": bracket_tail_estimate(gen),
             "biorthogonality_residual": biorthogonality_residual(dual, range(-4, 5)),
             "dual_coefficient_tail": float(max(abs(dual.b_coeffs[0]), abs(dual.b_coeffs[-1]))),
             "coefficient_identity_deviation": deviation,

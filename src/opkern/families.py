@@ -116,12 +116,14 @@ class AverageFunctional:
     profile_name: str = "box"
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValidationError(f"delta must be positive, got {self.delta}")
+        # a subnormal width overflows the profile peak 1/delta
+        if not (self.delta > 0 and math.isfinite(1.0 / float(self.delta))):
+            raise ValidationError(f"delta must be positive with a finite profile peak 1/delta, got {self.delta}")
         if self.profile_name not in PROFILES:
             raise ValidationError(f"unknown profile {self.profile_name!r}")
         mass = self._mass()
-        if abs(mass - 1.0) > 1e-8:
+        # written so that a NaN mass fails it
+        if not abs(mass - 1.0) <= 1e-8:
             raise ValidationError(f"profile mass {mass} deviates from 1")
 
     def _centered(self) -> Callable:

@@ -162,11 +162,13 @@ def psi_feature(u: AverageFunctional, w_grid: Grid) -> GridFunction:
 def _average_duals(centers: list, delta: float, profile: str, w_grid: Grid) -> np.ndarray:
     """u_x^v = exp(i x t) u_0^v on ``w_grid``, one row per centre: shifting
     the profile modulates its frequency side, and u_0^v = m(t)/2pi is the
-    closed form of the centred profile."""
+    closed form of the centred profile. The exponential and the product
+    are taken in place: the rows are the only array of their size."""
     _require_band_grid(w_grid)
     t = w_grid.points()
     base = AverageFunctional(0.0, delta, profile).centered_transform(t) / TWO_PI
-    return np.exp(1j * np.outer(centers, t)) * base
+    rows = np.multiply.outer(1j * np.asarray(centers, dtype=float), t)
+    return np.multiply(np.exp(rows, out=rows), base, out=rows)
 
 
 def pw_average_sections(

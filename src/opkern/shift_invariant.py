@@ -2,10 +2,11 @@
 functional kernel sections for local averages, their Gram, and the
 frequency-side density diagnostic.
 
-Generators are real, continuous and compactly supported; their integer
-shifts form a Riesz basis when the periodized transform energy is bounded
-away from zero. The dual generator synthesizes the biorthogonal basis and
-everything downstream (kernels, Grams) is built from the two.
+Generators are real, continuous, compactly supported and held by closed
+forms; their integer shifts form a Riesz basis when the bracket, the finite
+cosine sum of their autocorrelation, is bounded away from zero. The dual
+generator synthesizes the biorthogonal basis and everything downstream
+(kernels, Grams) is built from the two.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Grid, GridFunction, integrate_values, uniform_fourier_sum
+from .core import Grid, GridFunction, uniform_fourier_sum
 from .exceptions import RieszConditionError, ShapeMismatchError, ValidationError
 from .families import AverageFunctional
 from .kernels import GramMatrix
@@ -29,7 +30,6 @@ __all__ = [
     "DualGenerator",
     "make_generator",
     "bracket_function",
-    "bracket_tail_estimate",
     "dual_generator",
     "biorthogonality_residual",
     "si_functional_kernel",
@@ -40,8 +40,16 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-_SPLINE_ORDERS = {"box": 1, "hat": 2, "cubic": 4}
-_SPLINE_RADII = {"box": 1, "hat": 1, "cubic": 2}
+#: step of the integer-aligned grids of a dual and of the support check
+PHI_STEP = 1.0 / 1024
+
+# order, support radius R and autocorrelation a_k = <phi, phi(. - k)>, k < 2R:
+# the B-spline of twice the order at the integers (Euler-Frobenius)
+_SPLINES = {
+    "box": (1, 1, (1.0,)),
+    "hat": (2, 1, (2 / 3, 1 / 6)),
+    "cubic": (4, 2, (151 / 315, 397 / 1680, 1 / 42, 1 / 5040)),
+}
 # Frequencies per alias block: every temporary of a block stays in cache.
 _ALIAS_BLOCK = 2**15
 
@@ -100,53 +108,47 @@ def bspline_transform(order: int, omega) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Generator:
-    """Shift-space generator: sampled values, exact evaluator, transform rule.
+    """Shift-space generator by its closed forms: ``phi_fn`` evaluates phi,
+    ``phi_hat`` its Fourier transform, and ``autocorrelation`` holds
+    a_k = <phi, phi(. - k)> for 0 <= k < 2R (it vanishes beyond). ``j_trunc``
+    bounds the aliases of the density diagnostic and the identity check."""
 
-    ``phi_fn`` evaluates phi and ``phi_hat`` its Fourier transform; for the
-    named splines both are closed forms. ``decay_order`` feeds the
-    periodization tail estimate |phi_hat(w)| <~ (2/|w|)^decay_order.
-    """
-
-    phi: GridFunction = field(repr=False)
     support_radius: int
     phi_fn: Callable = field(repr=False)
     phi_hat: Callable = field(repr=False)
+    autocorrelation: tuple
     j_trunc: int = 64
-    decay_order: int = 1
     name: str = "custom"
 
     def __post_init__(self):
         _count("j_trunc", self.j_trunc)
-        outside = np.abs(self.phi.grid.points()) > self.support_radius + 1e-12
-        if np.any(self.phi.values[outside] != 0.0):
-            raise ValidationError(f"generator samples are nonzero beyond support_radius={self.support_radius}")
+        # 1024 steps of PHI_STEP: a band of width one beyond the support on each side
+        beyond = self.support_radius + PHI_STEP * np.arange(1, 1025)
+        if np.any(self.evaluate(np.concatenate((-beyond, beyond))) != 0.0):
+            raise ValidationError(f"generator is nonzero beyond support_radius={self.support_radius}")
 
     def evaluate(self, x) -> np.ndarray:
         return self.phi_fn(np.asarray(x, dtype=float))
 
     def transform(self, omega) -> np.ndarray:
         """phi_hat at omega in the dtype phi_hat returns: real for the even
-        splines, whose bracket then needs no complex cast."""
+        splines."""
         return np.asarray(self.phi_hat(np.asarray(omega, dtype=float)))
 
 
 def make_generator(kind: str) -> Generator:
-    """Named B-spline generator sampled at step 1/1024 on an integer-aligned
-    grid over its support, periodized over |j| <= 64."""
-    if kind not in _SPLINE_ORDERS:
-        raise ValidationError(f"unknown generator {kind!r}; choose from {sorted(_SPLINE_ORDERS)}")
-    order = _SPLINE_ORDERS[kind]
-    radius = _SPLINE_RADII[kind]
-    grid = Grid(-float(radius), float(radius), 2048 * radius + 1)
-    fn = lambda x: bspline(order, x)  # noqa: E731
+    """Named B-spline generator: the centred spline, its transform and its
+    autocorrelation in closed form, with the aliases of the density
+    diagnostic taken over |j| <= 64."""
+    if kind not in _SPLINES:
+        raise ValidationError(f"unknown generator {kind!r}; choose from {sorted(_SPLINES)}")
+    order, radius, autocorrelation = _SPLINES[kind]
     return Generator(
-        phi=GridFunction(grid, fn(grid.points()).astype(complex)),
         support_radius=radius,
-        j_trunc=64,
-        decay_order=order,
-        name=kind,
-        phi_fn=fn,
+        phi_fn=lambda x: bspline(order, x),
         phi_hat=lambda w: bspline_transform(order, w),
+        autocorrelation=autocorrelation,
+        name=kind,
     )
 
 
@@ -162,29 +164,18 @@ def _aliases(xi: np.ndarray, j_trunc: int):
 
 
 def bracket_function(gen: Generator, xi) -> np.ndarray:
-    """Truncated periodization sum_{|j| <= j_trunc} |phi_hat(xi + 2 pi j)|^2.
+    """The bracket sum_l |phi_hat(xi + 2 pi l)|^2 as its Poisson sum
+    a_0 + 2 sum_{k >= 1} a_k cos(k xi) over the autocorrelation: exact, as
+    a real generator of compact support has finitely many a_k.
 
-    Raises RieszConditionError when any truncated value fails positivity.
+    Raises RieszConditionError when any value fails positivity.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    vals = np.zeros(xi.shape)
-    for _, om in _aliases(xi, gen.j_trunc):
-        vals += np.sum(np.abs(gen.transform(om)) ** 2, axis=1)
+    a = np.asarray(gen.autocorrelation, dtype=float)
+    vals = a[0] + 2.0 * (np.cos(np.multiply.outer(xi, np.arange(1, a.size))) @ a[1:])
     if np.any(vals <= 0.0):
-        raise RieszConditionError(
-            f"periodized generator energy nonpositive (min {vals.min():.3e}); "
-            "integer shifts do not form a Riesz basis at this truncation"
-        )
+        raise RieszConditionError(f"bracket nonpositive (min {vals.min():.3e}); integer shifts are no Riesz basis")
     return vals
-
-
-def bracket_tail_estimate(gen: Generator) -> float:
-    """Tail of the periodization beyond j_trunc, from the decay-order bound
-    |phi_hat(w)| <= ||phi||_1 (2/|w|)^k."""
-    k = max(int(gen.decay_order), 1)
-    l1 = float(integrate_values(gen.phi.grid, np.abs(gen.phi.values[:, 0])).real)
-    j = gen.j_trunc
-    return 2.0 * l1**2 / (math.pi ** (2 * k) * (2 * k - 1) * (j - 0.5) ** (2 * k - 1))
 
 
 def _shift_window(gen: Generator, y: np.ndarray, k: int) -> slice:
@@ -226,8 +217,9 @@ class DualGenerator:
 
 def dual_generator(gen: Generator, k_max: int) -> DualGenerator:
     """Dual coefficients b_k = (1/2pi) int_{-pi}^{pi} exp(-i k xi)/bracket(xi),
-    by trapezoid quadrature on 2049 points, and the synthesized dual on the
-    generator grid extended by k_max."""
+    by trapezoid quadrature on 2049 points, which converges geometrically
+    as the bracket is a positive trigonometric polynomial; and the dual
+    synthesized on the grid of step PHI_STEP over |x| <= R + k_max."""
     k_max = _count("k_max", k_max)
     grid_xi = Grid(-math.pi, math.pi, 2049)
     xs = grid_xi.points()
@@ -235,8 +227,7 @@ def dual_generator(gen: Generator, k_max: int) -> DualGenerator:
     weighted = recip * grid_xi.weights()
     b = uniform_fourier_sum(-k_max, 1.0, 2 * k_max + 1, grid_xi.a, grid_xi.h, weighted) / TWO_PI
     r = gen.support_radius
-    h = gen.phi.grid.h
-    ext = Grid(-(r + k_max), float(r + k_max), int(round(2 * (r + k_max) / h)) + 1)
+    ext = Grid(-(r + k_max), float(r + k_max), int(round(2 * (r + k_max) / PHI_STEP)) + 1)
     vals = _shift_sum(gen, -k_max, b, ext)
     return DualGenerator(b_coeffs=b, k_max=k_max, phi_tilde=GridFunction(ext, vals), source=gen)
 

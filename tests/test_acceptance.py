@@ -65,6 +65,7 @@ from opkern.paley_wiener import (
     w_grid_default,
 )
 from opkern.shift_invariant import (
+    bracket_function,
     dual_generator,
     fourier_coefficient_identity_check,
     make_generator,
@@ -404,9 +405,22 @@ def test_criterion_9_shift_space_suite():
     dev2 = fourier_coefficient_identity_check(hat, u, k_range=4, j_trunc=128, quad_n=8193, xi_n=2049)
     assert dev <= 1e-5
     assert dev2 <= dev / 2.0
+
+    # reported, not bounded: the bracket against its closed forms, and the
+    # box dual against the unit vector, the dual of an orthonormal generator
+    xi = np.linspace(-math.pi, math.pi, 257)
+    closed = {
+        "box": np.ones_like(xi),
+        "hat": (2.0 + np.cos(xi)) / 3.0,
+        "cubic": (1208.0 + 1191.0 * np.cos(xi) + 120.0 * np.cos(2 * xi) + np.cos(3 * xi)) / 2520.0,
+    }
+    bracket_gap = max(float(np.max(np.abs(bracket_function(make_generator(k), xi) - c))) for k, c in closed.items())
+    box_b = dual_generator(make_generator("box"), k_max=20).b_coeffs
+    box_gap = float(np.max(np.abs(box_b - np.eye(box_b.size)[20])))
     print(
         f"PASS criterion 9: biorthogonality {biorth:.2e} (<= 1e-6); identity deviation "
-        f"{dev:.2e} -> {dev2:.2e} under doubling (ratio {dev / dev2:.1f})"
+        f"{dev:.2e} -> {dev2:.2e} under doubling (ratio {dev / dev2:.1f}); bracket vs closed "
+        f"form {bracket_gap:.1e}; box dual vs unit vector {box_gap:.1e}"
     )
 
 

@@ -680,15 +680,20 @@ def test_size_caps_refuse_before_allocating(signal_file, tmp_path, capsys, argv)
 
 @pytest.mark.parametrize(
     "flag,value",
-    [("--k-max", "600"), ("--k-range", "600000"), ("--n-centers", "200000")],
-    ids=["k-max", "k-range", "n-centers"],
+    [
+        ("--k-max", "600"), ("--k-range", "600000"), ("--n-centers", "200000"),
+        ("--delta", "1000000.0"), ("--delta", "1e+300"),
+    ],
+    ids=["k-max", "k-range", "n-centers", "delta", "delta-overflow"],
 )
 def test_si_diagnose_size_caps_name_the_flag(tmp_path, capsys, flag, value):
     """--k-max 600 computed the dual coefficients and then exited 2 with
     "grid of 1230849 points exceeds the cap of 1048576", naming no flag;
     --k-range 600000 ran to completion over 1200001 coefficients, and
-    --n-centers had no bound. Each is now refused by name before any array
-    it sizes is built."""
+    --n-centers had no bound. --delta 1e6 ended in a numpy MemoryError
+    traceback at exit 1, from a (shifts x 4097) window matrix of 61 GiB, and
+    --delta 1e300 in numpy's "Maximum allowed size exceeded". Each is now
+    refused by name before any array it sizes is built."""
     tracemalloc.start()
     try:
         code = main(["si-diagnose", flag, value, "--out", str(tmp_path / "x")])
@@ -701,6 +706,23 @@ def test_si_diagnose_size_caps_name_the_flag(tmp_path, capsys, flag, value):
     assert err["message"].startswith(f"{flag} {value} needs ")
     assert peak < 2**24
     assert not list(tmp_path.glob("x.*"))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("profile", ["box", "triangle", "cosine"])
+@pytest.mark.parametrize("delta", ["5e-324", "1e-310"])
+def test_subnormal_widths_are_refused_before_any_profile_is_evaluated(tmp_path, capsys, profile, delta):
+    """The box at 5e-324 printed RuntimeWarnings and exited 0 with a NaN
+    mass let through; triangle and cosine at 1e-310 exited 2 only after
+    numpy's overflow warnings. A width whose peak 1/delta overflows is now
+    refused first; 1e-308, whose peak is finite, still runs."""
+    argv = ["psd", "--family", "average", "--profile", profile, "--out", str(tmp_path / "x")]
+    assert main([*argv, "--delta", delta]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["message"].startswith("delta must be positive with a finite profile peak")
+    assert not list(tmp_path.glob("x.*"))
+    assert main([*argv, "--delta", "1e-308"]) == 0
 
 
 def test_validation_error_exit_code(tmp_path, capsys):

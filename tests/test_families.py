@@ -9,6 +9,7 @@ from scipy.interpolate import CubicSpline
 from opkern.core import Grid, GridFunction, integrate_values, uniform_fourier_sum
 from opkern.exceptions import DomainError, ShapeMismatchError, ValidationError
 from opkern.families import (
+    PROFILES,
     AverageFunctional,
     AverageSamplingFamily,
     FourierCoefficientFamily,
@@ -288,6 +289,19 @@ def test_fourier_synthesis_sums_by_residue_and_repeats_the_first_point():
     assert big[-1] == big[0]
     with pytest.raises(ShapeMismatchError):
         fourier_synthesis([0, 1], [1.0], g)
+
+
+@pytest.mark.filterwarnings("error")
+def test_average_functional_refuses_an_overflowing_peak_and_a_nan_mass(monkeypatch):
+    """A width whose peak 1/delta is not finite is refused before the
+    profile is evaluated, and the mass test fails a NaN mass."""
+    for delta in (5e-324, 1e-310, math.nan, -0.0):
+        with pytest.raises(ValidationError, match="finite profile peak"):
+            AverageFunctional(0.0, delta, "triangle")
+    assert AverageFunctional(0.0, 1e-308, "triangle").delta == 1e-308
+    monkeypatch.setitem(PROFILES, "box", lambda delta: lambda t: np.full(np.shape(t), math.nan))
+    with pytest.raises(ValidationError, match="mass nan"):
+        AverageFunctional(0.0, 0.2, "box")
 
 
 def test_average_functional_mass_check_resolves_the_centre():

@@ -19,7 +19,6 @@ from opkern.shift_invariant import (
     _toeplitz,
     biorthogonality_residual,
     bracket_function,
-    bracket_tail_estimate,
     bspline,
     bspline_transform,
     density_diagnostic,
@@ -44,6 +43,18 @@ from shift_oracle import (
 TWO_PI = 2.0 * math.pi
 EPS = np.finfo(float).eps
 ORDERS = {"box": 1, "hat": 2, "cubic": 4}
+# The a-priori tail of the alias sum at |l| <= 64 that these tolerances once
+# read, 2 / (pi^(2n) (2n - 1) 63.5^(2n - 1)) for the spline of order n,
+# rounded down: box 3.1913e-3, hat 2.6729e-8.
+BOX_TAIL = 3.19e-3
+HAT_TAIL = 2.67e-8
+
+
+def alias_tail(order, j_trunc):
+    """Bound on sum_{|l| > J} |phi_hat(xi + 2 pi l)|^2 over |xi| <= pi for
+    the spline of the order, J >= 1, from |phi_hat(w)| <= (2/|w|)^order."""
+    k = order
+    return 2.0 / (math.pi ** (2 * k) * (2 * k - 1) * (j_trunc - 0.5) ** (2 * k - 1))
 
 
 # ------------------------------------------------------------------- splines
@@ -75,39 +86,38 @@ def test_unknown_spline_order():
 
 
 def test_generator_refuses_samples_beyond_support_radius():
-    g = Grid(-2.0, 2.0, 257)
-    wide_hat = np.maximum(1.0 - np.abs(g.points()) / 2.0, 0.0)
+    """phi_fn is sampled on a band of width one beyond the support radius,
+    on each side."""
     hat = make_generator("hat")
-    rules = {"phi_fn": hat.phi_fn, "phi_hat": hat.phi_hat}
-    with pytest.raises(ValidationError):
-        Generator(phi=GridFunction(g, wide_hat.astype(complex)), support_radius=1, **rules)
-    # the unit hat vanishes beyond radius 1, so a wider sampling grid is fine
-    Generator(phi=GridFunction(g, bspline(2, g.points()).astype(complex)), support_radius=1, **rules)
+    rules = {"phi_hat": hat.phi_hat, "autocorrelation": hat.autocorrelation}
+
+    def wide_hat(x):
+        return np.maximum(1.0 - np.abs(x) / 2.0, 0.0)
+
+    def right_bump(x):
+        return np.where(np.abs(x - 1.5) < 0.01, 1.0, 0.0)
+
+    for phi_fn in (wide_hat, right_bump, lambda x: right_bump(-x)):
+        with pytest.raises(ValidationError, match="nonzero beyond support_radius=1"):
+            Generator(support_radius=1, phi_fn=phi_fn, **rules)
+    # the unit hat vanishes beyond radius 1, the wide hat beyond radius 2
+    Generator(support_radius=1, phi_fn=hat.phi_fn, **rules)
+    Generator(support_radius=2, phi_fn=wide_hat, **rules)
 
 
 # ------------------------------------------------------------------- bracket
 
 def test_box_bracket_is_one_within_tail():
+    """Poisson summation: the periodization equals the autocorrelation series
+    sum_m <phi, phi(.-m)> e^{-i m xi}; for the unit box the correlations are
+    1 at lag zero and 0 at the unit lags, so the bracket is identically one.
+    The truncated alias sum of the oracle approaches it as it deepens."""
     box = make_generator("box")
     xi = np.linspace(-math.pi, math.pi, 65)
-    vals = bracket_function(box, xi)
-    tail = bracket_tail_estimate(box)
-    assert np.max(np.abs(vals - 1.0)) <= 1.5 * tail
-    # Poisson-summation oracle: the periodization equals the autocorrelation
-    # series sum_m <phi, phi(.-m)> e^{-i m xi}; for the unit box the exact
-    # correlations are 1 at lag zero and 0 at the unit lags, so the full
-    # periodization is identically one and the truncated values approach it
-    # as the truncation deepens
-    deep = Generator(
-        phi=box.phi,
-        support_radius=box.support_radius,
-        j_trunc=512,
-        decay_order=1,
-        phi_fn=box.phi_fn,
-        phi_hat=box.phi_hat,
-    )
-    deep_vals = bracket_function(deep, xi)
-    assert np.max(np.abs(deep_vals - 1.0)) < np.max(np.abs(vals - 1.0)) / 4.0
+    assert np.array_equal(bracket_function(box, xi), np.ones(65))
+    gap = np.max(np.abs(bracket_values(box.transform, xi, 64) - 1.0))
+    assert gap <= 1.5 * BOX_TAIL
+    assert np.max(np.abs(bracket_values(box.transform, xi, 512) - 1.0)) < gap / 4.0
 
 
 def test_hat_bracket_closed_form():
@@ -116,30 +126,73 @@ def test_hat_bracket_closed_form():
     assert bracket_function(hat, np.array([math.pi]))[0] == pytest.approx(1.0 / 3.0, abs=1e-6)
     xi = np.linspace(-math.pi, math.pi, 129)
     closed = (2.0 + np.cos(xi)) / 3.0
-    assert np.max(np.abs(bracket_function(hat, xi) - closed)) <= 1.5 * bracket_tail_estimate(hat)
+    assert np.max(np.abs(bracket_function(hat, xi) - closed)) <= 4 * EPS
+    assert np.max(np.abs(bracket_values(hat.transform, xi, 64) - closed)) <= 1.5 * HAT_TAIL
 
 
 def test_bracket_rejects_vanishing_generator():
-    g = Grid(-1.0, 1.0, 257)
     zero = Generator(
-        phi=GridFunction(g, np.zeros((257, 1))),
         support_radius=1,
         phi_fn=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         phi_hat=lambda w: np.zeros_like(np.asarray(w, dtype=float)).astype(complex),
+        autocorrelation=(0.0,),
     )
     with pytest.raises(RieszConditionError):
         bracket_function(zero, np.array([0.0, 1.0]))
+    # a_0 - 2 a_1 < 0: the bracket changes sign before xi = pi
+    bad = dataclasses.replace(make_generator("hat"), autocorrelation=(0.5, 0.5))
+    with pytest.raises(RieszConditionError):
+        bracket_function(bad, np.linspace(-math.pi, math.pi, 9))
+
+
+def _correlation_by_quadrature(gen, k):
+    """<phi, phi(. - k)> by 8-node Gauss-Legendre rules on the half-unit
+    cells of [-R, R]: exact for the piecewise-polynomial splines, whose knots
+    lie on the half-integers."""
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    r = gen.support_radius
+    total = 0.0
+    for lo in np.arange(-r, r, 0.5):
+        t = lo + 0.25 * (nodes + 1.0)
+        total += 0.25 * float(weights @ (gen.evaluate(t) * gen.evaluate(t - k)))
+    return total
+
+
+@pytest.mark.parametrize("kind", ["box", "hat", "cubic"])
+def test_autocorrelation_and_bracket_match_quadrature_and_the_alias_oracle(kind):
+    """Each tabulated a_k is the integral of phi phi(. - k), and a_k = 0 from
+    k = 2R on. The bracket is the closed form within 4 eps on 257 points of
+    [-pi, pi], and the oracle's alias sum at a large truncation: within 4 eps
+    for hat and cubic, and within the oracle's own tail for the box."""
+    gen = make_generator(kind)
+    a = gen.autocorrelation
+    for k in range(2 * gen.support_radius + 1):
+        assert abs(_correlation_by_quadrature(gen, k) - (a[k] if k < len(a) else 0.0)) <= 4 * EPS
+
+    xi = np.linspace(-math.pi, math.pi, 257)
+    closed = {
+        "box": np.ones_like(xi),
+        "hat": (2.0 + np.cos(xi)) / 3.0,
+        "cubic": (1208.0 + 1191.0 * np.cos(xi) + 120.0 * np.cos(2 * xi) + np.cos(3 * xi)) / 2520.0,
+    }[kind]
+    got = bracket_function(gen, xi)
+    assert np.max(np.abs(got - closed)) <= 4 * EPS
+
+    j_trunc = {"box": 2_000, "hat": 100_000, "cubic": 2_000}[kind]
+    xi = xi[::4]
+    want = bracket_values(spline_transform_pow(ORDERS[kind]), xi, j_trunc)
+    tol = alias_tail(ORDERS[kind], j_trunc) if kind == "box" else 4 * EPS
+    assert np.max(np.abs(got[::4] - want)) <= tol
 
 
 # -------------------------------------------------------------- dual generator
 
 def test_box_dual_is_identity_within_tail():
+    """The box's bracket is exactly one, so its dual is the box: b is the
+    unit vector up to the round-off of the 2049-point rule."""
     box = make_generator("box")
     d = dual_generator(box, k_max=8)
-    tol = 3.0 * bracket_tail_estimate(box)
-    assert abs(d.b_coeffs[8] - 1.0) < tol
-    others = np.delete(d.b_coeffs, 8)
-    assert np.max(np.abs(others)) < tol
+    assert np.max(np.abs(d.b_coeffs - np.eye(17)[8])) <= 1e-15
 
 
 def test_hat_dual_coefficients_symmetric_decaying():
@@ -151,9 +204,11 @@ def test_hat_dual_coefficients_symmetric_decaying():
     assert np.max(np.abs(b - b[::-1])) < 1e-12
     # exponential decay: ratio between lags 5 apart
     assert abs(b[20 + 15]) < 1e-3 * abs(b[20 + 5])
-    # closed form for the zero lag: (1/2pi) int 3/(2+cos) = sqrt(3);
-    # the truncated periodization shifts it by its own tail scale
-    assert b[20].real == pytest.approx(math.sqrt(3.0), abs=1e-6)
+    # 1/bracket = 3/(2 + cos xi) has the Fourier coefficients
+    # sqrt(3) (sqrt(3) - 2)^|k|; the periodic trapezoid rule on the exact
+    # bracket converges to them geometrically
+    k = np.arange(-20, 21)
+    assert np.max(np.abs(b - math.sqrt(3.0) * (math.sqrt(3.0) - 2.0) ** np.abs(k))) <= 1e-15
 
 
 def test_hat_biorthogonality():
@@ -166,6 +221,16 @@ def test_hat_biorthogonality():
         val = integrate_values(g, np.conj(hat.evaluate(pts - j)) * d.phi_tilde.values[:, 0])
         worst = max(worst, abs(val - (1.0 if j == 0 else 0.0)))
     assert worst < 1e-6
+
+
+@pytest.mark.parametrize("kind,bound", [("box", 5e-4), ("cubic", 1e-13)])
+def test_box_and_cubic_duals_are_biorthogonal_up_to_the_pairing_quadrature(kind, bound):
+    """With the exact bracket, what remains of <phi~, phi(. - j)> - [j == 0]
+    is the trapezoid pairing on the dual's grid: h/2 = 2**-11 at the box's
+    jumps, and round-off for the cubic (test_hat_biorthogonality takes the
+    hat). A wrong a_k moves the dual off biorthogonality by far more."""
+    gen = make_generator(kind)
+    assert biorthogonality_residual(dual_generator(gen, k_max=20), range(-4, 5)) <= bound
 
 
 @pytest.mark.parametrize("value", [-1, 2.5])
@@ -194,7 +259,7 @@ def test_box_kernel_is_same_cell_indicator():
     # indicator (up to the dual's truncation-tail ripple)
     same_cell = (np.abs(y) < 0.5).astype(float)
     inside = np.abs(np.abs(y) - 0.5) > 1e-2  # skip the jump neighborhood
-    tol = 5.0 * bracket_tail_estimate(box)
+    tol = 5.0 * BOX_TAIL
     assert np.max(np.abs(k.values[inside, 0] - same_cell[inside])) < tol
 
 
@@ -249,7 +314,7 @@ def test_si_functional_kernel_point_mass_limit():
     y = out.points()
     expect = bspline(1, y - 2.0)
     inside = np.abs(np.abs(y - 2.0) - 0.5) > 0.05
-    tol = 5.0 * bracket_tail_estimate(box) + 1e-3
+    tol = 5.0 * BOX_TAIL + 1e-3
     assert np.max(np.abs(sec.values[inside, 0] - expect[inside])) < tol
 
 
@@ -433,11 +498,12 @@ def test_windowed_matrix_and_alias_loop_match_the_per_functional_oracle(kind, us
     summed reference. The first example is the draw once recorded failing a
     direct comparison of the two routes, 7.0e-17 apart against a one-sum
     bound of 5.8e-17; the second fails it with single-threaded OpenBLAS, 6.8e-17
-    apart against 5.8e-17. The blocked alias pass
-    agrees with the pow transform and the per-alias exponentials summed
-    functional by functional: the bracket within 16 eps relative, and each
-    g_u within 64 eps sum_l |m phi_hat| (1 + |w x|), the round-off of the
-    phases exp(-i w x) at the aliases w = xi + 2 pi l."""
+    apart against 5.8e-17. The oracle's alias sum of the pow transform is a
+    partial sum of the exact bracket: below it within 16 eps relative, and
+    short of it by at most the alias tail. The blocked alias pass agrees with
+    the per-alias exponentials summed functional by functional: each g_u
+    within 64 eps sum_l |m phi_hat| (1 + |w x|), the round-off of the phases
+    exp(-i w x) at the aliases w = xi + 2 pi l."""
     gen = make_generator(kind)
     r = gen.support_radius
     ks, cmat = _average_coefficients(gen, us, quad_n)
@@ -456,8 +522,10 @@ def test_windowed_matrix_and_alias_loop_match_the_per_functional_oracle(kind, us
 
     xi = np.linspace(-math.pi, math.pi, xi_n)
     phi_hat = spline_transform_pow(ORDERS[kind])
-    want = bracket_values(phi_hat, xi, j_trunc)
-    assert np.all(np.abs(bracket_function(dataclasses.replace(gen, j_trunc=j_trunc), xi) - want) <= 16 * EPS * want)
+    want, got = bracket_values(phi_hat, xi, j_trunc), bracket_function(gen, xi)
+    assert np.all(want <= got * (1.0 + 16 * EPS))
+    if j_trunc:
+        assert np.all(got - want <= alias_tail(ORDERS[kind], j_trunc) + 16 * EPS * got)
     rows = _g_values(gen, us, xi, j_trunc)
     assert rows.shape == (len(us), xi_n)
     om = xi[:, None] + TWO_PI * np.arange(-j_trunc, j_trunc + 1)
@@ -580,6 +648,9 @@ def test_shift_sum_evaluates_phi_once_per_distinct_offsets(kind):
         return plain.phi_fn(x)
 
     gen = dataclasses.replace(plain, phi_fn=counting)
+    # the support check samples a band of width one on each side
+    assert sizes == [2048]
+    sizes.clear()
     d = dual_generator(gen, k_max=6)
     assert sizes == [2048 * plain.support_radius + 1]
     assert np.array_equal(d.phi_tilde.values, dual_generator(plain, k_max=6).phi_tilde.values)
