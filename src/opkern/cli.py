@@ -73,15 +73,34 @@ def _write_function_csv(path: Path, f: GridFunction) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _index(token: str, flag: str) -> int | float:
+    """A token of a list flag: an int if it reads as one, else a float in
+    decimal or exponent form ('0.5', '2e-1'). A token that is not a finite
+    number is refused by the flag."""
+    try:
+        value = finite(token)
+    except ValueError:
+        raise ValidationError(f"{flag} cannot read {token!r} as a finite number") from None
+    try:
+        return int(token)
+    except ValueError:
+        return value
+
+
 def _parse_indices(text: str, flag: str) -> list:
-    """The indices of a list flag, 'lo..hi' or comma-separated; a list that
-    names none (--x= or --indices=1..0) is refused."""
+    """The indices of a list flag, 'lo..hi' with integer bounds or
+    comma-separated; a list that names none (--x= or --indices=1..0), or a
+    range above MAX_STACK_ENTRIES indices, is refused before it is formed."""
     text = text.strip()
     if ".." in text:
-        lo, hi = text.split("..")
-        indices = list(range(int(lo), int(hi) + 1))
+        lo, hi = (_index(tok, flag) for tok in text.split("..", 1))
+        if not (isinstance(lo, int) and isinstance(hi, int)):
+            raise ValidationError(f"{flag} range {text!r} needs integer bounds")
+        if hi - lo + 1 > MAX_STACK_ENTRIES:
+            raise ValidationError(f"{flag} range {text!r} names {hi - lo + 1} indices, above {MAX_STACK_ENTRIES}")
+        indices = list(range(lo, hi + 1))
     else:
-        indices = [float(tok) if "." in tok else int(tok) for tok in text.split(",") if tok]
+        indices = [_index(tok, flag) for tok in text.split(",") if tok]
     if not indices:
         raise ValidationError(f"{flag} names no index")
     return indices
@@ -286,13 +305,15 @@ def _cmd_si_diagnose(args, prefix: Path) -> None:
     _check_size("--delta", args.delta, shifts * 4097, MAX_STACK_ENTRIES, "window entries")
     _check_size("--k-range", args.k_range, 2 * args.k_range + 1, MAX_GRID_POINTS, "coefficients")
     _check_size("--n-centers", args.n_centers, 257 * args.n_centers, MAX_STACK_ENTRIES, "density entries")
+    try:
+        family = [AverageFunctional(args.center + i * 0.5, args.delta, args.profile) for i in range(args.n_centers)]
+    except ValidationError as exc:
+        # a centre whose profile grid or mass round-off fails (--center 1e16)
+        raise ValidationError(f"--center {args.center} with --delta {args.delta}: {exc}") from None
     xi = np.linspace(-math.pi, math.pi, 257)
     bracket = bracket_function(gen, xi)
     dual = dual_generator(gen, args.k_max)
-    u = AverageFunctional(args.center, args.delta, args.profile)
-    deviation = fourier_coefficient_identity_check(gen, u, k_range=args.k_range)
-    centers = [args.center + i * 0.5 for i in range(args.n_centers)]
-    family = [AverageFunctional(c, args.delta, args.profile) for c in centers]
+    deviation = fourier_coefficient_identity_check(gen, family[0], k_range=args.k_range)
     density = density_diagnostic(gen, family, Grid(-math.pi, math.pi, 257))
     _write_json(
         prefix.with_suffix(".json"),

@@ -230,9 +230,10 @@ class SweepReport:
     trials: int
 
 
-#: most entries of one stacked array of a trial block: 2**12 // (m * size)
-#: trials bound both the (block, m) draws and the (block, size, size) solves
-_TRIAL_BLOCK = 2**12
+#: a block is 2**14 // (m * size) trials (at least one): its (block, 3m)
+#: draws hold at most 3 * 2**14 // size entries, and its (block, size, size)
+#: submatrices at most 2**14 * size // m <= 2**14
+_TRIAL_BLOCK = 2**14
 
 
 def stability_reports(
@@ -254,11 +255,13 @@ def stability_reports(
       the global maximum is within twice the largest-size maximum (no
       blow-up as the index set shrinks).
 
-    Trials are drawn one at a time, so the random stream does not depend on
-    the blocking: per trial one ``random`` of 2m doubles for the span
-    element, those of complex_unit_disc(gen, m), then one ``choice`` for S.
-    Products and solves run on stacked blocks of trials, one matrix-vector
-    product per trial as in a single-trial loop.
+    Each block of trials is one ``random`` call of shape (block, 3m), and
+    its rows fill in trial order, so the random stream does not depend on
+    the blocking. A trial's row holds m radii and m phases, the doubles
+    that complex_unit_disc(gen, m) reads, then m keys: S is the ``size``
+    indices of the smallest keys, in increasing order, a uniform subset.
+    Products and solves run on the stacked block, one matrix-vector product
+    per trial as in a single-trial loop.
     """
     m, trials = len(frame), int(trials)
     _check_sweep(trials, subset_sizes, m)
@@ -274,15 +277,11 @@ def stability_reports(
         worst_t = worst_d = 0.0
         for start in range(0, trials, block):
             n = min(block, trials - start)
-            u = np.empty((n, 2 * m))
-            subsets = np.empty((n, size), dtype=int)
-            for i in range(n):
-                gen.random(out=u[i])
-                subsets[i] = gen.choice(m, size=size, replace=False)
-            subsets.sort(axis=1)
+            u = gen.random((n, 3 * m))
+            subsets = np.sort(np.argsort(u[:, 2 * m:], axis=1)[:, :size], axis=1)
             # complex_unit_disc(gen, m) from the same doubles: uniform(0, s)
             # draws 0.0 + s * random(), bit for bit
-            a = (np.sqrt(u[:, :m]) * np.exp(1j * (2.0 * np.pi * u[:, m:])))[:, None]
+            a = (np.sqrt(u[:, :m]) * np.exp(1j * (2.0 * np.pi * u[:, m:2 * m])))[:, None]
             f_norm = np.sqrt(np.maximum(_quad_forms(g, a), 1e-300))
             c = np.take_along_axis((a @ g)[:, 0], subsets, axis=1)[:, None]
             rows, cols = subsets[:, :, None], subsets[:, None, :]

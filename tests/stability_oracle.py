@@ -3,7 +3,10 @@
 
 ``truncated_reconstruction_stability`` and ``stability_sweep`` each draw their
 own trials from ``rng(seed)``, one at a time, with one Hermitian solve per
-damped trial. Called with the same seed and sizes they see the same draws,
+damped trial. A trial draws its span element with complex_unit_disc(gen, m),
+then m keys with ``gen.random(m)``: its subset is
+``np.sort(np.argsort(keys)[:size])``, the indices of the ``size`` smallest
+keys. Called with the same seed and sizes the two loops see the same draws,
 which the blocked pass draws once for both reports.
 """
 
@@ -51,7 +54,7 @@ def truncated_reconstruction_stability(
         for _ in range(int(trials)):
             a = complex_unit_disc(gen, m)
             f_norm = math.sqrt(max(_quad_form(g, a), 1e-300))
-            subset = np.sort(gen.choice(m, size=size, replace=False))
+            subset = np.sort(np.argsort(gen.random(m))[:size])
             c = (a @ g)[subset]
             rec_sq = float(np.real(np.conj(c) @ gp[np.ix_(subset, subset)] @ c))
             worst = max(worst, math.sqrt(max(rec_sq, 0.0)) / f_norm)
@@ -91,7 +94,7 @@ def stability_sweep(
         for _ in range(int(trials)):
             a = complex_unit_disc(gen, m)
             f_norm = math.sqrt(max(_quad_form(g, a), 1e-300))
-            subset = np.sort(gen.choice(m, size=size, replace=False))
+            subset = np.sort(np.argsort(gen.random(m))[:size])
             xi = (a @ g)[subset]
             gl_ss = gl[np.ix_(subset, subset)]
             eta = solve_hermitian(gl_ss + lam * np.eye(size), xi)

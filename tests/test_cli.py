@@ -897,11 +897,16 @@ def test_stability_bad_inputs_are_refused(tmp_path, capsys, flags):
         ["stability", "--delta", "-inf"],
         ["kadec"],
         ["no-such-command"],
+        ["avg-sample", "--x", "abc"],
+        ["avg-sample", "--x", "0,1e400"],
+        ["gram", "--indices", "a..3"],
+        ["gram", "--indices", "0..99999999999"],
     ],
     ids=[
         "m-not-an-int", "window-inf", "window-zero", "window-overflow", "m-overflow",
         "fourier-m-overflow", "rel-cutoff-nan", "perturb-inf", "avg-sample-delta-inf",
-        "stability-delta-inf", "required-flag-missing", "unknown-command",
+        "stability-delta-inf", "required-flag-missing", "unknown-command", "x-not-a-number",
+        "x-overflow", "indices-range-not-a-number", "indices-range-overflow",
     ],
 )
 def test_bad_flag_values_exit_2(signal_file, tmp_path, capsys, argv):
@@ -912,7 +917,9 @@ def test_bad_flag_values_exit_2(signal_file, tmp_path, capsys, argv):
     --window 0 ran on the default window and exited 0. --window 1e308 and a
     400-digit --m ended in OverflowError tracebacks at exit 1; a window above
     the grid cap, or more indices than the stack cap, is now refused by the
-    flag that set it, before any float or index list is formed from it."""
+    flag that set it, before any float or index list is formed from it.
+    --x abc and --indices a..3 exited 2 with a bare "invalid literal for
+    int()"."""
     if argv[0] in ("reconstruct", "avg-sample"):
         argv = [*argv, "--signal", str(signal_file)]
     code = main([*argv, "--out", str(tmp_path / "x")])
@@ -942,11 +949,15 @@ def test_bad_flag_values_exit_2(signal_file, tmp_path, capsys, argv):
         (["si-diagnose", "--k-range", "-1"], "--k-range"),
         (["si-diagnose", "--n-centers", "0"], "--n-centers"),
         (["stability", "--sizes="], "--sizes"),
+        (["avg-sample", "--x", "0.5,abc"], "--x"),
+        (["si-diagnose", "--center", "1e300"], "--center"),
+        (["si-diagnose", "--center", "1e16"], "--center"),
+        (["si-diagnose", "--center", "1e12"], "--center"),
     ],
     ids=[
         "indices-empty", "indices-reversed", "x-empty", "m-negative", "points-per-unit-zero", "grid-n-negative",
         "w-n-one", "n-negative", "m-range-negative", "perturb-negative", "k-max-negative", "k-range-negative",
-        "n-centers-zero", "sizes-empty",
+        "n-centers-zero", "sizes-empty", "x-not-a-number", "center-1e300", "center-1e16", "center-1e12",
     ],
 )
 def test_empty_or_negative_sizes_are_refused_by_flag(signal_file, tmp_path, capsys, argv, flag):
@@ -956,7 +967,9 @@ def test_empty_or_negative_sizes_are_refused_by_flag(signal_file, tmp_path, caps
     with "negative dimensions are not allowed", --m -1 with a
     ShapeMismatchError, --sizes= with "invalid literal for int()", and
     avg-sample --x= exited 0 with no samples, vector-sampling --perturb -0.1
-    with an unperturbed set."""
+    with an unperturbed set. --x 0.5,abc failed in int() too, and
+    si-diagnose --center 1e300 or 1e16 with "grid requires finite a < b",
+    1e12 with "profile mass ... deviates from 1", naming no flag."""
     if argv[0] in ("reconstruct", "avg-sample"):
         argv = [*argv, "--signal", str(signal_file)]
     code = main([*argv, "--out", str(tmp_path / "x")])
@@ -965,6 +978,20 @@ def test_empty_or_negative_sizes_are_refused_by_flag(signal_file, tmp_path, caps
     assert json.loads(err)["error"] == "ValidationError"
     assert flag in json.loads(err)["message"]
     assert not list(tmp_path.glob("x.*"))
+
+
+def test_list_flags_read_exponent_floats(signal_file, tmp_path, capsys):
+    """--x 2e-1 samples at 0.2 as --x 0.2 does; it failed in int() before.
+    A token that is no number is refused with the flag and the token."""
+    outputs = []
+    for name, x in (("decimal", "0.2,1"), ("exponent", "2e-1,1")):
+        argv = ["avg-sample", "--x", x, "--signal", str(signal_file), "--out", str(tmp_path / name)]
+        assert main(argv) == 0
+        outputs.append((tmp_path / f"{name}.json").read_bytes())
+    assert outputs[0] == outputs[1]
+    assert main(["avg-sample", "--x", "0.5,abc", "--signal", str(signal_file), "--out", str(tmp_path / "x")]) == 2
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert "--x" in message and "'abc'" in message
 
 
 @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["reconstruct", "--help"]])

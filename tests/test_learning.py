@@ -1,12 +1,14 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import LinearOperator, cg
 
+from opkern import learning
 from opkern.core import Grid, GridFunction, complex_unit_disc, norm, rng
 from opkern.exceptions import AlignmentError, ConditioningError, ShapeMismatchError, ValidationError
 from opkern.families import (
@@ -417,19 +419,29 @@ def _oracle_reports(frame, dual, lam, trials, seed, sizes):
     )
 
 
+@st.composite
+def _sweeps(draw):
+    """(trial block, m, sizes, trials, lam, seed): a small block, so that a
+    trial count one below, at or one above a block costs little."""
+    trial_block = draw(st.sampled_from([2**8, 2**10]))
+    m = draw(st.integers(1, 40))
+    middle = draw(st.lists(st.integers(1, m), max_size=3, unique=True))
+    sizes = draw(st.permutations(sorted({1, m, *middle})))
+    block = max(1, trial_block // (m * draw(st.sampled_from(sizes))))
+    trials = draw(st.sampled_from([1, max(1, block - 1), block, block + 1]) | st.integers(1, 200))
+    return trial_block, m, sizes, trials, draw(st.floats(1e-6, 1e3)), draw(st.integers(0, 2**32 - 1))
+
+
 @settings(max_examples=20, deadline=None)
-@given(st.data())
-def test_stability_reports_match_the_single_trial_loops(data):
-    m = data.draw(st.integers(1, 40), label="m")
-    middle = data.draw(st.lists(st.integers(1, m), max_size=3, unique=True), label="sizes")
-    sizes = data.draw(st.permutations(sorted({1, m, *middle})), label="order")
-    block = _TRIAL_BLOCK // (m * data.draw(st.sampled_from(sizes), label="blocked size"))
-    trials = data.draw(st.sampled_from([1, block - 1, block, block + 1]) | st.integers(1, 200), label="trials")
-    lam = data.draw(st.floats(1e-6, 1e3), label="lam")
-    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+@given(sweep=_sweeps())
+# the library's own block: two blocks at size 4, the second of one trial
+@example(sweep=(_TRIAL_BLOCK, 17, [1, 4, 17], _TRIAL_BLOCK // (17 * 4) + 1, 0.1, 11))
+def test_stability_reports_match_the_single_trial_loops(sweep):
+    trial_block, m, sizes, trials, lam, seed = sweep
     frame = _random_frame(m, seed)
     dual = dual_frame(frame)
-    got = stability_reports(frame, dual, lam, trials, seed, sizes)
+    with mock.patch.object(learning, "_TRIAL_BLOCK", trial_block):
+        got = stability_reports(frame, dual, lam, trials, seed, sizes)
     wants = _oracle_reports(frame, dual, lam, trials, seed, sizes)
     # the truncated ratios need no solve: the same draws give the same bits
     assert got[0] == wants[0]
@@ -483,12 +495,13 @@ def test_stability_reports_of_the_pw_frames_solve_without_eigensolves(monkeypatc
 
 
 def test_stability_reports_memory_does_not_grow_with_trials():
-    # size 4 has the largest block of the benchmark's sizes, 2**12 // (17 * 4) trials
+    # size 4 has the largest block of the benchmark's sizes, so two full
+    # blocks of it are compared with 20,000 trials
     frame = _random_frame(17, seed=5)
     dual = dual_frame(frame)
     stability_reports(frame, dual, 0.1, 1, 0, [4])  # lazy imports out of the way
     peaks = []
-    for trials in (100, 20_000):
+    for trials in (2 * (_TRIAL_BLOCK // (17 * 4)), 20_000):
         tracemalloc.start()
         try:
             stability_reports(frame, dual, 0.1, trials, 0, [4])
@@ -496,6 +509,32 @@ def test_stability_reports_memory_does_not_grow_with_trials():
         finally:
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) <= 64 * 1024, peaks
+
+
+def test_stability_reports_draw_one_random_call_per_block(monkeypatch):
+    """At 17 sections, sizes 4, 8, 16 and 1,000 trials the blocks hold 240,
+    120 and 60 trials: 5 + 9 + 17 = 31 ``random`` calls and no ``choice``.
+    Drawn trial by trial, with a ``random`` and a ``choice`` each, the pass
+    made 6,000 generator calls."""
+    calls = []
+
+    class Counting:
+        def __init__(self, gen):
+            self._gen = gen
+
+        def __getattr__(self, name):
+            method = getattr(self._gen, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return method(*args, **kwargs)
+
+            return call
+
+    monkeypatch.setattr(learning, "rng", lambda seed: Counting(rng(seed)))
+    frame = _random_frame(17, seed=6)
+    stability_reports(frame, dual_frame(frame), 0.1, 1000, 0, (4, 8, 16))
+    assert calls == ["random"] * 31
 
 
 def test_sampling_operator_continuity_surrogate():
