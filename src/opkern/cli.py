@@ -106,18 +106,18 @@ def _parse_indices(text: str, flag: str) -> list:
     return indices
 
 
-def _read_json(path: str, what: str):
-    """The JSON value of an input file; a nest too deep for the decoder is
-    refused, not left to end in a RecursionError."""
+def _read_json(path: str, flag: str):
+    """The JSON value of the file a flag names; a file that is not JSON text
+    (empty, binary, nested too deep) is refused naming the flag and path."""
     with open(path) as fh:
         try:
             return json.load(fh)
-        except RecursionError:
-            raise ValidationError(f"{what} file nests its JSON too deeply") from None
+        except (ValueError, RecursionError) as exc:
+            raise ValidationError(f"{flag} {path} is not JSON the decoder can read: {exc}") from None
 
 
 def _load_signal(path: str) -> BandlimitedSignal:
-    return BandlimitedSignal.from_json(_read_json(path, "signal"))
+    return BandlimitedSignal.from_json(_read_json(path, "--signal"))
 
 
 def _window_grid(args) -> Grid:
@@ -222,6 +222,15 @@ def _cmd_reconstruct(args, prefix: Path) -> None:
     signal = _load_signal(args.signal)
     family = _family({"pw": "average", "fourier": "fourier"}[args.space], args)
     _check_size("--m", args.m, 2 * args.m + 1, MAX_STACK_ENTRIES, "indices")
+    if family.kind == "average":
+        # the supports reach m + delta, and the error window [-T + 4, T - 4] needs two grid points
+        grid, reach = _window_grid(args), args.m + args.delta
+        if not grid.spans(-reach, reach) or np.count_nonzero(np.abs(grid.points()) <= grid.b - 4.0 + 1e-12) < 2:
+            flag = f"--m {args.m}" if args.window is None else f"--window {args.window}"
+            raise ValidationError(
+                f"{flag} sets the window [-T, T] = [{grid.a}, {grid.b}], which cannot hold the supports out to "
+                f"m + delta = {reach} and two grid points in [-T + 4, T - 4]"
+            )
     frame, on_grid = _frame_of(family, range(-args.m, args.m + 1), args)
     grid = frame.h_grid
     f_grid = on_grid(signal, grid)
@@ -253,7 +262,7 @@ def _cmd_avg_sample(args, prefix: Path) -> None:
 
 
 def _cmd_regnet(args, prefix: Path) -> None:
-    payload = json_object(_read_json(args.problem, "problem"), "problem", ("family", "indices", "lambda"))
+    payload = json_object(_read_json(args.problem, "--problem"), "problem", ("family", "indices", "lambda"))
     family = family_from_descriptor(payload["family"])
     if not isinstance(payload["indices"], list) or not payload["indices"]:
         raise ValidationError(f"problem indices must be a non-empty list, not {payload['indices']!r:.40}")
@@ -508,7 +517,7 @@ def _parse(argv: list) -> argparse.Namespace:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config:
-        overrides = json_object(_read_json(args.config, "config"), "config")
+        overrides = json_object(_read_json(args.config, "--config"), "config")
         options = {a.dest: a.option_strings[-1] for a in args.parser._actions if a.dest != "config"}
         # a key that names no flag becomes one that argparse refuses
         flags = [f"{options.get(k.replace('-', '_'), '--unknown-config-key-' + k)}={v}" for k, v in overrides.items()]
@@ -531,7 +540,7 @@ def main(argv=None) -> int:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 3
-    except (OpkernError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OpkernError, OSError, ValueError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 2

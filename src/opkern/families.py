@@ -5,6 +5,9 @@ A functional family maps an index value alpha to a concrete linear functional
 local averages, point evaluations, and inner-product point evaluations.
 Families carry a JSON descriptor so sample sets and experiment configs can
 round-trip through files.
+On the grid [0, 2pi] the Fourier rows, synthesis and sampling read the
+indices by their residues mod n - 1: synthesis is one inverse FFT, and
+sampling, its adjoint, one FFT.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import MAX_GRID_POINTS, Grid, GridFunction, integrate_values, uniform_fourier_sum
+from .core import Grid, GridFunction, integrate_values
 from .core import complex_pairs, complex_values, integral, json_number, json_object
 from .exceptions import DomainError, ShapeMismatchError, ValidationError
 
@@ -384,45 +387,32 @@ def fourier_synthesis(indices, coeffs, grid: Grid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FourierCoefficientFamily(FunctionalFamily):
-    """L_j(f) = (1/sqrt(2pi)) \\int_a^b f(x) exp(-i j x) dx for integer j."""
+    """L_j(f) = (1/sqrt(2pi)) \\int_0^{2pi} f(x) exp(-i j x) dx for integer j,
+    by the trapezoid rule on the grid [0, 2pi]; sampling is the adjoint of
+    ``fourier_synthesis``."""
 
-    a: float = 0.0
-    b: float = TWO_PI
     kind = "fourier"
 
     def apply(self, alpha, f: GridFunction) -> np.ndarray:
         return self.apply_all([alpha], f)[0]
 
     def apply_all(self, alphas, f: GridFunction) -> np.ndarray:
-        """Every coefficient from one chirp-z sum over the integer span
-        min(j)..max(j), shape (len(alphas), dim); a span beyond
-        MAX_GRID_POINTS is refused before anything is allocated. On the
-        grid [0, 2pi] exactly, the trapezoid sum is (n - 1)-periodic in j,
-        so a span wider than n - 1 is first reduced mod n - 1."""
-        if not f.grid.spans(self.a, self.b) or abs(f.grid.a - self.a) > 1e-9 or abs(f.grid.b - self.b) > 1e-9:
-            raise DomainError("fourier coefficients expect functions on the family interval")
-        js = fourier_indices(alphas)
-        if not js:
-            return np.empty((0, f.dim), dtype=complex)
-        lo = min(js)
-        span = max(js) - lo + 1
-        if span > MAX_GRID_POINTS:
-            raise ValidationError(f"coefficient indices span {span} integers, beyond the cap of {MAX_GRID_POINTS}")
+        """The coefficients of every index, shape (len(alphas), dim), from
+        one FFT of length p = n - 1 read at the residues r_j = j mod p: the
+        trapezoid weights fold f(2pi) into x_0, where omega^(r_j p) = 1. A
+        grid other than [0, 2pi] is refused by ``fourier_residues``."""
+        r = fourier_residues(alphas, f.grid)
         p = f.grid.n - 1
-        if span > p and f.grid.a == 0.0 and f.grid.b == TWO_PI:
-            js = [j % p for j in js]
-            lo = min(js)
-            span = max(js) - lo + 1
-        weighted = f.values * f.grid.weights()[:, None]
-        coeffs = uniform_fourier_sum(lo, 1.0, span, f.grid.a, f.grid.h, weighted)
-        return coeffs[[j - lo for j in js]] / math.sqrt(TWO_PI)
+        v = f.values[:p].copy()
+        v[0] = (f.values[0] + f.values[p]) / 2.0
+        return np.fft.fft(v, axis=0)[r] * (f.grid.h / math.sqrt(TWO_PI))
 
     def basis_function(self, j: int, grid: Grid) -> GridFunction:
         """The kernel section K(j) = exp(i j x)/sqrt(2pi) on the grid [0, 2pi]."""
         return GridFunction(grid, fourier_rows([j], grid)[0])
 
     def descriptor(self) -> dict:
-        return {"family": "fourier", "params": {"a": self.a, "b": self.b}}
+        return {"family": "fourier", "params": {}}
 
     def decode_alpha(self, alpha):
         return integral(alpha, "Fourier index")
@@ -514,7 +504,7 @@ def _json_string(obj, what: str) -> str:
 
 #: each kind's class and the JSON reader of each of its params
 _FAMILY_KINDS = {
-    "fourier": (FourierCoefficientFamily, {"a": json_number, "b": json_number}),
+    "fourier": (FourierCoefficientFamily, {}),
     "average": (AverageSamplingFamily, {"delta": json_number, "profile": _json_string, "interp": _json_string}),
     "point": (PointEvaluationFamily, {"interp": _json_string}),
     "point_inner": (PointInnerFamily, {"interp": _json_string}),

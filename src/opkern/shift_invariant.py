@@ -21,7 +21,7 @@ import numpy as np
 from .core import Grid, GridFunction, uniform_fourier_sum
 from .exceptions import RieszConditionError, ShapeMismatchError, ValidationError
 from .families import AverageFunctional
-from .kernels import GramMatrix
+from .kernels import GramMatrix, _hermitian
 
 __all__ = [
     "bspline",
@@ -304,10 +304,7 @@ def si_gram(
     b = np.pad(dual.b_coeffs, pad)
     mid = dual.k_max + pad  # b[mid + lag] = b_lag
     bmat = _toeplitz(b[mid::-1][: ks.size], b[mid:][: ks.size])
-    m = cmat.conj().T @ bmat @ cmat
-    asym = float(np.linalg.norm(m - m.conj().T))
-    m = (m + m.conj().T) / 2.0
-    return GramMatrix(matrix=m, indices=tuple(u.x for u in u_list), asymmetry=asym)
+    return _hermitian(cmat.conj().T @ bmat @ cmat, tuple(u.x for u in u_list))
 
 
 @dataclass(frozen=True)

@@ -416,19 +416,43 @@ def test_psd_forms_no_section_stack(tmp_path, family):
     assert peak < 10 * 2**20
 
 
-def test_fourier_indices_beyond_the_span_cap_are_refused(signal_file, tmp_path, capsys):
-    problem = {
-        "family": {"family": "fourier", "params": {}},
-        "indices": [0, 2**21],
-        "lambda": 0.1,
-        "signal": json.loads(signal_file.read_text()),
-    }
-    ppath = tmp_path / "prob.json"
-    ppath.write_text(json.dumps(problem))
-    code = main(["regnet", "--problem", str(ppath), "--grid-n", "129", "--out", str(tmp_path / "x")])
+def test_fourier_indices_beyond_2_to_the_20_are_read_by_their_residues(signal_file, tmp_path):
+    """Indices [0, 2**21] were refused, since their chirp-z span passed the
+    2**20 cap. At --grid-n 129 both have residue 0, so the problem is the
+    [0, 0] problem, bit for bit."""
+    etas = []
+    for name, indices in (("wide", [0, 2**21]), ("zero", [0, 0])):
+        problem = {
+            "family": {"family": "fourier", "params": {}},
+            "indices": indices,
+            "lambda": 0.1,
+            "signal": json.loads(signal_file.read_text()),
+        }
+        ppath = tmp_path / f"{name}.problem.json"
+        ppath.write_text(json.dumps(problem))
+        assert main(["regnet", "--problem", str(ppath), "--grid-n", "129", "--out", str(tmp_path / name)]) == 0
+        etas.append(json.loads((tmp_path / f"{name}.json").read_text())["eta"])
+    assert etas[0] == etas[1]
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("avg-sample", "--signal"), ("reconstruct", "--signal"), ("regnet", "--problem"), ("gram", "--config"),
+])
+@pytest.mark.parametrize("kind", ["empty", "binary"])
+def test_an_input_file_that_is_not_json_is_refused_by_flag_and_path(tmp_path, capsys, command, flag, kind):
+    """An empty or binary input file exited 2 with a bare JSONDecodeError or
+    UnicodeDecodeError that named neither the flag nor the file."""
+    path = os.devnull
+    if kind == "binary":
+        path = str(tmp_path / "input.bin")
+        Path(path).write_bytes(bytes(range(256)))
+    extra = ["--x=0"] if command == "avg-sample" else []
+    code = main([command, flag, path, *extra, "--out", str(tmp_path / "x")])
+    err = json.loads(capsys.readouterr().err)
     assert code == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
-    assert not (tmp_path / "x.json").exists()
+    assert err["error"] == "ValidationError"
+    assert f"{flag} {path}" in err["message"]
+    assert not list(tmp_path.glob("x.*"))
 
 
 def _signal_text(**fields) -> str:
@@ -445,6 +469,11 @@ def _signal_text(**fields) -> str:
         ("regnet", "[1, 2]"),
         ("regnet", '{"family": [1], "indices": [0], "lambda": 0.1}'),
         ("regnet", '{"family": {"family": "fourier"}, "indices": 3, "lambda": 0.1}'),
+        (
+            "regnet",
+            '{"family": {"family": "fourier", "params": {"a": 1.0, "b": 2.0}}, "indices": [0], "lambda": 0.1,'
+            ' "samples": [[1, 0]]}',
+        ),
         ("reconstruct", "{}"),
         ("reconstruct", "[1, 2]"),
         ("avg-sample", "{}"),
@@ -466,8 +495,8 @@ def _signal_text(**fields) -> str:
         ("reconstruct", _signal_text(coeffs=json.loads("[" * 900 + "]" * 900))),
     ],
     ids=[
-        "regnet-empty", "regnet-list", "regnet-family-list", "regnet-indices-number", "reconstruct-empty",
-        "reconstruct-list", "avg-sample-empty", "avg-sample-list", "gram-config-list",
+        "regnet-empty", "regnet-list", "regnet-family-list", "regnet-indices-number", "regnet-fourier-interval",
+        "reconstruct-empty", "reconstruct-list", "avg-sample-empty", "avg-sample-list", "gram-config-list",
         "signal-window-empty", "signal-window-list", "signal-coeffs-number", "signal-coeffs-string",
         "signal-coeffs-null", "signal-dim-zero", "signal-coeffs-empty", "signal-coeffs-bool", "signal-offset-fraction",
         "signal-window-n-fraction", "signal-nested-5000-deep", "regnet-nested-5000-deep", "config-nested-5000-deep",
@@ -481,7 +510,8 @@ def test_malformed_input_files_exit_2(tmp_path, capsys, command, text):
     KeyError, TypeError or AttributeError traceback, and so did a signal's
     window {} or [1, 2, 3], coeffs 5, [[1, "a"]] or [null] and dim 0.
     Empty coeffs ran and reported an infinite error, [[true, false]] ran as
-    [[1, 0]] and offset 0.5 ran as 0. Lists nested 5,000 deep ended in a
+    [[1, 0]] and offset 0.5 ran as 0. A Fourier family with the params
+    a = 1, b = 2 ran on [0, 2pi]. Lists nested 5,000 deep ended in a
     RecursionError traceback from the JSON decoder, and coeffs nested 900
     deep in a RuntimeError from numpy's iterator, which takes 32 axes."""
     path = tmp_path / "input.json"
@@ -953,11 +983,15 @@ def test_bad_flag_values_exit_2(signal_file, tmp_path, capsys, argv):
         (["si-diagnose", "--center", "1e300"], "--center"),
         (["si-diagnose", "--center", "1e16"], "--center"),
         (["si-diagnose", "--center", "1e12"], "--center"),
+        (["reconstruct", "--window", "3"], "--window"),
+        (["reconstruct", "--window", "4.01", "--m", "2"], "--window"),
+        (["reconstruct", "--delta", "20"], "--m"),
     ],
     ids=[
         "indices-empty", "indices-reversed", "x-empty", "m-negative", "points-per-unit-zero", "grid-n-negative",
         "w-n-one", "n-negative", "m-range-negative", "perturb-negative", "k-max-negative", "k-range-negative",
         "n-centers-zero", "sizes-empty", "x-not-a-number", "center-1e300", "center-1e16", "center-1e12",
+        "window-below-the-supports", "window-without-an-interior", "delta-beyond-the-default-window",
     ],
 )
 def test_empty_or_negative_sizes_are_refused_by_flag(signal_file, tmp_path, capsys, argv, flag):
@@ -969,7 +1003,10 @@ def test_empty_or_negative_sizes_are_refused_by_flag(signal_file, tmp_path, caps
     avg-sample --x= exited 0 with no samples, vector-sampling --perturb -0.1
     with an unperturbed set. --x 0.5,abc failed in int() too, and
     si-diagnose --center 1e300 or 1e16 with "grid requires finite a < b",
-    1e12 with "profile mass ... deviates from 1", naming no flag."""
+    1e12 with "profile mass ... deviates from 1", naming no flag.
+    reconstruct --window 3 at --m 16 ended in a DomainError on a support
+    that escapes the window, --window 4.01 --m 2 in a ShapeMismatchError
+    on an interior window of one point, and --delta 20 like --window 3."""
     if argv[0] in ("reconstruct", "avg-sample"):
         argv = [*argv, "--signal", str(signal_file)]
     code = main([*argv, "--out", str(tmp_path / "x")])

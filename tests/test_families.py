@@ -1,4 +1,7 @@
 import math
+import re
+from dataclasses import MISSING, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,9 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
-from opkern.core import Grid, GridFunction, integrate_values, uniform_fourier_sum
+from opkern.core import Grid, GridFunction, integrate_values
 from opkern.exceptions import DomainError, ShapeMismatchError, ValidationError
 from opkern.families import (
+    _FAMILY_KINDS,
     PROFILES,
     AverageFunctional,
     AverageSamplingFamily,
@@ -166,8 +170,8 @@ def _per_index_fourier_coefficient(j, f):
 )
 @example([5, -3, 5, 0, 240, -17], 257, 1, 0)
 def test_fourier_apply_all_matches_per_index_formula(indices, n, dim, seed):
-    """One chirp-z sum over min(j)..max(j) against the per-index loop, for
-    unsorted, repeated and gapped index lists."""
+    """One FFT over the residues against the per-index loop, for unsorted,
+    repeated and gapped index lists."""
     gen = np.random.default_rng(seed)
     g = Grid(0.0, TWO_PI, n)
     f = GridFunction(g, gen.standard_normal((n, dim)) + 1j * gen.standard_normal((n, dim)))
@@ -180,30 +184,35 @@ def test_fourier_apply_all_matches_per_index_formula(indices, n, dim, seed):
     assert np.all(np.abs(fam.apply(indices[0], f) - want[0]) <= 1e-11 * scale)
 
 
-def test_fourier_apply_all_refuses_wide_span_before_allocating():
-    """A span beyond the grid cap would need a chirp-z buffer of its size."""
+def test_fourier_apply_all_takes_a_wide_span_without_allocating_it():
+    """A span of 2**20 integers was refused, since the chirp-z sum over it
+    would have needed a buffer of its size; the FFT over residues takes it
+    in the memory of the grid."""
     import tracemalloc
 
-    from opkern.core import MAX_GRID_POINTS
-
     g = Grid(0.0, TWO_PI, 65)
-    f = GridFunction(g, np.ones(65))
+    f = GridFunction(g, np.exp(1j * np.arange(65.0)))
     fam = FourierCoefficientFamily()
+    indices = [-1, 2**20 - 1]
     assert fam.apply_all([], f).shape == (0, 1)
     tracemalloc.start()
     try:
-        with pytest.raises(ValidationError):
-            fam.apply_all([-1, MAX_GRID_POINTS - 1], f)
+        got = fam.apply_all(indices, f)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+    # the oracle's phase j x_k is rounded at |j x_k| ~ 6.6e6, so it is taken
+    # at the residue, which gives the same exp(-i j x_k) on this grid
+    want = np.stack([_per_index_fourier_coefficient(j % 64, f) for j in indices])
+    scale = np.sum(np.abs(f.values) * g.weights()[:, None], axis=0) / math.sqrt(TWO_PI)
+    assert np.all(np.abs(got - want) <= 1e-11 * scale)
 
 
 def test_fourier_apply_all_reduces_a_sparse_wide_span_on_the_periodic_grid():
     """On [0, 2pi] the trapezoid sum is (n - 1)-periodic in j, so two
-    indices 2**20 - 1 apart take one chirp-z sum of at most n - 1 points
-    instead of one over the whole span (176 MiB before)."""
+    indices 2**20 - 1 apart take one FFT of n - 1 points instead of one
+    chirp-z sum over the whole span (176 MiB before)."""
     import tracemalloc
 
     n = 4097
@@ -222,10 +231,46 @@ def test_fourier_apply_all_reduces_a_sparse_wide_span_on_the_periodic_grid():
     want = np.stack([_per_index_fourier_coefficient(j, f) for j in indices])
     scale = np.sum(np.abs(f.values) * g.weights()[:, None], axis=0) / math.sqrt(TWO_PI)
     assert np.all(np.abs(got - want) <= 1e-11 * scale)
-    # a span of at most n - 1 keeps the unreduced sum, bit for bit
-    weighted = f.values * g.weights()[:, None]
-    direct = uniform_fourier_sum(-128, 1.0, 257, g.a, g.h, weighted) / math.sqrt(TWO_PI)
-    assert np.array_equal(fam.apply_all(range(-128, 129), f), direct)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.integers(-300, 300), st.integers(-(2**70), 2**70), st.sampled_from([2**20, -(2**20), 10**400])),
+        min_size=1,
+        max_size=30,
+    ),
+    st.integers(min_value=2, max_value=1500),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example([0, 2**21, 2**20 - 1, -1, 10**400], 129, 2, 0)
+@example([7, 7, 3], 2, 1, 1)
+def test_fourier_sampling_is_the_adjoint_of_synthesis(indices, n, dim, seed):
+    """For any integer indices (beyond 2**20, beyond int64, repeated) and
+    any f: c^H apply_all(f) = <f, sum_j c_j K_j> under the trapezoid
+    weights, each column of f; apply_all matches the per-index formula;
+    and on distinct residues sampling undoes synthesis within
+    4 eps sum|c_j|. The chirp-z sum refused spans above 2**20, and its
+    round trip was off by up to 9.0e-13 sum|c_j| on spans of 5(n - 1)."""
+    gen = np.random.default_rng(seed)
+    g = Grid(0.0, TWO_PI, n)
+    f = GridFunction(g, gen.standard_normal((n, dim)) + 1j * gen.standard_normal((n, dim)))
+    c = gen.standard_normal(len(indices)) + 1j * gen.standard_normal(len(indices))
+    fam = FourierCoefficientFamily()
+    got = fam.apply_all(indices, f)
+    assert got.shape == (len(indices), dim)
+    scale = np.sum(np.abs(f.values) * g.weights()[:, None], axis=0) / math.sqrt(TWO_PI)
+    oracle_indices = [j % (n - 1) for j in indices]
+    want = np.stack([_per_index_fourier_coefficient(j, f) for j in oracle_indices])
+    assert np.all(np.abs(got - want) <= 1e-11 * scale)
+    synth = fourier_synthesis(indices, c, g)
+    pairing = (synth.conj() * g.weights()) @ f.values
+    assert np.all(np.abs(c.conj() @ got - pairing) <= 1e-12 * np.sum(np.abs(c)) * scale)
+    residues = {j % (n - 1) for j in indices}
+    if len(residues) == len(indices):
+        back = fam.apply_all(indices, GridFunction(g, synth))[:, 0]
+        assert np.all(np.abs(back - c) <= 4 * np.finfo(float).eps * np.sum(np.abs(c)))
 
 
 @pytest.mark.parametrize("bad", [1.5, -0.25, math.inf, math.nan, "2"], ids=["1.5", "-0.25", "inf", "nan", "string"])
@@ -332,7 +377,6 @@ def test_family_descriptor_roundtrip():
     cubic."""
     for fam in (
         FourierCoefficientFamily(),
-        FourierCoefficientFamily(a=-1.0, b=2.5),
         AverageSamplingFamily(delta=0.2, profile="triangle"),
         AverageSamplingFamily(delta=0.3, profile="cosine", interp="linear"),
         PointEvaluationFamily(),
@@ -353,6 +397,7 @@ def test_family_descriptor_roundtrip():
         {"family": "average", "params": {"delta": "0.2"}},
         {"family": "average", "params": {"delta": 0.2, "profile": ["box"]}},
         {"family": "average", "params": {"delta": True}},
+        {"family": "fourier", "params": {"a": 0.0, "b": TWO_PI}},
         {"family": "fourier", "params": None},
         {"family": "fourier", "params": [1]},
         {"family": ["fourier"]},
@@ -361,15 +406,36 @@ def test_family_descriptor_roundtrip():
         ["fourier"],
     ],
     ids=[
-        "unknown-param", "missing-param", "string-number", "list-string", "bool-number", "params-null",
-        "params-list", "kind-list", "kind-null", "kind-missing", "not-an-object",
+        "unknown-param", "missing-param", "string-number", "list-string", "bool-number", "fourier-interval",
+        "params-null", "params-list", "kind-list", "kind-null", "kind-missing", "not-an-object",
     ],
 )
 def test_family_descriptors_with_bad_params_are_refused(desc):
     """An unknown param raised TypeError, a missing delta KeyError, and a
-    param of the wrong JSON type was passed to the family as it was."""
+    param of the wrong JSON type was passed to the family as it was. The
+    Fourier family takes no interval: [0, 2pi] is the only one it held."""
     with pytest.raises(ValidationError):
         family_from_descriptor(desc)
+
+
+def test_readme_family_table_matches_the_descriptor_readers():
+    """The README's table of family kinds names each kind's class and
+    params as ``family_from_descriptor`` reads them, the required ones as
+    required, so a param is not added or dropped in one place only."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = {}
+    for line in text[text.index("| kind | class | params |") :].splitlines()[2:]:
+        if not line.startswith("| "):
+            break
+        kind, cls, params = (c.strip() for c in line.strip().strip("|").split("|"))
+        names = re.findall(r"(?:^|\), )`(\w+)`", params)
+        required = set(re.findall(r"`(\w+)` \([^)]*required", params))
+        rows[kind.strip("`")] = (cls.strip("`"), set(names), required)
+    want = {
+        kind: (cls.__name__, set(readers), {f.name for f in fields(cls) if f.default is MISSING})
+        for kind, (cls, readers) in _FAMILY_KINDS.items()
+    }
+    assert rows == want
 
 
 def test_sample_set_json_roundtrip():

@@ -61,8 +61,7 @@ def _sample_sets(draw, kind=None) -> SampleSet:
     dim = draw(st.sampled_from([1, 2, 3]))
     shape = (k,) if kind == "fourier" or dim == 1 or k == 0 else (k, dim)
     if kind == "fourier":
-        a, b = draw(st.lists(_FLOAT, min_size=2, max_size=2))
-        family = FourierCoefficientFamily(a, b)
+        family = FourierCoefficientFamily()
         alphas = draw(st.lists(st.integers(-(2**70), 2**70), min_size=k, max_size=k))
     elif kind == "point_inner":
         family = PointInnerFamily(draw(_INTERP))
