@@ -149,6 +149,13 @@ def _check_size(flag: str, value: int, size: int, cap: int, what: str) -> None:
         raise ValidationError(f"{flag} {value} needs {size} {what}, above the cap of {cap}")
 
 
+def _check_centres(centres, delta: float, grid: Grid, what: str) -> None:
+    """Refuse by name, before sampling, a centre whose support [x - delta, x + delta] leaves the window."""
+    for x in centres:
+        if not grid.spans(x - delta, x + delta):
+            raise ValidationError(f"{what} {x} with delta {delta} reaches beyond the --window [{grid.a}, {grid.b}]")
+
+
 def _fourier_grid(n: int) -> Grid:
     return Grid(0.0, 2.0 * math.pi, n)
 
@@ -162,9 +169,9 @@ def _family(kind: str, args):
 def _frame_of(family, indices, args):
     """The frame of the family at the indices and the map that puts a signal
     on the frame's grid: [0, 2pi] for Fourier coefficients, the evaluation
-    window otherwise. What the frame holds is checked before anything is
-    built: the Fourier Gram, or the features on the --w-n grid and their
-    Gram."""
+    window otherwise, once each support [x - delta, x + delta] is seen to lie
+    in it. What the frame holds is checked before anything is built: the
+    Fourier Gram, or the features on the --w-n grid and their Gram."""
     if family.kind == "fourier":
         _check_stack(len(indices))
         return fourier_frame(indices, _fourier_grid(args.grid_n)), fourier_series
@@ -172,9 +179,15 @@ def _frame_of(family, indices, args):
         raise OpkernError(f"unsupported family {family.kind!r}")
     grid = _window_grid(args)
     _check_stack(len(indices), args.w_n)
+    delta = family.delta if family.kind == "average" else 0.0  # a point is an average of width 0
+
+    def on_grid(signal, grid):
+        _check_centres(indices, delta, grid, "index")
+        return synthesize(signal, grid)
+
     if family.kind == "point":
-        return pw_point_sections(indices, grid, w_grid_default(args.w_n)), synthesize
-    return pw_average_sections(indices, family.delta, grid, family.profile, w_grid_default(args.w_n)), synthesize
+        return pw_point_sections(indices, grid, w_grid_default(args.w_n)), on_grid
+    return pw_average_sections(indices, family.delta, grid, family.profile, w_grid_default(args.w_n)), on_grid
 
 
 def _gram_of(args) -> GramMatrix:
@@ -254,10 +267,11 @@ def _cmd_reconstruct(args, prefix: Path) -> None:
 
 def _cmd_avg_sample(args, prefix: Path) -> None:
     signal = _load_signal(args.signal)
-    f_grid = synthesize(signal, _window_grid(args))
+    grid = _window_grid(args)
     family = _family("average", args)
     xs = [float(v) for v in _parse_indices(args.x, "--x")]
-    samples = sampling_operator(family, xs, f_grid)
+    _check_centres(xs, family.delta, grid, "--x")
+    samples = sampling_operator(family, xs, synthesize(signal, grid))
     _write_json(prefix.with_suffix(".json"), samples.to_json())
 
 
@@ -309,7 +323,7 @@ def _cmd_si_diagnose(args, prefix: Path) -> None:
     # the dual's grid: step PHI_STEP over |x| <= R + k_max
     dual_n = int(round(2 * (r + args.k_max) / PHI_STEP)) + 1
     _check_size("--k-max", args.k_max, dual_n, MAX_GRID_POINTS, "dual grid points")
-    # a functional's window matrix: 4097 nodes x at most 2 delta + 2R + 3 shifts
+    # a functional's window: at most 2 delta + 2R + 3 shifts, each a sum over 4097 nodes at most
     shifts = math.ceil(min(2.0 * args.delta, MAX_STACK_ENTRIES)) + 2 * r + 3
     _check_size("--delta", args.delta, shifts * 4097, MAX_STACK_ENTRIES, "window entries")
     _check_size("--k-range", args.k_range, 2 * args.k_range + 1, MAX_GRID_POINTS, "coefficients")

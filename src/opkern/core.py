@@ -188,11 +188,6 @@ def restrict(f: GridFunction, lo: float, hi: float) -> GridFunction:
     return GridFunction(sub, f.values[idx])
 
 
-#: most entries one FFT buffer of uniform_fourier_sum holds; the columns of
-#: ``weighted`` are transformed in blocks that fit
-_CHIRP_BLOCK = 2**16
-
-
 def _exp_i_times(c: float, q: np.ndarray) -> np.ndarray:
     """exp(i c q) for integer-valued q >= 0. c is split as c_hi + c_lo with
     c_hi q exact in floating point, so the phase carries no round-off of
@@ -204,8 +199,11 @@ def _exp_i_times(c: float, q: np.ndarray) -> np.ndarray:
 
 
 def uniform_fourier_sum(y0, dy, ny, t0, dt, weighted, sign: float = -1.0) -> np.ndarray:
-    """Fourier sum between uniform grids: sum_k weighted[k] exp(sign i y_j t_k)
-    with y_j = y0 + j dy for j < ny and t_k = t0 + k dt for k < len(weighted).
+    """Fourier sum between uniform grids, sum_k weighted[k] exp(sign i y_j t_k)
+    for y_j = y0 + j dy (j < ny) and t_k = t0 + k dt (k < n), ``weighted``
+    one column of shape (n,) and the result of shape (ny,). A sum over a
+    full period is one FFT instead (``families.fourier_synthesis`` and
+    ``families.fourier_coefficients``).
 
     The sum is taken in Bluestein's chirp-z form (Rabiner, Schafer & Rader
     1969). With j, k counted from the middle
@@ -213,12 +211,9 @@ def uniform_fourier_sum(y0, dy, ny, t0, dt, weighted, sign: float = -1.0) -> np.
     pre-chirp, a convolution with the chirp exp(-i theta m^2/2), theta =
     sign dy dt, done by FFT, and a post-chirp. The chirp phases grow like
     theta n^2; they are formed without that round-off (``_exp_i_times``).
-    ``weighted`` has shape (n,) or (n, k); its columns are transformed in
-    blocks of at most 2**16 FFT entries. Returns shape (ny,) or (ny, k).
     """
     a = np.asarray(weighted)
-    cols = a.reshape(a.shape[0], -1)
-    nt, ny = cols.shape[0], int(ny)
+    nt, ny = a.size, int(ny)
     jc, kc = (ny - 1) // 2, (nt - 1) // 2
     yc, tc = y0 + jc * dy, t0 + kc * dt
     half = 0.5 * sign * dy * dt
@@ -231,18 +226,8 @@ def uniform_fourier_sum(y0, dy, ny, t0, dt, weighted, sign: float = -1.0) -> np.
     d = np.concatenate((np.arange(ny), np.arange(1 - nt, 0))) - float(jc - kc)
     chirp = np.zeros(size, dtype=complex)
     chirp[np.concatenate((np.arange(ny), np.arange(size + 1 - nt, size)))] = _exp_i_times(-half, d * d)
-    chirp = np.fft.fft(chirp)
-    # one zero-padded row per column, so every FFT and write is contiguous
-    step = max(1, _CHIRP_BLOCK // size)
-    rows = np.zeros((min(step, cols.shape[1]), size), dtype=complex)
-    out = np.empty((cols.shape[1], ny), dtype=complex)
-    for s in range(0, cols.shape[1], step):
-        block = rows[: min(step, cols.shape[1] - s)]
-        np.multiply(cols[:, s : s + step].T, pre, out=block[:, :nt])
-        conv = np.fft.fft(block, axis=1)
-        conv *= chirp
-        np.multiply(np.fft.ifft(conv, axis=1)[:, :ny], post, out=out[s : s + step])
-    return out.T.reshape((ny,) + a.shape[1:])
+    conv = np.fft.fft(a * pre, size) * np.fft.fft(chirp)
+    return np.fft.ifft(conv)[:ny] * post
 
 
 def _require_hermitian(m: np.ndarray) -> np.ndarray:

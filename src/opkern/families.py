@@ -7,7 +7,7 @@ Families carry a JSON descriptor so sample sets and experiment configs can
 round-trip through files.
 On the grid [0, 2pi] the Fourier rows, synthesis and sampling read the
 indices by their residues mod n - 1: synthesis is one inverse FFT, and
-sampling, its adjoint, one FFT.
+sampling, its adjoint, one FFT; ``fourier_period`` carries both to [-pi, pi].
 """
 
 from __future__ import annotations
@@ -34,7 +34,9 @@ __all__ = [
     "average_sample",
     "average_samples",
     "fourier_indices",
+    "fourier_period",
     "fourier_residues",
+    "fourier_coefficients",
     "fourier_rows",
     "fourier_synthesis",
 ]
@@ -385,6 +387,29 @@ def fourier_synthesis(indices, coeffs, grid: Grid) -> np.ndarray:
     return vals
 
 
+def fourier_coefficients(indices, values, grid: Grid) -> np.ndarray:
+    """(1/sqrt(2pi)) \\int_0^{2pi} v(x) exp(-i j x) dx by the trapezoid rule on
+    the grid [0, 2pi], the adjoint of ``fourier_synthesis``: v(2pi) folds
+    into x_0, and one FFT of length p = n - 1 of ``values`` ((n,) or
+    (n, dim)) is read at the residues r_j. Any other grid is refused."""
+    r = fourier_residues(indices, grid)
+    p = grid.n - 1
+    v = values[:p].copy()
+    v[0] = (values[0] + values[p]) / 2.0
+    return np.fft.fft(v, axis=0)[r] * (grid.h / math.sqrt(TWO_PI))
+
+
+def fourier_period(indices, grid: Grid) -> tuple[np.ndarray, Grid]:
+    """The signs s_j and the grid [0, 2pi] that carry ``fourier_synthesis``
+    and ``fourier_coefficients`` to the full period ``grid``: [-pi, pi] is
+    [0, 2pi] shifted by pi, so s_j = (-1)^j there, the parity read from the
+    Python int, and s_j = 1 on [0, 2pi]. Any other grid is refused."""
+    shift = {(0.0, TWO_PI): 0, (-math.pi, math.pi): 1}.get((grid.a, grid.b))
+    if shift is None:
+        raise DomainError(f"a Fourier period is the grid [0, 2pi] or [-pi, pi], not [{grid.a}, {grid.b}]")
+    return np.array([-1.0 if shift and j % 2 else 1.0 for j in fourier_indices(indices)]), Grid(0.0, TWO_PI, grid.n)
+
+
 @dataclass(frozen=True)
 class FourierCoefficientFamily(FunctionalFamily):
     """L_j(f) = (1/sqrt(2pi)) \\int_0^{2pi} f(x) exp(-i j x) dx for integer j,
@@ -397,15 +422,8 @@ class FourierCoefficientFamily(FunctionalFamily):
         return self.apply_all([alpha], f)[0]
 
     def apply_all(self, alphas, f: GridFunction) -> np.ndarray:
-        """The coefficients of every index, shape (len(alphas), dim), from
-        one FFT of length p = n - 1 read at the residues r_j = j mod p: the
-        trapezoid weights fold f(2pi) into x_0, where omega^(r_j p) = 1. A
-        grid other than [0, 2pi] is refused by ``fourier_residues``."""
-        r = fourier_residues(alphas, f.grid)
-        p = f.grid.n - 1
-        v = f.values[:p].copy()
-        v[0] = (f.values[0] + f.values[p]) / 2.0
-        return np.fft.fft(v, axis=0)[r] * (f.grid.h / math.sqrt(TWO_PI))
+        """``fourier_coefficients`` of f, shape (len(alphas), dim)."""
+        return fourier_coefficients(alphas, f.values, f.grid)
 
     def basis_function(self, j: int, grid: Grid) -> GridFunction:
         """The kernel section K(j) = exp(i j x)/sqrt(2pi) on the grid [0, 2pi]."""

@@ -374,16 +374,15 @@ def fourier_feature_map(w_grid: Grid) -> FeatureMap:
 
 
 def fourier_point_feature_map(w_grid: Grid, max_mode: int) -> FeatureMap:
-    """Point-side feature map of the scalar span of Fourier modes
-    |j| <= max_mode: Phi(x)xi = sum_j conj(u_j(x)) u_j xi, the projected
-    point evaluator, one chirp-z column per point."""
+    """Point-side feature map of the scalar span of Fourier modes |j| <=
+    max_mode on [0, 2pi]: Phi(x)xi = sum_j conj(u_j(x)) u_j xi, the projected
+    point evaluator, one ``fourier_synthesis`` of the conj(u_j(x)) per point."""
     modes = np.arange(-max_mode, max_mode + 1)
 
     def evaluate(xs, xis):
-        xs = np.asarray(xs, dtype=float)
-        coeffs = np.exp(-1j * modes[:, None] * xs)
-        waves = uniform_fourier_sum(w_grid.a, w_grid.h, w_grid.n, -max_mode, 1.0, coeffs, sign=1.0).T
-        waves /= 2.0 * math.pi
+        waves = np.empty((len(xs), w_grid.n), dtype=complex)
+        for row, x in zip(waves, np.asarray(xs, dtype=float)):
+            row[:] = fourier_synthesis(modes, np.exp(-1j * modes * x) / math.sqrt(2.0 * math.pi), w_grid)
         return waves[:, :, None] * xi_rows(xis, len(xs))[:, None, :]
 
     return FeatureMap(w_grid=w_grid, dim_y=1, evaluate=evaluate)

@@ -18,7 +18,7 @@ import numpy as np
 from .core import Grid, GridFunction, uniform_fourier_sum
 from .core import complex_pairs, complex_values, integral, json_number, json_numbers, json_object
 from .exceptions import AdmissibilityError, DomainError, ShapeMismatchError, ValidationError
-from .families import AverageFunctional
+from .families import AverageFunctional, fourier_period, fourier_synthesis
 from .kernels import FeatureMap, GramMatrix, TruncatedFrame, _hermitian, feature_gram, xi_rows
 
 __all__ = [
@@ -148,8 +148,9 @@ def synthesize(signal: BandlimitedSignal, grid: Grid | None = None) -> GridFunct
 # ---------------------------------------------------------------------------
 
 def _require_band_grid(w_grid: Grid) -> None:
-    if abs(w_grid.a + math.pi) > 1e-9 or abs(w_grid.b - math.pi) > 1e-9:
-        raise DomainError("feature grid must span exactly [-pi, pi]")
+    """Refuse a feature grid other than [-pi, pi] to the bit, as ``fourier_period`` does."""
+    if (w_grid.a, w_grid.b) != (-math.pi, math.pi):
+        raise DomainError(f"feature grid must span exactly [-pi, pi], not [{w_grid.a}, {w_grid.b}]")
 
 
 def psi_feature(u: AverageFunctional, w_grid: Grid) -> GridFunction:
@@ -241,17 +242,18 @@ def pw_feature_gram(points, w_grid: Grid, delta: float | None = None, profile: s
 
 
 def fourier_series(signal: BandlimitedSignal, grid: Grid) -> GridFunction:
-    """The scalar signal's coefficients read as Fourier modes on a uniform
-    grid: (1/sqrt(2pi)) sum_k c_k exp(i k t), one chirp-z sum."""
+    """The scalar signal's coefficients read as Fourier modes on the period
+    [0, 2pi] or [-pi, pi]: (1/sqrt(2pi)) sum_k c_k exp(i k t), one
+    ``fourier_synthesis`` times the signs of ``fourier_period``."""
     if signal.dim != 1:
         raise ShapeMismatchError("a Fourier series needs a scalar signal")
-    vals = uniform_fourier_sum(grid.a, grid.h, grid.n, signal.offset, 1.0, signal.coeffs[:, 0], sign=1.0)
-    return GridFunction(grid, vals / SQRT_TWO_PI)
+    signs, period = fourier_period(signal.shifts, grid)
+    return GridFunction(grid, fourier_synthesis(signal.shifts, signal.coeffs[:, 0] * signs, period))
 
 
 def signal_w_repr(signal: BandlimitedSignal, w_grid: Grid) -> GridFunction:
-    """Exact frequency-side representation of a synthesized signal:
-    w_f(t) = (1/sqrt(2pi)) sum_k c_k exp(i k t) on [-pi, pi], so that
+    """Exact frequency-side representation of a synthesized signal, the
+    ``fourier_series`` w_f(t) = (1/sqrt(2pi)) sum_k c_k exp(i k t) on [-pi, pi]:
     <f, g>_{L2(R)} equals the [-pi, pi] inner product of the representations."""
     _require_band_grid(w_grid)
     return fourier_series(signal, w_grid)

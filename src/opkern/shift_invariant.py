@@ -18,9 +18,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Grid, GridFunction, uniform_fourier_sum
+from .core import Grid, GridFunction
 from .exceptions import RieszConditionError, ShapeMismatchError, ValidationError
-from .families import AverageFunctional
+from .families import AverageFunctional, fourier_coefficients, fourier_period
 from .kernels import GramMatrix, _hermitian
 
 __all__ = [
@@ -217,15 +217,13 @@ class DualGenerator:
 
 def dual_generator(gen: Generator, k_max: int) -> DualGenerator:
     """Dual coefficients b_k = (1/2pi) int_{-pi}^{pi} exp(-i k xi)/bracket(xi),
-    by trapezoid quadrature on 2049 points, which converges geometrically
-    as the bracket is a positive trigonometric polynomial; and the dual
-    synthesized on the grid of step PHI_STEP over |x| <= R + k_max."""
+    by the periodic trapezoid rule on 2049 points, one FFT that converges
+    geometrically as the bracket is a positive trigonometric polynomial;
+    and the dual synthesized on the grid of step PHI_STEP over |x| <= R + k_max."""
     k_max = _count("k_max", k_max)
     grid_xi = Grid(-math.pi, math.pi, 2049)
-    xs = grid_xi.points()
-    recip = 1.0 / bracket_function(gen, xs)
-    weighted = recip * grid_xi.weights()
-    b = uniform_fourier_sum(-k_max, 1.0, 2 * k_max + 1, grid_xi.a, grid_xi.h, weighted) / TWO_PI
+    signs, period = fourier_period(ks := range(-k_max, k_max + 1), grid_xi)
+    b = fourier_coefficients(ks, 1.0 / bracket_function(gen, grid_xi.points()), period) * signs / math.sqrt(TWO_PI)
     r = gen.support_radius
     ext = Grid(-(r + k_max), float(r + k_max), int(round(2 * (r + k_max) / PHI_STEP)) + 1)
     vals = _shift_sum(gen, -k_max, b, ext)
@@ -251,8 +249,8 @@ def _average_coefficients(
     """Shift range ks of the whole list and the (shifts x functionals)
     matrix C[k, i] = int u_i(t) conj(phi(t - k)) dt, by trapezoid quadrature
     on quad_n points of the support of u_i. Each column is computed only on
-    the about 2R+1 shifts whose support meets that of u_i; phi vanishes
-    there on the rest, which stay exactly 0."""
+    the about 2R+1 shifts whose support meets that of u_i, each as one
+    pairwise sum over its nodes in [k - R, k + R]; the rest stay exactly 0."""
     r = gen.support_radius
     firsts = [math.floor(u.support[0] - r) for u in u_list]
     lasts = [math.ceil(u.support[1] + r) for u in u_list]
@@ -260,9 +258,11 @@ def _average_coefficients(
     cmat = np.zeros((ks.size, len(u_list)), dtype=complex)
     for i, (u, first, last) in enumerate(zip(u_list, firsts, lasts)):
         g = u.quad_grid(quad_n)
-        t = g.points()
-        window = np.arange(first, last + 1)[:, None]
-        cmat[first - ks[0] : last - ks[0] + 1, i] = (u.evaluate(t) * np.conj(gen.evaluate(t - window))) @ g.weights()
+        t, w = g.points(), g.weights()
+        ut = u.evaluate(t)
+        for k in range(first, last + 1):
+            s = _shift_window(gen, t, k)
+            cmat[k - ks[0], i] = np.sum(ut[s] * np.conj(gen.evaluate(t[s] - k)) * w[s])
     return ks, cmat
 
 
@@ -369,9 +369,9 @@ def fourier_coefficient_identity_check(
 ) -> float:
     """Max deviation between the time-side coefficients int u conj(phi(.-k))
     and the frequency-side coefficients (1/2pi) int_{-pi}^{pi} g_u(xi)
-    exp(i k xi) d xi, over |k| <= k_range. The deviation is dominated by the
-    periodization truncation and the quadrature steps; it contracts by at
-    least a factor two when both resolutions are doubled."""
+    exp(i k xi) d xi (one periodic FFT, read at -k), over |k| <= k_range. The
+    deviation is dominated by the periodization truncation and the quadrature
+    steps; it contracts by at least a factor two when both resolutions are doubled."""
     j = gen.j_trunc if j_trunc is None else _count("j_trunc", j_trunc)
     k_range = _count("k_range", k_range)
     ks_u, c = _average_coefficients(gen, [u], quad_n)
@@ -380,6 +380,6 @@ def fourier_coefficient_identity_check(
     time_side[ks_u[inside] + k_range] = c[inside, 0]
     grid_xi = Grid(-math.pi, math.pi, int(xi_n))
     g = _g_values(gen, [u], grid_xi.points(), j)[0]
-    weighted = g * grid_xi.weights()
-    freq_side = uniform_fourier_sum(-k_range, 1.0, time_side.size, grid_xi.a, grid_xi.h, weighted, sign=1.0) / TWO_PI
+    signs, period = fourier_period(ks := range(k_range, -k_range - 1, -1), grid_xi)
+    freq_side = fourier_coefficients(ks, g, period) * signs / math.sqrt(TWO_PI)
     return float(np.max(np.abs(time_side - freq_side)))

@@ -145,12 +145,14 @@ def fourier_stacked_frame(indices, grid):
 
 def average_stacked_frame(centers, delta, out_grid, w_grid, profile="box"):
     """The stacked route that ``pw_average_sections`` replaced: every section
-    by its own column of one chirp-z sum of the u_x^v, held as an (m, n)
-    stack, and the Gram of the same ``_average_duals`` features."""
+    by its own chirp-z sum of its u_x^v, held as an (m, n) stack, and the
+    Gram of the same ``_average_duals`` features."""
     centers = [float(c) for c in centers]
     udual = _average_duals(centers, delta, profile, w_grid)
-    weighted = (udual * w_grid.weights()).T
-    h = uniform_fourier_sum(out_grid.a, out_grid.h, out_grid.n, w_grid.a, w_grid.h, weighted).T
+    h = np.stack([
+        uniform_fourier_sum(out_grid.a, out_grid.h, out_grid.n, w_grid.a, w_grid.h, row)
+        for row in udual * w_grid.weights()
+    ])
     return stacked_frame(centers, h, out_grid, udual * math.sqrt(2.0 * math.pi), w_grid)
 
 

@@ -3,8 +3,9 @@ one windowed coefficient matrix and one blocked alias pass, kept as their
 oracle: each functional's coefficients over an explicit shift list or over
 its own window; the spline transform as numpy's power of the sinc; and the
 bracket and each functional's periodized frequency sum on its own, over
-blocks of 4,000,000 frequencies with one complex exponential per alias.
-Also the point-kernel section, the limit the average-functional sections
+blocks of 4,000,000 frequencies with one complex exponential per alias;
+the dual coefficients b_k by the chirp-z sum that one FFT replaced. Also
+the point-kernel section, the limit the average-functional sections
 approach as their width shrinks."""
 
 import math
@@ -13,7 +14,7 @@ import numpy as np
 
 from opkern.core import Grid, GridFunction, uniform_fourier_sum
 from opkern.exceptions import DomainError
-from opkern.shift_invariant import _shift_sum
+from opkern.shift_invariant import _shift_sum, bracket_function
 
 TWO_PI = 2.0 * math.pi
 
@@ -75,6 +76,16 @@ def identity_deviation(gen, u, k_range, quad_n=4097, xi_n=1025):
     weighted = g_alpha_values(gen.transform, u, grid_xi.points(), gen.j_trunc) * grid_xi.weights()
     freq_side = uniform_fourier_sum(-k_range, 1.0, ks.size, grid_xi.a, grid_xi.h, weighted, sign=1.0) / TWO_PI
     return float(np.max(np.abs(full_range_coefficients(gen, u, ks, quad_n) - freq_side)))
+
+
+def chirp_dual_coefficients(gen, k_max):
+    """b_k = (1/2pi) int_{-pi}^{pi} exp(-i k xi)/bracket(xi) for |k| <= k_max
+    by the trapezoid rule on 2049 points, as one chirp-z sum over the
+    weighted reciprocal bracket; returns it and sum|weighted|/2pi."""
+    grid_xi = Grid(-math.pi, math.pi, 2049)
+    weighted = 1.0 / bracket_function(gen, grid_xi.points()) * grid_xi.weights()
+    b = uniform_fourier_sum(-k_max, 1.0, 2 * k_max + 1, grid_xi.a, grid_xi.h, weighted) / TWO_PI
+    return b, float(np.sum(np.abs(weighted))) / TWO_PI
 
 
 def per_shift_sum(gen, k0, coeffs, out_grid):

@@ -562,6 +562,16 @@ def test_regnet_from_problem_file(signal_file, tmp_path):
     assert rep["residual"] < 1e-8
 
 
+@pytest.mark.parametrize("family", [{"family": "average", "params": {"delta": 0.2}}, {"family": "point", "params": {}}])
+def test_regnet_samples_may_index_sections_outside_the_window(tmp_path, family):
+    """The window check guards the sampling of a signal; a problem that
+    brings its own samples may index sections centred outside --window."""
+    ppath = tmp_path / "prob.json"
+    ppath.write_text(json.dumps({"family": family, "indices": [0, 40], "lambda": 0.1, "samples": [[1.0, 0.0], [0.5, 0.0]]}))
+    assert main(["regnet", "--problem", str(ppath), "--out", str(tmp_path / "r")]) == 0
+    assert len(json.loads((tmp_path / "r.json").read_text())["eta"]) == 2
+
+
 def test_si_diagnose(tmp_path):
     out = tmp_path / "si"
     assert main(["si-diagnose", "--generator", "hat", "--out", str(out)]) == 0
@@ -838,13 +848,16 @@ def _regnet_problem(signal_file, **fields) -> dict:
         {"family": {"family": "average", "params": {}}},
         {"family": {"family": "average", "params": {"delta": 0.2, "bogus": 1}}},
         {"indices": [], "signal": None, "samples": []},
+        {"family": {"family": "average", "params": {"delta": 0.2}}, "indices": [0, 40]},
+        {"family": {"family": "point", "params": {}}, "indices": [-40, 0]},
     ],
     ids=[
         "lambda-negative", "lambda-zero", "lambda-nan-string", "lambda-nan", "lambda-infinity",
         "lambda-overflow", "samples-nan", "noise-sigma-nan", "fourier-index-fractional", "fourier-index-overflow",
         "samples-numbers", "samples-number", "samples-string", "noise-without-seed", "noise-number",
         "noise-seed-fractional", "lambda-list", "signal-window-empty", "family-delta-string",
-        "family-delta-missing", "family-param-unknown", "indices-empty",
+        "family-delta-missing", "family-param-unknown", "indices-empty", "average-index-outside-the-window",
+        "point-index-outside-the-window",
     ],
 )
 def test_regnet_bad_inputs_are_refused(signal_file, tmp_path, capsys, fields):
@@ -854,7 +867,9 @@ def test_regnet_bad_inputs_are_refused(signal_file, tmp_path, capsys, fields):
     warning and no report. The index 1.5 ran as j = 1, 1e400 ended in an
     OverflowError traceback, and so did each malformed samples, noise,
     lambda and signal field in a TypeError or KeyError; a noise seed of 1.5
-    ran as 1, and empty indices ended in an IndexError."""
+    ran as 1, and empty indices ended in an IndexError. An average or point
+    index outside --window, with a signal to sample, ended in a DomainError
+    that named neither the index nor --window."""
     ppath = tmp_path / "prob.json"
     ppath.write_text(json.dumps(_regnet_problem(signal_file, **fields)))
     if "1e400" in json.dumps(fields):  # a JSON number beyond float range, read as inf
@@ -865,6 +880,8 @@ def test_regnet_bad_inputs_are_refused(signal_file, tmp_path, capsys, fields):
     assert json.loads(err)["error"] == "ValidationError"
     assert err.count("\n") == 1
     assert not (tmp_path / "x.json").exists()
+    if fields.get("family", {}).get("family") in ("average", "point") and "indices" in fields:
+        assert "index" in err and "40" in err and "--window" in err
 
 
 @pytest.mark.parametrize("cutoff", ["1.5", "1.0"])
@@ -986,12 +1003,15 @@ def test_bad_flag_values_exit_2(signal_file, tmp_path, capsys, argv):
         (["reconstruct", "--window", "3"], "--window"),
         (["reconstruct", "--window", "4.01", "--m", "2"], "--window"),
         (["reconstruct", "--delta", "20"], "--m"),
+        (["avg-sample", "--x", "0,40"], "--x 40"),
+        (["avg-sample", "--x", "31.9", "--window", "32"], "--window"),
     ],
     ids=[
         "indices-empty", "indices-reversed", "x-empty", "m-negative", "points-per-unit-zero", "grid-n-negative",
         "w-n-one", "n-negative", "m-range-negative", "perturb-negative", "k-max-negative", "k-range-negative",
         "n-centers-zero", "sizes-empty", "x-not-a-number", "center-1e300", "center-1e16", "center-1e12",
         "window-below-the-supports", "window-without-an-interior", "delta-beyond-the-default-window",
+        "x-outside-the-window", "x-support-beyond-the-window",
     ],
 )
 def test_empty_or_negative_sizes_are_refused_by_flag(signal_file, tmp_path, capsys, argv, flag):
@@ -1006,7 +1026,10 @@ def test_empty_or_negative_sizes_are_refused_by_flag(signal_file, tmp_path, caps
     1e12 with "profile mass ... deviates from 1", naming no flag.
     reconstruct --window 3 at --m 16 ended in a DomainError on a support
     that escapes the window, --window 4.01 --m 2 in a ShapeMismatchError
-    on an interior window of one point, and --delta 20 like --window 3."""
+    on an interior window of one point, and --delta 20 like --window 3.
+    avg-sample --x 40 (or 31.9, whose support reaches 32.1) ended in a
+    DomainError on a support that escapes the signal grid, naming neither
+    --x nor --window."""
     if argv[0] in ("reconstruct", "avg-sample"):
         argv = [*argv, "--signal", str(signal_file)]
     code = main([*argv, "--out", str(tmp_path / "x")])

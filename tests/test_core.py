@@ -294,27 +294,24 @@ _steps = st.floats(1e-3, 1.0, allow_nan=False)
     t0=_offsets,
     dt=_steps,
     sign=st.sampled_from([-1.0, 1.0]),
-    cols=st.sampled_from([0, 1, 3]),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(ny=37, nt=1, y0=-3.0, dy=0.25, t0=-4.0, dt=1.0, sign=1.0, cols=0, seed=1)  # a 1-term signal
-@example(ny=2, nt=2, y0=-math.pi, dy=TWO_PI, t0=-2.5, dt=0.5, sign=-1.0, cols=3, seed=2)  # 2-point grids
-@example(ny=400, nt=400, y0=-7.0, dy=0.05, t0=-math.pi, dt=0.01, sign=-1.0, cols=300, seed=3)  # two column blocks
-@example(ny=557, nt=1, y0=0.0, dy=0.99999, t0=66.0, dt=1.0, sign=-1.0, cols=0, seed=0)  # |y t| up to 3.7e4
-def test_uniform_fourier_sum_matches_fourier_sum(ny, nt, y0, dy, t0, dt, sign, cols, seed):
+@example(ny=37, nt=1, y0=-3.0, dy=0.25, t0=-4.0, dt=1.0, sign=1.0, seed=1)  # a 1-term signal
+@example(ny=2, nt=2, y0=-math.pi, dy=TWO_PI, t0=-2.5, dt=0.5, sign=-1.0, seed=2)  # 2-point grids
+@example(ny=557, nt=1, y0=0.0, dy=0.99999, t0=66.0, dt=1.0, sign=-1.0, seed=0)  # |y t| up to 3.7e4
+def test_uniform_fourier_sum_matches_fourier_sum(ny, nt, y0, dy, t0, dt, sign, seed):
     """Both routes round the grid points and the phases y_j t_k, so each is
     off the exact sum by about eps max|y_j t_k| sum|a|: at most 1.14 times
     that, for either route, against a 30-digit mpmath sum over 282 draws
     like these. The bound allows 4 times it on top of 1e-11 sum|a|."""
     gen = np.random.default_rng(seed)
-    shape = (nt,) if cols == 0 else (nt, cols)
-    a = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+    a = gen.standard_normal(nt) + 1j * gen.standard_normal(nt)
     got = uniform_fourier_sum(y0, dy, ny, t0, dt, a, sign)
     want = fourier_sum(y0 + dy * np.arange(ny), t0 + dt * np.arange(nt), a, sign)
     assert got.shape == want.shape
     phase = max(abs(y0), abs(y0 + dy * (ny - 1))) * max(abs(t0), abs(t0 + dt * (nt - 1)))
     bound = 1e-11 + 4.0 * np.finfo(float).eps * phase
-    assert np.all(np.abs(got - want) <= bound * np.sum(np.abs(a), axis=0))
+    assert np.all(np.abs(got - want) <= bound * np.sum(np.abs(a)))
 
 
 # ------------------------------------------------------------- serialization
