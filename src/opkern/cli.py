@@ -309,7 +309,6 @@ def _cmd_regnet(args, prefix: Path) -> None:
 def _cmd_si_diagnose(args, prefix: Path) -> None:
     # imported here: no other subcommand pays for the shift-space module
     from .shift_invariant import (
-        PHI_STEP,
         biorthogonality_residual,
         bracket_function,
         density_diagnostic,
@@ -320,9 +319,7 @@ def _cmd_si_diagnose(args, prefix: Path) -> None:
 
     gen = make_generator(args.generator)
     r = gen.support_radius
-    # the dual's grid: step PHI_STEP over |x| <= R + k_max
-    dual_n = int(round(2 * (r + args.k_max) / PHI_STEP)) + 1
-    _check_size("--k-max", args.k_max, dual_n, MAX_GRID_POINTS, "dual grid points")
+    _check_size("--k-max", args.k_max, 2 * args.k_max + 1, MAX_GRID_POINTS, "coefficients")
     # a functional's window: at most 2 delta + 2R + 3 shifts, each a sum over 4097 nodes at most
     shifts = math.ceil(min(2.0 * args.delta, MAX_STACK_ENTRIES)) + 2 * r + 3
     _check_size("--delta", args.delta, shifts * 4097, MAX_STACK_ENTRIES, "window entries")

@@ -27,13 +27,12 @@ __all__ = [
     "synthesize",
     "pw_window",
     "w_grid_default",
-    "psi_feature",
+    "pw_features",
     "pw_average_sections",
     "pw_point_sections",
     "pw_feature_gram",
     "point_feature_map",
     "fourier_series",
-    "signal_w_repr",
     "kadec_bounds",
     "generalized_kadec_check",
     "VectorSamplingSet",
@@ -44,8 +43,11 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 SQRT_TWO_PI = math.sqrt(TWO_PI)
 
-#: default frequency-grid size for L2([-pi, pi]); fine enough that trapezoid
-#: error stays below 1e-8 for the oscillation range used in the experiments
+#: default frequency-grid size for L2([-pi, pi]). The trapezoid rule of step
+#: h = 2pi/(n - 1) errs by O(h^2 |s|) on an integrand exp(i s t) g(t), and it
+#: sees an integer s only modulo n - 1: centres spread over n - 1 or more
+#: alias. At 1025 points the Gram of 81 box averages (delta 0.2) at jittered
+#: integer centres was measured 6.7e-5 off the exact one.
 DEFAULT_W_N = 1025
 
 
@@ -147,29 +149,22 @@ def synthesize(signal: BandlimitedSignal, grid: Grid | None = None) -> GridFunct
 # frequency-side objects
 # ---------------------------------------------------------------------------
 
-def _require_band_grid(w_grid: Grid) -> None:
-    """Refuse a feature grid other than [-pi, pi] to the bit, as ``fourier_period`` does."""
+def pw_features(xs, w_grid: Grid, delta: float | None = None, profile: str = "box") -> np.ndarray:
+    """The features on ``w_grid``, one row per x: the plane wave
+    Phi(x) = exp(i x t)/sqrt(2pi) of the point evaluation, and with ``delta``
+    that of the average, Psi(x) = sqrt(2pi) u_x^v = Phi(x) m(t), m the closed
+    form of the centred profile's transform: shifting the profile modulates
+    its frequency side. The rows are exponentiated and scaled in their own
+    buffer: they are the only array of their size. A grid other than
+    [-pi, pi] to the bit, as ``fourier_period`` takes it, is refused."""
     if (w_grid.a, w_grid.b) != (-math.pi, math.pi):
         raise DomainError(f"feature grid must span exactly [-pi, pi], not [{w_grid.a}, {w_grid.b}]")
-
-
-def psi_feature(u: AverageFunctional, w_grid: Grid) -> GridFunction:
-    """Feature vector of the average functional: sqrt(2pi) u_x^v on [-pi, pi]."""
-    _require_band_grid(w_grid)
-    vals = SQRT_TWO_PI * u.inverse_transform(w_grid.points())
-    return GridFunction(w_grid, vals)
-
-
-def _average_duals(centers: list, delta: float, profile: str, w_grid: Grid) -> np.ndarray:
-    """u_x^v = exp(i x t) u_0^v on ``w_grid``, one row per centre: shifting
-    the profile modulates its frequency side, and u_0^v = m(t)/2pi is the
-    closed form of the centred profile. The exponential and the product
-    are taken in place: the rows are the only array of their size."""
-    _require_band_grid(w_grid)
     t = w_grid.points()
-    base = AverageFunctional(0.0, delta, profile).centered_transform(t) / TWO_PI
-    rows = np.multiply.outer(1j * np.asarray(centers, dtype=float), t)
-    return np.multiply(np.exp(rows, out=rows), base, out=rows)
+    rows = np.multiply.outer(1j * np.asarray(xs, dtype=float), t)
+    np.divide(np.exp(rows, out=rows), SQRT_TWO_PI, out=rows)
+    if delta is not None:
+        rows *= AverageFunctional(0.0, delta, profile).centered_transform(t)
+    return rows
 
 
 def pw_average_sections(
@@ -180,32 +175,29 @@ def pw_average_sections(
     w_grid: Grid | None = None,
 ) -> TruncatedFrame:
     """The frame of the average functionals centred at ``centers``: section
-    K(x)(y) = \\int_{-pi}^{pi} exp(-i y t) u_x^v(t) dt on ``out_grid``, with
-    Psi(x) = sqrt(2pi) u_x^v on ``w_grid`` as its feature vector and the
-    Gram of ``pw_feature_gram``. The u_x^v come from one ``_average_duals``
-    product and no section is formed: both grids are uniform, so the
-    synthesis of sum_j c_j K_j is one chirp-z sum of sum_j c_j u_{x_j}^v.
+    K(x)(y) = \\int_{-pi}^{pi} exp(-i y t) Psi(x)(t) dt / sqrt(2pi) on
+    ``out_grid``, with the ``pw_features`` Psi(x) on ``w_grid`` as its feature
+    vectors and their Gram. No section is formed: both grids are uniform, so
+    the synthesis of sum_j c_j K_j is one chirp-z sum of (c @ Psi) w/sqrt(2pi),
+    w the trapezoid weights.
     """
     w_grid = w_grid or w_grid_default()
     centers = tuple(float(c) for c in centers)
-    udual = _average_duals(centers, delta, profile, w_grid)
-    weights = w_grid.weights()
+    psi = pw_features(centers, w_grid, delta, profile)
+    weights = w_grid.weights() / SQRT_TWO_PI
 
     def synthesis(c):
-        return uniform_fourier_sum(out_grid.a, out_grid.h, out_grid.n, w_grid.a, w_grid.h, (c @ udual) * weights)
+        return uniform_fourier_sum(out_grid.a, out_grid.h, out_grid.n, w_grid.a, w_grid.h, (c @ psi) * weights)
 
-    return TruncatedFrame(centers, out_grid, _hermitian(feature_gram(udual * SQRT_TWO_PI, w_grid), centers), synthesis)
+    return TruncatedFrame(centers, out_grid, _hermitian(feature_gram(psi, w_grid), centers), synthesis)
 
 
 def point_feature_map(w_grid: Grid, dim_y: int = 1) -> FeatureMap:
     """Point-evaluation feature map Phi(x)xi = exp(i x t) xi / sqrt(2pi), the
-    plane waves of a list of points in one expression."""
-    _require_band_grid(w_grid)
-    t = w_grid.points()
+    ``pw_features`` of a list of points times their Y-vectors."""
 
     def evaluate(xs, xis):
-        waves = np.exp(1j * np.outer(np.asarray(xs, dtype=float), t)) / SQRT_TWO_PI
-        return waves[:, :, None] * xi_rows(xis, len(waves))[:, None, :]
+        return pw_features(xs, w_grid)[:, :, None] * xi_rows(xis, len(xs))[:, None, :]
 
     return FeatureMap(w_grid=w_grid, dim_y=dim_y, evaluate=evaluate)
 
@@ -232,31 +224,21 @@ def pw_point_sections(points, out_grid: Grid, w_grid: Grid) -> TruncatedFrame:
 def pw_feature_gram(points, w_grid: Grid, delta: float | None = None, profile: str = "box") -> GramMatrix:
     """The Gram of ``pw_average_sections`` (``delta`` given) or
     ``pw_point_sections`` (no ``delta``) at ``points`` on any window: that of
-    the features Psi(x) alone, as K(x) = Phi(.)* Psi(x); no section is formed."""
+    their ``pw_features`` alone, as K(x) = Phi(.)* Psi(x); no section is formed."""
     points = tuple(float(x) for x in points)
-    if delta is None:
-        w = point_feature_map(w_grid).evaluate(points, np.ones(1))
-    else:
-        w = _average_duals(points, delta, profile, w_grid) * SQRT_TWO_PI
-    return _hermitian(feature_gram(w, w_grid), points)
+    return _hermitian(feature_gram(pw_features(points, w_grid, delta, profile), w_grid), points)
 
 
 def fourier_series(signal: BandlimitedSignal, grid: Grid) -> GridFunction:
     """The scalar signal's coefficients read as Fourier modes on the period
     [0, 2pi] or [-pi, pi]: (1/sqrt(2pi)) sum_k c_k exp(i k t), one
-    ``fourier_synthesis`` times the signs of ``fourier_period``."""
+    ``fourier_synthesis`` times the signs of ``fourier_period``. On [-pi, pi]
+    it is the signal's frequency-side representation w_f: <f, g>_{L2(R)} is
+    the [-pi, pi] inner product of the representations."""
     if signal.dim != 1:
         raise ShapeMismatchError("a Fourier series needs a scalar signal")
     signs, period = fourier_period(signal.shifts, grid)
     return GridFunction(grid, fourier_synthesis(signal.shifts, signal.coeffs[:, 0] * signs, period))
-
-
-def signal_w_repr(signal: BandlimitedSignal, w_grid: Grid) -> GridFunction:
-    """Exact frequency-side representation of a synthesized signal, the
-    ``fourier_series`` w_f(t) = (1/sqrt(2pi)) sum_k c_k exp(i k t) on [-pi, pi]:
-    <f, g>_{L2(R)} equals the [-pi, pi] inner product of the representations."""
-    _require_band_grid(w_grid)
-    return fourier_series(signal, w_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +277,6 @@ def generalized_kadec_check(a: float, b: float, delta: float) -> KadecCheck:
 # ---------------------------------------------------------------------------
 # vector-valued sampling sets
 # ---------------------------------------------------------------------------
-
-def unitary_dft_matrix(n: int) -> np.ndarray:
-    k = np.arange(n)
-    return np.exp(-2j * math.pi * np.outer(k, k) / n) / math.sqrt(n)
-
 
 @dataclass(frozen=True)
 class VectorSamplingSet:
@@ -353,7 +330,7 @@ def build_vector_sampling_set(n: int, m_range: int, perturb=None) -> VectorSampl
         if offsets.shape != (n,):
             raise ShapeMismatchError("perturbation must produce n offsets per m")
         x[i * n : (i + 1) * n] = m + offsets
-    return VectorSamplingSet(n=n, m_range=m_range, x=x, u_matrix=unitary_dft_matrix(n))
+    return VectorSamplingSet(n=n, m_range=m_range, x=x, u_matrix=np.fft.fft(np.eye(n), axis=0, norm="ortho"))
 
 
 def vector_features(vss: VectorSamplingSet, w_grid: Grid) -> np.ndarray:

@@ -40,7 +40,7 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-#: step of the integer-aligned grids of a dual and of the support check
+#: step of the band beyond the support that the support check samples
 PHI_STEP = 1.0 / 1024
 
 # order, support radius R and autocorrelation a_k = <phi, phi(. - k)>, k < 2R:
@@ -211,35 +211,33 @@ class DualGenerator:
 
     b_coeffs: np.ndarray = field(repr=False)
     k_max: int
-    phi_tilde: GridFunction = field(repr=False)
     source: Generator = field(repr=False)
 
 
 def dual_generator(gen: Generator, k_max: int) -> DualGenerator:
     """Dual coefficients b_k = (1/2pi) int_{-pi}^{pi} exp(-i k xi)/bracket(xi),
-    by the periodic trapezoid rule on 2049 points, one FFT that converges
-    geometrically as the bracket is a positive trigonometric polynomial;
-    and the dual synthesized on the grid of step PHI_STEP over |x| <= R + k_max."""
+    by the periodic trapezoid rule, one FFT that converges geometrically as
+    the bracket is a positive trigonometric polynomial. It takes 2049 points,
+    or 2 k_max + 2 when more: n points resolve n - 1 residues, and b_k for
+    |k| <= k_max must not alias."""
     k_max = _count("k_max", k_max)
-    grid_xi = Grid(-math.pi, math.pi, 2049)
+    grid_xi = Grid(-math.pi, math.pi, max(2049, 2 * k_max + 2))
     signs, period = fourier_period(ks := range(-k_max, k_max + 1), grid_xi)
     b = fourier_coefficients(ks, 1.0 / bracket_function(gen, grid_xi.points()), period) * signs / math.sqrt(TWO_PI)
-    r = gen.support_radius
-    ext = Grid(-(r + k_max), float(r + k_max), int(round(2 * (r + k_max) / PHI_STEP)) + 1)
-    vals = _shift_sum(gen, -k_max, b, ext)
-    return DualGenerator(b_coeffs=b, k_max=k_max, phi_tilde=GridFunction(ext, vals), source=gen)
+    return DualGenerator(b_coeffs=b, k_max=k_max, source=gen)
 
 
 def biorthogonality_residual(dual: DualGenerator, shifts: Sequence[int]) -> float:
     """max_j |<phi~, phi(. - j)> - [j == 0]| over the shifts, each pairing
-    integrated over the support window of phi(. - j)."""
-    grid = dual.phi_tilde.grid
-    y, w = grid.points(), grid.weights()
+    the exact finite sum sum_k b_k a_{j - k} over the autocorrelation a of
+    the real generator: one convolution, no quadrature."""
+    a = np.asarray(dual.source.autocorrelation, dtype=float)
+    pairs = np.convolve(dual.b_coeffs, np.concatenate((a[:0:-1], a)))
+    lo = -dual.k_max - (a.size - 1)
     worst = 0.0
     for j in shifts:
-        s = _shift_window(dual.source, y, j)
-        overlap = np.conj(dual.source.evaluate(y[s] - j)) * dual.phi_tilde.values[s, 0]
-        worst = max(worst, abs(np.sum(w[s] * overlap) - (1.0 if j == 0 else 0.0)))
+        pair = pairs[j - lo] if 0 <= j - lo < pairs.size else 0.0
+        worst = max(worst, abs(pair - (1.0 if j == 0 else 0.0)))
     return float(worst)
 
 

@@ -15,7 +15,7 @@ from opkern.core import GridFunction, hermitian_eig, inner_product, solve_hermit
 from opkern.exceptions import IndependenceError, ShapeMismatchError
 from opkern.families import AverageFunctional, fourier_indices, fourier_rows
 from opkern.kernels import GramMatrix, TruncatedFrame, _hermitian, feature_gram
-from opkern.paley_wiener import _average_duals, psi_feature
+from opkern.paley_wiener import pw_features
 from quadrature_oracle import fourier_sum
 
 ONE = np.array([1.0 + 0j])
@@ -145,20 +145,27 @@ def fourier_stacked_frame(indices, grid):
 
 def average_stacked_frame(centers, delta, out_grid, w_grid, profile="box"):
     """The stacked route that ``pw_average_sections`` replaced: every section
-    by its own chirp-z sum of its u_x^v, held as an (m, n) stack, and the
-    Gram of the same ``_average_duals`` features."""
+    by its own chirp-z sum of its u_x^v = Psi(x)/sqrt(2pi), held as an (m, n)
+    stack, and the Gram of the same ``pw_features`` Psi(x)."""
     centers = [float(c) for c in centers]
-    udual = _average_duals(centers, delta, profile, w_grid)
+    psi = pw_features(centers, w_grid, delta, profile)
     h = np.stack([
         uniform_fourier_sum(out_grid.a, out_grid.h, out_grid.n, w_grid.a, w_grid.h, row)
-        for row in udual * w_grid.weights()
+        for row in psi * (w_grid.weights() / math.sqrt(2.0 * math.pi))
     ])
-    return stacked_frame(centers, h, out_grid, udual * math.sqrt(2.0 * math.pi), w_grid)
+    return stacked_frame(centers, h, out_grid, psi, w_grid)
+
+
+def average_feature(u, w_grid):
+    """Psi(x) = sqrt(2pi) u_x^v on w_grid for one functional, from its own
+    closed-form ``inverse_transform``: the per-functional route that
+    ``pw_features`` replaced."""
+    return GridFunction(w_grid, math.sqrt(2.0 * math.pi) * u.inverse_transform(w_grid.points()))
 
 
 def average_features(centers, delta, w_grid, profile="box"):
-    """Psi(x) = sqrt(2pi) u_x^v on w_grid from ``psi_feature``, one per centre."""
-    return [psi_feature(AverageFunctional(float(x), delta, profile), w_grid) for x in centers]
+    """The ``average_feature`` of each centre's functional."""
+    return [average_feature(AverageFunctional(float(x), delta, profile), w_grid) for x in centers]
 
 
 def average_sections(centers, delta, out_grid, w_grid, profile="box"):

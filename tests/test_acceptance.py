@@ -54,11 +54,11 @@ from opkern.paley_wiener import (
     build_vector_sampling_set,
     generalized_kadec_check,
     kadec_bounds,
+    fourier_series,
     point_feature_map,
-    psi_feature,
     pw_average_sections,
+    pw_features,
     pw_window,
-    signal_w_repr,
     sinc_kernel,
     synthesize,
     vector_features,
@@ -73,6 +73,7 @@ from opkern.shift_invariant import (
     si_gram,
 )
 from section_oracle import average_features, fourier_sections as _fourier_sections, truncated_frame
+from shift_oracle import dual_on_grid
 
 TWO_PI = 2.0 * math.pi
 
@@ -115,10 +116,10 @@ def test_criterion_1_reproducing_property_suite():
         coeff = complex_unit_disc(gen, 17)
         sig = BandlimitedSignal.symmetric(coeff, window)
         f = synthesize(sig)
-        w_f = signal_w_repr(sig, wg)
+        w_f = fourier_series(sig, wg)
         beta = float(gen.uniform(-4.0, 4.0))
         u = AverageFunctional(beta, 0.2)
-        psi = psi_feature(u, wg)
+        psi = GridFunction(wg, pw_features([beta], wg, 0.2)[0])
         lhs = average_sample(f, u, refine=16)
         rhs = inner_product(w_f, psi)
         f_norm = float(np.linalg.norm(coeff))  # Shannon coefficients are orthonormal
@@ -391,12 +392,12 @@ def test_criterion_9_shift_space_suite():
     """Hat-generator biorthogonality <= 1e-6 at k_max=20; coefficient-identity
     deviation <= 1e-5 and at least halved under resolution doubling."""
     hat = make_generator("hat")
-    dual = dual_generator(hat, k_max=20)
-    g = dual.phi_tilde.grid
+    dual = dual_on_grid(dual_generator(hat, k_max=20))
+    g = dual.grid
     pts = g.points()
     biorth = 0.0
     for j in range(-4, 5):
-        val = g.weights() @ (np.conj(hat.evaluate(pts - j)) * dual.phi_tilde.values[:, 0])
+        val = g.weights() @ (np.conj(hat.evaluate(pts - j)) * dual.values[:, 0])
         biorth = max(biorth, abs(val - (1.0 if j == 0 else 0.0)))
     assert biorth <= 1e-6
 

@@ -721,15 +721,16 @@ def test_size_caps_refuse_before_allocating(signal_file, tmp_path, capsys, argv)
 @pytest.mark.parametrize(
     "flag,value",
     [
-        ("--k-max", "600"), ("--k-range", "600000"), ("--n-centers", "200000"),
+        ("--k-max", "600000"), ("--k-range", "600000"), ("--n-centers", "200000"),
         ("--delta", "1000000.0"), ("--delta", "1e+300"),
     ],
     ids=["k-max", "k-range", "n-centers", "delta", "delta-overflow"],
 )
 def test_si_diagnose_size_caps_name_the_flag(tmp_path, capsys, flag, value):
-    """--k-max 600 computed the dual coefficients and then exited 2 with
-    "grid of 1230849 points exceeds the cap of 1048576", naming no flag;
-    --k-range 600000 ran to completion over 1200001 coefficients, and
+    """--k-max 600 once computed the dual coefficients and then exited 2
+    with "grid of 1230849 points exceeds the cap of 1048576", naming no
+    flag. The dual is now its 2 k_max + 1 coefficients, and the cap counts
+    them: --k-max 600000 asks for more. --k-range 600000 ran to completion over 1200001 coefficients, and
     --n-centers had no bound. --delta 1e6 ended in a numpy MemoryError
     traceback at exit 1, from a (shifts x 4097) window matrix of 61 GiB, and
     --delta 1e300 in numpy's "Maximum allowed size exceeded". Each is now

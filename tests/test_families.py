@@ -29,7 +29,7 @@ from opkern.families import (
     fourier_synthesis,
     interpolate_values,
 )
-from opkern.paley_wiener import BandlimitedSignal, fourier_series, pw_window, signal_w_repr
+from opkern.paley_wiener import BandlimitedSignal, fourier_series, pw_features, pw_window
 from quadrature_oracle import fourier_sum, quadrature_transform
 
 TWO_PI = 2.0 * math.pi
@@ -329,8 +329,8 @@ def test_periodic_fourier_routes_match_the_dense_sum(period, indices, offset, n,
 def test_a_fourier_period_is_0_to_2pi_or_minus_pi_to_pi(a, b):
     """Only the two periods that the library passes carry the periodic
     trapezoid sums; any other grid is refused by ``fourier_period``, and so
-    by ``fourier_series`` and ``signal_w_repr``. Its [-pi, pi] check has the
-    same exact endpoints: it took any grid within 1e-9 of them, which
+    by ``fourier_series``. The [-pi, pi] check of the Paley-Wiener features
+    has the same exact endpoints: it took any grid within 1e-9 of them, which
     ``fourier_period`` then refused."""
     grid = Grid(a, b, 65)
     signal = BandlimitedSignal.symmetric(np.ones(3), pw_window(1))
@@ -339,7 +339,7 @@ def test_a_fourier_period_is_0_to_2pi_or_minus_pi_to_pi(a, b):
     with pytest.raises(DomainError):
         fourier_series(signal, grid)
     with pytest.raises(DomainError, match="feature grid must span exactly"):
-        signal_w_repr(signal, grid)
+        pw_features([0.0], grid)
 
 
 @pytest.mark.parametrize("bad", [1.5, -0.25, math.inf, math.nan, "2"], ids=["1.5", "-0.25", "inf", "nan", "string"])
