@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .core import (
     MAX_GRID_POINTS, Grid, GridFunction, complex_pairs, complex_values, integral, json_number, json_object, rng,
+    uniform,
 )
 from .exceptions import ConditioningError, OpkernError, ValidationError
 from .families import AverageFunctional, SampleSet, family_from_descriptor
@@ -388,10 +389,9 @@ def _cmd_stability(args, prefix: Path) -> None:
 def _cmd_vector_sampling(args, prefix: Path) -> None:
     n = args.n
     _check_stack(n * (2 * args.m_range + 1), args.w_n * n)
-    # the set asks for each m's offsets once, m ascending
-    gen = rng(args.seed)
-    perturb = (lambda m: gen.uniform(-args.perturb, args.perturb, size=n)) if args.perturb > 0 else None
-    vss = build_vector_sampling_set(n, args.m_range, perturb)
+    # one row of offsets -p + 2p u per m, m ascending, drawn in one block; 0 at p = 0
+    offsets = -args.perturb + 2.0 * args.perturb * uniform(rng(args.seed), (2 * args.m_range + 1, n))
+    vss = build_vector_sampling_set(n, args.m_range, lambda m: offsets[m + args.m_range])
     wg = w_grid_default(args.w_n)
     g = feature_gram(vector_features(vss, wg), wg)
     idx = np.arange(g.shape[0]) % n
@@ -446,7 +446,7 @@ def _subcommand(sub, name: str, func, help_text: str, *shared: str) -> argparse.
 
 #: flags that several subcommands take, each added only where its handler reads it
 _SHARED_FLAGS = {
-    "seed": dict(type=int, default=0),
+    "seed": dict(type=_at_least(0), default=0),
     "delta": dict(type=finite, default=0.2),
     "profile": dict(default="box", choices=["box", "triangle", "cosine"]),
     "m": dict(type=_at_least(0), default=16, help="index half-width / window half-size"),

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import random
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -31,7 +32,7 @@ __all__ = [
     "solve_hermitian",
     "pseudoinverse",
     "rng",
-    "complex_unit_disc",
+    "uniform",
 ]
 
 
@@ -318,15 +319,21 @@ def pseudoinverse(m: np.ndarray, rel_cutoff: float) -> np.ndarray:
     return (vh.conj().T * inv) @ u.conj().T
 
 
-def rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
+def rng(seed: int) -> random.Random:
+    """The stdlib Mersenne Twister (MT19937); random.Random would fold -s onto s."""
+    if (seed := operator.index(seed)) < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
+    return random.Random(seed)
 
 
-def complex_unit_disc(gen: np.random.Generator, size) -> np.ndarray:
-    """Uniform draws from the closed complex unit disc."""
-    r = np.sqrt(gen.uniform(0.0, 1.0, size=size))
-    theta = gen.uniform(0.0, 2.0 * np.pi, size=size)
-    return r * np.exp(1j * theta)
+def uniform(gen: random.Random, shape) -> np.ndarray:
+    """Doubles uniform in [0, 1) on the 2**-53 lattice: the bits of one
+    ``getrandbits`` call, read as little-endian 64-bit words w, each giving
+    (w >> 11) * 2**-53. A call continues the stream where the last one
+    stopped, so a draw split into blocks is the same draw."""
+    n = int(np.prod(shape))
+    words = np.frombuffer(gen.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u8")
+    return ((words >> 11) * 2.0**-53).reshape(shape)
 
 
 # ---------------------------------------------------------------------------

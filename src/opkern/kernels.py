@@ -23,14 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (
-    Grid,
-    GridFunction,
-    complex_unit_disc,
-    hermitian_eig,
-    integrate_values,
-    pseudoinverse,
-    rng,
-    uniform_fourier_sum,
+    Grid, GridFunction, hermitian_eig, integrate_values, pseudoinverse, rng, uniform, uniform_fourier_sum,
 )
 from .exceptions import (
     IndependenceError,
@@ -424,12 +417,14 @@ def integral_kernel_psd_test(
     s_mesh, t_mesh = np.meshgrid(pts, pts, indexing="ij")
     kmat = np.asarray(kappa(s_mesh, t_mesh), dtype=complex)
     w = g0.grid.weights()
-    gen = rng(seed)
-    stack = np.stack([u.values[:, 0] for u in u_family])
+    # a trial's row: k doubles r, then k doubles v; c = sqrt(r) exp(2 pi i v)
+    k = len(u_family)
+    r = uniform(rng(seed), (int(trials), 2 * k))
+    coeffs = np.sqrt(r[:, :k]) * np.exp(1j * (2.0 * np.pi * r[:, k:]))
+    stack = np.stack([f.values[:, 0] for f in u_family])
     worst_real = math.inf
     passed = True
-    for _ in range(int(trials)):
-        c = complex_unit_disc(gen, len(u_family))
+    for c in coeffs:
         u = c @ stack
         l1 = float(integrate_values(g0.grid, np.abs(u)).real)
         q = complex((w * u) @ kmat @ (w * np.conj(u)))

@@ -15,12 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (
-    GridFunction,
-    norm,
-    rng,
-    solve_hermitian,
-)
+from .core import GridFunction, norm, rng, solve_hermitian, uniform
 from .exceptions import ConditioningError, ShapeMismatchError, ValidationError
 from .families import FunctionalFamily, SampleSet, family_from_descriptor
 from .frames import DualFrame, TruncatedFrame, _require_aligned, frame_bounds_estimate
@@ -132,11 +127,13 @@ def sampling_operator(family: FunctionalFamily, indices: Sequence, f: GridFuncti
 
 
 def perturb_samples(samples: SampleSet, sigma: float, seed: int) -> SampleSet:
-    """Additive circular complex Gaussian noise on every sampled value. The
-    draws run value by value, real parts then imaginary parts."""
+    """Additive circular complex Gaussian noise on every sampled value,
+    sigma * sqrt(-ln(1 - u)) * exp(2 pi i v): |z|**2 is exponential with mean
+    sigma**2, the law of sigma * (n1 + i n2) / sqrt(2). The draws run value by
+    value, the u of its entries then their v."""
     v = samples.values
-    draws = rng(seed).standard_normal((v.shape[0], 2) + v.shape[1:])
-    noise = sigma * (draws[:, 0] + 1j * draws[:, 1]) / math.sqrt(2.0)
+    u = uniform(rng(seed), (v.shape[0], 2) + v.shape[1:])
+    noise = sigma * np.sqrt(-np.log1p(-u[:, 0])) * np.exp(1j * (2.0 * np.pi * u[:, 1]))
     return SampleSet(samples.family, samples.alphas, v + noise)
 
 
@@ -255,11 +252,11 @@ def stability_reports(
       the global maximum is within twice the largest-size maximum (no
       blow-up as the index set shrinks).
 
-    Each block of trials is one ``random`` call of shape (block, 3m), and
+    Each block of trials is one ``uniform`` draw of shape (block, 3m), and
     its rows fill in trial order, so the random stream does not depend on
-    the blocking. A trial's row holds m radii and m phases, the doubles
-    that complex_unit_disc(gen, m) reads, then m keys: S is the ``size``
-    indices of the smallest keys, in increasing order, a uniform subset.
+    the blocking. A trial's row holds m doubles u and m doubles v, for its
+    coefficients sqrt(u) exp(2 pi i v) in the unit disc, then m keys: S is the
+    ``size`` indices of the smallest keys, in increasing order, a uniform subset.
     Products and solves run on the stacked block, one matrix-vector product
     per trial as in a single-trial loop.
     """
@@ -277,10 +274,8 @@ def stability_reports(
         worst_t = worst_d = 0.0
         for start in range(0, trials, block):
             n = min(block, trials - start)
-            u = gen.random((n, 3 * m))
+            u = uniform(gen, (n, 3 * m))
             subsets = np.sort(np.argsort(u[:, 2 * m:], axis=1)[:, :size], axis=1)
-            # complex_unit_disc(gen, m) from the same doubles: uniform(0, s)
-            # draws 0.0 + s * random(), bit for bit
             a = (np.sqrt(u[:, :m]) * np.exp(1j * (2.0 * np.pi * u[:, m:2 * m])))[:, None]
             f_norm = np.sqrt(np.maximum(_quad_forms(g, a), 1e-300))
             c = np.take_along_axis((a @ g)[:, 0], subsets, axis=1)[:, None]

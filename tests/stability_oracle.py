@@ -3,11 +3,11 @@
 
 ``truncated_reconstruction_stability`` and ``stability_sweep`` each draw their
 own trials from ``rng(seed)``, one at a time, with one Hermitian solve per
-damped trial. A trial draws its span element with complex_unit_disc(gen, m),
-then m keys with ``gen.random(m)``: its subset is
-``np.sort(np.argsort(keys)[:size])``, the indices of the ``size`` smallest
-keys. Called with the same seed and sizes the two loops see the same draws,
-which the blocked pass draws once for both reports.
+damped trial. A trial draws one row ``uniform(gen, 3 * m)``: m doubles u and
+m doubles v give its span element sqrt(u) exp(2 pi i v), and the last m are
+keys: its subset is ``np.sort(np.argsort(keys)[:size])``, the indices of the
+``size`` smallest keys. Called with the same seed and sizes the two loops see
+the same draws, which the blocked pass draws once for both reports.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from opkern.core import complex_unit_disc, rng, solve_hermitian
+from opkern.core import rng, solve_hermitian, uniform
 from opkern.frames import DualFrame, frame_bounds_estimate
 from opkern.kernels import TruncatedFrame
 from opkern.learning import SweepReport, TruncatedStabilityReport, _check_sweep
@@ -25,6 +25,12 @@ from opkern.learning import SweepReport, TruncatedStabilityReport, _check_sweep
 
 def _quad_form(m: np.ndarray, c: np.ndarray) -> float:
     return float(np.real(np.conj(c) @ m @ c))
+
+
+def _trial(gen, m: int, size: int) -> tuple:
+    """One trial's span coefficients and sorted subset, from one row of 3m doubles."""
+    row = uniform(gen, 3 * m)
+    return np.sqrt(row[:m]) * np.exp(1j * (2.0 * np.pi * row[m:2 * m])), np.sort(np.argsort(row[2 * m:])[:size])
 
 
 def truncated_reconstruction_stability(
@@ -52,9 +58,8 @@ def truncated_reconstruction_stability(
         size = int(size)
         worst = 0.0
         for _ in range(int(trials)):
-            a = complex_unit_disc(gen, m)
+            a, subset = _trial(gen, m, size)
             f_norm = math.sqrt(max(_quad_form(g, a), 1e-300))
-            subset = np.sort(np.argsort(gen.random(m))[:size])
             c = (a @ g)[subset]
             rec_sq = float(np.real(np.conj(c) @ gp[np.ix_(subset, subset)] @ c))
             worst = max(worst, math.sqrt(max(rec_sq, 0.0)) / f_norm)
@@ -92,9 +97,8 @@ def stability_sweep(
         size = int(size)
         worst = 0.0
         for _ in range(int(trials)):
-            a = complex_unit_disc(gen, m)
+            a, subset = _trial(gen, m, size)
             f_norm = math.sqrt(max(_quad_form(g, a), 1e-300))
-            subset = np.sort(np.argsort(gen.random(m))[:size])
             xi = (a @ g)[subset]
             gl_ss = gl[np.ix_(subset, subset)]
             eta = solve_hermitian(gl_ss + lam * np.eye(size), xi)

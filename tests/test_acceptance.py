@@ -11,10 +11,8 @@ import pytest
 from opkern.core import (
     Grid,
     GridFunction,
-    complex_unit_disc,
     inner_product,
     norm,
-    rng,
 )
 from opkern.families import (
     AverageFunctional,
@@ -72,6 +70,7 @@ from opkern.shift_invariant import (
     si_functional_kernel,
     si_gram,
 )
+from draws import complex_unit_disc, rng
 from section_oracle import average_features, fourier_sections as _fourier_sections, truncated_frame
 from shift_oracle import dual_on_grid
 

@@ -885,6 +885,28 @@ def test_regnet_bad_inputs_are_refused(signal_file, tmp_path, capsys, fields):
         assert "index" in err and "40" in err and "--window" in err
 
 
+@pytest.mark.parametrize(
+    "argv,name",
+    [(["stability", "--seed", "-1"], "--seed"), (["vector-sampling", "--seed", "-1"], "--seed"), (["regnet"], "seed")],
+    ids=["stability", "vector-sampling", "regnet-noise"],
+)
+def test_negative_seeds_are_refused_by_name(signal_file, tmp_path, capsys, argv, name):
+    """A negative seed exits 2 with one JSON line that names the flag, or the
+    seed of a problem's noise. numpy's generator refused it with a bare
+    "expected non-negative integer"; random.Random(-s) would run as s."""
+    if argv == ["regnet"]:
+        ppath = tmp_path / "prob.json"
+        ppath.write_text(json.dumps(_regnet_problem(signal_file, noise={"sigma": 0.1, "seed": -1})))
+        argv = ["regnet", "--problem", str(ppath), "--grid-n", "129"]
+    code = main([*argv, "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "ValidationError"
+    assert name in json.loads(err)["message"]
+    assert not list(tmp_path.glob("x.*"))
+
+
 @pytest.mark.parametrize("cutoff", ["1.5", "1.0"])
 def test_rel_cutoff_out_of_range_is_validation_error(signal_file, tmp_path, capsys, cutoff):
     code = main([
@@ -1122,12 +1144,12 @@ def test_cli_holds_no_frame_arithmetic():
 
 def test_cli_import_loads_no_scipy():
     """The runtime imports only numpy; scipy is a test oracle, and importing
-    it would add most of a second to every CLI invocation. numpy.fft and
-    numpy.random are loaded on first use only (numpy 2 defers them; numpy 1
-    loads them with numpy itself, so only what opkern adds is counted): at
-    import they would add about 34 ms and 55 ms (python -X importtime) to
-    every invocation. opkern.shift_invariant is imported by si-diagnose
-    alone, when it runs."""
+    it would add most of a second to every CLI invocation. numpy.fft is
+    loaded on first use only (numpy 2 defers it; numpy 1 loads it with numpy
+    itself, so only what opkern adds is counted): at import it would add
+    about 34 ms (python -X importtime) to every invocation. numpy.random is
+    not loaded at all, not even by a run that draws (the test below).
+    opkern.shift_invariant is imported by si-diagnose alone, when it runs."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
@@ -1137,3 +1159,37 @@ def test_cli_import_loads_no_scipy():
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert json.loads(out.stdout) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stability", "--m", "4", "--sizes", "2,4", "--trials", "20", "--w-n", "129", "--points-per-unit", "4"],
+        ["regnet", "--grid-n", "129"],
+        ["vector-sampling", "--n", "2", "--m-range", "2", "--perturb", "0.1", "--w-n", "65"],
+    ],
+    ids=["stability", "regnet-noise", "vector-sampling-perturb"],
+)
+def test_drawing_runs_load_no_numpy_random_and_no_hashlib(signal_file, tmp_path, argv):
+    """The runs that draw take their doubles from the stdlib Mersenne Twister,
+    which numpy already loads (through tempfile), so a fresh process loads
+    no numpy.random module and no hashlib beyond what ``import numpy`` loads
+    (numpy 1 loads numpy.random with numpy itself). numpy.random brings nine
+    extension modules and secrets, hmac and hashlib with OpenSSL's libcrypto:
+    about 6.4 MB more peak RSS than numpy alone (27.4 against 33.8 MB,
+    Python 3.11, numpy 2.4)."""
+    if argv[0] == "regnet":
+        ppath = tmp_path / "prob.json"
+        ppath.write_text(json.dumps(_regnet_problem(signal_file, noise={"sigma": 0.1, "seed": 3})))
+        argv = [*argv, "--problem", str(ppath)]
+    argv = [*argv, "--out", str(tmp_path / "x")]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import json, sys, numpy; bare = set(sys.modules); from opkern.cli import main; "
+        f"code = main({argv!r}); "
+        "print(json.dumps([code, sorted(m for m in set(sys.modules) - bare "
+        "if m.startswith('numpy.random') or m in ('hashlib', '_hashlib'))]))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == [0, []], out.stderr

@@ -5,21 +5,21 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from opkern import core
 from opkern.core import (
     Grid,
     GridFunction,
-    complex_unit_disc,
     hermitian_eig,
     inner_product,
     integrate_values,
     norm,
     pseudoinverse,
     restrict,
-    rng,
     solve_hermitian,
     uniform_fourier_sum,
 )
 from opkern.exceptions import ConditioningError, ShapeMismatchError, ValidationError
+from draws import complex_unit_disc, rng
 from quadrature_oracle import fourier_sum
 from solve_oracle import eigh_solve_hermitian
 
@@ -312,6 +312,28 @@ def test_uniform_fourier_sum_matches_fourier_sum(ny, nt, y0, dy, t0, dt, sign, s
     phase = max(abs(y0), abs(y0 + dy * (ny - 1))) * max(abs(t0), abs(t0 + dt * (nt - 1)))
     bound = 1e-11 + 4.0 * np.finfo(float).eps * phase
     assert np.all(np.abs(got - want) <= bound * np.sum(np.abs(a)))
+
+
+# ------------------------------------------------------------------- draws
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 40), st.integers(1, 8), st.integers(0, 300), st.integers(0, 2**80))
+@example(rows=0, cols=1, b=0, seed=0)  # nothing drawn
+@example(rows=1, cols=1, b=1, seed=2**80)  # a seed beyond 64 bits
+def test_uniform_continues_one_stream_on_the_lattice(rows, cols, b, seed):
+    """Drawing (rows, cols) doubles and then b more is drawing rows*cols + b
+    from a fresh generator, so a draw split into blocks is the same draw.
+    Each double is (w >> 11) * 2**-53 of the generator's next 64-bit word w,
+    the word getrandbits(64) returns: in [0, 1) and on the 2**-53 lattice."""
+    gen = core.rng(seed)
+    first, second = core.uniform(gen, (rows, cols)), core.uniform(gen, b)
+    whole = core.uniform(core.rng(seed), rows * cols + b)
+    assert (first.shape, second.shape) == ((rows, cols), (b,))
+    assert np.array_equal(np.concatenate([first.ravel(), second]), whole)
+    words = core.rng(seed)
+    assert whole.tolist() == [(words.getrandbits(64) >> 11) * 2.0**-53 for _ in range(whole.size)]
+    assert np.all((whole >= 0.0) & (whole < 1.0))
+    assert np.array_equal(whole * 2.0**53, np.floor(whole * 2.0**53))
 
 
 # ------------------------------------------------------------- serialization

@@ -249,13 +249,20 @@ def test_fourier_apply_all_reduces_a_sparse_wide_span_on_the_periodic_grid():
 )
 @example([0, 2**21, 2**20 - 1, -1, 10**400], 129, 2, 0)
 @example([7, 7, 3], 2, 1, 1)
+@example([0], 516, 1, 456)  # 5.5 eps sum|c_j| off: 515 = 5 * 103
+@example([2], 389, 1, 909)  # 6.7 eps: 388 = 4 * 97
+@example([0], 549, 2, 1950)  # 9.2 eps: 548 = 4 * 137
 def test_fourier_sampling_is_the_adjoint_of_synthesis(indices, n, dim, seed):
     """For any integer indices (beyond 2**20, beyond int64, repeated) and
     any f: c^H apply_all(f) = <f, sum_j c_j K_j> under the trapezoid
     weights, each column of f; apply_all matches the per-index formula;
     and on distinct residues sampling undoes synthesis within
-    4 eps sum|c_j|. The chirp-z sum refused spans above 2**20, and its
-    round trip was off by up to 9.0e-13 sum|c_j| on spans of 5(n - 1)."""
+    4 eps log2(n) sum|c_j|, the round-off of an FFT pair of length n - 1
+    (Higham, ch. 24). The examples are draws that a bound of 4 eps sum|c_j|
+    failed at lengths with a large prime factor; over 9,000 seeds at each of
+    the last two the worst was 1.01 eps log2(n) sum|c_j|. The chirp-z sum refused
+    spans above 2**20, and its round trip was off by up to 9.0e-13
+    sum|c_j| on spans of 5(n - 1)."""
     gen = np.random.default_rng(seed)
     g = Grid(0.0, TWO_PI, n)
     f = GridFunction(g, gen.standard_normal((n, dim)) + 1j * gen.standard_normal((n, dim)))
@@ -273,7 +280,7 @@ def test_fourier_sampling_is_the_adjoint_of_synthesis(indices, n, dim, seed):
     residues = {j % (n - 1) for j in indices}
     if len(residues) == len(indices):
         back = fam.apply_all(indices, GridFunction(g, synth))[:, 0]
-        assert np.all(np.abs(back - c) <= 4 * np.finfo(float).eps * np.sum(np.abs(c)))
+        assert np.all(np.abs(back - c) <= 4 * np.finfo(float).eps * math.log2(n) * np.sum(np.abs(c)))
 
 
 _PERIODS = {"0..2pi": (0.0, TWO_PI), "-pi..pi": (-math.pi, math.pi)}

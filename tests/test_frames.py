@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from opkern.core import Grid, GridFunction, complex_unit_disc, inner_product, norm, rng
+from opkern.core import Grid, GridFunction, inner_product, norm
 from opkern.exceptions import AlignmentError, DegenerateFrameError, ShapeMismatchError
 from opkern.families import (
     AverageSamplingFamily,
@@ -31,6 +31,7 @@ from opkern.paley_wiener import (
     synthesize,
     w_grid_default,
 )
+from draws import complex_unit_disc, rng
 from section_oracle import KernelSection, average_features, average_sections, section_stack, truncated_frame
 from section_oracle import average_stacked_frame, feature_section, stack_backed_frame, stacked_frame
 from section_oracle import fourier_sections as _fourier_sections, fourier_stacked_frame

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from opkern.core import Grid, GridFunction, complex_unit_disc, inner_product, rng
+from opkern.core import Grid, GridFunction, inner_product
 from opkern.exceptions import (
     IndependenceError,
     KernelConsistencyError,
@@ -33,6 +33,7 @@ from opkern.kernels import (
     translation_invariant_section,
 )
 from opkern.paley_wiener import point_feature_map, w_grid_default
+from draws import complex_unit_disc, rng
 from quadrature_oracle import translation_invariant_kernel
 from section_oracle import (
     KernelSection,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from opkern.core import Grid, GridFunction, complex_unit_disc, inner_product, rng
+from opkern.core import Grid, GridFunction, inner_product
 from opkern.exceptions import AdmissibilityError, DomainError, ShapeMismatchError, ValidationError
 from opkern.families import AverageFunctional, average_sample
 from opkern.kernels import feature_gram
@@ -27,6 +27,7 @@ from opkern.paley_wiener import (
     vector_features,
     w_grid_default,
 )
+from draws import complex_unit_disc, rng
 from section_oracle import average_feature, average_sections, section_stack, sinc_sections, truncated_frame
 
 TWO_PI = 2.0 * math.pi

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
-from opkern.core import Grid, GridFunction, inner_product, integrate_values, norm, rng
+from opkern.core import Grid, GridFunction, inner_product, integrate_values, norm
 from opkern.exceptions import DomainError, RieszConditionError, ValidationError
 from opkern.families import AverageFunctional, average_sample
 from opkern.kernels import psd_check
@@ -28,6 +28,7 @@ from opkern.shift_invariant import (
     si_functional_kernel,
     si_gram,
 )
+from draws import rng
 from quadrature_oracle import fourier_sum, quadrature_transform
 from shift_oracle import (
     bracket_values,
