@@ -171,10 +171,9 @@ def _frame_of(family, indices, args):
     """The frame of the family at the indices and the map that puts a signal
     on the frame's grid: [0, 2pi] for Fourier coefficients, the evaluation
     window otherwise, once each support [x - delta, x + delta] is seen to lie
-    in it. What the frame holds is checked before anything is built: the
-    Fourier Gram, or the features on the --w-n grid and their Gram."""
+    in it. The features on the --w-n grid and their Gram are checked before
+    they are built; a Fourier frame holds its residues alone."""
     if family.kind == "fourier":
-        _check_stack(len(indices))
         return fourier_frame(indices, _fourier_grid(args.grid_n)), fourier_series
     if family.kind not in ("average", "point"):
         raise OpkernError(f"unsupported family {family.kind!r}")
@@ -194,12 +193,12 @@ def _frame_of(family, indices, args):
 def _gram_of(args) -> GramMatrix:
     """The Gram of --family at --indices from the features alone: the Fourier
     frame's closed form, else the features on the --w-n grid. No section or
-    window is formed; the sizes are checked first, as in ``_frame_of``."""
+    window is formed; the sizes are checked first."""
     family = _family(args.family, args)
     indices = _parse_indices(args.indices, "--indices")
+    _check_stack(len(indices), 0 if family.kind == "fourier" else args.w_n)
     if family.kind == "fourier":
         return _frame_of(family, indices, args)[0].gram
-    _check_stack(len(indices), args.w_n)
     params = (family.delta, family.profile) if family.kind == "average" else ()
     return pw_feature_gram(indices, w_grid_default(args.w_n), *params)
 
@@ -245,6 +244,9 @@ def _cmd_reconstruct(args, prefix: Path) -> None:
                 f"{flag} sets the window [-T, T] = [{grid.a}, {grid.b}], which cannot hold the supports out to "
                 f"m + delta = {reach} and two grid points in [-T + 4, T - 4]"
             )
+    elif 2 * args.m + 1 >= args.grid_n - 1:  # the modes fill every residue class: any signal is reproduced
+        raise ValidationError(f"--m {args.m} asks for {2 * args.m + 1} modes, which span every function on "
+                              f"--grid-n {args.grid_n}; --grid-n must exceed 2m + 2 = {2 * args.m + 2}")
     frame, on_grid = _frame_of(family, range(-args.m, args.m + 1), args)
     grid = frame.h_grid
     f_grid = on_grid(signal, grid)
@@ -282,6 +284,8 @@ def _cmd_regnet(args, prefix: Path) -> None:
     if not isinstance(payload["indices"], list) or not payload["indices"]:
         raise ValidationError(f"problem indices must be a non-empty list, not {payload['indices']!r:.40}")
     lam = json_number(payload["lambda"], "problem lambda")
+    if family.kind == "fourier":
+        _check_stack(len(payload["indices"]))  # the learning problem forms the Gram
     frame, on_grid = _frame_of(family, [family.decode_alpha(a) for a in payload["indices"]], args)
     if payload.get("samples") is not None:
         samples = SampleSet(family.descriptor(), frame.alphas, complex_values(payload["samples"], "problem samples", 1))

@@ -4,16 +4,18 @@ frame-bound estimates for truncated kernel families, held as the
 
 The dual of the infinite family is not computable at desk scale; this module
 computes the canonical dual of the truncated family through the Gram
-pseudoinverse that the frame supplies (one SVD, or the closed form of the
-Fourier frame), held as coefficients that the frame synthesizes, and reports
-truncation diagnostics. Reconstruction error is therefore measured on an
-interior window away from the truncation boundary.
+pseudoinverse that the frame supplies as a rule on sample rows (one SVD, or
+the Fourier frame's residue-class sums), whose coefficients the frame
+synthesizes, and reports truncation diagnostics. Reconstruction error is
+therefore measured on an interior window away from the truncation boundary.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -33,22 +35,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DualFrame:
-    """Canonical dual of a truncated family: dual section j is
-    source.synthesize(coeffs[j]) = sum_k pinv(G)[j, k] K_k, biorthogonal to
-    the sections on their span."""
+    """Canonical dual of a truncated family: sum_j v_j K~_j is
+    source.synthesize(apply(v)), apply(v) = v . pinv(G) by the frame's rule.
+    Dual section j, biorthogonal to the sections on their span, is the
+    synthesis of row j of ``coeffs`` = pinv(G), formed only when read."""
 
-    coeffs: np.ndarray = field(repr=False)
     source: TruncatedFrame
+    apply: Callable = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.source)
 
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        return self.apply(np.eye(len(self), dtype=complex))
+
 
 def dual_frame(frame: TruncatedFrame, rel_cutoff: float = 1e-10) -> DualFrame:
-    g = frame.gram.matrix
-    if not np.any(g):
-        raise DegenerateFrameError("the section Gram is exactly zero", min_eig=0.0, max_eig=0.0)
-    return DualFrame(coeffs=frame.gram_pinv(rel_cutoff), source=frame)
+    """The canonical dual by the frame's ``dual_rule``; a zero Gram is refused."""
+    return DualFrame(source=frame, apply=frame.dual_rule(rel_cutoff))
 
 
 def _alphas_match(a, b) -> bool:
@@ -74,9 +79,9 @@ def _require_aligned(samples: SampleSet, frame: TruncatedFrame) -> None:
 
 def reconstruct(dual: DualFrame, samples: SampleSet) -> GridFunction:
     """f_hat = sum_j L_{alpha_j}(f) K~_j, one synthesis of the coefficients
-    values . pinv(G), from a sample set aligned with the dual's index order."""
+    values . pinv(G) by the dual's rule, for samples in the dual's index order."""
     _require_aligned(samples, dual.source)
-    return dual.source.synthesize(samples.value_array() @ dual.coeffs)
+    return dual.source.synthesize(dual.apply(samples.value_array()))
 
 
 def frame_bounds_estimate(frame: TruncatedFrame) -> tuple[float, float]:

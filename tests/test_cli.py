@@ -115,13 +115,60 @@ def test_reconstruct_pw_holds_features_and_no_section_stack(signal_file, tmp_pat
 
 def test_the_fourier_size_cap_counts_the_gram_alone(signal_file, tmp_path):
     """601 Fourier sections on 60001 points were refused as a stack of
-    3.6e7 entries, which the frame never holds; its Gram has 361201."""
+    3.6e7 entries, which the frame never holds; reconstruct forms no Gram
+    either, only the residues of the 601 indices."""
     argv = [
         "reconstruct", "--space", "fourier", "--m", "300", "--grid-n", "60001",
         "--signal", str(signal_file), "--out", str(tmp_path / "r"),
     ]
     assert main(argv) == 0
     assert json.loads((tmp_path / "r.json").read_text())["rel_l2_interior"] < 1e-10
+
+
+@pytest.mark.parametrize("m,grid_n,peak_cap", [(2000, 8193, 2**24), (20000, 65537, 2**26)])
+def test_reconstruct_fourier_forms_no_gram(signal_file, tmp_path, m, grid_n, peak_cap):
+    """The dual is applied by residue-class sums, so nothing of size
+    (2m+1)^2 is formed. At --m 2000 --grid-n 8193 the dense Gram and its
+    pseudoinverse peaked at 491 MiB and now 2.6 MiB; --m 20000 was refused
+    by the Gram cap and peaks at 21 MiB."""
+    argv = [
+        "reconstruct", "--space", "fourier", "--m", str(m), "--grid-n", str(grid_n),
+        "--signal", str(signal_file), "--out", str(tmp_path / "r"),
+    ]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert json.loads((tmp_path / "r.json").read_text())["rel_l2_interior"] < 1e-10
+    assert peak < peak_cap
+
+
+@pytest.mark.parametrize("m,grid_n", [(4, 9), (20, 33), (3, 2)])
+def test_a_fourier_frame_that_spans_its_grid_is_refused(tmp_path, capsys, m, grid_n):
+    """2m + 1 >= n - 1 modes fill every residue class of the grid, so they
+    reproduce any function on it: the 193-mode benchmark signal reported
+    rel_l2_interior 2.5e-16 at --m 4 --grid-n 9, 2.0e-16 at --m 20
+    --grid-n 33 and 0.0 at --m 3 --grid-n 2, against 0.397 at --m 3
+    --grid-n 9. Such a run is refused naming both flags; gram and psd still
+    take the aliased grid, whose Gram is the diagnostic."""
+    gen = np.random.default_rng(101)
+    coeffs = (gen.standard_normal(193) + 1j * gen.standard_normal(193)) / math.sqrt(2)
+    sig = tmp_path / "sig.json"
+    sig.write_text(json.dumps(BandlimitedSignal.symmetric(coeffs, pw_window(0)).to_json()))
+    base = ["reconstruct", "--space", "fourier", "--signal", str(sig), "--out", str(tmp_path / "r")]
+    assert main([*base, "--m", str(m), "--grid-n", str(grid_n)]) == 2
+    err = capsys.readouterr().err
+    assert json.loads(err)["error"] == "ValidationError" and err.count("\n") == 1
+    assert "--grid-n" in json.loads(err)["message"] and "--m" in json.loads(err)["message"]
+    assert not list(tmp_path.glob("r.*"))
+    assert main([*base, "--m", "3", "--grid-n", "9"]) == 0
+    assert json.loads((tmp_path / "r.json").read_text())["rel_l2_interior"] > 0.1
+    for cmd in ("gram", "psd"):
+        indices = f"--indices={-m}..{m}"
+        assert main([cmd, "--family", "fourier", indices, "--grid-n", str(grid_n), "--out", str(tmp_path / cmd)]) == 0
 
 
 def test_reconstruct_fourier_exact(signal_file, tmp_path):
@@ -971,12 +1018,16 @@ def test_stability_bad_inputs_are_refused(tmp_path, capsys, flags):
         ["avg-sample", "--x", "0,1e400"],
         ["gram", "--indices", "a..3"],
         ["gram", "--indices", "0..99999999999"],
+        ["reconstruct", "--space", "fourier", "--m", "4", "--grid-n", "9"],
+        ["reconstruct", "--space", "fourier", "--m", "20", "--grid-n", "33"],
+        ["reconstruct", "--space", "fourier", "--m", "3", "--grid-n", "2"],
     ],
     ids=[
         "m-not-an-int", "window-inf", "window-zero", "window-overflow", "m-overflow",
         "fourier-m-overflow", "rel-cutoff-nan", "perturb-inf", "avg-sample-delta-inf",
         "stability-delta-inf", "required-flag-missing", "unknown-command", "x-not-a-number",
         "x-overflow", "indices-range-not-a-number", "indices-range-overflow",
+        "fourier-grid-spanned-m4-n9", "fourier-grid-spanned-m20-n33", "fourier-grid-spanned-m3-n2",
     ],
 )
 def test_bad_flag_values_exit_2(signal_file, tmp_path, capsys, argv):
@@ -989,7 +1040,8 @@ def test_bad_flag_values_exit_2(signal_file, tmp_path, capsys, argv):
     the grid cap, or more indices than the stack cap, is now refused by the
     flag that set it, before any float or index list is formed from it.
     --x abc and --indices a..3 exited 2 with a bare "invalid literal for
-    int()"."""
+    int()". A Fourier reconstruct whose 2m + 1 modes fill the n - 1 residue
+    classes of --grid-n exited 0 with a round-off error for any signal."""
     if argv[0] in ("reconstruct", "avg-sample"):
         argv = [*argv, "--signal", str(signal_file)]
     code = main([*argv, "--out", str(tmp_path / "x")])
@@ -1159,6 +1211,26 @@ def test_cli_import_loads_no_scipy():
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert json.loads(out.stdout) == []
+
+
+def test_no_module_of_the_package_imports_scipy():
+    """numpy is the one runtime dependency. An import of scipy at any depth
+    of any module in src/opkern is refused: a handler-local one, as
+    si-diagnose imports shift_invariant, loads nothing at ``import
+    opkern.cli`` and so passes the test above."""
+    import ast
+
+    found = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "opkern").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] == "scipy"]
+    assert found == []
 
 
 @pytest.mark.parametrize(
