@@ -31,7 +31,8 @@ from .kernels import GramMatrix, feature_gram, fourier_frame, psd_check
 from .learning import learning_problem, perturb_samples, regnet_solve, sampling_operator, stability_reports
 from .paley_wiener import (
     BandlimitedSignal, build_vector_sampling_set, fourier_series, generalized_kadec_check, kadec_bounds,
-    pw_average_sections, pw_feature_gram, pw_point_sections, synthesize, vector_features, w_grid_default,
+    lattice_spacing, pw_average_sections, pw_feature_gram, pw_point_sections, synthesize, vector_features,
+    w_grid_default,
 )
 
 FMT = "%.15g"
@@ -171,14 +172,20 @@ def _frame_of(family, indices, args):
     """The frame of the family at the indices and the map that puts a signal
     on the frame's grid: [0, 2pi] for Fourier coefficients, the evaluation
     window otherwise, once each support [x - delta, x + delta] is seen to lie
-    in it. The features on the --w-n grid and their Gram are checked before
-    they are built; a Fourier frame holds its residues alone."""
+    in it. Centres that spread over w_n - 1 or more alias on the --w-n grid
+    and are refused. Features on it are checked before they are built; a
+    Fourier frame holds its residues, and averages at a lattice a Gram row."""
     if family.kind == "fourier":
         return fourier_frame(indices, _fourier_grid(args.grid_n)), fourier_series
     if family.kind not in ("average", "point"):
         raise OpkernError(f"unsupported family {family.kind!r}")
     grid = _window_grid(args)
-    _check_stack(len(indices), args.w_n)
+    if (spread := max(indices) - min(indices)) >= args.w_n - 1:
+        flag = "the problem indices" if args.command == "regnet" else f"--m {args.m}"
+        raise ValidationError(f"{flag} spread the centres over {spread}, which --w-n {args.w_n} sees modulo "
+                              f"{args.w_n - 1}; --w-n must exceed {spread + 1}")
+    if family.kind == "point" or not lattice_spacing(indices):
+        _check_stack(len(indices), args.w_n)
     delta = family.delta if family.kind == "average" else 0.0  # a point is an average of width 0
 
     def on_grid(signal, grid):
@@ -251,7 +258,7 @@ def _cmd_reconstruct(args, prefix: Path) -> None:
     grid = frame.h_grid
     f_grid = on_grid(signal, grid)
     window = (grid.a + 4.0, grid.b - 4.0) if family.kind == "average" else (grid.a, grid.b)
-    dual = dual_frame(frame, rel_cutoff=args.rel_cutoff)
+    dual = dual_frame(frame)
     f_hat = reconstruct(dual, sampling_operator(family, frame.alphas, f_grid))
     err = interior_relative_error(f_hat, f_grid, window=window)
     _write_function_csv(prefix.with_suffix(".csv"), f_hat)
@@ -284,8 +291,7 @@ def _cmd_regnet(args, prefix: Path) -> None:
     if not isinstance(payload["indices"], list) or not payload["indices"]:
         raise ValidationError(f"problem indices must be a non-empty list, not {payload['indices']!r:.40}")
     lam = json_number(payload["lambda"], "problem lambda")
-    if family.kind == "fourier":
-        _check_stack(len(payload["indices"]))  # the learning problem forms the Gram
+    _check_stack(len(payload["indices"]))  # the learning problem forms the Gram
     frame, on_grid = _frame_of(family, [family.decode_alpha(a) for a in payload["indices"]], args)
     if payload.get("samples") is not None:
         samples = SampleSet(family.descriptor(), frame.alphas, complex_values(payload["samples"], "problem samples", 1))
@@ -357,6 +363,7 @@ def _cmd_si_diagnose(args, prefix: Path) -> None:
 
 
 def _cmd_stability(args, prefix: Path) -> None:
+    _check_stack(2 * args.m + 1)  # the reports form the Gram
     frame = _frame_of(_family("average", args), range(-args.m, args.m + 1), args)[0]
     dual = dual_frame(frame)
     try:
@@ -483,7 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--space", default="pw", choices=["pw", "fourier"])
     p.add_argument("--signal", required=True, help="signal JSON path")
-    p.add_argument("--rel-cutoff", dest="rel_cutoff", type=finite, default=1e-10)
 
     p = _subcommand(
         sub, "avg-sample", _cmd_avg_sample, "apply average functionals to a signal",

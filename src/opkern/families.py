@@ -200,9 +200,11 @@ def _uniform_slope_solve(rhs: np.ndarray, left: np.ndarray, right: np.ndarray) -
     up = np.zeros(n)
     up[: _SPLINE_TAPS + 1] = _SPLINE_POLE ** np.arange(min(n, _SPLINE_TAPS + 1))
     down = up[::-1]
-    homog = np.array([[up[0] - up[2], down[0] - down[2]], [up[-3] - up[-1], down[-3] - down[-1]]])
-    amp = np.linalg.solve(homog, np.stack((left - part[0] + part[2], right - part[-3] + part[-1])))
-    return part + np.outer(up, amp[0]) + np.outer(down, amp[1])
+    # the 2 x 2 end system [[a, b], [c, d]] by its closed-form inverse: no LAPACK call
+    (a, b), (c, d) = (up[0] - up[2], down[0] - down[2]), (up[-3] - up[-1], down[-3] - down[-1])
+    e, f = left - part[0] + part[2], right - part[-3] + part[-1]
+    det = a * d - b * c
+    return part + np.outer(up, (d * e - b * f) / det) + np.outer(down, (a * f - c * e) / det)
 
 
 def _spline_slopes(dx: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -337,8 +339,9 @@ class FunctionalFamily:
 
 def fourier_indices(alphas) -> list:
     """Fourier indices as Python ints; a value that is not integral (1.5,
-    inf, nan, a bool, a string) is refused rather than truncated."""
-    return [integral(j, "Fourier index") for j in alphas]
+    inf, nan, a bool, a string) is refused rather than truncated; a Python
+    int passes by one type test."""
+    return [j if type(j) is int else integral(j, "Fourier index") for j in alphas]
 
 
 def fourier_residues(indices, grid: Grid) -> np.ndarray:

@@ -4,10 +4,11 @@ frame-bound estimates for truncated kernel families, held as the
 
 The dual of the infinite family is not computable at desk scale; this module
 computes the canonical dual of the truncated family through the Gram
-pseudoinverse that the frame supplies as a rule on sample rows (one SVD, or
-the Fourier frame's residue-class sums), whose coefficients the frame
-synthesizes, and reports truncation diagnostics. Reconstruction error is
-therefore measured on an interior window away from the truncation boundary.
+pseudoinverse that the frame supplies as a rule on sample rows (one SVD, the
+Fourier frame's residue-class sums, or the lattice frame's conjugate
+gradients), whose coefficients the frame synthesizes, and reports truncation
+diagnostics. Reconstruction error is therefore measured on an interior
+window away from the truncation boundary.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .core import GridFunction, norm, restrict
-from .exceptions import AlignmentError, DegenerateFrameError, ShapeMismatchError
+from .exceptions import AlignmentError, DegenerateFrameError, ShapeMismatchError, ValidationError
 from .families import SampleSet
 from .kernels import TruncatedFrame
 
@@ -52,7 +53,10 @@ class DualFrame:
 
 
 def dual_frame(frame: TruncatedFrame, rel_cutoff: float = 1e-10) -> DualFrame:
-    """The canonical dual by the frame's ``dual_rule``; a zero Gram is refused."""
+    """The canonical dual by the frame's ``dual_rule``; a zero Gram, or a
+    rel_cutoff outside (0, 1), is refused."""
+    if not 0.0 < rel_cutoff < 1.0:
+        raise ValidationError(f"rel_cutoff must lie in (0,1), got {rel_cutoff}")
     return DualFrame(source=frame, apply=frame.dual_rule(rel_cutoff))
 
 

@@ -19,7 +19,7 @@ from .core import Grid, GridFunction, uniform_fourier_sum
 from .core import complex_pairs, complex_values, integral, json_number, json_numbers, json_object
 from .exceptions import AdmissibilityError, DomainError, ShapeMismatchError, ValidationError
 from .families import AverageFunctional, fourier_period, fourier_synthesis
-from .kernels import FeatureMap, GramMatrix, TruncatedFrame, _hermitian, feature_gram, xi_rows
+from .kernels import FeatureMap, GramMatrix, LatticeFrame, TruncatedFrame, _hermitian, feature_gram, xi_rows
 
 __all__ = [
     "sinc_kernel",
@@ -28,6 +28,7 @@ __all__ = [
     "pw_window",
     "w_grid_default",
     "pw_features",
+    "lattice_spacing",
     "pw_average_sections",
     "pw_point_sections",
     "pw_feature_gram",
@@ -167,6 +168,14 @@ def pw_features(xs, w_grid: Grid, delta: float | None = None, profile: str = "bo
     return rows
 
 
+def lattice_spacing(centers) -> float:
+    """s if the centres, two or more, are the floats x_0 + j s, s nonzero; else 0.0."""
+    x = np.asarray(centers, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # centres near the float range are no lattice
+        s = x[1] - x[0] if len(x) > 1 else 0.0
+        return float(s) if s and np.array_equal(x, x[0] + s * np.arange(len(x))) else 0.0
+
+
 def pw_average_sections(
     centers,
     delta: float,
@@ -180,11 +189,23 @@ def pw_average_sections(
     vectors and their Gram. No section is formed: both grids are uniform, so
     the synthesis of sum_j c_j K_j is one chirp-z sum of (c @ Psi) w/sqrt(2pi),
     w the trapezoid weights.
+
+    Centres x_j = x_0 + j s form Psi(0) alone, as Psi(x_j) = exp(i x_j t) Psi(0):
+    c @ Psi and the ``LatticeFrame`` row sum_t w_t |Psi(0)|^2 exp(i d s t) are chirp-z sums.
     """
     w_grid = w_grid or w_grid_default()
     centers = tuple(float(c) for c in centers)
-    psi = pw_features(centers, w_grid, delta, profile)
     weights = w_grid.weights() / SQRT_TWO_PI
+    if s := lattice_spacing(centers):
+        psi, d = pw_features([0.0], w_grid, delta, profile)[0], len(centers) - 1
+        row = uniform_fourier_sum(-s * d, s, 2 * d + 1, w_grid.a, w_grid.h, np.abs(psi) ** 2 * w_grid.weights(), 1.0)
+
+        def lattice_synthesis(c):
+            waves = uniform_fourier_sum(w_grid.a, w_grid.h, w_grid.n, centers[0], s, c, sign=1.0) * psi
+            return uniform_fourier_sum(out_grid.a, out_grid.h, out_grid.n, w_grid.a, w_grid.h, waves * weights)
+
+        return LatticeFrame(centers, out_grid, row, lattice_synthesis)
+    psi = pw_features(centers, w_grid, delta, profile)
 
     def synthesis(c):
         return uniform_fourier_sum(out_grid.a, out_grid.h, out_grid.n, w_grid.a, w_grid.h, (c @ psi) * weights)
@@ -224,9 +245,12 @@ def pw_point_sections(points, out_grid: Grid, w_grid: Grid) -> TruncatedFrame:
 def pw_feature_gram(points, w_grid: Grid, delta: float | None = None, profile: str = "box") -> GramMatrix:
     """The Gram of ``pw_average_sections`` (``delta`` given) or
     ``pw_point_sections`` (no ``delta``) at ``points`` on any window: that of
-    their ``pw_features`` alone, as K(x) = Phi(.)* Psi(x); no section is formed."""
+    their ``pw_features`` alone, as K(x) = Phi(.)* Psi(x), or of the lattice
+    row; no section is formed."""
+    if delta is not None:  # the window enters the synthesis alone
+        return pw_average_sections(points, delta, w_grid, profile, w_grid).gram
     points = tuple(float(x) for x in points)
-    return _hermitian(feature_gram(pw_features(points, w_grid, delta, profile), w_grid), points)
+    return _hermitian(feature_gram(pw_features(points, w_grid), w_grid), points)
 
 
 def fourier_series(signal: BandlimitedSignal, grid: Grid) -> GridFunction:

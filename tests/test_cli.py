@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from opkern import cli
 from opkern.cli import main
 from opkern.core import Grid, GridFunction
+from opkern.exceptions import ValidationError
+from opkern.frames import dual_frame
 from opkern.kernels import GramMatrix, feature_gram, fourier_feature_map, fourier_frame, psd_check
 from opkern.families import FourierCoefficientFamily, SampleSet
 from opkern.paley_wiener import (
@@ -98,9 +100,10 @@ def test_reconstruct_pw_default_grids_stays_small(signal_file, tmp_path):
 
 
 def test_reconstruct_pw_holds_features_and_no_section_stack(signal_file, tmp_path):
-    """At --m 64 and the default grids the frame holds its 129 features of
-    2049 points and their Gram, and synthesizes the reconstruction once:
-    8.3 MiB peak. The stack of 129 sections of 5121 points peaked at
+    """At --m 64 and the default grids the frame synthesizes the
+    reconstruction once. Holding its 129 features of 2049 points and their
+    Gram it peaked at 6.7 MiB, and as the Toeplitz row of the lattice
+    -64..64 at 2.3 MiB. The stack of 129 sections of 5121 points peaked at
     21.6 MiB."""
     argv = ["reconstruct", "--space", "pw", "--m", "64", "--signal", str(signal_file), "--out", str(tmp_path / "r")]
     tracemalloc.start()
@@ -745,7 +748,7 @@ def test_config_values_are_refused_like_flags(signal_file, tmp_path, capsys, ove
     "argv",
     [
         ["reconstruct", "--space", "pw", "--points-per-unit", "10000000"],
-        ["reconstruct", "--space", "pw", "--w-n", "1000000", "--m", "100"],
+        ["gram", "--family", "point", "--indices=-100..100", "--w-n", "1000000"],
         ["vector-sampling", "--m-range", "20000"],
         ["gram", "--family", "fourier", "--indices=-4000..4000", "--grid-n", "2"],
     ],
@@ -956,6 +959,12 @@ def test_negative_seeds_are_refused_by_name(signal_file, tmp_path, capsys, argv,
 
 @pytest.mark.parametrize("cutoff", ["1.5", "1.0"])
 def test_rel_cutoff_out_of_range_is_validation_error(signal_file, tmp_path, capsys, cutoff):
+    """reconstruct reads no cutoff: a lattice frame's conjugate gradients drop
+    no direction, the SVD it takes where they stall keeps the default 1e-10,
+    and every residue class of a Fourier reconstruct holds one index.
+    --rel-cutoff is refused like any flag no handler reads. Each of the three
+    dual rules, the SVD, the class sums and conjugate gradients, refuses a
+    cutoff outside (0, 1)."""
     code = main([
         "reconstruct", "--space", "fourier", "--signal", str(signal_file),
         "--m", "4", "--grid-n", "129", "--rel-cutoff", cutoff, "--out", str(tmp_path / "x"),
@@ -963,6 +972,17 @@ def test_rel_cutoff_out_of_range_is_validation_error(signal_file, tmp_path, caps
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValidationError"
+    assert "--rel-cutoff" in err["message"]
+    window, w_grid = pw_window(2, points_per_unit=4), w_grid_default(65)
+    frames = [
+        pw_average_sections([-1.0, 0.5, 1.5], 0.2, window, w_grid=w_grid),
+        fourier_frame(range(-2, 3), cli._fourier_grid(33)),
+        pw_average_sections(range(-2, 3), 0.2, window, w_grid=w_grid),
+    ]
+    assert [type(f).__name__ for f in frames] == ["TruncatedFrame", "FourierFrame", "LatticeFrame"]
+    for frame in frames:
+        with pytest.raises(ValidationError, match="rel_cutoff"):
+            dual_frame(frame, float(cutoff))
 
 
 @pytest.mark.parametrize(
@@ -1008,7 +1028,7 @@ def test_stability_bad_inputs_are_refused(tmp_path, capsys, flags):
         ["reconstruct", "--window", "1e308"],
         ["stability", "--m", "9" * 400],
         ["reconstruct", "--space", "fourier", "--m", "9" * 400],
-        ["reconstruct", "--rel-cutoff", "nan"],
+        ["reconstruct", "--delta", "nan"],
         ["vector-sampling", "--perturb", "inf"],
         ["avg-sample", "--x=0,1", "--delta", "inf"],
         ["stability", "--delta", "-inf"],
@@ -1024,7 +1044,7 @@ def test_stability_bad_inputs_are_refused(tmp_path, capsys, flags):
     ],
     ids=[
         "m-not-an-int", "window-inf", "window-zero", "window-overflow", "m-overflow",
-        "fourier-m-overflow", "rel-cutoff-nan", "perturb-inf", "avg-sample-delta-inf",
+        "fourier-m-overflow", "reconstruct-delta-nan", "perturb-inf", "avg-sample-delta-inf",
         "stability-delta-inf", "required-flag-missing", "unknown-command", "x-not-a-number",
         "x-overflow", "indices-range-not-a-number", "indices-range-overflow",
         "fourier-grid-spanned-m4-n9", "fourier-grid-spanned-m20-n33", "fourier-grid-spanned-m3-n2",
@@ -1137,18 +1157,130 @@ def test_help_and_version_still_exit_0(capsys, argv):
     assert capsys.readouterr().out
 
 
-def test_linalg_error_exits_numerical(signal_file, tmp_path, capsys, monkeypatch):
-    def failing_svd(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
+def test_linalg_error_exits_numerical(tmp_path, capsys, monkeypatch):
+    """A LinAlgError from numpy exits 3. stability reads the Gram's extreme
+    eigenvalues; reconstruct --space pw makes no LAPACK call to fail."""
+    def failing_eigvalsh(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
     code = main([
-        "reconstruct", "--space", "pw", "--signal", str(signal_file),
-        "--m", "4", "--w-n", "257", "--points-per-unit", "8", "--out", str(tmp_path / "x"),
+        "stability", "--m", "4", "--sizes", "2", "--trials", "5",
+        "--w-n", "257", "--points-per-unit", "8", "--out", str(tmp_path / "x"),
     ])
     assert code == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "LinAlgError"
+
+
+@pytest.mark.parametrize("linalg", ["svd", "solve", "eigh", "eigvalsh", "pinv"])
+def test_reconstruct_pw_makes_no_lapack_call(tmp_path, monkeypatch, linalg):
+    """At the pw-reconstruct benchmark's arguments the frame is its Toeplitz
+    row, the dual conjugate gradients and the spline's end system a closed
+    form: with each numpy.linalg solver made to raise, the run exits 0."""
+    def failing(*args, **kwargs):
+        raise AssertionError(f"np.linalg.{linalg} was called")
+
+    monkeypatch.setattr(np.linalg, linalg, failing)
+    sig = tmp_path / "sig.json"
+    coeffs = np.random.default_rng(2901).standard_normal((9, 2)) @ [1.0, 1j]
+    sig.write_text(json.dumps(BandlimitedSignal.symmetric(coeffs, pw_window(8)).to_json()))
+    argv = [
+        "reconstruct", "--space", "pw", "--m", "8", "--delta", "0.2", "--profile", "box",
+        "--w-n", "257", "--points-per-unit", "16", "--signal", str(sig), "--out", str(tmp_path / "r"),
+    ]
+    assert main(argv) == 0
+    assert json.loads((tmp_path / "r.json").read_text())["rel_l2_interior"] < 1e-2
+
+
+@pytest.mark.parametrize(
+    "delta,profile,svds,want",
+    [
+        ("1", "box", 0, 0.08854667182551636),
+        ("2", "cosine", 0, 0.09694041278705418),
+        ("2", "triangle", 1, 0.15610966184650382),
+        ("4", "cosine", 1, 0.3852804877622121),
+    ],
+)
+def test_reconstruct_pw_at_a_wide_delta_takes_the_svd_where_cg_stalls(
+    signal_file, tmp_path, monkeypatch, delta, profile, svds, want
+):
+    """From delta 1 (box) or 2 (triangle, cosine) the profile transform
+    vanishes at or inside the band and the Gram's condition number reaches
+    1e3 to 3e5 at --m 16 (5e5 to 2e11 at --m 512). Conjugate gradients solve
+    it where M + 32 steps reach their residual (box 1: 62 steps, cosine 2:
+    84), else the SVD of the Gram is taken, as the feature Gram's was.
+    rel_l2_interior is the feature Gram and SVD's, measured before the
+    lattice route, within 6.1e-14 relative (the bound is 1e-12)."""
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
+    argv = [
+        "reconstruct", "--space", "pw", "--m", "16", "--delta", delta, "--profile", profile,
+        "--signal", str(signal_file), "--out", str(tmp_path / "r"),
+    ]
+    assert main(argv) == 0
+    assert len(calls) == svds
+    got = json.loads((tmp_path / "r.json").read_text())["rel_l2_interior"]
+    assert abs(got - want) <= 1e-12 * want
+
+
+def test_reconstruct_pw_scales_to_the_largest_unaliased_lattice(signal_file, tmp_path):
+    """At the default grids --m 1023 spreads its centres over 2046 < w_n - 1:
+    the Toeplitz row, conjugate gradients and two chirp-z sums take it in
+    about 0.5 s and a 35.5 MiB tracemalloc peak. The feature Gram and SVD
+    took 16.8 s, and peaked at 129 MiB already at --m 512."""
+    argv = ["reconstruct", "--space", "pw", "--m", "1023", "--signal", str(signal_file), "--out", str(tmp_path / "r")]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert json.loads((tmp_path / "r.json").read_text())["frame_size"] == 2047
+    assert peak < 64 * 2**20
+
+
+def _regnet_average_problem(tmp_path, indices) -> str:
+    signal = BandlimitedSignal.symmetric([0.5, 1.0, -0.25j], pw_window(1, points_per_unit=4)).to_json()
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({
+        "family": {"family": "average", "params": {"delta": 0.2}}, "indices": indices, "lambda": 0.1, "signal": signal,
+    }))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["reconstruct", "--space", "pw", "--m", "1024"], "--m 1024"),
+        (["reconstruct", "--space", "pw", "--m", "32", "--w-n", "65"], "--m 32"),
+        (["stability", "--m", "8", "--sizes", "4", "--trials", "5", "--w-n", "17"], "--m 8"),
+        (["regnet", "--window", "17", "--w-n", "17"], "problem indices"),
+    ],
+    ids=["reconstruct-default-grids", "reconstruct", "stability", "regnet"],
+)
+def test_aliased_lattices_are_refused(signal_file, tmp_path, capsys, argv, flag):
+    """On w_n points the trapezoid rule sees a centre difference only modulo
+    w_n - 1, so centres that spread over w_n - 1 or more alias: --m 1024 at
+    the default --w-n 2049 ran on a singular Gram and exited 0 with
+    rel_l2_interior 3.47e-3. Such centres are refused naming --w-n and the
+    index flag, with one JSON line; gram and psd still take them, as the
+    diagnostics of the aliasing."""
+    if argv[0] == "reconstruct":
+        argv = argv + ["--signal", str(signal_file)]
+    if argv[0] == "regnet":
+        argv = argv + ["--problem", _regnet_average_problem(tmp_path, [-8, 0, 8])]
+    code = main([*argv, "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1
+    message = json.loads(err)["message"]
+    assert json.loads(err)["error"] == "ValidationError"
+    assert flag in message and "--w-n" in message
+    assert not list(tmp_path.glob("x*"))
+    assert main(["psd", "--family", "average", "--indices=-32..32", "--w-n", "65", "--out", str(tmp_path / "p")]) == 0
 
 
 @pytest.mark.parametrize(

@@ -105,8 +105,6 @@ def runs(tmp_path_factory):
         "--seed": ["5"],
         "--space": ["fourier"],
         "--signal": [sig2],
-        # drops the smallest of the pw Gram's eigenvalues 0.92, 0.96, 0.99
-        "--rel-cutoff": ["0.95"],
         "--x": ["-1..0"],
         "--problem": [_problem(root / "lambda.json", average, 0.5, sig)],
         "--generator": ["cubic"],
@@ -162,6 +160,7 @@ _REMOVED = [
     ("avg-sample", "--m", "8"),
     ("regnet", "--m", "8"),
     ("stability", "--window", "24"),
+    ("reconstruct", "--rel-cutoff", "0.5"),
 ]
 _REQUIRED = {
     "kadec": ["--delta=0.1"],
@@ -177,8 +176,8 @@ def test_a_flag_the_subcommand_does_not_take_is_refused(tmp_path, capsys, name, 
     """The flags no handler read exit 2, as a flag and as a --config key,
     with one JSON line on stderr and no report. regnet takes its family,
     delta and profile included, from the problem file; gram and psd form no
-    window, and the window of avg-sample and regnet is set by --window
-    alone."""
+    window; the window of avg-sample and regnet is set by --window alone;
+    and the duals of reconstruct take the default cutoff."""
     if via == "flag":
         extra = [f"{flag}={value}"]
     else:
