@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .core import (
     MAX_GRID_POINTS, Grid, GridFunction, complex_pairs, complex_values, integral, json_number, json_object, rng,
-    uniform,
+    uniform, write_table,
 )
 from .exceptions import ConditioningError, OpkernError, ValidationError
 from .families import AverageFunctional, SampleSet, family_from_descriptor
@@ -51,28 +51,26 @@ def _write_json(path: Path, obj) -> None:
 
 def _write_gram_csv(path: Path, g: GramMatrix) -> None:
     """Entries as re+|im|j, or re-|im|j when im < 0 (so -0.0 takes "+"),
-    each row rendered by one template."""
+    each row rendered by one template, a block of rows at a time."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    labels = [str(a) for a in g.indices]
-    m = g.matrix
-    cells = np.empty(m.shape + (3,), dtype=object)
-    cells[..., 0] = m.real
-    cells[..., 1] = np.where(m.imag >= 0, "+", "-")
-    cells[..., 2] = np.abs(m.imag)
-    row = ",".join([FMT + "%s" + FMT + "j"] * m.shape[1])
-    lines = ["index," + ",".join(labels)]
-    lines += [lab + "," + row % tuple(r) for lab, r in zip(labels, cells.reshape(m.shape[0], -1).tolist())]
-    path.write_text("\n".join(lines) + "\n")
+    labels, m = [str(a) for a in g.indices], g.matrix
+
+    def cells(lo, hi):  # the label, then the real part, sign and |imag| of each entry
+        block, z = np.empty((hi - lo, 1 + 3 * m.shape[1]), dtype=object), m[lo:hi]
+        block[:, 0], block[:, 1::3], block[:, 3::3] = labels[lo:hi], z.real, abs(z.imag)
+        block[:, 2::3] = np.where(z.imag >= 0, "+", "-")
+        return block
+
+    write_table(path, "index," + ",".join(labels) + "\n", "%s," + ",".join([FMT + "%s" + FMT + "j"] * m.shape[1]),
+                m.shape[0], cells)
 
 
 def _write_function_csv(path: Path, f: GridFunction) -> None:
-    """x, then re and im of each component, one template per row."""
+    """x, then re and im of each component, one template per row, a block at a time."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    cols = [f.grid.points()] + [part for z in f.values.T for part in (z.real, z.imag)]
-    row = ",".join([FMT] * len(cols))
-    lines = ["x," + ",".join(f"re{l},im{l}" for l in range(f.dim))]
-    lines += [row % r for r in zip(*(c.tolist() for c in cols))]
-    path.write_text("\n".join(lines) + "\n")
+    x, v = f.grid.points(), f.values
+    write_table(path, "x," + ",".join(f"re{l},im{l}" for l in range(f.dim)) + "\n", ",".join([FMT] * (1 + 2 * f.dim)),
+                f.grid.n, lambda lo, hi: np.column_stack((x[lo:hi], np.ascontiguousarray(v[lo:hi]).view(float))))
 
 
 def _index(token: str, flag: str) -> int | float:
@@ -158,6 +156,14 @@ def _check_centres(centres, delta: float, grid: Grid, what: str) -> None:
             raise ValidationError(f"{what} {x} with delta {delta} reaches beyond the --window [{grid.a}, {grid.b}]")
 
 
+def _check_spread(centres, w_n: int, flag: str) -> None:
+    """Refuse centres that spread over w_n - 1 or more: the trapezoid rule on
+    w_n points sees their differences modulo w_n - 1, so two features coincide."""
+    if (spread := max(centres) - min(centres)) >= w_n - 1:
+        raise ValidationError(f"{flag} spread the centres over {spread}, which --w-n {w_n} sees modulo {w_n - 1}; "
+                              f"--w-n must exceed {spread + 1}")
+
+
 def _fourier_grid(n: int) -> Grid:
     return Grid(0.0, 2.0 * math.pi, n)
 
@@ -172,18 +178,15 @@ def _frame_of(family, indices, args):
     """The frame of the family at the indices and the map that puts a signal
     on the frame's grid: [0, 2pi] for Fourier coefficients, the evaluation
     window otherwise, once each support [x - delta, x + delta] is seen to lie
-    in it. Centres that spread over w_n - 1 or more alias on the --w-n grid
-    and are refused. Features on it are checked before they are built; a
-    Fourier frame holds its residues, and averages at a lattice a Gram row."""
+    in it. Centres that alias on the --w-n grid are refused. Features on it
+    are checked before they are built; a Fourier frame holds its residues,
+    and averages at a lattice a Gram row."""
     if family.kind == "fourier":
         return fourier_frame(indices, _fourier_grid(args.grid_n)), fourier_series
     if family.kind not in ("average", "point"):
         raise OpkernError(f"unsupported family {family.kind!r}")
     grid = _window_grid(args)
-    if (spread := max(indices) - min(indices)) >= args.w_n - 1:
-        flag = "the problem indices" if args.command == "regnet" else f"--m {args.m}"
-        raise ValidationError(f"{flag} spread the centres over {spread}, which --w-n {args.w_n} sees modulo "
-                              f"{args.w_n - 1}; --w-n must exceed {spread + 1}")
+    _check_spread(indices, args.w_n, "the problem indices" if args.command == "regnet" else f"--m {args.m}")
     if family.kind == "point" or not lattice_spacing(indices):
         _check_stack(len(indices), args.w_n)
     delta = family.delta if family.kind == "average" else 0.0  # a point is an average of width 0
@@ -200,12 +203,13 @@ def _frame_of(family, indices, args):
 def _gram_of(args) -> GramMatrix:
     """The Gram of --family at --indices from the features alone: the Fourier
     frame's closed form, else the features on the --w-n grid. No section or
-    window is formed; the sizes are checked first."""
+    window is formed; the sizes and aliased centres are refused first."""
     family = _family(args.family, args)
     indices = _parse_indices(args.indices, "--indices")
     _check_stack(len(indices), 0 if family.kind == "fourier" else args.w_n)
     if family.kind == "fourier":
         return _frame_of(family, indices, args)[0].gram
+    _check_spread(indices, args.w_n, f"--indices={args.indices}")
     params = (family.delta, family.profile) if family.kind == "average" else ()
     return pw_feature_gram(indices, w_grid_default(args.w_n), *params)
 
@@ -392,9 +396,9 @@ def _cmd_stability(args, prefix: Path) -> None:
         },
     )
     # the report above made the output directory
-    lines = ["size,truncated_ratio,damped_ratio"]
-    lines += [f"{size},{FMT % trunc.per_size[size]},{FMT % sweep.per_size[size]}" for size in sizes]
-    prefix.with_suffix(".csv").write_text("\n".join(lines) + "\n")
+    table = np.array([(size, trunc.per_size[size], sweep.per_size[size]) for size in sizes], dtype=object)
+    write_table(prefix.with_suffix(".csv"), "size,truncated_ratio,damped_ratio\n", f"%s,{FMT},{FMT}", len(sizes),
+                lambda lo, hi: table[lo:hi])
 
 
 def _cmd_vector_sampling(args, prefix: Path) -> None:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from opkern import cli
 from opkern.cli import main
-from opkern.core import Grid, GridFunction
+from opkern.core import _BLOCK_CELLS, Grid, GridFunction
 from opkern.exceptions import ValidationError
 from opkern.frames import dual_frame
 from opkern.kernels import GramMatrix, feature_gram, fourier_feature_map, fourier_frame, psd_check
@@ -128,12 +128,14 @@ def test_the_fourier_size_cap_counts_the_gram_alone(signal_file, tmp_path):
     assert json.loads((tmp_path / "r.json").read_text())["rel_l2_interior"] < 1e-10
 
 
-@pytest.mark.parametrize("m,grid_n,peak_cap", [(2000, 8193, 2**24), (20000, 65537, 2**26)])
+@pytest.mark.parametrize("m,grid_n,peak_cap", [(2000, 8193, 5 * 2**19), (20000, 65537, 2**24)])
 def test_reconstruct_fourier_forms_no_gram(signal_file, tmp_path, m, grid_n, peak_cap):
     """The dual is applied by residue-class sums, so nothing of size
     (2m+1)^2 is formed. At --m 2000 --grid-n 8193 the dense Gram and its
-    pseudoinverse peaked at 491 MiB and now 2.6 MiB; --m 20000 was refused
-    by the Gram cap and peaks at 21 MiB."""
+    pseudoinverse peaked at 491 MiB; with the class sums and whole-file
+    writers 2.9 MiB, and with the writers streaming a block of rows at a
+    time 1.5 MiB. --m 20000 was refused by the Gram cap; it peaked at
+    20.9 MiB with the whole-file writers and now at 10.0 MiB."""
     argv = [
         "reconstruct", "--space", "fourier", "--m", str(m), "--grid-n", str(grid_n),
         "--signal", str(signal_file), "--out", str(tmp_path / "r"),
@@ -358,10 +360,23 @@ _VALUE = st.one_of(_SPECIAL, st.floats(allow_nan=False, allow_infinity=False))
 )
 @example(2, 1, [-0.0, 5e-324, 1e16, 1e308], 0, False)
 @example(5, 2, [math.nan, -0.0], 1, True)
+@example(5, 2, [math.inf, -math.inf], 1, False)
+# CSV rows of 1 + 2 dim cells: a row fewer than a block, a block, a row more, two blocks and a row
+@example(_BLOCK_CELLS // 3 - 1, 1, [-0.0], 2, False)
+@example(_BLOCK_CELLS // 5, 2, [1e308], 3, False)
+@example(_BLOCK_CELLS // 7 + 1, 3, [5e-324], 4, False)
+@example(2 * (_BLOCK_CELLS // 3) + 1, 1, [-2.5e-7], 5, False)
+# the n dim [re, im] pairs of the .function.json, 2 cells each, the same four
+@example(_BLOCK_CELLS // 2 - 1, 1, [-0.0], 6, False)
+@example(_BLOCK_CELLS // 4, 2, [1e16], 7, False)
+@example(_BLOCK_CELLS // 2 + 1, 1, [-5e-324], 8, False)
+@example(_BLOCK_CELLS + 1, 1, [1 / 3], 9, False)
 def test_function_writers_keep_the_old_bytes(tmp_path, n, dim, specials, seed, with_nan):
-    """Row templates write the bytes of the per-cell CSV loop and of
-    json.dump(f.to_json(), indent=2, sort_keys=True); a NaN takes the
-    json.dump route, which writes NaN where %r would write nan."""
+    """Row templates, a block of rows by one %, write the bytes of the
+    per-cell CSV loop and of json.dump(f.to_json(), indent=2,
+    sort_keys=True), also where the rows end at or next to a block
+    boundary; a NaN or an infinity takes the json.dump route, which writes
+    NaN and Infinity where %r would write nan and inf."""
     gen = np.random.default_rng(seed)
     v = gen.standard_normal((n, dim)) + 1j * gen.standard_normal((n, dim))
     pos = gen.integers(0, 2 * n * dim, size=len(specials))
@@ -382,9 +397,18 @@ def test_function_writers_keep_the_old_bytes(tmp_path, n, dim, specials, seed, w
     st.lists(_SPECIAL, min_size=1, max_size=8),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
+# a row of 1 + 3m cells: 36 rows are a block but a row, 37 a block and a
+# row, 52 two blocks and 64 three blocks and a row. The rows and the cells of
+# a row both grow with m, so no m is exactly one block or two and a row.
+@example(36, [-0.0], 1)
+@example(37, [5e-324, 1e308], 2)
+@example(52, [-2.5e-7], 3)
+@example(64, [1 / 3, -0.0], 4)
 def test_gram_csv_keeps_the_old_bytes(tmp_path, m, specials, seed):
-    """One template per row, with the old sign rule: "+" when imag >= 0,
-    which includes -0.0, then |imag|."""
+    """One template per row, a block of rows by one %, with the old sign
+    rule: "+" when imag >= 0, which includes -0.0, then |imag|; also where
+    the rows end at or next to a block boundary."""
+    assert [divmod(k, _BLOCK_CELLS // (1 + 3 * k)) for k in (36, 37, 52, 64)] == [(0, 36), (1, 1), (2, 0), (3, 1)]
     gen = np.random.default_rng(seed)
     a = gen.standard_normal((m, m)) + 1j * gen.standard_normal((m, m))
     flat = a.reshape(-1).view(float)
@@ -392,6 +416,44 @@ def test_gram_csv_keeps_the_old_bytes(tmp_path, m, specials, seed):
     g = GramMatrix(matrix=a, indices=tuple(j - m // 2 for j in range(m)))
     cli._write_gram_csv(tmp_path / "g.csv", g)
     assert (tmp_path / "g.csv").read_text() == _old_gram_csv(g)
+
+
+@pytest.mark.parametrize("writer,cap_mib", [("csv", 1.0), ("dump", 0.5), ("gram", 0.5)])
+def test_writers_hold_one_block_of_rows(tmp_path, writer, cap_mib):
+    """The writers format a block of at most _BLOCK_CELLS cells by one % and
+    write it into the open file. Building the whole file first (a tolist of
+    every column, the list of row strings, their join) peaked at 14.1 MiB
+    for the CSV of a 65,537-row function, 16.3 MiB for its .function.json
+    and 11.4 MiB for a 256 x 256 Gram CSV; a block at a time they peak at
+    0.73 MiB (0.5 of it the x column), 0.35 and 0.18 MiB."""
+    gen = np.random.default_rng(3)
+    f = GridFunction(Grid(-1.0, 1.0, 65537), gen.standard_normal(65537) + 1j * gen.standard_normal(65537))
+    a = gen.standard_normal((256, 256)) + 1j * gen.standard_normal((256, 256))
+    g = GramMatrix(matrix=a, indices=tuple(range(256)))
+    write = {
+        "csv": lambda: cli._write_function_csv(tmp_path / "f.csv", f),
+        "dump": lambda: f.dump(tmp_path / "f.function.json"),
+        "gram": lambda: cli._write_gram_csv(tmp_path / "g.csv", g),
+    }[writer]
+    tracemalloc.start()
+    try:
+        write()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cap_mib * 2**20
+
+
+def test_stability_csv_keeps_the_old_bytes(tmp_path):
+    """The stability table goes through the block writer; its bytes are
+    those of the f-string rows it replaced, in the order of --sizes."""
+    argv = ["stability", "--m", "4", "--sizes", "9,1,4", "--trials", "6", "--w-n", "65", "--points-per-unit", "4"]
+    assert main([*argv, "--out", str(tmp_path / "s")]) == 0
+    report = json.loads((tmp_path / "s.json").read_text())
+    trunc, damped = report["truncated"]["per_size"], report["tikhonov"]["per_size"]
+    lines = ["size,truncated_ratio,damped_ratio"]
+    lines += [f"{size},{cli.FMT % trunc[str(size)]},{cli.FMT % damped[str(size)]}" for size in (9, 1, 4)]
+    assert (tmp_path / "s.csv").read_text() == "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -421,17 +483,26 @@ _CENTRE = st.one_of(
     st.integers(min_value=1, max_value=12),
 )
 @example(("average", "box"), ["-3", "0", "2"], "0.2", 2049, 16, 32)
+@example(("point", "box"), ["0.50", "-3.70", "12"], "0.2", 17, 0, 1)
 @example(("point", "box"), ["0.50", "-3.70", "12"], "0.2", 2, 0, 1)
-def test_gram_and_psd_write_the_gram_of_the_frame_route(tmp_path, kind, centres, delta, w_n, m, ppu):
+def test_gram_and_psd_write_the_gram_of_the_frame_route(tmp_path, capsys, kind, centres, delta, w_n, m, ppu):
     """gram and psd take the Gram from the features on the --w-n grid alone.
     It is the Gram of the frame that pw_average_sections or pw_point_sections
-    build on any window, bit for bit, for integer and non-integer centres."""
+    build on any window, bit for bit, for integer and non-integer centres.
+    Centres that spread over w_n - 1 or more alias on the grid and are
+    refused, naming --indices and --w-n."""
     family, profile = kind
     argv = ["--family", family, f"--indices={','.join(centres)}", "--profile", profile, "--delta", delta]
     argv += ["--w-n", str(w_n)]
+    indices = cli._parse_indices(",".join(centres), "--indices")
+    if max(indices) - min(indices) >= w_n - 1:
+        for cmd in ("gram", "psd"):
+            assert main([cmd, *argv, "--out", str(tmp_path / cmd)]) == 2
+            message = json.loads(capsys.readouterr().err)["message"]
+            assert "--indices" in message and "--w-n" in message
+        return
     assert main(["gram", *argv, "--out", str(tmp_path / "g")]) == 0
     assert main(["psd", *argv, "--out", str(tmp_path / "p")]) == 0
-    indices = cli._parse_indices(",".join(centres), "--indices")
     window, w_grid = pw_window(m, points_per_unit=ppu), w_grid_default(w_n)
     if family == "average":
         frame = pw_average_sections(indices, float(delta), window, profile, w_grid)
@@ -1258,16 +1329,20 @@ def _regnet_average_problem(tmp_path, indices) -> str:
         (["reconstruct", "--space", "pw", "--m", "32", "--w-n", "65"], "--m 32"),
         (["stability", "--m", "8", "--sizes", "4", "--trials", "5", "--w-n", "17"], "--m 8"),
         (["regnet", "--window", "17", "--w-n", "17"], "problem indices"),
+        (["gram", "--family", "average", "--indices=-1024..1024"], "--indices=-1024..1024"),
+        (["psd", "--family", "average", "--indices=-1024..1024"], "--indices=-1024..1024"),
+        (["psd", "--family", "point", "--indices=-0.5,0,63.5", "--w-n", "65"], "--indices=-0.5,0,63.5"),
     ],
-    ids=["reconstruct-default-grids", "reconstruct", "stability", "regnet"],
+    ids=["reconstruct-default-grids", "reconstruct", "stability", "regnet", "gram", "psd", "psd-point"],
 )
 def test_aliased_lattices_are_refused(signal_file, tmp_path, capsys, argv, flag):
     """On w_n points the trapezoid rule sees a centre difference only modulo
     w_n - 1, so centres that spread over w_n - 1 or more alias: --m 1024 at
     the default --w-n 2049 ran on a singular Gram and exited 0 with
-    rel_l2_interior 3.47e-3. Such centres are refused naming --w-n and the
-    index flag, with one JSON line; gram and psd still take them, as the
-    diagnostics of the aliasing."""
+    rel_l2_interior 3.47e-3, and psd --family average --indices=-1024..1024
+    reported "pass": true with min_eig about -1e-15, against the exact
+    spectrum [0.875, 1.0]. Such centres are refused naming --w-n and the index flag,
+    with one JSON line."""
     if argv[0] == "reconstruct":
         argv = argv + ["--signal", str(signal_file)]
     if argv[0] == "regnet":
@@ -1280,7 +1355,17 @@ def test_aliased_lattices_are_refused(signal_file, tmp_path, capsys, argv, flag)
     assert json.loads(err)["error"] == "ValidationError"
     assert flag in message and "--w-n" in message
     assert not list(tmp_path.glob("x*"))
-    assert main(["psd", "--family", "average", "--indices=-32..32", "--w-n", "65", "--out", str(tmp_path / "p")]) == 0
+
+
+def test_gram_and_psd_take_the_widest_unaliased_centres(tmp_path):
+    """-1023..1023 spreads over 2046 < w_n - 1 at the default --w-n 2049, so
+    the check passes and gram and psd form its Gram; at --w-n 65 the widest
+    lattice, -31..31, runs through psd with its spectrum in [0.876, 1.0]."""
+    args = cli.build_parser().parse_args(["psd", "--family", "average", "--indices=-1023..1023"])
+    assert cli._gram_of(args).matrix.shape == (2047, 2047)
+    assert main(["psd", "--family", "average", "--indices=-31..31", "--w-n", "65", "--out", str(tmp_path / "p")]) == 0
+    report = json.loads((tmp_path / "p.json").read_text())
+    assert report["pass"] and 0.87 < report["min_eig"] < report["max_eig"] <= 1.0 + 1e-12
 
 
 @pytest.mark.parametrize(
