@@ -31,8 +31,7 @@ from .kernels import GramMatrix, feature_gram, fourier_frame, psd_check
 from .learning import learning_problem, perturb_samples, regnet_solve, sampling_operator, stability_reports
 from .paley_wiener import (
     BandlimitedSignal, build_vector_sampling_set, fourier_series, generalized_kadec_check, kadec_bounds,
-    lattice_spacing, pw_average_sections, pw_feature_gram, pw_point_sections, synthesize, vector_features,
-    w_grid_default,
+    lattice_spacing, pw_average_sections, synthesize, vector_features, w_grid_default,
 )
 
 FMT = "%.15g"
@@ -174,44 +173,49 @@ def _family(kind: str, args):
     return family_from_descriptor({"family": kind, "params": params})
 
 
+def _pw_shape(family) -> tuple:
+    """(delta, profile) of an average family; (None, "box") of a point, an average of width 0."""
+    return (family.delta, family.profile) if family.kind == "average" else (None, "box")
+
+
 def _frame_of(family, indices, args):
     """The frame of the family at the indices and the map that puts a signal
     on the frame's grid: [0, 2pi] for Fourier coefficients, the evaluation
     window otherwise, once each support [x - delta, x + delta] is seen to lie
     in it. Centres that alias on the --w-n grid are refused. Features on it
     are checked before they are built; a Fourier frame holds its residues,
-    and averages at a lattice a Gram row."""
+    and points or averages (one ``pw_average_sections``) at a lattice a Gram row."""
     if family.kind == "fourier":
         return fourier_frame(indices, _fourier_grid(args.grid_n)), fourier_series
     if family.kind not in ("average", "point"):
         raise OpkernError(f"unsupported family {family.kind!r}")
     grid = _window_grid(args)
     _check_spread(indices, args.w_n, "the problem indices" if args.command == "regnet" else f"--m {args.m}")
-    if family.kind == "point" or not lattice_spacing(indices):
+    if not lattice_spacing(indices):
         _check_stack(len(indices), args.w_n)
-    delta = family.delta if family.kind == "average" else 0.0  # a point is an average of width 0
+    delta, profile = _pw_shape(family)
 
     def on_grid(signal, grid):
-        _check_centres(indices, delta, grid, "index")
+        _check_centres(indices, delta or 0.0, grid, "index")
         return synthesize(signal, grid)
 
-    if family.kind == "point":
-        return pw_point_sections(indices, grid, w_grid_default(args.w_n)), on_grid
-    return pw_average_sections(indices, family.delta, grid, family.profile, w_grid_default(args.w_n)), on_grid
+    return pw_average_sections(indices, delta, grid, profile, w_grid_default(args.w_n)), on_grid
 
 
 def _gram_of(args) -> GramMatrix:
-    """The Gram of --family at --indices from the features alone: the Fourier
-    frame's closed form, else the features on the --w-n grid. No section or
-    window is formed; the sizes and aliased centres are refused first."""
+    """The Gram of --family at --indices: the Fourier frame's closed form,
+    else that of ``pw_average_sections`` with the --w-n grid as its window,
+    from the features or the lattice row alone. No section or window is
+    formed; the sizes and aliased centres are refused first."""
     family = _family(args.family, args)
     indices = _parse_indices(args.indices, "--indices")
     _check_stack(len(indices), 0 if family.kind == "fourier" else args.w_n)
     if family.kind == "fourier":
         return _frame_of(family, indices, args)[0].gram
     _check_spread(indices, args.w_n, f"--indices={args.indices}")
-    params = (family.delta, family.profile) if family.kind == "average" else ()
-    return pw_feature_gram(indices, w_grid_default(args.w_n), *params)
+    delta, profile = _pw_shape(family)
+    w_grid = w_grid_default(args.w_n)
+    return pw_average_sections(indices, delta, w_grid, profile, w_grid).gram
 
 
 # ---------------------------------------------------------------------------

@@ -257,9 +257,7 @@ def _frobenius_sq(x: np.ndarray) -> np.ndarray:
 def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, or of each matrix of a stack
     (..., k, k), eigenvalues ascending."""
-    m = _require_hermitian(m)
-    w, v = np.linalg.eigh(m)
-    return w, v
+    return np.linalg.eigh(_require_hermitian(m))
 
 
 def solve_hermitian(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -304,18 +302,15 @@ def solve_hermitian(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(m, rhs[..., None])[..., 0]
 
 
-def pseudoinverse(m: np.ndarray, rel_cutoff: float) -> np.ndarray:
-    """Moore-Penrose pseudoinverse, singular values below rel_cutoff*sigma_max
-    treated as zero."""
-    if not 0.0 < rel_cutoff < 1.0:
-        raise ValidationError(f"rel_cutoff must lie in (0,1), got {rel_cutoff}")
-    m = np.asarray(m, dtype=complex)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((m.shape[1], m.shape[0]), dtype=complex)
-    keep = s > rel_cutoff * s[0]
-    inv = np.zeros_like(s)
-    inv[keep] = 1.0 / s[keep]
+#: singular values at or below this fraction of the largest are dropped by ``pseudoinverse``
+PINV_CUTOFF = 1e-10
+
+
+def pseudoinverse(m: np.ndarray) -> np.ndarray:
+    """Moore-Penrose pseudoinverse, singular values at or below
+    PINV_CUTOFF * sigma_max treated as zero (all of them for a zero matrix)."""
+    u, s, vh = np.linalg.svd(np.asarray(m, dtype=complex), full_matrices=False)
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > PINV_CUTOFF * s[:1])
     return (vh.conj().T * inv) @ u.conj().T
 
 

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .core import GridFunction, norm, restrict
-from .exceptions import AlignmentError, DegenerateFrameError, ShapeMismatchError, ValidationError
+from .exceptions import AlignmentError, DegenerateFrameError, ShapeMismatchError
 from .families import SampleSet
 from .kernels import TruncatedFrame
 
@@ -52,12 +52,9 @@ class DualFrame:
         return self.apply(np.eye(len(self), dtype=complex))
 
 
-def dual_frame(frame: TruncatedFrame, rel_cutoff: float = 1e-10) -> DualFrame:
-    """The canonical dual by the frame's ``dual_rule``; a zero Gram, or a
-    rel_cutoff outside (0, 1), is refused."""
-    if not 0.0 < rel_cutoff < 1.0:
-        raise ValidationError(f"rel_cutoff must lie in (0,1), got {rel_cutoff}")
-    return DualFrame(source=frame, apply=frame.dual_rule(rel_cutoff))
+def dual_frame(frame: TruncatedFrame) -> DualFrame:
+    """The canonical dual by the frame's ``dual_rule``; a zero Gram is refused."""
+    return DualFrame(source=frame, apply=frame.dual_rule())
 
 
 def _alphas_match(a, b) -> bool:

@@ -25,7 +25,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (
-    Grid, GridFunction, hermitian_eig, integrate_values, pseudoinverse, rng, uniform, uniform_fourier_sum,
+    Grid, GridFunction, _require_hermitian, hermitian_eig, integrate_values, pseudoinverse, rng, uniform,
+    uniform_fourier_sum,
 )
 from .exceptions import (
     DegenerateFrameError,
@@ -142,12 +143,12 @@ class TruncatedFrame:
             raise ShapeMismatchError(f"expected {len(self)} coefficients, got shape {c.shape}")
         return GridFunction(self.h_grid, self.synthesis(c))
 
-    def dual_rule(self, rel_cutoff: float) -> Callable:
+    def dual_rule(self) -> Callable:
         """v -> v . pinv(G) on sample rows v, shape (m,) or (k, m), by one SVD
-        taken now, dropping singular values <= rel_cutoff times the largest."""
+        taken now, dropping singular values <= PINV_CUTOFF times the largest."""
         if not np.any(self.gram.matrix):
             raise DegenerateFrameError("the section Gram is exactly zero", min_eig=0.0, max_eig=0.0)
-        pinv = pseudoinverse(self.gram.matrix, rel_cutoff)
+        pinv = pseudoinverse(self.gram.matrix)
         return lambda v: v @ pinv
 
 
@@ -169,16 +170,16 @@ class FourierFrame(TruncatedFrame):
         q = self.classes
         return GramMatrix(matrix=(q[:, None] == q[None, :]).astype(complex), indices=self.alphas, asymmetry=0.0)
 
-    def dual_rule(self, rel_cutoff: float) -> Callable:
+    def dual_rule(self) -> Callable:
         """v -> v . pinv(G) by the class sums S_q of v, c_j = S_{q_j} / b_{q_j}^2:
-        a block's singular value is its size b, dropped if b <= rel_cutoff max(b)."""
+        a block's singular value is its size b >= 1, above PINV_CUTOFF max(b)
+        for fewer than 1e10 indices, so no class is dropped."""
         if not len(self):
             raise DegenerateFrameError("the section Gram is exactly zero", min_eig=0.0, max_eig=0.0)
-        q, b = self.classes, self.sizes
-        scale = np.where(b > rel_cutoff * b.max(), 1.0 / b**2, 0.0)
+        q, scale = self.classes, 1.0 / self.sizes**2
 
         def rule(v):
-            sums = np.zeros((*np.shape(v)[:-1], len(b)), dtype=complex)
+            sums = np.zeros((*np.shape(v)[:-1], len(scale)), dtype=complex)
             np.add.at(sums, (..., q), v)
             return (sums * scale)[..., q]
 
@@ -212,14 +213,14 @@ class LatticeFrame(TruncatedFrame):
         d = np.arange(len(self))
         return GramMatrix(self.row[d[:, None] - d + len(self) - 1], self.alphas, self.asymmetry)
 
-    def dual_rule(self, rel_cutoff: float) -> Callable:
+    def dual_rule(self) -> Callable:
         """v -> v . G^-1 = conj(y), G y = conj(v) solved to ``_CG_TOL``. Rows
         that M + 32 steps leave short of it (a profile transform that vanishes
         in the band), or a block of rows above ``_CG_BLOCK``, take the SVD rule
         of ``TruncatedFrame``, and once it is formed every row does."""
         m, size = len(self), 1 << (2 * len(self) - 2).bit_length()
         spectrum = np.fft.fft(np.concatenate((self.row[m - 1 :], np.zeros(size + 1 - 2 * m), self.row[: m - 1])))
-        svd = cache(lambda: TruncatedFrame.dual_rule(self, rel_cutoff))
+        svd = cache(lambda: TruncatedFrame.dual_rule(self))
 
         def solve(r):
             y, p, rs = np.zeros_like(r), r, np.sum(np.abs(r) ** 2, axis=1)
@@ -360,7 +361,7 @@ def gram(frame: TruncatedFrame, functionals: FunctionalFamily) -> GramMatrix:
 def psd_check(g: GramMatrix) -> PsdReport:
     """Positive semi-definiteness report for a Hermitian Gram: passes iff
     the smallest eigenvalue is at least -1e-8 max(|max_eig|, 1)."""
-    w, _ = hermitian_eig(g.matrix)
+    w = np.linalg.eigvalsh(_require_hermitian(g.matrix))
     min_eig, max_eig = float(w[0]), float(w[-1])
     passed = min_eig >= -1e-8 * max(abs(max_eig), 1.0)
     return PsdReport(min_eig=min_eig, max_eig=max_eig, passed=passed)

@@ -19,7 +19,7 @@ from .core import Grid, GridFunction, uniform_fourier_sum
 from .core import complex_pairs, complex_values, integral, json_number, json_numbers, json_object
 from .exceptions import AdmissibilityError, DomainError, ShapeMismatchError, ValidationError
 from .families import AverageFunctional, fourier_period, fourier_synthesis
-from .kernels import FeatureMap, GramMatrix, LatticeFrame, TruncatedFrame, _hermitian, feature_gram, xi_rows
+from .kernels import FeatureMap, LatticeFrame, TruncatedFrame, _hermitian, feature_gram, xi_rows
 
 __all__ = [
     "sinc_kernel",
@@ -30,8 +30,6 @@ __all__ = [
     "pw_features",
     "lattice_spacing",
     "pw_average_sections",
-    "pw_point_sections",
-    "pw_feature_gram",
     "point_feature_map",
     "fourier_series",
     "kadec_bounds",
@@ -176,19 +174,26 @@ def lattice_spacing(centers) -> float:
         return float(s) if s and np.array_equal(x, x[0] + s * np.arange(len(x))) else 0.0
 
 
+#: most entries of the sinc block that a point frame's synthesis holds at once
+_SINC_BLOCK = 2**16
+
+
 def pw_average_sections(
     centers,
-    delta: float,
+    delta: float | None,
     out_grid: Grid,
     profile: str = "box",
     w_grid: Grid | None = None,
 ) -> TruncatedFrame:
-    """The frame of the average functionals centred at ``centers``: section
-    K(x)(y) = \\int_{-pi}^{pi} exp(-i y t) Psi(x)(t) dt / sqrt(2pi) on
-    ``out_grid``, with the ``pw_features`` Psi(x) on ``w_grid`` as its feature
-    vectors and their Gram. No section is formed: both grids are uniform, so
-    the synthesis of sum_j c_j K_j is one chirp-z sum of (c @ Psi) w/sqrt(2pi),
-    w the trapezoid weights.
+    """The frame of the average functionals centred at ``centers``, or with
+    ``delta`` None of the point evaluations there: a point is an average of
+    width 0, its profile transform m = 1. Section K(x)(y) =
+    \\int_{-pi}^{pi} exp(-i y t) Psi(x)(t) dt / sqrt(2pi) on ``out_grid``, with
+    the ``pw_features`` Psi(x) on ``w_grid`` as its feature vectors and their
+    Gram. No section is formed. Points are synthesized as the exact sinc sum
+    over blocks of ``out_grid`` points, holding no (n, m) array; averages,
+    both grids being uniform, as one chirp-z sum of (c @ Psi) w/sqrt(2pi), w
+    the trapezoid weights.
 
     Centres x_j = x_0 + j s form Psi(0) alone, as Psi(x_j) = exp(i x_j t) Psi(0):
     c @ Psi and the ``LatticeFrame`` row sum_t w_t |Psi(0)|^2 exp(i d s t) are chirp-z sums.
@@ -200,17 +205,25 @@ def pw_average_sections(
         psi, d = pw_features([0.0], w_grid, delta, profile)[0], len(centers) - 1
         row = uniform_fourier_sum(-s * d, s, 2 * d + 1, w_grid.a, w_grid.h, np.abs(psi) ** 2 * w_grid.weights(), 1.0)
 
-        def lattice_synthesis(c):
+        def synthesis(c):
             waves = uniform_fourier_sum(w_grid.a, w_grid.h, w_grid.n, centers[0], s, c, sign=1.0) * psi
             return uniform_fourier_sum(out_grid.a, out_grid.h, out_grid.n, w_grid.a, w_grid.h, waves * weights)
 
-        return LatticeFrame(centers, out_grid, row, lattice_synthesis)
-    psi = pw_features(centers, w_grid, delta, profile)
+    else:
+        psi = pw_features(centers, w_grid, delta, profile)
+        gram = _hermitian(feature_gram(psi, w_grid), centers)
 
-    def synthesis(c):
-        return uniform_fourier_sum(out_grid.a, out_grid.h, out_grid.n, w_grid.a, w_grid.h, (c @ psi) * weights)
+        def synthesis(c):
+            return uniform_fourier_sum(out_grid.a, out_grid.h, out_grid.n, w_grid.a, w_grid.h, (c @ psi) * weights)
 
-    return TruncatedFrame(centers, out_grid, _hermitian(feature_gram(psi, w_grid), centers), synthesis)
+    if delta is None:  # a point's synthesis is the exact sinc sum, in place of the chirp-z sums
+        y, step = out_grid.points(), max(1, _SINC_BLOCK // len(centers))
+
+        def synthesis(c):
+            blocks = range(0, out_grid.n, step)
+            return np.concatenate([sinc_kernel(y[lo : lo + step, None], centers) @ c for lo in blocks])
+
+    return LatticeFrame(centers, out_grid, row, synthesis) if s else TruncatedFrame(centers, out_grid, gram, synthesis)
 
 
 def point_feature_map(w_grid: Grid, dim_y: int = 1) -> FeatureMap:
@@ -221,36 +234,6 @@ def point_feature_map(w_grid: Grid, dim_y: int = 1) -> FeatureMap:
         return pw_features(xs, w_grid)[:, :, None] * xi_rows(xis, len(xs))[:, None, :]
 
     return FeatureMap(w_grid=w_grid, dim_y=dim_y, evaluate=evaluate)
-
-
-#: most entries of the sinc block that a pw_point_sections synthesis holds at once
-_SINC_BLOCK = 2**16
-
-
-def pw_point_sections(points, out_grid: Grid, w_grid: Grid) -> TruncatedFrame:
-    """The frame of the point evaluations at ``points``: the exact sinc
-    sections on ``out_grid``, with the plane waves of ``point_feature_map``
-    on ``w_grid`` as their feature vectors. The synthesis sums the sinc
-    values over blocks of ``out_grid`` points; no (n, m) array is held."""
-    points = tuple(float(x) for x in points)
-    gram, y = pw_feature_gram(points, w_grid), out_grid.points()
-    step = max(1, _SINC_BLOCK // len(points))
-
-    def synthesis(c):
-        return np.concatenate([sinc_kernel(y[s : s + step, None], points) @ c for s in range(0, out_grid.n, step)])
-
-    return TruncatedFrame(points, out_grid, gram, synthesis)
-
-
-def pw_feature_gram(points, w_grid: Grid, delta: float | None = None, profile: str = "box") -> GramMatrix:
-    """The Gram of ``pw_average_sections`` (``delta`` given) or
-    ``pw_point_sections`` (no ``delta``) at ``points`` on any window: that of
-    their ``pw_features`` alone, as K(x) = Phi(.)* Psi(x), or of the lattice
-    row; no section is formed."""
-    if delta is not None:  # the window enters the synthesis alone
-        return pw_average_sections(points, delta, w_grid, profile, w_grid).gram
-    points = tuple(float(x) for x in points)
-    return _hermitian(feature_gram(pw_features(points, w_grid), w_grid), points)
 
 
 def fourier_series(signal: BandlimitedSignal, grid: Grid) -> GridFunction:

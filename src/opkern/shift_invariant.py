@@ -278,13 +278,6 @@ def si_functional_kernel(
     return GridFunction(out_grid, vals)
 
 
-def _toeplitz(col: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """Toeplitz matrix T[i, j] = col[i - j] for i >= j and row[j - i] for
-    j > i; row[0] is ignored."""
-    diagonals = np.concatenate((row[:0:-1], col))
-    return diagonals[np.arange(col.size)[:, None] - np.arange(row.size) + row.size - 1]
-
-
 def si_gram(
     gen: Generator,
     dual: DualGenerator,
@@ -301,7 +294,8 @@ def si_gram(
     pad = max(ks.size - 1 - dual.k_max, 0)
     b = np.pad(dual.b_coeffs, pad)
     mid = dual.k_max + pad  # b[mid + lag] = b_lag
-    bmat = _toeplitz(b[mid::-1][: ks.size], b[mid:][: ks.size])
+    d = np.arange(ks.size)
+    bmat = b[mid + d - d[:, None]]
     return _hermitian(cmat.conj().T @ bmat @ cmat, tuple(u.x for u in u_list))
 
 

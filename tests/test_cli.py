@@ -14,12 +14,10 @@ from hypothesis import strategies as st
 from opkern import cli
 from opkern.cli import main
 from opkern.core import _BLOCK_CELLS, Grid, GridFunction
-from opkern.exceptions import ValidationError
-from opkern.frames import dual_frame
 from opkern.kernels import GramMatrix, feature_gram, fourier_feature_map, fourier_frame, psd_check
 from opkern.families import FourierCoefficientFamily, SampleSet
 from opkern.paley_wiener import (
-    BandlimitedSignal, pw_average_sections, pw_point_sections, pw_window, w_grid_default,
+    BandlimitedSignal, pw_average_sections, pw_window, w_grid_default,
 )
 
 
@@ -218,12 +216,13 @@ def test_reconstruct_fourier_holds_no_stack(tmp_path):
 def test_stacked_frames_match_section_oracle(family, profile):
     """The frames of reconstruct and regnet against truncated_frame of the
     per-section oracle lists, section by section. The sinc points are the
-    same arithmetic row by row, so they agree bit for bit. The average
-    oracle takes each centre's own transform and a dense synthesis sum, so
-    it agrees at round-off. The Fourier frame's synthesis of each unit
-    vector, and of one random combination, by one inverse FFT meets the
-    oracle's np.exp rows at round-off, and its closed-form Gram the oracle's
-    quadrature Gram."""
+    same arithmetic row by row, so their sections agree bit for bit; at
+    these lattice centres their Gram is the Toeplitz row, which agrees at
+    round-off, as the averages' does. The average oracle takes each centre's
+    own transform and a dense synthesis sum, so it agrees at round-off. The
+    Fourier frame's synthesis of each unit vector, and of one random
+    combination, by one inverse FFT meets the oracle's np.exp rows at
+    round-off, and its closed-form Gram the oracle's quadrature Gram."""
     from opkern.paley_wiener import w_grid_default
     from section_oracle import average_sections, fourier_sections, section_stack, sinc_sections, truncated_frame
 
@@ -257,8 +256,8 @@ def test_stacked_frames_match_section_oracle(family, profile):
         assert frame.gram.asymmetry == 0.0
     else:
         assert np.array_equal(h, want)
-        assert np.array_equal(frame.gram.matrix, oracle.gram.matrix)
-        assert frame.gram.asymmetry == oracle.gram.asymmetry
+        assert np.max(np.abs(frame.gram.matrix - oracle.gram.matrix)) <= 1e-15
+        assert max(frame.gram.asymmetry, oracle.gram.asymmetry) <= 1e-15
 
 
 @settings(max_examples=80, deadline=None)
@@ -487,8 +486,9 @@ _CENTRE = st.one_of(
 @example(("point", "box"), ["0.50", "-3.70", "12"], "0.2", 2, 0, 1)
 def test_gram_and_psd_write_the_gram_of_the_frame_route(tmp_path, capsys, kind, centres, delta, w_n, m, ppu):
     """gram and psd take the Gram from the features on the --w-n grid alone.
-    It is the Gram of the frame that pw_average_sections or pw_point_sections
-    build on any window, bit for bit, for integer and non-integer centres.
+    It is the Gram of the frame that pw_average_sections builds for averages
+    or (no delta) points on any window, bit for bit, for integer and
+    non-integer centres.
     Centres that spread over w_n - 1 or more alias on the grid and are
     refused, naming --indices and --w-n."""
     family, profile = kind
@@ -504,10 +504,7 @@ def test_gram_and_psd_write_the_gram_of_the_frame_route(tmp_path, capsys, kind, 
     assert main(["gram", *argv, "--out", str(tmp_path / "g")]) == 0
     assert main(["psd", *argv, "--out", str(tmp_path / "p")]) == 0
     window, w_grid = pw_window(m, points_per_unit=ppu), w_grid_default(w_n)
-    if family == "average":
-        frame = pw_average_sections(indices, float(delta), window, profile, w_grid)
-    else:
-        frame = pw_point_sections(indices, window, w_grid)
+    frame = pw_average_sections(indices, float(delta) if family == "average" else None, window, profile, w_grid)
     g = cli._gram_of(cli.build_parser().parse_args(["gram", *argv]))
     assert g.indices == frame.alphas
     assert np.array_equal(g.matrix, frame.gram.matrix)
@@ -521,11 +518,12 @@ def test_gram_and_psd_write_the_gram_of_the_frame_route(tmp_path, capsys, kind, 
 
 @pytest.mark.parametrize("family", ["average", "point"])
 def test_psd_forms_no_section_stack(tmp_path, family):
-    """psd --indices=-64..64 holds the 129 features on the 2049-point
-    frequency grid (4 MiB) and their product, and no section: the frame
-    route, which also synthesized 129 sections on the default 2049-point
-    window, peaked at 15.7-15.9 MiB (average) and 12.2-12.4 MiB (point);
-    the feature route peaks at 8.3-8.5 MiB."""
+    """psd --indices=-64..64 takes the centres as a lattice: it holds the
+    Toeplitz row, the 129 x 129 Gram and its eigenvalues, and no feature
+    stack, eigenvector or section. It peaks at 0.79 MiB (average) and 0.52
+    MiB (point). The point Gram of the 129 features on the 2049-point
+    frequency grid (4 MiB) peaked at 5.6 MiB, and the eigenvectors added
+    0.07 MiB to the average's."""
     tracemalloc.start()
     try:
         code = main(["psd", "--family", family, "--indices=-64..64", "--out", str(tmp_path / "p")])
@@ -534,7 +532,7 @@ def test_psd_forms_no_section_stack(tmp_path, family):
         tracemalloc.stop()
     assert code == 0
     assert json.loads((tmp_path / "p.json").read_text())["pass"]
-    assert peak < 10 * 2**20
+    assert peak < 2 * 2**20
 
 
 def test_fourier_indices_beyond_2_to_the_20_are_read_by_their_residues(signal_file, tmp_path):
@@ -1031,11 +1029,9 @@ def test_negative_seeds_are_refused_by_name(signal_file, tmp_path, capsys, argv,
 @pytest.mark.parametrize("cutoff", ["1.5", "1.0"])
 def test_rel_cutoff_out_of_range_is_validation_error(signal_file, tmp_path, capsys, cutoff):
     """reconstruct reads no cutoff: a lattice frame's conjugate gradients drop
-    no direction, the SVD it takes where they stall keeps the default 1e-10,
+    no direction, the SVD it takes where they stall keeps the fixed 1e-10,
     and every residue class of a Fourier reconstruct holds one index.
-    --rel-cutoff is refused like any flag no handler reads. Each of the three
-    dual rules, the SVD, the class sums and conjugate gradients, refuses a
-    cutoff outside (0, 1)."""
+    --rel-cutoff is refused like any flag no handler reads."""
     code = main([
         "reconstruct", "--space", "fourier", "--signal", str(signal_file),
         "--m", "4", "--grid-n", "129", "--rel-cutoff", cutoff, "--out", str(tmp_path / "x"),
@@ -1044,16 +1040,6 @@ def test_rel_cutoff_out_of_range_is_validation_error(signal_file, tmp_path, caps
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValidationError"
     assert "--rel-cutoff" in err["message"]
-    window, w_grid = pw_window(2, points_per_unit=4), w_grid_default(65)
-    frames = [
-        pw_average_sections([-1.0, 0.5, 1.5], 0.2, window, w_grid=w_grid),
-        fourier_frame(range(-2, 3), cli._fourier_grid(33)),
-        pw_average_sections(range(-2, 3), 0.2, window, w_grid=w_grid),
-    ]
-    assert [type(f).__name__ for f in frames] == ["TruncatedFrame", "FourierFrame", "LatticeFrame"]
-    for frame in frames:
-        with pytest.raises(ValidationError, match="rel_cutoff"):
-            dual_frame(frame, float(cutoff))
 
 
 @pytest.mark.parametrize(

@@ -17,10 +17,10 @@ from opkern.paley_wiener import (
     fourier_series,
     generalized_kadec_check,
     kadec_bounds,
+    lattice_spacing,
     point_feature_map,
     pw_average_sections,
     pw_features,
-    pw_point_sections,
     pw_window,
     sinc_kernel,
     synthesize,
@@ -235,15 +235,22 @@ def test_section_matches_point_feature_pairing():
 
 @pytest.mark.parametrize("points", [[-6, -5.5, 0, 0.25, 3, 6], [0.5], list(range(-8, 9))])
 def test_pw_point_sections_match_the_sinc_oracle(points):
-    """The point-evaluation frame against the per-point sinc sections with
-    their plane waves: the same arithmetic, bit for bit."""
+    """The point-evaluation frame, ``pw_average_sections`` with no delta,
+    against the per-point sinc sections with their plane waves: the same
+    arithmetic, bit for bit. Lattice centres (the integers here) take the
+    Toeplitz row in place of the features' Gram, within the average's bound
+    of ``test_stacked_frames_match_section_oracle``."""
     window, wg = Grid(-12.0, 12.0, 385), w_grid_default(513)
-    frame = pw_point_sections(points, window, wg)
+    frame = pw_average_sections(points, None, window, w_grid=wg)
     oracle = truncated_frame(sinc_sections(points, window, wg))
     assert frame.alphas == oracle.alphas
     assert np.array_equal(section_stack(frame), section_stack(oracle))
-    assert np.array_equal(frame.gram.matrix, oracle.gram.matrix)
-    assert frame.gram.asymmetry == oracle.gram.asymmetry
+    if lattice_spacing(points):
+        assert np.max(np.abs(frame.gram.matrix - oracle.gram.matrix)) <= 1e-15
+        assert max(frame.gram.asymmetry, oracle.gram.asymmetry) <= 1e-15
+    else:
+        assert np.array_equal(frame.gram.matrix, oracle.gram.matrix)
+        assert frame.gram.asymmetry == oracle.gram.asymmetry
 
 
 def test_vector_features_are_the_plane_waves_times_the_directions():

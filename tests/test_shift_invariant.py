@@ -16,7 +16,6 @@ from opkern.shift_invariant import (
     _aliases,
     _average_coefficients,
     _g_values,
-    _toeplitz,
     biorthogonality_residual,
     bracket_function,
     bspline,
@@ -606,14 +605,6 @@ def test_aliases_come_in_blocks_of_at_most_2_15_frequencies():
     # one alias per block once xi alone holds more than 2**15 frequencies
     long_xi = np.linspace(-math.pi, math.pi, 2**15 + 1)
     assert [(ls.tolist(), om.shape) for ls, om in _aliases(long_xi, 1)] == [([l], (2**15 + 1, 1)) for l in (-1, 0, 1)]
-
-
-def test_toeplitz_matches_scipy():
-    pick = np.random.default_rng(11)
-    for n_col, n_row in ((1, 1), (1, 5), (6, 1), (7, 7), (9, 4), (3, 12)):
-        col = pick.standard_normal(n_col) + 1j * pick.standard_normal(n_col)
-        row = pick.standard_normal(n_row) + 1j * pick.standard_normal(n_row)
-        assert np.array_equal(_toeplitz(col, row), toeplitz(col, row))
 
 
 # ------------------------------------------------------- coefficient identity
