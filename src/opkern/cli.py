@@ -64,12 +64,18 @@ def _write_gram_csv(path: Path, g: GramMatrix) -> None:
                 m.shape[0], cells)
 
 
+def _grid_points(grid: Grid, lo: int, hi: int) -> np.ndarray:
+    """grid.points()[lo:hi] by np.linspace's arithmetic: i step + a (i / (n - 1) (b - a) + a at step 0), last b."""
+    a, b, div, i = float(grid.a), float(grid.b), grid.n - 1, np.arange(lo, hi, dtype=float)
+    step = (b - a) / div
+    return np.where(i == div, b, (i * step if step else i / div * (b - a)) + a)
+
+
 def _write_function_csv(path: Path, f: GridFunction) -> None:
     """x, then re and im of each component, one template per row, a block at a time."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    x, v = f.grid.points(), f.values
     write_table(path, "x," + ",".join(f"re{l},im{l}" for l in range(f.dim)) + "\n", ",".join([FMT] * (1 + 2 * f.dim)),
-                f.grid.n, lambda lo, hi: np.column_stack((x[lo:hi], np.ascontiguousarray(v[lo:hi]).view(float))))
+                f.grid.n, lambda lo, hi: np.column_stack((_grid_points(f.grid, lo, hi), np.ascontiguousarray(f.values[lo:hi]).view(float))))
 
 
 def _index(token: str, flag: str) -> int | float:
@@ -206,12 +212,14 @@ def _gram_of(args) -> GramMatrix:
     """The Gram of --family at --indices: the Fourier frame's closed form,
     else that of ``pw_average_sections`` with the --w-n grid as its window,
     from the features or the lattice row alone. No section or window is
-    formed; the sizes and aliased centres are refused first."""
+    formed; the sizes (of a lattice, its Gram's alone) and aliased centres are refused first."""
     family = _family(args.family, args)
     indices = _parse_indices(args.indices, "--indices")
-    _check_stack(len(indices), 0 if family.kind == "fourier" else args.w_n)
+    _check_stack(len(indices))
     if family.kind == "fourier":
         return _frame_of(family, indices, args)[0].gram
+    if not lattice_spacing(indices):
+        _check_stack(len(indices), args.w_n)
     _check_spread(indices, args.w_n, f"--indices={args.indices}")
     delta, profile = _pw_shape(family)
     w_grid = w_grid_default(args.w_n)

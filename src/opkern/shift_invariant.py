@@ -50,8 +50,8 @@ _SPLINES = {
     "hat": (2, 1, (2 / 3, 1 / 6)),
     "cubic": (4, 2, (151 / 315, 397 / 1680, 1 / 42, 1 / 5040)),
 }
-# Frequencies per alias block: every temporary of a block stays in cache.
-_ALIAS_BLOCK = 2**15
+# Frequencies per alias block, at least and at most; between, the result's size.
+_ALIAS_BLOCK = (2**12, 2**15)
 
 
 def _count(name: str, value) -> int:
@@ -152,12 +152,14 @@ def make_generator(kind: str) -> Generator:
     )
 
 
-def _aliases(xi: np.ndarray, j_trunc: int):
+def _aliases(xi: np.ndarray, j_trunc: int, rows: int):
     """The aliases xi + 2 pi l, |l| <= j_trunc, l ascending, as blocks
     (ls, om): the b alias indices ls and the (xi.size, b) frequencies om,
-    at most 2**15 of them (one column when xi alone is longer)."""
+    at most max(2**12, rows * xi.size) of them, never over 2**15 (one column
+    when xi alone is longer): a block's temporaries scale with the rows x xi
+    result it feeds, and below 2**15 all rows take about 2 j_trunc + 1 products."""
     ls = np.arange(-j_trunc, j_trunc + 1)
-    chunk = max(1, _ALIAS_BLOCK // max(xi.size, 1))
+    chunk = max(1, min(max(_ALIAS_BLOCK[0], rows * xi.size), _ALIAS_BLOCK[1]) // max(xi.size, 1))
     for s in range(0, ls.size, chunk):
         block = ls[s : s + chunk]
         yield block, xi[:, None] + TWO_PI * block
@@ -317,9 +319,9 @@ def _g_values(gen: Generator, u_list: Sequence[AverageFunctional], xi: np.ndarra
     exp(-i xi x) exp(-2 pi i l x), each alias block takes phi_hat once for
     all functionals and m once per (delta, profile); a functional then adds
     the block's terms times its b phases exp(-2 pi i l x), one matrix-vector
-    product, and the row takes the factor exp(-i xi x) once at the end."""
+    product; the row takes exp(-i xi x) once at the end. ``_aliases`` sizes the blocks."""
     sums = np.zeros((len(u_list), xi.size), dtype=complex)
-    for ls, om in _aliases(xi, j_trunc):
+    for ls, om in _aliases(xi, j_trunc, len(u_list)):
         phi_conj = np.conj(gen.transform(om))
         terms = {}
         for row, u in zip(sums, u_list):

@@ -4,8 +4,10 @@ oracle: each functional's coefficients over an explicit shift list or over
 its own window; the spline transform as numpy's power of the sinc; and the
 bracket and each functional's periodized frequency sum on its own, over
 blocks of 4,000,000 frequencies with one complex exponential per alias;
-the dual coefficients b_k by the chirp-z sum that one FFT replaced; and the
-dual synthesized on a fine grid, which the exact biorthogonality residual
+the features g_u of a list of functionals in one alias block, as the
+library took them before it sized its blocks by the result; the dual
+coefficients b_k by the chirp-z sum that one FFT replaced; and the dual
+synthesized on a fine grid, which the exact biorthogonality residual
 replaced. Also the point-kernel section, the limit the average-functional
 sections approach as their width shrinks."""
 
@@ -69,6 +71,24 @@ def g_alpha_values(phi_hat, u, xi, j_trunc):
         uhat = np.exp(-1j * om * u.x) * u.centered_transform(om)
         out += np.sum(uhat * np.conj(phi_hat(om)), axis=1)
     return out
+
+
+def g_values_one_block(gen, u_list, xi, j_trunc):
+    """``shift_invariant._g_values`` over all aliases |l| <= J in one block:
+    phi_hat once, m once per (delta, profile), each functional's terms times
+    its phases exp(-2 pi i l x) by one matrix-vector product, and the factor
+    exp(-i xi x) once at the end."""
+    ls = np.arange(-j_trunc, j_trunc + 1)
+    om = xi[:, None] + TWO_PI * ls
+    phi_conj = np.conj(gen.transform(om))
+    sums = np.zeros((len(u_list), xi.size), dtype=complex)
+    terms = {}
+    for row, u in zip(sums, u_list):
+        key = (u.delta, u.profile_name)
+        if key not in terms:
+            terms[key] = u.centered_transform(om) * phi_conj
+        row += terms[key] @ np.exp(-2j * math.pi * u.x * ls)
+    return np.exp(-1j * np.outer([u.x for u in u_list], xi)) * sums
 
 
 def identity_deviation(gen, u, k_range, quad_n=4097, xi_n=1025):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from opkern import cli
@@ -417,14 +417,14 @@ def test_gram_csv_keeps_the_old_bytes(tmp_path, m, specials, seed):
     assert (tmp_path / "g.csv").read_text() == _old_gram_csv(g)
 
 
-@pytest.mark.parametrize("writer,cap_mib", [("csv", 1.0), ("dump", 0.5), ("gram", 0.5)])
+@pytest.mark.parametrize("writer,cap_mib", [("csv", 0.3), ("dump", 0.5), ("gram", 0.5)])
 def test_writers_hold_one_block_of_rows(tmp_path, writer, cap_mib):
     """The writers format a block of at most _BLOCK_CELLS cells by one % and
     write it into the open file. Building the whole file first (a tolist of
     every column, the list of row strings, their join) peaked at 14.1 MiB
     for the CSV of a 65,537-row function, 16.3 MiB for its .function.json
     and 11.4 MiB for a 256 x 256 Gram CSV; a block at a time they peak at
-    0.73 MiB (0.5 of it the x column), 0.35 and 0.18 MiB."""
+    0.23 MiB (0.73 while the CSV formed its whole x column), 0.35 and 0.18 MiB."""
     gen = np.random.default_rng(3)
     f = GridFunction(Grid(-1.0, 1.0, 65537), gen.standard_normal(65537) + 1j * gen.standard_normal(65537))
     a = gen.standard_normal((256, 256)) + 1j * gen.standard_normal((256, 256))
@@ -441,6 +441,28 @@ def test_writers_hold_one_block_of_rows(tmp_path, writer, cap_mib):
     finally:
         tracemalloc.stop()
     assert peak < cap_mib * 2**20
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ends=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2, unique=True).map(sorted),
+    n=st.one_of(st.just(2), st.integers(1, 2_000).map(lambda k: 2 * k + 1), st.integers(2, 2_000).map(lambda k: 2 * k)),
+    cuts=st.lists(st.integers(1, 4_000), max_size=6),
+)
+@example(ends=[0.0, 5e-324], n=3, cuts=[1])  # the step underflows to 0
+@example(ends=[-1.7e308, 1.7e308], n=5, cuts=[])  # b - a overflows to inf
+@example(ends=[-1.0, 1.0], n=65_537, cuts=[_BLOCK_CELLS // 3, 2 * (_BLOCK_CELLS // 3)])
+def test_function_csv_blocks_take_the_grid_points_bit_for_bit(ends, n, cuts):
+    """Each block of the function CSV takes its x from the grid by
+    np.linspace's arithmetic, so the blocks, split anywhere, join into
+    grid.points() bit for bit: odd n, even n and n = 2, the step == 0 branch
+    of a width that underflows, and b - a overflowing to inf."""
+    assume(ends[0] < ends[1])
+    grid = Grid(ends[0], ends[1], n)
+    bounds = [0, *sorted({c for c in cuts if c < n}), n]
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.concatenate([cli._grid_points(grid, lo, hi) for lo, hi in zip(bounds, bounds[1:])])
+        assert x.tobytes() == grid.points().tobytes()
 
 
 def test_stability_csv_keeps_the_old_bytes(tmp_path):
@@ -817,7 +839,8 @@ def test_config_values_are_refused_like_flags(signal_file, tmp_path, capsys, ove
     "argv",
     [
         ["reconstruct", "--space", "pw", "--points-per-unit", "10000000"],
-        ["gram", "--family", "point", "--indices=-100..100", "--w-n", "1000000"],
+        # off a lattice, 201 points need a feature stack of 201 x 1000000
+        ["gram", "--family", "point", f"--indices={','.join(map(str, range(-100, 100)))},100.5", "--w-n", "1000000"],
         ["vector-sampling", "--m-range", "20000"],
         ["gram", "--family", "fourier", "--indices=-4000..4000", "--grid-n", "2"],
     ],
@@ -1341,6 +1364,23 @@ def test_aliased_lattices_are_refused(signal_file, tmp_path, capsys, argv, flag)
     assert json.loads(err)["error"] == "ValidationError"
     assert flag in message and "--w-n" in message
     assert not list(tmp_path.glob("x*"))
+
+
+def test_lattice_gram_is_charged_for_its_gram_alone(tmp_path, capsys):
+    """Lattice centres form the Gram's Toeplitz row and no feature stack, so
+    gram charges them count x count entries, not count x w_n: 201 points on
+    --w-n 170001 were refused for 34,170,201 feature entries, and now write
+    the Gram of pw_average_sections on that grid. 6,001 centres still pass
+    the count x count cap of MAX_STACK_ENTRIES."""
+    argv = ["gram", "--family", "point", "--indices=-100..100", "--w-n", "170001"]
+    assert main([*argv, "--out", str(tmp_path / "g")]) == 0
+    w = w_grid_default(170001)
+    want = pw_average_sections(range(-100, 101), None, w, "box", w).gram
+    assert (tmp_path / "g.csv").read_text() == _old_gram_csv(want)
+    argv = ["gram", "--family", "point", "--indices=-3000..3000", "--w-n", "8193"]
+    assert main([*argv, "--out", str(tmp_path / "h")]) == 2
+    assert "6001 indices need 36012001 feature or Gram entries" in json.loads(capsys.readouterr().err)["message"]
+    assert not list(tmp_path.glob("h*"))
 
 
 def test_gram_and_psd_take_the_widest_unaliased_centres(tmp_path):

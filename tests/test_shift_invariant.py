@@ -35,6 +35,7 @@ from shift_oracle import (
     dual_on_grid,
     full_range_coefficients,
     g_alpha_values,
+    g_values_one_block,
     identity_deviation,
     per_shift_sum,
     si_reproducing_kernel,
@@ -50,6 +51,9 @@ ORDERS = {"box": 1, "hat": 2, "cubic": 4}
 # rounded down: box 3.1913e-3, hat 2.6729e-8.
 BOX_TAIL = 3.19e-3
 HAT_TAIL = 2.67e-8
+# Blocked and one-block alias sums differ by summation order alone: over 340
+# random draws the largest gap was 12.9 eps sum_l |m phi_hat|.
+ALIAS_ORDER_BOUND = 32
 
 
 def alias_tail(order, j_trunc):
@@ -595,16 +599,92 @@ def test_windowed_matrix_and_alias_loop_match_the_per_functional_oracle(kind, us
 
 
 def test_aliases_come_in_blocks_of_at_most_2_15_frequencies():
+    """A block holds whole aliases, one at least, and at most
+    max(2**12, rows * xi.size) frequencies, never more than 2**15."""
     xi = np.array([-1.0, 0.0, 2.5])
-    blocks = list(_aliases(xi, 6_000))
-    assert [om.shape for _, om in blocks] == [(3, 10_922), (3, 1_079)]
+    blocks = list(_aliases(xi, 6_000, 1))
+    # one row of three frequencies: 2**12 // 3 = 1,365 aliases a block
+    assert [om.shape for _, om in blocks] == [(3, 1_365)] * 8 + [(3, 1_081)]
     assert np.array_equal(np.concatenate([ls for ls, _ in blocks]), np.arange(-6_000, 6_001))
     for ls, om in blocks:
         assert np.array_equal(om, xi[:, None] + TWO_PI * ls)
     assert blocks[0][1][1, 0] == -TWO_PI * 6_000 and blocks[-1][1][1, -1] == TWO_PI * 6_000
+    # between the bounds a block is the size of the result: 2,000 rows x 3
+    assert [om.shape for _, om in _aliases(xi, 6_000, 2_000)] == [(3, 2_000)] * 6 + [(3, 1)]
+    # si-diagnose's identity check (1 x 1025) and density pass (4 x 257) take
+    # blocks of 3 and 15 aliases; 1,024 functionals hit the 2**15 cap, 127
+    # aliases of 257 frequencies
+    for n, rows, chunk in ((1025, 1, 3), (257, 4, 15), (257, 20, 20), (257, 1_024, 127)):
+        sizes = [ls.size for ls, _ in _aliases(np.linspace(-math.pi, math.pi, n), 64, rows)]
+        assert sizes == [chunk] * (129 // chunk) + [129 % chunk] * (129 % chunk > 0)
     # one alias per block once xi alone holds more than 2**15 frequencies
     long_xi = np.linspace(-math.pi, math.pi, 2**15 + 1)
-    assert [(ls.tolist(), om.shape) for ls, om in _aliases(long_xi, 1)] == [([l], (2**15 + 1, 1)) for l in (-1, 0, 1)]
+    for rows in (1, 300):
+        blocks = [(ls.tolist(), om.shape) for ls, om in _aliases(long_xi, 1, rows)]
+        assert blocks == [([l], (2**15 + 1, 1)) for l in (-1, 0, 1)]
+
+
+# 1 to 300 functionals, each of one of up to four (delta, profile) shapes
+_SHAPES = st.lists(
+    st.tuples(st.floats(0.01, 1.5), st.sampled_from(["box", "triangle", "cosine"])), min_size=1, max_size=4
+)
+_FAMILIES = _SHAPES.flatmap(
+    lambda shapes: st.lists(
+        st.builds(lambda x, shape: AverageFunctional(x, *shape), st.floats(-8.0, 8.0), st.sampled_from(shapes)),
+        min_size=1,
+        max_size=300,
+    )
+)
+_SI_FAMILY = [AverageFunctional(0.25 + 0.5 * i, 0.2, "triangle") for i in range(4)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(["box", "hat", "cubic"]), us=_FAMILIES, xi_n=st.integers(1, 2**13), j_trunc=st.integers(0, 200)
+)
+@example(kind="cubic", us=_SI_FAMILY[:1], xi_n=1025, j_trunc=64)
+@example(kind="cubic", us=_SI_FAMILY, xi_n=257, j_trunc=64)
+def test_blocked_alias_pass_matches_the_one_block_oracle(kind, us, xi_n, j_trunc):
+    """Blocks sized by the result take the same terms and phases as one
+    block over every alias, bit for bit, and sum them in another order: a
+    matrix-vector product per block, then the blocks. Each g_u is held
+    within ALIAS_ORDER_BOUND eps sum_l |m phi_hat| of the one-block oracle. The two
+    examples are si-diagnose's identity check and density pass."""
+    gen = make_generator(kind)
+    xi = np.linspace(-math.pi, math.pi, xi_n)
+    got, want = _g_values(gen, us, xi, j_trunc), g_values_one_block(gen, us, xi, j_trunc)
+    assert got.shape == want.shape == (len(us), xi_n)
+    om = xi[:, None] + TWO_PI * np.arange(-j_trunc, j_trunc + 1)
+    phi = np.abs(gen.transform(om))
+    scales = {}
+    for row, want_row, u in zip(got, want, us):
+        key = (u.delta, u.profile_name)
+        if key not in scales:
+            scales[key] = np.sum(np.abs(u.centered_transform(om)) * phi, axis=1)
+        assert np.all(np.abs(row - want_row) <= ALIAS_ORDER_BOUND * EPS * scales[key])
+
+
+@pytest.mark.parametrize("route", ["identity", "density"])
+def test_si_diagnose_alias_blocks_stay_small(route):
+    """si-diagnose's identity check (one functional, 1025 frequencies) and
+    density pass (4 functionals, 257 frequencies) at the benchmark's
+    arguments. Blocks of 2**15 frequencies whatever the result peaked at
+    2.0 MiB under tracemalloc in each; blocks sized by the result, at
+    0.32 and 0.26 MiB."""
+    import tracemalloc
+
+    gen = make_generator("cubic")
+    run = {
+        "identity": lambda: fourier_coefficient_identity_check(gen, _SI_FAMILY[0], k_range=16),
+        "density": lambda: density_diagnostic(gen, _SI_FAMILY, Grid(-math.pi, math.pi, 257)),
+    }[route]
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 2**20
 
 
 # ------------------------------------------------------- coefficient identity
