@@ -27,7 +27,7 @@ from .core import (
 from .exceptions import ConditioningError, OpkernError, ValidationError
 from .families import AverageFunctional, SampleSet, family_from_descriptor
 from .frames import dual_frame, interior_relative_error, reconstruct
-from .kernels import GramMatrix, feature_gram, fourier_frame, psd_check
+from .kernels import GramMatrix, TruncatedFrame, feature_gram, fourier_frame, psd_check
 from .learning import learning_problem, perturb_samples, regnet_solve, sampling_operator, stability_reports
 from .paley_wiener import (
     BandlimitedSignal, build_vector_sampling_set, fourier_series, generalized_kadec_check, kadec_bounds,
@@ -92,10 +92,12 @@ def _index(token: str, flag: str) -> int | float:
         return value
 
 
-def _parse_indices(text: str, flag: str) -> list:
+def _parse_indices(text: str, flag: str) -> list | range:
     """The indices of a list flag, 'lo..hi' with integer bounds or
     comma-separated; a list that names none (--x= or --indices=1..0), or a
-    range above MAX_STACK_ENTRIES indices, is refused before it is formed."""
+    range above MAX_STACK_ENTRIES indices, is refused before it is formed.
+    A range stays a ``range``, so a caller refuses it by its length before
+    it holds its indices."""
     text = text.strip()
     if ".." in text:
         lo, hi = (_index(tok, flag) for tok in text.split("..", 1))
@@ -103,7 +105,7 @@ def _parse_indices(text: str, flag: str) -> list:
             raise ValidationError(f"{flag} range {text!r} needs integer bounds")
         if hi - lo + 1 > MAX_STACK_ENTRIES:
             raise ValidationError(f"{flag} range {text!r} names {hi - lo + 1} indices, above {MAX_STACK_ENTRIES}")
-        indices = list(range(lo, hi + 1))
+        indices = range(lo, hi + 1)
     else:
         indices = [_index(tok, flag) for tok in text.split(",") if tok]
     if not indices:
@@ -208,22 +210,22 @@ def _frame_of(family, indices, args):
     return pw_average_sections(indices, delta, grid, profile, w_grid_default(args.w_n)), on_grid
 
 
-def _gram_of(args) -> GramMatrix:
-    """The Gram of --family at --indices: the Fourier frame's closed form,
-    else that of ``pw_average_sections`` with the --w-n grid as its window,
-    from the features or the lattice row alone. No section or window is
-    formed; the sizes (of a lattice, its Gram's alone) and aliased centres are refused first."""
+def _indexed_frame(args) -> TruncatedFrame:
+    """The frame of --family at --indices: the Fourier frame, else that of
+    ``pw_average_sections`` with the --w-n grid as its window, from the
+    features or the lattice row alone. No section or window is formed; the
+    sizes (of a lattice, its Gram's alone) and aliased centres are refused first."""
     family = _family(args.family, args)
     indices = _parse_indices(args.indices, "--indices")
     _check_stack(len(indices))
     if family.kind == "fourier":
-        return _frame_of(family, indices, args)[0].gram
+        return _frame_of(family, indices, args)[0]
     if not lattice_spacing(indices):
         _check_stack(len(indices), args.w_n)
     _check_spread(indices, args.w_n, f"--indices={args.indices}")
     delta, profile = _pw_shape(family)
     w_grid = w_grid_default(args.w_n)
-    return pw_average_sections(indices, delta, w_grid, profile, w_grid).gram
+    return pw_average_sections(indices, delta, w_grid, profile, w_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -231,19 +233,19 @@ def _gram_of(args) -> GramMatrix:
 # ---------------------------------------------------------------------------
 
 def _cmd_gram(args, prefix: Path) -> None:
-    _write_gram_csv(prefix.with_suffix(".csv"), _gram_of(args))
+    _write_gram_csv(prefix.with_suffix(".csv"), _indexed_frame(args).gram)
 
 
 def _cmd_psd(args, prefix: Path) -> None:
-    g = _gram_of(args)
-    report = psd_check(g)
+    frame = _indexed_frame(args)  # a lattice's spectrum is read from its row: no Gram is formed
+    report = psd_check(frame)
     _write_json(
         prefix.with_suffix(".json"),
         {
             "min_eig": report.min_eig,
             "max_eig": report.max_eig,
             "pass": report.passed,
-            "asymmetry": g.asymmetry,
+            "asymmetry": frame.asymmetry,
         },
     )
 

@@ -39,7 +39,9 @@ class DualFrame:
     """Canonical dual of a truncated family: sum_j v_j K~_j is
     source.synthesize(apply(v)), apply(v) = v . pinv(G) by the frame's rule.
     Dual section j, biorthogonal to the sections on their span, is the
-    synthesis of row j of ``coeffs`` = pinv(G), formed only when read."""
+    synthesis of row j of ``coeffs`` = pinv(G), formed only when read by the
+    frame's ``dual_coeffs``: the rule of the identity, or for a lattice
+    frame Trench's recurrence from one column of G^-1."""
 
     source: TruncatedFrame
     apply: Callable = field(repr=False)
@@ -49,7 +51,7 @@ class DualFrame:
 
     @cached_property
     def coeffs(self) -> np.ndarray:
-        return self.apply(np.eye(len(self), dtype=complex))
+        return self.source.dual_coeffs(self.apply)
 
 
 def dual_frame(frame: TruncatedFrame) -> DualFrame:
@@ -88,12 +90,15 @@ def reconstruct(dual: DualFrame, samples: SampleSet) -> GridFunction:
 def frame_bounds_estimate(frame: TruncatedFrame) -> tuple[float, float]:
     """Extreme nonzero eigenvalues of the section Gram, those above 1e-10 of
     the largest; on the span of a truncated Riesz-regime family these
-    bracket its frame bounds."""
-    w = np.linalg.eigvalsh(frame.gram.matrix)
+    bracket its frame bounds. They are read from the frame's ``spectrum``:
+    dense eigvalsh, or a lattice frame's Lanczos extremes where the smallest
+    one's bracket clears the 1e-10 cutoff."""
+    cut = lambda top: 1e-10 * top  # noqa: E731
+    w = frame.spectrum(cut)
     top = float(w[-1])
     if top <= 0.0:
         raise DegenerateFrameError("section Gram has no positive spectrum", max_eig=top)
-    nonzero = w[w > 1e-10 * top]
+    nonzero = w[w > cut(top)]
     return float(nonzero[0]), float(nonzero[-1])
 
 

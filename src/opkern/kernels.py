@@ -10,7 +10,7 @@ stored. Frames are built either from a feature-map pair (phi for points,
 psi for the functional family) or from concrete constructions in the
 companion modules; the Fourier-coefficient frame (``FourierFrame``) is
 held by its residue classes, and a frame at equally spaced centres
-(``LatticeFrame``) by its Toeplitz Gram's row. Grams of features are
+(``lattice.LatticeFrame``) by its Toeplitz Gram's row. Grams of features are
 Hermitian positive semi-definite; this module assembles them, symmetrizes
 with a reported asymmetry, and checks positivity.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,7 +44,6 @@ __all__ = [
     "PsdReport",
     "TruncatedFrame",
     "FourierFrame",
-    "LatticeFrame",
     "kernel_from_features",
     "gram",
     "feature_gram",
@@ -143,6 +142,11 @@ class TruncatedFrame:
             raise ShapeMismatchError(f"expected {len(self)} coefficients, got shape {c.shape}")
         return GridFunction(self.h_grid, self.synthesis(c))
 
+    @property
+    def asymmetry(self) -> float:
+        """The defect removed in making the Gram Hermitian."""
+        return self.gram.asymmetry
+
     def dual_rule(self) -> Callable:
         """v -> v . pinv(G) on sample rows v, shape (m,) or (k, m), by one SVD
         taken now, dropping singular values <= PINV_CUTOFF times the largest."""
@@ -150,6 +154,16 @@ class TruncatedFrame:
             raise DegenerateFrameError("the section Gram is exactly zero", min_eig=0.0, max_eig=0.0)
         pinv = pseudoinverse(self.gram.matrix)
         return lambda v: v @ pinv
+
+    def dual_coeffs(self, rule: Callable) -> np.ndarray:
+        """pinv(G) as the dual ``rule`` of the identity, one row per unit vector."""
+        return rule(np.eye(len(self), dtype=complex))
+
+    def spectrum(self, cut: Callable) -> np.ndarray:
+        """Eigenvalues of the Gram, ascending, enough to read its largest and
+        its smallest, and which of them lie above cut(largest): here all of
+        them, by dense eigvalsh."""
+        return np.linalg.eigvalsh(self.gram.matrix)
 
 
 class FourierFrame(TruncatedFrame):
@@ -182,65 +196,6 @@ class FourierFrame(TruncatedFrame):
             sums = np.zeros((*np.shape(v)[:-1], len(scale)), dtype=complex)
             np.add.at(sums, (..., q), v)
             return (sums * scale)[..., q]
-
-        return rule
-
-
-#: relative residual where a LatticeFrame's conjugate gradients stop: 8-24 steps
-#: for delta <= 1/2, and y within 2.7e-15 of a dense LU solve (17 to 2047 centres)
-_CG_TOL = 1e-15
-#: most entries of the (rows, FFT length) block that conjugate gradients hold; more take the SVD
-_CG_BLOCK = 2**17
-
-
-class LatticeFrame(TruncatedFrame):
-    """A frame at centres x_j = x_0 + j s held by the row c(d) = G[j, k], d =
-    j - k, of its Toeplitz Gram: made Hermitian, the defect reported as the
-    asymmetry, and refused if not finite. The Gram is formed only when read;
-    the dual is conjugate gradients on the circulant embedding of the row,
-    two FFTs a step (Feichtinger, Groechenig & Strohmer, Numer. Math. 69,
-    1995), or the Gram's SVD where they stall."""
-
-    def __init__(self, alphas: tuple, h_grid: Grid, row: np.ndarray, synthesis: Callable):
-        if not np.all(np.isfinite(row)):
-            raise ShapeMismatchError("a feature holds non-finite values")
-        defect, weight = row - np.conj(row[::-1]), len(alphas) - np.abs(np.arange(1 - len(alphas), len(alphas)))
-        self.__dict__.update(alphas=alphas, h_grid=h_grid, synthesis=synthesis, row=row - defect / 2.0,
-                             asymmetry=float(np.sqrt(weight @ np.abs(defect) ** 2)))
-
-    @cached_property
-    def gram(self) -> GramMatrix:
-        d = np.arange(len(self))
-        return GramMatrix(self.row[d[:, None] - d + len(self) - 1], self.alphas, self.asymmetry)
-
-    def dual_rule(self) -> Callable:
-        """v -> v . G^-1 = conj(y), G y = conj(v) solved to ``_CG_TOL``. Rows
-        that M + 32 steps leave short of it (a profile transform that vanishes
-        in the band), or a block of rows above ``_CG_BLOCK``, take the SVD rule
-        of ``TruncatedFrame``, and once it is formed every row does."""
-        m, size = len(self), 1 << (2 * len(self) - 2).bit_length()
-        spectrum = np.fft.fft(np.concatenate((self.row[m - 1 :], np.zeros(size + 1 - 2 * m), self.row[: m - 1])))
-        svd = cache(lambda: TruncatedFrame.dual_rule(self))
-
-        def solve(r):
-            y, p, rs = np.zeros_like(r), r, np.sum(np.abs(r) ** 2, axis=1)
-            goal = _CG_TOL**2 * rs
-            for _ in range(m + 32):
-                if np.all(rs <= goal):
-                    return y
-                gp = np.fft.ifft(np.fft.fft(p, size) * spectrum)[:, :m]
-                curv = np.sum(np.conj(p) * gp, axis=1).real
-                alpha = np.divide(rs, curv, out=np.zeros_like(rs), where=curv > 0)[:, None]
-                y, r, old = y + alpha * p, r - alpha * gp, rs
-                rs = np.sum(np.abs(r) ** 2, axis=1)
-                p = r + np.divide(rs, old, out=np.zeros_like(rs), where=old > 0)[:, None] * p
-            return None
-
-        def rule(v):
-            rows = np.atleast_2d(np.asarray(v, dtype=complex))
-            if len(rows) * size > _CG_BLOCK or svd.cache_info().currsize or (y := solve(np.conj(rows))) is None:
-                return svd()(v)
-            return np.conj(y).reshape(np.shape(v))
 
         return rule
 
@@ -358,13 +313,16 @@ def gram(frame: TruncatedFrame, functionals: FunctionalFamily) -> GramMatrix:
     return GramMatrix(matrix=(m + m.conj().T) / 2.0, indices=frame.alphas, asymmetry=asym)
 
 
-def psd_check(g: GramMatrix) -> PsdReport:
-    """Positive semi-definiteness report for a Hermitian Gram: passes iff
-    the smallest eigenvalue is at least -1e-8 max(|max_eig|, 1)."""
-    w = np.linalg.eigvalsh(_require_hermitian(g.matrix))
+def psd_check(g: GramMatrix | TruncatedFrame) -> PsdReport:
+    """Positive semi-definiteness report for a Hermitian Gram, or for a
+    frame's Gram by its ``spectrum``: passes iff the smallest eigenvalue is at
+    least -1e-8 max(|max_eig|, 1). A Gram's eigenvalues are dense eigvalsh of
+    it once it is seen to be Hermitian; a ``LatticeFrame`` brackets its extremes
+    by Lanczos and takes eigvalsh only where a bracket meets the threshold."""
+    cut = lambda top: -1e-8 * max(abs(top), 1.0)  # noqa: E731
+    w = np.linalg.eigvalsh(_require_hermitian(g.matrix)) if isinstance(g, GramMatrix) else g.spectrum(cut)
     min_eig, max_eig = float(w[0]), float(w[-1])
-    passed = min_eig >= -1e-8 * max(abs(max_eig), 1.0)
-    return PsdReport(min_eig=min_eig, max_eig=max_eig, passed=passed)
+    return PsdReport(min_eig=min_eig, max_eig=max_eig, passed=min_eig >= cut(max_eig))
 
 
 def finite_dim_kernel(

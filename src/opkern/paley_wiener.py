@@ -19,7 +19,7 @@ from .core import Grid, GridFunction, uniform_fourier_sum
 from .core import complex_pairs, complex_values, integral, json_number, json_numbers, json_object
 from .exceptions import AdmissibilityError, DomainError, ShapeMismatchError, ValidationError
 from .families import AverageFunctional, fourier_period, fourier_synthesis
-from .kernels import FeatureMap, LatticeFrame, TruncatedFrame, _hermitian, feature_gram, xi_rows
+from .kernels import FeatureMap, TruncatedFrame, _hermitian, feature_gram, xi_rows
 
 __all__ = [
     "sinc_kernel",
@@ -197,13 +197,18 @@ def pw_average_sections(
 
     Centres x_j = x_0 + j s form Psi(0) alone, as Psi(x_j) = exp(i x_j t) Psi(0):
     c @ Psi and the ``LatticeFrame`` row sum_t w_t |Psi(0)|^2 exp(i d s t) are chirp-z sums.
+    At integer s below the alias, 2pi max |Psi(0)|^2 bounds the Gram's
+    spectrum (Grenander & Szegő): the frame's ``ceiling``.
     """
     w_grid = w_grid or w_grid_default()
     centers = tuple(float(c) for c in centers)
     weights = w_grid.weights() / SQRT_TWO_PI
     if s := lattice_spacing(centers):
         psi, d = pw_features([0.0], w_grid, delta, profile)[0], len(centers) - 1
-        row = uniform_fourier_sum(-s * d, s, 2 * d + 1, w_grid.a, w_grid.h, np.abs(psi) ** 2 * w_grid.weights(), 1.0)
+        symbol = np.abs(psi) ** 2
+        row = uniform_fourier_sum(-s * d, s, 2 * d + 1, w_grid.a, w_grid.h, symbol * w_grid.weights(), 1.0)
+        # the trapezoid sum of |sum_j c_j exp(-i j s t)|^2 is 2pi |c|^2 at integer s below the alias
+        ceiling = TWO_PI * float(np.max(symbol)) if s.is_integer() and abs(s) * d < w_grid.n - 1 else math.inf
 
         def synthesis(c):
             waves = uniform_fourier_sum(w_grid.a, w_grid.h, w_grid.n, centers[0], s, c, sign=1.0) * psi
@@ -223,7 +228,11 @@ def pw_average_sections(
             blocks = range(0, out_grid.n, step)
             return np.concatenate([sinc_kernel(y[lo : lo + step, None], centers) @ c for lo in blocks])
 
-    return LatticeFrame(centers, out_grid, row, synthesis) if s else TruncatedFrame(centers, out_grid, gram, synthesis)
+    if s:
+        from .lattice import LatticeFrame  # compiled only by the runs that take a lattice
+
+        return LatticeFrame(centers, out_grid, row, synthesis, ceiling)
+    return TruncatedFrame(centers, out_grid, gram, synthesis)
 
 
 def point_feature_map(w_grid: Grid, dim_y: int = 1) -> FeatureMap:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from opkern import cli
+from opkern import cli, toeplitz
 from opkern.cli import main
 from opkern.core import _BLOCK_CELLS, Grid, GridFunction
 from opkern.kernels import GramMatrix, feature_gram, fourier_feature_map, fourier_frame, psd_check
@@ -484,7 +484,7 @@ def test_stability_csv_keeps_the_old_bytes(tmp_path):
 def test_gram_csv_of_each_family_keeps_the_old_bytes(tmp_path, family, indices):
     argv = ["gram", "--family", family, f"--indices={indices}", "--grid-n", "9", "--w-n", "257"]
     assert main([*argv, "--out", str(tmp_path / "g")]) == 0
-    g = cli._gram_of(cli.build_parser().parse_args(argv))
+    g = cli._indexed_frame(cli.build_parser().parse_args(argv)).gram
     assert (tmp_path / "g.csv").read_text() == _old_gram_csv(g)
 
 
@@ -510,7 +510,8 @@ def test_gram_and_psd_write_the_gram_of_the_frame_route(tmp_path, capsys, kind, 
     """gram and psd take the Gram from the features on the --w-n grid alone.
     It is the Gram of the frame that pw_average_sections builds for averages
     or (no delta) points on any window, bit for bit, for integer and
-    non-integer centres.
+    non-integer centres; psd reports the frame's spectrum, at a lattice
+    within the Lanczos tolerance of the Gram's eigvalsh.
     Centres that spread over w_n - 1 or more alias on the grid and are
     refused, naming --indices and --w-n."""
     family, profile = kind
@@ -527,15 +528,19 @@ def test_gram_and_psd_write_the_gram_of_the_frame_route(tmp_path, capsys, kind, 
     assert main(["psd", *argv, "--out", str(tmp_path / "p")]) == 0
     window, w_grid = pw_window(m, points_per_unit=ppu), w_grid_default(w_n)
     frame = pw_average_sections(indices, float(delta) if family == "average" else None, window, profile, w_grid)
-    g = cli._gram_of(cli.build_parser().parse_args(["gram", *argv]))
+    g = cli._indexed_frame(cli.build_parser().parse_args(["gram", *argv])).gram
     assert g.indices == frame.alphas
     assert np.array_equal(g.matrix, frame.gram.matrix)
     assert g.asymmetry == frame.gram.asymmetry
     assert (tmp_path / "g.csv").read_text() == _old_gram_csv(frame.gram)
-    report = psd_check(frame.gram)
+    report, dense = psd_check(frame), psd_check(frame.gram)
     assert json.loads((tmp_path / "p.json").read_text()) == {
         "min_eig": report.min_eig, "max_eig": report.max_eig, "pass": report.passed, "asymmetry": frame.gram.asymmetry,
     }
+    # a lattice's extremes are Lanczos's, within its tolerance of the Gram's eigvalsh
+    assert report.passed == dense.passed
+    assert abs(report.min_eig - dense.min_eig) <= 1e-6 * dense.max_eig
+    assert abs(report.max_eig - dense.max_eig) <= 1e-6 * dense.max_eig
 
 
 @pytest.mark.parametrize("family", ["average", "point"])
@@ -1238,19 +1243,43 @@ def test_help_and_version_still_exit_0(capsys, argv):
 
 
 def test_linalg_error_exits_numerical(tmp_path, capsys, monkeypatch):
-    """A LinAlgError from numpy exits 3. stability reads the Gram's extreme
-    eigenvalues; reconstruct --space pw makes no LAPACK call to fail."""
-    def failing_eigvalsh(*args, **kwargs):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    """A LinAlgError from numpy exits 3. stability solves its damped trials
+    by np.linalg.solve, and reads the lattice Gram's extremes by eigvalsh
+    only where Lanczos leaves them unbracketed (here after 4 steps);
+    reconstruct --space pw makes no LAPACK call to fail."""
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
-    code = main([
-        "stability", "--m", "4", "--sizes", "2", "--trials", "5",
-        "--w-n", "257", "--points-per-unit", "8", "--out", str(tmp_path / "x"),
-    ])
-    assert code == 3
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "LinAlgError"
+    argv = ["stability", "--m", "4", "--sizes", "2", "--trials", "5", "--w-n", "257", "--points-per-unit", "8"]
+    monkeypatch.setattr(np.linalg, "solve", failing)
+    assert main([*argv, "--out", str(tmp_path / "x")]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "LinAlgError"
+    monkeypatch.undo()
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    assert main([*argv, "--out", str(tmp_path / "y")]) == 0
+    monkeypatch.setattr(toeplitz, "_LANCZOS_STEPS", 4)
+    assert main([*argv, "--out", str(tmp_path / "z")]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "LinAlgError"
+
+
+@pytest.mark.parametrize("linalg", ["svd", "eigh", "eigvalsh", "pinv"])
+def test_stability_pw_makes_no_eigensolve_or_svd(tmp_path, monkeypatch, linalg):
+    """At the pw-stability benchmark's arguments the frame bounds are the
+    lattice Gram's Lanczos extremes, ``coeffs`` is Trench's G^-1 from one
+    conjugate-gradient column, and every damped matrix is certified by its
+    Gershgorin discs: with each of these numpy.linalg solvers made to raise,
+    the run exits 0 and passes."""
+    def failing(*args, **kwargs):
+        raise AssertionError(f"np.linalg.{linalg} was called")
+
+    monkeypatch.setattr(np.linalg, linalg, failing)
+    argv = [
+        "stability", "--m", "8", "--sizes", "4,8,16", "--trials", "1000", "--profile", "cosine", "--w-n", "257",
+        "--points-per-unit", "16", "--seed", "1", "--out", str(tmp_path / "s"),
+    ]
+    assert main(argv) == 0
+    report = json.loads((tmp_path / "s.json").read_text())
+    assert report["truncated"]["pass"] and report["tikhonov"]["pass"]
 
 
 @pytest.mark.parametrize("linalg", ["svd", "solve", "eigh", "eigvalsh", "pinv"])
@@ -1383,12 +1412,48 @@ def test_lattice_gram_is_charged_for_its_gram_alone(tmp_path, capsys):
     assert not list(tmp_path.glob("h*"))
 
 
+@pytest.mark.parametrize("command", ["gram", "psd"])
+def test_an_index_range_is_refused_by_its_length(tmp_path, capsys, command):
+    """A range is refused by its count x count Gram before its indices are
+    held: 2,000,001 Fourier indices exit 2 naming the entries they would
+    need, and the run allocates almost nothing (the list of their ints
+    peaked at 106.6 MB RSS)."""
+    tracemalloc.start()
+    try:
+        code = main([command, "--family", "fourier", "--indices=-1000000..1000000", "--out", str(tmp_path / "g")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert "2000001 indices need 4000004000001 feature or Gram entries" in message
+    assert peak < 2**20
+
+
+def test_psd_of_the_widest_lattice_forms_no_gram(tmp_path):
+    """psd --family average --indices=-1023..1023 reads the lattice Gram's
+    extremes by Lanczos on its row: its tracemalloc peak, 8.7 MiB, stays
+    below a quarter of the 67 MB Gram, and its extremes lie within the Lanczos
+    tolerance of the Gram's eigvalsh (0.8751543, 0.99999997)."""
+    argv = ["psd", "--family", "average", "--indices=-1023..1023", "--out", str(tmp_path / "p")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2047**2 * 16 / 4
+    report = json.loads((tmp_path / "p.json").read_text())
+    assert report["pass"]
+    assert abs(report["min_eig"] - 0.8751542881979615) <= 1e-6 and abs(report["max_eig"] - 0.9999999686136114) <= 1e-6
+
+
 def test_gram_and_psd_take_the_widest_unaliased_centres(tmp_path):
     """-1023..1023 spreads over 2046 < w_n - 1 at the default --w-n 2049, so
     the check passes and gram and psd form its Gram; at --w-n 65 the widest
     lattice, -31..31, runs through psd with its spectrum in [0.876, 1.0]."""
     args = cli.build_parser().parse_args(["psd", "--family", "average", "--indices=-1023..1023"])
-    assert cli._gram_of(args).matrix.shape == (2047, 2047)
+    assert cli._indexed_frame(args).gram.matrix.shape == (2047, 2047)
     assert main(["psd", "--family", "average", "--indices=-31..31", "--w-n", "65", "--out", str(tmp_path / "p")]) == 0
     report = json.loads((tmp_path / "p.json").read_text())
     assert report["pass"] and 0.87 < report["min_eig"] < report["max_eig"] <= 1.0 + 1e-12

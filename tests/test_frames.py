@@ -5,7 +5,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from opkern.core import Grid, GridFunction, inner_product, norm
+from opkern import toeplitz
+from opkern.lattice import LatticeFrame
+from opkern.core import Grid, GridFunction, inner_product, norm, pseudoinverse
 from opkern.exceptions import AlignmentError, DegenerateFrameError, ShapeMismatchError
 from opkern.families import (
     AverageSamplingFamily,
@@ -20,8 +22,7 @@ from opkern.frames import (
     reconstruct,
 )
 from opkern.kernels import (
-    FeatureMap, GramMatrix, LatticeFrame, TruncatedFrame, fourier_frame, fourier_point_feature_map,
-    kernel_from_features,
+    FeatureMap, GramMatrix, TruncatedFrame, fourier_frame, fourier_point_feature_map, kernel_from_features, psd_check,
 )
 from opkern.learning import sampling_operator
 from opkern.paley_wiener import (
@@ -29,6 +30,7 @@ from opkern.paley_wiener import (
     lattice_spacing,
     point_feature_map,
     pw_average_sections,
+    pw_features,
     pw_window,
     synthesize,
     w_grid_default,
@@ -575,7 +577,9 @@ def test_the_lattice_dual_forms_no_gram_unless_it_takes_the_svd():
     reconstructing form no Gram. 128 unit rows of 301 centres, a block of
     2**17 entries at the FFT length 1024, are solved together; against G they
     give the identity within 2.0e-15 (the bound is 1e-14). The 301 rows of
-    ``coeffs`` take the SVD rule of ``TruncatedFrame``, bit for bit. Centres
+    ``coeffs``, too many for one block, are Trench's G^-1 from one solved
+    column, formed with no Gram: against G they give the identity within
+    2.0e-15 (the SVD rule of ``TruncatedFrame`` within 2.9e-15). Centres
     a quarter apart oversample the band four times, so the Gram's smallest
     eigenvalue is round-off (-1.9e-15 of 4.0): the residual stalls, and after
     M + 32 steps the rule takes the SVD for that row and every later one."""
@@ -586,11 +590,109 @@ def test_the_lattice_dual_forms_no_gram_unless_it_takes_the_svd():
     assert isinstance(frame, LatticeFrame) and "gram" not in vars(frame)
     wide = pw_average_sections(range(-150, 151), 0.2, Grid(-160.0, 160.0, 641), w_grid=w_grid_default(513))
     dual = dual_frame(wide)
-    rows = dual.apply(np.eye(301)[:128])
+    rows, coeffs = dual.apply(np.eye(301)[:128]), dual.coeffs
     assert "gram" not in vars(wide)
     assert np.max(np.abs(rows @ wide.gram.matrix - np.eye(301)[:128])) <= 1e-14
-    assert np.array_equal(dual.coeffs, TruncatedFrame.dual_rule(wide)(np.eye(301, dtype=complex)))
+    assert np.max(np.abs(coeffs @ wide.gram.matrix - np.eye(301))) <= 1e-14
     crowded = pw_average_sections([0.25 * j for j in range(40)], 0.2, window, w_grid=w_grid_default(129))
     rule, v = dual_frame(crowded).apply, np.ones((2, 40), dtype=complex)
     assert np.array_equal(rule(v[0]), TruncatedFrame.dual_rule(crowded)(v[0]))
     assert np.array_equal(rule(v), TruncatedFrame.dual_rule(crowded)(v))
+
+
+def _lattice(profile, delta, count, w_n):
+    """The average frame at centres 0..count - 1 on the w_n grid, and 2 pi |Psi(0)|^2 there."""
+    wg = w_grid_default(w_n)
+    symbol = TWO_PI * np.abs(pw_features([0.0], wg, delta, profile)[0]) ** 2
+    return pw_average_sections(range(count), delta, wg, profile, wg), symbol
+
+
+_PROFILES = st.sampled_from(["box", "triangle", "cosine"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    profile=_PROFILES,
+    delta=st.floats(0.01, 0.5),
+    count=st.integers(2, 300),
+    extra=st.integers(1, 1200),
+)
+@example("box", 0.2, 256, 1793)
+@example("box", 0.5, 300, 1)
+def test_lattice_extremes_bracket_the_dense_spectrum(profile, delta, count, extra):
+    """Lanczos on the row brackets the Gram's extreme eigenvalues: each dense
+    eigvalsh extreme (the oracle) lies in its bracket, within _LANCZOS_TOL of
+    the largest from the reported value, and the whole dense spectrum in the
+    Grenander-Szegő enclosure [2 pi min |Psi(0)|^2, 2 pi max |Psi(0)|^2], exact
+    at integer spacing on a grid of w_n > M points. frame_bounds_estimate and
+    psd_check read the reported values; delta reaches the CG limit 1/2."""
+    frame, symbol = _lattice(profile, delta, count, count + extra)
+    w = np.linalg.eigvalsh(frame.gram.matrix)
+    (lo_a, a, hi_a), (lo_b, b, hi_b) = frame.extremes()
+    assert lo_a <= w[0] <= hi_a and lo_b <= w[-1] <= hi_b
+    assert max(abs(a - w[0]), abs(b - w[-1])) <= toeplitz._LANCZOS_TOL * w[-1]
+    assert max(hi_a - lo_a, hi_b - lo_b) <= toeplitz._LANCZOS_TOL * w[-1]
+    slack = 4 * count * EPS * w[-1]
+    assert symbol.min() - slack <= w[0] and w[-1] <= symbol.max() + slack
+    assert frame.ceiling == symbol.max()
+    assert frame_bounds_estimate(frame) == (a, b)
+    report = psd_check(frame)
+    assert (report.min_eig, report.max_eig, report.passed) == (a, b, True)
+
+
+def test_lattice_extremes_reach_a_skew_symmetric_eigenvector():
+    """A symmetric profile's Gram is real symmetric Toeplitz: its eigenvectors
+    are symmetric or skew-symmetric, and a Krylov space from a symmetric
+    start holds only the symmetric ones. At 256 box averages the smallest
+    eigenvector is skew-symmetric, and the symmetric half stops 9.4e-4 above
+    the smallest eigenvalue; the ``uniform`` start reaches it."""
+    frame, _ = _lattice("box", 0.2, 256, 2049)
+    g = frame.gram.matrix
+    w, v = np.linalg.eigh(g)
+    assert np.max(np.abs(v[:, 0] + v[::-1, 0])) <= 1e-12
+    half = np.hstack((np.eye(128), np.eye(128)[:, ::-1])) / math.sqrt(2.0)
+    assert np.linalg.eigvalsh(half @ g.real @ half.T)[0] > w[0] + 1e-4
+    (lo, a, hi), _ = frame.extremes()
+    assert lo <= w[0] <= hi and abs(a - w[0]) <= toeplitz._LANCZOS_TOL * w[-1]
+
+
+def test_lattice_spectrum_takes_eigvalsh_where_lanczos_cannot_decide(monkeypatch):
+    """The dense fallback: where the smallest eigenvalue's bracket does not
+    clear the cutoff (a Gram of rank one, row all ones, whose nonzero
+    eigenvalue is M), and where _LANCZOS_STEPS steps leave a bracket open."""
+    calls = []
+    dense = np.linalg.eigvalsh
+
+    def recording(m):
+        calls.append(np.shape(m))
+        return dense(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    ones = LatticeFrame(tuple(range(5)), Grid(0.0, 1.0, 3), np.ones(9, dtype=complex), lambda c: c)
+    a, b = frame_bounds_estimate(ones)
+    assert calls == [(5, 5)] and abs(a - 5.0) <= 1e-14 and abs(b - 5.0) <= 1e-14
+    frame, _ = _lattice("box", 0.2, 40, 129)
+    want = frame_bounds_estimate(frame)
+    assert len(calls) == 1
+    monkeypatch.setattr(toeplitz, "_LANCZOS_STEPS", 4)
+    assert frame.extremes() is None
+    got = frame_bounds_estimate(frame)
+    assert calls[1:] == [(40, 40)]
+    assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-6 * want[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(profile=_PROFILES, delta=st.floats(0.01, 0.5), count=st.integers(2, 300), extra=st.integers(1, 600))
+@example("cosine", 0.2, 17, 240)
+@example("triangle", 0.5, 255, 1)
+def test_lattice_dual_coeffs_are_trench_s_inverse(profile, delta, count, extra):
+    """``coeffs`` of a lattice dual is G^-1 by Trench's recurrence from one
+    solved column, with no Gram formed. Against the SVD pseudoinverse it
+    was within 15 eps kappa max|pinv(G)| over M = 2 to 300 (three profiles,
+    delta 0.05 to 0.5); the bound is 64."""
+    frame, _ = _lattice(profile, delta, count, count + extra)
+    coeffs = dual_frame(frame).coeffs
+    assert "gram" not in vars(frame)
+    g = frame.gram.matrix
+    w, pinv = np.linalg.eigvalsh(g), pseudoinverse(g)
+    assert np.max(np.abs(coeffs - pinv)) <= 64 * EPS * w[-1] / w[0] * np.max(np.abs(pinv))
